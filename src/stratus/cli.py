@@ -24,8 +24,7 @@ from .blueprint import (
     parse_matrix_overrides,
     render_matrix_grid,
 )
-from .machine import parse_cluster
-from .sim import ScenarioSpec, Simulation, load_scenario
+from .sim import ScenarioSpec, load_scenario, run_scenario
 from .store import RunStore
 from .service import ServiceContext, serve
 from .workflow import (
@@ -141,28 +140,6 @@ def _replace_scenario(scenario: ScenarioSpec, **changes) -> ScenarioSpec:
     return dataclasses.replace(scenario, **changes)
 
 
-def _execute_scenario(scenario: ScenarioSpec, run_id: str):
-    spec = parse_workflow(
-        scenario.workflow_path.read_text(encoding="utf-8"),
-        default_workflow_id=scenario.workflow_path.stem,
-    )
-    machines, fs_total = parse_cluster(
-        scenario.cluster_path.read_text(encoding="utf-8")
-    )
-    simulation = Simulation(
-        spec,
-        machines,
-        fs_total,
-        scenario.input_count,
-        scenario.seed,
-        scenario.topology,
-        run_id=run_id,
-    )
-    for injection in scenario.injections:
-        simulation.inject(injection)
-    return simulation.run_to_completion()
-
-
 def _write_run_outputs(result, run_dir: Path) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / f"trace-{result.run_id}.tsv").write_text(result.trace_text(), encoding="utf-8")
@@ -233,7 +210,7 @@ def _print_status(record) -> None:
 def cmd_run(args) -> int:
     scenario = _scenario_from_run_args(args)
     run_id = args.run_id or f"run-{uuid.uuid4().hex[:12]}"
-    result = _execute_scenario(scenario, run_id)
+    result = run_scenario(scenario, run_id=run_id)
 
     run_dir = out_root() / run_id
     _write_run_outputs(result, run_dir)
@@ -342,7 +319,7 @@ def cmd_serve(args) -> int:
         scenario = load_scenario(args.scenario)
         scenario = _replace_scenario(scenario, topology=topology)
         run_id = f"run-{uuid.uuid4().hex[:12]}"
-        result = _execute_scenario(scenario, run_id)
+        result = run_scenario(scenario, run_id=run_id)
         context.add_result(result)
         print(f"attached run {run_id} ({result.run.final_state.value})")
     handle = serve(context, host, int(port_text))

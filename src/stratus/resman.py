@@ -2,6 +2,15 @@
 with capacity reservation, infrastructure and file-system status, and the
 running-workflow registry.
 
+The queue is stored as run-length segments: each segment holds consecutive
+entries with an equal ResourceRequest.  Within one scheduling pass headroom
+only shrinks, so once a request vector fits nowhere, every later entry with
+the same vector fits nowhere either, and a machine too small for a vector
+stays too small for it.  A pass therefore skips whole segments and resumes
+each vector's first-fit scan where the previous entry left off, costing
+O(segments + assignments + machines x distinct vectors) instead of
+O(queue x machines).
+
 Two coupling topologies exist.  In workflow-aware mode the resource manager
 is handed whole workflows and resolves readiness itself; in disjoint mode an
 external driver submits ready instances one at a time and the resource
@@ -9,6 +18,7 @@ manager knows nothing about workflow structure (running_workflows is always
 empty there).
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .blueprint import TopologyMode
@@ -96,7 +106,9 @@ class ResourceManager:
         self.topology = topology
         self.registry = registry
         self.fs_total_bytes = fs_total_bytes
-        self._queue: list[QueueEntry] = []
+        # (request, entries) segments in FIFO order
+        self._segments: list[tuple[ResourceRequest, deque[QueueEntry]]] = []
+        self._queued: set[str] = set()
         self._running: dict[str, tuple[str, ResourceRequest]] = {}
         self._finished: set[str] = set()
         self._reserved: dict[str, ResourceVector] = {}
@@ -127,47 +139,61 @@ class ResourceManager:
     def enqueue(self, entry: QueueEntry) -> None:
         """FIFO append with task-id uniqueness across queue, running, and
         finished sets."""
-        known = (
-            entry.task_id in self._finished
-            or entry.task_id in self._running
-            or any(e.task_id == entry.task_id for e in self._queue)
-        )
-        if known:
-            raise DuplicateTaskError(entry.task_id)
-        self._queue.append(entry)
+        task_id = entry.task_id
+        if task_id in self._queued or task_id in self._running or task_id in self._finished:
+            raise DuplicateTaskError(task_id)
+        self._queued.add(task_id)
+        if self._segments and self._segments[-1][0] == entry.requested:
+            self._segments[-1][1].append(entry)
+        else:
+            self._segments.append((entry.requested, deque([entry])))
 
     # -- scheduling ---------------------------------------------------------
-
-    def _headroom(self, machine_id: str) -> ResourceVector:
-        capacity = self.registry.descriptor(machine_id).capacity
-        reserved = self._reserved.get(machine_id, ResourceVector(0, 0, 0))
-        return capacity.minus(reserved)
 
     def schedule(self, t_ms: int) -> list[tuple[str, str]]:
         """One scheduling pass: walk the queue in FIFO order and give each
         entry the first healthy machine (ascending id) with room on every
         dimension.  Assignment reserves capacity immediately; entries that
         fit nowhere stay queued."""
+        if not self._segments:
+            return []
+        machine_ids = []
+        capacity = []
+        headroom = []
+        for machine_id in self.registry.machine_ids():
+            descriptor = self.registry.descriptor(machine_id)
+            if descriptor.status is MachineStatus.HEALTHY:
+                machine_ids.append(machine_id)
+                capacity.append(descriptor.capacity)
+                headroom.append(descriptor.capacity.minus(self.reserved_on(machine_id)))
+        # per request vector: index of the first machine that may still fit
+        # it; len(machine_ids) once it fits nowhere
+        first_fit: dict[ResourceVector, int] = {}
         assignments = []
         remaining = []
-        for entry in self._queue:
-            need = _request_vector(entry.requested)
-            chosen = None
-            for machine_id in self.registry.machine_ids():
-                descriptor = self.registry.descriptor(machine_id)
-                if descriptor.status is not MachineStatus.HEALTHY:
+        for requested, entries in self._segments:
+            need = _request_vector(requested)
+            k = first_fit.get(need, 0)
+            while entries and k < len(machine_ids):
+                if not need.fits_within(headroom[k]):
+                    k += 1
                     continue
-                if need.fits_within(self._headroom(machine_id)):
-                    chosen = machine_id
-                    break
-            if chosen is None:
-                remaining.append(entry)
+                entry = entries.popleft()
+                chosen = machine_ids[k]
+                reserved = self.reserved_on(chosen).plus(need)
+                self._reserved[chosen] = reserved
+                headroom[k] = capacity[k].minus(reserved)
+                self._queued.discard(entry.task_id)
+                self._running[entry.task_id] = (chosen, requested)
+                assignments.append((entry.task_id, chosen))
+            first_fit[need] = k
+            if not entries:
                 continue
-            reserved = self._reserved.get(chosen, ResourceVector(0, 0, 0))
-            self._reserved[chosen] = reserved.plus(need)
-            self._running[entry.task_id] = (chosen, entry.requested)
-            assignments.append((entry.task_id, chosen))
-        self._queue = remaining
+            if remaining and remaining[-1][0] == requested:
+                remaining[-1][1].extend(entries)
+            else:
+                remaining.append((requested, entries))
+        self._segments = remaining
         return assignments
 
     def release(self, task_id: str, wchar_bytes: int = 0) -> None:
@@ -191,7 +217,7 @@ class ResourceManager:
         return self._running.get(task_id)
 
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return len(self._queued)
 
     def reserved_on(self, machine_id: str) -> ResourceVector:
         return self._reserved.get(machine_id, ResourceVector(0, 0, 0))
@@ -211,7 +237,7 @@ class ResourceManager:
             machines_by_status=counts,
             capacity_total=total,
             capacity_reserved=reserved,
-            queue_depth=len(self._queue),
+            queue_depth=len(self._queued),
             running_tasks=len(self._running),
         )
 

@@ -121,6 +121,7 @@ class ServiceContext:
         can be streamed while it executes."""
         feed = LiveRunFeed()
         simulation.progress_listeners.append(feed.push)
+        simulation.abort_listeners.append(feed.close)
         with self._lock:
             self.feeds[simulation.run_id] = feed
             self.results[simulation.run_id] = simulation._result()

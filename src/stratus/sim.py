@@ -9,6 +9,24 @@ topology, injections), so equal inputs give byte-identical artifacts.
 One root seed expands into an independent random stream per task instance,
 keyed by a hash of the instance id.  Adding machines or reordering
 unrelated work therefore never perturbs another task's draws.
+
+Each event costs work proportional to what it changed, not to the size of
+the run.  The engine keeps these invariants instead of rescanning every
+instance:
+
+- Readiness is incremental.  ``_remaining[d]`` counts the instances of
+  definition ``d`` not yet succeeded.  Dependencies are all-to-all between
+  instance groups, so a definition becomes ready exactly when the last of
+  its predecessors' counts reaches 0.  Successors are therefore re-checked
+  only when a definition's last instance succeeds, and each definition is
+  queued once, in spec order and then index order, as ``ready_tasks``
+  would order it.  ``ready_tasks`` itself seeds the t=0 pump.
+- Progress and completion come from running counters: succeeded, failed,
+  and open instances (not terminal and not poisoned).  The progress record
+  built from them equals ``workflow_status(run)``, and the run can finish
+  only once the open count is 0.
+- Poisoning walks definition groups, and stops at groups already poisoned,
+  whose descendants were poisoned with them.
 """
 
 import enum
@@ -19,6 +37,7 @@ import random
 import time
 import uuid
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .blueprint import TopologyMode
@@ -43,12 +62,14 @@ from .taskmon import (
 from .workflow import (
     RunRecord,
     RunState,
+    TaskInstance,
     TaskState,
     WorkflowSpec,
+    WorkflowStatusReport,
     expand_instances,
     ready_tasks,
     resolve_final_state,
-    workflow_status,
+    workflow_status,  # unused here; kept as stratus.sim's naive progress reference
 )
 
 DEFAULT_SAMPLE_CADENCE_MS = 1000
@@ -365,7 +386,19 @@ class Simulation:
             ),
             instances=expand_instances(spec, input_count),
         )
-        self._instance_ids = {i.task_id for i in self.run.instances}
+        instances = self.run.instances
+        self._instances: dict[str, TaskInstance] = {i.task_id: i for i in instances}
+        # expand_instances lists each definition's instances contiguously
+        self._groups: dict[str, list[TaskInstance]] = {
+            name: list(group)
+            for name, group in itertools.groupby(instances, key=attrgetter("definition"))
+        }
+        self._position = {name: i for i, name in enumerate(self._groups)}
+        self._remaining = {name: len(group) for name, group in self._groups.items()}
+        self._newly_ready: set[str] = set()
+        self._succeeded = 0
+        self._failed = 0
+        self._open = len(instances)
 
         self._injections: list[FaultInjection] = []
         self._events: list[tuple[int, int, str, object]] = []
@@ -374,6 +407,7 @@ class Simulation:
         self._started = False
         self._finished = False
         self._poisoned: set[str] = set()
+        self._poisoned_defs: set[str] = set()
         self._executions: dict[str, _Execution] = {}
         self._generation = itertools.count()
         self._cancelled: set[int] = set()
@@ -385,10 +419,11 @@ class Simulation:
         self.diagnoses: dict[str, Diagnosis] = {}
         self.code_parts: dict[str, list[CodePartProfile]] = {}
         self.log_store = LogStore()
-        for instance in self.run.instances:
-            self.log_store.register_task(instance.task_id)
+        self.log_store.register_task(*self._instances)
         self.progress_listeners: list = []
         self.progress_records: list = []
+        # called with no arguments when run_to_completion raises
+        self.abort_listeners: list = []
 
     # -- fault injection ----------------------------------------------------
 
@@ -399,7 +434,7 @@ class Simulation:
             if injection.target not in self.registry.machine_ids():
                 raise TargetUnknownError(injection.target)
         else:
-            if injection.target not in self._instance_ids:
+            if injection.target not in self._instances:
                 raise TargetUnknownError(injection.target)
         self._injections.append(injection)
 
@@ -429,7 +464,14 @@ class Simulation:
         self.event_records.append(EventRecord(t_ms, kind, subject, detail))
 
     def _emit_progress(self) -> None:
-        record = workflow_status(self.run)
+        total = len(self.run.instances)
+        record = WorkflowStatusReport(
+            state=self.run.final_state,
+            finished=self._succeeded,
+            total=total,
+            progress=self._succeeded / total if total else 1.0,
+            failures=self._failed,
+        )
         self.progress_records.append(record)
         for listener in self.progress_listeners:
             listener(record)
@@ -440,7 +482,14 @@ class Simulation:
         if self._started:
             raise SimulationError("simulation already ran")
         self._started = True
+        try:
+            return self._run()
+        except BaseException:
+            for listener in self.abort_listeners:
+                listener()
+            raise
 
+    def _run(self) -> SimulationResult:
         self._emit(
             0,
             "run_submitted",
@@ -456,6 +505,9 @@ class Simulation:
                 self._push(inj.at_ms, "machine_unhealthy", inj.target)
                 self._pending_machine_events += 1
 
+        self._newly_ready = {
+            self._instances[task_id].definition for task_id in ready_tasks(self.run, self.spec)
+        }
         self._pump(0)
         self._push(0, "sample_tick", None)
 
@@ -504,38 +556,36 @@ class Simulation:
     # -- pumps --------------------------------------------------------------
 
     def _pump(self, t_ms: int) -> None:
-        """Queue newly ready instances, then hand the queue to the
-        scheduler and start whatever got a machine."""
-        ready = ready_tasks(self.run, self.spec)
-        for instance in self.run.instances:
-            if instance.task_id not in ready:
-                continue
-            instance.mark_queued(t_ms)
-            entry = QueueEntry(
-                task_id=instance.task_id,
-                requested=self.spec.definition(instance.definition).requested,
-                enqueue_ms=t_ms,
-                workflow_id=(
-                    self.spec.workflow_id
-                    if self.topology is TopologyMode.WORKFLOW_AWARE
-                    else None
-                ),
-            )
-            if self.topology is TopologyMode.DISJOINT:
-                self.rm.submit_task(entry)
-            else:
-                self.rm.enqueue(entry)
-            self._emit(
-                t_ms, "instance_queued", instance.task_id,
-                f"definition={instance.definition}",
-            )
-            self._emit_progress()
+        """Queue the instances of newly ready definitions, then hand the
+        queue to the scheduler and start whatever got a machine."""
+        ready = sorted(self._newly_ready, key=self._position.__getitem__)
+        self._newly_ready = set()
+        aware = self.topology is TopologyMode.WORKFLOW_AWARE
+        for name in ready:
+            requested = self.spec.definition(name).requested
+            for instance in self._groups[name]:
+                instance.mark_queued(t_ms)
+                entry = QueueEntry(
+                    task_id=instance.task_id,
+                    requested=requested,
+                    enqueue_ms=t_ms,
+                    workflow_id=self.spec.workflow_id if aware else None,
+                )
+                if aware:
+                    self.rm.enqueue(entry)
+                else:
+                    self.rm.submit_task(entry)
+                self._emit(
+                    t_ms, "instance_queued", instance.task_id,
+                    f"definition={instance.definition}",
+                )
+                self._emit_progress()
 
         for task_id, machine_id in self.rm.schedule(t_ms):
             self._start_instance(t_ms, task_id, machine_id)
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
-        instance = self.run.instance(task_id)
+        instance = self._instances[task_id]
         definition = self.spec.definition(instance.definition)
         model = self.models[definition.runtime_model]
         rng = instance_stream(self.seed, task_id)
@@ -597,7 +647,7 @@ class Simulation:
     def _scaled_record(self, execution: _Execution, end_ms: int, status: str, exit_code: int) -> TaskTraceRecord:
         """Build the final trace record, scaling cumulative counters down
         when the task was cut short of its planned runtime."""
-        instance = self.run.instance(execution.task_id)
+        instance = self._instances[execution.task_id]
         metrics = execution.metrics
         duration = end_ms - execution.start_ms
         planned = metrics.runtime_ms
@@ -623,10 +673,11 @@ class Simulation:
 
     def _finish_instance(self, t_ms: int, execution: _Execution, exit_code: int) -> None:
         task_id = execution.task_id
-        instance = self.run.instance(task_id)
+        instance = self._instances[task_id]
         status = TaskState.SUCCEEDED if exit_code == 0 else TaskState.FAILED
         record = self._scaled_record(execution, t_ms, status.value, exit_code)
         instance.mark_finished(t_ms, status)
+        self._open -= 1
         self.rm.release(task_id, record.wchar_bytes)
         del self._executions[task_id]
         self.trace_records.append(record)
@@ -638,6 +689,8 @@ class Simulation:
         self.code_parts[task_id] = _synthesize_code_parts(record)
 
         if status is TaskState.SUCCEEDED:
+            self._succeeded += 1
+            self._count_success(instance.definition)
             self._emit(
                 t_ms, "instance_succeeded", task_id,
                 f"exit=0 machine={execution.machine_id}",
@@ -646,6 +699,7 @@ class Simulation:
                 LogEntry(task_id, t_ms, LogLevel.INFO, "finished exit=0")
             )
         else:
+            self._failed += 1
             self._emit(
                 t_ms, "instance_failed", task_id,
                 f"exit={exit_code} verdict={diagnosis.verdict.value} "
@@ -691,29 +745,35 @@ class Simulation:
         if self._executions or self._pending_machine_events > 0:
             self._push(t_ms + self.sample_cadence_ms, "sample_tick", None)
 
+    def _count_success(self, definition: str) -> None:
+        """Mark successors ready when ``definition``'s last instance has
+        succeeded and so have all their other predecessors."""
+        self._remaining[definition] -= 1
+        if self._remaining[definition]:
+            return
+        predecessors, successors = self.spec.adjacency
+        for successor in successors.get(definition, ()):
+            if all(self._remaining[p] == 0 for p in predecessors[successor]):
+                self._newly_ready.add(successor)
+
     def _poison_descendants(self, failed_definition: str) -> None:
         """A failed instance makes every instance of every transitively
         downstream definition permanently ineligible."""
-        reachable = set()
+        successors = self.spec.adjacency[1]
         frontier = [failed_definition]
         while frontier:
-            current = frontier.pop()
-            for successor in self.spec.successors(current):
-                if successor not in reachable:
-                    reachable.add(successor)
-                    frontier.append(successor)
-        for instance in self.run.instances:
-            if instance.definition in reachable and instance.state is TaskState.PENDING:
-                self._poisoned.add(instance.task_id)
+            for successor in successors.get(frontier.pop(), ()):
+                if successor in self._poisoned_defs:
+                    continue
+                self._poisoned_defs.add(successor)
+                frontier.append(successor)
+                for instance in self._groups[successor]:
+                    if instance.state is TaskState.PENDING:
+                        self._poisoned.add(instance.task_id)
+                        self._open -= 1
 
     def _check_completion(self, t_ms: int) -> None:
-        if self._finished:
-            return
-        for instance in self.run.instances:
-            if instance.state.terminal:
-                continue
-            if instance.task_id in self._poisoned and instance.state is TaskState.PENDING:
-                continue
+        if self._finished or self._open:
             return
         self.run.final_state = resolve_final_state(self.run, frozenset(self._poisoned))
         if self.run.final_state is RunState.RUNNING:

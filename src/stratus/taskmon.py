@@ -286,9 +286,10 @@ class LogStore:
         self._entries: dict[str, list[LogEntry]] = {}
         self._lock = threading.Lock()
 
-    def register_task(self, task_id: str) -> None:
+    def register_task(self, *task_ids: str) -> None:
         with self._lock:
-            self._entries.setdefault(task_id, [])
+            for task_id in task_ids:
+                self._entries.setdefault(task_id, [])
 
     def known_tasks(self) -> list[str]:
         with self._lock:

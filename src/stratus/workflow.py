@@ -12,6 +12,7 @@ succeeded.
 import enum
 import statistics
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 class WorkflowError(Exception):
@@ -109,17 +110,37 @@ class WorkflowSpec:
     def task_names(self) -> list[str]:
         return [t.name for t in self.tasks]
 
-    def definition(self, name: str) -> TaskDefinition:
+    # Indexes are built on first use; cached_property stores them in the
+    # instance dict, which the frozen dataclass does not guard.
+
+    @cached_property
+    def _by_name(self) -> dict[str, TaskDefinition]:
+        by_name: dict[str, TaskDefinition] = {}
         for t in self.tasks:
-            if t.name == name:
-                return t
-        raise UnknownTaskError(name)
+            by_name.setdefault(t.name, t)
+        return by_name
+
+    @cached_property
+    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """(predecessors, successors) by task name, each list in edge order."""
+        preds: dict[str, list[str]] = {}
+        succs: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            preds.setdefault(b, []).append(a)
+            succs.setdefault(a, []).append(b)
+        return preds, succs
+
+    def definition(self, name: str) -> TaskDefinition:
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownTaskError(name) from None
 
     def predecessors(self, name: str) -> list[str]:
-        return [a for a, b in self.edges if b == name]
+        return list(self.adjacency[0].get(name, ()))
 
     def successors(self, name: str) -> list[str]:
-        return [b for a, b in self.edges if a == name]
+        return list(self.adjacency[1].get(name, ()))
 
 
 @dataclass
@@ -392,16 +413,14 @@ def validate_dag(spec: WorkflowSpec) -> None:
             raise UnknownTaskError(a)
         if b not in names:
             raise UnknownTaskError(b)
-    successors: dict[str, list[str]] = {n: [] for n in spec.task_names()}
-    for a, b in spec.edges:
-        successors[a].append(b)
+    successors = spec.adjacency[1]
 
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in successors}
+    color = {n: WHITE for n in names}
     for root in spec.task_names():
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(successors[root]))]
+        stack = [(root, iter(successors.get(root, ())))]
         path = [root]
         color[root] = GRAY
         while stack:
@@ -413,7 +432,7 @@ def validate_dag(spec: WorkflowSpec) -> None:
                     raise CycleError(cycle)
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
-                    stack.append((nxt, iter(successors[nxt])))
+                    stack.append((nxt, iter(successors.get(nxt, ()))))
                     path.append(nxt)
                     advanced = True
                     break
@@ -445,12 +464,10 @@ def ready_tasks(run: RunRecord, spec: WorkflowSpec) -> set[str]:
     """Pending instances whose predecessor definitions have fully succeeded.
     Dependencies are all-to-all between instance groups, so one unfinished
     predecessor instance blocks the whole successor group."""
-    succeeded_by_def: dict[str, bool] = {}
-    for definition in spec.tasks:
-        group = run.instances_of(definition.name)
-        succeeded_by_def[definition.name] = all(
-            i.state is TaskState.SUCCEEDED for i in group
-        )
+    succeeded_by_def = {definition.name: True for definition in spec.tasks}
+    for inst in run.instances:
+        if inst.state is not TaskState.SUCCEEDED:
+            succeeded_by_def[inst.definition] = False
     ready = set()
     for inst in run.instances:
         if inst.state is not TaskState.PENDING:

@@ -4,6 +4,8 @@ force oracle, reservation safety under random load, and status reports."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_machine, make_request, random_cluster
 from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
@@ -250,6 +252,69 @@ def test_reservations_never_exceed_capacity_under_churn():
             assert reserved.cpu_cores >= 0
     status = rm.infrastructure_status()
     assert status.running_tasks == len(running)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_segmented_queue_matches_oracle_across_passes(data):
+    """Several passes over one resource manager, with releases and machine
+    status flips in between, against the brute-force first fit.  Requests
+    come from a pool of 2-3 shapes, so equal requests form queue segments and
+    a request that fits nowhere is skipped for the rest of its pass; two
+    shapes may share a vector and differ only in timeout."""
+    machines = [
+        make_machine(
+            f"m{i + 1}", cpus=data.draw(st.integers(1, 8)), mem=data.draw(st.integers(1, 8)) * GiB
+        )
+        for i in range(data.draw(st.integers(1, 4)))
+    ]
+    rm = make_rm(machines)
+    shapes = data.draw(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from((600_000, 900_000))),
+        min_size=2, max_size=3,
+    ))
+    healthy = {m.machine_id: True for m in machines}
+    queue: list[tuple[str, ResourceVector]] = []
+    reserved: dict[str, ResourceVector] = {}
+    running: dict[str, tuple[str, ResourceVector]] = {}
+    finished: list[str] = []
+    next_id = 0
+    for t in range(data.draw(st.integers(1, 8))):
+        for shape in data.draw(st.lists(st.sampled_from(shapes), max_size=10)):
+            cpus, mem, timeout = shape
+            request = make_request(cpus=cpus, mem=mem * GiB, disk=0, timeout=timeout)
+            task = QueueEntry(f"t{next_id}", request, enqueue_ms=t)
+            next_id += 1
+            rm.enqueue(task)
+            queue.append((task.task_id, ResourceVector(cpus, mem * GiB, 0)))
+        oracle_machines = [(m.machine_id, m.capacity, healthy[m.machine_id]) for m in machines]
+        expected, leftover = oracle_first_fit(queue, oracle_machines, reserved)
+        assert rm.schedule(t) == expected
+        assert rm.queue_depth() == len(leftover)
+        needs = dict(queue)
+        for task_id, machine_id in expected:
+            used = reserved.get(machine_id, ResourceVector(0, 0, 0))
+            reserved[machine_id] = used.plus(needs[task_id])
+            running[task_id] = (machine_id, needs[task_id])
+        queue = [(task_id, needs[task_id]) for task_id in leftover]
+
+        if running:
+            for task_id in data.draw(st.lists(st.sampled_from(sorted(running)), unique=True)):
+                rm.release(task_id)
+                machine_id, need = running.pop(task_id)
+                reserved[machine_id] = reserved[machine_id].minus(need)
+                finished.append(task_id)
+        for machine_id in data.draw(st.lists(st.sampled_from(sorted(healthy)), unique=True)):
+            healthy[machine_id] = not healthy[machine_id]
+            rm.registry.set_status(
+                machine_id, MachineStatus.HEALTHY if healthy[machine_id] else MachineStatus.UNHEALTHY
+            )
+
+        for known in ([task_id for task_id, _ in queue], sorted(running), finished):
+            if known:
+                with pytest.raises(DuplicateTaskError):
+                    rm.enqueue(entry(data.draw(st.sampled_from(known))))
+        assert rm.queue_depth() == len(queue)
 
 
 # --- status reports ---

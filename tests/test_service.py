@@ -8,6 +8,7 @@ import time
 import pytest
 import requests
 
+from conftest import make_machine, make_request
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -28,10 +29,16 @@ from stratus.service import (
     replay_progress,
     serve,
 )
-from stratus.sim import Simulation, run_simulation
+from stratus.sim import NonQuiescentError, Simulation, run_simulation
 from stratus.store import RunStore
 from stratus.taskmon import LogLevel
-from stratus.workflow import export_dot, parse_workflow, workflow_status
+from stratus.workflow import (
+    TaskDefinition,
+    WorkflowSpec,
+    export_dot,
+    parse_workflow,
+    workflow_status,
+)
 
 RUN_ID = "svc-run"
 TASK = "wf1/I/0"
@@ -555,6 +562,29 @@ def test_live_progress_streams_during_execution():
         assert received == expected
     finally:
         handle.close()
+
+
+def test_live_feed_closes_when_the_engine_raises():
+    # one task larger than every machine: the engine drains its events and
+    # raises NonQuiescentError with the task still queued
+    huge = TaskDefinition("huge", False, make_request(cpus=64), "quick")
+    spec = WorkflowSpec(workflow_id="big", tasks=(huge,), edges=())
+    simulation = Simulation(
+        spec, [make_machine("m1")], 10**12, 1, 0, run_id="stuck", submission_ms=0
+    )
+    feed = ServiceContext(TopologyMode.WORKFLOW_AWARE).attach_live(simulation)
+    received = []
+    ended = threading.Event()
+
+    def consume():
+        received.extend(feed.subscribe())
+        ended.set()
+
+    threading.Thread(target=consume, daemon=True).start()
+    with pytest.raises(NonQuiescentError):
+        simulation.run_to_completion()
+    assert ended.wait(1.0)
+    assert received == simulation.progress_records
 
 
 def test_live_progress_errors(aware):

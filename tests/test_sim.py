@@ -6,6 +6,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_machine, make_request, random_cluster, random_dag_spec
 from stratus.blueprint import TopologyMode
@@ -41,6 +43,9 @@ from stratus.workflow import (
     TaskState,
     WorkflowSpec,
     parse_workflow,
+    ready_tasks,
+    resolve_final_state,
+    workflow_status,
 )
 
 GiB = 1024**3
@@ -520,3 +525,127 @@ def test_run_bundled_fault_scenario(tmp_path):
     assert machine_kills == {"wf1/III/4", "wf1/III/5", "wf1/III/6", "wf1/III/7"}
     assert verdicts["wf1/III/2"] is Verdict.NONE
     assert verdicts["wf1/III/3"] is Verdict.NONE
+
+
+# --- incremental engine state against the naive scans ---
+
+
+@st.composite
+def engine_cases(draw):
+    """A random DAG (up to 12 definitions, scatter mixed), a random cluster
+    and a random fault script.  Some requests exceed every machine and some
+    scripts kill every machine, so stuck runs are drawn too."""
+    count = draw(st.integers(1, 12))
+    # at most one definition, in about a quarter of the cases, outgrows every machine
+    oversized = draw(st.integers(0, 4 * count))
+    tasks = tuple(
+        TaskDefinition(
+            name=f"t{i}",
+            scatter=draw(st.booleans()),
+            requested=make_request(
+                cpus=9 if i == oversized else draw(st.integers(1, 3)),
+                mem=draw(st.integers(1, 3)) * GiB,
+            ),
+            runtime_model=draw(st.sampled_from(("quick", "default", "flaky"))),
+        )
+        for i in range(count)
+    )
+    pairs = [(f"t{i}", f"t{j}") for i in range(count) for j in range(i + 1, count)]
+    edges = tuple(p for p in pairs if draw(st.integers(0, 99)) < 30)
+    spec = WorkflowSpec(workflow_id="pw", tasks=tasks, edges=edges)
+    machines = [
+        make_machine(
+            f"m{i + 1}", cpus=draw(st.integers(2, 8)), mem=draw(st.integers(4, 16)) * GiB
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    input_count = draw(st.integers(1, 4))
+    task_ids = [
+        f"pw/{t.name}/{k}" for t in tasks for k in range(input_count if t.scatter else 1)
+    ]
+    injections = []
+    for _ in range(draw(st.integers(0, 4))):
+        # one draw in four kills a machine, so most runs do not strand
+        kind = draw(st.sampled_from(list(InjectionKind) + [InjectionKind.TASK_OOM]))
+        if kind is InjectionKind.MACHINE_UNHEALTHY:
+            target = draw(st.sampled_from([m.machine_id for m in machines]))
+        else:
+            target = draw(st.sampled_from(task_ids))
+        injections.append(FaultInjection(kind, target, at_ms=draw(st.integers(0, 20000))))
+    seed = draw(st.integers(0, 2**16))
+    return spec, machines, input_count, seed, draw(st.sampled_from(list(TopologyMode))), injections
+
+
+def naive_never_eligible(run, spec) -> set[str]:
+    """Pending instances of every definition downstream of a failure."""
+    failed = {i.definition for i in run.instances if i.state is TaskState.FAILED}
+    downstream = set()
+    frontier = list(failed)
+    while frontier:
+        for successor in spec.successors(frontier.pop()):
+            if successor not in downstream:
+                downstream.add(successor)
+                frontier.append(successor)
+    return {
+        i.task_id
+        for i in run.instances
+        if i.definition in downstream and i.state is TaskState.PENDING
+    }
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_incremental_engine_agrees_with_naive_scans(case):
+    spec, machines, input_count, seed, topology, injections = case
+    simulation = Simulation(
+        spec, machines, 10**15, input_count, seed, topology, run_id="p", submission_ms=0
+    )
+    for injection in injections:
+        simulation.inject(injection)
+    mismatches = []
+
+    def check_progress(record):
+        if record != workflow_status(simulation.run):
+            mismatches.append(record)
+
+    simulation.progress_listeners.append(check_progress)
+    stuck = None
+    try:
+        result = simulation.run_to_completion()
+    except NonQuiescentError as exc:
+        stuck = exc.stuck
+    run = simulation.run
+    assert mismatches == []
+    never_eligible = naive_never_eligible(run, spec)
+    open_instances = sorted(
+        i.task_id
+        for i in run.instances
+        if not i.state.terminal and i.task_id not in never_eligible
+    )
+    if stuck is None:
+        assert open_instances == []
+        assert result.never_eligible == never_eligible
+        assert run.final_state is not RunState.RUNNING
+        assert run.final_state == resolve_final_state(run, result.never_eligible)
+    else:
+        assert stuck and stuck == open_instances
+    assert ready_tasks(run, spec) == set()
+
+    groups = {}
+    for instance in run.instances:
+        groups.setdefault(instance.definition, []).append(instance)
+    for instance in run.instances:
+        if instance.submit_ms is None:
+            continue
+        predecessors = spec.predecessors(instance.definition)
+        expected = max((i.end_ms for p in predecessors for i in groups[p]), default=0)
+        assert instance.submit_ms == expected, instance.task_id
+
+    position = {t.name: k for k, t in enumerate(spec.tasks)}
+    queued_at = {}
+    for event in simulation.event_records:
+        if event.kind == "instance_queued":
+            definition, index = event.subject.split("/")[1:]
+            queued_at.setdefault(event.t_ms, []).append((position[definition], int(index)))
+    for order in queued_at.values():
+        assert order == sorted(order)
