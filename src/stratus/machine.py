@@ -9,7 +9,7 @@ they can run concurrently with ingest.
 import enum
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class MachineError(Exception):
@@ -120,14 +120,11 @@ class MachineDescriptor:
 
 @dataclass(frozen=True)
 class MachineSample:
-    """One utilization reading.  The annex carries optional probe-specific
-    key-value extras (for example virtualization counters) without schema
-    changes."""
+    """One utilization reading."""
 
     machine_id: str
     t_ms: int
     used: ResourceVector
-    annex: tuple[tuple[str, str], ...] = ()
 
 
 class MachineRegistry:
@@ -175,14 +172,7 @@ class MachineRegistry:
         with self._lock:
             if machine_id not in self._machines:
                 raise UnknownMachineError(machine_id)
-            current = self._machines[machine_id]
-            self._machines[machine_id] = MachineDescriptor(
-                machine_id=current.machine_id,
-                machine_type=current.machine_type,
-                hardware=current.hardware,
-                capacity=current.capacity,
-                status=status,
-            )
+            self._machines[machine_id] = replace(self._machines[machine_id], status=status)
 
     def status_counts(self) -> dict[MachineStatus, int]:
         with self._lock:

@@ -27,9 +27,11 @@ from .sim import EventRecord, SimulationResult, parse_event_log
 from .store import RunStore
 from .taskmon import LogLevel, consumed_vs_requested
 from .workflow import (
+    ResourceRequest,
     RunState,
     WorkflowStatusReport,
     execution_report,
+    export_dot,
     workflow_status,
 )
 
@@ -169,24 +171,19 @@ def authorize(
     topology: TopologyMode,
 ) -> "Denial | None":
     """None when access is allowed; otherwise the violated rule as text."""
-    if access_allowed(matrix, as_layer, feature, topology):
-        return None
     name = feature.value if isinstance(feature, FeatureKey) else feature
-    permitted = sorted(l.wire_name for l in matrix.lookup(feature))
-    if (
-        topology is TopologyMode.DISJOINT
-        and as_layer is LayerId.RESOURCE_MANAGER
-        and matrix.owning_layer(feature) is LayerId.WORKFLOW
-        and as_layer in matrix.lookup(feature)
-    ):
+    permitted = matrix.lookup(feature)
+    if as_layer not in permitted:
+        return Denial(
+            f"layer {as_layer.wire_name} is not permitted to read {name} "
+            f"(permitted: {', '.join(sorted(l.wire_name for l in permitted))})"
+        )
+    if not access_allowed(matrix, as_layer, feature, topology):
         return Denial(
             f"{name} is workflow-owned and the resource manager layer is "
             f"disjoint from the workflow layer in this deployment"
         )
-    return Denial(
-        f"layer {as_layer.wire_name} is not permitted to read {name} "
-        f"(permitted: {', '.join(permitted)})"
-    )
+    return None
 
 
 def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatusReport]:
@@ -203,29 +200,17 @@ def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatus
             for token in event.detail.split():
                 if token.startswith("instances="):
                     total = int(token[len("instances="):])
-        elif event.kind in ("instance_queued", "instance_started"):
-            out.append(_status(state, finished, failures, total))
-        elif event.kind == "instance_succeeded":
+            continue
+        if event.kind == "instance_succeeded":
             finished += 1
-            out.append(_status(state, finished, failures, total))
         elif event.kind == "instance_failed":
             failures += 1
-            out.append(_status(state, finished, failures, total))
         elif event.kind == "run_completed":
-            final = event.detail.split("=", 1)[1]
-            state = RunState(final)
-            out.append(_status(state, finished, failures, total))
+            state = RunState(event.detail.split("=", 1)[1])
+        elif event.kind not in ("instance_queued", "instance_started"):
+            continue
+        out.append(WorkflowStatusReport(state, finished, total, failures))
     return out
-
-
-def _status(state: RunState, finished: int, failures: int, total: int) -> WorkflowStatusReport:
-    return WorkflowStatusReport(
-        state=state,
-        finished=finished,
-        total=total,
-        progress=finished / total if total else 1.0,
-        failures=failures,
-    )
 
 
 def _vector_payload(vector) -> dict:
@@ -234,6 +219,10 @@ def _vector_payload(vector) -> dict:
         "memory_bytes": vector.memory_bytes,
         "disk_bytes": vector.disk_bytes,
     }
+
+
+def _request_payload(requested: ResourceRequest) -> dict:
+    return {**_vector_payload(requested), "max_runtime_ms": requested.max_runtime_ms}
 
 
 def _status_payload(report: WorkflowStatusReport) -> dict:
@@ -254,6 +243,22 @@ class _NotFound(ServiceError):
     pass
 
 
+# what each layer's subject names; previous_executions takes a workflow id
+_SUBJECT_KIND = {
+    LayerId.WORKFLOW: "run_id",
+    LayerId.MACHINE: "machine_id",
+    LayerId.TASK: "task_id",
+}
+
+# task features read from the task's trace record
+_TRACE_FEATURES = frozenset({
+    FeatureKey.CONSUMED_RESOURCES,
+    FeatureKey.TASK_DURATION,
+    FeatureKey.LOW_LEVEL_TASK_METRICS,
+    FeatureKey.FAULT_DIAGNOSIS,
+})
+
+
 def _build_payload(
     context: ServiceContext,
     feature: "FeatureKey | str",
@@ -262,65 +267,37 @@ def _build_payload(
     t_to: int,
     min_level: LogLevel,
 ) -> dict:
-    """Feature-specific payload construction.  Raises _BadRequest for a
-    missing/mismatched subject and _NotFound for an unknown one."""
+    """Feature-specific payload construction.  The subject is resolved once
+    for the feature's owning layer; raises _BadRequest for a missing subject
+    and _NotFound for an unknown one."""
     if not isinstance(feature, FeatureKey):
         # declared extension: authorized but no provider is bound
         return {"extension": feature, "value": None}
+    layer = feature.owning_layer
 
-    def need_subject(kind: str) -> str:
-        if not subject:
-            raise _BadRequest(f"feature {feature.value} needs a {kind} subject")
-        return subject
-
-    def find_run(run_id: str) -> SimulationResult:
-        try:
-            return context.result(run_id)
-        except UnknownRunError:
-            raise _NotFound(f"unknown run: {run_id!r}") from None
-
-    def find_task(task_id: str):
-        found = context.find_task(task_id)
-        if found is None:
-            raise _NotFound(f"unknown task: {task_id!r}")
-        return found
-
-    def find_trace(task_id: str):
-        result, _ = find_task(task_id)
-        for record in result.trace_records:
-            if record.task_id == task_id:
-                return result, record
-        raise _NotFound(f"no trace record yet for {task_id!r}")
-
-    rm = _any_rm(context)
-    registry = rm.registry if rm else None
-
-    if feature is FeatureKey.INFRASTRUCTURE_STATUS:
+    if layer is LayerId.RESOURCE_MANAGER:
+        rm = _any_rm(context)
         if rm is None:
             raise _NotFound("no cluster attached")
-        status = rm.infrastructure_status()
-        return {
-            "machines_total": status.machines_total,
-            "machines_by_status": {
-                s.value: n for s, n in status.machines_by_status.items()
-            },
-            "capacity_total": _vector_payload(status.capacity_total),
-            "capacity_reserved": _vector_payload(status.capacity_reserved),
-            "queue_depth": status.queue_depth,
-            "running_tasks": status.running_tasks,
-        }
-    if feature is FeatureKey.FILE_SYSTEM_STATUS:
-        if rm is None:
-            raise _NotFound("no cluster attached")
-        fs = rm.filesystem_status()
-        return {
-            "total_bytes": fs.total_bytes,
-            "used_bytes": fs.used_bytes,
-            "healthy": fs.healthy,
-        }
-    if feature is FeatureKey.RUNNING_WORKFLOWS:
-        if rm is None:
-            raise _NotFound("no cluster attached")
+        if feature is FeatureKey.INFRASTRUCTURE_STATUS:
+            status = rm.infrastructure_status()
+            return {
+                "machines_total": status.machines_total,
+                "machines_by_status": {
+                    s.value: n for s, n in status.machines_by_status.items()
+                },
+                "capacity_total": _vector_payload(status.capacity_total),
+                "capacity_reserved": _vector_payload(status.capacity_reserved),
+                "queue_depth": status.queue_depth,
+                "running_tasks": status.running_tasks,
+            }
+        if feature is FeatureKey.FILE_SYSTEM_STATUS:
+            fs = rm.filesystem_status()
+            return {
+                "total_bytes": fs.total_bytes,
+                "used_bytes": fs.used_bytes,
+                "healthy": fs.healthy,
+            }
         return {
             "running": [
                 {"run_id": r, "workflow_id": w, "state": s}
@@ -328,44 +305,13 @@ def _build_payload(
             ]
         }
 
-    if feature is FeatureKey.WORKFLOW_STATUS:
-        result = find_run(need_subject("run_id"))
-        return _status_payload(workflow_status(result.run.snapshot()))
-    if feature is FeatureKey.WORKFLOW_SPECIFICATION:
-        result = find_run(need_subject("run_id"))
-        spec = result.spec
-        return {
-            "workflow_id": spec.workflow_id,
-            "tasks": [
-                {
-                    "name": t.name,
-                    "scatter": t.scatter,
-                    "cpu_cores": t.requested.cpu_cores,
-                    "memory_bytes": t.requested.memory_bytes,
-                    "disk_bytes": t.requested.disk_bytes,
-                    "max_runtime_ms": t.requested.max_runtime_ms,
-                    "model": t.runtime_model,
-                }
-                for t in spec.tasks
-            ],
-            "edges": [[a, b] for a, b in spec.edges],
-        }
-    if feature is FeatureKey.GRAPHICAL_REPRESENTATION:
-        from .workflow import export_dot
+    if not subject:
+        kind = (
+            "workflow_id" if feature is FeatureKey.PREVIOUS_EXECUTIONS else _SUBJECT_KIND[layer]
+        )
+        raise _BadRequest(f"feature {feature.value} needs a {kind} subject")
 
-        result = find_run(need_subject("run_id"))
-        return {"dot": export_dot(result.spec)}
-    if feature is FeatureKey.WORKFLOW_ID:
-        result = find_run(need_subject("run_id"))
-        return {"run_id": result.run_id, "workflow_id": result.run.workflow_id}
-    if feature is FeatureKey.EXECUTION_REPORT:
-        result = find_run(need_subject("run_id"))
-        snapshot = result.run.snapshot()
-        if snapshot.final_state is RunState.RUNNING:
-            raise _BadRequest(f"run {snapshot.run_id} has not finished")
-        return execution_report(snapshot).to_record()
     if feature is FeatureKey.PREVIOUS_EXECUTIONS:
-        workflow_id = need_subject("workflow_id")
         if context.store is None:
             return {"executions": []}
         return {
@@ -377,18 +323,45 @@ def _build_payload(
                     "final_state": s.final_state,
                     "makespan_ms": s.makespan_ms,
                 }
-                for s in context.store.list_previous_executions(workflow_id)
+                for s in context.store.list_previous_executions(subject)
             ]
         }
 
-    if feature in (
-        FeatureKey.MACHINE_STATUS,
-        FeatureKey.MACHINE_TYPE,
-        FeatureKey.HARDWARE_SPECIFICATION,
-        FeatureKey.AVAILABLE_RESOURCES,
-        FeatureKey.USED_RESOURCES,
-    ):
-        machine_id = need_subject("machine_id")
+    if layer is LayerId.WORKFLOW:
+        try:
+            result = context.result(subject)
+        except UnknownRunError:
+            raise _NotFound(f"unknown run: {subject!r}") from None
+        spec = result.spec
+        if feature is FeatureKey.WORKFLOW_STATUS:
+            return _status_payload(workflow_status(result.run.snapshot()))
+        if feature is FeatureKey.WORKFLOW_SPECIFICATION:
+            return {
+                "workflow_id": spec.workflow_id,
+                "tasks": [
+                    {
+                        "name": t.name,
+                        "scatter": t.scatter,
+                        **_request_payload(t.requested),
+                        "model": t.runtime_model,
+                    }
+                    for t in spec.tasks
+                ],
+                "edges": [[a, b] for a, b in spec.edges],
+            }
+        if feature is FeatureKey.GRAPHICAL_REPRESENTATION:
+            return {"dot": export_dot(spec)}
+        if feature is FeatureKey.WORKFLOW_ID:
+            return {"run_id": result.run_id, "workflow_id": result.run.workflow_id}
+        snapshot = result.run.snapshot()
+        if snapshot.final_state is RunState.RUNNING:
+            raise _BadRequest(f"run {snapshot.run_id} has not finished")
+        return execution_report(snapshot).to_record()
+
+    if layer is LayerId.MACHINE:
+        machine_id = subject
+        rm = _any_rm(context)
+        registry = rm.registry if rm else None
         if registry is None or machine_id not in registry.machine_ids():
             raise _NotFound(f"unknown machine: {machine_id!r}")
         descriptor = registry.descriptor(machine_id)
@@ -407,31 +380,30 @@ def _build_payload(
             }
         if feature is FeatureKey.AVAILABLE_RESOURCES:
             return _vector_payload(registry.available_resources(machine_id, t_to))
-        samples = registry.query_series(machine_id, t_from, t_to)
         return {
             "machine_id": machine_id,
             "samples": [
-                {"t_ms": s.t_ms, **_vector_payload(s.used)} for s in samples
+                {"t_ms": s.t_ms, **_vector_payload(s.used)}
+                for s in registry.query_series(machine_id, t_from, t_to)
             ],
         }
 
-    task_id = need_subject("task_id")
+    task_id = subject
+    found = context.find_task(task_id)
+    if found is None:
+        raise _NotFound(f"unknown task: {task_id!r}")
+    result, instance = found
+    record = None
+    if feature in _TRACE_FEATURES:
+        record = next((r for r in result.trace_records if r.task_id == task_id), None)
+        if record is None:
+            raise _NotFound(f"no trace record yet for {task_id!r}")
     if feature is FeatureKey.TASK_STATUS:
-        _, instance = find_task(task_id)
         return {"task_id": task_id, "state": instance.state.value}
     if feature is FeatureKey.REQUESTED_RESOURCES:
-        result, instance = find_task(task_id)
         requested = result.spec.definition(instance.definition).requested
-        return {
-            "task_id": task_id,
-            "cpu_cores": requested.cpu_cores,
-            "memory_bytes": requested.memory_bytes,
-            "disk_bytes": requested.disk_bytes,
-            "max_runtime_ms": requested.max_runtime_ms,
-        }
+        return {"task_id": task_id, **_request_payload(requested)}
     if feature is FeatureKey.CONSUMED_RESOURCES:
-        result, record = find_trace(task_id)
-        instance = result.run.instance(task_id)
         requested = result.spec.definition(instance.definition).requested
         utilization = consumed_vs_requested(record, requested)
         return {
@@ -447,7 +419,6 @@ def _build_payload(
             },
         }
     if feature is FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS:
-        result, _ = find_task(task_id)
         parts = result.code_parts.get(task_id)
         if parts is None:
             raise _NotFound(f"no code part profile yet for {task_id!r}")
@@ -463,7 +434,6 @@ def _build_payload(
             ],
         }
     if feature is FeatureKey.TASK_ID:
-        result, instance = find_task(task_id)
         return {
             "task_id": task_id,
             "workflow_id": result.run.workflow_id,
@@ -472,17 +442,14 @@ def _build_payload(
             "index": instance.index,
         }
     if feature is FeatureKey.APPLICATION_LOGS:
-        result, _ = find_task(task_id)
-        entries = result.log_store.query_logs(task_id, min_level)
         return {
             "task_id": task_id,
             "entries": [
                 {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
-                for e in entries
+                for e in result.log_store.query_logs(task_id, min_level)
             ],
         }
     if feature is FeatureKey.TASK_DURATION:
-        result, record = find_trace(task_id)
         return {
             "task_id": task_id,
             "start_ms": record.start_ms,
@@ -490,7 +457,6 @@ def _build_payload(
             "duration_ms": record.duration_ms,
         }
     if feature is FeatureKey.LOW_LEVEL_TASK_METRICS:
-        result, record = find_trace(task_id)
         return {
             "task_id": task_id,
             "syscall_read_count": record.syscall_read_count,
@@ -499,17 +465,14 @@ def _build_payload(
             "page_cache_hits": record.page_cache_hits,
             "page_cache_misses": record.page_cache_misses,
         }
-    if feature is FeatureKey.FAULT_DIAGNOSIS:
-        result, _ = find_trace(task_id)
-        diagnosis = result.diagnoses.get(task_id)
-        if diagnosis is None:
-            raise _NotFound(f"no diagnosis yet for {task_id!r}")
-        return {
-            "task_id": task_id,
-            "verdict": diagnosis.verdict.value,
-            "evidence": diagnosis.evidence,
-        }
-    raise _BadRequest(f"unhandled feature {feature.value}")
+    diagnosis = result.diagnoses.get(task_id)
+    if diagnosis is None:
+        raise _NotFound(f"no diagnosis yet for {task_id!r}")
+    return {
+        "task_id": task_id,
+        "verdict": diagnosis.verdict.value,
+        "evidence": diagnosis.evidence,
+    }
 
 
 def _any_rm(context: ServiceContext):
@@ -554,11 +517,12 @@ def _make_handler(context: ServiceContext):
                 self._send_json(404, {"error": str(exc)})
                 return
 
-            if segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW:
-                self._live_progress(query)
-                return
-
-            feature = self._resolve_feature(path_layer, segments[2])
+            # the live stream is read under workflow_status's access rule
+            live = segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW
+            feature = (
+                FeatureKey.WORKFLOW_STATUS if live
+                else self._resolve_feature(path_layer, segments[2])
+            )
             if feature is None:
                 return
 
@@ -576,6 +540,9 @@ def _make_handler(context: ServiceContext):
             if denial is not None:
                 self._send_json(403, {"error": denial.reason})
                 return
+            if live:
+                self._live_progress(query.get("subject"))
+                return
 
             try:
                 t_from = int(query.get("from", "0"))
@@ -590,14 +557,11 @@ def _make_handler(context: ServiceContext):
                 payload = _build_payload(
                     context, feature, query.get("subject"), t_from, t_to, min_level
                 )
-            except _BadRequest as exc:
+            except (_BadRequest, ValueError) as exc:
                 self._send_json(400, {"error": str(exc)})
                 return
             except _NotFound as exc:
                 self._send_json(404, {"error": str(exc)})
-                return
-            except ValueError as exc:
-                self._send_json(400, {"error": str(exc)})
                 return
 
             name = feature.value if isinstance(feature, FeatureKey) else feature
@@ -639,23 +603,7 @@ def _make_handler(context: ServiceContext):
                 return None
             return feature
 
-        def _live_progress(self, query: dict):
-            as_layer_name = query.get("as_layer")
-            if not as_layer_name:
-                self._send_json(400, {"error": "missing as_layer parameter"})
-                return
-            try:
-                as_layer = LayerId.from_wire(as_layer_name)
-            except UnknownLayerError as exc:
-                self._send_json(400, {"error": str(exc)})
-                return
-            denial = authorize(
-                context.matrix, as_layer, FeatureKey.WORKFLOW_STATUS, context.topology
-            )
-            if denial is not None:
-                self._send_json(403, {"error": denial.reason})
-                return
-            run_id = query.get("subject")
+        def _live_progress(self, run_id: str | None):
             if not run_id:
                 self._send_json(400, {"error": "live_progress needs a run_id subject"})
                 return

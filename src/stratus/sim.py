@@ -36,11 +36,11 @@ import itertools
 import random
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .blueprint import TopologyMode
+from .blueprint import BlueprintError, TopologyMode
 from .machine import (
     MachineDescriptor,
     MachineRegistry,
@@ -464,12 +464,10 @@ class Simulation:
         self.event_records.append(EventRecord(t_ms, kind, subject, detail))
 
     def _emit_progress(self) -> None:
-        total = len(self.run.instances)
         record = WorkflowStatusReport(
             state=self.run.final_state,
             finished=self._succeeded,
-            total=total,
-            progress=self._succeeded / total if total else 1.0,
+            total=len(self.run.instances),
             failures=self._failed,
         )
         self.progress_records.append(record)
@@ -597,21 +595,8 @@ class Simulation:
         if injection is not None and injection.kind is InjectionKind.TASK_OOM:
             # force the footprint over the request and die like the kernel
             # OOM killer struck
-            metrics = SynthesizedMetrics(
-                runtime_ms=metrics.runtime_ms,
-                cpu_pct=metrics.cpu_pct,
-                rss_bytes=definition.requested.memory_bytes + max(
-                    1, definition.requested.memory_bytes // 4
-                ),
-                rchar_bytes=metrics.rchar_bytes,
-                wchar_bytes=metrics.wchar_bytes,
-                syscall_read_count=metrics.syscall_read_count,
-                syscall_write_count=metrics.syscall_write_count,
-                cpu_wait_ms=metrics.cpu_wait_ms,
-                page_cache_hits=metrics.page_cache_hits,
-                page_cache_misses=metrics.page_cache_misses,
-                failure_draw=metrics.failure_draw,
-            )
+            memory = definition.requested.memory_bytes
+            metrics = replace(metrics, rss_bytes=memory + max(1, memory // 4))
             exit_code = EXIT_OOM
         elif injection is not None and injection.kind is InjectionKind.TASK_NON_ZERO_EXIT:
             exit_code = EXIT_TASK_ERROR
@@ -831,6 +816,13 @@ class ScenarioSyntaxError(SimulationError):
         self.line = line
 
 
+def _scenario_int(text: str, line: int, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioSyntaxError(line, f"{key} is not an integer: {text!r}") from None
+
+
 def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     """Parse a scenario file tying together a workflow, a cluster, run
     parameters, and scripted faults.  Relative paths resolve against
@@ -852,11 +844,18 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
         elif parts[0] == "cluster" and len(parts) == 2:
             cluster_path = base / parts[1]
         elif parts[0] == "input_count" and len(parts) == 2:
-            input_count = int(parts[1])
+            input_count = _scenario_int(parts[1], lineno, "input_count")
+            if input_count <= 0:
+                raise ScenarioSyntaxError(
+                    lineno, f"input_count must be positive, got {input_count}"
+                )
         elif parts[0] == "seed" and len(parts) == 2:
-            seed = int(parts[1])
+            seed = _scenario_int(parts[1], lineno, "seed")
         elif parts[0] == "topology" and len(parts) == 2:
-            topology = TopologyMode.from_wire(parts[1])
+            try:
+                topology = TopologyMode.from_wire(parts[1])
+            except BlueprintError as exc:
+                raise ScenarioSyntaxError(lineno, str(exc)) from None
         elif parts[0] == "inject":
             if len(parts) != 4:
                 raise ScenarioSyntaxError(
@@ -866,18 +865,15 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
                 kind = InjectionKind(parts[1])
             except ValueError:
                 raise ScenarioSyntaxError(lineno, f"unknown injection kind {parts[1]!r}") from None
-            if parts[3].startswith("at="):
-                injections.append(
-                    FaultInjection(kind=kind, target=parts[2], at_ms=int(parts[3][3:]))
-                )
-            elif parts[3].startswith("on_run="):
-                injections.append(
-                    FaultInjection(
-                        kind=kind, target=parts[2], on_nth_run=int(parts[3][7:])
-                    )
-                )
-            else:
+            key, eq, value = parts[3].partition("=")
+            if not eq or key not in ("at", "on_run"):
                 raise ScenarioSyntaxError(lineno, f"expected at= or on_run=, got {parts[3]!r}")
+            number = _scenario_int(value, lineno, key)
+            when = {"at_ms": number} if key == "at" else {"on_nth_run": number}
+            try:
+                injections.append(FaultInjection(kind=kind, target=parts[2], **when))
+            except SimulationError as exc:
+                raise ScenarioSyntaxError(lineno, str(exc)) from None
         else:
             raise ScenarioSyntaxError(lineno, f"bad directive: {line!r}")
     if workflow_path is None:

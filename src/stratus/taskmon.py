@@ -11,7 +11,7 @@ import threading
 from dataclasses import dataclass
 
 from .machine import MachineStatus
-from .workflow import ResourceRequest
+from .workflow import ResourceRequest, UnknownTaskError
 
 TRACE_COLUMNS = (
     "task_id",
@@ -55,12 +55,6 @@ class InvariantViolationError(TraceError):
         super().__init__(f"line {line}: {fieldname}: {message}")
         self.line = line
         self.field = fieldname
-
-
-class UnknownTaskError(Exception):
-    def __init__(self, task_id: str):
-        super().__init__(f"unknown task: {task_id!r}")
-        self.task_id = task_id
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ class DuplicateTaskError(WorkflowError):
 
 
 class UnknownTaskError(WorkflowError):
-    def __init__(self, name: str):
-        super().__init__(f"edge references unknown task: {name!r}")
-        self.task_name = name
+    def __init__(self, task_id: str):
+        super().__init__(f"unknown task: {task_id!r}")
+        self.task_id = task_id
 
 
 class CycleError(WorkflowError):
@@ -233,9 +233,6 @@ class RunRecord:
                 return inst
         raise UnknownTaskError(task_id)
 
-    def instances_of(self, definition: str) -> list[TaskInstance]:
-        return [i for i in self.instances if i.definition == definition]
-
     def snapshot(self) -> "RunRecord":
         """Copy for concurrent readers; the live run can keep mutating."""
         return RunRecord(
@@ -271,8 +268,12 @@ class WorkflowStatusReport:
     state: RunState
     finished: int
     total: int
-    progress: float
     failures: int
+
+    @property
+    def progress(self) -> float:
+        """Finished over total; an empty run counts as complete."""
+        return self.finished / self.total if self.total else 1.0
 
 
 @dataclass(frozen=True)
@@ -478,18 +479,12 @@ def ready_tasks(run: RunRecord, spec: WorkflowSpec) -> set[str]:
 
 
 def workflow_status(run: RunRecord) -> WorkflowStatusReport:
-    """Progress summary: finished counts successful instances, progress is
-    finished over total, and an empty run counts as complete."""
-    total = len(run.instances)
-    finished = sum(1 for i in run.instances if i.state is TaskState.SUCCEEDED)
-    failures = sum(1 for i in run.instances if i.state is TaskState.FAILED)
-    progress = finished / total if total else 1.0
+    """Progress summary: finished counts successful instances."""
     return WorkflowStatusReport(
         state=run.final_state,
-        finished=finished,
-        total=total,
-        progress=progress,
-        failures=failures,
+        finished=sum(1 for i in run.instances if i.state is TaskState.SUCCEEDED),
+        total=len(run.instances),
+        failures=sum(1 for i in run.instances if i.state is TaskState.FAILED),
     )
 
 
@@ -522,39 +517,38 @@ def export_dot(spec: WorkflowSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def makespan_ms(run: RunRecord) -> int:
+    """Latest end minus earliest start over started instances; 0 until an
+    instance has ended."""
+    started = [i for i in run.instances if i.start_ms is not None]
+    ends = [i.end_ms for i in started if i.end_ms is not None]
+    return max(ends) - min(i.start_ms for i in started) if ends else 0
+
+
 def execution_report(run: RunRecord) -> ExecutionReport:
     """Summarize a finished run: makespan over started instances, counts,
     and per-definition duration statistics over terminal instances."""
     if run.final_state is RunState.RUNNING:
         raise ReportOnRunningRunError(run.run_id)
-    started = [i for i in run.instances if i.start_ms is not None]
-    ended = [i for i in started if i.end_ms is not None]
-    if started and ended:
-        makespan = max(i.end_ms for i in ended) - min(i.start_ms for i in started)
-    else:
-        makespan = 0
-    task_stats = {}
-    seen_defs = []
+    durations: dict[str, list[int]] = {}
     for inst in run.instances:
-        if inst.definition not in seen_defs:
-            seen_defs.append(inst.definition)
-    for name in seen_defs:
-        durations = [
-            i.duration_ms
-            for i in run.instances_of(name)
-            if i.state.terminal and i.duration_ms is not None
-        ]
-        if durations:
-            task_stats[name] = DurationStats(
-                count=len(durations),
-                min_ms=min(durations),
-                mean_ms=statistics.fmean(durations),
-                max_ms=max(durations),
-            )
+        group = durations.setdefault(inst.definition, [])
+        if inst.state.terminal and inst.duration_ms is not None:
+            group.append(inst.duration_ms)
+    task_stats = {
+        name: DurationStats(
+            count=len(group),
+            min_ms=min(group),
+            mean_ms=statistics.fmean(group),
+            max_ms=max(group),
+        )
+        for name, group in durations.items()
+        if group
+    }
     return ExecutionReport(
         run_id=run.run_id,
         submission_ms=run.submission_ms,
-        makespan_ms=makespan,
+        makespan_ms=makespan_ms(run),
         total=len(run.instances),
         succeeded=sum(1 for i in run.instances if i.state is TaskState.SUCCEEDED),
         failed=sum(1 for i in run.instances if i.state is TaskState.FAILED),

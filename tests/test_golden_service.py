@@ -109,8 +109,8 @@ def feature_requests(feature: FeatureKey) -> list[tuple[str, dict]]:
     path = f"/v1/{feature.owning_layer.wire_name}/{feature.value}"
     owner = feature.owning_layer.wire_name
     subject = {"subject": subject_for(feature)} if subject_for(feature) else {}
-    requests_ = [(path, {"as_layer": layer.wire_name, **subject}) for layer in ALL_LAYERS]
-    requests_ += [
+    plan = [(path, {"as_layer": layer.wire_name, **subject}) for layer in ALL_LAYERS]
+    plan += [
         (path, {"as_layer": owner}),
         (path, {"as_layer": owner, "subject": "ghost"}),
         (path, {"as_layer": owner, "subject": NEVER_STARTED}),
@@ -124,7 +124,7 @@ def feature_requests(feature: FeatureKey) -> list[tuple[str, dict]]:
             },
         ),
     ]
-    return requests_
+    return plan
 
 
 def extra_requests() -> list[tuple[str, dict]]:

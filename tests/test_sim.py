@@ -509,6 +509,24 @@ def test_parse_scenario_error_cases():
         parse_scenario("workflow w.wf\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "input_count abc",
+        "input_count 0",
+        "seed x",
+        "topology sideways",
+        "inject TaskOOM x at=abc",
+        "inject TaskOOM x at=-5",
+        "inject TaskOOM x on_run=0",
+    ],
+)
+def test_parse_scenario_bad_values_carry_the_line(line):
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(f"workflow w.wf\ncluster c.cluster\n{line}\n")
+    assert err.value.line == 3
+
+
 def test_run_bundled_fault_scenario(tmp_path):
     import importlib.resources
 

@@ -64,6 +64,45 @@ def test_corrupt_line_reports_position(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_torn_final_append_is_skipped_then_truncated(tmp_path, caplog):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    store.append(finished_run("r1", "w", 0))
+    store.append(finished_run("r2", "w", 1))
+    path.write_bytes(path.read_bytes()[:-20])  # a crash cut the last append short
+    with caplog.at_level("WARNING", logger="stratus"):
+        assert [r.run_id for r in store.load_all()] == ["r1"]
+    assert "torn final record" in caplog.text
+    store.append(finished_run("r3", "w", 2))
+    assert [r.run_id for r in store.load_all()] == ["r1", "r3"]
+    assert [json.loads(l)["run_id"] for l in path.read_text().splitlines()] == ["r1", "r3"]
+
+
+def test_unterminated_whole_final_record_is_kept(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    store.append(finished_run("r1", "w", 0))
+    path.write_bytes(path.read_bytes()[:-1])
+    assert [r.run_id for r in store.load_all()] == ["r1"]
+    store.append(finished_run("r2", "w", 1))
+    assert [r.run_id for r in store.load_all()] == ["r1", "r2"]
+
+
+def test_interior_garbage_still_raises(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    store.append(finished_run("r1", "w", 0))
+    with open(path, "a") as fh:
+        fh.write('{"run_id": "torn')
+    store.append(finished_run("r2", "w", 1))
+    with open(path, "a") as fh:
+        fh.write("{not json\n")
+    store.append(finished_run("r3", "w", 2))
+    with pytest.raises(StoreError) as err:
+        store.load_all()
+    assert ":3:" in str(err.value)
+
+
 def test_previous_executions_newest_first(tmp_path):
     store = RunStore(tmp_path / "runs.jsonl")
     store.append(finished_run("old", "w", 100))

@@ -127,6 +127,17 @@ def test_validate_rejects_unknown_edge_endpoint():
         validate_dag(spec)
 
 
+def test_unknown_task_lookups_name_the_task():
+    import stratus.taskmon
+
+    run = make_run(small_spec())
+    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'w/x/0'$"):
+        run.instance("w/x/0")
+    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'ghost'$"):
+        small_spec().definition("ghost")
+    assert stratus.taskmon.UnknownTaskError is UnknownTaskError
+
+
 def test_validate_rejects_self_loop():
     spec = WorkflowSpec(
         workflow_id="w",
