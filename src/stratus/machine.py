@@ -132,6 +132,9 @@ class MachineRegistry:
 
     A machine id is never accepted twice within one registry lifetime, even
     after deregistration, so historical series stay unambiguous.
+
+    ``version`` changes whenever the set of machines or a status changes,
+    so readers can cache what they derive from descriptors.
     """
 
     def __init__(self, retention: int = 100_000):
@@ -142,6 +145,7 @@ class MachineRegistry:
         self._ever_used: set[str] = set()
         self._series: dict[str, deque[MachineSample]] = {}
         self._lock = threading.Lock()
+        self.version = 0
 
     def register_machine(self, descriptor: MachineDescriptor) -> None:
         with self._lock:
@@ -150,12 +154,14 @@ class MachineRegistry:
             self._ever_used.add(descriptor.machine_id)
             self._machines[descriptor.machine_id] = descriptor
             self._series[descriptor.machine_id] = deque(maxlen=self._retention)
+            self.version += 1
 
     def deregister_machine(self, machine_id: str) -> None:
         with self._lock:
             if machine_id not in self._machines:
                 raise UnknownMachineError(machine_id)
             del self._machines[machine_id]
+            self.version += 1
 
     def machine_ids(self) -> list[str]:
         with self._lock:
@@ -173,6 +179,7 @@ class MachineRegistry:
             if machine_id not in self._machines:
                 raise UnknownMachineError(machine_id)
             self._machines[machine_id] = replace(self._machines[machine_id], status=status)
+            self.version += 1
 
     def status_counts(self) -> dict[MachineStatus, int]:
         with self._lock:

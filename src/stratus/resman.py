@@ -9,7 +9,10 @@ the same vector fits nowhere either, and a machine too small for a vector
 stays too small for it.  A pass therefore skips whole segments and resumes
 each vector's first-fit scan where the previous entry left off, costing
 O(segments + assignments + machines x distinct vectors) instead of
-O(queue x machines).
+O(queue x machines).  The healthy machines, their capacities and headroom
+persist between passes: the list is rebuilt only when the registry's
+version moves, and a machine's headroom is recomputed when an assignment or
+a release changes its reservation.
 
 Two coupling topologies exist.  In workflow-aware mode the resource manager
 is handed whole workflows and resolves readiness itself; in disjoint mode an
@@ -114,6 +117,14 @@ class ResourceManager:
         self._reserved: dict[str, ResourceVector] = {}
         self._fs_written_bytes = 0
         self._runs: list[tuple[str, str, RunRecord]] = []
+        self._vectors: dict[ResourceRequest, ResourceVector] = {}
+        # healthy machines in ascending id order with capacity, headroom and
+        # slot by id, as of registry version _healthy_version
+        self._healthy_version: int | None = None
+        self._machine_ids: list[str] = []
+        self._capacity: list[ResourceVector] = []
+        self._headroom: list[ResourceVector] = []
+        self._slot: dict[str, int] = {}
 
     # -- submission ---------------------------------------------------------
 
@@ -150,6 +161,27 @@ class ResourceManager:
 
     # -- scheduling ---------------------------------------------------------
 
+    def _vector(self, requested: ResourceRequest) -> ResourceVector:
+        vector = self._vectors.get(requested)
+        if vector is None:
+            vector = self._vectors[requested] = _request_vector(requested)
+        return vector
+
+    def _refresh_healthy(self) -> None:
+        version = self.registry.version
+        if version == self._healthy_version:
+            return
+        self._machine_ids, self._capacity, self._headroom = [], [], []
+        self._slot = {}
+        for machine_id in self.registry.machine_ids():
+            descriptor = self.registry.descriptor(machine_id)
+            if descriptor.status is MachineStatus.HEALTHY:
+                self._slot[machine_id] = len(self._machine_ids)
+                self._machine_ids.append(machine_id)
+                self._capacity.append(descriptor.capacity)
+                self._headroom.append(descriptor.capacity.minus(self.reserved_on(machine_id)))
+        self._healthy_version = version
+
     def schedule(self, t_ms: int) -> list[tuple[str, str]]:
         """One scheduling pass: walk the queue in FIFO order and give each
         entry the first healthy machine (ascending id) with room on every
@@ -157,22 +189,15 @@ class ResourceManager:
         fit nowhere stay queued."""
         if not self._segments:
             return []
-        machine_ids = []
-        capacity = []
-        headroom = []
-        for machine_id in self.registry.machine_ids():
-            descriptor = self.registry.descriptor(machine_id)
-            if descriptor.status is MachineStatus.HEALTHY:
-                machine_ids.append(machine_id)
-                capacity.append(descriptor.capacity)
-                headroom.append(descriptor.capacity.minus(self.reserved_on(machine_id)))
+        self._refresh_healthy()
+        machine_ids, capacity, headroom = self._machine_ids, self._capacity, self._headroom
         # per request vector: index of the first machine that may still fit
         # it; len(machine_ids) once it fits nowhere
         first_fit: dict[ResourceVector, int] = {}
         assignments = []
         remaining = []
         for requested, entries in self._segments:
-            need = _request_vector(requested)
+            need = self._vector(requested)
             k = first_fit.get(need, 0)
             while entries and k < len(machine_ids):
                 if not need.fits_within(headroom[k]):
@@ -202,9 +227,11 @@ class ResourceManager:
         if task_id not in self._running:
             raise UnknownEntryError(task_id)
         machine_id, requested = self._running.pop(task_id)
-        self._reserved[machine_id] = self._reserved[machine_id].minus(
-            _request_vector(requested)
-        )
+        reserved = self._reserved[machine_id].minus(self._vector(requested))
+        self._reserved[machine_id] = reserved
+        slot = self._slot.get(machine_id)
+        if slot is not None:
+            self._headroom[slot] = self._capacity[slot].minus(reserved)
         self._finished.add(task_id)
         self._fs_written_bytes += max(0, wchar_bytes)
 

@@ -23,9 +23,9 @@ from .blueprint import (
     access_allowed,
     default_access_matrix,
 )
-from .sim import EventRecord, SimulationResult, parse_event_log
+from .sim import SimulationResult, replay_progress
 from .store import RunStore
-from .taskmon import LogLevel, consumed_vs_requested
+from .taskmon import LogLevel, consumed_vs_requested, synthesize_code_parts
 from .workflow import (
     ResourceRequest,
     RunState,
@@ -186,33 +186,6 @@ def authorize(
     return None
 
 
-def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatusReport]:
-    """Recompute the progress stream from an event log alone.  One record
-    per state-changing event, exactly what the live stream emitted."""
-    records = parse_event_log(event_log) if isinstance(event_log, str) else event_log
-    total = 0
-    finished = 0
-    failures = 0
-    out = []
-    state = RunState.RUNNING
-    for event in records:
-        if event.kind == "run_submitted":
-            for token in event.detail.split():
-                if token.startswith("instances="):
-                    total = int(token[len("instances="):])
-            continue
-        if event.kind == "instance_succeeded":
-            finished += 1
-        elif event.kind == "instance_failed":
-            failures += 1
-        elif event.kind == "run_completed":
-            state = RunState(event.detail.split("=", 1)[1])
-        elif event.kind not in ("instance_queued", "instance_started"):
-            continue
-        out.append(WorkflowStatusReport(state, finished, total, failures))
-    return out
-
-
 def _vector_payload(vector) -> dict:
     return {
         "cpu_cores": vector.cpu_cores,
@@ -250,13 +223,15 @@ _SUBJECT_KIND = {
     LayerId.TASK: "task_id",
 }
 
-# task features read from the task's trace record
-_TRACE_FEATURES = frozenset({
-    FeatureKey.CONSUMED_RESOURCES,
-    FeatureKey.TASK_DURATION,
-    FeatureKey.LOW_LEVEL_TASK_METRICS,
-    FeatureKey.FAULT_DIAGNOSIS,
-})
+# task features read from the task's trace record, with what a 404 says
+# is missing before the task has finished
+_TRACE_FEATURES = {
+    FeatureKey.CONSUMED_RESOURCES: "trace record",
+    FeatureKey.TASK_DURATION: "trace record",
+    FeatureKey.LOW_LEVEL_TASK_METRICS: "trace record",
+    FeatureKey.FAULT_DIAGNOSIS: "trace record",
+    FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: "code part profile",
+}
 
 
 def _build_payload(
@@ -397,7 +372,7 @@ def _build_payload(
     if feature in _TRACE_FEATURES:
         record = next((r for r in result.trace_records if r.task_id == task_id), None)
         if record is None:
-            raise _NotFound(f"no trace record yet for {task_id!r}")
+            raise _NotFound(f"no {_TRACE_FEATURES[feature]} yet for {task_id!r}")
     if feature is FeatureKey.TASK_STATUS:
         return {"task_id": task_id, "state": instance.state.value}
     if feature is FeatureKey.REQUESTED_RESOURCES:
@@ -419,9 +394,6 @@ def _build_payload(
             },
         }
     if feature is FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS:
-        parts = result.code_parts.get(task_id)
-        if parts is None:
-            raise _NotFound(f"no code part profile yet for {task_id!r}")
         return {
             "task_id": task_id,
             "parts": [
@@ -430,7 +402,7 @@ def _build_payload(
                     "duration_ms": p.duration_ms,
                     "peak_memory_bytes": p.peak_memory_bytes,
                 }
-                for p in parts
+                for p in synthesize_code_parts(record)
             ],
         }
     if feature is FeatureKey.TASK_ID:

@@ -24,7 +24,12 @@ instance:
 - Progress and completion come from running counters: succeeded, failed,
   and open instances (not terminal and not poisoned).  The progress record
   built from them equals ``workflow_status(run)``, and the run can finish
-  only once the open count is 0.
+  only once the open count is 0.  A record is built only for live
+  listeners; the stored progress stream is ``replay_progress`` of the event
+  log, and code-part profiles are derived from trace records on query.
+- Per-run tables built when the run starts replace per-instance lookups:
+  each definition with its task model, the task faults by target id, and
+  one random generator re-seeded for each instance's stream.
 - Poisoning walks definition groups, and stops at groups already poisoned,
   whose descendants were poisoned with them.
 """
@@ -36,7 +41,7 @@ import itertools
 import random
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -50,7 +55,6 @@ from .machine import (
 )
 from .resman import QueueEntry, ResourceManager
 from .taskmon import (
-    CodePartProfile,
     Diagnosis,
     LogEntry,
     LogLevel,
@@ -241,11 +245,42 @@ def parse_event_log(text: str) -> list[EventRecord]:
     return records
 
 
+def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatusReport]:
+    """Recompute the progress stream from an event log alone.  One record
+    per state-changing event, exactly what the live stream emitted."""
+    records = parse_event_log(event_log) if isinstance(event_log, str) else event_log
+    total = 0
+    finished = 0
+    failures = 0
+    out = []
+    state = RunState.RUNNING
+    for event in records:
+        if event.kind == "run_submitted":
+            for token in event.detail.split():
+                if token.startswith("instances="):
+                    total = int(token[len("instances="):])
+            continue
+        if event.kind == "instance_succeeded":
+            finished += 1
+        elif event.kind == "instance_failed":
+            failures += 1
+        elif event.kind == "run_completed":
+            state = RunState(event.detail.split("=", 1)[1])
+        elif event.kind not in ("instance_queued", "instance_started"):
+            continue
+        out.append(WorkflowStatusReport(state, finished, total, failures))
+    return out
+
+
+def _stream_seed(seed: int, task_id: str) -> int:
+    digest = hashlib.sha256(f"{seed}:{task_id}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def instance_stream(seed: int, task_id: str) -> random.Random:
     """Independent random stream for one instance, derived from the root
     seed and the instance id only."""
-    digest = hashlib.sha256(f"{seed}:{task_id}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(_stream_seed(seed, task_id))
 
 
 @dataclass(frozen=True)
@@ -320,12 +355,14 @@ class SimulationResult:
     trace_records: list[TaskTraceRecord]
     samples: list[MachineSample]
     diagnoses: dict[str, Diagnosis]
-    code_parts: dict[str, list[CodePartProfile]]
     log_store: LogStore
     registry: MachineRegistry
     resource_manager: ResourceManager
     never_eligible: frozenset[str]
-    progress_records: list = field(default_factory=list)
+
+    @property
+    def progress_records(self) -> list[WorkflowStatusReport]:
+        return replay_progress(self.event_records)
 
     def event_log_text(self) -> str:
         return "\n".join(r.line() for r in self.event_records) + "\n"
@@ -417,11 +454,9 @@ class Simulation:
         self.trace_records: list[TaskTraceRecord] = []
         self.samples: list[MachineSample] = []
         self.diagnoses: dict[str, Diagnosis] = {}
-        self.code_parts: dict[str, list[CodePartProfile]] = {}
         self.log_store = LogStore()
         self.log_store.register_task(*self._instances)
         self.progress_listeners: list = []
-        self.progress_records: list = []
         # called with no arguments when run_to_completion raises
         self.abort_listeners: list = []
 
@@ -437,21 +472,23 @@ class Simulation:
             if injection.target not in self._instances:
                 raise TargetUnknownError(injection.target)
         self._injections.append(injection)
+        if self._started:
+            self._arm(injection)
 
-    def _active_injections(self) -> list[FaultInjection]:
-        return [
-            inj
-            for inj in self._injections
-            if inj.on_nth_run is None or inj.on_nth_run == self.run_index
-        ]
+    def _arm(self, inj: FaultInjection) -> None:
+        """Schedule a machine fault, or index a task fault by its target,
+        unless the injection belongs to another run index."""
+        if inj.on_nth_run is not None and inj.on_nth_run != self.run_index:
+            return
+        if inj.kind is InjectionKind.MACHINE_UNHEALTHY:
+            self._push(inj.at_ms, "machine_unhealthy", inj.target)
+            self._pending_machine_events += 1
+        else:
+            self._task_faults.setdefault(inj.target, []).append(inj)
 
     def _task_injection(self, task_id: str, start_ms: int) -> FaultInjection | None:
-        for inj in self._active_injections():
-            if (
-                inj.kind in (InjectionKind.TASK_OOM, InjectionKind.TASK_NON_ZERO_EXIT)
-                and inj.target == task_id
-                and start_ms >= inj.at_ms
-            ):
+        for inj in self._task_faults.get(task_id, ()):
+            if start_ms >= inj.at_ms:
                 return inj
         return None
 
@@ -463,14 +500,19 @@ class Simulation:
     def _emit(self, t_ms: int, kind: str, subject: str, detail: str) -> None:
         self.event_records.append(EventRecord(t_ms, kind, subject, detail))
 
+    @property
+    def progress_records(self) -> list[WorkflowStatusReport]:
+        return replay_progress(self.event_records)
+
     def _emit_progress(self) -> None:
+        if not self.progress_listeners:
+            return
         record = WorkflowStatusReport(
             state=self.run.final_state,
             finished=self._succeeded,
             total=len(self.run.instances),
             failures=self._failed,
         )
-        self.progress_records.append(record)
         for listener in self.progress_listeners:
             listener(record)
 
@@ -488,6 +530,11 @@ class Simulation:
             raise
 
     def _run(self) -> SimulationResult:
+        self._definitions = {
+            d.name: (d, self.models[d.runtime_model]) for d in self.spec.tasks
+        }
+        self._task_faults: dict[str, list[FaultInjection]] = {}
+        self._rng = random.Random()
         self._emit(
             0,
             "run_submitted",
@@ -498,10 +545,8 @@ class Simulation:
         if self.topology is TopologyMode.WORKFLOW_AWARE:
             self.rm.submit_workflow(self.spec, self.input_count, self.run)
 
-        for inj in self._active_injections():
-            if inj.kind is InjectionKind.MACHINE_UNHEALTHY:
-                self._push(inj.at_ms, "machine_unhealthy", inj.target)
-                self._pending_machine_events += 1
+        for inj in self._injections:
+            self._arm(inj)
 
         self._newly_ready = {
             self._instances[task_id].definition for task_id in ready_tasks(self.run, self.spec)
@@ -543,12 +588,10 @@ class Simulation:
             trace_records=self.trace_records,
             samples=self.samples,
             diagnoses=self.diagnoses,
-            code_parts=self.code_parts,
             log_store=self.log_store,
             registry=self.registry,
             resource_manager=self.rm,
             never_eligible=frozenset(self._poisoned),
-            progress_records=self.progress_records,
         )
 
     # -- pumps --------------------------------------------------------------
@@ -560,7 +603,7 @@ class Simulation:
         self._newly_ready = set()
         aware = self.topology is TopologyMode.WORKFLOW_AWARE
         for name in ready:
-            requested = self.spec.definition(name).requested
+            requested = self._definitions[name][0].requested
             for instance in self._groups[name]:
                 instance.mark_queued(t_ms)
                 entry = QueueEntry(
@@ -584,10 +627,9 @@ class Simulation:
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self._instances[task_id]
-        definition = self.spec.definition(instance.definition)
-        model = self.models[definition.runtime_model]
-        rng = instance_stream(self.seed, task_id)
-        metrics = synthesize_metrics(model, definition.requested.memory_bytes, rng)
+        definition, model = self._definitions[instance.definition]
+        self._rng.seed(_stream_seed(self.seed, task_id))
+        metrics = synthesize_metrics(model, definition.requested.memory_bytes, self._rng)
 
         injection = self._task_injection(task_id, t_ms)
         exit_code = 0
@@ -667,11 +709,10 @@ class Simulation:
         del self._executions[task_id]
         self.trace_records.append(record)
 
-        definition = self.spec.definition(instance.definition)
+        requested = self._definitions[instance.definition][0].requested
         machine_status = self.registry.descriptor(execution.machine_id).status
-        diagnosis = diagnose(record, definition.requested, machine_status)
+        diagnosis = diagnose(record, requested, machine_status)
         self.diagnoses[task_id] = diagnosis
-        self.code_parts[task_id] = _synthesize_code_parts(record)
 
         if status is TaskState.SUCCEEDED:
             self._succeeded += 1
@@ -769,17 +810,6 @@ class Simulation:
             f"final={self.run.final_state.value}",
         )
         self._emit_progress()
-
-
-def _synthesize_code_parts(record: TaskTraceRecord) -> list[CodePartProfile]:
-    """Fixed-shape synthetic profile: setup, compute, teardown covering at
-    most 90 percent of the task duration."""
-    duration = record.duration_ms
-    return [
-        CodePartProfile(record.task_id, "setup", duration * 10 // 100, record.rss_bytes * 20 // 100),
-        CodePartProfile(record.task_id, "compute", duration * 70 // 100, record.rss_bytes),
-        CodePartProfile(record.task_id, "teardown", duration * 10 // 100, record.rss_bytes * 10 // 100),
-    ]
 
 
 def run_simulation(

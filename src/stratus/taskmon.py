@@ -318,6 +318,17 @@ class CodePartProfile:
     peak_memory_bytes: int
 
 
+def synthesize_code_parts(record: TaskTraceRecord) -> list[CodePartProfile]:
+    """Fixed-shape synthetic profile derived from a trace record: setup,
+    compute, teardown covering at most 90 percent of the task duration."""
+    duration = record.duration_ms
+    return [
+        CodePartProfile(record.task_id, "setup", duration * 10 // 100, record.rss_bytes * 20 // 100),
+        CodePartProfile(record.task_id, "compute", duration * 70 // 100, record.rss_bytes),
+        CodePartProfile(record.task_id, "teardown", duration * 10 // 100, record.rss_bytes * 10 // 100),
+    ]
+
+
 def validate_code_parts(parts: "list[CodePartProfile]", record: TaskTraceRecord) -> None:
     """Check that one task's code-part durations fit inside its trace
     duration."""

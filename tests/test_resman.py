@@ -257,11 +257,13 @@ def test_reservations_never_exceed_capacity_under_churn():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_segmented_queue_matches_oracle_across_passes(data):
-    """Several passes over one resource manager, with releases and machine
-    status flips in between, against the brute-force first fit.  Requests
-    come from a pool of 2-3 shapes, so equal requests form queue segments and
-    a request that fits nowhere is skipped for the rest of its pass; two
-    shapes may share a vector and differ only in timeout."""
+    """Several passes over one resource manager, with releases, machine
+    status changes (unhealthy, maintenance, healthy) and new machines in
+    between, against the brute-force first fit.  Requests come from a pool
+    of 2-3 shapes, so equal requests form queue segments and a request that
+    fits nowhere is skipped for the rest of its pass; two shapes may share a
+    vector and differ only in timeout.  New machine ids sort before or after
+    the existing ones, so first-fit order changes between passes."""
     machines = [
         make_machine(
             f"m{i + 1}", cpus=data.draw(st.integers(1, 8)), mem=data.draw(st.integers(1, 8)) * GiB
@@ -273,7 +275,7 @@ def test_segmented_queue_matches_oracle_across_passes(data):
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from((600_000, 900_000))),
         min_size=2, max_size=3,
     ))
-    healthy = {m.machine_id: True for m in machines}
+    status = {m.machine_id: MachineStatus.HEALTHY for m in machines}
     queue: list[tuple[str, ResourceVector]] = []
     reserved: dict[str, ResourceVector] = {}
     running: dict[str, tuple[str, ResourceVector]] = {}
@@ -287,7 +289,10 @@ def test_segmented_queue_matches_oracle_across_passes(data):
             next_id += 1
             rm.enqueue(task)
             queue.append((task.task_id, ResourceVector(cpus, mem * GiB, 0)))
-        oracle_machines = [(m.machine_id, m.capacity, healthy[m.machine_id]) for m in machines]
+        oracle_machines = [
+            (m.machine_id, m.capacity, status[m.machine_id] is MachineStatus.HEALTHY)
+            for m in sorted(machines, key=lambda d: d.machine_id)
+        ]
         expected, leftover = oracle_first_fit(queue, oracle_machines, reserved)
         assert rm.schedule(t) == expected
         assert rm.queue_depth() == len(leftover)
@@ -304,11 +309,17 @@ def test_segmented_queue_matches_oracle_across_passes(data):
                 machine_id, need = running.pop(task_id)
                 reserved[machine_id] = reserved[machine_id].minus(need)
                 finished.append(task_id)
-        for machine_id in data.draw(st.lists(st.sampled_from(sorted(healthy)), unique=True)):
-            healthy[machine_id] = not healthy[machine_id]
-            rm.registry.set_status(
-                machine_id, MachineStatus.HEALTHY if healthy[machine_id] else MachineStatus.UNHEALTHY
+        for machine_id in data.draw(st.lists(st.sampled_from(sorted(status)), unique=True)):
+            status[machine_id] = data.draw(st.sampled_from(list(MachineStatus)))
+            rm.registry.set_status(machine_id, status[machine_id])
+        if data.draw(st.booleans()):
+            added = make_machine(
+                f"{data.draw(st.sampled_from('am'))}x{t}",
+                cpus=data.draw(st.integers(1, 8)), mem=data.draw(st.integers(1, 8)) * GiB,
             )
+            rm.registry.register_machine(added)
+            machines.append(added)
+            status[added.machine_id] = MachineStatus.HEALTHY
 
         for known in ([task_id for task_id, _ in queue], sorted(running), finished):
             if known:

@@ -32,11 +32,12 @@ from stratus.sim import (
     load_scenario,
     parse_event_log,
     parse_scenario,
+    replay_progress,
     run_scenario,
     run_simulation,
     synthesize_metrics,
 )
-from stratus.taskmon import Verdict, parse_trace
+from stratus.taskmon import Verdict, format_trace_file, parse_trace
 from stratus.workflow import (
     RunState,
     TaskDefinition,
@@ -454,6 +455,52 @@ def test_on_nth_run_gates_the_injection():
     assert second.run.final_state is RunState.FAILED
 
 
+def run_with_mid_run_injection(make_injection):
+    """fig1 with one fault injected from a progress listener once the clock
+    has left 0; returns the result and the injection."""
+    spec, machines, fs_total = fig1_setup()
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="r", submission_ms=0)
+    injected = []
+
+    def inject_once(record):
+        now = simulation.event_records[-1].t_ms
+        if not injected and now > 0:
+            injected.append(make_injection(simulation, now))
+            simulation.inject(injected[0])
+
+    simulation.progress_listeners.append(inject_once)
+    return simulation.run_to_completion(), injected[0]
+
+
+def test_task_fault_injected_mid_run_fires_when_its_target_starts():
+    def oom_for_a_pending_instance(simulation, now):
+        assert simulation.run.instance("wf1/VI/0").state is TaskState.PENDING
+        return FaultInjection(InjectionKind.TASK_OOM, "wf1/VI/0", at_ms=now + 1)
+
+    result, _ = run_with_mid_run_injection(oom_for_a_pending_instance)
+    record = next(r for r in result.trace_records if r.task_id == "wf1/VI/0")
+    assert record.exit_code == EXIT_OOM
+    assert result.diagnoses["wf1/VI/0"].verdict is Verdict.OUT_OF_MEMORY
+    assert result.run.final_state is RunState.FAILED
+
+
+def test_machine_fault_injected_mid_run_fires_at_its_time():
+    result, injection = run_with_mid_run_injection(
+        lambda simulation, now: FaultInjection(
+            InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=now + 500
+        )
+    )
+    status_events = [e for e in result.event_records if e.kind == "machine_status"]
+    assert [(e.t_ms, e.subject, e.detail) for e in status_events] == [
+        (injection.at_ms, "m1", "status=unhealthy")
+    ]
+    killed = [r for r in result.trace_records if r.exit_code == EXIT_MACHINE_KILL]
+    assert killed and all(r.end_ms == injection.at_ms for r in killed)
+    for e in result.event_records:
+        if e.kind == "instance_started" and e.detail == "machine=m1":
+            assert e.t_ms < injection.at_ms
+
+
 # --- stuck runs ---
 
 
@@ -621,8 +668,10 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     for injection in injections:
         simulation.inject(injection)
     mismatches = []
+    received = []
 
     def check_progress(record):
+        received.append(record)
         if record != workflow_status(simulation.run):
             mismatches.append(record)
 
@@ -634,6 +683,24 @@ def test_incremental_engine_agrees_with_naive_scans(case):
         stuck = exc.stuck
     run = simulation.run
     assert mismatches == []
+    event_log = "".join(e.line() + "\n" for e in simulation.event_records)
+    assert received == simulation.progress_records == replay_progress(event_log)
+    if stuck is None:
+        assert result.progress_records == received
+
+    # listeners only observe: a run without one writes the same bytes
+    quiet = Simulation(
+        spec, machines, 10**15, input_count, seed, topology, run_id="p", submission_ms=0
+    )
+    for injection in injections:
+        quiet.inject(injection)
+    try:
+        quiet.run_to_completion()
+        assert stuck is None
+    except NonQuiescentError as exc:
+        assert exc.stuck == stuck
+    assert "".join(e.line() + "\n" for e in quiet.event_records) == event_log
+    assert format_trace_file(quiet.trace_records) == format_trace_file(simulation.trace_records)
     never_eligible = naive_never_eligible(run, spec)
     open_instances = sorted(
         i.task_id

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from stratus.store import RunStore, StoreError
-from stratus.workflow import RunRecord, RunState, TaskInstance, TaskState
+from stratus.store import RunStore, RunSummary, StoreError
+from stratus.workflow import RunRecord, RunState, TaskInstance, TaskState, makespan_ms
 
 
 def finished_run(run_id, workflow_id, submission_ms, duration=100) -> RunRecord:
@@ -138,3 +138,105 @@ def test_previous_executions_ordering_matches_sort_oracle(tmp_path):
         for _, _, run_id in sorted(appended, key=lambda row: (-row[1], -row[0]))
     ]
     assert [s.run_id for s in store.list_previous_executions("w")] == expected
+
+
+# --- incremental summaries against a full reload ---
+
+
+def naive_previous_executions(path, workflow_id):
+    """The summaries derived from a full load_all() of a fresh store."""
+    records = [
+        (position, record)
+        for position, record in enumerate(RunStore(path).load_all())
+        if record.workflow_id == workflow_id
+    ]
+    records.sort(key=lambda pair: (-pair[1].submission_ms, -pair[0]))
+    return [
+        RunSummary(
+            run_id=r.run_id,
+            workflow_id=r.workflow_id,
+            submission_ms=r.submission_ms,
+            final_state=r.final_state.value,
+            makespan_ms=makespan_ms(r),
+        )
+        for _, r in records
+    ]
+
+
+def test_summaries_follow_appends_from_any_writer(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    rng = random.Random(5)
+    store, other = RunStore(path), RunStore(path)
+    assert store.list_previous_executions("w") == []
+    for position in range(30):
+        writer = store if rng.random() < 0.5 else other
+        run = finished_run(
+            f"r{position}", rng.choice(("w", "v")), rng.randint(0, 4) * 100,
+            duration=rng.randint(1, 500),
+        )
+        writer.append(run)
+        for workflow_id in ("w", "v"):
+            expected = naive_previous_executions(path, workflow_id)
+            assert store.list_previous_executions(workflow_id) == expected
+            assert other.list_previous_executions(workflow_id) == expected
+
+
+def test_summaries_skip_a_torn_tail_until_the_next_append(tmp_path, caplog):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    store.append(finished_run("r1", "w", 0))
+    assert [s.run_id for s in store.list_previous_executions("w")] == ["r1"]
+    RunStore(path).append(finished_run("r2", "w", 1))
+    path.write_bytes(path.read_bytes()[:-20])
+    with caplog.at_level("WARNING", logger="stratus"):
+        assert [s.run_id for s in store.list_previous_executions("w")] == ["r1"]
+    assert "torn final record" in caplog.text
+    RunStore(path).append(finished_run("r3", "w", 2))
+    assert [s.run_id for s in store.list_previous_executions("w")] == ["r3", "r1"]
+    assert store.list_previous_executions("w") == naive_previous_executions(path, "w")
+
+
+def test_summaries_keep_a_whole_record_missing_its_newline(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    store.append(finished_run("r1", "w", 0))
+    store.append(finished_run("r2", "w", 1))
+    path.write_bytes(path.read_bytes()[:-1])
+    assert [s.run_id for s in store.list_previous_executions("w")] == ["r2", "r1"]
+    store.append(finished_run("r3", "w", 1))
+    assert [s.run_id for s in store.list_previous_executions("w")] == ["r3", "r2", "r1"]
+
+
+def test_summaries_start_over_when_the_file_is_rewritten(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    for position in range(4):
+        store.append(finished_run(f"r{position}", "w", position))
+    assert len(store.list_previous_executions("w")) == 4
+    first_line = path.read_bytes().split(b"\n")[0] + b"\n"
+    path.write_bytes(first_line)  # shorter, same inode
+    assert [s.run_id for s in store.list_previous_executions("w")] == ["r0"]
+
+    replacement = tmp_path / "replacement.jsonl"
+    other = RunStore(replacement)
+    for position in range(3):
+        other.append(finished_run(f"n{position}", "w", 10 + position))
+    replacement.replace(path)  # longer, new inode
+    assert [s.run_id for s in store.list_previous_executions("w")] == ["n2", "n1", "n0"]
+    path.unlink()
+    assert store.list_previous_executions("w") == []
+
+
+def test_summaries_raise_on_interior_corruption_not_yet_read(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
+    store.append(finished_run("r1", "w", 0))
+    store.append(finished_run("r2", "w", 1))
+    assert len(store.list_previous_executions("w")) == 2
+    with open(path, "a") as fh:
+        fh.write("{not json\n")
+    RunStore(path).append(finished_run("r3", "w", 2))
+    for _ in range(2):
+        with pytest.raises(StoreError) as err:
+            store.list_previous_executions("w")
+        assert ":3:" in str(err.value)
