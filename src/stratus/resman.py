@@ -12,7 +12,11 @@ O(segments + assignments + machines x distinct vectors) instead of
 O(queue x machines).  The healthy machines, their capacities and headroom
 persist between passes: the list is rebuilt only when the registry's
 version moves, and a machine's headroom is recomputed when an assignment or
-a release changes its reservation.
+a release changes its reservation.  Capacities, reservations, headroom and
+request vectors are plain (cpu, memory, disk) tuples inside the class, so
+a pass and a release build no ResourceVector and hash no dataclass; the
+public reads (reserved_on, infrastructure_status) still return
+ResourceVector.
 
 Two coupling topologies exist.  In workflow-aware mode the resource manager
 is handed whole workflows and resolves readiness itself; in disjoint mode an
@@ -63,6 +67,21 @@ class UnknownEntryError(ResmanError):
         self.task_id = task_id
 
 
+# (cpu_cores, memory_bytes, disk_bytes): the scheduler's own arithmetic runs
+# on plain tuples; ResourceVector is built only for callers
+_Vector = tuple[float, int, int]
+_ZERO: _Vector = (0, 0, 0)
+
+
+def _triple(v: "ResourceVector | ResourceRequest") -> _Vector:
+    return (v.cpu_cores, v.memory_bytes, v.disk_bytes)
+
+
+def _minus(a: _Vector, b: _Vector) -> _Vector:
+    """a - b per dimension, as ResourceVector.minus computes it."""
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
 @dataclass(frozen=True)
 class QueueEntry:
     """One ready-to-run instance waiting for a machine.  workflow_id is
@@ -91,14 +110,6 @@ class FileSystemStatus:
     healthy: bool
 
 
-def _request_vector(requested: ResourceRequest) -> ResourceVector:
-    return ResourceVector(
-        cpu_cores=requested.cpu_cores,
-        memory_bytes=requested.memory_bytes,
-        disk_bytes=requested.disk_bytes,
-    )
-
-
 class ResourceManager:
     """Single-actor scheduler core.  All mutation goes through the engine
     thread; reads build fresh values and are safe to expose."""
@@ -112,18 +123,19 @@ class ResourceManager:
         # (request, entries) segments in FIFO order
         self._segments: list[tuple[ResourceRequest, deque[QueueEntry]]] = []
         self._queued: set[str] = set()
-        self._running: dict[str, tuple[str, ResourceRequest]] = {}
+        # task_id -> (machine_id, request, request vector)
+        self._running: dict[str, tuple[str, ResourceRequest, _Vector]] = {}
         self._finished: set[str] = set()
-        self._reserved: dict[str, ResourceVector] = {}
+        self._reserved: dict[str, _Vector] = {}
         self._fs_written_bytes = 0
         self._runs: list[tuple[str, str, RunRecord]] = []
-        self._vectors: dict[ResourceRequest, ResourceVector] = {}
+        self._vectors: dict[ResourceRequest, _Vector] = {}
         # healthy machines in ascending id order with capacity, headroom and
         # slot by id, as of registry version _healthy_version
         self._healthy_version: int | None = None
         self._machine_ids: list[str] = []
-        self._capacity: list[ResourceVector] = []
-        self._headroom: list[ResourceVector] = []
+        self._capacity: list[_Vector] = []
+        self._headroom: list[_Vector] = []
         self._slot: dict[str, int] = {}
 
     # -- submission ---------------------------------------------------------
@@ -154,17 +166,19 @@ class ResourceManager:
         if task_id in self._queued or task_id in self._running or task_id in self._finished:
             raise DuplicateTaskError(task_id)
         self._queued.add(task_id)
-        if self._segments and self._segments[-1][0] == entry.requested:
-            self._segments[-1][1].append(entry)
+        requested, segments = entry.requested, self._segments
+        # a definition's instances share one request object: test identity first
+        if segments and (segments[-1][0] is requested or segments[-1][0] == requested):
+            segments[-1][1].append(entry)
         else:
-            self._segments.append((entry.requested, deque([entry])))
+            segments.append((requested, deque([entry])))
 
     # -- scheduling ---------------------------------------------------------
 
-    def _vector(self, requested: ResourceRequest) -> ResourceVector:
+    def _vector(self, requested: ResourceRequest) -> _Vector:
         vector = self._vectors.get(requested)
         if vector is None:
-            vector = self._vectors[requested] = _request_vector(requested)
+            vector = self._vectors[requested] = _triple(requested)
         return vector
 
     def _refresh_healthy(self) -> None:
@@ -178,8 +192,9 @@ class ResourceManager:
             if descriptor.status is MachineStatus.HEALTHY:
                 self._slot[machine_id] = len(self._machine_ids)
                 self._machine_ids.append(machine_id)
-                self._capacity.append(descriptor.capacity)
-                self._headroom.append(descriptor.capacity.minus(self.reserved_on(machine_id)))
+                capacity = _triple(descriptor.capacity)
+                self._capacity.append(capacity)
+                self._headroom.append(_minus(capacity, self._reserved.get(machine_id, _ZERO)))
         self._healthy_version = version
 
     def schedule(self, t_ms: int) -> list[tuple[str, str]]:
@@ -193,28 +208,33 @@ class ResourceManager:
         machine_ids, capacity, headroom = self._machine_ids, self._capacity, self._headroom
         # per request vector: index of the first machine that may still fit
         # it; len(machine_ids) once it fits nowhere
-        first_fit: dict[ResourceVector, int] = {}
+        first_fit: dict[_Vector, int] = {}
         assignments = []
         remaining = []
+        reservations = self._reserved
         for requested, entries in self._segments:
             need = self._vector(requested)
+            cpu, mem, disk = need
             k = first_fit.get(need, 0)
             while entries and k < len(machine_ids):
-                if not need.fits_within(headroom[k]):
+                room = headroom[k]
+                if not (cpu <= room[0] and mem <= room[1] and disk <= room[2]):
                     k += 1
                     continue
                 entry = entries.popleft()
                 chosen = machine_ids[k]
-                reserved = self.reserved_on(chosen).plus(need)
-                self._reserved[chosen] = reserved
-                headroom[k] = capacity[k].minus(reserved)
+                reserved = reservations.get(chosen, _ZERO)
+                reserved = reservations[chosen] = (
+                    reserved[0] + cpu, reserved[1] + mem, reserved[2] + disk,
+                )
+                headroom[k] = _minus(capacity[k], reserved)
                 self._queued.discard(entry.task_id)
-                self._running[entry.task_id] = (chosen, requested)
+                self._running[entry.task_id] = (chosen, requested, need)
                 assignments.append((entry.task_id, chosen))
             first_fit[need] = k
             if not entries:
                 continue
-            if remaining and remaining[-1][0] == requested:
+            if remaining and (remaining[-1][0] is requested or remaining[-1][0] == requested):
                 remaining[-1][1].extend(entries)
             else:
                 remaining.append((requested, entries))
@@ -226,28 +246,28 @@ class ResourceManager:
         against the shared file system."""
         if task_id not in self._running:
             raise UnknownEntryError(task_id)
-        machine_id, requested = self._running.pop(task_id)
-        reserved = self._reserved[machine_id].minus(self._vector(requested))
-        self._reserved[machine_id] = reserved
+        machine_id, _, need = self._running.pop(task_id)
+        reserved = self._reserved[machine_id] = _minus(self._reserved[machine_id], need)
         slot = self._slot.get(machine_id)
         if slot is not None:
-            self._headroom[slot] = self._capacity[slot].minus(reserved)
+            self._headroom[slot] = _minus(self._capacity[slot], reserved)
         self._finished.add(task_id)
         self._fs_written_bytes += max(0, wchar_bytes)
 
     def running_on(self, machine_id: str) -> list[str]:
         return sorted(
-            task_id for task_id, (m, _) in self._running.items() if m == machine_id
+            task_id for task_id, (m, _, _) in self._running.items() if m == machine_id
         )
 
     def assignment(self, task_id: str) -> "tuple[str, ResourceRequest] | None":
-        return self._running.get(task_id)
+        running = self._running.get(task_id)
+        return None if running is None else running[:2]
 
     def queue_depth(self) -> int:
         return len(self._queued)
 
     def reserved_on(self, machine_id: str) -> ResourceVector:
-        return self._reserved.get(machine_id, ResourceVector(0, 0, 0))
+        return ResourceVector(*self._reserved.get(machine_id, _ZERO))
 
     # -- status -------------------------------------------------------------
 

@@ -144,9 +144,9 @@ class ServiceContext:
         with self._lock:
             results = list(self.results.values())
         for result in reversed(results):
-            for instance in result.run.instances:
-                if instance.task_id == task_id:
-                    return result, instance
+            instance = result.instances_by_id.get(task_id)
+            if instance is not None:
+                return result, instance
         return None
 
     def served_at_ms(self) -> int:
@@ -370,7 +370,7 @@ def _build_payload(
     result, instance = found
     record = None
     if feature in _TRACE_FEATURES:
-        record = next((r for r in result.trace_records if r.task_id == task_id), None)
+        record = result.trace_by_id.get(task_id)
         if record is None:
             raise _NotFound(f"no {_TRACE_FEATURES[feature]} yet for {task_id!r}")
     if feature is FeatureKey.TASK_STATUS:

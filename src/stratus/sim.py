@@ -28,8 +28,15 @@ instance:
   listeners; the stored progress stream is ``replay_progress`` of the event
   log, and code-part profiles are derived from trace records on query.
 - Per-run tables built when the run starts replace per-instance lookups:
-  each definition with its task model, the task faults by target id, and
-  one random generator re-seeded for each instance's stream.
+  each definition with its task model and MetricPlan, the task faults by
+  target id, and one random generator re-seeded for each instance's
+  stream.  The plan holds every value of the metric formula that no draw
+  touches, so an instance only makes its three draws and derives what
+  depends on them.
+- An instance's start and finish build only what the run keeps: its log
+  lines go to the log store as plain tuples, its trace record is indexed
+  by task id as it lands (the service's task lookups read that index and
+  the instance map), and no progress record is built without a listener.
 - Poisoning walks definition groups, and stops at groups already poisoned,
   whose descendants were poisoned with them.
 """
@@ -56,7 +63,6 @@ from .machine import (
 from .resman import QueueEntry, ResourceManager
 from .taskmon import (
     Diagnosis,
-    LogEntry,
     LogLevel,
     LogStore,
     TaskTraceRecord,
@@ -298,36 +304,62 @@ class SynthesizedMetrics:
     failure_draw: float
 
 
+class MetricPlan:
+    """The part of one definition's metric synthesis that no draw touches.
+
+    Built once per (model, memory request) when a run starts; ``draw`` then
+    makes an instance's three draws (runtime, failure, page-cache ratio, in
+    that order) and derives only the values that depend on them, so each
+    instance's record is reproducible from its stream alone.
+    """
+
+    def __init__(self, model: TaskModel, memory_request_bytes: int):
+        jitter = model.runtime_jitter_pct / 100
+        # rng.uniform(a, b) is a + (b - a) * random(); keep its arithmetic
+        self._jitter_low = -jitter
+        self._jitter_span = jitter - -jitter
+        self._base_runtime_ms = model.base_runtime_ms
+        self._cpu_pct = model.cpu_pct_mean
+        self._rss_bytes = int(model.rss_fraction_of_request * memory_request_bytes)
+        self._rchar_bytes = model.io_read_bytes
+        self._wchar_bytes = model.io_write_bytes
+        self._syscall_rate_per_s = model.syscall_rate_per_s
+        io_total = model.io_read_bytes + model.io_write_bytes
+        self._read_share = model.io_read_bytes / io_total if io_total else 0.5
+        self._total_pages = io_total // 4096
+        self._cpu_wait_fraction = model.cpu_wait_fraction
+
+    def draw(self, rng: random.Random) -> SynthesizedMetrics:
+        draw = rng.random
+        runtime_factor = 1 + (self._jitter_low + self._jitter_span * draw())
+        runtime_ms = max(1, round(self._base_runtime_ms * runtime_factor))
+        failure_draw = draw()
+        pcache_draw = draw()
+
+        syscall_total = int(self._syscall_rate_per_s * runtime_ms / 1000)
+        syscall_read = int(syscall_total * self._read_share)
+        total_pages = self._total_pages
+        hits = int(total_pages * (0.5 + 0.5 * pcache_draw))
+        return SynthesizedMetrics(
+            runtime_ms,
+            self._cpu_pct,
+            self._rss_bytes,
+            self._rchar_bytes,
+            self._wchar_bytes,
+            syscall_read,
+            syscall_total - syscall_read,
+            int(self._cpu_wait_fraction * runtime_ms),
+            hits,
+            total_pages - hits,
+            failure_draw,
+        )
+
+
 def synthesize_metrics(model: TaskModel, memory_request_bytes: int, rng: random.Random) -> SynthesizedMetrics:
     """Draw one task execution's metric set from its model.  Draw order is
     fixed (runtime, failure, page-cache ratio) so records are reproducible
     from the instance stream alone."""
-    jitter = model.runtime_jitter_pct / 100
-    runtime_factor = 1 + rng.uniform(-jitter, jitter)
-    runtime_ms = max(1, round(model.base_runtime_ms * runtime_factor))
-    failure_draw = rng.random()
-    pcache_draw = rng.random()
-
-    syscall_total = int(model.syscall_rate_per_s * runtime_ms / 1000)
-    io_total = model.io_read_bytes + model.io_write_bytes
-    read_share = model.io_read_bytes / io_total if io_total else 0.5
-    syscall_read = int(syscall_total * read_share)
-    total_pages = io_total // 4096
-    hit_ratio = 0.5 + 0.5 * pcache_draw
-    hits = int(total_pages * hit_ratio)
-    return SynthesizedMetrics(
-        runtime_ms=runtime_ms,
-        cpu_pct=model.cpu_pct_mean,
-        rss_bytes=int(model.rss_fraction_of_request * memory_request_bytes),
-        rchar_bytes=model.io_read_bytes,
-        wchar_bytes=model.io_write_bytes,
-        syscall_read_count=syscall_read,
-        syscall_write_count=syscall_total - syscall_read,
-        cpu_wait_ms=int(model.cpu_wait_fraction * runtime_ms),
-        page_cache_hits=hits,
-        page_cache_misses=total_pages - hits,
-        failure_draw=failure_draw,
-    )
+    return MetricPlan(model, memory_request_bytes).draw(rng)
 
 
 @dataclass
@@ -359,6 +391,10 @@ class SimulationResult:
     registry: MachineRegistry
     resource_manager: ResourceManager
     never_eligible: frozenset[str]
+    # task_id -> instance and task_id -> first trace record, shared with the
+    # engine that fills them
+    instances_by_id: dict[str, TaskInstance]
+    trace_by_id: dict[str, TaskTraceRecord]
 
     @property
     def progress_records(self) -> list[WorkflowStatusReport]:
@@ -452,6 +488,9 @@ class Simulation:
 
         self.event_records: list[EventRecord] = []
         self.trace_records: list[TaskTraceRecord] = []
+        # task_id -> its trace record, filled as records land (live results
+        # share it)
+        self._trace_index: dict[str, TaskTraceRecord] = {}
         self.samples: list[MachineSample] = []
         self.diagnoses: dict[str, Diagnosis] = {}
         self.log_store = LogStore()
@@ -505,8 +544,8 @@ class Simulation:
         return replay_progress(self.event_records)
 
     def _emit_progress(self) -> None:
-        if not self.progress_listeners:
-            return
+        """Hand live listeners the progress record of this moment; callers
+        skip the call when there are none."""
         record = WorkflowStatusReport(
             state=self.run.final_state,
             finished=self._succeeded,
@@ -530,9 +569,10 @@ class Simulation:
             raise
 
     def _run(self) -> SimulationResult:
-        self._definitions = {
-            d.name: (d, self.models[d.runtime_model]) for d in self.spec.tasks
-        }
+        self._definitions = {}
+        for d in self.spec.tasks:
+            model = self.models[d.runtime_model]
+            self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
         self._task_faults: dict[str, list[FaultInjection]] = {}
         self._rng = random.Random()
         self._emit(
@@ -592,6 +632,8 @@ class Simulation:
             registry=self.registry,
             resource_manager=self.rm,
             never_eligible=frozenset(self._poisoned),
+            instances_by_id=self._instances,
+            trace_by_id=self._trace_index,
         )
 
     # -- pumps --------------------------------------------------------------
@@ -599,37 +641,35 @@ class Simulation:
     def _pump(self, t_ms: int) -> None:
         """Queue the instances of newly ready definitions, then hand the
         queue to the scheduler and start whatever got a machine."""
+        if self._newly_ready:
+            self._queue_ready(t_ms)
+        for task_id, machine_id in self.rm.schedule(t_ms):
+            self._start_instance(t_ms, task_id, machine_id)
+
+    def _queue_ready(self, t_ms: int) -> None:
         ready = sorted(self._newly_ready, key=self._position.__getitem__)
         self._newly_ready = set()
         aware = self.topology is TopologyMode.WORKFLOW_AWARE
+        submit = self.rm.enqueue if aware else self.rm.submit_task
+        workflow_id = self.spec.workflow_id if aware else None
+        listeners = self.progress_listeners
         for name in ready:
             requested = self._definitions[name][0].requested
             for instance in self._groups[name]:
                 instance.mark_queued(t_ms)
-                entry = QueueEntry(
-                    task_id=instance.task_id,
-                    requested=requested,
-                    enqueue_ms=t_ms,
-                    workflow_id=self.spec.workflow_id if aware else None,
-                )
-                if aware:
-                    self.rm.enqueue(entry)
-                else:
-                    self.rm.submit_task(entry)
+                submit(QueueEntry(instance.task_id, requested, t_ms, workflow_id))
                 self._emit(
                     t_ms, "instance_queued", instance.task_id,
                     f"definition={instance.definition}",
                 )
-                self._emit_progress()
-
-        for task_id, machine_id in self.rm.schedule(t_ms):
-            self._start_instance(t_ms, task_id, machine_id)
+                if listeners:
+                    self._emit_progress()
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self._instances[task_id]
-        definition, model = self._definitions[instance.definition]
+        definition, model, plan = self._definitions[instance.definition]
         self._rng.seed(_stream_seed(self.seed, task_id))
-        metrics = synthesize_metrics(model, definition.requested.memory_bytes, self._rng)
+        metrics = plan.draw(self._rng)
 
         injection = self._task_injection(task_id, t_ms)
         exit_code = 0
@@ -664,10 +704,9 @@ class Simulation:
         self._executions[task_id] = execution
         self._push(execution.planned_end_ms, "completion", execution)
         self._emit(t_ms, "instance_started", task_id, f"machine={machine_id}")
-        self.log_store.append_log(
-            LogEntry(task_id, t_ms, LogLevel.INFO, f"started on {machine_id}")
-        )
-        self._emit_progress()
+        self.log_store.append(task_id, t_ms, LogLevel.INFO, f"started on {machine_id}")
+        if self.progress_listeners:
+            self._emit_progress()
 
     # -- event handlers -----------------------------------------------------
 
@@ -708,6 +747,7 @@ class Simulation:
         self.rm.release(task_id, record.wchar_bytes)
         del self._executions[task_id]
         self.trace_records.append(record)
+        self._trace_index.setdefault(task_id, record)
 
         requested = self._definitions[instance.definition][0].requested
         machine_status = self.registry.descriptor(execution.machine_id).status
@@ -721,9 +761,7 @@ class Simulation:
                 t_ms, "instance_succeeded", task_id,
                 f"exit=0 machine={execution.machine_id}",
             )
-            self.log_store.append_log(
-                LogEntry(task_id, t_ms, LogLevel.INFO, "finished exit=0")
-            )
+            self.log_store.append(task_id, t_ms, LogLevel.INFO, "finished exit=0")
         else:
             self._failed += 1
             self._emit(
@@ -731,14 +769,13 @@ class Simulation:
                 f"exit={exit_code} verdict={diagnosis.verdict.value} "
                 f"machine={execution.machine_id}",
             )
-            self.log_store.append_log(
-                LogEntry(
-                    task_id, t_ms, LogLevel.ERROR,
-                    f"failed exit={exit_code} ({diagnosis.verdict.value})",
-                )
+            self.log_store.append(
+                task_id, t_ms, LogLevel.ERROR,
+                f"failed exit={exit_code} ({diagnosis.verdict.value})",
             )
             self._poison_descendants(instance.definition)
-        self._emit_progress()
+        if self.progress_listeners:
+            self._emit_progress()
 
     def _on_completion(self, t_ms: int, execution: _Execution) -> None:
         if execution.generation in self._cancelled:
@@ -809,7 +846,8 @@ class Simulation:
             t_ms, "run_completed", self.spec.workflow_id,
             f"final={self.run.final_state.value}",
         )
-        self._emit_progress()
+        if self.progress_listeners:
+            self._emit_progress()
 
 
 def run_simulation(

@@ -9,6 +9,7 @@ The format is bit-exact; emitting and re-parsing a record is the identity.
 import enum
 import threading
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .machine import MachineStatus
 from .workflow import ResourceRequest, UnknownTaskError
@@ -34,6 +35,24 @@ TRACE_COLUMNS = (
 
 TRACE_HEADER = "\t".join(TRACE_COLUMNS)
 
+# the TaskTraceRecord fields that may not be negative, in column order
+_COUNTER_FIELDS = (
+    "submit_ms",
+    "start_ms",
+    "end_ms",
+    "duration_ms",
+    "cpu_pct",
+    "rss_bytes",
+    "rchar_bytes",
+    "wchar_bytes",
+    "syscall_read_count",
+    "syscall_write_count",
+    "cpu_wait_ms",
+    "page_cache_hits",
+    "page_cache_misses",
+)
+_counters = attrgetter(*_COUNTER_FIELDS)
+
 
 class TraceError(Exception):
     pass
@@ -42,6 +61,7 @@ class TraceError(Exception):
 class MissingHeaderError(TraceError):
     def __init__(self):
         super().__init__(f"first line must be the header {TRACE_HEADER!r}")
+        self.line = 1
 
 
 class FieldCountMismatchError(TraceError):
@@ -88,23 +108,11 @@ class TaskTraceRecord:
                 f"{self.task_id}: duration {self.duration_ms} != "
                 f"end {self.end_ms} - start {self.start_ms}"
             )
-        for name in (
-            "submit_ms",
-            "start_ms",
-            "end_ms",
-            "duration_ms",
-            "cpu_pct",
-            "rss_bytes",
-            "rchar_bytes",
-            "wchar_bytes",
-            "syscall_read_count",
-            "syscall_write_count",
-            "cpu_wait_ms",
-            "page_cache_hits",
-            "page_cache_misses",
-        ):
-            if getattr(self, name) < 0:
-                raise TraceError(f"{self.task_id}: {name} is negative")
+        if min(_counters(self)) < 0:
+            # name the first negative counter in column order
+            for name in _COUNTER_FIELDS:
+                if getattr(self, name) < 0:
+                    raise TraceError(f"{self.task_id}: {name} is negative")
         if (self.exit_code == 0) != (self.status == "succeeded"):
             raise TraceError(
                 f"{self.task_id}: exit {self.exit_code} inconsistent with "
@@ -274,10 +282,13 @@ class LogEntry:
 
 class LogStore:
     """Per-task application log entries.  Appends may arrive out of order
-    and from concurrent writers; queries sort by time."""
+    and from concurrent writers; queries sort by time (stably, so entries
+    with equal times keep their append order).  Each entry is stored as a
+    plain (t_ms, level, message) tuple; LogEntry objects are built only
+    when queried."""
 
     def __init__(self):
-        self._entries: dict[str, list[LogEntry]] = {}
+        self._entries: dict[str, list[tuple[int, LogLevel, str]]] = {}
         self._lock = threading.Lock()
 
     def register_task(self, *task_ids: str) -> None:
@@ -289,18 +300,23 @@ class LogStore:
         with self._lock:
             return sorted(self._entries)
 
-    def append_log(self, entry: LogEntry) -> None:
+    def append(self, task_id: str, t_ms: int, level: LogLevel, message: str) -> None:
         with self._lock:
-            if entry.task_id not in self._entries:
-                raise UnknownTaskError(entry.task_id)
-            self._entries[entry.task_id].append(entry)
+            entries = self._entries.get(task_id)
+            if entries is None:
+                raise UnknownTaskError(task_id)
+            entries.append((t_ms, level, message))
+
+    def append_log(self, entry: LogEntry) -> None:
+        self.append(entry.task_id, entry.t_ms, entry.level, entry.message)
 
     def query_logs(self, task_id: str, min_level: LogLevel = LogLevel.DEBUG) -> list[LogEntry]:
         with self._lock:
             if task_id not in self._entries:
                 raise UnknownTaskError(task_id)
-            matching = [e for e in self._entries[task_id] if e.level >= min_level]
-        return sorted(matching, key=lambda e: e.t_ms)
+            matching = [e for e in self._entries[task_id] if e[1] >= min_level]
+        matching.sort(key=itemgetter(0))
+        return [LogEntry(task_id, t_ms, level, message) for t_ms, level, message in matching]
 
     def export_lines(self, task_id: str, min_level: LogLevel = LogLevel.DEBUG) -> str:
         lines = [

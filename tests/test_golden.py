@@ -4,12 +4,23 @@ them the same way on every run.  A change that means to alter the bytes is a
 behaviour change and must update these digests and say so."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_path
-from stratus.sim import ScenarioSpec, load_scenario, run_scenario
+from stratus.machine import parse_cluster
+from stratus.sim import (
+    FaultInjection,
+    InjectionKind,
+    ScenarioSpec,
+    Simulation,
+    load_scenario,
+    run_scenario,
+)
+from stratus.workflow import parse_workflow
 
 # sha256 of (event_log_text(), trace_text()) with run_id="golden" and
 # submission_ms=0
@@ -38,7 +49,10 @@ GOLDEN = {
 
 
 def _digests(scenario: ScenarioSpec) -> tuple[str, str]:
-    result = run_scenario(scenario, run_id="golden", submission_ms=0)
+    return _result_digests(run_scenario(scenario, run_id="golden", submission_ms=0))
+
+
+def _result_digests(result) -> tuple[str, str]:
     return (
         hashlib.sha256(result.event_log_text().encode()).hexdigest(),
         hashlib.sha256(result.trace_text().encode()).hexdigest(),
@@ -68,3 +82,39 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_artifact_bytes_match_golden_digests(name):
     assert _digests(SCENARIOS[name]()) == GOLDEN[name]
+
+
+# The benchmark's seeded 48-definition wide DAG at seed 42 and 24 inputs
+# (945 instances, disjoint topology, submit_task path, two task faults that
+# poison their descendants and a machine that fails mid-run).  These are the
+# digests perfbench/engine.py pins for ("engine-wide-faults", 42, 24).
+WIDE_FAULTS_GOLDEN = (
+    "891043239c7f3a38b958da032f6d904f6fd536487ea95418378cc96332ffcc38",
+    "f3eda548719a03eb46d6c7169ee47e7154dbe076fba4dce17128b28961ae0427",
+)
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, loaded read-only by path: the benchmark's own
+    input generator, so this test pins exactly the workload it times."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_wide_faults_workload_matches_golden_digests():
+    inputs = _perfbench_inputs().wide_inputs(42, 24)
+    spec = parse_workflow(inputs.workflow_text, default_workflow_id=inputs.workflow_name)
+    machines, fs_total = parse_cluster(inputs.cluster_text)
+    simulation = Simulation(
+        spec, machines, fs_total, inputs.input_count, inputs.seed,
+        TopologyMode.from_wire(inputs.topology), run_id="golden", submission_ms=0,
+    )
+    for fault in inputs.faults:
+        simulation.inject(FaultInjection(InjectionKind(fault.kind), fault.target, fault.at_ms))
+    result = simulation.run_to_completion()
+    assert len(result.run.instances) == 945
+    assert result.run.final_state.value == inputs.expected_final
+    assert _result_digests(result) == WIDE_FAULTS_GOLDEN

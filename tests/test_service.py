@@ -629,6 +629,69 @@ def test_context_finds_newest_registration():
     assert context.find_task("missing/x/0") is None
 
 
+def naive_find_task(context, task_id):
+    for result in reversed(list(context.results.values())):
+        for instance in result.run.instances:
+            if instance.task_id == task_id:
+                return result, instance
+    return None
+
+
+def naive_trace_record(result, task_id):
+    return next((r for r in result.trace_records if r.task_id == task_id), None)
+
+
+def assert_lookups_match_naive_scans(context, task_ids):
+    for task_id in task_ids:
+        found = context.find_task(task_id)
+        expected = naive_find_task(context, task_id)
+        if expected is None:
+            assert found is None
+            continue
+        assert found[0] is expected[0] and found[1] is expected[1]
+        result = found[0]
+        assert result.trace_by_id.get(task_id) is naive_trace_record(result, task_id)
+
+
+class _StopRun(Exception):
+    pass
+
+
+def test_task_lookups_match_naive_scans():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    # two finished runs of one workflow: the newer one has fewer inputs, so
+    # some task ids resolve to each run
+    for run_id, inputs in (("older", 6), ("newer", 3)):
+        context.add_result(
+            run_simulation(spec, machines, fs_total, inputs, 7, run_id=run_id, submission_ms=0)
+        )
+    task_ids = sorted({i.task_id for r in context.results.values() for i in r.run.instances})
+    task_ids += ["missing/x/0", "wf1/I/99"]
+    assert_lookups_match_naive_scans(context, task_ids)
+
+    # a live run registered last, checked while it runs and after it stops
+    # part-way: records it has not written yet must not be found
+    live = Simulation(spec, machines, fs_total, 4, 8, run_id="live", submission_ms=0)
+    context.attach_live(live)
+    seen = []
+
+    def listener(record):
+        seen.append(record)
+        if len(seen) % 7 == 0:
+            assert_lookups_match_naive_scans(context, task_ids)
+        if len(seen) == 40:
+            raise _StopRun()
+
+    live.progress_listeners.append(listener)
+    with pytest.raises(_StopRun):
+        live.run_to_completion()
+    live_result = context.result("live")
+    assert 0 < len(live_result.trace_records) < len(live_result.run.instances)
+    assert_lookups_match_naive_scans(context, task_ids)
+
+
 def test_feed_closes_on_terminal_record():
     feed = LiveRunFeed()
     run = completed_result(TopologyMode.WORKFLOW_AWARE)

@@ -22,11 +22,13 @@ from stratus.sim import (
     FaultInjection,
     InjectionInPastError,
     InjectionKind,
+    MetricPlan,
     NonQuiescentError,
     ScenarioSyntaxError,
     Simulation,
     SimulationError,
     TargetUnknownError,
+    SynthesizedMetrics,
     TaskModel,
     instance_stream,
     load_scenario,
@@ -108,6 +110,88 @@ def test_synthesis_is_a_pure_function_of_the_stream():
     total_pages = (model.io_read_bytes + model.io_write_bytes) // 4096
     assert first.page_cache_hits + first.page_cache_misses == total_pages
     assert first.page_cache_hits >= total_pages // 2
+
+
+def reference_synthesize_metrics(model, memory_request_bytes, rng):
+    """The metric formula as written before per-definition plans: every
+    value recomputed from the model for each instance."""
+    jitter = model.runtime_jitter_pct / 100
+    runtime_factor = 1 + rng.uniform(-jitter, jitter)
+    runtime_ms = max(1, round(model.base_runtime_ms * runtime_factor))
+    failure_draw = rng.random()
+    pcache_draw = rng.random()
+
+    syscall_total = int(model.syscall_rate_per_s * runtime_ms / 1000)
+    io_total = model.io_read_bytes + model.io_write_bytes
+    read_share = model.io_read_bytes / io_total if io_total else 0.5
+    syscall_read = int(syscall_total * read_share)
+    total_pages = io_total // 4096
+    hit_ratio = 0.5 + 0.5 * pcache_draw
+    hits = int(total_pages * hit_ratio)
+    return SynthesizedMetrics(
+        runtime_ms=runtime_ms,
+        cpu_pct=model.cpu_pct_mean,
+        rss_bytes=int(model.rss_fraction_of_request * memory_request_bytes),
+        rchar_bytes=model.io_read_bytes,
+        wchar_bytes=model.io_write_bytes,
+        syscall_read_count=syscall_read,
+        syscall_write_count=syscall_total - syscall_read,
+        cpu_wait_ms=int(model.cpu_wait_fraction * runtime_ms),
+        page_cache_hits=hits,
+        page_cache_misses=total_pages - hits,
+        failure_draw=failure_draw,
+    )
+
+
+_unit = st.floats(min_value=0, max_value=1, allow_nan=False)
+_io_bytes = st.one_of(st.just(0), st.integers(min_value=0, max_value=2**40))
+
+
+@st.composite
+def task_models(draw):
+    return TaskModel(
+        model_key="m",
+        base_runtime_ms=draw(st.integers(min_value=1, max_value=10**7)),
+        runtime_jitter_pct=draw(
+            st.one_of(st.sampled_from([0, 0.0, 100, 100.0, 15]),
+                      st.floats(min_value=0, max_value=100, allow_nan=False))
+        ),
+        cpu_pct_mean=draw(st.integers(min_value=0, max_value=6400)),
+        rss_fraction_of_request=draw(_unit),
+        io_read_bytes=draw(_io_bytes),
+        io_write_bytes=draw(_io_bytes),
+        syscall_rate_per_s=draw(
+            st.one_of(st.integers(min_value=0, max_value=10**5),
+                      st.floats(min_value=0, max_value=1e5, allow_nan=False))
+        ),
+        cpu_wait_fraction=draw(_unit),
+        failure_probability=draw(_unit),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    task_models(),
+    st.integers(min_value=0, max_value=2**45),
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.lists(st.text(min_size=1, max_size=12), min_size=1, max_size=4),
+)
+def test_metric_plan_matches_the_reference_formula(model, memory, seed, task_ids):
+    # one plan serves every instance of a definition, as in the engine
+    plan = MetricPlan(model, memory)
+    for task_id in task_ids:
+        expected = reference_synthesize_metrics(model, memory, instance_stream(seed, task_id))
+        assert plan.draw(instance_stream(seed, task_id)) == expected
+        assert synthesize_metrics(model, memory, instance_stream(seed, task_id)) == expected
+
+
+def test_metric_plan_covers_a_model_without_io():
+    # no built-in model reaches this branch: read share 0.5, zero pages
+    model = TaskModel("noio", 1000, 100, 50, 0.5, 0, 0, 1000.0, 0.1, 0.0)
+    metrics = MetricPlan(model, GiB).draw(instance_stream(3, "w/noio/0"))
+    assert metrics == reference_synthesize_metrics(model, GiB, instance_stream(3, "w/noio/0"))
+    assert metrics.page_cache_hits == metrics.page_cache_misses == 0
+    assert metrics.syscall_read_count == int(metrics.runtime_ms * 0.5)
 
 
 def test_model_validation():

@@ -4,6 +4,8 @@ malformed-input rejection with line numbers, diagnosis precedence, and logs."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratus.machine import MachineStatus
 from stratus.taskmon import (
@@ -142,8 +144,9 @@ def test_format_round_trips_byte_exactly():
 def test_parse_rejects_missing_header():
     with pytest.raises(MissingHeaderError):
         parse_trace(emit_trace(make_record()) + "\n")
-    with pytest.raises(MissingHeaderError):
+    with pytest.raises(MissingHeaderError) as err:
         parse_trace("")
+    assert err.value.line == 1
 
 
 def test_parse_rejects_field_count_mismatch_with_line():
@@ -176,6 +179,127 @@ def test_parse_rejects_invariant_violation_with_line():
 def test_parse_skips_blank_lines():
     text = TRACE_HEADER + "\n\n" + emit_trace(make_record()) + "\n\n"
     assert len(parse_trace(text)) == 1
+
+
+# the counters a record may not hold negative, in the order it checks them
+COUNTERS = (
+    "submit_ms",
+    "start_ms",
+    "end_ms",
+    "duration_ms",
+    "cpu_pct",
+    "rss_bytes",
+    "rchar_bytes",
+    "wchar_bytes",
+    "syscall_read_count",
+    "syscall_write_count",
+    "cpu_wait_ms",
+    "page_cache_hits",
+    "page_cache_misses",
+)
+
+
+def reference_trace_error(fields: dict) -> "str | None":
+    """The record's checks as a plain walk in their documented order: the
+    message of the first that fails, or None."""
+    task_id = fields["task_id"]
+    if fields["duration_ms"] != fields["end_ms"] - fields["start_ms"]:
+        return (
+            f"{task_id}: duration {fields['duration_ms']} != "
+            f"end {fields['end_ms']} - start {fields['start_ms']}"
+        )
+    for name in COUNTERS:
+        if fields[name] < 0:
+            return f"{task_id}: {name} is negative"
+    if (fields["exit_code"] == 0) != (fields["status"] == "succeeded"):
+        return (
+            f"{task_id}: exit {fields['exit_code']} inconsistent with "
+            f"status {fields['status']!r}"
+        )
+    return None
+
+
+@st.composite
+def trace_fields(draw):
+    fields = {name: draw(st.integers(min_value=0, max_value=10**12)) for name in COUNTERS}
+    # none, one or a few negative counters, anywhere in the column order
+    for name in draw(st.lists(st.sampled_from(COUNTERS), max_size=3)):
+        fields[name] = draw(st.integers(min_value=-(10**12), max_value=-1))
+    if draw(st.booleans()):
+        fields["duration_ms"] = fields["end_ms"] - fields["start_ms"]
+    fields["task_id"] = draw(st.text(max_size=10))
+    fields["status"] = draw(st.sampled_from(["succeeded", "failed", "weird"]))
+    fields["exit_code"] = draw(st.sampled_from([0, 1, 124, 137, -1]))
+    return fields
+
+
+def assert_validates_like_the_reference(fields: dict) -> None:
+    expected = reference_trace_error(fields)
+    if expected is None:
+        record = TaskTraceRecord(**fields)
+        assert [getattr(record, name) for name in COUNTERS] == [fields[n] for n in COUNTERS]
+    else:
+        with pytest.raises(TraceError) as info:
+            TaskTraceRecord(**fields)
+        assert str(info.value) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(trace_fields())
+def test_record_validation_matches_the_reference_walk(fields):
+    assert_validates_like_the_reference(fields)
+
+
+def test_record_names_the_first_negative_of_every_counter_pair():
+    # every ordered pair of negative counters, so an order slip in the
+    # fallback walk cannot hide behind the random draws above
+    for first in COUNTERS:
+        for second in COUNTERS:
+            fields = make_record().__dict__ | {first: -1, second: -2}
+            for consistent in (False, True):
+                if consistent:
+                    fields["duration_ms"] = fields["end_ms"] - fields["start_ms"]
+                assert_validates_like_the_reference(fields)
+
+
+# digits, signs, separators and characters int() treats specially
+_trace_char = st.sampled_from(list("0123456789-\t\n x_+\r\u00a0\u0661"))
+
+
+@st.composite
+def fuzzed_trace_text(draw):
+    """A trace file with random edits: valid rows, rows with fields
+    replaced by junk, dropped or added, and a header that may be damaged."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rows = [emit_trace(random_record(rng)) for _ in range(draw(st.integers(0, 4)))]
+    lines = [TRACE_HEADER] + rows
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split("\t")
+        edit = draw(st.sampled_from(["replace", "drop", "add", "junk_line"]))
+        if edit == "replace":
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(st.one_of(st.text(_trace_char, max_size=6), st.text(max_size=6)))
+        elif edit == "drop" and len(fields) > 1:
+            fields.pop(draw(st.integers(0, len(fields) - 1)))
+        elif edit == "add":
+            fields.append(draw(st.text(_trace_char, max_size=4)))
+        else:
+            fields = [draw(st.text(max_size=20))]
+        lines[at] = "\t".join(fields)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(fuzzed_trace_text(), st.text(max_size=200)))
+def test_parse_trace_raises_only_trace_errors_with_a_line(text):
+    try:
+        records = parse_trace(text)
+    except TraceError as exc:
+        assert isinstance(exc.line, int) and exc.line >= 1
+        return
+    for record in records:
+        assert isinstance(record, TaskTraceRecord)
 
 
 # --- diagnosis ---
@@ -308,6 +432,52 @@ def test_log_export_format():
     assert store.export_lines("w/a/0") == ""
     store.append_log(LogEntry("w/a/0", 15, LogLevel.WARNING, "careful"))
     assert store.export_lines("w/a/0") == "15\tWarning\tw/a/0\tcareful\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),  # through append_log (else the positional append)
+            st.sampled_from(["w/a/0", "w/b/1", "ghost"]),
+            st.integers(min_value=0, max_value=5),  # few times: many ties
+            st.sampled_from(list(LogLevel)),
+            st.text(max_size=5),
+        ),
+        max_size=40,
+    )
+)
+def test_log_store_matches_a_stable_sort_reference(operations):
+    store = LogStore()
+    store.register_task("w/a/0", "w/b/1")
+    appended = {"w/a/0": [], "w/b/1": []}
+    for via_entry, task_id, t_ms, level, message in operations:
+        if task_id == "ghost":
+            with pytest.raises(UnknownTaskError):
+                if via_entry:
+                    store.append_log(LogEntry(task_id, t_ms, level, message))
+                else:
+                    store.append(task_id, t_ms, level, message)
+            continue
+        if via_entry:
+            store.append_log(LogEntry(task_id, t_ms, level, message))
+        else:
+            store.append(task_id, t_ms, level, message)
+        appended[task_id].append(LogEntry(task_id, t_ms, level, message))
+    for task_id, entries in appended.items():
+        for level in LogLevel:
+            expected = sorted(
+                (e for e in entries if e.level >= level), key=lambda e: e.t_ms
+            )
+            assert store.query_logs(task_id, level) == expected
+            lines = [
+                f"{e.t_ms}\t{e.level.wire_name}\t{e.task_id}\t{e.message}\n"
+                for e in expected
+            ]
+            assert store.export_lines(task_id, level) == "".join(lines)
+    for read in (store.query_logs, store.export_lines):
+        with pytest.raises(UnknownTaskError):
+            read("ghost")
 
 
 # --- code parts ---
