@@ -2,6 +2,7 @@
 dependency and capacity safety checked from the event log, fault injection,
 stuck-run detection, and scenario files."""
 
+import gc
 import hashlib
 import random
 
@@ -599,6 +600,39 @@ def test_unsatisfiable_request_raises_instead_of_spinning():
             run_id="r", submission_ms=0,
         )
     assert err.value.stuck == ["w/huge/0"]
+
+
+# --- garbage collector ---
+
+
+def test_a_run_pauses_the_collector_and_restores_it():
+    spec, machines, fs_total = fig1_setup()
+    simulation = Simulation(spec, machines, fs_total, 2, 42, run_id="r", submission_ms=0)
+    during = []
+    simulation.progress_listeners.append(lambda record: during.append(gc.isenabled()))
+    assert gc.isenabled()
+    simulation.run_to_completion()
+    assert during and not any(during)
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        run_fig1()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_an_aborted_run_restores_the_collector():
+    spec = parse_workflow(
+        "workflow w\n"
+        "task huge scatter=false cpus=64 mem=1073741824 disk=0 timeout=1000 model=quick\n"
+    )
+    with pytest.raises(NonQuiescentError):
+        run_simulation(spec, [make_machine("m1", cpus=8)], 1024**4, 1, 0, run_id="r", submission_ms=0)
+    assert gc.isenabled()
 
 
 # --- scenario files ---
