@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stratus.blueprint import TopologyMode
+from stratus.cli import _write_run_outputs
 from stratus.fixtures import fixture_path
 from stratus.machine import parse_cluster
 from stratus.sim import (
@@ -118,3 +119,42 @@ def test_wide_faults_workload_matches_golden_digests():
     assert len(result.run.instances) == 945
     assert result.run.final_state.value == inputs.expected_final
     assert _result_digests(result) == WIDE_FAULTS_GOLDEN
+
+
+# sha256 of the CLI's other run artifacts, written by _write_run_outputs for
+# the bundled scenarios with run_id="golden" and submission_ms=0
+CLI_ARTIFACTS = ("samples.tsv", "run.json", "machines.json", "logs.tsv", "report.json")
+CLI_GOLDEN = {
+    "faults": {
+        "samples.tsv": "90e85b5d57973f76d0e7f3d63fd27555cfcac694feb146693c4a5f36d238b997",
+        "run.json": "35f812b94d50cd74a94cd86d772fcccdb9abe4f64f3048337ce70277a3ee0313",
+        "machines.json": "896fbd981d5bf99f2138b80ea8dfba6c1d4cbec8cabf83777ee65ce50111b919",
+        "logs.tsv": "62ada6b0cb3640a251e1df39b4bfb553f57d5b3f84ee27c55dfb3d60bd30a634",
+        "report.json": "268cdce9295385acb8ff8aebe12bc14408acdb0428365fa7db2be45b3d5bc74c",
+    },
+    "fig1": {
+        "samples.tsv": "d329bcf428ed8df5dd76a56bd9c9524acee631cd9e73988193f576bcf06f4fe0",
+        "run.json": "31a510980bb9508dd26dc659f71076d3790e1c8862155bef0df9ec848b239405",
+        "machines.json": "0e6cb8b23bd2a953471bffc0acb6e930e73b6ae597e7ed58b05d31de3e2df904",
+        "logs.tsv": "8920e38687ba739faee746ced37ad8499c0970c40beca35664e406410fc45898",
+        "report.json": "2cae2dcc80b5b537584d67cced6c55d60701020c489da3b7d975d955bd5a4c1c",
+    },
+    "fig1x32": {
+        "samples.tsv": "9b03eae69798ff9f71a19a2f8d9caceb40227c042ab6dfe490def713a42dcdc5",
+        "run.json": "0b54cd7bb3fa34f6daf0c6094037a7bf3b88dd92393e19cd075bcb834b48952f",
+        "machines.json": "e3bca39be06ac334ae9d199d429c120e4a5334125b6b1a65c96c9e31adec8036",
+        "logs.tsv": "6dff0d60a0de67179a796eab37c7eb25485f89209837ee9d82fa2419b8d7d2fd",
+        "report.json": "ff3b3cb035c315235a4d632967b6dcd4ece0908090cda1c1a572190252719c88",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_artifact_bytes_match_golden_digests(name, tmp_path):
+    result = run_scenario(SCENARIOS[name](), run_id="golden", submission_ms=0)
+    _write_run_outputs(result, tmp_path)
+    digests = {
+        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        for artifact in CLI_ARTIFACTS
+    }
+    assert digests == CLI_GOLDEN[name]
