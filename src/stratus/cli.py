@@ -13,6 +13,7 @@ import os
 import sys
 import time
 import uuid
+from dataclasses import replace
 from pathlib import Path
 
 from .blueprint import (
@@ -124,20 +125,12 @@ def _scenario_from_run_args(args) -> ScenarioSpec:
             injections=(),
         )
     if args.input_count is not None:
-        scenario = _replace_scenario(scenario, input_count=args.input_count)
+        scenario = replace(scenario, input_count=args.input_count)
     if args.seed is not None:
-        scenario = _replace_scenario(scenario, seed=args.seed)
+        scenario = replace(scenario, seed=args.seed)
     if args.topology is not None:
-        scenario = _replace_scenario(
-            scenario, topology=TopologyMode.from_wire(args.topology)
-        )
+        scenario = replace(scenario, topology=TopologyMode.from_wire(args.topology))
     return scenario
-
-
-def _replace_scenario(scenario: ScenarioSpec, **changes) -> ScenarioSpec:
-    import dataclasses
-
-    return dataclasses.replace(scenario, **changes)
 
 
 def _write_run_outputs(result, run_dir: Path) -> None:
@@ -317,7 +310,7 @@ def cmd_serve(args) -> int:
     )
     if args.scenario:
         scenario = load_scenario(args.scenario)
-        scenario = _replace_scenario(scenario, topology=topology)
+        scenario = replace(scenario, topology=topology)
         run_id = f"run-{uuid.uuid4().hex[:12]}"
         result = run_scenario(scenario, run_id=run_id)
         context.add_result(result)

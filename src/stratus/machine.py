@@ -2,14 +2,19 @@
 and utilization time series.
 
 Samples arrive from the simulation clock (or, eventually, a real probe) and
-land in a bounded in-memory ring per machine.  Readers always get copies, so
-they can run concurrently with ingest.
+land in an in-memory list per machine, kept in strictly increasing time
+order, so window and latest-sample queries bisect it.  Readers always get
+copies, so they can run concurrently with ingest.
 """
 
 import enum
+import itertools
 import threading
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter
+
+_T_MS = attrgetter("t_ms")
 
 
 class MachineError(Exception):
@@ -128,7 +133,7 @@ class MachineSample:
 
 
 class MachineRegistry:
-    """Registry of machines plus their bounded sample series.
+    """Registry of machines plus their sample series.
 
     A machine id is never accepted twice within one registry lifetime, even
     after deregistration, so historical series stay unambiguous.
@@ -137,13 +142,10 @@ class MachineRegistry:
     so readers can cache what they derive from descriptors.
     """
 
-    def __init__(self, retention: int = 100_000):
-        if retention <= 0:
-            raise MachineError("retention must be positive")
-        self._retention = retention
+    def __init__(self):
         self._machines: dict[str, MachineDescriptor] = {}
         self._ever_used: set[str] = set()
-        self._series: dict[str, deque[MachineSample]] = {}
+        self._series: dict[str, list[MachineSample]] = {}
         self._lock = threading.Lock()
         self.version = 0
 
@@ -153,7 +155,7 @@ class MachineRegistry:
                 raise DuplicateMachineIdError(descriptor.machine_id)
             self._ever_used.add(descriptor.machine_id)
             self._machines[descriptor.machine_id] = descriptor
-            self._series[descriptor.machine_id] = deque(maxlen=self._retention)
+            self._series[descriptor.machine_id] = []
             self.version += 1
 
     def deregister_machine(self, machine_id: str) -> None:
@@ -212,20 +214,25 @@ class MachineRegistry:
         if t_from > t_to:
             raise InvalidWindowError(t_from, t_to)
         with self._lock:
-            if machine_id not in self._series:
+            series = self._series.get(machine_id)
+            if series is None:
                 raise UnknownMachineError(machine_id)
-            return [s for s in self._series[machine_id] if t_from <= s.t_ms <= t_to]
+            start = bisect_left(series, t_from, key=_T_MS)
+            return series[start:bisect_right(series, t_to, lo=start, key=_T_MS)]
 
     def latest_sample(self, machine_id: str, t_ms: int) -> MachineSample | None:
         with self._lock:
-            if machine_id not in self._series:
+            series = self._series.get(machine_id)
+            if series is None:
                 raise UnknownMachineError(machine_id)
-            latest = None
-            for sample in self._series[machine_id]:
-                if sample.t_ms > t_ms:
-                    break
-                latest = sample
-            return latest
+            end = bisect_right(series, t_ms, key=_T_MS)
+            return series[end - 1] if end else None
+
+    def all_samples(self) -> list[MachineSample]:
+        """Every machine's series merged by time, then machine id."""
+        with self._lock:
+            samples = itertools.chain.from_iterable(self._series.values())
+            return sorted(samples, key=attrgetter("t_ms", "machine_id"))
 
     def available_resources(self, machine_id: str, t_ms: int) -> ResourceVector:
         """Capacity minus the most recent sample at or before t_ms; full
@@ -291,23 +298,17 @@ def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
             except ValueError:
                 raise ClusterSyntaxError(lineno, f"unknown machine type {kv['type']!r}") from None
             disk = _parse_int(kv["disk"], lineno, "disk")
-            machines.append(
-                MachineDescriptor(
-                    machine_id=machine_id,
-                    machine_type=machine_type,
-                    hardware=HardwareSpec(
-                        cpu_architecture=kv["arch"],
-                        cpu_model=kv["model"],
-                        memory_clock_mhz=_parse_int(kv["clock"], lineno, "clock"),
-                        disk_partitions=(("root", disk),),
-                    ),
-                    capacity=ResourceVector(
-                        cpu_cores=_parse_int(kv["cpus"], lineno, "cpus"),
-                        memory_bytes=_parse_int(kv["mem"], lineno, "mem"),
-                        disk_bytes=disk,
-                    ),
-                )
+            clock = _parse_int(kv["clock"], lineno, "clock")
+            capacity = ResourceVector(
+                cpu_cores=_parse_int(kv["cpus"], lineno, "cpus"),
+                memory_bytes=_parse_int(kv["mem"], lineno, "mem"),
+                disk_bytes=disk,
             )
+            try:
+                hardware = HardwareSpec(kv["arch"], kv["model"], clock, (("root", disk),))
+                machines.append(MachineDescriptor(machine_id, machine_type, hardware, capacity))
+            except MachineError as exc:
+                raise ClusterSyntaxError(lineno, str(exc)) from None
         elif parts[0] == "fs":
             if len(parts) != 2 or not parts[1].startswith("total="):
                 raise ClusterSyntaxError(lineno, "expected 'fs total=<bytes>'")

@@ -23,7 +23,7 @@ from .blueprint import (
     access_allowed,
     default_access_matrix,
 )
-from .sim import SimulationResult, replay_progress
+from .sim import EventRecord, ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
 from .taskmon import LogLevel, consumed_vs_requested, synthesize_code_parts
 from .workflow import (
@@ -58,15 +58,22 @@ _STATUS_ALIASES = {
 
 class LiveRunFeed:
     """Fan-out buffer between one running simulation and any number of
-    progress subscribers.  Subscribers replay from the start and then block
-    until new records arrive or the feed closes."""
+    progress subscribers.  The engine pushes each event as it is appended;
+    the feed folds them into progress records the way ``replay_progress``
+    does.  Subscribers replay from the start and then block until new
+    records arrive or the feed closes."""
 
     def __init__(self):
+        self._fold = ProgressFold()
         self._records: list[WorkflowStatusReport] = []
         self._closed = False
         self._cond = threading.Condition()
 
-    def push(self, record: WorkflowStatusReport) -> None:
+    def push(self, event: EventRecord) -> None:
+        # only the engine's thread pushes, so the fold needs no lock
+        record = self._fold.step(event)
+        if record is None:
+            return
         with self._cond:
             self._records.append(record)
             if record.state is not RunState.RUNNING:
@@ -91,10 +98,6 @@ class LiveRunFeed:
                 record = self._records[index]
             index += 1
             yield record
-
-    def records(self) -> list[WorkflowStatusReport]:
-        with self._cond:
-            return list(self._records)
 
 
 class ServiceContext:
@@ -122,11 +125,11 @@ class ServiceContext:
         """Wire a not-yet-run simulation into the context so its progress
         can be streamed while it executes."""
         feed = LiveRunFeed()
-        simulation.progress_listeners.append(feed.push)
+        simulation.event_listeners.append(feed.push)
         simulation.abort_listeners.append(feed.close)
         with self._lock:
             self.feeds[simulation.run_id] = feed
-            self.results[simulation.run_id] = simulation._result()
+            self.results[simulation.run_id] = simulation.result
         return feed
 
     def result(self, run_id: str) -> SimulationResult:

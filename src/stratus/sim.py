@@ -20,13 +20,17 @@ instance:
   its predecessors' counts reaches 0.  Successors are therefore re-checked
   only when a definition's last instance succeeds, and each definition is
   queued once, in spec order and then index order, as ``ready_tasks``
-  would order it.  ``ready_tasks`` itself seeds the t=0 pump.
-- Progress and completion come from running counters: succeeded, failed,
-  and open instances (not terminal and not poisoned).  The progress record
-  built from them equals ``workflow_status(run)``, and the run can finish
-  only once the open count is 0.  A record is built only for live
-  listeners; the stored progress stream is ``replay_progress`` of the event
-  log, and code-part profiles are derived from trace records on query.
+  would order it.  The t=0 pump is seeded with the definitions that have
+  no predecessors.
+- Completion comes from a running count of open instances (not terminal
+  and not poisoned): the run can finish only once it is 0.  Progress has
+  one definition, ``ProgressFold``, a fold over the event log: the stored
+  stream is ``replay_progress`` of the log, and live listeners get every
+  event as it is appended and fold it the same way.  Code-part profiles
+  are derived from trace records on query.
+- Each run fact is kept once.  The run's one ``SimulationResult`` is built
+  with the engine and shares its lists and dicts, and machine samples live
+  only in the registry's per-machine series.
 - Per-run tables built when the run starts replace per-instance lookups:
   each definition with its task model and MetricPlan, the task faults by
   target id, and one random generator re-seeded for each instance's
@@ -34,9 +38,9 @@ instance:
   touches, so an instance only makes its three draws and derives what
   depends on them.
 - An instance's start and finish build only what the run keeps: its log
-  lines go to the log store as plain tuples, its trace record is indexed
-  by task id as it lands (the service's task lookups read that index and
-  the instance map), and no progress record is built without a listener.
+  lines go to the log store as plain tuples, and its trace record is
+  indexed by task id as it lands (the service's task lookups read that
+  index and the instance map).
 - Poisoning walks definition groups, and stops at groups already poisoned,
   whose descendants were poisoned with them.
 - The cyclic garbage collector is paused while a run executes.  Nearly
@@ -87,9 +91,12 @@ from .workflow import (
     WorkflowSpec,
     WorkflowStatusReport,
     expand_instances,
+    # ready_tasks and workflow_status are not called here; they stay
+    # importable as stratus.sim.* because the benchmark's tracer wraps them
+    # by that name
     ready_tasks,
     resolve_final_state,
-    workflow_status,  # unused here; kept as stratus.sim's naive progress reference
+    workflow_status,
 )
 
 DEFAULT_SAMPLE_CADENCE_MS = 1000
@@ -261,31 +268,41 @@ def parse_event_log(text: str) -> list[EventRecord]:
     return records
 
 
-def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatusReport]:
-    """Recompute the progress stream from an event log alone.  One record
-    per state-changing event, exactly what the live stream emitted."""
-    records = parse_event_log(event_log) if isinstance(event_log, str) else event_log
-    total = 0
-    finished = 0
-    failures = 0
-    out = []
-    state = RunState.RUNNING
-    for event in records:
-        if event.kind == "run_submitted":
+class ProgressFold:
+    """A run's progress folded from its event log one event at a time.
+    ``step`` returns the progress record of a state-changing event and None
+    for any other event."""
+
+    def __init__(self):
+        self.state = RunState.RUNNING
+        self.finished = 0
+        self.total = 0
+        self.failures = 0
+
+    def step(self, event: EventRecord) -> WorkflowStatusReport | None:
+        kind = event.kind
+        if kind == "instance_succeeded":
+            self.finished += 1
+        elif kind == "instance_failed":
+            self.failures += 1
+        elif kind == "run_completed":
+            self.state = RunState(event.detail.split("=", 1)[1])
+        elif kind == "run_submitted":
             for token in event.detail.split():
                 if token.startswith("instances="):
-                    total = int(token[len("instances="):])
-            continue
-        if event.kind == "instance_succeeded":
-            finished += 1
-        elif event.kind == "instance_failed":
-            failures += 1
-        elif event.kind == "run_completed":
-            state = RunState(event.detail.split("=", 1)[1])
-        elif event.kind not in ("instance_queued", "instance_started"):
-            continue
-        out.append(WorkflowStatusReport(state, finished, total, failures))
-    return out
+                    self.total = int(token[len("instances="):])
+            return None
+        elif kind not in ("instance_queued", "instance_started"):
+            return None
+        return WorkflowStatusReport(self.state, self.finished, self.total, self.failures)
+
+
+def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatusReport]:
+    """Recompute the progress stream from an event log alone: one record
+    per state-changing event, exactly what a live listener folds."""
+    records = parse_event_log(event_log) if isinstance(event_log, str) else event_log
+    fold = ProgressFold()
+    return [report for report in map(fold.step, records) if report is not None]
 
 
 def _stream_seed(seed: int, task_id: str) -> int:
@@ -387,6 +404,10 @@ class _Execution:
 
 @dataclass
 class SimulationResult:
+    """What one run produced.  The engine builds it before the run starts
+    and fills the lists, dicts and sets it shares with it, so a live run's
+    result is its final result."""
+
     run_id: str
     run: RunRecord
     spec: WorkflowSpec
@@ -395,16 +416,20 @@ class SimulationResult:
     seed: int
     event_records: list[EventRecord]
     trace_records: list[TaskTraceRecord]
-    samples: list[MachineSample]
     diagnoses: dict[str, Diagnosis]
     log_store: LogStore
     registry: MachineRegistry
     resource_manager: ResourceManager
-    never_eligible: frozenset[str]
-    # task_id -> instance and task_id -> first trace record, shared with the
-    # engine that fills them
+    # instances poisoned by a failure upstream; they stay pending
+    never_eligible: set[str]
+    # task_id -> instance and task_id -> first trace record
     instances_by_id: dict[str, TaskInstance]
     trace_by_id: dict[str, TaskTraceRecord]
+
+    @property
+    def samples(self) -> list[MachineSample]:
+        """Every machine sample, by time and then machine id."""
+        return self.registry.all_samples()
 
     @property
     def progress_records(self) -> list[WorkflowStatusReport]:
@@ -479,8 +504,6 @@ class Simulation:
         self._position = {name: i for i, name in enumerate(self._groups)}
         self._remaining = {name: len(group) for name, group in self._groups.items()}
         self._newly_ready: set[str] = set()
-        self._succeeded = 0
-        self._failed = 0
         self._open = len(instances)
 
         self._injections: list[FaultInjection] = []
@@ -501,13 +524,30 @@ class Simulation:
         # task_id -> its trace record, filled as records land (live results
         # share it)
         self._trace_index: dict[str, TaskTraceRecord] = {}
-        self.samples: list[MachineSample] = []
         self.diagnoses: dict[str, Diagnosis] = {}
         self.log_store = LogStore()
         self.log_store.register_task(*self._instances)
-        self.progress_listeners: list = []
+        # called with each EventRecord as it is appended
+        self.event_listeners: list = []
         # called with no arguments when run_to_completion raises
         self.abort_listeners: list = []
+        self.result = SimulationResult(
+            run_id=self.run_id,
+            run=self.run,
+            spec=spec,
+            topology=topology,
+            input_count=input_count,
+            seed=seed,
+            event_records=self.event_records,
+            trace_records=self.trace_records,
+            diagnoses=self.diagnoses,
+            log_store=self.log_store,
+            registry=self.registry,
+            resource_manager=self.rm,
+            never_eligible=self._poisoned,
+            instances_by_id=self._instances,
+            trace_by_id=self._trace_index,
+        )
 
     # -- fault injection ----------------------------------------------------
 
@@ -547,23 +587,10 @@ class Simulation:
         heapq.heappush(self._events, (t_ms, next(self._seq), kind, payload))
 
     def _emit(self, t_ms: int, kind: str, subject: str, detail: str) -> None:
-        self.event_records.append(EventRecord(t_ms, kind, subject, detail))
-
-    @property
-    def progress_records(self) -> list[WorkflowStatusReport]:
-        return replay_progress(self.event_records)
-
-    def _emit_progress(self) -> None:
-        """Hand live listeners the progress record of this moment; callers
-        skip the call when there are none."""
-        record = WorkflowStatusReport(
-            state=self.run.final_state,
-            finished=self._succeeded,
-            total=len(self.run.instances),
-            failures=self._failed,
-        )
-        for listener in self.progress_listeners:
-            listener(record)
+        event = EventRecord(t_ms, kind, subject, detail)
+        self.event_records.append(event)
+        for listener in self.event_listeners:
+            listener(event)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -603,9 +630,8 @@ class Simulation:
         for inj in self._injections:
             self._arm(inj)
 
-        self._newly_ready = {
-            self._instances[task_id].definition for task_id in ready_tasks(self.run, self.spec)
-        }
+        predecessors = self.spec.adjacency[0]
+        self._newly_ready = {name for name in self._groups if name not in predecessors}
         self._pump(0)
         self._push(0, "sample_tick", None)
 
@@ -629,27 +655,7 @@ class Simulation:
                 if not i.state.terminal and i.task_id not in self._poisoned
             )
             raise NonQuiescentError(stuck)
-        return self._result()
-
-    def _result(self) -> SimulationResult:
-        return SimulationResult(
-            run_id=self.run_id,
-            run=self.run,
-            spec=self.spec,
-            topology=self.topology,
-            input_count=self.input_count,
-            seed=self.seed,
-            event_records=self.event_records,
-            trace_records=self.trace_records,
-            samples=self.samples,
-            diagnoses=self.diagnoses,
-            log_store=self.log_store,
-            registry=self.registry,
-            resource_manager=self.rm,
-            never_eligible=frozenset(self._poisoned),
-            instances_by_id=self._instances,
-            trace_by_id=self._trace_index,
-        )
+        return self.result
 
     # -- pumps --------------------------------------------------------------
 
@@ -667,7 +673,6 @@ class Simulation:
         aware = self.topology is TopologyMode.WORKFLOW_AWARE
         submit = self.rm.enqueue if aware else self.rm.submit_task
         workflow_id = self.spec.workflow_id if aware else None
-        listeners = self.progress_listeners
         for name in ready:
             requested = self._definitions[name][0].requested
             for instance in self._groups[name]:
@@ -677,8 +682,6 @@ class Simulation:
                     t_ms, "instance_queued", instance.task_id,
                     f"definition={instance.definition}",
                 )
-                if listeners:
-                    self._emit_progress()
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self._instances[task_id]
@@ -720,8 +723,6 @@ class Simulation:
         self._push(execution.planned_end_ms, "completion", execution)
         self._emit(t_ms, "instance_started", task_id, f"machine={machine_id}")
         self.log_store.append(task_id, t_ms, LogLevel.INFO, f"started on {machine_id}")
-        if self.progress_listeners:
-            self._emit_progress()
 
     # -- event handlers -----------------------------------------------------
 
@@ -770,7 +771,6 @@ class Simulation:
         self.diagnoses[task_id] = diagnosis
 
         if status is TaskState.SUCCEEDED:
-            self._succeeded += 1
             self._count_success(instance.definition)
             self._emit(
                 t_ms, "instance_succeeded", task_id,
@@ -778,7 +778,6 @@ class Simulation:
             )
             self.log_store.append(task_id, t_ms, LogLevel.INFO, "finished exit=0")
         else:
-            self._failed += 1
             self._emit(
                 t_ms, "instance_failed", task_id,
                 f"exit={exit_code} verdict={diagnosis.verdict.value} "
@@ -789,8 +788,6 @@ class Simulation:
                 f"failed exit={exit_code} ({diagnosis.verdict.value})",
             )
             self._poison_descendants(instance.definition)
-        if self.progress_listeners:
-            self._emit_progress()
 
     def _on_completion(self, t_ms: int, execution: _Execution) -> None:
         if execution.generation in self._cancelled:
@@ -813,7 +810,6 @@ class Simulation:
             used = self.rm.reserved_on(machine_id)
             sample = MachineSample(machine_id=machine_id, t_ms=t_ms, used=used)
             self.registry.record_sample(sample)
-            self.samples.append(sample)
             self._emit(
                 t_ms, "machine_sample", machine_id,
                 f"cpu={int(used.cpu_cores)} mem={used.memory_bytes} "
@@ -861,8 +857,6 @@ class Simulation:
             t_ms, "run_completed", self.spec.workflow_id,
             f"final={self.run.final_state.value}",
         )
-        if self.progress_listeners:
-            self._emit_progress()
 
 
 def run_simulation(

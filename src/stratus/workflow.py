@@ -25,9 +25,9 @@ class WorkflowSyntaxError(WorkflowError):
         self.line = line
 
 
-class DuplicateTaskError(WorkflowError):
-    def __init__(self, name: str):
-        super().__init__(f"duplicate task name: {name!r}")
+class DuplicateTaskError(WorkflowSyntaxError):
+    def __init__(self, line: int, name: str):
+        super().__init__(line, f"duplicate task name: {name!r}")
         self.task_name = name
 
 
@@ -363,7 +363,7 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
                 )
             name = parts[1]
             if name in seen:
-                raise DuplicateTaskError(name)
+                raise DuplicateTaskError(lineno, name)
             seen.add(name)
             kv = {}
             for part in parts[2:]:
@@ -377,12 +377,13 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
             unknown = [k for k in kv if k not in _TASK_KEYS]
             if unknown:
                 raise WorkflowSyntaxError(lineno, f"unknown keys: {unknown}")
-            requested = ResourceRequest(
-                cpu_cores=_parse_int(kv["cpus"], lineno, "cpus"),
-                memory_bytes=_parse_int(kv["mem"], lineno, "mem"),
-                disk_bytes=_parse_int(kv["disk"], lineno, "disk"),
-                max_runtime_ms=_parse_int(kv["timeout"], lineno, "timeout"),
-            )
+            cpus, mem, disk, timeout = [
+                _parse_int(kv[key], lineno, key) for key in ("cpus", "mem", "disk", "timeout")
+            ]
+            try:
+                requested = ResourceRequest(cpus, mem, disk, timeout)
+            except WorkflowError as exc:
+                raise WorkflowSyntaxError(lineno, str(exc)) from None
             tasks.append(
                 TaskDefinition(
                     name=name,

@@ -432,7 +432,7 @@ def test_criterion_10_live_stream_equals_replay(acceptance):
         simulation = Simulation(
             spec, machines, fs_total, 4, 42, run_id="acc-live", submission_ms=0
         )
-        simulation.progress_listeners.append(lambda record: time.sleep(0.002))
+        simulation.event_listeners.append(lambda event: time.sleep(0.002))
         context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
         context.attach_live(simulation)
         handle = serve(context)

@@ -1,14 +1,17 @@
-"""Golden digests: the event log and trace bytes of the bundled scenarios are
-pinned, so any engine change that alters them fails here even when it alters
-them the same way on every run.  A change that means to alter the bytes is a
-behaviour change and must update these digests and say so."""
+"""Golden digests: the event log, the trace and the CLI's other run artifacts
+of the bundled scenarios are pinned, so any engine change that alters them
+fails here even when it alters them the same way on every run.  A change
+that means to alter the bytes is a behaviour change and must update these
+digests and say so."""
 
 import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from stratus import sim
 from stratus.blueprint import TopologyMode
 from stratus.cli import _write_run_outputs
 from stratus.fixtures import fixture_path
@@ -95,18 +98,18 @@ WIDE_FAULTS_GOLDEN = (
 )
 
 
-def _perfbench_inputs():
-    """perfbench/inputs.py, loaded read-only by path: the benchmark's own
-    input generator, so this test pins exactly the workload it times."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded read-only by path, so these tests check
+    exactly what the benchmark runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_wide_faults_workload_matches_golden_digests():
-    inputs = _perfbench_inputs().wide_inputs(42, 24)
+    inputs = _perfbench_module("inputs").wide_inputs(42, 24)
     spec = parse_workflow(inputs.workflow_text, default_workflow_id=inputs.workflow_name)
     machines, fs_total = parse_cluster(inputs.cluster_text)
     simulation = Simulation(
@@ -119,6 +122,24 @@ def test_wide_faults_workload_matches_golden_digests():
     assert len(result.run.instances) == 945
     assert result.run.final_state.value == inputs.expected_final
     assert _result_digests(result) == WIDE_FAULTS_GOLDEN
+
+
+def test_every_name_the_benchmark_traces_exists(monkeypatch):
+    """The benchmark's tracer wraps functions by name (some, like
+    stratus.sim.ready_tasks, only as names imported into another module);
+    installing it fails here when one of them is gone."""
+    tracing = _perfbench_module("tracing")
+    # layers.py imports its sibling by this plain name
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    layers = _perfbench_module("layers")
+    originals = (sim.ready_tasks, sim.workflow_status)
+    tracer = tracing.Tracer()
+    try:
+        layers.install(tracer)
+        assert sim.ready_tasks is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (sim.ready_tasks, sim.workflow_status) == originals
 
 
 # sha256 of the CLI's other run artifacts, written by _write_run_outputs for

@@ -142,15 +142,6 @@ def test_sample_for_unknown_machine():
         MachineRegistry().record_sample(sample("ghost", 0))
 
 
-def test_retention_bounds_series():
-    registry = MachineRegistry(retention=3)
-    registry.register_machine(make_machine("m1"))
-    for t in range(5):
-        registry.record_sample(sample("m1", t))
-    kept = registry.query_series("m1", 0, 10)
-    assert [s.t_ms for s in kept] == [2, 3, 4]
-
-
 # --- window queries against a linear scan oracle ---
 
 
@@ -221,6 +212,21 @@ def test_parse_cluster_rejects_duplicate_id():
     line = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=1\n"
     with pytest.raises(ClusterSyntaxError) as err:
         parse_cluster(line + line + "fs total=1\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        "cpus=0 mem=1 disk=1 arch=a model=b clock=1",
+        "cpus=1 mem=0 disk=1 arch=a model=b clock=1",
+        "cpus=1 mem=1 disk=0 arch=a model=b clock=1",
+        "cpus=1 mem=1 disk=1 arch=a model=b clock=0",
+    ],
+)
+def test_parse_cluster_rejects_out_of_range_value_on_its_line(values):
+    with pytest.raises(ClusterSyntaxError) as err:
+        parse_cluster(f"fs total=1\nmachine m1 type=vm {values}\n")
     assert err.value.line == 2
 
 

@@ -20,7 +20,7 @@ from stratus.blueprint import (
     features_owned_by,
     parse_matrix_overrides,
 )
-from stratus.fixtures import fixture_text
+from stratus.fixtures import fixture_path, fixture_text
 from stratus.machine import parse_cluster
 from stratus.service import (
     LiveRunFeed,
@@ -29,11 +29,12 @@ from stratus.service import (
     replay_progress,
     serve,
 )
-from stratus.sim import NonQuiescentError, Simulation, run_simulation
+from stratus.sim import NonQuiescentError, Simulation, load_scenario, run_simulation
 from stratus.store import RunStore
 from stratus.taskmon import LogLevel
 from stratus.workflow import (
     TaskDefinition,
+    TaskState,
     WorkflowSpec,
     export_dot,
     parse_workflow,
@@ -519,7 +520,7 @@ def test_live_progress_streams_during_execution():
         spec, machines, fs_total, 4, 42, run_id="live-run", submission_ms=0
     )
     # slow the engine down so the subscriber demonstrably reads mid-run
-    simulation.progress_listeners.append(lambda record: time.sleep(0.002))
+    simulation.event_listeners.append(lambda event: time.sleep(0.002))
     context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
     context.attach_live(simulation)
     handle = serve(context)
@@ -584,7 +585,27 @@ def test_live_feed_closes_when_the_engine_raises():
     with pytest.raises(NonQuiescentError):
         simulation.run_to_completion()
     assert ended.wait(1.0)
-    assert received == simulation.progress_records
+    assert received == simulation.result.progress_records
+
+
+def test_live_run_registers_the_result_the_engine_returns():
+    # the fault scenario's failures poison every instance downstream of them
+    scenario = load_scenario(fixture_path("faults.scenario"))
+    spec = parse_workflow(scenario.workflow_path.read_text(), default_workflow_id="wf1")
+    machines, fs_total = parse_cluster(scenario.cluster_path.read_text())
+    simulation = Simulation(
+        spec, machines, fs_total, scenario.input_count, scenario.seed, scenario.topology,
+        run_id="live-faults", submission_ms=0,
+    )
+    for injection in scenario.injections:
+        simulation.inject(injection)
+    context = ServiceContext(scenario.topology)
+    context.attach_live(simulation)
+    result = simulation.run_to_completion()
+    assert context.result("live-faults") is result
+    poisoned = {i.task_id for i in result.run.instances if i.state is TaskState.PENDING}
+    assert poisoned
+    assert context.result("live-faults").never_eligible == poisoned
 
 
 def test_live_progress_errors(aware):
@@ -677,14 +698,14 @@ def test_task_lookups_match_naive_scans():
     context.attach_live(live)
     seen = []
 
-    def listener(record):
-        seen.append(record)
+    def listener(event):
+        seen.append(event)
         if len(seen) % 7 == 0:
             assert_lookups_match_naive_scans(context, task_ids)
         if len(seen) == 40:
             raise _StopRun()
 
-    live.progress_listeners.append(listener)
+    live.event_listeners.append(listener)
     with pytest.raises(_StopRun):
         live.run_to_completion()
     live_result = context.result("live")
@@ -695,7 +716,7 @@ def test_task_lookups_match_naive_scans():
 def test_feed_closes_on_terminal_record():
     feed = LiveRunFeed()
     run = completed_result(TopologyMode.WORKFLOW_AWARE)
-    for record in run.progress_records:
-        feed.push(record)
+    for event in run.event_records:
+        feed.push(event)
     collected = list(feed.subscribe())
     assert collected == run.progress_records

@@ -25,6 +25,7 @@ from stratus.sim import (
     InjectionKind,
     MetricPlan,
     NonQuiescentError,
+    ProgressFold,
     ScenarioSyntaxError,
     Simulation,
     SimulationError,
@@ -541,19 +542,18 @@ def test_on_nth_run_gates_the_injection():
 
 
 def run_with_mid_run_injection(make_injection):
-    """fig1 with one fault injected from a progress listener once the clock
+    """fig1 with one fault injected from an event listener once the clock
     has left 0; returns the result and the injection."""
     spec, machines, fs_total = fig1_setup()
     simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="r", submission_ms=0)
     injected = []
 
-    def inject_once(record):
-        now = simulation.event_records[-1].t_ms
-        if not injected and now > 0:
-            injected.append(make_injection(simulation, now))
+    def inject_once(event):
+        if not injected and event.t_ms > 0:
+            injected.append(make_injection(simulation, event.t_ms))
             simulation.inject(injected[0])
 
-    simulation.progress_listeners.append(inject_once)
+    simulation.event_listeners.append(inject_once)
     return simulation.run_to_completion(), injected[0]
 
 
@@ -609,7 +609,7 @@ def test_a_run_pauses_the_collector_and_restores_it():
     spec, machines, fs_total = fig1_setup()
     simulation = Simulation(spec, machines, fs_total, 2, 42, run_id="r", submission_ms=0)
     during = []
-    simulation.progress_listeners.append(lambda record: during.append(gc.isenabled()))
+    simulation.event_listeners.append(lambda event: during.append(gc.isenabled()))
     assert gc.isenabled()
     simulation.run_to_completion()
     assert during and not any(during)
@@ -787,13 +787,17 @@ def test_incremental_engine_agrees_with_naive_scans(case):
         simulation.inject(injection)
     mismatches = []
     received = []
+    fold = ProgressFold()
 
-    def check_progress(record):
+    def check_progress(event):
+        record = fold.step(event)
+        if record is None:
+            return
         received.append(record)
         if record != workflow_status(simulation.run):
             mismatches.append(record)
 
-    simulation.progress_listeners.append(check_progress)
+    simulation.event_listeners.append(check_progress)
     stuck = None
     try:
         result = simulation.run_to_completion()
@@ -802,9 +806,9 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     run = simulation.run
     assert mismatches == []
     event_log = "".join(e.line() + "\n" for e in simulation.event_records)
-    assert received == simulation.progress_records == replay_progress(event_log)
+    assert received == simulation.result.progress_records == replay_progress(event_log)
     if stuck is None:
-        assert result.progress_records == received
+        assert result is simulation.result
 
     # listeners only observe: a run without one writes the same bytes
     quiet = Simulation(

@@ -82,8 +82,9 @@ def test_parse_rejects_garbage_line():
 
 def test_parse_rejects_duplicate_task():
     text = TASK_LINE.format(name="a") + TASK_LINE.format(name="a")
-    with pytest.raises(DuplicateTaskError):
+    with pytest.raises(DuplicateTaskError) as err:
         parse_workflow(text)
+    assert err.value.line == 2
 
 
 def test_parse_rejects_empty():
@@ -108,6 +109,22 @@ def test_parse_rejects_noninteger_value():
     bad = "task a scatter=false cpus=one mem=1 disk=0 timeout=1000 model=default\n"
     with pytest.raises(WorkflowSyntaxError):
         parse_workflow(bad)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        "cpus=0 mem=1 disk=0 timeout=1000",
+        "cpus=1 mem=0 disk=0 timeout=1000",
+        "cpus=1 mem=1 disk=-1 timeout=1000",
+        "cpus=1 mem=1 disk=0 timeout=0",
+    ],
+)
+def test_parse_rejects_out_of_range_value_on_its_line(values):
+    text = "workflow w\n" + f"task a scatter=false {values} model=default\n"
+    with pytest.raises(WorkflowSyntaxError) as err:
+        parse_workflow(text)
+    assert err.value.line == 2
 
 
 # --- DAG validation against networkx ---
