@@ -72,7 +72,6 @@ from .machine import (
     MachineRegistry,
     MachineSample,
     MachineStatus,
-    ResourceVector,
 )
 from .resman import QueueEntry, ResourceManager
 from .taskmon import (
@@ -521,8 +520,7 @@ class Simulation:
 
         self.event_records: list[EventRecord] = []
         self.trace_records: list[TaskTraceRecord] = []
-        # task_id -> its trace record, filled as records land (live results
-        # share it)
+        # task_id -> its trace record, filled as records land
         self._trace_index: dict[str, TaskTraceRecord] = {}
         self.diagnoses: dict[str, Diagnosis] = {}
         self.log_store = LogStore()
