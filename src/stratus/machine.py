@@ -123,7 +123,7 @@ class MachineDescriptor:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MachineSample:
     """One utilization reading."""
 

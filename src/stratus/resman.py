@@ -82,7 +82,7 @@ def _minus(a: _Vector, b: _Vector) -> _Vector:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueueEntry:
     """One ready-to-run instance waiting for a machine.  workflow_id is
     known only in workflow-aware mode."""

@@ -43,6 +43,14 @@ instance:
   index and the instance map).
 - Poisoning walks definition groups, and stops at groups already poisoned,
   whose descendants were poisoned with them.
+- The records built per instance or per event (``EventRecord``,
+  ``SynthesizedMetrics``, ``_Execution``, and the layers' ``QueueEntry``,
+  ``MachineSample``, ``TaskTraceRecord`` and ``Diagnosis``) are slotted
+  dataclasses, not frozen ones.  Each is written once, when it is built,
+  and nothing hashes it; a frozen dataclass sets every field through
+  ``object.__setattr__``, which makes building one about four times as
+  costly.  Types used as dict keys or set members (``ResourceRequest``,
+  ``ResourceVector``, ``TaskDefinition``, ``FaultInjection``) stay frozen.
 - The cyclic garbage collector is paused while a run executes.  Nearly
   everything a run allocates lives as long as its result, so collections
   mid-run would traverse the growing young heap again and again for almost
@@ -244,7 +252,7 @@ BUILTIN_MODELS: dict[str, TaskModel] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EventRecord:
     t_ms: int
     kind: str
@@ -255,6 +263,12 @@ class EventRecord:
         return f"{self.t_ms}\t{self.kind}\t{self.subject}\t{self.detail}"
 
 
+class EventLogSyntaxError(SimulationError):
+    def __init__(self, line: int, message: str):
+        super().__init__(f"event log line {line}: {message}")
+        self.line = line
+
+
 def parse_event_log(text: str) -> list[EventRecord]:
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -262,8 +276,12 @@ def parse_event_log(text: str) -> list[EventRecord]:
             continue
         parts = line.split("\t")
         if len(parts) != 4:
-            raise SimulationError(f"event log line {lineno}: expected 4 fields")
-        records.append(EventRecord(int(parts[0]), parts[1], parts[2], parts[3]))
+            raise EventLogSyntaxError(lineno, "expected 4 fields")
+        try:
+            t_ms = int(parts[0])
+        except ValueError:
+            raise EventLogSyntaxError(lineno, f"time is not an integer: {parts[0]!r}") from None
+        records.append(EventRecord(t_ms, parts[1], parts[2], parts[3]))
     return records
 
 
@@ -315,7 +333,7 @@ def instance_stream(seed: int, task_id: str) -> random.Random:
     return random.Random(_stream_seed(seed, task_id))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SynthesizedMetrics:
     runtime_ms: int
     cpu_pct: int
@@ -388,7 +406,7 @@ def synthesize_metrics(model: TaskModel, memory_request_bytes: int, rng: random.
     return MetricPlan(model, memory_request_bytes).draw(rng)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Execution:
     """Book-keeping for one started instance until its completion event."""
 

@@ -77,7 +77,7 @@ class InvariantViolationError(TraceError):
         self.field = fieldname
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TaskTraceRecord:
     """Final metrics of one task instance, as written by the exit wrapper.
 
@@ -188,7 +188,7 @@ class Verdict(enum.Enum):
     MACHINE_FAILURE = "machine_failure"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Diagnosis:
     task_id: str
     verdict: Verdict

@@ -35,6 +35,8 @@ class UnknownTaskError(WorkflowError):
     def __init__(self, task_id: str):
         super().__init__(f"unknown task: {task_id!r}")
         self.task_id = task_id
+        # the workflow text line that named the task, when parsing found it
+        self.line: int | None = None
 
 
 class CycleError(WorkflowError):
@@ -345,6 +347,7 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
     workflow_id = default_workflow_id
     tasks: list[TaskDefinition] = []
     edges: list[tuple[str, str]] = []
+    edge_lines: list[int] = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -396,12 +399,19 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
             if len(parts) != 4 or parts[2] != "->":
                 raise WorkflowSyntaxError(lineno, "expected 'edge <from> -> <to>'")
             edges.append((parts[1], parts[3]))
+            edge_lines.append(lineno)
         else:
             raise WorkflowSyntaxError(lineno, f"unknown directive {parts[0]!r}")
     if not tasks:
         raise WorkflowError("no tasks")
     spec = WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
-    validate_dag(spec)
+    try:
+        validate_dag(spec)
+    except UnknownTaskError as exc:
+        # validate_dag checks the edges in order, so the first edge naming
+        # the unknown task is the first dangling one
+        exc.line = next(line for edge, line in zip(edges, edge_lines) if exc.task_id in edge)
+        raise
     return spec
 
 

@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 import requests
 
+import stratus
 from stratus.cli import main
 from stratus.store import RunStore
 from stratus.taskmon import parse_trace
@@ -226,6 +228,9 @@ def test_serve_rejects_bad_bind(sandbox, capsys):
 def test_serve_subcommand_answers_queries(tmp_path):
     env = dict(os.environ)
     env["STRATUS_OUT"] = str(tmp_path / "out")
+    # the server process imports the same stratus package as this one
+    src = str(Path(stratus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     process = subprocess.Popen(
         [
             sys.executable, "-u", "-m", "stratus.cli",

@@ -5,6 +5,8 @@ stuck-run detection, and scenario files."""
 import gc
 import hashlib
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from stratus.sim import (
     EXIT_OOM,
     EXIT_TASK_ERROR,
     EXIT_TIMEOUT,
+    EventLogSyntaxError,
     FaultInjection,
     InjectionInPastError,
     InjectionKind,
@@ -41,6 +44,7 @@ from stratus.sim import (
     run_simulation,
     synthesize_metrics,
 )
+from stratus.store import RunStore
 from stratus.taskmon import Verdict, format_trace_file, parse_trace
 from stratus.workflow import (
     RunState,
@@ -258,6 +262,21 @@ def test_topology_changes_nothing_but_the_submission_line():
 def test_event_log_round_trips():
     result = run_fig1()
     assert parse_event_log(result.event_log_text()) == result.event_records
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("x\ta\tb\tc\n", 1, "event log line 1: time is not an integer: 'x'"),
+        ("0\ta\tb\tc\n\n0\ta\tb\n", 3, "event log line 3: expected 4 fields"),
+        ("0\ta\tb\tc\td\n", 1, "event log line 1: expected 4 fields"),
+    ],
+)
+def test_event_log_errors_carry_the_line(text, line, message):
+    with pytest.raises(EventLogSyntaxError) as err:
+        parse_event_log(text)
+    assert err.value.line == line
+    assert str(err.value) == message
 
 
 # --- end-to-end structure of a clean run ---
@@ -856,3 +875,28 @@ def test_incremental_engine_agrees_with_naive_scans(case):
             queued_at.setdefault(event.t_ms, []).append((position[definition], int(index)))
     for order in queued_at.values():
         assert order == sorted(order)
+
+
+# --- written artifacts read back equal, over random runs ---
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_artifacts_round_trip_over_random_runs(case):
+    spec, machines, input_count, seed, topology, injections = case
+    simulation = Simulation(
+        spec, machines, 10**15, input_count, seed, topology, run_id="p", submission_ms=0
+    )
+    for injection in injections:
+        simulation.inject(injection)
+    try:
+        simulation.run_to_completion()
+    except NonQuiescentError:
+        pass  # a stranded run's artifacts must read back as well
+    result = simulation.result
+    assert parse_event_log(result.event_log_text()) == result.event_records
+    assert parse_trace(result.trace_text()) == result.trace_records
+    with tempfile.TemporaryDirectory() as tmp:
+        store = RunStore(Path(tmp) / "runs.jsonl")
+        store.append(result.run)
+        assert store.load_all() == [result.run]

@@ -1,6 +1,7 @@
 """Task layer tests: trace emit/parse identity over randomized records,
 malformed-input rejection with line numbers, diagnosis precedence, and logs."""
 
+import dataclasses
 import random
 
 import pytest
@@ -255,7 +256,7 @@ def test_record_names_the_first_negative_of_every_counter_pair():
     # fallback walk cannot hide behind the random draws above
     for first in COUNTERS:
         for second in COUNTERS:
-            fields = make_record().__dict__ | {first: -1, second: -2}
+            fields = dataclasses.asdict(make_record()) | {first: -1, second: -2}
             for consistent in (False, True):
                 if consistent:
                     fields["duration_ms"] = fields["end_ms"] - fields["start_ms"]

@@ -98,6 +98,21 @@ def test_parse_rejects_bad_edge():
     assert err.value.line == 2
 
 
+def test_parse_gives_the_first_dangling_edge_its_line():
+    text = (
+        TASK_LINE.format(name="a")
+        + TASK_LINE.format(name="b")
+        + "edge a -> b\nedge a -> ghost\nedge ghost -> b\n"
+    )
+    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'ghost'$") as err:
+        parse_workflow(text)
+    assert err.value.line == 4
+    # the dangling end may be the source, and may be named before its edge's tasks
+    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'x'$") as err:
+        parse_workflow("edge x -> a\n" + TASK_LINE.format(name="a"))
+    assert err.value.line == 1
+
+
 def test_parse_rejects_missing_task_key():
     bad = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 extra=x\n"
     with pytest.raises(WorkflowSyntaxError) as err:
@@ -140,8 +155,10 @@ def test_validate_rejects_unknown_edge_endpoint():
         tasks=(TaskDefinition("a", False, make_request(), "default"),),
         edges=(("a", "ghost"),),
     )
-    with pytest.raises(UnknownTaskError):
+    with pytest.raises(UnknownTaskError) as err:
         validate_dag(spec)
+    # a hand-built spec has no text lines
+    assert err.value.line is None
 
 
 def test_unknown_task_lookups_name_the_task():
