@@ -14,6 +14,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
+from .textint import parse_decimal
+
 _T_MS = attrgetter("t_ms")
 
 
@@ -255,7 +257,7 @@ _MACHINE_KEYS = ("type", "cpus", "mem", "disk", "arch", "model", "clock")
 
 def _parse_int(text: str, line: int, key: str) -> int:
     try:
-        return int(text)
+        return parse_decimal(text)
     except ValueError:
         raise ClusterSyntaxError(line, f"{key} is not an integer: {text!r}") from None
 

@@ -247,10 +247,17 @@ class ResourceManager:
         if task_id not in self._running:
             raise UnknownEntryError(task_id)
         machine_id, _, need = self._running.pop(task_id)
-        reserved = self._reserved[machine_id] = _minus(self._reserved[machine_id], need)
+        # _minus, inline: this runs once per finished instance
+        held = self._reserved[machine_id]
+        reserved = self._reserved[machine_id] = (
+            held[0] - need[0], held[1] - need[1], held[2] - need[2],
+        )
         slot = self._slot.get(machine_id)
         if slot is not None:
-            self._headroom[slot] = _minus(self._capacity[slot], reserved)
+            capacity = self._capacity[slot]
+            self._headroom[slot] = (
+                capacity[0] - reserved[0], capacity[1] - reserved[1], capacity[2] - reserved[2],
+            )
         self._finished.add(task_id)
         self._fs_written_bytes += max(0, wchar_bytes)
 

@@ -37,6 +37,16 @@ instance:
   stream.  The plan holds every value of the metric formula that no draw
   touches, so an instance only makes its three draws and derives what
   depends on them.
+- What holds for the whole run is computed once per run: the event and
+  log texts that name only a definition or a machine, and the sha256
+  state after the stream seed's ``f"{seed}:"`` prefix, which each instance
+  copies and continues with its id.  Failure texts are built per failure.
+- An instance that ran its full planned runtime takes its trace counters
+  as drawn: the scaling ratio is exactly 1.0, and ``int(x * 1.0) == x``
+  for every integer up to 2**53.  ``MetricPlan`` checks that bound once
+  per definition; timeouts, machine kills and plans over the bound scale.
+- The machine's status, a locked registry read, is read only for a
+  failed instance; ``diagnose`` never looks at it for a success.
 - An instance's start and finish build only what the run keeps: its log
   lines go to the log store as plain tuples, and its trace record is
   indexed by task id as it lands (the service's task lookups read that
@@ -90,6 +100,7 @@ from .taskmon import (
     diagnose,
     format_trace_file,
 )
+from .textint import parse_decimal
 from .workflow import (
     RunRecord,
     RunState,
@@ -278,7 +289,7 @@ def parse_event_log(text: str) -> list[EventRecord]:
         if len(parts) != 4:
             raise EventLogSyntaxError(lineno, "expected 4 fields")
         try:
-            t_ms = int(parts[0])
+            t_ms = parse_decimal(parts[0], canonical=True)
         except ValueError:
             raise EventLogSyntaxError(lineno, f"time is not an integer: {parts[0]!r}") from None
         records.append(EventRecord(t_ms, parts[1], parts[2], parts[3]))
@@ -327,6 +338,20 @@ def _stream_seed(seed: int, task_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _stream_seeder(seed: int):
+    """``task_id -> _stream_seed(seed, task_id)`` for one run: the
+    ``f"{seed}:"`` prefix is hashed once, and each instance continues a
+    copy of that hash state with its own id."""
+    prefix = hashlib.sha256(f"{seed}:".encode())
+
+    def stream_seed(task_id: str) -> int:
+        digest = prefix.copy()
+        digest.update(task_id.encode())
+        return int.from_bytes(digest.digest()[:8], "big")
+
+    return stream_seed
+
+
 def instance_stream(seed: int, task_id: str) -> random.Random:
     """Independent random stream for one instance, derived from the root
     seed and the instance id only."""
@@ -348,6 +373,10 @@ class SynthesizedMetrics:
     failure_draw: float
 
 
+# the largest n with int(float(n)) == n for every integer up to it
+_EXACT_FLOAT_INT = 2**53
+
+
 class MetricPlan:
     """The part of one definition's metric synthesis that no draw touches.
 
@@ -355,6 +384,9 @@ class MetricPlan:
     makes an instance's three draws (runtime, failure, page-cache ratio, in
     that order) and derives only the values that depend on them, so each
     instance's record is reproducible from its stream alone.
+    ``full_runtime_exact`` says that every counter a trace record scales
+    stays at most 2**53 for every draw, so scaling one by a ratio of 1.0
+    returns it unchanged.
     """
 
     def __init__(self, model: TaskModel, memory_request_bytes: int):
@@ -372,6 +404,16 @@ class MetricPlan:
         self._read_share = model.io_read_bytes / io_total if io_total else 0.5
         self._total_pages = io_total // 4096
         self._cpu_wait_fraction = model.cpu_wait_fraction
+        # jitter is at most 100 %, so no draw's runtime exceeds twice the base;
+        # every counter a trace record scales is then at most one of these
+        runtime_cap = 2 * model.base_runtime_ms + 1
+        self.full_runtime_exact = max(
+            model.io_read_bytes,
+            model.io_write_bytes,
+            self._total_pages,
+            runtime_cap,
+            self._syscall_rate_per_s * runtime_cap / 1000,
+        ) <= _EXACT_FLOAT_INT
 
     def draw(self, rng: random.Random) -> SynthesizedMetrics:
         draw = rng.random
@@ -417,6 +459,45 @@ class _Execution:
     metrics: SynthesizedMetrics
     exit_code: int
     generation: int
+
+
+def _scaled_record(
+    execution: _Execution, submit_ms: int, end_ms: int, status: str, exit_code: int,
+    plan: MetricPlan,
+) -> TaskTraceRecord:
+    """Build the final trace record, scaling cumulative counters down
+    when the task was cut short of its planned runtime."""
+    metrics = execution.metrics
+    start_ms = execution.start_ms
+    duration = end_ms - start_ms
+    planned = metrics.runtime_ms
+    if duration == planned and plan.full_runtime_exact:
+        # the ratio is exactly 1.0, and int(x * 1.0) == x up to 2**53
+        return TaskTraceRecord(
+            execution.task_id, status, exit_code, submit_ms, start_ms, end_ms, duration,
+            metrics.cpu_pct, metrics.rss_bytes, metrics.rchar_bytes, metrics.wchar_bytes,
+            metrics.syscall_read_count, metrics.syscall_write_count, metrics.cpu_wait_ms,
+            metrics.page_cache_hits, metrics.page_cache_misses,
+        )
+    ratio = min(1.0, duration / planned) if planned else 1.0
+    return TaskTraceRecord(
+        task_id=execution.task_id,
+        status=status,
+        exit_code=exit_code,
+        submit_ms=submit_ms,
+        start_ms=start_ms,
+        end_ms=end_ms,
+        duration_ms=duration,
+        cpu_pct=metrics.cpu_pct,
+        rss_bytes=metrics.rss_bytes,
+        rchar_bytes=int(metrics.rchar_bytes * ratio),
+        wchar_bytes=int(metrics.wchar_bytes * ratio),
+        syscall_read_count=int(metrics.syscall_read_count * ratio),
+        syscall_write_count=int(metrics.syscall_write_count * ratio),
+        cpu_wait_ms=int(metrics.cpu_wait_ms * ratio),
+        page_cache_hits=int(metrics.page_cache_hits * ratio),
+        page_cache_misses=int(metrics.page_cache_misses * ratio),
+    )
 
 
 @dataclass
@@ -605,8 +686,9 @@ class Simulation:
     def _emit(self, t_ms: int, kind: str, subject: str, detail: str) -> None:
         event = EventRecord(t_ms, kind, subject, detail)
         self.event_records.append(event)
-        for listener in self.event_listeners:
-            listener(event)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener(event)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -633,6 +715,13 @@ class Simulation:
             self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
         self._task_faults: dict[str, list[FaultInjection]] = {}
         self._rng = random.Random()
+        self._instance_seed = _stream_seeder(self.seed)
+        # the instance texts that name only a machine: started detail,
+        # started log line, succeeded detail
+        self._machine_texts = {
+            m: (f"machine={m}", f"started on {m}", f"exit=0 machine={m}")
+            for m in self.registry.machine_ids()
+        }
         self._emit(
             0,
             "run_submitted",
@@ -662,7 +751,8 @@ class Simulation:
                 self._on_machine_unhealthy(t_ms, payload)
             elif kind == "sample_tick":
                 self._on_sample_tick(t_ms)
-            self._check_completion(t_ms)
+            if not self._open:
+                self._check_completion(t_ms)
 
         if not self._finished:
             stuck = sorted(
@@ -691,21 +781,19 @@ class Simulation:
         workflow_id = self.spec.workflow_id if aware else None
         for name in ready:
             requested = self._definitions[name][0].requested
+            detail = f"definition={name}"
             for instance in self._groups[name]:
                 instance.mark_queued(t_ms)
                 submit(QueueEntry(instance.task_id, requested, t_ms, workflow_id))
-                self._emit(
-                    t_ms, "instance_queued", instance.task_id,
-                    f"definition={instance.definition}",
-                )
+                self._emit(t_ms, "instance_queued", instance.task_id, detail)
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self._instances[task_id]
         definition, model, plan = self._definitions[instance.definition]
-        self._rng.seed(_stream_seed(self.seed, task_id))
+        self._rng.seed(self._instance_seed(task_id))
         metrics = plan.draw(self._rng)
 
-        injection = self._task_injection(task_id, t_ms)
+        injection = self._task_injection(task_id, t_ms) if self._task_faults else None
         exit_code = 0
         runtime = metrics.runtime_ms
         if injection is not None and injection.kind is InjectionKind.TASK_OOM:
@@ -725,55 +813,24 @@ class Simulation:
             exit_code = EXIT_TIMEOUT
 
         instance.mark_running(t_ms, machine_id)
-        generation = next(self._generation)
         execution = _Execution(
-            task_id=task_id,
-            machine_id=machine_id,
-            start_ms=t_ms,
-            planned_end_ms=t_ms + runtime,
-            metrics=metrics,
-            exit_code=exit_code,
-            generation=generation,
+            task_id, machine_id, t_ms, t_ms + runtime, metrics, exit_code,
+            next(self._generation),
         )
         self._executions[task_id] = execution
         self._push(execution.planned_end_ms, "completion", execution)
-        self._emit(t_ms, "instance_started", task_id, f"machine={machine_id}")
-        self.log_store.append(task_id, t_ms, LogLevel.INFO, f"started on {machine_id}")
+        started_detail, started_log, _ = self._machine_texts[machine_id]
+        self._emit(t_ms, "instance_started", task_id, started_detail)
+        self.log_store.append(task_id, t_ms, LogLevel.INFO, started_log)
 
     # -- event handlers -----------------------------------------------------
-
-    def _scaled_record(self, execution: _Execution, end_ms: int, status: str, exit_code: int) -> TaskTraceRecord:
-        """Build the final trace record, scaling cumulative counters down
-        when the task was cut short of its planned runtime."""
-        instance = self._instances[execution.task_id]
-        metrics = execution.metrics
-        duration = end_ms - execution.start_ms
-        planned = metrics.runtime_ms
-        ratio = min(1.0, duration / planned) if planned else 1.0
-        return TaskTraceRecord(
-            task_id=execution.task_id,
-            status=status,
-            exit_code=exit_code,
-            submit_ms=instance.submit_ms,
-            start_ms=execution.start_ms,
-            end_ms=end_ms,
-            duration_ms=duration,
-            cpu_pct=metrics.cpu_pct,
-            rss_bytes=metrics.rss_bytes,
-            rchar_bytes=int(metrics.rchar_bytes * ratio),
-            wchar_bytes=int(metrics.wchar_bytes * ratio),
-            syscall_read_count=int(metrics.syscall_read_count * ratio),
-            syscall_write_count=int(metrics.syscall_write_count * ratio),
-            cpu_wait_ms=int(metrics.cpu_wait_ms * ratio),
-            page_cache_hits=int(metrics.page_cache_hits * ratio),
-            page_cache_misses=int(metrics.page_cache_misses * ratio),
-        )
 
     def _finish_instance(self, t_ms: int, execution: _Execution, exit_code: int) -> None:
         task_id = execution.task_id
         instance = self._instances[task_id]
+        definition, _, plan = self._definitions[instance.definition]
         status = TaskState.SUCCEEDED if exit_code == 0 else TaskState.FAILED
-        record = self._scaled_record(execution, t_ms, status.value, exit_code)
+        record = _scaled_record(execution, instance.submit_ms, t_ms, status.value, exit_code, plan)
         instance.mark_finished(t_ms, status)
         self._open -= 1
         self.rm.release(task_id, record.wchar_bytes)
@@ -781,16 +838,19 @@ class Simulation:
         self.trace_records.append(record)
         self._trace_index.setdefault(task_id, record)
 
-        requested = self._definitions[instance.definition][0].requested
-        machine_status = self.registry.descriptor(execution.machine_id).status
-        diagnosis = diagnose(record, requested, machine_status)
+        if exit_code == 0:
+            # diagnose never reads the status of a success, and a machine
+            # that fails kills what runs on it
+            machine_status = MachineStatus.HEALTHY
+        else:
+            machine_status = self.registry.descriptor(execution.machine_id).status
+        diagnosis = diagnose(record, definition.requested, machine_status)
         self.diagnoses[task_id] = diagnosis
 
         if status is TaskState.SUCCEEDED:
             self._count_success(instance.definition)
             self._emit(
-                t_ms, "instance_succeeded", task_id,
-                f"exit=0 machine={execution.machine_id}",
+                t_ms, "instance_succeeded", task_id, self._machine_texts[execution.machine_id][2]
             )
             self.log_store.append(task_id, t_ms, LogLevel.INFO, "finished exit=0")
         else:
@@ -863,8 +923,7 @@ class Simulation:
                         self._open -= 1
 
     def _check_completion(self, t_ms: int) -> None:
-        if self._finished or self._open:
-            return
+        """Resolve the run's final state; called once no instance is open."""
         self.run.final_state = resolve_final_state(self.run, frozenset(self._poisoned))
         if self.run.final_state is RunState.RUNNING:
             return
@@ -911,7 +970,7 @@ class ScenarioSyntaxError(SimulationError):
 
 def _scenario_int(text: str, line: int, key: str) -> int:
     try:
-        return int(text)
+        return parse_decimal(text)
     except ValueError:
         raise ScenarioSyntaxError(line, f"{key} is not an integer: {text!r}") from None
 

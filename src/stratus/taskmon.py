@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .machine import MachineStatus
+from .textint import parse_decimal
 from .workflow import ResourceRequest, UnknownTaskError
 
 TRACE_COLUMNS = (
@@ -150,7 +151,7 @@ def format_trace_file(records: "list[TaskTraceRecord]") -> str:
 
 def _int_field(value: str, line: int, name: str) -> int:
     try:
-        return int(value)
+        return parse_decimal(value, canonical=True)
     except ValueError:
         raise InvariantViolationError(line, name, f"not an integer: {value!r}") from None
 

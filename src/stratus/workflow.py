@@ -14,6 +14,8 @@ import statistics
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .textint import parse_decimal
+
 
 class WorkflowError(Exception):
     """Base class for workflow definition and lifecycle errors."""
@@ -328,7 +330,7 @@ def _parse_bool(text: str, line: int) -> bool:
 
 def _parse_int(text: str, line: int, key: str) -> int:
     try:
-        return int(text)
+        return parse_decimal(text)
     except ValueError:
         raise WorkflowSyntaxError(line, f"{key} is not an integer: {text!r}") from None
 

@@ -1,21 +1,32 @@
 """Fuzz of the text parsers: random character edits of the bundled workflow,
-cluster and scenario files and of an engine event log.  Each parser may
-raise only its own module's base error, and every error about one line
-must carry that line as ``.line``."""
+cluster, scenario and capability-profile files, of a matrix override file
+and of an engine event log.  Each parser may raise only its own module's
+base error, and every error about one line must carry that line as
+``.line``."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stratus.fixtures import fixture_path, fixture_text
-from stratus.machine import MachineError, parse_cluster
+from stratus.blueprint import (
+    BlueprintError,
+    InvalidMatrixError,
+    parse_capability_profile,
+    parse_matrix_overrides,
+)
+from stratus.fixtures import PROFILE_NAMES, fixture_path, fixture_text
+from stratus.machine import ClusterSyntaxError, MachineError, parse_cluster
 from stratus.sim import (
+    EventLogSyntaxError,
+    ScenarioSyntaxError,
     SimulationError,
     load_scenario,
     parse_event_log,
     parse_scenario,
     run_scenario,
 )
-from stratus.workflow import CycleError, WorkflowError, parse_workflow
+from stratus.taskmon import TRACE_HEADER, InvariantViolationError, emit_trace, parse_trace
+from stratus.workflow import CycleError, WorkflowError, WorkflowSyntaxError, parse_workflow
 
 # errors about a whole file, which no single line can be blamed for
 WHOLE_FILE_ERRORS = {
@@ -58,7 +69,8 @@ def assert_own_error_with_a_line(parse, text: str, own_error: type) -> None:
     try:
         parse(text)
     except own_error as exc:
-        if isinstance(exc, CycleError) or str(exc) in WHOLE_FILE_ERRORS:
+        # a matrix that breaks a hierarchy rule is checked as a whole
+        if isinstance(exc, (CycleError, InvalidMatrixError)) or str(exc) in WHOLE_FILE_ERRORS:
             return
         line = getattr(exc, "line", None)
         assert isinstance(line, int), f"{exc!r} carries no line"
@@ -93,3 +105,145 @@ def test_scenario_parser_raises_only_simulation_errors_with_a_line(text):
 @given(st.deferred(lambda: char_edits(event_log_text())))
 def test_event_log_parser_raises_only_simulation_errors_with_a_line(text):
     assert_own_error_with_a_line(parse_event_log, text, SimulationError)
+
+
+MATRIX_OVERRIDES = """# one deployment's overrides
+workflow_status: resource_manager, workflow
+machine_type: machine
+task_duration: task,machine
+extension gpu_utilization: machine, resource_manager
+"""
+
+
+@_fuzz
+@given(char_edits(MATRIX_OVERRIDES))
+def test_matrix_override_parser_raises_only_blueprint_errors_with_a_line(text):
+    assert_own_error_with_a_line(parse_matrix_overrides, text, BlueprintError)
+
+
+@_fuzz
+@given(
+    st.sampled_from(PROFILE_NAMES).map(lambda name: fixture_text(f"{name}.profile"))
+    .flatmap(char_edits)
+)
+def test_capability_profile_parser_raises_only_blueprint_errors_with_a_line(text):
+    assert_own_error_with_a_line(parse_capability_profile, text, BlueprintError)
+
+
+# --- integer fields ---
+
+# spellings that int() reads but no writer emits: separators, non-ASCII
+# digits, padding; the event log and the trace also refuse a sign or a
+# leading zero that str() would not write
+FOREIGN_INTEGERS = ["1_0", " ١", "١", "５", " 5", "5 ", "0x1", ""]
+NON_CANONICAL_INTEGERS = ["+5", "007", "-0", "-07"]
+
+TRACE_LINE = "w/a/0\tsucceeded\t0\t5\t10\t20\t10\t50\t100\t1\t2\t3\t4\t5\t6\t7"
+
+
+@pytest.mark.parametrize("spelling", FOREIGN_INTEGERS + NON_CANONICAL_INTEGERS)
+def test_event_log_and_trace_accept_only_the_integers_their_writers_emit(spelling):
+    with pytest.raises(EventLogSyntaxError) as err:
+        parse_event_log(f"0\ta\tb\tc\n{spelling}\ta\tb\tc\n")
+    assert err.value.line == 2
+    fields = TRACE_LINE.split("\t")
+    fields[3] = spelling
+    with pytest.raises(InvariantViolationError) as err:
+        parse_trace(f"{TRACE_HEADER}\n{TRACE_LINE}\n" + "\t".join(fields) + "\n")
+    assert (err.value.line, err.value.field) == (3, "submit_ms")
+
+
+def input_files(number: str) -> list:
+    """(parser, text, own error) with ``number`` as an integer field on
+    line 2 of each input format."""
+    task = "task a scatter=false cpus={} mem=1 disk=0 timeout=1000 model=default\n"
+    machine = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock={}\n"
+    return [
+        (parse_workflow, "workflow w\n" + task.format(number), WorkflowSyntaxError),
+        (parse_cluster, "fs total=1\n" + machine.format(number), ClusterSyntaxError),
+        (parse_scenario, f"workflow w.wf\nseed {number}\ncluster c.cluster\n", ScenarioSyntaxError),
+    ]
+
+
+# (padding is a field separator there)
+@pytest.mark.parametrize("spelling", [s for s in FOREIGN_INTEGERS if s and s == s.strip()])
+def test_input_formats_accept_only_ascii_integers(spelling):
+    for parse, text, own_error in input_files(spelling):
+        with pytest.raises(own_error) as err:
+            parse(text)
+        assert err.value.line == 2
+
+
+def test_input_formats_accept_a_sign_and_leading_zeros():
+    workflow, (machines, _), scenario = (parse(text) for parse, text, _ in input_files("+007"))
+    assert workflow.tasks[0].requested.cpu_cores == 7
+    assert machines[0].hardware.memory_clock_mhz == 7
+    assert scenario.seed == 7
+    assert parse_scenario(input_files("-3")[2][1]).seed == -3
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def spellings(n: int) -> list[str]:
+    """The canonical spelling of n first, then spellings of it that a
+    lenient parser would read."""
+    text = str(n)
+    return [
+        text, "+" + text, "0" + text, text + "_0", " " + text, text + " ",
+        text.translate(_ARABIC_INDIC),
+    ]
+
+
+@st.composite
+def spelled(draw, values):
+    """(canonical spelling, drawn spelling) of a drawn value."""
+    options = spellings(draw(values))
+    return options[0], draw(st.sampled_from(options[:1] * 4 + options[1:]))
+
+
+# any text without a field or line separator
+_field = st.text(
+    st.characters(blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+                  blacklist_categories=("Cs",)),
+    max_size=8,
+)
+_counter = st.integers(0, 2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled(st.integers(-(2**64), 2**64)), _field, _field, _field)
+def test_an_event_log_line_is_accepted_iff_it_re_renders_to_its_own_bytes(t_ms, kind, subject, detail):
+    canonical, spelling = t_ms
+    line = "\t".join((spelling, kind, subject, detail))
+    try:
+        records = parse_event_log(line + "\n")
+    except EventLogSyntaxError:
+        assert spelling != canonical
+        return
+    assert [record.line() for record in records] == [line]
+
+
+@st.composite
+def trace_lines(draw):
+    """(canonical line, drawn line) of a valid trace record whose integer
+    fields are spelled as drawn."""
+    start, duration = draw(_counter), draw(_counter)
+    exit_code = draw(st.sampled_from([0, 1, 124, 137, 143, -9]))
+    values = [exit_code, draw(_counter), start, start + duration, duration]
+    values += [draw(_counter) for _ in range(9)]
+    pairs = [draw(spelled(st.just(value))) for value in values]
+    head = [draw(_field), "succeeded" if exit_code == 0 else "failed"]
+    return ["\t".join(head + [pair[k] for pair in pairs]) for k in (0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_lines())
+def test_a_trace_line_is_accepted_iff_it_re_renders_to_its_own_bytes(lines):
+    canonical, line = lines
+    try:
+        records = parse_trace(f"{TRACE_HEADER}\n{line}\n")
+    except InvariantViolationError:
+        assert line != canonical
+        return
+    assert [emit_trace(record) for record in records] == [line]

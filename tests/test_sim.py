@@ -2,10 +2,12 @@
 dependency and capacity safety checked from the event log, fault injection,
 stuck-run detection, and scenario files."""
 
+import dataclasses
 import gc
 import hashlib
 import random
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,10 @@ from stratus.sim import (
     TargetUnknownError,
     SynthesizedMetrics,
     TaskModel,
+    _Execution,
+    _scaled_record,
+    _stream_seed,
+    _stream_seeder,
     instance_stream,
     load_scenario,
     parse_event_log,
@@ -45,7 +51,7 @@ from stratus.sim import (
     synthesize_metrics,
 )
 from stratus.store import RunStore
-from stratus.taskmon import Verdict, format_trace_file, parse_trace
+from stratus.taskmon import TaskTraceRecord, Verdict, format_trace_file, parse_trace
 from stratus.workflow import (
     RunState,
     TaskDefinition,
@@ -150,7 +156,10 @@ def reference_synthesize_metrics(model, memory_request_bytes, rng):
 
 
 _unit = st.floats(min_value=0, max_value=1, allow_nan=False)
-_io_bytes = st.one_of(st.just(0), st.integers(min_value=0, max_value=2**40))
+# 2**53 is the last integer every smaller one of which survives a float
+_io_bytes = st.one_of(
+    st.just(0), st.integers(min_value=0, max_value=2**40), st.sampled_from([2**53, 2**53 + 1])
+)
 
 
 @st.composite
@@ -168,7 +177,8 @@ def task_models(draw):
         io_write_bytes=draw(_io_bytes),
         syscall_rate_per_s=draw(
             st.one_of(st.integers(min_value=0, max_value=10**5),
-                      st.floats(min_value=0, max_value=1e5, allow_nan=False))
+                      st.floats(min_value=0, max_value=1e5, allow_nan=False),
+                      st.sampled_from([2**50, 2**53]))
         ),
         cpu_wait_fraction=draw(_unit),
         failure_probability=draw(_unit),
@@ -198,6 +208,97 @@ def test_metric_plan_covers_a_model_without_io():
     assert metrics == reference_synthesize_metrics(model, GiB, instance_stream(3, "w/noio/0"))
     assert metrics.page_cache_hits == metrics.page_cache_misses == 0
     assert metrics.syscall_read_count == int(metrics.runtime_ms * 0.5)
+
+
+def reference_scaled_record(execution, submit_ms, end_ms, status, exit_code):
+    """The trace-record formula as written before the full-runtime fast
+    path: every cumulative counter scaled by the completed share."""
+    metrics = execution.metrics
+    duration = end_ms - execution.start_ms
+    planned = metrics.runtime_ms
+    ratio = min(1.0, duration / planned) if planned else 1.0
+    return TaskTraceRecord(
+        task_id=execution.task_id,
+        status=status,
+        exit_code=exit_code,
+        submit_ms=submit_ms,
+        start_ms=execution.start_ms,
+        end_ms=end_ms,
+        duration_ms=duration,
+        cpu_pct=metrics.cpu_pct,
+        rss_bytes=metrics.rss_bytes,
+        rchar_bytes=int(metrics.rchar_bytes * ratio),
+        wchar_bytes=int(metrics.wchar_bytes * ratio),
+        syscall_read_count=int(metrics.syscall_read_count * ratio),
+        syscall_write_count=int(metrics.syscall_write_count * ratio),
+        cpu_wait_ms=int(metrics.cpu_wait_ms * ratio),
+        page_cache_hits=int(metrics.page_cache_hits * ratio),
+        page_cache_misses=int(metrics.page_cache_misses * ratio),
+    )
+
+
+_SCALED = attrgetter(
+    "rchar_bytes", "wchar_bytes", "syscall_read_count", "syscall_write_count",
+    "cpu_wait_ms", "page_cache_hits", "page_cache_misses",
+)
+
+
+@st.composite
+def finished_executions(draw):
+    """(plan, execution, submit_ms, end_ms, exit_code) of one instance
+    that ran its full runtime, failed at it, was OOM-killed, timed out or
+    lost its machine, as the engine finishes each."""
+    model = draw(task_models())
+    memory = draw(st.integers(min_value=1, max_value=2**45))
+    plan = MetricPlan(model, memory)
+    metrics = plan.draw(instance_stream(draw(st.integers()), "w/a/0"))
+    runtime = metrics.runtime_ms
+    start = draw(st.integers(min_value=0, max_value=10**9))
+    ending = draw(st.sampled_from(["succeeded", "failed", "oom", "timeout", "machine_kill"]))
+    duration, exit_code = runtime, 0
+    if ending == "failed":
+        exit_code = EXIT_TASK_ERROR
+    elif ending == "oom":
+        metrics = dataclasses.replace(metrics, rss_bytes=memory + max(1, memory // 4))
+        exit_code = EXIT_OOM
+    elif ending == "timeout" and runtime > 1:
+        duration, exit_code = draw(st.integers(1, runtime - 1)), EXIT_TIMEOUT
+    elif ending == "machine_kill":
+        duration, exit_code = draw(st.integers(0, runtime)), EXIT_MACHINE_KILL
+    planned_end = start + (duration if exit_code == EXIT_TIMEOUT else runtime)
+    execution = _Execution("w/a/0", "m1", start, planned_end, metrics, exit_code, 0)
+    return plan, execution, draw(st.integers(0, start)), start + duration, exit_code
+
+
+@settings(max_examples=500, deadline=None)
+@given(finished_executions())
+def test_trace_records_match_the_scaled_formula(case):
+    plan, execution, submit_ms, end_ms, exit_code = case
+    status = "succeeded" if exit_code == 0 else "failed"
+    record = _scaled_record(execution, submit_ms, end_ms, status, exit_code, plan)
+    assert record == reference_scaled_record(execution, submit_ms, end_ms, status, exit_code)
+    if plan.full_runtime_exact:
+        assert max(_SCALED(execution.metrics)) <= 2**53
+
+
+@pytest.mark.parametrize("io_bytes, exact", [(2**53, True), (2**53 + 1, False)])
+def test_a_plan_over_the_float_bound_scales_its_counters(io_bytes, exact):
+    model = TaskModel("big", 1000, 0, 100, 0.5, io_bytes, 0, 0.0, 0.0, 0.0)
+    plan = MetricPlan(model, GiB)
+    assert plan.full_runtime_exact is exact
+    metrics = plan.draw(instance_stream(1, "w/big/0"))
+    execution = _Execution("w/big/0", "m1", 0, 1000, metrics, 0, 0)
+    record = _scaled_record(execution, 0, 1000, "succeeded", 0, plan)
+    # int(2**53 + 1 * 1.0) is 2**53: only the scaled path reproduces that
+    assert record.rchar_bytes == 2**53
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2**70), 2**70), st.lists(st.text(max_size=16), max_size=4))
+def test_the_per_run_seed_prefix_gives_each_stream_seed(seed, task_ids):
+    stream_seed = _stream_seeder(seed)
+    for task_id in task_ids:
+        assert stream_seed(task_id) == _stream_seed(seed, task_id)
 
 
 def test_model_validation():
