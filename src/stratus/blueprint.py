@@ -15,6 +15,8 @@ import enum
 import re
 from dataclasses import dataclass, field
 
+from .textfmt import LineError, directive_lines, fold_name
+
 
 class BlueprintError(Exception):
     """Base class for taxonomy and matrix errors."""
@@ -34,10 +36,8 @@ class UnknownFeatureError(BlueprintError):
         self.line = line
 
 
-class MatrixFileError(BlueprintError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class MatrixFileError(LineError, BlueprintError):
+    pass
 
 
 class InvalidMatrixError(BlueprintError):
@@ -60,7 +60,7 @@ class LayerId(enum.IntEnum):
     @classmethod
     def from_wire(cls, name: str) -> "LayerId":
         try:
-            return cls[name.strip().upper()]
+            return cls[fold_name(name).upper()]
         except KeyError:
             raise UnknownLayerError(name) from None
 
@@ -83,11 +83,10 @@ class TopologyMode(enum.Enum):
 
     @classmethod
     def from_wire(cls, name: str) -> "TopologyMode":
-        normalized = name.strip().lower().replace("-", "_")
-        for mode in cls:
-            if mode.value == normalized:
-                return mode
-        raise BlueprintError(f"unknown topology: {name!r}")
+        try:
+            return cls(fold_name(name).replace("-", "_"))
+        except ValueError:
+            raise BlueprintError(f"unknown topology: {name!r}") from None
 
 
 class FeatureKey(str, enum.Enum):
@@ -129,60 +128,22 @@ class FeatureKey(str, enum.Enum):
 
     @property
     def owning_layer(self) -> LayerId:
-        return _OWNING_LAYER[self]
+        return min(_DEFAULT_PERMITTED[self])
 
     @classmethod
-    def from_wire(cls, name: str) -> "FeatureKey":
+    def from_wire(cls, name: str, line: int | None = None) -> "FeatureKey":
+        """The feature ``name`` spells; ``line`` is the text line that
+        named it, for the error when it names none."""
         try:
             return cls(name.strip())
         except ValueError:
-            raise UnknownFeatureError(name) from None
+            raise UnknownFeatureError(name, line) from None
 
 
-_OWNING_LAYER: dict[FeatureKey, LayerId] = {
-    FeatureKey.INFRASTRUCTURE_STATUS: LayerId.RESOURCE_MANAGER,
-    FeatureKey.FILE_SYSTEM_STATUS: LayerId.RESOURCE_MANAGER,
-    FeatureKey.RUNNING_WORKFLOWS: LayerId.RESOURCE_MANAGER,
-    FeatureKey.WORKFLOW_STATUS: LayerId.WORKFLOW,
-    FeatureKey.WORKFLOW_SPECIFICATION: LayerId.WORKFLOW,
-    FeatureKey.GRAPHICAL_REPRESENTATION: LayerId.WORKFLOW,
-    FeatureKey.WORKFLOW_ID: LayerId.WORKFLOW,
-    FeatureKey.EXECUTION_REPORT: LayerId.WORKFLOW,
-    FeatureKey.PREVIOUS_EXECUTIONS: LayerId.WORKFLOW,
-    FeatureKey.MACHINE_STATUS: LayerId.MACHINE,
-    FeatureKey.MACHINE_TYPE: LayerId.MACHINE,
-    FeatureKey.HARDWARE_SPECIFICATION: LayerId.MACHINE,
-    FeatureKey.AVAILABLE_RESOURCES: LayerId.MACHINE,
-    FeatureKey.USED_RESOURCES: LayerId.MACHINE,
-    FeatureKey.TASK_STATUS: LayerId.TASK,
-    FeatureKey.REQUESTED_RESOURCES: LayerId.TASK,
-    FeatureKey.CONSUMED_RESOURCES: LayerId.TASK,
-    FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: LayerId.TASK,
-    FeatureKey.TASK_ID: LayerId.TASK,
-    FeatureKey.APPLICATION_LOGS: LayerId.TASK,
-    FeatureKey.TASK_DURATION: LayerId.TASK,
-    FeatureKey.LOW_LEVEL_TASK_METRICS: LayerId.TASK,
-    FeatureKey.FAULT_DIAGNOSIS: LayerId.TASK,
-}
-
-ALL_LAYERS: tuple[LayerId, ...] = (
-    LayerId.RESOURCE_MANAGER,
-    LayerId.WORKFLOW,
-    LayerId.MACHINE,
-    LayerId.TASK,
-)
+# the hierarchy from the top down
+ALL_LAYERS: tuple[LayerId, ...] = tuple(reversed(LayerId))
 
 ALL_FEATURES: tuple[FeatureKey, ...] = tuple(FeatureKey)
-
-
-def features_owned_by(layer: LayerId) -> tuple[FeatureKey, ...]:
-    return tuple(f for f in ALL_FEATURES if f.owning_layer is layer)
-
-
-# Per-layer feature totals; the denominators of every coverage summary.
-LAYER_FEATURE_TOTALS: dict[LayerId, int] = {
-    layer: len(features_owned_by(layer)) for layer in ALL_LAYERS
-}
 
 _EVERY_LAYER = frozenset(ALL_LAYERS)
 _RM = frozenset({LayerId.RESOURCE_MANAGER})
@@ -192,7 +153,8 @@ _RM_M = frozenset({LayerId.RESOURCE_MANAGER, LayerId.MACHINE})
 _M = frozenset({LayerId.MACHINE})
 _T = frozenset({LayerId.TASK})
 
-# The default permitted-layer sets, row by row.
+# The default permitted-layer sets, row by row.  The lowest layer of a row
+# owns the feature.
 _DEFAULT_PERMITTED: dict[FeatureKey, frozenset[LayerId]] = {
     FeatureKey.INFRASTRUCTURE_STATUS: _RM,
     FeatureKey.FILE_SYSTEM_STATUS: _RM,
@@ -217,6 +179,16 @@ _DEFAULT_PERMITTED: dict[FeatureKey, frozenset[LayerId]] = {
     FeatureKey.TASK_DURATION: _EVERY_LAYER,
     FeatureKey.LOW_LEVEL_TASK_METRICS: _T,
     FeatureKey.FAULT_DIAGNOSIS: _T,
+}
+
+
+def features_owned_by(layer: LayerId) -> tuple[FeatureKey, ...]:
+    return tuple(f for f in ALL_FEATURES if f.owning_layer is layer)
+
+
+# Per-layer feature totals; the denominators of every coverage summary.
+LAYER_FEATURE_TOTALS: dict[LayerId, int] = {
+    layer: len(features_owned_by(layer)) for layer in ALL_LAYERS
 }
 
 _EXTENSION_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -266,23 +238,15 @@ class AccessMatrix:
                 raise InvalidMatrixError(f"extension {name!r} permits no layer")
 
     def lookup(self, feature: "FeatureKey | str") -> frozenset[LayerId]:
-        if isinstance(feature, FeatureKey):
-            return self.entries[feature]
         if feature in self.extensions:
             return self.extensions[feature]
         return self.entries[FeatureKey.from_wire(feature)]
 
     def owning_layer(self, feature: "FeatureKey | str") -> LayerId:
-        """Owning layer of a feature; for extensions, the lowest permitted
-        layer stands in as the owner."""
-        if isinstance(feature, str) and feature in self.extensions:
-            return min(self.extensions[feature])
-        if isinstance(feature, str):
-            feature = FeatureKey.from_wire(feature)
-        return feature.owning_layer
-
-    def known_features(self) -> "tuple[FeatureKey | str, ...]":
-        return ALL_FEATURES + tuple(sorted(self.extensions))
+        """Owning layer of a feature: the lowest permitted layer, which a
+        valid matrix makes the owner of every standard feature and which
+        stands in as the owner of an extension."""
+        return min(self.lookup(feature))
 
 
 def default_access_matrix() -> AccessMatrix:
@@ -304,15 +268,11 @@ def access_allowed(
     shares its structures with it.
     """
     permitted = matrix.lookup(feature)
-    if layer not in permitted:
-        return False
-    if (
+    return layer in permitted and not (
         topology is TopologyMode.DISJOINT
         and layer is LayerId.RESOURCE_MANAGER
-        and matrix.owning_layer(feature) is LayerId.WORKFLOW
-    ):
-        return False
-    return True
+        and min(permitted) is LayerId.WORKFLOW
+    )
 
 
 @dataclass(frozen=True)
@@ -335,12 +295,6 @@ class CoverageSummary:
 
     per_layer: dict[LayerId, tuple[int, int]]
     missing: frozenset[FeatureKey]
-
-    def supported_count(self, layer: LayerId) -> int:
-        return self.per_layer[layer][0]
-
-    def total_count(self, layer: LayerId) -> int:
-        return self.per_layer[layer][1]
 
 
 def classify_capabilities(profile: CapabilityProfile) -> CoverageSummary:
@@ -366,10 +320,7 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
     """
     entries = dict(_DEFAULT_PERMITTED)
     extensions: dict[str, frozenset[LayerId]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(text):
         if ":" not in line:
             raise MatrixFileError(lineno, f"expected '<feature>: <layers>', got {line!r}")
         key_part, _, layer_part = line.partition(":")
@@ -387,11 +338,7 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
                 raise MatrixFileError(lineno, f"bad extension name {name!r}")
             extensions[name] = layers
         else:
-            try:
-                feature = FeatureKey.from_wire(key_part)
-            except UnknownFeatureError:
-                raise UnknownFeatureError(key_part, line=lineno) from None
-            entries[feature] = layers
+            entries[FeatureKey.from_wire(key_part, lineno)] = layers
     try:
         return AccessMatrix(entries=entries, extensions=extensions)
     except InvalidMatrixError as exc:
@@ -403,17 +350,11 @@ def parse_capability_profile(text: str, default_name: str = "profile") -> Capabi
     one standard feature key per line.  ``#`` comments and blanks ignored."""
     name = default_name
     supported = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(text):
         if line.startswith("name "):
             name = line[len("name "):].strip()
             continue
-        try:
-            supported.add(FeatureKey.from_wire(line))
-        except UnknownFeatureError:
-            raise UnknownFeatureError(line, line=lineno) from None
+        supported.add(FeatureKey.from_wire(line, lineno))
     return CapabilityProfile(name=name, supported=frozenset(supported))
 
 

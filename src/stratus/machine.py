@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
-from .textint import parse_decimal
+from .textfmt import LineError, directive_lines, key_values, line_int
 
 _T_MS = attrgetter("t_ms")
 
@@ -44,10 +44,8 @@ class InvalidSampleError(MachineError):
     pass
 
 
-class ClusterSyntaxError(MachineError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class ClusterSyntaxError(LineError, MachineError):
+    pass
 
 
 class MachineType(enum.Enum):
@@ -255,13 +253,6 @@ class MachineRegistry:
 _MACHINE_KEYS = ("type", "cpus", "mem", "disk", "arch", "model", "clock")
 
 
-def _parse_int(text: str, line: int, key: str) -> int:
-    try:
-        return parse_decimal(text)
-    except ValueError:
-        raise ClusterSyntaxError(line, f"{key} is not an integer: {text!r}") from None
-
-
 def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
     """Parse a cluster file into machine descriptors plus the shared file
     system's total size.  Lines: ``machine <id> type= cpus= mem= disk= arch=
@@ -269,10 +260,7 @@ def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
     machines: list[MachineDescriptor] = []
     seen = set()
     fs_total = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(text):
         parts = line.split()
         if parts[0] == "machine":
             if len(parts) != 9:
@@ -283,29 +271,16 @@ def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
             if machine_id in seen:
                 raise ClusterSyntaxError(lineno, f"duplicate machine id {machine_id!r}")
             seen.add(machine_id)
-            kv = {}
-            for part in parts[2:]:
-                key, eq, value = part.partition("=")
-                if not eq:
-                    raise ClusterSyntaxError(lineno, f"expected key=value, got {part!r}")
-                kv[key] = value
-            missing = [k for k in _MACHINE_KEYS if k not in kv]
-            if missing:
-                raise ClusterSyntaxError(lineno, f"missing keys: {missing}")
-            unknown = [k for k in kv if k not in _MACHINE_KEYS]
-            if unknown:
-                raise ClusterSyntaxError(lineno, f"unknown keys: {unknown}")
+            kv = key_values(parts[2:], _MACHINE_KEYS, lineno, ClusterSyntaxError)
             try:
                 machine_type = MachineType(kv["type"])
             except ValueError:
                 raise ClusterSyntaxError(lineno, f"unknown machine type {kv['type']!r}") from None
-            disk = _parse_int(kv["disk"], lineno, "disk")
-            clock = _parse_int(kv["clock"], lineno, "clock")
-            capacity = ResourceVector(
-                cpu_cores=_parse_int(kv["cpus"], lineno, "cpus"),
-                memory_bytes=_parse_int(kv["mem"], lineno, "mem"),
-                disk_bytes=disk,
-            )
+            disk, clock, cpus, mem = [
+                line_int(kv[key], lineno, key, ClusterSyntaxError)
+                for key in ("disk", "clock", "cpus", "mem")
+            ]
+            capacity = ResourceVector(cpu_cores=cpus, memory_bytes=mem, disk_bytes=disk)
             try:
                 hardware = HardwareSpec(kv["arch"], kv["model"], clock, (("root", disk),))
                 machines.append(MachineDescriptor(machine_id, machine_type, hardware, capacity))
@@ -314,7 +289,7 @@ def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
         elif parts[0] == "fs":
             if len(parts) != 2 or not parts[1].startswith("total="):
                 raise ClusterSyntaxError(lineno, "expected 'fs total=<bytes>'")
-            fs_total = _parse_int(parts[1][len("total="):], lineno, "total")
+            fs_total = line_int(parts[1][len("total="):], lineno, "total", ClusterSyntaxError)
             if fs_total <= 0:
                 raise ClusterSyntaxError(lineno, "fs total must be positive")
         else:

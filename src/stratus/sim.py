@@ -100,7 +100,7 @@ from .taskmon import (
     diagnose,
     format_trace_file,
 )
-from .textint import parse_decimal
+from .textfmt import LineError, directive_lines, line_int, parse_decimal
 from .workflow import (
     RunRecord,
     RunState,
@@ -117,7 +117,7 @@ from .workflow import (
     workflow_status,
 )
 
-DEFAULT_SAMPLE_CADENCE_MS = 1000
+SAMPLE_CADENCE_MS = 1000
 
 EXIT_OOM = 137
 EXIT_TIMEOUT = 124
@@ -274,10 +274,26 @@ class EventRecord:
         return f"{self.t_ms}\t{self.kind}\t{self.subject}\t{self.detail}"
 
 
-class EventLogSyntaxError(SimulationError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"event log line {line}: {message}")
-        self.line = line
+class EventLogSyntaxError(LineError, SimulationError):
+    prefix = "event log line"
+
+
+def _submitted_total(detail: str) -> int:
+    """The ``instances=`` total of a ``run_submitted`` detail."""
+    # unpacking raises ValueError unless the detail holds exactly one
+    (total,) = [token for token in detail.split() if token.startswith("instances=")]
+    return parse_decimal(total[len("instances="):], canonical=True)
+
+
+def _final_state(detail: str) -> RunState:
+    """The state of a ``run_completed`` detail, ``final=<state>``."""
+    if not detail.startswith("final="):
+        raise ValueError(detail)
+    return RunState(detail[len("final="):])
+
+
+# the details that ProgressFold reads, by event kind
+_PROGRESS_DETAILS = {"run_submitted": _submitted_total, "run_completed": _final_state}
 
 
 def parse_event_log(text: str) -> list[EventRecord]:
@@ -292,7 +308,13 @@ def parse_event_log(text: str) -> list[EventRecord]:
             t_ms = parse_decimal(parts[0], canonical=True)
         except ValueError:
             raise EventLogSyntaxError(lineno, f"time is not an integer: {parts[0]!r}") from None
-        records.append(EventRecord(t_ms, parts[1], parts[2], parts[3]))
+        kind, detail = parts[1], parts[3]
+        if kind in _PROGRESS_DETAILS:
+            try:
+                _PROGRESS_DETAILS[kind](detail)
+            except ValueError:
+                raise EventLogSyntaxError(lineno, f"bad {kind} detail: {detail!r}") from None
+        records.append(EventRecord(t_ms, kind, parts[2], detail))
     return records
 
 
@@ -314,11 +336,9 @@ class ProgressFold:
         elif kind == "instance_failed":
             self.failures += 1
         elif kind == "run_completed":
-            self.state = RunState(event.detail.split("=", 1)[1])
+            self.state = _final_state(event.detail)
         elif kind == "run_submitted":
-            for token in event.detail.split():
-                if token.startswith("instances="):
-                    self.total = int(token[len("instances="):])
+            self.total = _submitted_total(event.detail)
             return None
         elif kind not in ("instance_queued", "instance_started"):
             return None
@@ -552,14 +572,10 @@ class Simulation:
         input_count: int,
         seed: int,
         topology: TopologyMode = TopologyMode.WORKFLOW_AWARE,
-        models: dict[str, TaskModel] | None = None,
-        sample_cadence_ms: int = DEFAULT_SAMPLE_CADENCE_MS,
         run_index: int = 1,
         run_id: str | None = None,
         submission_ms: int | None = None,
     ):
-        if sample_cadence_ms <= 0:
-            raise SimulationError("sample_cadence_ms must be positive")
         if run_index <= 0:
             raise SimulationError("run_index must be positive")
         self.spec = spec
@@ -567,12 +583,8 @@ class Simulation:
         self.input_count = input_count
         self.seed = seed
         self.run_index = run_index
-        self.sample_cadence_ms = sample_cadence_ms
-        self.models = dict(BUILTIN_MODELS)
-        if models:
-            self.models.update(models)
         for definition in spec.tasks:
-            if definition.runtime_model not in self.models:
+            if definition.runtime_model not in BUILTIN_MODELS:
                 raise SimulationError(
                     f"task {definition.name!r} references unknown model "
                     f"{definition.runtime_model!r}"
@@ -711,7 +723,7 @@ class Simulation:
     def _run(self) -> SimulationResult:
         self._definitions = {}
         for d in self.spec.tasks:
-            model = self.models[d.runtime_model]
+            model = BUILTIN_MODELS[d.runtime_model]
             self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
         self._task_faults: dict[str, list[FaultInjection]] = {}
         self._rng = random.Random()
@@ -893,7 +905,7 @@ class Simulation:
             )
         # keep sampling only while something can still happen on its own
         if self._executions or self._pending_machine_events > 0:
-            self._push(t_ms + self.sample_cadence_ms, "sample_tick", None)
+            self._push(t_ms + SAMPLE_CADENCE_MS, "sample_tick", None)
 
     def _count_success(self, definition: str) -> None:
         """Mark successors ready when ``definition``'s last instance has
@@ -962,17 +974,8 @@ class ScenarioSpec:
     injections: tuple[FaultInjection, ...]
 
 
-class ScenarioSyntaxError(SimulationError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-def _scenario_int(text: str, line: int, key: str) -> int:
-    try:
-        return parse_decimal(text)
-    except ValueError:
-        raise ScenarioSyntaxError(line, f"{key} is not an integer: {text!r}") from None
+class ScenarioSyntaxError(LineError, SimulationError):
+    pass
 
 
 def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
@@ -986,23 +989,20 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     seed = 0
     topology = TopologyMode.WORKFLOW_AWARE
     injections = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(text):
         parts = line.split()
         if parts[0] == "workflow" and len(parts) == 2:
             workflow_path = base / parts[1]
         elif parts[0] == "cluster" and len(parts) == 2:
             cluster_path = base / parts[1]
         elif parts[0] == "input_count" and len(parts) == 2:
-            input_count = _scenario_int(parts[1], lineno, "input_count")
+            input_count = line_int(parts[1], lineno, "input_count", ScenarioSyntaxError)
             if input_count <= 0:
                 raise ScenarioSyntaxError(
                     lineno, f"input_count must be positive, got {input_count}"
                 )
         elif parts[0] == "seed" and len(parts) == 2:
-            seed = _scenario_int(parts[1], lineno, "seed")
+            seed = line_int(parts[1], lineno, "seed", ScenarioSyntaxError)
         elif parts[0] == "topology" and len(parts) == 2:
             try:
                 topology = TopologyMode.from_wire(parts[1])
@@ -1020,7 +1020,7 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
             key, eq, value = parts[3].partition("=")
             if not eq or key not in ("at", "on_run"):
                 raise ScenarioSyntaxError(lineno, f"expected at= or on_run=, got {parts[3]!r}")
-            number = _scenario_int(value, lineno, key)
+            number = line_int(value, lineno, key, ScenarioSyntaxError)
             when = {"at_ms": number} if key == "at" else {"on_nth_run": number}
             try:
                 injections.append(FaultInjection(kind=kind, target=parts[2], **when))

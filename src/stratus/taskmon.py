@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
 from .machine import MachineStatus
-from .textint import parse_decimal
+from .textfmt import LineError, fold_name, parse_decimal
 from .workflow import ResourceRequest, UnknownTaskError
 
 TRACE_COLUMNS = (
@@ -65,16 +65,13 @@ class MissingHeaderError(TraceError):
         self.line = 1
 
 
-class FieldCountMismatchError(TraceError):
-    def __init__(self, line: int, got: int):
-        super().__init__(f"line {line}: expected {len(TRACE_COLUMNS)} fields, got {got}")
-        self.line = line
+class FieldCountMismatchError(LineError, TraceError):
+    pass
 
 
-class InvariantViolationError(TraceError):
+class InvariantViolationError(LineError, TraceError):
     def __init__(self, line: int, fieldname: str, message: str):
-        super().__init__(f"line {line}: {fieldname}: {message}")
-        self.line = line
+        super().__init__(line, f"{fieldname}: {message}")
         self.field = fieldname
 
 
@@ -168,7 +165,9 @@ def parse_trace(text: str) -> list[TaskTraceRecord]:
             continue
         fields = line.split("\t")
         if len(fields) != len(TRACE_COLUMNS):
-            raise FieldCountMismatchError(lineno, len(fields))
+            raise FieldCountMismatchError(
+                lineno, f"expected {len(TRACE_COLUMNS)} fields, got {len(fields)}"
+            )
         ints = [
             _int_field(value, lineno, name)
             for value, name in zip(fields[2:], TRACE_COLUMNS[2:])
@@ -268,7 +267,7 @@ class LogLevel(enum.IntEnum):
     @classmethod
     def from_wire(cls, name: str) -> "LogLevel":
         try:
-            return cls[name.strip().upper()]
+            return cls[fold_name(name).upper()]
         except KeyError:
             raise ValueError(f"unknown log level: {name!r}") from None
 

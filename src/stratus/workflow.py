@@ -14,17 +14,15 @@ import statistics
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .textint import parse_decimal
+from .textfmt import LineError, directive_lines, key_values, line_int
 
 
 class WorkflowError(Exception):
     """Base class for workflow definition and lifecycle errors."""
 
 
-class WorkflowSyntaxError(WorkflowError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class WorkflowSyntaxError(LineError, WorkflowError):
+    pass
 
 
 class DuplicateTaskError(WorkflowSyntaxError):
@@ -328,13 +326,6 @@ def _parse_bool(text: str, line: int) -> bool:
     raise WorkflowSyntaxError(line, f"expected true or false, got {text!r}")
 
 
-def _parse_int(text: str, line: int, key: str) -> int:
-    try:
-        return parse_decimal(text)
-    except ValueError:
-        raise WorkflowSyntaxError(line, f"{key} is not an integer: {text!r}") from None
-
-
 _TASK_KEYS = ("scatter", "cpus", "mem", "disk", "timeout", "model")
 
 
@@ -351,10 +342,7 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
     edges: list[tuple[str, str]] = []
     edge_lines: list[int] = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in directive_lines(text):
         parts = line.split()
         if parts[0] == "workflow":
             if len(parts) != 2:
@@ -370,20 +358,10 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
             if name in seen:
                 raise DuplicateTaskError(lineno, name)
             seen.add(name)
-            kv = {}
-            for part in parts[2:]:
-                if "=" not in part:
-                    raise WorkflowSyntaxError(lineno, f"expected key=value, got {part!r}")
-                key, _, value = part.partition("=")
-                kv[key] = value
-            missing = [k for k in _TASK_KEYS if k not in kv]
-            if missing:
-                raise WorkflowSyntaxError(lineno, f"missing keys: {missing}")
-            unknown = [k for k in kv if k not in _TASK_KEYS]
-            if unknown:
-                raise WorkflowSyntaxError(lineno, f"unknown keys: {unknown}")
+            kv = key_values(parts[2:], _TASK_KEYS, lineno, WorkflowSyntaxError)
             cpus, mem, disk, timeout = [
-                _parse_int(kv[key], lineno, key) for key in ("cpus", "mem", "disk", "timeout")
+                line_int(kv[key], lineno, key, WorkflowSyntaxError)
+                for key in ("cpus", "mem", "disk", "timeout")
             ]
             try:
                 requested = ResourceRequest(cpus, mem, disk, timeout)

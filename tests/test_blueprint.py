@@ -302,7 +302,7 @@ def test_parse_overrides_extension_declarations():
     assert matrix.owning_layer("gpu_utilization") is LayerId.MACHINE
     # extensions live outside the standard set
     assert all(f.value != "gpu_utilization" for f in ALL_FEATURES)
-    assert "gpu_utilization" in matrix.known_features()
+    assert "gpu_utilization" in matrix.extensions
     assert access_allowed(
         matrix, LayerId.RESOURCE_MANAGER, "gpu_utilization", TopologyMode.DISJOINT
     )

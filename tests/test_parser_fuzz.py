@@ -1,8 +1,9 @@
 """Fuzz of the text parsers: random character edits of the bundled workflow,
 cluster, scenario and capability-profile files, of a matrix override file
-and of an engine event log.  Each parser may raise only its own module's
-base error, and every error about one line must carry that line as
-``.line``."""
+and of an engine event log (parsed, and replayed into progress).  Each
+parser may raise only its own module's base error, and every error about
+one line must carry that line as ``.line``.  Then the shared grammar's
+fixed points: integer spellings, the ``line N:`` prefix, and wire names."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,10 @@ from hypothesis import strategies as st
 from stratus.blueprint import (
     BlueprintError,
     InvalidMatrixError,
+    LayerId,
+    MatrixFileError,
+    TopologyMode,
+    UnknownLayerError,
     parse_capability_profile,
     parse_matrix_overrides,
 )
@@ -23,9 +28,19 @@ from stratus.sim import (
     load_scenario,
     parse_event_log,
     parse_scenario,
+    replay_progress,
     run_scenario,
 )
-from stratus.taskmon import TRACE_HEADER, InvariantViolationError, emit_trace, parse_trace
+from stratus.taskmon import (
+    TRACE_HEADER,
+    FieldCountMismatchError,
+    InvariantViolationError,
+    LogLevel,
+    TraceError,
+    emit_trace,
+    parse_trace,
+)
+from stratus.textfmt import LineError
 from stratus.workflow import CycleError, WorkflowError, WorkflowSyntaxError, parse_workflow
 
 # errors about a whole file, which no single line can be blamed for
@@ -105,6 +120,26 @@ def test_scenario_parser_raises_only_simulation_errors_with_a_line(text):
 @given(st.deferred(lambda: char_edits(event_log_text())))
 def test_event_log_parser_raises_only_simulation_errors_with_a_line(text):
     assert_own_error_with_a_line(parse_event_log, text, SimulationError)
+    assert_own_error_with_a_line(replay_progress, text, SimulationError)
+
+
+# what the progress fold reads: the instance total and the final state
+@pytest.mark.parametrize("detail", [
+    "run_submitted\tw\tinstances=x",
+    "run_submitted\tw\tinstances=1_0",
+    "run_submitted\tw\tinstances=+5",
+    "run_submitted\tw\tinput_count=1 topology=disjoint",
+    "run_submitted\tw\tinstances=1 instances=2",
+    "run_completed\tw\tfinal=bogus",
+    "run_completed\tw\tsucceeded",
+])
+def test_progress_details_are_checked_where_the_event_log_is_parsed(detail):
+    text = f"0\tinstance_queued\tw/a/0\tdefinition=a\n0\t{detail}\n"
+    for parse in (parse_event_log, replay_progress):
+        with pytest.raises(EventLogSyntaxError) as err:
+            parse(text)
+        assert err.value.line == 2
+        assert str(err.value).startswith("event log line 2: ")
 
 
 MATRIX_OVERRIDES = """# one deployment's overrides
@@ -154,8 +189,8 @@ def test_event_log_and_trace_accept_only_the_integers_their_writers_emit(spellin
 
 
 def input_files(number: str) -> list:
-    """(parser, text, own error) with ``number`` as an integer field on
-    line 2 of each input format."""
+    """(parser, text, own line error) with ``number`` as an integer field on
+    line 2 of each input format; a line error reads ``line 2: ...``."""
     task = "task a scatter=false cpus={} mem=1 disk=0 timeout=1000 model=default\n"
     machine = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock={}\n"
     return [
@@ -172,6 +207,7 @@ def test_input_formats_accept_only_ascii_integers(spelling):
         with pytest.raises(own_error) as err:
             parse(text)
         assert err.value.line == 2
+        assert str(err.value).startswith("line 2: ")
 
 
 def test_input_formats_accept_a_sign_and_leading_zeros():
@@ -247,3 +283,64 @@ def test_a_trace_line_is_accepted_iff_it_re_renders_to_its_own_bytes(lines):
         assert line != canonical
         return
     assert [emit_trace(record) for record in records] == [line]
+
+
+@pytest.mark.parametrize("error, base", [
+    (WorkflowSyntaxError, WorkflowError),
+    (ClusterSyntaxError, MachineError),
+    (ScenarioSyntaxError, SimulationError),
+    (EventLogSyntaxError, SimulationError),
+    (MatrixFileError, BlueprintError),
+    (FieldCountMismatchError, TraceError),
+    (InvariantViolationError, TraceError),
+])
+def test_each_line_error_is_a_line_error_of_its_own_module(error, base):
+    assert issubclass(error, LineError) and issubclass(error, base)
+
+
+# --- wire names ---
+
+# (from_wire, its unknown-name error, every accepted spelling in lower case)
+WIRE_NAMES = [
+    (LayerId.from_wire, UnknownLayerError, {"resource_manager", "workflow", "machine", "task"}),
+    (LogLevel.from_wire, ValueError, {"debug", "info", "warning", "error"}),
+    (TopologyMode.from_wire, BlueprintError, {"workflow_aware", "workflow-aware", "disjoint"}),
+]
+
+# letters whose Unicode case mappings land on ASCII ones: the long s
+# upper-cases to S, the dotless i to I, and the Kelvin sign lower-cases to k
+_LOOKALIKES = {"s": "\u017f", "i": "\u0131", "k": "\u212a"}
+
+
+@st.composite
+def respelled(draw, names):
+    """A drawn name with each letter in either case or swapped for a letter
+    that case-maps onto it, maybe padded."""
+    name = draw(st.sampled_from(sorted(names)))
+    chars = [draw(st.sampled_from([c, c.upper(), _LOOKALIKES.get(c, c)])) for c in name]
+    pad = st.sampled_from(["", " ", "\t", "\u00a0"])
+    return draw(pad) + "".join(chars) + draw(pad)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_a_wire_name_is_accepted_iff_it_is_ascii_and_folds_to_a_spelling(data):
+    from_wire, unknown, names = data.draw(st.sampled_from(WIRE_NAMES))
+    name = data.draw(st.one_of(respelled(names), st.text(max_size=20)))
+    known = name.isascii() and name.strip().casefold() in names
+    try:
+        value = from_wire(name)
+    except unknown:
+        assert not known, name
+        return
+    assert known, name
+    assert value.wire_name.lower() == name.strip().lower().replace("-", "_")
+
+
+def test_lookalike_wire_names_are_line_errors_in_the_text_formats():
+    with pytest.raises(MatrixFileError) as err:
+        parse_matrix_overrides("# deployment\ntask_duration: ta\u017fk, mach\u0131ne\n")
+    assert err.value.line == 2
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario("workflow w.wf\ntopology wor\u212aflow-aware\ncluster c.cluster\n")
+    assert err.value.line == 2

@@ -455,6 +455,21 @@ def test_window_and_level_errors(aware):
     assert response.status_code == 400
 
 
+def test_lookalike_layer_and_level_names_are_unknown(aware):
+    # dotless i and long s case-map onto ASCII letters, but only ASCII names fold
+    _, _, url = aware
+    response = requests.get(
+        f"{url}/v1/task/task_status", params={"as_layer": "ta\u017fk", "subject": TASK},
+        timeout=10,
+    )
+    assert response.status_code == 400
+    assert response.json() == {"error": "unknown layer: 'ta\u017fk'"}
+    response = get_feature(
+        url, FeatureKey.APPLICATION_LOGS, LayerId.TASK, min_level="\u0131nfo"
+    )
+    assert response.status_code == 400
+
+
 # --- extensions ---
 
 
