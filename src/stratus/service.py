@@ -26,6 +26,7 @@ from .blueprint import (
 from .sim import EventRecord, ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
 from .taskmon import LogLevel, consumed_vs_requested, synthesize_code_parts
+from .textfmt import parse_decimal
 from .workflow import (
     ResourceRequest,
     RunState,
@@ -217,6 +218,18 @@ class _BadRequest(ServiceError):
 
 class _NotFound(ServiceError):
     pass
+
+
+def _window_bound(query: dict[str, str], key: str, default: int) -> int:
+    """The ``from`` or ``to`` window parameter, read with the integer
+    grammar of the input formats."""
+    text = query.get(key)
+    if text is None:
+        return default
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise _BadRequest(f"{key} is not an integer: {text!r}") from None
 
 
 # what each layer's subject names; previous_executions takes a workflow id
@@ -520,8 +533,8 @@ def _make_handler(context: ServiceContext):
                 return
 
             try:
-                t_from = int(query.get("from", "0"))
-                t_to = int(query.get("to", str(MAX_WINDOW_MS)))
+                t_from = _window_bound(query, "from", 0)
+                t_to = _window_bound(query, "to", MAX_WINDOW_MS)
                 if t_from > t_to:
                     raise _BadRequest(f"invalid window: from {t_from} > to {t_to}")
                 min_level = (

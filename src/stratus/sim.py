@@ -81,7 +81,6 @@ import random
 import time
 import uuid
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 
 from .blueprint import BlueprintError, TopologyMode
@@ -606,11 +605,14 @@ class Simulation:
         )
         instances = self.run.instances
         self._instances: dict[str, TaskInstance] = {i.task_id: i for i in instances}
-        # expand_instances lists each definition's instances contiguously
-        self._groups: dict[str, list[TaskInstance]] = {
-            name: list(group)
-            for name, group in itertools.groupby(instances, key=attrgetter("definition"))
-        }
+        # expand_instances lists each definition's instances contiguously,
+        # in spec order, so each group is a slice of the instance list
+        self._groups: dict[str, list[TaskInstance]] = {}
+        start = 0
+        for definition in spec.tasks:
+            end = start + definition.instance_count(input_count)
+            self._groups[definition.name] = instances[start:end]
+            start = end
         self._position = {name: i for i, name in enumerate(self._groups)}
         self._remaining = {name: len(group) for name, group in self._groups.items()}
         self._newly_ready: set[str] = set()

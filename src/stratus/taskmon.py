@@ -293,8 +293,9 @@ class LogStore:
 
     def register_task(self, *task_ids: str) -> None:
         with self._lock:
-            for task_id in task_ids:
-                self._entries.setdefault(task_id, [])
+            entries = self._entries
+            # an id registered before keeps its entries
+            entries |= {task_id: [] for task_id in task_ids if task_id not in entries}
 
     def known_tasks(self) -> list[str]:
         with self._lock:

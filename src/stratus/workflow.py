@@ -11,7 +11,7 @@ succeeded.
 
 import enum
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .textfmt import LineError, directive_lines, key_values, line_int
@@ -102,6 +102,10 @@ class TaskDefinition:
     requested: ResourceRequest
     runtime_model: str
 
+    def instance_count(self, input_count: int) -> int:
+        """input_count for a scatter definition, one otherwise."""
+        return input_count if self.scatter else 1
+
 
 @dataclass(frozen=True)
 class WorkflowSpec:
@@ -145,7 +149,7 @@ class WorkflowSpec:
         return list(self.adjacency[1].get(name, ()))
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskInstance:
     """One schedulable unit of work.  Fields mutate only through the mark_*
     methods, which enforce the pending -> queued -> running -> terminal
@@ -208,13 +212,13 @@ class TaskInstance:
     @classmethod
     def from_record(cls, record: dict) -> "TaskInstance":
         return cls(
-            task_id=record["task_id"],
-            definition=record["definition"],
-            state=TaskState(record["state"]),
-            machine=record.get("machine"),
-            submit_ms=record.get("submit_ms"),
-            start_ms=record.get("start_ms"),
-            end_ms=record.get("end_ms"),
+            record["task_id"],
+            record["definition"],
+            TaskState(record["state"]),
+            record.get("machine"),
+            record.get("submit_ms"),
+            record.get("start_ms"),
+            record.get("end_ms"),
         )
 
 
@@ -241,7 +245,12 @@ class RunRecord:
             run_id=self.run_id,
             workflow_id=self.workflow_id,
             submission_ms=self.submission_ms,
-            instances=[replace(i) for i in self.instances],
+            instances=[
+                TaskInstance(
+                    i.task_id, i.definition, i.state, i.machine, i.submit_ms, i.start_ms, i.end_ms
+                )
+                for i in self.instances
+            ],
             final_state=self.final_state,
         )
 
@@ -439,16 +448,14 @@ def expand_instances(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]
     definition, one otherwise.  Definition order, then index order."""
     if input_count <= 0:
         raise WorkflowError(f"input_count must be positive, got {input_count}")
-    instances = []
+    instances: list[TaskInstance] = []
     for definition in spec.tasks:
-        count = input_count if definition.scatter else 1
-        for index in range(count):
-            instances.append(
-                TaskInstance(
-                    task_id=f"{spec.workflow_id}/{definition.name}/{index}",
-                    definition=definition.name,
-                )
-            )
+        name = definition.name
+        prefix = f"{spec.workflow_id}/{name}/"
+        instances += [
+            TaskInstance(f"{prefix}{index}", name)
+            for index in range(definition.instance_count(input_count))
+        ]
     return instances
 
 

@@ -5,6 +5,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import strategies as st
 
 from stratus.machine import HardwareSpec, MachineDescriptor, MachineType, ResourceVector
 from stratus.workflow import ResourceRequest, TaskDefinition, WorkflowSpec
@@ -61,6 +62,29 @@ def random_dag_spec(
             if rng.random() < edge_probability:
                 edges.append((f"t{i}", f"t{j}"))
     return WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
+
+
+_NAME_CHARS = "abcIVX_-.0123456789"
+
+
+@st.composite
+def dag_specs(draw, max_tasks: int = 10) -> WorkflowSpec:
+    """A DAG spec of the shape parse_workflow accepts: unique task names,
+    scatter and single definitions mixed, and edges only from an earlier
+    task to a later one."""
+    names = draw(
+        st.lists(
+            st.text(_NAME_CHARS, min_size=1, max_size=4),
+            min_size=1, max_size=max_tasks, unique=True,
+        )
+    )
+    tasks = tuple(
+        TaskDefinition(name, draw(st.booleans()), make_request(), "default") for name in names
+    )
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    workflow_id = draw(st.text(_NAME_CHARS, min_size=1, max_size=4))
+    return WorkflowSpec(workflow_id, tasks, tuple(edges))
 
 
 def random_cluster(rng: random.Random, max_machines: int = 3) -> list[MachineDescriptor]:

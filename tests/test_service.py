@@ -455,6 +455,25 @@ def test_window_and_level_errors(aware):
     assert response.status_code == 400
 
 
+@pytest.mark.parametrize("key", ["from", "to"])
+@pytest.mark.parametrize("text", ["1_0", "١", " 5", "5 ", "0x10", "1e3"])
+def test_window_bounds_take_only_ascii_integers(aware, key, text):
+    # int() alone reads these as 10, 1 and 5; the input formats refuse them
+    _, _, url = aware
+    window = {"from": "0", "to": "1000", key: text}
+    response = get_feature(url, FeatureKey.USED_RESOURCES, LayerId.MACHINE, **window)
+    assert response.status_code == 400
+    assert response.json() == {"error": f"{key} is not an integer: {text!r}"}
+
+
+def test_window_bounds_read_signed_ascii_digits(aware):
+    _, _, url = aware
+    response = get_feature(
+        url, FeatureKey.USED_RESOURCES, LayerId.MACHINE, **{"from": "-5", "to": "+007"}
+    )
+    assert response.status_code == 200
+
+
 def test_lookalike_layer_and_level_names_are_unknown(aware):
     # dotless i and long s case-map onto ASCII letters, but only ASCII names fold
     _, _, url = aware

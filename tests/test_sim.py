@@ -5,6 +5,7 @@ stuck-run detection, and scenario files."""
 import dataclasses
 import gc
 import hashlib
+import itertools
 import random
 import tempfile
 from operator import attrgetter
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine, make_request, random_cluster, random_dag_spec
+from conftest import dag_specs, make_machine, make_request, random_cluster, random_dag_spec
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_text
 from stratus.machine import parse_cluster
@@ -828,6 +829,25 @@ def test_run_bundled_fault_scenario(tmp_path):
     assert machine_kills == {"wf1/III/4", "wf1/III/5", "wf1/III/6", "wf1/III/7"}
     assert verdicts["wf1/III/2"] is Verdict.NONE
     assert verdicts["wf1/III/3"] is Verdict.NONE
+
+
+# --- construction ---
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_specs(), st.integers(min_value=1, max_value=12))
+def test_instance_groups_are_the_runs_definition_runs(spec, input_count):
+    simulation = Simulation(spec, [make_machine("m1")], 10**12, input_count, 1)
+    instances = simulation.run.instances
+    expected = {
+        name: list(group)
+        for name, group in itertools.groupby(instances, key=attrgetter("definition"))
+    }
+    assert list(simulation._groups) == list(expected) == spec.task_names()
+    for name, group in expected.items():
+        # the engine mutates the run's own instances through its groups
+        assert list(map(id, simulation._groups[name])) == list(map(id, group))
+    assert simulation.log_store.known_tasks() == sorted(i.task_id for i in instances)
 
 
 # --- incremental engine state against the naive scans ---

@@ -398,6 +398,16 @@ def test_log_store_requires_registration():
         store.query_logs("ghost")
 
 
+def test_log_store_registering_again_keeps_entries():
+    store = LogStore()
+    store.register_task("w/a/0", "w/b/0")
+    store.append("w/a/0", 10, LogLevel.INFO, "kept")
+    store.register_task("w/a/0", "w/c/0", "w/c/0")
+    assert [e.message for e in store.query_logs("w/a/0")] == ["kept"]
+    assert store.query_logs("w/c/0") == []
+    assert store.known_tasks() == ["w/a/0", "w/b/0", "w/c/0"]
+
+
 def test_log_query_sorts_and_filters():
     store = LogStore()
     store.register_task("w/a/0")

@@ -1,12 +1,15 @@
 """Workflow model tests: parsing, DAG validation against a networkx oracle,
 instance expansion, readiness, status math, reports, and DOT export."""
 
+import dataclasses
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_request, random_dag_spec
+from conftest import dag_specs, make_request, random_dag_spec
 from stratus.fixtures import fixture_text
 from stratus.workflow import (
     CycleError,
@@ -259,6 +262,28 @@ def test_expand_orders_by_definition_then_index():
     ]
 
 
+def reference_expand(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]:
+    """The keyword loop expand_instances used to run, kept as an oracle."""
+    instances = []
+    for definition in spec.tasks:
+        count = input_count if definition.scatter else 1
+        for index in range(count):
+            instances.append(
+                TaskInstance(
+                    task_id=f"{spec.workflow_id}/{definition.name}/{index}",
+                    definition=definition.name,
+                )
+            )
+    return instances
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_specs(), st.integers(min_value=1, max_value=12))
+def test_expand_matches_the_keyword_loop(spec, input_count):
+    validate_dag(spec)
+    assert expand_instances(spec, input_count) == reference_expand(spec, input_count)
+
+
 def test_expand_rejects_nonpositive_inputs():
     with pytest.raises(WorkflowError):
         expand_instances(small_spec(), 0)
@@ -370,6 +395,51 @@ def test_instance_record_round_trip():
     clone = TaskInstance.from_record(inst.to_record())
     assert clone.to_record() == inst.to_record()
     assert clone.state is TaskState.FAILED
+
+
+def test_instance_is_slotted():
+    inst = make_instance()
+    assert not hasattr(inst, "__dict__")
+    with pytest.raises(AttributeError):
+        inst.note = "x"
+
+
+task_instances = st.builds(
+    TaskInstance,
+    st.text(max_size=8),
+    st.text(max_size=4),
+    st.sampled_from(TaskState),
+    st.none() | st.text(max_size=4),
+    st.none() | st.integers(min_value=0),
+    st.none() | st.integers(min_value=0),
+    st.none() | st.integers(min_value=0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(task_instances, max_size=6))
+def test_instance_copies_keep_every_field(instances):
+    run = RunRecord("r", "w", 0, instances, RunState.FAILED)
+    fields = [f.name for f in dataclasses.fields(TaskInstance)]
+    copies = [
+        [dataclasses.replace(i) for i in instances],
+        run.snapshot().instances,
+        RunRecord.from_record(run.to_record()).instances,
+        [TaskInstance.from_record(i.to_record()) for i in instances],
+    ]
+    for copied in copies:
+        assert len(copied) == len(instances)
+        for copy, inst in zip(copied, instances):
+            assert copy is not inst
+            assert [getattr(copy, f) for f in fields] == [getattr(inst, f) for f in fields]
+
+
+def test_snapshot_does_not_follow_the_live_run():
+    run = make_run(small_spec())
+    snapshot = run.snapshot()
+    run.instances[0].mark_queued(5)
+    assert snapshot.instances[0].state is TaskState.PENDING
+    assert snapshot.instances[0].submit_ms is None
 
 
 # --- status and final state ---
