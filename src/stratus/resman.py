@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .blueprint import TopologyMode
 from .machine import MachineRegistry, MachineStatus, ResourceVector
-from .workflow import ResourceRequest, RunRecord, WorkflowSpec
+from .workflow import ResourceRequest, RunRecord
 
 __all__ = [
     "TopologyMode",
@@ -128,7 +128,7 @@ class ResourceManager:
         self._finished: set[str] = set()
         self._reserved: dict[str, _Vector] = {}
         self._fs_written_bytes = 0
-        self._runs: list[tuple[str, str, RunRecord]] = []
+        self._runs: list[RunRecord] = []
         self._vectors: dict[ResourceRequest, _Vector] = {}
         # healthy machines in ascending id order with capacity, headroom and
         # slot by id, as of registry version _healthy_version
@@ -140,14 +140,12 @@ class ResourceManager:
 
     # -- submission ---------------------------------------------------------
 
-    def submit_workflow(self, spec: WorkflowSpec, input_count: int, run: RunRecord) -> str:
-        """Register a whole workflow for workflow-aware execution.  The
+    def submit_workflow(self, run: RunRecord) -> str:
+        """Register a whole workflow run for workflow-aware execution.  The
         engine expands and enqueues its instances as they become ready."""
         if self.topology is not TopologyMode.WORKFLOW_AWARE:
             raise WrongTopologyError("submit_workflow", self.topology)
-        if input_count <= 0:
-            raise ResmanError(f"input_count must be positive, got {input_count}")
-        self._runs.append((run.run_id, spec.workflow_id, run))
+        self._runs.append(run)
         return run.run_id
 
     def submit_task(self, entry: QueueEntry) -> None:
@@ -309,6 +307,5 @@ class ResourceManager:
         if self.topology is TopologyMode.DISJOINT:
             return []
         return [
-            (run_id, workflow_id, run.final_state.value)
-            for run_id, workflow_id, run in self._runs
+            (run.run_id, run.workflow_id, run.final_state.value) for run in self._runs
         ]

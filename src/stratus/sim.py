@@ -744,7 +744,7 @@ class Simulation:
             f"instances={len(self.run.instances)}",
         )
         if self.topology is TopologyMode.WORKFLOW_AWARE:
-            self.rm.submit_workflow(self.spec, self.input_count, self.run)
+            self.rm.submit_workflow(self.run)
 
         for inj in self._injections:
             self._arm(inj)

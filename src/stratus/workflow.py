@@ -1,15 +1,17 @@
-"""Workflow layer: spec parsing, DAG validation, instance expansion, run
-status, graph rendering, and execution reports.
+"""Workflow layer: spec parsing, instance expansion, run status, graph
+rendering, and execution reports.
 
-A workflow file declares task definitions and dependency edges.  Before a
-run, every definition is expanded into one or more task instances (one per
-input item for scatter definitions).  Dependencies apply all-to-all between
-the instance groups of the connected definitions, so a successor instance
-becomes ready only once every instance of every predecessor definition has
-succeeded.
+A workflow file declares task definitions and dependency edges; a
+``WorkflowSpec``, parsed or built in code, checks its structure when it is
+built.  Before a run, every definition is expanded into one or more task
+instances (one per input item for scatter definitions).  Dependencies apply
+all-to-all between the instance groups of the connected definitions, so a
+successor instance becomes ready only once every instance of every
+predecessor definition has succeeded.
 """
 
 import enum
+import re
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,10 +27,11 @@ class WorkflowSyntaxError(LineError, WorkflowError):
     pass
 
 
-class DuplicateTaskError(WorkflowSyntaxError):
-    def __init__(self, line: int, name: str):
-        super().__init__(line, f"duplicate task name: {name!r}")
+class DuplicateTaskError(WorkflowError):
+    def __init__(self, name: str):
+        super().__init__(f"duplicate task name: {name!r}")
         self.task_name = name
+        self.line: int | None = None  # the name's second line, when parsing found it
 
 
 class UnknownTaskError(WorkflowError):
@@ -109,9 +112,45 @@ class TaskDefinition:
 
 @dataclass(frozen=True)
 class WorkflowSpec:
+    """Construction checks for at least one definition, unique names that
+    fit one line without tabs, defined edge endpoints and no cycle.  A
+    CycleError names one cycle in edge order, its entry repeated at the end."""
+
     workflow_id: str
     tasks: tuple[TaskDefinition, ...]
     edges: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        if not self.tasks:
+            raise WorkflowError("no tasks")
+        names = self.task_names()
+        for name in (self.workflow_id, *names):
+            # the event log and the trace file are tab-separated lines
+            if "\t" in name or name.splitlines() != [name]:
+                raise WorkflowError(f"name must be one line without tabs: {name!r}")
+        if len(self._by_name) < len(names):
+            raise DuplicateTaskError(next(n for i, n in enumerate(names) if n in names[:i]))
+        for name in (name for edge in self.edges for name in edge):
+            if name not in self._by_name:
+                raise UnknownTaskError(name)
+        preds, succs = self.adjacency
+        # Kahn's pass: a definition is done once all its predecessors are done
+        waiting = {name: len(preds.get(name, ())) for name in self._by_name}
+        done = [name for name, count in waiting.items() if not count]
+        for name in done:
+            for succ in succs.get(name, ()):
+                waiting[succ] -= 1
+                if not waiting[succ]:
+                    done.append(succ)
+        if len(done) < len(waiting):
+            # every definition left over waits on another left-over one:
+            # walk back through those until a name repeats
+            name = next(n for n, count in waiting.items() if count)
+            path = []
+            while name not in path:
+                path.append(name)
+                name = next(p for p in preds[name] if waiting[p])
+            raise CycleError([name, *reversed(path[path.index(name):])])
 
     def task_names(self) -> list[str]:
         return [t.name for t in self.tasks]
@@ -121,10 +160,7 @@ class WorkflowSpec:
 
     @cached_property
     def _by_name(self) -> dict[str, TaskDefinition]:
-        by_name: dict[str, TaskDefinition] = {}
-        for t in self.tasks:
-            by_name.setdefault(t.name, t)
-        return by_name
+        return {t.name: t for t in self.tasks}
 
     @cached_property
     def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
@@ -327,14 +363,6 @@ class ExecutionReport:
         }
 
 
-def _parse_bool(text: str, line: int) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise WorkflowSyntaxError(line, f"expected true or false, got {text!r}")
-
-
 _TASK_KEYS = ("scatter", "cpus", "mem", "disk", "timeout", "model")
 
 
@@ -344,13 +372,14 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
     Lines: optional ``workflow <id>`` header, ``task <name> scatter=<bool>
     cpus=<n> mem=<bytes> disk=<bytes> timeout=<ms> model=<key>``, and
     ``edge <from> -> <to>``.  Blank lines and ``#`` comments are ignored.
-    The parsed spec is fully validated, including acyclicity.
+    The spec checks its own structure; the parser only gives a duplicate
+    name or a dangling edge the line that introduced it.
     """
     workflow_id = default_workflow_id
     tasks: list[TaskDefinition] = []
+    task_lines: list[int] = []
     edges: list[tuple[str, str]] = []
     edge_lines: list[int] = []
-    seen = set()
     for lineno, line in directive_lines(text):
         parts = line.split()
         if parts[0] == "workflow":
@@ -363,10 +392,6 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
                     lineno,
                     "expected 'task <name> scatter= cpus= mem= disk= timeout= model='",
                 )
-            name = parts[1]
-            if name in seen:
-                raise DuplicateTaskError(lineno, name)
-            seen.add(name)
             kv = key_values(parts[2:], _TASK_KEYS, lineno, WorkflowSyntaxError)
             cpus, mem, disk, timeout = [
                 line_int(kv[key], lineno, key, WorkflowSyntaxError)
@@ -376,14 +401,17 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
                 requested = ResourceRequest(cpus, mem, disk, timeout)
             except WorkflowError as exc:
                 raise WorkflowSyntaxError(lineno, str(exc)) from None
+            if kv["scatter"] not in ("true", "false"):
+                raise WorkflowSyntaxError(lineno, f"expected true or false, got {kv['scatter']!r}")
             tasks.append(
                 TaskDefinition(
-                    name=name,
-                    scatter=_parse_bool(kv["scatter"], lineno),
+                    name=parts[1],
+                    scatter=kv["scatter"] == "true",
                     requested=requested,
                     runtime_model=kv["model"],
                 )
             )
+            task_lines.append(lineno)
         elif parts[0] == "edge":
             if len(parts) != 4 or parts[2] != "->":
                 raise WorkflowSyntaxError(lineno, "expected 'edge <from> -> <to>'")
@@ -391,56 +419,17 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
             edge_lines.append(lineno)
         else:
             raise WorkflowSyntaxError(lineno, f"unknown directive {parts[0]!r}")
-    if not tasks:
-        raise WorkflowError("no tasks")
-    spec = WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
     try:
-        validate_dag(spec)
+        return WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
+    except DuplicateTaskError as exc:
+        # the spec reports the first name to repeat, at its second definition
+        exc.line = [line for t, line in zip(tasks, task_lines) if t.name == exc.task_name][1]
+        raise
     except UnknownTaskError as exc:
-        # validate_dag checks the edges in order, so the first edge naming
-        # the unknown task is the first dangling one
+        # the spec checks the edges in order, so the first edge naming the
+        # unknown task is the first dangling one
         exc.line = next(line for edge, line in zip(edges, edge_lines) if exc.task_id in edge)
         raise
-    return spec
-
-
-def validate_dag(spec: WorkflowSpec) -> None:
-    """Check that every edge endpoint resolves and the edge relation is
-    acyclic.  Raises CycleError naming one cycle as a task list with the
-    entry task repeated at the end."""
-    names = set(spec.task_names())
-    for a, b in spec.edges:
-        if a not in names:
-            raise UnknownTaskError(a)
-        if b not in names:
-            raise UnknownTaskError(b)
-    successors = spec.adjacency[1]
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in names}
-    for root in spec.task_names():
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(successors.get(root, ())))]
-        path = [root]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise CycleError(cycle)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(successors.get(nxt, ()))))
-                    path.append(nxt)
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
 
 
 def expand_instances(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]:
@@ -501,16 +490,27 @@ def resolve_final_state(run: RunRecord, poisoned: frozenset[str] = frozenset()) 
     return RunState.RUNNING
 
 
+_DOT_BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace('"', '\\"') + '"'
+
+
 def export_dot(spec: WorkflowSpec) -> str:
     """Render the definition graph as DOT.  Scatter nodes are labeled with
-    the symbolic multiplicity xK, single-instance nodes with x1.  Output is
-    byte-stable: nodes in definition order, edges in file order."""
-    lines = [f"digraph {spec.workflow_id} {{"]
+    the symbolic multiplicity xK, single-instance nodes with x1.  The graph
+    id is bare when DOT reads it as a plain ID, quoted otherwise.  Output
+    is byte-stable: nodes in definition order, edges in file order."""
+    graph_id = spec.workflow_id
+    bare = _DOT_BARE_ID.fullmatch(graph_id) and graph_id.lower() not in _DOT_KEYWORDS
+    lines = [f"digraph {graph_id if bare else _dot_quoted(graph_id)} {{"]
     for definition in spec.tasks:
-        multiplicity = "xK" if definition.scatter else "x1"
-        lines.append(f'  "{definition.name}" [label="{definition.name} [{multiplicity}]"];')
+        label = f"{definition.name} [{'xK' if definition.scatter else 'x1'}]"
+        lines.append(f"  {_dot_quoted(definition.name)} [label={_dot_quoted(label)}];")
     for a, b in spec.edges:
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {_dot_quoted(a)} -> {_dot_quoted(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

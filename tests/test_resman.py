@@ -18,7 +18,7 @@ from stratus.resman import (
     UnknownEntryError,
     WrongTopologyError,
 )
-from stratus.workflow import RunRecord, WorkflowSpec
+from stratus.workflow import RunRecord
 
 GiB = 1024**3
 
@@ -44,10 +44,9 @@ def entry(task_id, cpus=1, mem=GiB, disk=0, t=0, workflow_id=None) -> QueueEntry
 
 def test_workflow_submission_needs_workflow_aware_mode():
     rm = make_rm(topology=TopologyMode.DISJOINT)
-    spec = WorkflowSpec(workflow_id="w", tasks=(), edges=())
     run = RunRecord(run_id="r", workflow_id="w", submission_ms=0, instances=[])
     with pytest.raises(WrongTopologyError):
-        rm.submit_workflow(spec, 1, run)
+        rm.submit_workflow(run)
 
 
 def test_task_submission_needs_disjoint_mode():
@@ -66,19 +65,10 @@ def test_disjoint_submission_must_not_name_a_workflow():
 
 def test_running_workflows_hidden_in_disjoint_mode():
     aware = make_rm(topology=TopologyMode.WORKFLOW_AWARE)
-    spec = WorkflowSpec(workflow_id="w", tasks=(), edges=())
     run = RunRecord(run_id="r", workflow_id="w", submission_ms=0, instances=[])
-    aware.submit_workflow(spec, 2, run)
+    assert aware.submit_workflow(run) == "r"
     assert aware.running_workflows() == [("r", "w", "running")]
     assert make_rm(topology=TopologyMode.DISJOINT).running_workflows() == []
-
-
-def test_submit_workflow_rejects_bad_input_count():
-    rm = make_rm(topology=TopologyMode.WORKFLOW_AWARE)
-    spec = WorkflowSpec(workflow_id="w", tasks=(), edges=())
-    run = RunRecord(run_id="r", workflow_id="w", submission_ms=0, instances=[])
-    with pytest.raises(ResmanError):
-        rm.submit_workflow(spec, 0, run)
 
 
 # --- queue semantics ---

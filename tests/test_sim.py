@@ -57,6 +57,7 @@ from stratus.workflow import (
     RunState,
     TaskDefinition,
     TaskState,
+    WorkflowError,
     WorkflowSpec,
     parse_workflow,
     ready_tasks,
@@ -1021,3 +1022,52 @@ def test_artifacts_round_trip_over_random_runs(case):
         store = RunStore(Path(tmp) / "runs.jsonl")
         store.append(result.run)
         assert store.load_all() == [result.run]
+
+
+# --- a spec built in code either refuses construction or runs clean ---
+
+_DRAFT_NAMES = ("a", "b", "c", "b c", "a\tb", "c\nd")
+
+
+@st.composite
+def spec_drafts(draw):
+    """WorkflowSpec arguments drawn from a small name pool, so duplicate
+    definitions, dangling and self-loop edges, 2-cycles and names holding a
+    tab or a line break all occur."""
+    names = draw(st.lists(st.sampled_from(_DRAFT_NAMES), max_size=4))
+    tasks = tuple(
+        TaskDefinition(
+            name,
+            draw(st.booleans()),
+            make_request(),
+            draw(st.sampled_from(("quick", "default", "flaky"))),
+        )
+        for name in names
+    )
+    edge = st.tuples(st.sampled_from(_DRAFT_NAMES), st.sampled_from(_DRAFT_NAMES))
+    edges = tuple(draw(st.lists(edge, max_size=4)))
+    return draw(st.sampled_from(("w", "w 1", "w\t1", "w\r\n1"))), tasks, edges
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spec_drafts(),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from(list(TopologyMode)),
+)
+def test_a_spec_either_refuses_construction_or_runs_clean(draft, input_count, seed, topology):
+    try:
+        spec = WorkflowSpec(*draft)
+    except WorkflowError:
+        return
+    # one machine fits every request, so nothing can strand the run
+    simulation = Simulation(
+        spec, [make_machine("m1")], 10**15, input_count, seed, topology,
+        run_id="p", submission_ms=0,
+    )
+    result = simulation.run_to_completion()
+    for instance in result.run.instances:
+        assert instance.state.terminal or instance.task_id in result.never_eligible
+    assert parse_event_log(result.event_log_text()) == result.event_records
+    assert parse_trace(result.trace_text()) == result.trace_records

@@ -1,5 +1,6 @@
-"""Workflow model tests: parsing, DAG validation against a networkx oracle,
-instance expansion, readiness, status math, reports, and DOT export."""
+"""Workflow model tests: parsing, the spec's construction checks against a
+networkx oracle, instance expansion, readiness, status math, reports, and
+DOT export."""
 
 import dataclasses
 import random
@@ -31,7 +32,6 @@ from stratus.workflow import (
     parse_workflow,
     ready_tasks,
     resolve_final_state,
-    validate_dag,
     workflow_status,
 )
 
@@ -85,9 +85,14 @@ def test_parse_rejects_garbage_line():
 
 def test_parse_rejects_duplicate_task():
     text = TASK_LINE.format(name="a") + TASK_LINE.format(name="a")
-    with pytest.raises(DuplicateTaskError) as err:
+    with pytest.raises(DuplicateTaskError, match=r"^duplicate task name: 'a'$") as err:
         parse_workflow(text)
     assert err.value.line == 2
+    # the first name to repeat is reported, at its second definition
+    text = "".join(TASK_LINE.format(name=n) for n in "abcbca")
+    with pytest.raises(DuplicateTaskError) as err:
+        parse_workflow(text)
+    assert (err.value.task_name, err.value.line) == ("b", 4)
 
 
 def test_parse_rejects_empty():
@@ -145,23 +150,58 @@ def test_parse_rejects_out_of_range_value_on_its_line(values):
     assert err.value.line == 2
 
 
-# --- DAG validation against networkx ---
+# --- construction checks, against networkx ---
+
+
+def definitions(names) -> tuple[TaskDefinition, ...]:
+    return tuple(TaskDefinition(n, False, make_request(), "default") for n in names)
+
+
+def assert_real_cycle(path: list[str], edges) -> None:
+    assert len(path) >= 2
+    assert path[0] == path[-1]
+    edge_set = set(edges)
+    for left, right in zip(path, path[1:]):
+        assert (left, right) in edge_set
 
 
 def test_validate_accepts_bundled_workflow():
-    validate_dag(small_spec())
+    spec = small_spec()
+    assert WorkflowSpec(spec.workflow_id, spec.tasks, spec.edges) == spec
+
+
+def test_validate_rejects_an_empty_spec():
+    with pytest.raises(WorkflowError, match=r"^no tasks$"):
+        WorkflowSpec(workflow_id="w", tasks=(), edges=())
 
 
 def test_validate_rejects_unknown_edge_endpoint():
-    spec = WorkflowSpec(
-        workflow_id="w",
-        tasks=(TaskDefinition("a", False, make_request(), "default"),),
-        edges=(("a", "ghost"),),
-    )
     with pytest.raises(UnknownTaskError) as err:
-        validate_dag(spec)
-    # a hand-built spec has no text lines
+        WorkflowSpec(workflow_id="w", tasks=definitions("a"), edges=(("a", "ghost"),))
+    # a spec built in code has no text lines
     assert err.value.line is None
+
+
+def test_validate_rejects_a_repeated_definition():
+    # the two a groups would share instance ids and strand the run
+    with pytest.raises(DuplicateTaskError, match=r"^duplicate task name: 'a'$") as err:
+        WorkflowSpec(workflow_id="w", tasks=definitions("aba"), edges=())
+    assert err.value.task_name == "a"
+    assert err.value.line is None
+    assert not isinstance(err.value, WorkflowSyntaxError)
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "a\x1eb", "a\u2028b", "", "\n"])
+def test_validate_rejects_a_name_the_artifacts_cannot_carry(name):
+    with pytest.raises(WorkflowError, match="one line without tabs"):
+        WorkflowSpec(workflow_id="w", tasks=definitions([name]), edges=())
+    with pytest.raises(WorkflowError, match="one line without tabs"):
+        WorkflowSpec(workflow_id=name, tasks=definitions("a"), edges=())
+
+
+def test_validate_keeps_spaces_in_names():
+    spec = WorkflowSpec(workflow_id="my flow", tasks=definitions(["step one"]), edges=())
+    assert spec.task_names() == ["step one"]
 
 
 def test_unknown_task_lookups_name_the_task():
@@ -176,27 +216,22 @@ def test_unknown_task_lookups_name_the_task():
 
 
 def test_validate_rejects_self_loop():
-    spec = WorkflowSpec(
-        workflow_id="w",
-        tasks=(TaskDefinition("a", False, make_request(), "default"),),
-        edges=(("a", "a"),),
-    )
-    with pytest.raises(CycleError):
-        validate_dag(spec)
+    with pytest.raises(CycleError) as err:
+        WorkflowSpec(workflow_id="w", tasks=definitions("a"), edges=(("a", "a"),))
+    assert err.value.path == ["a", "a"]
 
 
 def test_validate_cycle_reports_a_real_cycle():
-    tasks = tuple(TaskDefinition(n, False, make_request(), "default") for n in "abc")
-    spec = WorkflowSpec(
-        workflow_id="w", tasks=tasks, edges=(("a", "b"), ("b", "c"), ("c", "a"))
-    )
+    edges = (("a", "b"), ("b", "c"), ("c", "a"))
     with pytest.raises(CycleError) as err:
-        validate_dag(spec)
-    path = err.value.path
-    assert path[0] == path[-1]
-    edge_set = set(spec.edges)
-    for left, right in zip(path, path[1:]):
-        assert (left, right) in edge_set
+        WorkflowSpec(workflow_id="w", tasks=definitions("abc"), edges=edges)
+    assert_real_cycle(err.value.path, edges)
+    # a cycle reached only through a definition outside it
+    edges = (("a", "b"), ("b", "c"), ("c", "d"), ("d", "b"))
+    with pytest.raises(CycleError) as err:
+        WorkflowSpec(workflow_id="w", tasks=definitions("abcd"), edges=edges)
+    assert sorted(err.value.path[:-1]) == ["b", "c", "d"]
+    assert_real_cycle(err.value.path, edges)
 
 
 def test_validate_matches_networkx_on_random_graphs():
@@ -209,21 +244,15 @@ def test_validate_matches_networkx_on_random_graphs():
             for right in names:
                 if left != right and rng.random() < 0.25:
                     edges.append((left, right))
-        spec = WorkflowSpec(
-            workflow_id="w",
-            tasks=tuple(
-                TaskDefinition(n, False, make_request(), "default") for n in names
-            ),
-            edges=tuple(edges),
-        )
         graph = nx.DiGraph()
         graph.add_nodes_from(names)
         graph.add_edges_from(edges)
         if nx.is_directed_acyclic_graph(graph):
-            validate_dag(spec)
+            WorkflowSpec(workflow_id="w", tasks=definitions(names), edges=tuple(edges))
         else:
-            with pytest.raises(CycleError):
-                validate_dag(spec)
+            with pytest.raises(CycleError) as err:
+                WorkflowSpec(workflow_id="w", tasks=definitions(names), edges=tuple(edges))
+            assert_real_cycle(err.value.path, edges)
 
 
 # --- expansion ---
@@ -280,7 +309,6 @@ def reference_expand(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]
 @settings(max_examples=200, deadline=None)
 @given(dag_specs(), st.integers(min_value=1, max_value=12))
 def test_expand_matches_the_keyword_loop(spec, input_count):
-    validate_dag(spec)
     assert expand_instances(spec, input_count) == reference_expand(spec, input_count)
 
 
@@ -493,6 +521,21 @@ def test_export_dot_shape_and_stability():
     assert '"I" [label="I [xK]"];' in text
     assert '"IV" [label="IV [x1]"];' in text
     assert '"IV" -> "VI";' in text
+
+
+def test_export_dot_quotes_what_dot_cannot_read_bare():
+    spec = WorkflowSpec(
+        workflow_id="wf-1",
+        tasks=(TaskDefinition('say "hi"', True, make_request(), "default"),),
+        edges=(),
+    )
+    assert export_dot(spec) == (
+        'digraph "wf-1" {\n'
+        '  "say \\"hi\\"" [label="say \\"hi\\" [xK]"];\n'
+        "}\n"
+    )
+    keyword = WorkflowSpec("edge", spec.tasks, ())
+    assert export_dot(keyword).startswith('digraph "edge" {\n')
 
 
 # --- execution report ---
