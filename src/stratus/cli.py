@@ -29,6 +29,7 @@ from .sim import ScenarioSpec, load_scenario, run_scenario
 from .store import RunStore
 from .service import ServiceContext, serve
 from .workflow import (
+    ExecutionReport,
     RunState,
     execution_report,
     export_dot,
@@ -116,14 +117,7 @@ def _scenario_from_run_args(args) -> ScenarioSpec:
     else:
         if len(workflow_files) != 1 or len(cluster_files) != 1:
             raise ValueError("give either one .scenario file or a .wf/.cluster pair")
-        scenario = ScenarioSpec(
-            workflow_path=workflow_files[0],
-            cluster_path=cluster_files[0],
-            input_count=1,
-            seed=0,
-            topology=TopologyMode.WORKFLOW_AWARE,
-            injections=(),
-        )
+        scenario = ScenarioSpec(workflow_path=workflow_files[0], cluster_path=cluster_files[0])
     if args.input_count is not None:
         scenario = replace(scenario, input_count=args.input_count)
     if args.seed is not None:
@@ -133,7 +127,11 @@ def _scenario_from_run_args(args) -> ScenarioSpec:
     return scenario
 
 
-def _write_run_outputs(result, run_dir: Path) -> None:
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / f"trace-{result.run_id}.tsv").write_text(result.trace_text(), encoding="utf-8")
     (run_dir / "events.log").write_text(result.event_log_text(), encoding="utf-8")
@@ -143,9 +141,7 @@ def _write_run_outputs(result, run_dir: Path) -> None:
     run_payload["input_count"] = result.input_count
     run_payload["seed"] = result.seed
     run_payload["never_eligible"] = sorted(result.never_eligible)
-    (run_dir / "run.json").write_text(
-        json.dumps(run_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(run_dir / "run.json", run_payload)
 
     sample_lines = ["t_ms\tmachine\tcpu_cores\tmemory_bytes\tdisk_bytes"]
     for sample in result.samples:
@@ -172,9 +168,7 @@ def _write_run_outputs(result, run_dir: Path) -> None:
                 "memory_clock_mhz": descriptor.hardware.memory_clock_mhz,
             }
         )
-    (run_dir / "machines.json").write_text(
-        json.dumps(machines_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(run_dir / "machines.json", machines_payload)
 
     log_lines = []
     for task_id in result.log_store.known_tasks():
@@ -186,9 +180,8 @@ def _write_run_outputs(result, run_dir: Path) -> None:
     )
 
     report = execution_report(result.run)
-    (run_dir / "report.json").write_text(
-        json.dumps(report.to_record(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(run_dir / "report.json", report.to_record())
+    return report
 
 
 def _print_status(record) -> None:
@@ -206,10 +199,9 @@ def cmd_run(args) -> int:
     result = run_scenario(scenario, run_id=run_id)
 
     run_dir = out_root() / run_id
-    _write_run_outputs(result, run_dir)
+    report = _write_run_outputs(result, run_dir)
     _store_from(args.store).append(result.run)
 
-    report = execution_report(result.run)
     print(f"run {run_id}: {result.run.final_state.value}")
     print(
         f"instances {report.total} (succeeded {report.succeeded}, "
@@ -252,10 +244,7 @@ def cmd_report(args) -> int:
             )
     out_path = out_root() / report.run_id / "report.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(
-        json.dumps(report.to_record(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_path, report.to_record())
     print(f"written to {out_path}")
     return 0
 

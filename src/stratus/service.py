@@ -10,7 +10,9 @@ data is available during execution, not only after it.
 import json
 import threading
 from dataclasses import dataclass
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlparse
 
 from .blueprint import (
@@ -23,13 +25,15 @@ from .blueprint import (
     access_allowed,
     default_access_matrix,
 )
+from .machine import MachineDescriptor, MachineRegistry
 from .sim import EventRecord, ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
-from .taskmon import LogLevel, consumed_vs_requested, synthesize_code_parts
+from .taskmon import LogLevel, TaskTraceRecord, consumed_vs_requested, synthesize_code_parts
 from .textfmt import parse_decimal
 from .workflow import (
     ResourceRequest,
     RunState,
+    TaskInstance,
     WorkflowStatusReport,
     execution_report,
     export_dot,
@@ -51,9 +55,8 @@ class UnknownRunError(ServiceError):
 
 # feature segment aliases: each layer's own bare `status`
 _STATUS_ALIASES = {
-    (LayerId.WORKFLOW, "status"): FeatureKey.WORKFLOW_STATUS,
-    (LayerId.MACHINE, "status"): FeatureKey.MACHINE_STATUS,
-    (LayerId.TASK, "status"): FeatureKey.TASK_STATUS,
+    (f.owning_layer, "status"): f
+    for f in (FeatureKey.WORKFLOW_STATUS, FeatureKey.MACHINE_STATUS, FeatureKey.TASK_STATUS)
 }
 
 
@@ -139,6 +142,19 @@ class ServiceContext:
                 raise UnknownRunError(run_id)
             return self.results[run_id]
 
+    def resource_manager(self):
+        """The newest run's resource manager; None before the first run."""
+        with self._lock:
+            newest = next(reversed(self.results.values()), None)
+        return newest.resource_manager if newest else None
+
+    def live_feed(self, run_id: str) -> "LiveRunFeed | None":
+        """The run's live feed while attached live, else None."""
+        with self._lock:
+            if run_id not in self.results:
+                raise UnknownRunError(run_id)
+            return self.feeds.get(run_id)
+
     def run_ids(self) -> list[str]:
         with self._lock:
             return sorted(self.results)
@@ -156,11 +172,7 @@ class ServiceContext:
     def served_at_ms(self) -> int:
         with self._lock:
             results = list(self.results.values())
-        latest = 0
-        for result in results:
-            if result.event_records:
-                latest = max(latest, result.event_records[-1].t_ms)
-        return latest
+        return max([0] + [r.event_records[-1].t_ms for r in results if r.event_records])
 
 
 @dataclass(frozen=True)
@@ -212,263 +224,283 @@ def _status_payload(report: WorkflowStatusReport) -> dict:
     }
 
 
-class _BadRequest(ServiceError):
-    pass
+class _HTTPError(ServiceError):
+    """A request the service answers with ``status`` and this message."""
 
-
-class _NotFound(ServiceError):
-    pass
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def _window_bound(query: dict[str, str], key: str, default: int) -> int:
-    """The ``from`` or ``to`` window parameter, read with the integer
-    grammar of the input formats."""
+    """The ``from`` or ``to`` window bound, in the input formats' integer grammar."""
     text = query.get(key)
     if text is None:
         return default
     try:
         return parse_decimal(text)
     except ValueError:
-        raise _BadRequest(f"{key} is not an integer: {text!r}") from None
+        raise _HTTPError(400, f"{key} is not an integer: {text!r}") from None
 
 
-# what each layer's subject names; previous_executions takes a workflow id
-_SUBJECT_KIND = {
-    LayerId.WORKFLOW: "run_id",
-    LayerId.MACHINE: "machine_id",
-    LayerId.TASK: "task_id",
-}
+class _Machine(NamedTuple):
+    machine_id: str
+    registry: MachineRegistry
+    descriptor: MachineDescriptor
 
-# task features read from the task's trace record, with what a 404 says
-# is missing before the task has finished
-_TRACE_FEATURES = {
-    FeatureKey.CONSUMED_RESOURCES: "trace record",
-    FeatureKey.TASK_DURATION: "trace record",
-    FeatureKey.LOW_LEVEL_TASK_METRICS: "trace record",
-    FeatureKey.FAULT_DIAGNOSIS: "trace record",
-    FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: "code part profile",
+
+class _Task(NamedTuple):
+    task_id: str
+    result: SimulationResult
+    instance: TaskInstance
+    record: TaskTraceRecord | None = None  # read only for the features that need it
+
+
+# Subject resolvers, one per subject kind: 400 without a subject, 404 for one
+# that names nothing; each returns what the feature's builder reads.
+
+
+def _subject(feature: FeatureKey, subject: str | None, kind: str) -> str:
+    if not subject:
+        raise _HTTPError(400, f"feature {feature.value} needs a {kind} subject")
+    return subject
+
+
+def _cluster(context, feature, subject):
+    rm = context.resource_manager()
+    if rm is None:
+        raise _HTTPError(404, "no cluster attached")
+    return rm
+
+
+def _history(context, feature, subject) -> list:
+    workflow_id = _subject(feature, subject, "workflow_id")
+    return context.store.list_previous_executions(workflow_id) if context.store else []
+
+
+def _run(context, feature, subject) -> SimulationResult:
+    run_id = _subject(feature, subject, "run_id")
+    try:
+        return context.result(run_id)
+    except UnknownRunError as exc:
+        raise _HTTPError(404, str(exc)) from None
+
+
+def _finished_run(context, feature, subject):
+    snapshot = _run(context, feature, subject).run.snapshot()
+    if snapshot.final_state is RunState.RUNNING:
+        raise _HTTPError(400, f"run {snapshot.run_id} has not finished")
+    return snapshot
+
+
+def _machine(context, feature, subject) -> _Machine:
+    machine_id = _subject(feature, subject, "machine_id")
+    rm = context.resource_manager()
+    if rm is None or machine_id not in rm.registry.machine_ids():
+        raise _HTTPError(404, f"unknown machine: {machine_id!r}")
+    return _Machine(machine_id, rm.registry, rm.registry.descriptor(machine_id))
+
+
+def _task(context, feature, subject, missing: str | None = None) -> _Task:
+    # with `missing`, a task that has no trace record yet answers 404
+    task_id = _subject(feature, subject, "task_id")
+    found = context.find_task(task_id)
+    if found is None:
+        raise _HTTPError(404, f"unknown task: {task_id!r}")
+    result, instance = found
+    if missing is None:
+        return _Task(task_id, result, instance)
+    record = result.trace_by_id.get(task_id)
+    if record is None:
+        raise _HTTPError(404, f"no {missing} yet for {task_id!r}")
+    return _Task(task_id, result, instance, record)
+
+
+_traced = partial(_task, missing="trace record")
+
+
+# Payload builders that need more than an expression.  A builder takes what
+# its resolver returned, then the request's window and log level.
+
+
+def _infrastructure_status(rm, *_) -> dict:
+    status = rm.infrastructure_status()
+    return {
+        "machines_total": status.machines_total,
+        "machines_by_status": {s.value: n for s, n in status.machines_by_status.items()},
+        "capacity_total": _vector_payload(status.capacity_total),
+        "capacity_reserved": _vector_payload(status.capacity_reserved),
+        "queue_depth": status.queue_depth,
+        "running_tasks": status.running_tasks,
+    }
+
+
+def _file_system_status(rm, *_) -> dict:
+    fs = rm.filesystem_status()
+    return {"total_bytes": fs.total_bytes, "used_bytes": fs.used_bytes, "healthy": fs.healthy}
+
+
+def _hardware_specification(machine: _Machine, *_) -> dict:
+    hw = machine.descriptor.hardware
+    return {
+        "machine_id": machine.machine_id,
+        "cpu_architecture": hw.cpu_architecture,
+        "cpu_model": hw.cpu_model,
+        "memory_clock_mhz": hw.memory_clock_mhz,
+        "disk_partitions": [[name, size] for name, size in hw.disk_partitions],
+    }
+
+
+def _requested(task: _Task) -> ResourceRequest:
+    return task.result.spec.definition(task.instance.definition).requested
+
+
+def _consumed_resources(task: _Task, *_) -> dict:
+    record = task.record
+    utilization = consumed_vs_requested(record, _requested(task))
+    return {
+        "task_id": task.task_id,
+        "cpu_pct": record.cpu_pct,
+        "rss_bytes": record.rss_bytes,
+        "rchar_bytes": record.rchar_bytes,
+        "wchar_bytes": record.wchar_bytes,
+        "utilization": {
+            "cpu_ratio": utilization.cpu_ratio,
+            "memory_ratio": utilization.memory_ratio,
+            "runtime_ratio": utilization.runtime_ratio,
+        },
+    }
+
+
+def _fault_diagnosis(task: _Task, *_) -> dict:
+    found = task.result.diagnoses.get(task.task_id)
+    if found is None:
+        raise _HTTPError(404, f"no diagnosis yet for {task.task_id!r}")
+    return {"task_id": task.task_id, "verdict": found.verdict.value, "evidence": found.evidence}
+
+
+# feature -> (subject resolver, payload builder); a lambda's first parameter
+# is the resolved subject: rm, run, m (machine) or t (task)
+_FEATURES = {
+    FeatureKey.INFRASTRUCTURE_STATUS: (_cluster, _infrastructure_status),
+    FeatureKey.FILE_SYSTEM_STATUS: (_cluster, _file_system_status),
+    FeatureKey.RUNNING_WORKFLOWS: (_cluster, lambda rm, *_: {"running": [
+        {"run_id": r, "workflow_id": w, "state": s} for r, w, s in rm.running_workflows()
+    ]}),
+    FeatureKey.WORKFLOW_STATUS: (
+        _run, lambda run, *_: _status_payload(workflow_status(run.run.snapshot()))
+    ),
+    FeatureKey.WORKFLOW_SPECIFICATION: (_run, lambda run, *_: {
+        "workflow_id": run.spec.workflow_id,
+        "tasks": [
+            {
+                "name": t.name,
+                "scatter": t.scatter,
+                **_request_payload(t.requested),
+                "model": t.runtime_model,
+            }
+            for t in run.spec.tasks
+        ],
+        "edges": [[a, b] for a, b in run.spec.edges],
+    }),
+    FeatureKey.GRAPHICAL_REPRESENTATION: (_run, lambda run, *_: {"dot": export_dot(run.spec)}),
+    FeatureKey.WORKFLOW_ID: (
+        _run, lambda run, *_: {"run_id": run.run_id, "workflow_id": run.run.workflow_id}
+    ),
+    FeatureKey.EXECUTION_REPORT: (_finished_run, lambda run, *_: execution_report(run).to_record()),
+    FeatureKey.PREVIOUS_EXECUTIONS: (_history, lambda summaries, *_: {"executions": [
+        {
+            "run_id": s.run_id,
+            "workflow_id": s.workflow_id,
+            "submission_ms": s.submission_ms,
+            "final_state": s.final_state,
+            "makespan_ms": s.makespan_ms,
+        }
+        for s in summaries
+    ]}),
+    FeatureKey.MACHINE_STATUS: (
+        _machine, lambda m, *_: {"machine_id": m.machine_id, "status": m.descriptor.status.value}
+    ),
+    FeatureKey.MACHINE_TYPE: (_machine, lambda m, *_: {
+        "machine_id": m.machine_id, "type": m.descriptor.machine_type.value
+    }),
+    FeatureKey.HARDWARE_SPECIFICATION: (_machine, _hardware_specification),
+    FeatureKey.AVAILABLE_RESOURCES: (_machine, lambda m, t_from, t_to, level: _vector_payload(
+        m.registry.available_resources(m.machine_id, t_to)
+    )),
+    FeatureKey.USED_RESOURCES: (_machine, lambda m, t_from, t_to, level: {
+        "machine_id": m.machine_id,
+        "samples": [
+            {"t_ms": s.t_ms, **_vector_payload(s.used)}
+            for s in m.registry.query_series(m.machine_id, t_from, t_to)
+        ],
+    }),
+    FeatureKey.TASK_STATUS: (
+        _task, lambda t, *_: {"task_id": t.task_id, "state": t.instance.state.value}
+    ),
+    FeatureKey.REQUESTED_RESOURCES: (
+        _task, lambda t, *_: {"task_id": t.task_id, **_request_payload(_requested(t))}
+    ),
+    FeatureKey.CONSUMED_RESOURCES: (_traced, _consumed_resources),
+    FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: (
+        partial(_task, missing="code part profile"),
+        lambda t, *_: {"task_id": t.task_id, "parts": [
+            {
+                "part_name": p.part_name,
+                "duration_ms": p.duration_ms,
+                "peak_memory_bytes": p.peak_memory_bytes,
+            }
+            for p in synthesize_code_parts(t.record)
+        ]},
+    ),
+    FeatureKey.TASK_ID: (_task, lambda t, *_: {
+        "task_id": t.task_id,
+        "workflow_id": t.result.run.workflow_id,
+        "run_id": t.result.run_id,
+        "definition": t.instance.definition,
+        "index": t.instance.index,
+    }),
+    FeatureKey.APPLICATION_LOGS: (_task, lambda t, t_from, t_to, min_level: {
+        "task_id": t.task_id,
+        "entries": [
+            {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
+            for e in t.result.log_store.query_logs(t.task_id, min_level)
+        ],
+    }),
+    FeatureKey.TASK_DURATION: (_traced, lambda t, *_: {
+        "task_id": t.task_id,
+        "start_ms": t.record.start_ms,
+        "end_ms": t.record.end_ms,
+        "duration_ms": t.record.duration_ms,
+    }),
+    FeatureKey.LOW_LEVEL_TASK_METRICS: (_traced, lambda t, *_: {
+        "task_id": t.task_id,
+        "syscall_read_count": t.record.syscall_read_count,
+        "syscall_write_count": t.record.syscall_write_count,
+        "cpu_wait_ms": t.record.cpu_wait_ms,
+        "page_cache_hits": t.record.page_cache_hits,
+        "page_cache_misses": t.record.page_cache_misses,
+    }),
+    # a diagnosis is looked for only once the trace record is there
+    FeatureKey.FAULT_DIAGNOSIS: (_traced, _fault_diagnosis),
 }
 
 
 def _build_payload(
-    context: ServiceContext,
+    context: "ServiceContext",
     feature: "FeatureKey | str",
     subject: str | None,
     t_from: int,
     t_to: int,
     min_level: LogLevel,
 ) -> dict:
-    """Feature-specific payload construction.  The subject is resolved once
-    for the feature's owning layer; raises _BadRequest for a missing subject
-    and _NotFound for an unknown one."""
+    """The feature's payload from its table row: the resolver finds the
+    subject, then the builder reads it."""
     if not isinstance(feature, FeatureKey):
         # declared extension: authorized but no provider is bound
         return {"extension": feature, "value": None}
-    layer = feature.owning_layer
-
-    if layer is LayerId.RESOURCE_MANAGER:
-        rm = _any_rm(context)
-        if rm is None:
-            raise _NotFound("no cluster attached")
-        if feature is FeatureKey.INFRASTRUCTURE_STATUS:
-            status = rm.infrastructure_status()
-            return {
-                "machines_total": status.machines_total,
-                "machines_by_status": {
-                    s.value: n for s, n in status.machines_by_status.items()
-                },
-                "capacity_total": _vector_payload(status.capacity_total),
-                "capacity_reserved": _vector_payload(status.capacity_reserved),
-                "queue_depth": status.queue_depth,
-                "running_tasks": status.running_tasks,
-            }
-        if feature is FeatureKey.FILE_SYSTEM_STATUS:
-            fs = rm.filesystem_status()
-            return {
-                "total_bytes": fs.total_bytes,
-                "used_bytes": fs.used_bytes,
-                "healthy": fs.healthy,
-            }
-        return {
-            "running": [
-                {"run_id": r, "workflow_id": w, "state": s}
-                for r, w, s in rm.running_workflows()
-            ]
-        }
-
-    if not subject:
-        kind = (
-            "workflow_id" if feature is FeatureKey.PREVIOUS_EXECUTIONS else _SUBJECT_KIND[layer]
-        )
-        raise _BadRequest(f"feature {feature.value} needs a {kind} subject")
-
-    if feature is FeatureKey.PREVIOUS_EXECUTIONS:
-        if context.store is None:
-            return {"executions": []}
-        return {
-            "executions": [
-                {
-                    "run_id": s.run_id,
-                    "workflow_id": s.workflow_id,
-                    "submission_ms": s.submission_ms,
-                    "final_state": s.final_state,
-                    "makespan_ms": s.makespan_ms,
-                }
-                for s in context.store.list_previous_executions(subject)
-            ]
-        }
-
-    if layer is LayerId.WORKFLOW:
-        try:
-            result = context.result(subject)
-        except UnknownRunError:
-            raise _NotFound(f"unknown run: {subject!r}") from None
-        spec = result.spec
-        if feature is FeatureKey.WORKFLOW_STATUS:
-            return _status_payload(workflow_status(result.run.snapshot()))
-        if feature is FeatureKey.WORKFLOW_SPECIFICATION:
-            return {
-                "workflow_id": spec.workflow_id,
-                "tasks": [
-                    {
-                        "name": t.name,
-                        "scatter": t.scatter,
-                        **_request_payload(t.requested),
-                        "model": t.runtime_model,
-                    }
-                    for t in spec.tasks
-                ],
-                "edges": [[a, b] for a, b in spec.edges],
-            }
-        if feature is FeatureKey.GRAPHICAL_REPRESENTATION:
-            return {"dot": export_dot(spec)}
-        if feature is FeatureKey.WORKFLOW_ID:
-            return {"run_id": result.run_id, "workflow_id": result.run.workflow_id}
-        snapshot = result.run.snapshot()
-        if snapshot.final_state is RunState.RUNNING:
-            raise _BadRequest(f"run {snapshot.run_id} has not finished")
-        return execution_report(snapshot).to_record()
-
-    if layer is LayerId.MACHINE:
-        machine_id = subject
-        rm = _any_rm(context)
-        registry = rm.registry if rm else None
-        if registry is None or machine_id not in registry.machine_ids():
-            raise _NotFound(f"unknown machine: {machine_id!r}")
-        descriptor = registry.descriptor(machine_id)
-        if feature is FeatureKey.MACHINE_STATUS:
-            return {"machine_id": machine_id, "status": descriptor.status.value}
-        if feature is FeatureKey.MACHINE_TYPE:
-            return {"machine_id": machine_id, "type": descriptor.machine_type.value}
-        if feature is FeatureKey.HARDWARE_SPECIFICATION:
-            hw = descriptor.hardware
-            return {
-                "machine_id": machine_id,
-                "cpu_architecture": hw.cpu_architecture,
-                "cpu_model": hw.cpu_model,
-                "memory_clock_mhz": hw.memory_clock_mhz,
-                "disk_partitions": [[name, size] for name, size in hw.disk_partitions],
-            }
-        if feature is FeatureKey.AVAILABLE_RESOURCES:
-            return _vector_payload(registry.available_resources(machine_id, t_to))
-        return {
-            "machine_id": machine_id,
-            "samples": [
-                {"t_ms": s.t_ms, **_vector_payload(s.used)}
-                for s in registry.query_series(machine_id, t_from, t_to)
-            ],
-        }
-
-    task_id = subject
-    found = context.find_task(task_id)
-    if found is None:
-        raise _NotFound(f"unknown task: {task_id!r}")
-    result, instance = found
-    record = None
-    if feature in _TRACE_FEATURES:
-        record = result.trace_by_id.get(task_id)
-        if record is None:
-            raise _NotFound(f"no {_TRACE_FEATURES[feature]} yet for {task_id!r}")
-    if feature is FeatureKey.TASK_STATUS:
-        return {"task_id": task_id, "state": instance.state.value}
-    if feature is FeatureKey.REQUESTED_RESOURCES:
-        requested = result.spec.definition(instance.definition).requested
-        return {"task_id": task_id, **_request_payload(requested)}
-    if feature is FeatureKey.CONSUMED_RESOURCES:
-        requested = result.spec.definition(instance.definition).requested
-        utilization = consumed_vs_requested(record, requested)
-        return {
-            "task_id": task_id,
-            "cpu_pct": record.cpu_pct,
-            "rss_bytes": record.rss_bytes,
-            "rchar_bytes": record.rchar_bytes,
-            "wchar_bytes": record.wchar_bytes,
-            "utilization": {
-                "cpu_ratio": utilization.cpu_ratio,
-                "memory_ratio": utilization.memory_ratio,
-                "runtime_ratio": utilization.runtime_ratio,
-            },
-        }
-    if feature is FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS:
-        return {
-            "task_id": task_id,
-            "parts": [
-                {
-                    "part_name": p.part_name,
-                    "duration_ms": p.duration_ms,
-                    "peak_memory_bytes": p.peak_memory_bytes,
-                }
-                for p in synthesize_code_parts(record)
-            ],
-        }
-    if feature is FeatureKey.TASK_ID:
-        return {
-            "task_id": task_id,
-            "workflow_id": result.run.workflow_id,
-            "run_id": result.run_id,
-            "definition": instance.definition,
-            "index": instance.index,
-        }
-    if feature is FeatureKey.APPLICATION_LOGS:
-        return {
-            "task_id": task_id,
-            "entries": [
-                {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
-                for e in result.log_store.query_logs(task_id, min_level)
-            ],
-        }
-    if feature is FeatureKey.TASK_DURATION:
-        return {
-            "task_id": task_id,
-            "start_ms": record.start_ms,
-            "end_ms": record.end_ms,
-            "duration_ms": record.duration_ms,
-        }
-    if feature is FeatureKey.LOW_LEVEL_TASK_METRICS:
-        return {
-            "task_id": task_id,
-            "syscall_read_count": record.syscall_read_count,
-            "syscall_write_count": record.syscall_write_count,
-            "cpu_wait_ms": record.cpu_wait_ms,
-            "page_cache_hits": record.page_cache_hits,
-            "page_cache_misses": record.page_cache_misses,
-        }
-    diagnosis = result.diagnoses.get(task_id)
-    if diagnosis is None:
-        raise _NotFound(f"no diagnosis yet for {task_id!r}")
-    return {
-        "task_id": task_id,
-        "verdict": diagnosis.verdict.value,
-        "evidence": diagnosis.evidence,
-    }
-
-
-def _any_rm(context: ServiceContext):
-    with context._lock:
-        results = list(context.results.values())
-    if not results:
-        return None
-    return results[-1].resource_manager
+    resolve, build = _FEATURES[feature]
+    return build(resolve(context, feature, subject), t_from, t_to, min_level)
 
 
 def _make_handler(context: ServiceContext):
@@ -489,6 +521,8 @@ def _make_handler(context: ServiceContext):
         def do_GET(self):
             try:
                 self._route()
+            except _HTTPError as exc:
+                self._send_json(exc.status, {"error": str(exc)})
             except BrokenPipeError:
                 pass
 
@@ -497,110 +531,59 @@ def _make_handler(context: ServiceContext):
             segments = [s for s in parsed.path.split("/") if s]
             query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
             if len(segments) != 3 or segments[0] != "v1":
-                self._send_json(404, {"error": "expected /v1/<layer>/<feature>"})
-                return
+                raise _HTTPError(404, "expected /v1/<layer>/<feature>")
             try:
                 path_layer = LayerId.from_wire(segments[1])
             except UnknownLayerError as exc:
-                self._send_json(404, {"error": str(exc)})
-                return
+                raise _HTTPError(404, str(exc)) from None
 
             # the live stream is read under workflow_status's access rule
             live = segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW
             feature = (
-                FeatureKey.WORKFLOW_STATUS if live
-                else self._resolve_feature(path_layer, segments[2])
+                FeatureKey.WORKFLOW_STATUS if live else _resolve_feature(path_layer, segments[2])
             )
-            if feature is None:
-                return
 
             as_layer_name = query.get("as_layer")
             if not as_layer_name:
-                self._send_json(400, {"error": "missing as_layer parameter"})
-                return
+                raise _HTTPError(400, "missing as_layer parameter")
             try:
                 as_layer = LayerId.from_wire(as_layer_name)
             except UnknownLayerError as exc:
-                self._send_json(400, {"error": str(exc)})
-                return
+                raise _HTTPError(400, str(exc)) from None
 
             denial = authorize(context.matrix, as_layer, feature, context.topology)
             if denial is not None:
-                self._send_json(403, {"error": denial.reason})
-                return
+                raise _HTTPError(403, denial.reason)
+            subject = query.get("subject")
             if live:
-                self._live_progress(query.get("subject"))
+                self._live_progress(subject)
                 return
 
             try:
                 t_from = _window_bound(query, "from", 0)
                 t_to = _window_bound(query, "to", MAX_WINDOW_MS)
                 if t_from > t_to:
-                    raise _BadRequest(f"invalid window: from {t_from} > to {t_to}")
-                min_level = (
-                    LogLevel.from_wire(query["min_level"])
-                    if "min_level" in query
-                    else LogLevel.DEBUG
-                )
-                payload = _build_payload(
-                    context, feature, query.get("subject"), t_from, t_to, min_level
-                )
-            except (_BadRequest, ValueError) as exc:
-                self._send_json(400, {"error": str(exc)})
-                return
-            except _NotFound as exc:
-                self._send_json(404, {"error": str(exc)})
-                return
+                    raise _HTTPError(400, f"invalid window: from {t_from} > to {t_to}")
+                level = query.get("min_level")
+                min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
+                payload = _build_payload(context, feature, subject, t_from, t_to, min_level)
+            except ValueError as exc:
+                raise _HTTPError(400, str(exc)) from None
 
-            name = feature.value if isinstance(feature, FeatureKey) else feature
-            self._send_json(
-                200,
-                {
-                    "feature": name,
-                    "subject": query.get("subject"),
-                    "served_at_ms": context.served_at_ms(),
-                    "payload": payload,
-                },
-            )
-
-        def _resolve_feature(self, path_layer: LayerId, segment: str):
-            alias = _STATUS_ALIASES.get((path_layer, segment))
-            if alias is not None:
-                return alias
-            if segment in context.matrix.extensions:
-                if context.matrix.owning_layer(segment) is not path_layer:
-                    self._send_json(
-                        404,
-                        {"error": f"extension {segment!r} is not owned by "
-                                  f"{path_layer.wire_name}"},
-                    )
-                    return None
-                return segment
-            try:
-                feature = FeatureKey.from_wire(segment)
-            except UnknownFeatureError as exc:
-                self._send_json(404, {"error": str(exc)})
-                return None
-            if feature.owning_layer is not path_layer:
-                self._send_json(
-                    404,
-                    {"error": f"{feature.value} is owned by "
-                              f"{feature.owning_layer.wire_name}, not "
-                              f"{path_layer.wire_name}"},
-                )
-                return None
-            return feature
+            self._send_json(200, {
+                "feature": feature.value if isinstance(feature, FeatureKey) else feature,
+                "subject": subject,
+                "served_at_ms": context.served_at_ms(),
+                "payload": payload,
+            })
 
         def _live_progress(self, run_id: str | None):
             if not run_id:
-                self._send_json(400, {"error": "live_progress needs a run_id subject"})
-                return
-            with context._lock:
-                feed = context.feeds.get(run_id)
-                known = run_id in context.results
-            if not known:
-                self._send_json(404, {"error": f"unknown run: {run_id!r}"})
-                return
+                raise _HTTPError(400, "live_progress needs a run_id subject")
+            try:
+                feed = context.live_feed(run_id)
+            except UnknownRunError as exc:
+                raise _HTTPError(404, str(exc)) from None
 
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
@@ -610,14 +593,30 @@ def _make_handler(context: ServiceContext):
                 records = feed.subscribe()
             else:
                 # completed run: replay its event log
-                records = iter(
-                    replay_progress(context.result(run_id).event_records)
-                )
+                records = replay_progress(context.result(run_id).event_records)
             for record in records:
                 line = json.dumps(_status_payload(record), sort_keys=True)
                 self.wfile.write(line.encode() + b"\n")
                 self.wfile.flush()
             self.close_connection = True
+
+    def _resolve_feature(layer: LayerId, segment: str):
+        """The feature or declared extension the path names; 404 unless ``layer`` owns it."""
+        alias = _STATUS_ALIASES.get((layer, segment))
+        if alias is not None:
+            return alias
+        if segment in context.matrix.extensions:
+            if context.matrix.owning_layer(segment) is not layer:
+                raise _HTTPError(404, f"extension {segment!r} is not owned by {layer.wire_name}")
+            return segment
+        try:
+            feature = FeatureKey.from_wire(segment)
+        except UnknownFeatureError as exc:
+            raise _HTTPError(404, str(exc)) from None
+        if feature.owning_layer is not layer:
+            owner = feature.owning_layer.wire_name
+            raise _HTTPError(404, f"{feature.value} is owned by {owner}, not {layer.wire_name}")
+        return feature
 
     return Handler
 

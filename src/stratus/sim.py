@@ -968,12 +968,15 @@ def run_simulation(
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A run's inputs.  The defaults hold for whatever a scenario file
+    leaves unset, and for a .wf/.cluster pair run without a scenario."""
+
     workflow_path: Path
     cluster_path: Path
-    input_count: int
-    seed: int
-    topology: TopologyMode
-    injections: tuple[FaultInjection, ...]
+    input_count: int = 1
+    seed: int = 0
+    topology: TopologyMode = TopologyMode.WORKFLOW_AWARE
+    injections: tuple[FaultInjection, ...] = ()
 
 
 class ScenarioSyntaxError(LineError, SimulationError):
@@ -987,9 +990,7 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     base = Path(base_dir)
     workflow_path = None
     cluster_path = None
-    input_count = 1
-    seed = 0
-    topology = TopologyMode.WORKFLOW_AWARE
+    settings = {}  # the fields the file sets; ScenarioSpec defaults the rest
     injections = []
     for lineno, line in directive_lines(text):
         parts = line.split()
@@ -1000,14 +1001,13 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
         elif parts[0] == "input_count" and len(parts) == 2:
             input_count = line_int(parts[1], lineno, "input_count", ScenarioSyntaxError)
             if input_count <= 0:
-                raise ScenarioSyntaxError(
-                    lineno, f"input_count must be positive, got {input_count}"
-                )
+                raise ScenarioSyntaxError(lineno, f"input_count must be positive, got {input_count}")
+            settings["input_count"] = input_count
         elif parts[0] == "seed" and len(parts) == 2:
-            seed = line_int(parts[1], lineno, "seed", ScenarioSyntaxError)
+            settings["seed"] = line_int(parts[1], lineno, "seed", ScenarioSyntaxError)
         elif parts[0] == "topology" and len(parts) == 2:
             try:
-                topology = TopologyMode.from_wire(parts[1])
+                settings["topology"] = TopologyMode.from_wire(parts[1])
             except BlueprintError as exc:
                 raise ScenarioSyntaxError(lineno, str(exc)) from None
         elif parts[0] == "inject":
@@ -1034,14 +1034,7 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
         raise SimulationError("scenario missing 'workflow' line")
     if cluster_path is None:
         raise SimulationError("scenario missing 'cluster' line")
-    return ScenarioSpec(
-        workflow_path=workflow_path,
-        cluster_path=cluster_path,
-        input_count=input_count,
-        seed=seed,
-        topology=topology,
-        injections=tuple(injections),
-    )
+    return ScenarioSpec(workflow_path, cluster_path, injections=tuple(injections), **settings)
 
 
 def load_scenario(path: "Path | str") -> ScenarioSpec:

@@ -34,6 +34,13 @@ class DuplicateTaskError(WorkflowError):
         self.line: int | None = None  # the name's second line, when parsing found it
 
 
+class InvalidNameError(WorkflowError):
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"name must {rule}: {name!r}")
+        self.name = name
+        self.line: int | None = None  # the line that gave the name, when parsing found it
+
+
 class UnknownTaskError(WorkflowError):
     def __init__(self, task_id: str):
         super().__init__(f"unknown task: {task_id!r}")
@@ -113,8 +120,9 @@ class TaskDefinition:
 @dataclass(frozen=True)
 class WorkflowSpec:
     """Construction checks for at least one definition, unique names that
-    fit one line without tabs, defined edge endpoints and no cycle.  A
-    CycleError names one cycle in edge order, its entry repeated at the end."""
+    fit one line without tabs and do not end in a backslash, defined edge
+    endpoints and no cycle.  A CycleError names one cycle in edge order, its
+    entry repeated at the end."""
 
     workflow_id: str
     tasks: tuple[TaskDefinition, ...]
@@ -127,7 +135,10 @@ class WorkflowSpec:
         for name in (self.workflow_id, *names):
             # the event log and the trace file are tab-separated lines
             if "\t" in name or name.splitlines() != [name]:
-                raise WorkflowError(f"name must be one line without tabs: {name!r}")
+                raise InvalidNameError(name, "be one line without tabs")
+            # DOT reads a quoted id's trailing backslash as escaping its closing quote
+            if name.endswith("\\"):
+                raise InvalidNameError(name, "not end in a backslash")
         if len(self._by_name) < len(names):
             raise DuplicateTaskError(next(n for i, n in enumerate(names) if n in names[:i]))
         for name in (name for edge in self.edges for name in edge):
@@ -372,10 +383,11 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
     Lines: optional ``workflow <id>`` header, ``task <name> scatter=<bool>
     cpus=<n> mem=<bytes> disk=<bytes> timeout=<ms> model=<key>``, and
     ``edge <from> -> <to>``.  Blank lines and ``#`` comments are ignored.
-    The spec checks its own structure; the parser only gives a duplicate
-    name or a dangling edge the line that introduced it.
+    The spec checks its own structure; the parser only gives an invalid or
+    duplicate name or a dangling edge the line that introduced it.
     """
     workflow_id = default_workflow_id
+    workflow_line = None
     tasks: list[TaskDefinition] = []
     task_lines: list[int] = []
     edges: list[tuple[str, str]] = []
@@ -386,6 +398,7 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
             if len(parts) != 2:
                 raise WorkflowSyntaxError(lineno, "expected 'workflow <id>'")
             workflow_id = parts[1]
+            workflow_line = lineno
         elif parts[0] == "task":
             if len(parts) != 8:
                 raise WorkflowSyntaxError(
@@ -421,6 +434,11 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
             raise WorkflowSyntaxError(lineno, f"unknown directive {parts[0]!r}")
     try:
         return WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
+    except InvalidNameError as exc:
+        # the workflow id is checked first; a default id has no line
+        names = [t.name for t in tasks]
+        exc.line = workflow_line if exc.name == workflow_id else task_lines[names.index(exc.name)]
+        raise
     except DuplicateTaskError as exc:
         # the spec reports the first name to repeat, at its second definition
         exc.line = [line for t, line in zip(tasks, task_lines) if t.name == exc.task_name][1]

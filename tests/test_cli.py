@@ -266,4 +266,5 @@ def test_serve_subcommand_answers_queries(tmp_path):
         assert denied.status_code == 403
     finally:
         process.terminate()
-        process.wait(timeout=10)
+        # reads both pipes to the end and closes them
+        process.communicate(timeout=10)

@@ -1,6 +1,9 @@
 """Query service tests: exhaustive layer/feature authorization over HTTP,
-payload correctness per feature, error codes, and the live progress stream."""
+payload correctness per feature, error codes, the live progress stream, and
+the context's bookkeeping."""
 
+import ast
+import inspect
 import json
 import threading
 import time
@@ -22,6 +25,7 @@ from stratus.blueprint import (
 )
 from stratus.fixtures import fixture_path, fixture_text
 from stratus.machine import parse_cluster
+from stratus import service
 from stratus.service import (
     LiveRunFeed,
     ServiceContext,
@@ -669,19 +673,42 @@ def test_live_progress_errors(aware):
 
 def test_context_finds_newest_registration():
     context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    assert context.resource_manager() is None
     first = completed_result(TopologyMode.WORKFLOW_AWARE)
     context.add_result(first)
+    assert context.resource_manager() is first.resource_manager
     spec = parse_workflow(fixture_text("fig1.wf"))
     machines, fs_total = parse_cluster(fixture_text("two.cluster"))
     second = run_simulation(
         spec, machines, fs_total, 4, 43, run_id="other", submission_ms=0
     )
     context.add_result(second)
+    assert context.resource_manager() is second.resource_manager
     assert context.run_ids() == ["other", RUN_ID]
     found, instance = context.find_task(TASK)
     assert found.run_id == "other"
     assert instance.task_id == TASK
     assert context.find_task("missing/x/0") is None
+
+
+def test_every_feature_has_exactly_one_table_row():
+    assert set(service._FEATURES) == set(FeatureKey)
+
+
+def test_only_the_context_takes_its_lock():
+    tree = ast.parse(inspect.getsource(service))
+    outside = [
+        node for node in tree.body
+        if not (isinstance(node, ast.ClassDef) and node.name == "ServiceContext")
+    ]
+    takers = [
+        node.lineno
+        for top in outside
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "_lock"
+    ]
+    assert takers == []
+    assert not hasattr(service, "_any_rm")
 
 
 def naive_find_task(context, task_id):

@@ -15,6 +15,7 @@ from stratus.fixtures import fixture_text
 from stratus.workflow import (
     CycleError,
     DuplicateTaskError,
+    InvalidNameError,
     InvalidTransitionError,
     ReportOnRunningRunError,
     RunRecord,
@@ -197,6 +198,36 @@ def test_validate_rejects_a_name_the_artifacts_cannot_carry(name):
         WorkflowSpec(workflow_id="w", tasks=definitions([name]), edges=())
     with pytest.raises(WorkflowError, match="one line without tabs"):
         WorkflowSpec(workflow_id=name, tasks=definitions("a"), edges=())
+
+
+@pytest.mark.parametrize("name", ["a\\", "\\", "a\\\\"])
+def test_validate_rejects_a_name_dot_cannot_quote(name):
+    # a quoted DOT id that ends in a backslash escapes its own closing quote
+    with pytest.raises(InvalidNameError, match="^name must not end in a backslash") as err:
+        WorkflowSpec(workflow_id="w", tasks=definitions([name]), edges=())
+    assert (err.value.name, err.value.line) == (name, None)
+    with pytest.raises(InvalidNameError, match="^name must not end in a backslash") as err:
+        WorkflowSpec(workflow_id=name, tasks=definitions("a"), edges=())
+    assert (err.value.name, err.value.line) == (name, None)
+    # a backslash anywhere else is kept
+    spec = WorkflowSpec(workflow_id="w\\1", tasks=definitions(["a\\b"]), edges=())
+    assert '"a\\b" [label="a\\b [x1]"];' in export_dot(spec)
+
+
+def test_parse_gives_an_invalid_name_its_line():
+    text = "workflow w\n" + TASK_LINE.format(name="a") + TASK_LINE.format(name="b\\")
+    with pytest.raises(InvalidNameError, match=r"backslash: 'b\\\\'$") as err:
+        parse_workflow(text)
+    assert err.value.line == 3
+    # the header that names the workflow, before the task lines
+    text = "# id\nworkflow w\\\n" + TASK_LINE.format(name="a\\")
+    with pytest.raises(InvalidNameError) as err:
+        parse_workflow(text)
+    assert (err.value.name, err.value.line) == ("w\\", 2)
+    # a default id comes from no line
+    with pytest.raises(InvalidNameError) as err:
+        parse_workflow(TASK_LINE.format(name="a"), default_workflow_id="w\\")
+    assert err.value.line is None
 
 
 def test_validate_keeps_spaces_in_names():
