@@ -40,7 +40,7 @@ __all__ = [
     "ResourceManager",
     "ResmanError",
     "WrongTopologyError",
-    "DuplicateTaskError",
+    "DuplicateEntryError",
     "UnknownEntryError",
 ]
 
@@ -55,7 +55,7 @@ class WrongTopologyError(ResmanError):
         self.operation = operation
 
 
-class DuplicateTaskError(ResmanError):
+class DuplicateEntryError(ResmanError):
     def __init__(self, task_id: str):
         super().__init__(f"task already submitted: {task_id!r}")
         self.task_id = task_id
@@ -162,7 +162,7 @@ class ResourceManager:
         finished sets."""
         task_id = entry.task_id
         if task_id in self._queued or task_id in self._running or task_id in self._finished:
-            raise DuplicateTaskError(task_id)
+            raise DuplicateEntryError(task_id)
         self._queued.add(task_id)
         requested, segments = entry.requested, self._segments
         # a definition's instances share one request object: test identity first

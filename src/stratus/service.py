@@ -287,10 +287,10 @@ def _run(context, feature, subject) -> SimulationResult:
 
 
 def _finished_run(context, feature, subject):
-    snapshot = _run(context, feature, subject).run.snapshot()
-    if snapshot.final_state is RunState.RUNNING:
-        raise _HTTPError(400, f"run {snapshot.run_id} has not finished")
-    return snapshot
+    run = _run(context, feature, subject).run
+    if run.final_state is RunState.RUNNING:
+        raise _HTTPError(400, f"run {run.run_id} has not finished")
+    return run
 
 
 def _machine(context, feature, subject) -> _Machine:
@@ -387,9 +387,7 @@ _FEATURES = {
     FeatureKey.RUNNING_WORKFLOWS: (_cluster, lambda rm, *_: {"running": [
         {"run_id": r, "workflow_id": w, "state": s} for r, w, s in rm.running_workflows()
     ]}),
-    FeatureKey.WORKFLOW_STATUS: (
-        _run, lambda run, *_: _status_payload(workflow_status(run.run.snapshot()))
-    ),
+    FeatureKey.WORKFLOW_STATUS: (_run, lambda run, *_: _status_payload(workflow_status(run.run))),
     FeatureKey.WORKFLOW_SPECIFICATION: (_run, lambda run, *_: {
         "workflow_id": run.spec.workflow_id,
         "tasks": [
@@ -621,6 +619,10 @@ def _make_handler(context: ServiceContext):
     return Handler
 
 
+# how often serve_forever checks for shutdown; close() waits up to this long
+_POLL_INTERVAL_S = 0.05
+
+
 @dataclass
 class ServiceHandle:
     server: ThreadingHTTPServer
@@ -646,6 +648,6 @@ def serve(context: ServiceContext, host: str = "127.0.0.1", port: int = 0) -> Se
     the bound address and a close()."""
     server = ThreadingHTTPServer((host, port), _make_handler(context))
     server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True)
     thread.start()
     return ServiceHandle(server=server, thread=thread)

@@ -32,11 +32,11 @@ instance:
   with the engine and shares its lists and dicts, and machine samples live
   only in the registry's per-machine series.
 - Per-run tables built when the run starts replace per-instance lookups:
-  each definition with its task model and MetricPlan, the task faults by
-  target id, and one random generator re-seeded for each instance's
-  stream.  The plan holds every value of the metric formula that no draw
-  touches, so an instance only makes its three draws and derives what
-  depends on them.
+  each definition with its task model and MetricPlan, and one random
+  generator re-seeded for each instance's stream.  The plan holds every
+  value of the metric formula that no draw touches, so an instance only
+  makes its three draws and derives what depends on them.  Task faults
+  are indexed by target id as they are injected.
 - What holds for the whole run is computed once per run: the event and
   log texts that name only a definition or a machine, and the sha256
   state after the stream seed's ``f"{seed}:"`` prefix, which each instance
@@ -156,20 +156,16 @@ class InjectionKind(enum.Enum):
 @dataclass(frozen=True)
 class FaultInjection:
     """A scripted fault.  Task kinds arm at at_ms and fire when the target
-    instance starts; MachineUnhealthy flips the machine at exactly at_ms.
-    on_nth_run restricts the injection to one run index of a repeated
-    scenario (None means every run)."""
+    instance starts at or after it; MachineUnhealthy flips the machine at
+    exactly at_ms."""
 
     kind: InjectionKind
     target: str
     at_ms: int = 0
-    on_nth_run: int | None = None
 
     def __post_init__(self):
         if self.at_ms < 0:
             raise SimulationError(f"at_ms must be nonnegative, got {self.at_ms}")
-        if self.on_nth_run is not None and self.on_nth_run <= 0:
-            raise SimulationError("on_nth_run must be positive")
 
 
 @dataclass(frozen=True)
@@ -477,7 +473,6 @@ class _Execution:
     planned_end_ms: int
     metrics: SynthesizedMetrics
     exit_code: int
-    generation: int
 
 
 def _scaled_record(
@@ -571,17 +566,13 @@ class Simulation:
         input_count: int,
         seed: int,
         topology: TopologyMode = TopologyMode.WORKFLOW_AWARE,
-        run_index: int = 1,
         run_id: str | None = None,
         submission_ms: int | None = None,
     ):
-        if run_index <= 0:
-            raise SimulationError("run_index must be positive")
         self.spec = spec
         self.topology = topology
         self.input_count = input_count
         self.seed = seed
-        self.run_index = run_index
         for definition in spec.tasks:
             if definition.runtime_model not in BUILTIN_MODELS:
                 raise SimulationError(
@@ -618,7 +609,8 @@ class Simulation:
         self._newly_ready: set[str] = set()
         self._open = len(instances)
 
-        self._injections: list[FaultInjection] = []
+        # task faults by target id, in injection order
+        self._task_faults: dict[str, list[FaultInjection]] = {}
         self._events: list[tuple[int, int, str, object]] = []
         self._seq = itertools.count()
         self._now = 0
@@ -627,8 +619,6 @@ class Simulation:
         self._poisoned: set[str] = set()
         self._poisoned_defs: set[str] = set()
         self._executions: dict[str, _Execution] = {}
-        self._generation = itertools.count()
-        self._cancelled: set[int] = set()
         self._pending_machine_events = 0
 
         self.event_records: list[EventRecord] = []
@@ -663,28 +653,19 @@ class Simulation:
     # -- fault injection ----------------------------------------------------
 
     def inject(self, injection: FaultInjection) -> None:
+        """Arm a fault at once, before or during the run: a machine fault
+        goes on the event heap, a task fault into the index by target."""
         if self._started and injection.at_ms <= self._now:
             raise InjectionInPastError(injection.at_ms, self._now)
         if injection.kind is InjectionKind.MACHINE_UNHEALTHY:
             if injection.target not in self.registry.machine_ids():
                 raise TargetUnknownError(injection.target)
+            self._push(injection.at_ms, "machine_unhealthy", injection.target)
+            self._pending_machine_events += 1
         else:
             if injection.target not in self._instances:
                 raise TargetUnknownError(injection.target)
-        self._injections.append(injection)
-        if self._started:
-            self._arm(injection)
-
-    def _arm(self, inj: FaultInjection) -> None:
-        """Schedule a machine fault, or index a task fault by its target,
-        unless the injection belongs to another run index."""
-        if inj.on_nth_run is not None and inj.on_nth_run != self.run_index:
-            return
-        if inj.kind is InjectionKind.MACHINE_UNHEALTHY:
-            self._push(inj.at_ms, "machine_unhealthy", inj.target)
-            self._pending_machine_events += 1
-        else:
-            self._task_faults.setdefault(inj.target, []).append(inj)
+            self._task_faults.setdefault(injection.target, []).append(injection)
 
     def _task_injection(self, task_id: str, start_ms: int) -> FaultInjection | None:
         for inj in self._task_faults.get(task_id, ()):
@@ -727,7 +708,6 @@ class Simulation:
         for d in self.spec.tasks:
             model = BUILTIN_MODELS[d.runtime_model]
             self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
-        self._task_faults: dict[str, list[FaultInjection]] = {}
         self._rng = random.Random()
         self._instance_seed = _stream_seeder(self.seed)
         # the instance texts that name only a machine: started detail,
@@ -745,9 +725,6 @@ class Simulation:
         )
         if self.topology is TopologyMode.WORKFLOW_AWARE:
             self.rm.submit_workflow(self.run)
-
-        for inj in self._injections:
-            self._arm(inj)
 
         predecessors = self.spec.adjacency[0]
         self._newly_ready = {name for name in self._groups if name not in predecessors}
@@ -827,10 +804,7 @@ class Simulation:
             exit_code = EXIT_TIMEOUT
 
         instance.mark_running(t_ms, machine_id)
-        execution = _Execution(
-            task_id, machine_id, t_ms, t_ms + runtime, metrics, exit_code,
-            next(self._generation),
-        )
+        execution = _Execution(task_id, machine_id, t_ms, t_ms + runtime, metrics, exit_code)
         self._executions[task_id] = execution
         self._push(execution.planned_end_ms, "completion", execution)
         started_detail, started_log, _ = self._machine_texts[machine_id]
@@ -880,8 +854,8 @@ class Simulation:
             self._poison_descendants(instance.definition)
 
     def _on_completion(self, t_ms: int, execution: _Execution) -> None:
-        if execution.generation in self._cancelled:
-            return
+        if self._executions.get(execution.task_id) is not execution:
+            return  # killed with its machine
         self._finish_instance(t_ms, execution, execution.exit_code)
         self._pump(t_ms)
 
@@ -890,9 +864,7 @@ class Simulation:
         self.registry.set_status(machine_id, MachineStatus.UNHEALTHY)
         self._emit(t_ms, "machine_status", machine_id, "status=unhealthy")
         for task_id in self.rm.running_on(machine_id):
-            execution = self._executions[task_id]
-            self._cancelled.add(execution.generation)
-            self._finish_instance(t_ms, execution, EXIT_MACHINE_KILL)
+            self._finish_instance(t_ms, self._executions[task_id], EXIT_MACHINE_KILL)
         self._pump(t_ms)
 
     def _on_sample_tick(self, t_ms: int) -> None:
@@ -1012,20 +984,16 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
                 raise ScenarioSyntaxError(lineno, str(exc)) from None
         elif parts[0] == "inject":
             if len(parts) != 4:
-                raise ScenarioSyntaxError(
-                    lineno, "expected 'inject <kind> <target> at=<ms>|on_run=<n>'"
-                )
+                raise ScenarioSyntaxError(lineno, "expected 'inject <kind> <target> at=<ms>'")
             try:
                 kind = InjectionKind(parts[1])
             except ValueError:
                 raise ScenarioSyntaxError(lineno, f"unknown injection kind {parts[1]!r}") from None
-            key, eq, value = parts[3].partition("=")
-            if not eq or key not in ("at", "on_run"):
-                raise ScenarioSyntaxError(lineno, f"expected at= or on_run=, got {parts[3]!r}")
-            number = line_int(value, lineno, key, ScenarioSyntaxError)
-            when = {"at_ms": number} if key == "at" else {"on_nth_run": number}
+            if not parts[3].startswith("at="):
+                raise ScenarioSyntaxError(lineno, f"expected at=<ms>, got {parts[3]!r}")
+            at_ms = line_int(parts[3][len("at="):], lineno, "at", ScenarioSyntaxError)
             try:
-                injections.append(FaultInjection(kind=kind, target=parts[2], **when))
+                injections.append(FaultInjection(kind=kind, target=parts[2], at_ms=at_ms))
             except SimulationError as exc:
                 raise ScenarioSyntaxError(lineno, str(exc)) from None
         else:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_machine, make_request, random_cluster
 from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
 from stratus.resman import (
-    DuplicateTaskError,
+    DuplicateEntryError,
     QueueEntry,
     ResmanError,
     ResourceManager,
@@ -77,13 +77,13 @@ def test_running_workflows_hidden_in_disjoint_mode():
 def test_task_ids_unique_across_lifecycle():
     rm = make_rm()
     rm.enqueue(entry("t1"))
-    with pytest.raises(DuplicateTaskError):
+    with pytest.raises(DuplicateEntryError):
         rm.enqueue(entry("t1"))
     rm.schedule(0)
-    with pytest.raises(DuplicateTaskError):
+    with pytest.raises(DuplicateEntryError):
         rm.enqueue(entry("t1"))
     rm.release("t1")
-    with pytest.raises(DuplicateTaskError):
+    with pytest.raises(DuplicateEntryError):
         rm.enqueue(entry("t1"))
 
 
@@ -313,7 +313,7 @@ def test_segmented_queue_matches_oracle_across_passes(data):
 
         for known in ([task_id for task_id, _ in queue], sorted(running), finished):
             if known:
-                with pytest.raises(DuplicateTaskError):
+                with pytest.raises(DuplicateEntryError):
                     rm.enqueue(entry(data.draw(st.sampled_from(known))))
         assert rm.queue_depth() == len(queue)
 

@@ -8,11 +8,12 @@ import hashlib
 import itertools
 import random
 import tempfile
+from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dag_specs, make_machine, make_request, random_cluster, random_dag_spec
@@ -268,7 +269,7 @@ def finished_executions(draw):
     elif ending == "machine_kill":
         duration, exit_code = draw(st.integers(0, runtime)), EXIT_MACHINE_KILL
     planned_end = start + (duration if exit_code == EXIT_TIMEOUT else runtime)
-    execution = _Execution("w/a/0", "m1", start, planned_end, metrics, exit_code, 0)
+    execution = _Execution("w/a/0", "m1", start, planned_end, metrics, exit_code)
     return plan, execution, draw(st.integers(0, start)), start + duration, exit_code
 
 
@@ -289,7 +290,7 @@ def test_a_plan_over_the_float_bound_scales_its_counters(io_bytes, exact):
     plan = MetricPlan(model, GiB)
     assert plan.full_runtime_exact is exact
     metrics = plan.draw(instance_stream(1, "w/big/0"))
-    execution = _Execution("w/big/0", "m1", 0, 1000, metrics, 0, 0)
+    execution = _Execution("w/big/0", "m1", 0, 1000, metrics, 0)
     record = _scaled_record(execution, 0, 1000, "succeeded", 0, plan)
     # int(2**53 + 1 * 1.0) is 2**53: only the scaled path reproduces that
     assert record.rchar_bytes == 2**53
@@ -646,23 +647,6 @@ def test_injection_validation():
         simulation.run_to_completion()
 
 
-def test_on_nth_run_gates_the_injection():
-    spec, machines, fs_total = fig1_setup()
-    injection = FaultInjection(
-        InjectionKind.TASK_NON_ZERO_EXIT, "wf1/I/0", on_nth_run=2
-    )
-    first = run_simulation(
-        spec, machines, fs_total, 4, 42,
-        injections=[injection], run_index=1, run_id="r", submission_ms=0,
-    )
-    second = run_simulation(
-        spec, machines, fs_total, 4, 42,
-        injections=[injection], run_index=2, run_id="r", submission_ms=0,
-    )
-    assert first.run.final_state is RunState.SUCCEEDED
-    assert second.run.final_state is RunState.FAILED
-
-
 def run_with_mid_run_injection(make_injection):
     """fig1 with one fault injected from an event listener once the clock
     has left 0; returns the result and the injection."""
@@ -806,6 +790,7 @@ def test_parse_scenario_error_cases():
         "inject TaskOOM x at=abc",
         "inject TaskOOM x at=-5",
         "inject TaskOOM x on_run=0",
+        "inject TaskOOM x on_run=1",
     ],
 )
 def test_parse_scenario_bad_values_carry_the_line(line):
@@ -917,8 +902,33 @@ def naive_never_eligible(run, spec) -> set[str]:
     }
 
 
+# t1 and t2 succeed in the same millisecond: t1's pump queues and starts
+# t5 before t2's success makes t4 ready, so one millisecond holds two pumps
+TWO_PUMPS_IN_ONE_MS = (
+    WorkflowSpec(
+        workflow_id="pw",
+        tasks=tuple(
+            TaskDefinition(f"t{i}", False, make_request(cpus=9 if i == 0 else 1), model)
+            for i, model in enumerate(
+                ("quick", "default", "default", "quick", "quick", "quick", "quick")
+            )
+        ),
+        edges=(
+            ("t0", "t6"), ("t1", "t4"), ("t1", "t5"), ("t1", "t6"), ("t2", "t4"), ("t2", "t6"),
+            ("t3", "t4"), ("t3", "t5"), ("t3", "t6"), ("t4", "t6"), ("t5", "t6"),
+        ),
+    ),
+    [make_machine(f"m{i}", cpus=2, mem=4 * GiB) for i in (1, 2, 3)],
+    1,
+    10411,
+    TopologyMode.WORKFLOW_AWARE,
+    [],
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(engine_cases())
+@example(TWO_PUMPS_IN_ONE_MS)
 def test_incremental_engine_agrees_with_naive_scans(case):
     spec, machines, input_count, seed, topology, injections = case
     simulation = Simulation(
@@ -950,6 +960,17 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     assert received == simulation.result.progress_records == replay_progress(event_log)
     if stuck is None:
         assert result is simulation.result
+
+    # every started instance ends once, also when its machine was killed
+    # while its completion event was still on the heap
+    terminal = Counter(
+        e.subject for e in simulation.event_records
+        if e.kind in ("instance_succeeded", "instance_failed")
+    )
+    traced = Counter(r.task_id for r in simulation.trace_records)
+    for event in simulation.event_records:
+        if event.kind == "instance_started":
+            assert terminal[event.subject] == traced[event.subject] == 1, event.subject
 
     # listeners only observe: a run without one writes the same bytes
     quiet = Simulation(
@@ -989,14 +1010,19 @@ def test_incremental_engine_agrees_with_naive_scans(case):
         expected = max((i.end_ms for p in predecessors for i in groups[p]), default=0)
         assert instance.submit_ms == expected, instance.task_id
 
+    # each pump queues what became ready in spec order, then index order.
+    # A pump's queued events are consecutive in the log; two completions in
+    # one millisecond pump twice, so a millisecond may hold two such runs.
     position = {t.name: k for k, t in enumerate(spec.tasks)}
-    queued_at = {}
-    for event in simulation.event_records:
-        if event.kind == "instance_queued":
-            definition, index = event.subject.split("/")[1:]
-            queued_at.setdefault(event.t_ms, []).append((position[definition], int(index)))
-    for order in queued_at.values():
-        assert order == sorted(order)
+    for queued, events in itertools.groupby(
+        simulation.event_records, key=lambda e: e.kind == "instance_queued"
+    ):
+        if queued:
+            order = [
+                (position[definition], int(index))
+                for definition, index in (e.subject.split("/")[1:] for e in events)
+            ]
+            assert order == sorted(order)
 
 
 # --- written artifacts read back equal, over random runs ---
