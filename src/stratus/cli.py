@@ -28,6 +28,8 @@ from .blueprint import (
 from .sim import ScenarioSpec, load_scenario, run_scenario
 from .store import RunStore
 from .service import ServiceContext, serve
+from .taskmon import format_log
+from .textfmt import parse_decimal
 from .workflow import (
     ExecutionReport,
     RunState,
@@ -170,14 +172,10 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
         )
     _write_json(run_dir / "machines.json", machines_payload)
 
-    log_lines = []
-    for task_id in result.log_store.known_tasks():
-        text = result.log_store.export_lines(task_id)
-        if text:
-            log_lines.append(text.rstrip("\n"))
-    (run_dir / "logs.tsv").write_text(
-        ("\n".join(log_lines) + "\n") if log_lines else "", encoding="utf-8"
+    log_text = "".join(
+        format_log(result.application_logs(task_id)) for task_id in sorted(result.instances_by_id)
     )
+    (run_dir / "logs.tsv").write_text(log_text, encoding="utf-8")
 
     report = execution_report(result.run)
     _write_json(run_dir / "report.json", report.to_record())
@@ -289,8 +287,13 @@ def cmd_classify(args) -> int:
 
 def cmd_serve(args) -> int:
     host, _, port_text = args.bind.partition(":")
-    if not host or not port_text.isdigit():
-        raise ValueError(f"--bind expects host:port, got {args.bind!r}")
+    try:
+        # the port is ASCII digits with no sign
+        if not host or port_text[:1] in ("+", "-"):
+            raise ValueError
+        port = parse_decimal(port_text)
+    except ValueError:
+        raise ValueError(f"--bind expects host:port, got {args.bind!r}") from None
     topology = TopologyMode.from_wire(args.topology)
     context = ServiceContext(
         topology,
@@ -304,7 +307,7 @@ def cmd_serve(args) -> int:
         result = run_scenario(scenario, run_id=run_id)
         context.add_result(result)
         print(f"attached run {run_id} ({result.run.final_state.value})")
-    handle = serve(context, host, int(port_text))
+    handle = serve(context, host, port)
     print(f"serving on {handle.url}")
     try:
         while True:

@@ -462,7 +462,7 @@ _FEATURES = {
         "task_id": t.task_id,
         "entries": [
             {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
-            for e in t.result.log_store.query_logs(t.task_id, min_level)
+            for e in t.result.application_logs(t.task_id, min_level)
         ],
     }),
     FeatureKey.TASK_DURATION: (_traced, lambda t, *_: {

@@ -27,7 +27,7 @@ instance:
   one definition, ``ProgressFold``, a fold over the event log: the stored
   stream is ``replay_progress`` of the log, and live listeners get every
   event as it is appended and fold it the same way.  Code-part profiles
-  are derived from trace records on query.
+  and application logs are derived on query.
 - Each run fact is kept once.  The run's one ``SimulationResult`` is built
   with the engine and shares its lists and dicts, and machine samples live
   only in the registry's per-machine series.
@@ -37,8 +37,8 @@ instance:
   value of the metric formula that no draw touches, so an instance only
   makes its three draws and derives what depends on them.  Task faults
   are indexed by target id as they are injected.
-- What holds for the whole run is computed once per run: the event and
-  log texts that name only a definition or a machine, and the sha256
+- What holds for the whole run is computed once per run: the event
+  texts that name only a definition or a machine, and the sha256
   state after the stream seed's ``f"{seed}:"`` prefix, which each instance
   copies and continues with its id.  Failure texts are built per failure.
 - An instance that ran its full planned runtime takes its trace counters
@@ -47,10 +47,9 @@ instance:
   per definition; timeouts, machine kills and plans over the bound scale.
 - The machine's status, a locked registry read, is read only for a
   failed instance; ``diagnose`` never looks at it for a success.
-- An instance's start and finish build only what the run keeps: its log
-  lines go to the log store as plain tuples, and its trace record is
-  indexed by task id as it lands (the service's task lookups read that
-  index and the instance map).
+- An instance's start and finish build only what the run keeps: its
+  trace record is indexed by task id as it lands (the service's task
+  lookups read that index and the instance map).
 - Poisoning walks definition groups, and stops at groups already poisoned,
   whose descendants were poisoned with them.
 - The records built per instance or per event (``EventRecord``,
@@ -93,11 +92,12 @@ from .machine import (
 from .resman import QueueEntry, ResourceManager
 from .taskmon import (
     Diagnosis,
+    LogEntry,
     LogLevel,
-    LogStore,
     TaskTraceRecord,
     diagnose,
     format_trace_file,
+    task_log,
 )
 from .textfmt import LineError, directive_lines, line_int, parse_decimal
 from .workflow import (
@@ -112,7 +112,6 @@ from .workflow import (
     # importable as stratus.sim.* because the benchmark's tracer wraps them
     # by that name
     ready_tasks,
-    resolve_final_state,
     workflow_status,
 )
 
@@ -529,7 +528,6 @@ class SimulationResult:
     event_records: list[EventRecord]
     trace_records: list[TaskTraceRecord]
     diagnoses: dict[str, Diagnosis]
-    log_store: LogStore
     registry: MachineRegistry
     resource_manager: ResourceManager
     # instances poisoned by a failure upstream; they stay pending
@@ -546,6 +544,18 @@ class SimulationResult:
     @property
     def progress_records(self) -> list[WorkflowStatusReport]:
         return replay_progress(self.event_records)
+
+    def application_logs(
+        self, task_id: str, min_level: LogLevel = LogLevel.DEBUG
+    ) -> list[LogEntry]:
+        """The task's log lines at ``min_level`` or above; KeyError for a
+        task id the run does not have."""
+        # a live run stores the record before the diagnosis, so a reader
+        # takes the diagnosis first
+        diagnosis = self.diagnoses.get(task_id)
+        return task_log(
+            self.instances_by_id[task_id], self.trace_by_id.get(task_id), diagnosis, min_level
+        )
 
     def event_log_text(self) -> str:
         return "\n".join(r.line() for r in self.event_records) + "\n"
@@ -626,8 +636,6 @@ class Simulation:
         # task_id -> its trace record, filled as records land
         self._trace_index: dict[str, TaskTraceRecord] = {}
         self.diagnoses: dict[str, Diagnosis] = {}
-        self.log_store = LogStore()
-        self.log_store.register_task(*self._instances)
         # called with each EventRecord as it is appended
         self.event_listeners: list = []
         # called with no arguments when run_to_completion raises
@@ -642,7 +650,6 @@ class Simulation:
             event_records=self.event_records,
             trace_records=self.trace_records,
             diagnoses=self.diagnoses,
-            log_store=self.log_store,
             registry=self.registry,
             resource_manager=self.rm,
             never_eligible=self._poisoned,
@@ -710,11 +717,9 @@ class Simulation:
             self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
         self._rng = random.Random()
         self._instance_seed = _stream_seeder(self.seed)
-        # the instance texts that name only a machine: started detail,
-        # started log line, succeeded detail
+        # the event details that name only a machine: started, succeeded
         self._machine_texts = {
-            m: (f"machine={m}", f"started on {m}", f"exit=0 machine={m}")
-            for m in self.registry.machine_ids()
+            m: (f"machine={m}", f"exit=0 machine={m}") for m in self.registry.machine_ids()
         }
         self._emit(
             0,
@@ -807,9 +812,7 @@ class Simulation:
         execution = _Execution(task_id, machine_id, t_ms, t_ms + runtime, metrics, exit_code)
         self._executions[task_id] = execution
         self._push(execution.planned_end_ms, "completion", execution)
-        started_detail, started_log, _ = self._machine_texts[machine_id]
-        self._emit(t_ms, "instance_started", task_id, started_detail)
-        self.log_store.append(task_id, t_ms, LogLevel.INFO, started_log)
+        self._emit(t_ms, "instance_started", task_id, self._machine_texts[machine_id][0])
 
     # -- event handlers -----------------------------------------------------
 
@@ -823,6 +826,8 @@ class Simulation:
         self._open -= 1
         self.rm.release(task_id, record.wchar_bytes)
         del self._executions[task_id]
+        # the record lands before the diagnosis: a task's log shows its end
+        # line once it has a diagnosis, and reads the end from the record
         self.trace_records.append(record)
         self._trace_index.setdefault(task_id, record)
 
@@ -838,18 +843,13 @@ class Simulation:
         if status is TaskState.SUCCEEDED:
             self._count_success(instance.definition)
             self._emit(
-                t_ms, "instance_succeeded", task_id, self._machine_texts[execution.machine_id][2]
+                t_ms, "instance_succeeded", task_id, self._machine_texts[execution.machine_id][1]
             )
-            self.log_store.append(task_id, t_ms, LogLevel.INFO, "finished exit=0")
         else:
             self._emit(
                 t_ms, "instance_failed", task_id,
                 f"exit={exit_code} verdict={diagnosis.verdict.value} "
                 f"machine={execution.machine_id}",
-            )
-            self.log_store.append(
-                task_id, t_ms, LogLevel.ERROR,
-                f"failed exit={exit_code} ({diagnosis.verdict.value})",
             )
             self._poison_descendants(instance.definition)
 
@@ -909,10 +909,12 @@ class Simulation:
                         self._open -= 1
 
     def _check_completion(self, t_ms: int) -> None:
-        """Resolve the run's final state; called once no instance is open."""
-        self.run.final_state = resolve_final_state(self.run, frozenset(self._poisoned))
-        if self.run.final_state is RunState.RUNNING:
-            return
+        """Resolve the run's final state; called once no instance is open.
+        Every instance is then terminal or poisoned, and only a failure
+        poisons, so the run failed exactly when some instance did not
+        succeed."""
+        failed = any(self._remaining.values())
+        self.run.final_state = RunState.FAILED if failed else RunState.SUCCEEDED
         self._finished = True
         self._emit(
             t_ms, "run_completed", self.spec.workflow_id,

@@ -7,13 +7,12 @@ The format is bit-exact; emitting and re-parsing a record is the identity.
 """
 
 import enum
-import threading
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .machine import MachineStatus
 from .textfmt import LineError, fold_name, parse_decimal
-from .workflow import ResourceRequest, UnknownTaskError
+from .workflow import ResourceRequest, TaskInstance
 
 TRACE_COLUMNS = (
     "task_id",
@@ -280,51 +279,35 @@ class LogEntry:
     message: str
 
 
-class LogStore:
-    """Per-task application log entries.  Appends may arrive out of order
-    and from concurrent writers; queries sort by time (stably, so entries
-    with equal times keep their append order).  Each entry is stored as a
-    plain (t_ms, level, message) tuple; LogEntry objects are built only
-    when queried."""
+def task_log(
+    instance: TaskInstance,
+    record: "TaskTraceRecord | None",
+    diagnosis: "Diagnosis | None",
+    min_level: LogLevel = LogLevel.DEBUG,
+) -> list[LogEntry]:
+    """A task's application log, derived from its lifecycle: ``started on
+    <machine>`` once it has started, then, once it has a diagnosis, its
+    end line at the trace record's end.  Lines below ``min_level`` are
+    dropped."""
+    if instance.start_ms is None:
+        return []
+    task_id = instance.task_id
+    entries = [
+        LogEntry(task_id, instance.start_ms, LogLevel.INFO, f"started on {instance.machine}")
+    ]
+    if diagnosis is not None:
+        if record.exit_code == 0:
+            level, message = LogLevel.INFO, "finished exit=0"
+        else:
+            level = LogLevel.ERROR
+            message = f"failed exit={record.exit_code} ({diagnosis.verdict.value})"
+        entries.append(LogEntry(task_id, record.end_ms, level, message))
+    return [e for e in entries if e.level >= min_level]
 
-    def __init__(self):
-        self._entries: dict[str, list[tuple[int, LogLevel, str]]] = {}
-        self._lock = threading.Lock()
 
-    def register_task(self, *task_ids: str) -> None:
-        with self._lock:
-            entries = self._entries
-            # an id registered before keeps its entries
-            entries |= {task_id: [] for task_id in task_ids if task_id not in entries}
-
-    def known_tasks(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
-    def append(self, task_id: str, t_ms: int, level: LogLevel, message: str) -> None:
-        with self._lock:
-            entries = self._entries.get(task_id)
-            if entries is None:
-                raise UnknownTaskError(task_id)
-            entries.append((t_ms, level, message))
-
-    def append_log(self, entry: LogEntry) -> None:
-        self.append(entry.task_id, entry.t_ms, entry.level, entry.message)
-
-    def query_logs(self, task_id: str, min_level: LogLevel = LogLevel.DEBUG) -> list[LogEntry]:
-        with self._lock:
-            if task_id not in self._entries:
-                raise UnknownTaskError(task_id)
-            matching = [e for e in self._entries[task_id] if e[1] >= min_level]
-        matching.sort(key=itemgetter(0))
-        return [LogEntry(task_id, t_ms, level, message) for t_ms, level, message in matching]
-
-    def export_lines(self, task_id: str, min_level: LogLevel = LogLevel.DEBUG) -> str:
-        lines = [
-            f"{e.t_ms}\t{e.level.wire_name}\t{e.task_id}\t{e.message}"
-            for e in self.query_logs(task_id, min_level)
-        ]
-        return "\n".join(lines) + "\n" if lines else ""
+def format_log(entries: "list[LogEntry]") -> str:
+    """One tab-separated line per entry: time, level, task id, message."""
+    return "".join(f"{e.t_ms}\t{e.level.wire_name}\t{e.task_id}\t{e.message}\n" for e in entries)
 
 
 @dataclass(frozen=True)

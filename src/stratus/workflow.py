@@ -232,6 +232,8 @@ class TaskInstance:
         if t_ms < self.submit_ms:
             raise WorkflowError(f"{self.task_id}: start {t_ms} before submit {self.submit_ms}")
         self.state = TaskState.RUNNING
+        # machine before start: a task's derived log names the machine as
+        # soon as a live reader sees the start
         self.machine = machine
         self.start_ms = t_ms
 

@@ -218,8 +218,10 @@ def test_unknown_command_and_flag_exit_64(sandbox):
 
 
 def test_serve_rejects_bad_bind(sandbox, capsys):
-    assert main(["serve", "--bind", "nonsense"]) == 1
-    assert "host:port" in capsys.readouterr().err
+    # a port is ASCII digits: no sign and no other digit characters
+    for bind in ("nonsense", "127.0.0.1:\u00b2", "127.0.0.1:+8080"):
+        assert main(["serve", "--bind", bind]) == 1
+        assert f"--bind expects host:port, got {bind!r}" in capsys.readouterr().err
 
 
 # --- serve, end to end ---

@@ -385,8 +385,11 @@ def test_application_logs_with_level_filter(aware):
     _, result, url = aware
     body = get_feature(url, FeatureKey.APPLICATION_LOGS, LayerId.TASK).json()
     entries = body["payload"]["entries"]
-    assert len(entries) == len(result.log_store.query_logs(TASK))
-    assert entries[0]["level"] == "Info"
+    assert entries == [
+        {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
+        for e in result.application_logs(TASK)
+    ]
+    assert [e["level"] for e in entries] == ["Info", "Info"]
 
     body = get_feature(
         url, FeatureKey.APPLICATION_LOGS, LayerId.TASK, min_level="Error"

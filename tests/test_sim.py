@@ -53,7 +53,14 @@ from stratus.sim import (
     synthesize_metrics,
 )
 from stratus.store import RunStore
-from stratus.taskmon import TaskTraceRecord, Verdict, format_trace_file, parse_trace
+from stratus.taskmon import (
+    LogEntry,
+    LogLevel,
+    TaskTraceRecord,
+    Verdict,
+    format_trace_file,
+    parse_trace,
+)
 from stratus.workflow import (
     RunState,
     TaskDefinition,
@@ -419,6 +426,27 @@ def test_progress_counts_are_monotone_and_complete():
         )
     )
     assert len(result.progress_records) == lifecycle_events
+
+
+def test_a_live_log_read_is_whole_when_the_task_ends_between_its_reads():
+    result = run_fig1()
+    task_id = result.run.instances[0].task_id
+    finished = result.application_logs(task_id)
+    record = result.trace_by_id.pop(task_id)
+    diagnosis = result.diagnoses.pop(task_id)
+
+    class EndsOnRead(dict):
+        """The engine finishes the task while the record is being read."""
+
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            self[key] = record
+            result.diagnoses[key] = diagnosis
+            return found
+
+    live = dataclasses.replace(result, trace_by_id=EndsOnRead(result.trace_by_id))
+    assert live.application_logs(task_id) == finished[:1]
+    assert live.application_logs(task_id) == finished
 
 
 # --- event log oracles: dependency order and capacity safety ---
@@ -833,7 +861,6 @@ def test_instance_groups_are_the_runs_definition_runs(spec, input_count):
     for name, group in expected.items():
         # the engine mutates the run's own instances through its groups
         assert list(map(id, simulation._groups[name])) == list(map(id, group))
-    assert simulation.log_store.known_tasks() == sorted(i.task_id for i in instances)
 
 
 # --- incremental engine state against the naive scans ---
@@ -939,14 +966,33 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     mismatches = []
     received = []
     fold = ProgressFold()
+    # each task's log as its own events so far tell it
+    rebuilt: dict[str, list[LogEntry]] = {}
 
     def check_progress(event):
+        if event.kind in ("instance_started", "instance_succeeded", "instance_failed"):
+            check_log(event)
         record = fold.step(event)
         if record is None:
             return
         received.append(record)
         if record != workflow_status(simulation.run):
             mismatches.append(record)
+
+    def check_log(event):
+        detail = dict(part.split("=") for part in event.detail.split())
+        if event.kind == "instance_started":
+            entry = (LogLevel.INFO, f"started on {detail['machine']}")
+        elif event.kind == "instance_succeeded":
+            entry = (LogLevel.INFO, "finished exit=0")
+        else:
+            entry = (LogLevel.ERROR, f"failed exit={detail['exit']} ({detail['verdict']})")
+        log = rebuilt.setdefault(event.subject, [])
+        log.append(LogEntry(event.subject, event.t_ms, *entry))
+        for level in LogLevel:
+            expected = [e for e in log if e.level >= level]
+            if simulation.result.application_logs(event.subject, level) != expected:
+                mismatches.append((event, level))
 
     simulation.event_listeners.append(check_progress)
     stuck = None

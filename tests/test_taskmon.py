@@ -17,20 +17,20 @@ from stratus.taskmon import (
     InvariantViolationError,
     LogEntry,
     LogLevel,
-    LogStore,
     MissingHeaderError,
     TaskTraceRecord,
     TraceError,
-    UnknownTaskError,
     Verdict,
     consumed_vs_requested,
     diagnose,
     emit_trace,
+    format_log,
     format_trace_file,
     parse_trace,
+    task_log,
     validate_code_parts,
 )
-from stratus.workflow import ResourceRequest
+from stratus.workflow import ResourceRequest, TaskInstance
 
 GiB = 1024**3
 
@@ -390,105 +390,42 @@ def test_log_levels_round_trip_wire_names():
         LogLevel.from_wire("loud")
 
 
-def test_log_store_requires_registration():
-    store = LogStore()
-    with pytest.raises(UnknownTaskError):
-        store.append_log(LogEntry("ghost", 0, LogLevel.INFO, "hi"))
-    with pytest.raises(UnknownTaskError):
-        store.query_logs("ghost")
+def test_task_log_follows_the_lifecycle():
+    instance = TaskInstance("w/a/0", "a")
+    assert task_log(instance, None, None) == []
+    instance.mark_queued(5)
+    assert task_log(instance, None, None) == []
+    instance.mark_running(10, "m1")
+    started = LogEntry("w/a/0", 10, LogLevel.INFO, "started on m1")
+    assert task_log(instance, None, None) == [started]
+    record = make_record(start_ms=10, end_ms=40, duration_ms=30)
+    # the record alone does not end the log; the diagnosis does
+    assert task_log(instance, record, None) == [started]
+    done = diagnose(record, REQ, MachineStatus.HEALTHY)
+    assert task_log(instance, record, done) == [
+        started, LogEntry("w/a/0", 40, LogLevel.INFO, "finished exit=0")
+    ]
+    assert task_log(instance, record, done, LogLevel.WARNING) == []
 
-
-def test_log_store_registering_again_keeps_entries():
-    store = LogStore()
-    store.register_task("w/a/0", "w/b/0")
-    store.append("w/a/0", 10, LogLevel.INFO, "kept")
-    store.register_task("w/a/0", "w/c/0", "w/c/0")
-    assert [e.message for e in store.query_logs("w/a/0")] == ["kept"]
-    assert store.query_logs("w/c/0") == []
-    assert store.known_tasks() == ["w/a/0", "w/b/0", "w/c/0"]
-
-
-def test_log_query_sorts_and_filters():
-    store = LogStore()
-    store.register_task("w/a/0")
-    store.append_log(LogEntry("w/a/0", 30, LogLevel.ERROR, "third"))
-    store.append_log(LogEntry("w/a/0", 10, LogLevel.DEBUG, "first"))
-    store.append_log(LogEntry("w/a/0", 20, LogLevel.INFO, "second"))
-    assert [e.message for e in store.query_logs("w/a/0")] == ["first", "second", "third"]
-    filtered = store.query_logs("w/a/0", min_level=LogLevel.INFO)
-    assert [e.message for e in filtered] == ["second", "third"]
-
-
-def test_log_filter_matches_brute_force():
-    rng = random.Random(19)
-    store = LogStore()
-    store.register_task("t")
-    entries = []
-    for _ in range(300):
-        entry = LogEntry("t", rng.randint(0, 1000), rng.choice(list(LogLevel)), "m")
-        entries.append(entry)
-        store.append_log(entry)
-    for level in LogLevel:
-        expected = sorted(
-            [e for e in entries if e.level >= level], key=lambda e: e.t_ms
-        )
-        got = store.query_logs("t", min_level=level)
-        assert [e.t_ms for e in got] == [e.t_ms for e in expected]
-        assert sorted(e.message for e in got) == sorted(e.message for e in expected)
+    failed = make_record(
+        status="failed", exit_code=124, start_ms=10, end_ms=5010, duration_ms=5000
+    )
+    verdict = diagnose(failed, REQ, MachineStatus.HEALTHY)
+    error = LogEntry("w/a/0", 5010, LogLevel.ERROR, "failed exit=124 (timeout)")
+    assert task_log(instance, failed, verdict) == [started, error]
+    for level in (LogLevel.WARNING, LogLevel.ERROR):
+        assert task_log(instance, failed, verdict, level) == [error]
 
 
 def test_log_export_format():
-    store = LogStore()
-    store.register_task("w/a/0")
-    assert store.export_lines("w/a/0") == ""
-    store.append_log(LogEntry("w/a/0", 15, LogLevel.WARNING, "careful"))
-    assert store.export_lines("w/a/0") == "15\tWarning\tw/a/0\tcareful\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.booleans(),  # through append_log (else the positional append)
-            st.sampled_from(["w/a/0", "w/b/1", "ghost"]),
-            st.integers(min_value=0, max_value=5),  # few times: many ties
-            st.sampled_from(list(LogLevel)),
-            st.text(max_size=5),
-        ),
-        max_size=40,
+    assert format_log([]) == ""
+    entries = [
+        LogEntry("w/a/0", 15, LogLevel.WARNING, "careful"),
+        LogEntry("w/a/0", 20, LogLevel.ERROR, "failed exit=1 (non_zero_exit)"),
+    ]
+    assert format_log(entries) == (
+        "15\tWarning\tw/a/0\tcareful\n20\tError\tw/a/0\tfailed exit=1 (non_zero_exit)\n"
     )
-)
-def test_log_store_matches_a_stable_sort_reference(operations):
-    store = LogStore()
-    store.register_task("w/a/0", "w/b/1")
-    appended = {"w/a/0": [], "w/b/1": []}
-    for via_entry, task_id, t_ms, level, message in operations:
-        if task_id == "ghost":
-            with pytest.raises(UnknownTaskError):
-                if via_entry:
-                    store.append_log(LogEntry(task_id, t_ms, level, message))
-                else:
-                    store.append(task_id, t_ms, level, message)
-            continue
-        if via_entry:
-            store.append_log(LogEntry(task_id, t_ms, level, message))
-        else:
-            store.append(task_id, t_ms, level, message)
-        appended[task_id].append(LogEntry(task_id, t_ms, level, message))
-    for task_id, entries in appended.items():
-        for level in LogLevel:
-            expected = sorted(
-                (e for e in entries if e.level >= level), key=lambda e: e.t_ms
-            )
-            assert store.query_logs(task_id, level) == expected
-            lines = [
-                f"{e.t_ms}\t{e.level.wire_name}\t{e.task_id}\t{e.message}\n"
-                for e in expected
-            ]
-            assert store.export_lines(task_id, level) == "".join(lines)
-    for read in (store.query_logs, store.export_lines):
-        with pytest.raises(UnknownTaskError):
-            read("ghost")
 
 
 # --- code parts ---
