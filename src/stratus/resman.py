@@ -2,27 +2,30 @@
 with capacity reservation, infrastructure and file-system status, and the
 running-workflow registry.
 
-The queue is stored as run-length segments: each segment holds consecutive
-entries with an equal ResourceRequest.  Within one scheduling pass headroom
-only shrinks, so once a request vector fits nowhere, every later entry with
-the same vector fits nowhere either, and a machine too small for a vector
-stays too small for it.  A pass therefore skips whole segments and resumes
-each vector's first-fit scan where the previous entry left off, costing
-O(segments + assignments + machines x distinct vectors) instead of
-O(queue x machines).  The healthy machines, their capacities and headroom
-persist between passes: the list is rebuilt only when the registry's
-version moves, and a machine's headroom is recomputed when an assignment or
-a release changes its reservation.  Capacities, reservations, headroom and
-request vectors are plain (cpu, memory, disk) tuples inside the class, so
-a pass and a release build no ResourceVector and hash no dataclass; the
-public reads (reserved_on, infrastructure_status) still return
-ResourceVector.
+The queue holds task ids, stored as run-length segments: each segment
+holds consecutive ids with an equal ResourceRequest, and that request's
+(cpu, memory, disk) vector, computed once when the segment opens.  Within
+one scheduling pass headroom only shrinks, so once a request vector fits
+nowhere, every later task with the same vector fits nowhere either, and a
+machine too small for a vector stays too small for it.  A pass therefore
+skips whole segments and resumes each vector's first-fit scan where the
+previous task left off, costing O(segments + assignments + machines x
+distinct vectors) instead of O(queue x machines).  The healthy machines,
+their capacities and headroom persist between passes: the list is rebuilt
+only when the registry's version moves, and a machine's headroom is
+recomputed when an assignment or a release changes its reservation.
+Capacities, reservations, headroom and request vectors are plain (cpu,
+memory, disk) tuples inside the class, so a pass and a release build no
+ResourceVector and hash no dataclass; the public reads (reserved_on,
+infrastructure_status) still return ResourceVector.
 
-Two coupling topologies exist.  In workflow-aware mode the resource manager
-is handed whole workflows and resolves readiness itself; in disjoint mode an
-external driver submits ready instances one at a time and the resource
-manager knows nothing about workflow structure (running_workflows is always
-empty there).
+Two coupling topologies exist; in both, the engine resolves readiness and
+queues each ready instance as a task id and its request.  In workflow-aware
+mode runs are registered with submit_workflow, instances are queued with
+enqueue, and running_workflows lists the registered runs.  In disjoint mode
+instances arrive through submit_task, as from an external driver, and the
+resource manager sees no workflow: running_workflows is always empty.  The
+access matrix (blueprint) decides which features each topology may serve.
 """
 
 from collections import deque
@@ -34,7 +37,6 @@ from .workflow import ResourceRequest, RunRecord
 
 __all__ = [
     "TopologyMode",
-    "QueueEntry",
     "InfrastructureStatus",
     "FileSystemStatus",
     "ResourceManager",
@@ -77,20 +79,14 @@ def _triple(v: "ResourceVector | ResourceRequest") -> _Vector:
     return (v.cpu_cores, v.memory_bytes, v.disk_bytes)
 
 
+def _plus(a: _Vector, b: _Vector) -> _Vector:
+    """a + b per dimension, as ResourceVector.plus computes it."""
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
 def _minus(a: _Vector, b: _Vector) -> _Vector:
     """a - b per dimension, as ResourceVector.minus computes it."""
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-@dataclass(slots=True)
-class QueueEntry:
-    """One ready-to-run instance waiting for a machine.  workflow_id is
-    known only in workflow-aware mode."""
-
-    task_id: str
-    requested: ResourceRequest
-    enqueue_ms: int
-    workflow_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -120,16 +116,15 @@ class ResourceManager:
         self.topology = topology
         self.registry = registry
         self.fs_total_bytes = fs_total_bytes
-        # (request, entries) segments in FIFO order
-        self._segments: list[tuple[ResourceRequest, deque[QueueEntry]]] = []
+        # (request, request vector, task ids) segments in FIFO order
+        self._segments: list[tuple[ResourceRequest, _Vector, deque[str]]] = []
         self._queued: set[str] = set()
-        # task_id -> (machine_id, request, request vector)
-        self._running: dict[str, tuple[str, ResourceRequest, _Vector]] = {}
+        # task_id -> (machine_id, request vector)
+        self._running: dict[str, tuple[str, _Vector]] = {}
         self._finished: set[str] = set()
         self._reserved: dict[str, _Vector] = {}
         self._fs_written_bytes = 0
         self._runs: list[RunRecord] = []
-        self._vectors: dict[ResourceRequest, _Vector] = {}
         # healthy machines in ascending id order with capacity, headroom and
         # slot by id, as of registry version _healthy_version
         self._healthy_version: int | None = None
@@ -148,36 +143,27 @@ class ResourceManager:
         self._runs.append(run)
         return run.run_id
 
-    def submit_task(self, entry: QueueEntry) -> None:
+    def submit_task(self, task_id: str, requested: ResourceRequest) -> None:
         """External single-task submission; only the disjoint driver may use
         this path."""
         if self.topology is not TopologyMode.DISJOINT:
             raise WrongTopologyError("submit_task", self.topology)
-        if entry.workflow_id is not None:
-            raise ResmanError("disjoint submissions must not carry a workflow_id")
-        self.enqueue(entry)
+        self.enqueue(task_id, requested)
 
-    def enqueue(self, entry: QueueEntry) -> None:
+    def enqueue(self, task_id: str, requested: ResourceRequest) -> None:
         """FIFO append with task-id uniqueness across queue, running, and
         finished sets."""
-        task_id = entry.task_id
         if task_id in self._queued or task_id in self._running or task_id in self._finished:
             raise DuplicateEntryError(task_id)
         self._queued.add(task_id)
-        requested, segments = entry.requested, self._segments
+        segments = self._segments
         # a definition's instances share one request object: test identity first
         if segments and (segments[-1][0] is requested or segments[-1][0] == requested):
-            segments[-1][1].append(entry)
+            segments[-1][2].append(task_id)
         else:
-            segments.append((requested, deque([entry])))
+            segments.append((requested, _triple(requested), deque([task_id])))
 
     # -- scheduling ---------------------------------------------------------
-
-    def _vector(self, requested: ResourceRequest) -> _Vector:
-        vector = self._vectors.get(requested)
-        if vector is None:
-            vector = self._vectors[requested] = _triple(requested)
-        return vector
 
     def _refresh_healthy(self) -> None:
         version = self.registry.version
@@ -197,8 +183,8 @@ class ResourceManager:
 
     def schedule(self, t_ms: int) -> list[tuple[str, str]]:
         """One scheduling pass: walk the queue in FIFO order and give each
-        entry the first healthy machine (ascending id) with room on every
-        dimension.  Assignment reserves capacity immediately; entries that
+        task the first healthy machine (ascending id) with room on every
+        dimension.  Assignment reserves capacity immediately; tasks that
         fit nowhere stay queued."""
         if not self._segments:
             return []
@@ -210,32 +196,31 @@ class ResourceManager:
         assignments = []
         remaining = []
         reservations = self._reserved
-        for requested, entries in self._segments:
-            need = self._vector(requested)
+        for requested, need, task_ids in self._segments:
             cpu, mem, disk = need
             k = first_fit.get(need, 0)
-            while entries and k < len(machine_ids):
+            while task_ids and k < len(machine_ids):
                 room = headroom[k]
                 if not (cpu <= room[0] and mem <= room[1] and disk <= room[2]):
                     k += 1
                     continue
-                entry = entries.popleft()
+                task_id = task_ids.popleft()
                 chosen = machine_ids[k]
                 reserved = reservations.get(chosen, _ZERO)
                 reserved = reservations[chosen] = (
                     reserved[0] + cpu, reserved[1] + mem, reserved[2] + disk,
                 )
                 headroom[k] = _minus(capacity[k], reserved)
-                self._queued.discard(entry.task_id)
-                self._running[entry.task_id] = (chosen, requested, need)
-                assignments.append((entry.task_id, chosen))
+                self._queued.discard(task_id)
+                self._running[task_id] = (chosen, need)
+                assignments.append((task_id, chosen))
             first_fit[need] = k
-            if not entries:
+            if not task_ids:
                 continue
             if remaining and (remaining[-1][0] is requested or remaining[-1][0] == requested):
-                remaining[-1][1].extend(entries)
+                remaining[-1][2].extend(task_ids)
             else:
-                remaining.append((requested, entries))
+                remaining.append((requested, need, task_ids))
         self._segments = remaining
         return assignments
 
@@ -244,7 +229,7 @@ class ResourceManager:
         against the shared file system."""
         if task_id not in self._running:
             raise UnknownEntryError(task_id)
-        machine_id, _, need = self._running.pop(task_id)
+        machine_id, need = self._running.pop(task_id)
         # _minus, inline: this runs once per finished instance
         held = self._reserved[machine_id]
         reserved = self._reserved[machine_id] = (
@@ -261,12 +246,8 @@ class ResourceManager:
 
     def running_on(self, machine_id: str) -> list[str]:
         return sorted(
-            task_id for task_id, (m, _, _) in self._running.items() if m == machine_id
+            task_id for task_id, (m, _) in self._running.items() if m == machine_id
         )
-
-    def assignment(self, task_id: str) -> "tuple[str, ResourceRequest] | None":
-        running = self._running.get(task_id)
-        return None if running is None else running[:2]
 
     def queue_depth(self) -> int:
         return len(self._queued)
@@ -278,17 +259,15 @@ class ResourceManager:
 
     def infrastructure_status(self) -> InfrastructureStatus:
         counts = self.registry.status_counts()
-        total = ResourceVector(0, 0, 0)
+        total = reserved = _ZERO
         for machine_id in self.registry.machine_ids():
-            total = total.plus(self.registry.descriptor(machine_id).capacity)
-        reserved = ResourceVector(0, 0, 0)
-        for machine_id in self.registry.machine_ids():
-            reserved = reserved.plus(self.reserved_on(machine_id))
+            total = _plus(total, _triple(self.registry.descriptor(machine_id).capacity))
+            reserved = _plus(reserved, self._reserved.get(machine_id, _ZERO))
         return InfrastructureStatus(
             machines_total=sum(counts.values()),
             machines_by_status=counts,
-            capacity_total=total,
-            capacity_reserved=reserved,
+            capacity_total=ResourceVector(*total),
+            capacity_reserved=ResourceVector(*reserved),
             queue_depth=len(self._queued),
             running_tasks=len(self._running),
         )

@@ -53,7 +53,7 @@ instance:
 - Poisoning walks definition groups, and stops at groups already poisoned,
   whose descendants were poisoned with them.
 - The records built per instance or per event (``EventRecord``,
-  ``SynthesizedMetrics``, ``_Execution``, and the layers' ``QueueEntry``,
+  ``SynthesizedMetrics``, ``_Execution``, and the layers'
   ``MachineSample``, ``TaskTraceRecord`` and ``Diagnosis``) are slotted
   dataclasses, not frozen ones.  Each is written once, when it is built,
   and nothing hashes it; a frozen dataclass sets every field through
@@ -89,7 +89,7 @@ from .machine import (
     MachineSample,
     MachineStatus,
 )
-from .resman import QueueEntry, ResourceManager
+from .resman import ResourceManager
 from .taskmon import (
     Diagnosis,
     LogEntry,
@@ -772,15 +772,16 @@ class Simulation:
     def _queue_ready(self, t_ms: int) -> None:
         ready = sorted(self._newly_ready, key=self._position.__getitem__)
         self._newly_ready = set()
+        # the topology guard is the coupling rule: only the disjoint driver
+        # submits single tasks
         aware = self.topology is TopologyMode.WORKFLOW_AWARE
         submit = self.rm.enqueue if aware else self.rm.submit_task
-        workflow_id = self.spec.workflow_id if aware else None
         for name in ready:
             requested = self._definitions[name][0].requested
             detail = f"definition={name}"
             for instance in self._groups[name]:
                 instance.mark_queued(t_ms)
-                submit(QueueEntry(instance.task_id, requested, t_ms, workflow_id))
+                submit(instance.task_id, requested)
                 self._emit(t_ms, "instance_queued", instance.task_id, detail)
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:

@@ -18,7 +18,6 @@ from conftest import GiB, make_machine, random_dag_spec
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
-    FeatureKey,
     LayerId,
     TopologyMode,
     access_allowed,
@@ -280,20 +279,19 @@ def test_criterion_06_capacity_safety_against_oracle(acceptance):
             next_id = 0
             for step in range(3):
                 for _ in range(rng.randint(0, 8)):
-                    e = entry(
+                    task_id, requested = entry(
                         f"t{round_number}_{next_id}",
                         cpus=rng.randint(1, 6),
                         mem=rng.randint(1, 8) * GiB,
                         disk=rng.randint(0, 4) * GiB,
-                        t=step,
                     )
                     next_id += 1
-                    rm.enqueue(e)
+                    rm.enqueue(task_id, requested)
                     need = ResourceVector(
-                        e.requested.cpu_cores, e.requested.memory_bytes, e.requested.disk_bytes
+                        requested.cpu_cores, requested.memory_bytes, requested.disk_bytes
                     )
-                    need_of[e.task_id] = need
-                    pending.append((e.task_id, need))
+                    need_of[task_id] = need
+                    pending.append((task_id, need))
                 expected, leftover = oracle_first_fit(pending, ordered, reserved)
                 assert rm.schedule(step) == expected
                 for task_id, machine_id in expected:

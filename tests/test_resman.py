@@ -11,7 +11,6 @@ from conftest import make_machine, make_request, random_cluster
 from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
 from stratus.resman import (
     DuplicateEntryError,
-    QueueEntry,
     ResmanError,
     ResourceManager,
     TopologyMode,
@@ -30,13 +29,9 @@ def make_rm(machines=None, topology=TopologyMode.DISJOINT, fs_total=1024**4):
     return ResourceManager(topology, registry, fs_total)
 
 
-def entry(task_id, cpus=1, mem=GiB, disk=0, t=0, workflow_id=None) -> QueueEntry:
-    return QueueEntry(
-        task_id=task_id,
-        requested=make_request(cpus=cpus, mem=mem, disk=disk),
-        enqueue_ms=t,
-        workflow_id=workflow_id,
-    )
+def entry(task_id, cpus=1, mem=GiB, disk=0):
+    """The (task_id, requested) arguments of enqueue and submit_task."""
+    return task_id, make_request(cpus=cpus, mem=mem, disk=disk)
 
 
 # --- topology guards ---
@@ -52,15 +47,7 @@ def test_workflow_submission_needs_workflow_aware_mode():
 def test_task_submission_needs_disjoint_mode():
     rm = make_rm(topology=TopologyMode.WORKFLOW_AWARE)
     with pytest.raises(WrongTopologyError):
-        rm.submit_task(entry("t1"))
-
-
-def test_disjoint_submission_must_not_name_a_workflow():
-    rm = make_rm(topology=TopologyMode.DISJOINT)
-    with pytest.raises(ResmanError):
-        rm.submit_task(entry("t1", workflow_id="w"))
-    rm.submit_task(entry("t1"))
-    assert rm.queue_depth() == 1
+        rm.submit_task(*entry("t1"))
 
 
 def test_running_workflows_hidden_in_disjoint_mode():
@@ -76,22 +63,22 @@ def test_running_workflows_hidden_in_disjoint_mode():
 
 def test_task_ids_unique_across_lifecycle():
     rm = make_rm()
-    rm.enqueue(entry("t1"))
+    rm.enqueue(*entry("t1"))
     with pytest.raises(DuplicateEntryError):
-        rm.enqueue(entry("t1"))
+        rm.enqueue(*entry("t1"))
     rm.schedule(0)
     with pytest.raises(DuplicateEntryError):
-        rm.enqueue(entry("t1"))
+        rm.enqueue(*entry("t1"))
     rm.release("t1")
     with pytest.raises(DuplicateEntryError):
-        rm.enqueue(entry("t1"))
+        rm.enqueue(*entry("t1"))
 
 
 def test_release_requires_running_task():
     rm = make_rm()
     with pytest.raises(UnknownEntryError):
         rm.release("ghost")
-    rm.enqueue(entry("t1"))
+    rm.enqueue(*entry("t1"))
     with pytest.raises(UnknownEntryError):
         rm.release("t1")
 
@@ -102,9 +89,9 @@ def test_release_requires_running_task():
 def test_first_fit_prefers_lowest_machine_id():
     machines = [make_machine("m1", cpus=4), make_machine("m2", cpus=4)]
     rm = make_rm(machines)
-    rm.enqueue(entry("t1", cpus=2))
-    rm.enqueue(entry("t2", cpus=2))
-    rm.enqueue(entry("t3", cpus=2))
+    rm.enqueue(*entry("t1", cpus=2))
+    rm.enqueue(*entry("t2", cpus=2))
+    rm.enqueue(*entry("t3", cpus=2))
     assert rm.schedule(0) == [("t1", "m1"), ("t2", "m1"), ("t3", "m2")]
 
 
@@ -112,18 +99,18 @@ def test_first_fit_skips_unhealthy_machines():
     machines = [make_machine("m1"), make_machine("m2")]
     rm = make_rm(machines)
     rm.registry.set_status("m1", MachineStatus.UNHEALTHY)
-    rm.enqueue(entry("t1"))
+    rm.enqueue(*entry("t1"))
     assert rm.schedule(0) == [("t1", "m2")]
     rm.registry.set_status("m2", MachineStatus.MAINTENANCE)
-    rm.enqueue(entry("t2"))
+    rm.enqueue(*entry("t2"))
     assert rm.schedule(0) == []
     assert rm.queue_depth() == 1
 
 
 def test_blocked_head_does_not_starve_smaller_entries():
     rm = make_rm([make_machine("m1", cpus=4)])
-    rm.enqueue(entry("big", cpus=8))
-    rm.enqueue(entry("small", cpus=1))
+    rm.enqueue(*entry("big", cpus=8))
+    rm.enqueue(*entry("small", cpus=1))
     assert rm.schedule(0) == [("small", "m1")]
     assert rm.queue_depth() == 1
 
@@ -131,15 +118,15 @@ def test_blocked_head_does_not_starve_smaller_entries():
 def test_fifo_order_when_everything_fits():
     rm = make_rm([make_machine("m1", cpus=8)])
     for i in range(4):
-        rm.enqueue(entry(f"t{i}", cpus=1))
+        rm.enqueue(*entry(f"t{i}", cpus=1))
     assert [task for task, _ in rm.schedule(0)] == ["t0", "t1", "t2", "t3"]
 
 
 def test_release_makes_room_again():
     rm = make_rm([make_machine("m1", cpus=2)])
-    rm.enqueue(entry("t1", cpus=2))
+    rm.enqueue(*entry("t1", cpus=2))
     assert rm.schedule(0) == [("t1", "m1")]
-    rm.enqueue(entry("t2", cpus=2))
+    rm.enqueue(*entry("t2", cpus=2))
     assert rm.schedule(1) == []
     rm.release("t1")
     assert rm.schedule(2) == [("t2", "m1")]
@@ -148,14 +135,12 @@ def test_release_makes_room_again():
 def test_assignment_and_running_on_views():
     machines = [make_machine("m1", cpus=2), make_machine("m2", cpus=8)]
     rm = make_rm(machines)
-    rm.enqueue(entry("t1", cpus=2))
-    rm.enqueue(entry("t2", cpus=4))
+    rm.enqueue(*entry("t1", cpus=2))
+    rm.enqueue(*entry("t2", cpus=4))
     rm.schedule(0)
-    machine, requested = rm.assignment("t1")
-    assert machine == "m1"
-    assert requested.cpu_cores == 2
+    assert rm.running_on("m1") == ["t1"]
     assert rm.running_on("m2") == ["t2"]
-    assert rm.assignment("ghost") is None
+    assert rm.running_on("ghost") == []
 
 
 # --- oracle comparison and capacity safety ---
@@ -196,15 +181,15 @@ def test_schedule_matches_oracle_on_random_load():
             rm.registry.set_status(machine_id, MachineStatus.UNHEALTHY)
         queue = []
         for i in range(rng.randint(0, 12)):
-            e = entry(
+            task_id, requested = entry(
                 f"t{round_number}_{i}",
                 cpus=rng.randint(1, 6),
                 mem=rng.randint(1, 8) * GiB,
                 disk=rng.randint(0, 4) * GiB,
             )
-            rm.enqueue(e)
-            queue.append((e.task_id, ResourceVector(
-                e.requested.cpu_cores, e.requested.memory_bytes, e.requested.disk_bytes
+            rm.enqueue(task_id, requested)
+            queue.append((task_id, ResourceVector(
+                requested.cpu_cores, requested.memory_bytes, requested.disk_bytes
             )))
         oracle_machines = [
             (m.machine_id, m.capacity, m.machine_id not in unhealthy)
@@ -229,7 +214,7 @@ def test_reservations_never_exceed_capacity_under_churn():
     running = []
     for _ in range(600):
         if rng.random() < 0.6:
-            rm.enqueue(entry(f"t{next_id}", cpus=rng.randint(1, 3), mem=rng.randint(1, 3) * GiB))
+            rm.enqueue(*entry(f"t{next_id}", cpus=rng.randint(1, 3), mem=rng.randint(1, 3) * GiB))
             next_id += 1
         for task_id, _ in rm.schedule(0):
             running.append(task_id)
@@ -242,6 +227,16 @@ def test_reservations_never_exceed_capacity_under_churn():
             assert reserved.cpu_cores >= 0
     status = rm.infrastructure_status()
     assert status.running_tasks == len(running)
+
+
+def assert_running_on(rm, machines, running):
+    """rm.running_on(m) lists exactly the oracle's running tasks on m."""
+    for machine in machines:
+        expected = sorted(
+            task_id for task_id, (machine_id, _) in running.items()
+            if machine_id == machine.machine_id
+        )
+        assert rm.running_on(machine.machine_id) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,10 +270,9 @@ def test_segmented_queue_matches_oracle_across_passes(data):
         for shape in data.draw(st.lists(st.sampled_from(shapes), max_size=10)):
             cpus, mem, timeout = shape
             request = make_request(cpus=cpus, mem=mem * GiB, disk=0, timeout=timeout)
-            task = QueueEntry(f"t{next_id}", request, enqueue_ms=t)
+            rm.enqueue(f"t{next_id}", request)
+            queue.append((f"t{next_id}", ResourceVector(cpus, mem * GiB, 0)))
             next_id += 1
-            rm.enqueue(task)
-            queue.append((task.task_id, ResourceVector(cpus, mem * GiB, 0)))
         oracle_machines = [
             (m.machine_id, m.capacity, status[m.machine_id] is MachineStatus.HEALTHY)
             for m in sorted(machines, key=lambda d: d.machine_id)
@@ -292,6 +286,7 @@ def test_segmented_queue_matches_oracle_across_passes(data):
             reserved[machine_id] = used.plus(needs[task_id])
             running[task_id] = (machine_id, needs[task_id])
         queue = [(task_id, needs[task_id]) for task_id in leftover]
+        assert_running_on(rm, machines, running)
 
         if running:
             for task_id in data.draw(st.lists(st.sampled_from(sorted(running)), unique=True)):
@@ -299,6 +294,7 @@ def test_segmented_queue_matches_oracle_across_passes(data):
                 machine_id, need = running.pop(task_id)
                 reserved[machine_id] = reserved[machine_id].minus(need)
                 finished.append(task_id)
+        assert_running_on(rm, machines, running)
         for machine_id in data.draw(st.lists(st.sampled_from(sorted(status)), unique=True)):
             status[machine_id] = data.draw(st.sampled_from(list(MachineStatus)))
             rm.registry.set_status(machine_id, status[machine_id])
@@ -314,7 +310,7 @@ def test_segmented_queue_matches_oracle_across_passes(data):
         for known in ([task_id for task_id, _ in queue], sorted(running), finished):
             if known:
                 with pytest.raises(DuplicateEntryError):
-                    rm.enqueue(entry(data.draw(st.sampled_from(known))))
+                    rm.enqueue(*entry(data.draw(st.sampled_from(known))))
         assert rm.queue_depth() == len(queue)
 
 
@@ -325,8 +321,8 @@ def test_infrastructure_status_totals():
     machines = [make_machine("m1", cpus=4, mem=8 * GiB), make_machine("m2", cpus=4, mem=8 * GiB)]
     rm = make_rm(machines)
     rm.registry.set_status("m2", MachineStatus.MAINTENANCE)
-    rm.enqueue(entry("t1", cpus=2, mem=GiB))
-    rm.enqueue(entry("t2", cpus=16, mem=GiB))
+    rm.enqueue(*entry("t1", cpus=2, mem=GiB))
+    rm.enqueue(*entry("t2", cpus=16, mem=GiB))
     rm.schedule(0)
     status = rm.infrastructure_status()
     assert status.machines_total == 2
@@ -342,12 +338,12 @@ def test_filesystem_fills_and_saturates():
     rm = make_rm(fs_total=1000)
     status = rm.filesystem_status()
     assert (status.total_bytes, status.used_bytes, status.healthy) == (1000, 0, True)
-    rm.enqueue(entry("t1"))
+    rm.enqueue(*entry("t1"))
     rm.schedule(0)
     rm.release("t1", wchar_bytes=600)
     status = rm.filesystem_status()
     assert (status.used_bytes, status.healthy) == (600, True)
-    rm.enqueue(entry("t2"))
+    rm.enqueue(*entry("t2"))
     rm.schedule(1)
     rm.release("t2", wchar_bytes=900)
     status = rm.filesystem_status()

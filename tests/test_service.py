@@ -20,7 +20,6 @@ from stratus.blueprint import (
     TopologyMode,
     access_allowed,
     default_access_matrix,
-    features_owned_by,
     parse_matrix_overrides,
 )
 from stratus.fixtures import fixture_path, fixture_text
@@ -35,7 +34,6 @@ from stratus.service import (
 )
 from stratus.sim import NonQuiescentError, Simulation, load_scenario, run_simulation
 from stratus.store import RunStore
-from stratus.taskmon import LogLevel
 from stratus.workflow import (
     TaskDefinition,
     TaskState,
