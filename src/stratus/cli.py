@@ -25,7 +25,7 @@ from .blueprint import (
     parse_matrix_overrides,
     render_matrix_grid,
 )
-from .sim import ScenarioSpec, load_scenario, run_scenario
+from .sim import ScenarioSpec, load_scenario, run_scenario, scenario_simulation
 from .store import RunStore
 from .service import ServiceContext, serve
 from .taskmon import format_log
@@ -95,9 +95,12 @@ def build_parser() -> _Parser:
     serve_p = sub.add_parser("serve", help="start the monitoring query service")
     serve_p.add_argument("--bind", default="127.0.0.1:8321", help="host:port")
     serve_p.add_argument(
-        "--topology", choices=["workflow-aware", "disjoint"], default="workflow-aware"
+        "--topology",
+        choices=["workflow-aware", "disjoint"],
+        default=None,
+        help="default: the scenario's topology, else workflow-aware",
     )
-    serve_p.add_argument("--scenario", default=None, help="run this scenario and attach it")
+    serve_p.add_argument("--scenario", default=None, help="run this scenario live while serving")
     serve_p.add_argument("--store", default=None)
     serve_p.add_argument("--overrides", default=None, help="matrix override file")
     return parser
@@ -294,27 +297,37 @@ def cmd_serve(args) -> int:
         port = parse_decimal(port_text)
     except ValueError:
         raise ValueError(f"--bind expects host:port, got {args.bind!r}") from None
-    topology = TopologyMode.from_wire(args.topology)
+    simulation = None
+    if args.scenario:
+        scenario = load_scenario(args.scenario)
+        if args.topology is not None:
+            scenario = replace(scenario, topology=TopologyMode.from_wire(args.topology))
+        simulation = scenario_simulation(scenario, run_id=f"run-{uuid.uuid4().hex[:12]}")
+        topology = scenario.topology
+    else:
+        topology = TopologyMode.from_wire(args.topology or "workflow-aware")
     context = ServiceContext(
         topology,
         matrix=_matrix_from(args.overrides),
         store=_store_from(args.store),
     )
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-        scenario = replace(scenario, topology=topology)
-        run_id = f"run-{uuid.uuid4().hex[:12]}"
-        result = run_scenario(scenario, run_id=run_id)
-        context.add_result(result)
-        print(f"attached run {run_id} ({result.run.final_state.value})")
+    if simulation is not None:
+        context.attach_live(simulation)
+        print(f"attached run {simulation.run_id}", flush=True)
     handle = serve(context, host, port)
-    print(f"serving on {handle.url}")
+    print(f"serving on {handle.url}", flush=True)
     try:
+        # the run executes here, streamed live; an engine error closes the
+        # server and reaches main, which exits 1
+        if simulation is not None:
+            simulation.run_to_completion()
+            print(f"run {simulation.run_id}: {simulation.run.final_state.value}", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
+        return 0
+    finally:
         handle.close()
-    return 0
 
 
 _COMMANDS = {

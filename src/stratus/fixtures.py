@@ -1,10 +1,6 @@
-"""Loaders for the bundled example inputs (profiles, workflows, clusters)."""
+"""The bundled example inputs (profiles, workflows, clusters, scenarios)."""
 
 from importlib import resources
-
-from .blueprint import CapabilityProfile, parse_capability_profile
-
-PROFILE_NAMES = ("pegasus", "nextflow", "airflow", "snakemake", "argo")
 
 
 def fixture_text(filename: str) -> str:
@@ -15,15 +11,3 @@ def fixture_path(filename: str):
     """Filesystem path of a bundled data file, for loaders that resolve
     sibling references (scenario files name their workflow and cluster)."""
     return resources.files("stratus.data").joinpath(filename)
-
-
-def load_profile(name: str) -> CapabilityProfile:
-    """Load one of the bundled workflow-system capability profiles by its
-    lowercase name."""
-    if name not in PROFILE_NAMES:
-        raise KeyError(f"no bundled profile named {name!r}")
-    return parse_capability_profile(fixture_text(f"{name}.profile"), default_name=name)
-
-
-def load_all_profiles() -> dict[str, CapabilityProfile]:
-    return {name: load_profile(name) for name in PROFILE_NAMES}

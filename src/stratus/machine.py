@@ -135,8 +135,7 @@ class MachineSample:
 class MachineRegistry:
     """Registry of machines plus their sample series.
 
-    A machine id is never accepted twice within one registry lifetime, even
-    after deregistration, so historical series stay unambiguous.
+    A machine id is accepted once, so each sample series names one machine.
 
     ``version`` changes whenever the set of machines or a status changes,
     so readers can cache what they derive from descriptors.
@@ -144,25 +143,16 @@ class MachineRegistry:
 
     def __init__(self):
         self._machines: dict[str, MachineDescriptor] = {}
-        self._ever_used: set[str] = set()
         self._series: dict[str, list[MachineSample]] = {}
         self._lock = threading.Lock()
         self.version = 0
 
     def register_machine(self, descriptor: MachineDescriptor) -> None:
         with self._lock:
-            if descriptor.machine_id in self._ever_used:
+            if descriptor.machine_id in self._machines:
                 raise DuplicateMachineIdError(descriptor.machine_id)
-            self._ever_used.add(descriptor.machine_id)
             self._machines[descriptor.machine_id] = descriptor
             self._series[descriptor.machine_id] = []
-            self.version += 1
-
-    def deregister_machine(self, machine_id: str) -> None:
-        with self._lock:
-            if machine_id not in self._machines:
-                raise UnknownMachineError(machine_id)
-            del self._machines[machine_id]
             self.version += 1
 
     def machine_ids(self) -> list[str]:
@@ -242,12 +232,6 @@ class MachineRegistry:
         if latest is None:
             return capacity
         return capacity.minus(latest.used)
-
-    def used_resources(self, machine_id: str, t_ms: int) -> ResourceVector:
-        latest = self.latest_sample(machine_id, t_ms)
-        if latest is None:
-            return ResourceVector(0, 0, 0)
-        return latest.used
 
 
 _MACHINE_KEYS = ("type", "cpus", "mem", "disk", "arch", "model", "clock")

@@ -122,19 +122,26 @@ class ServiceContext:
         self._lock = threading.Lock()
 
     def add_result(self, result: SimulationResult) -> None:
-        with self._lock:
-            self.results[result.run_id] = result
+        self._register(result, None)
 
     def attach_live(self, simulation) -> LiveRunFeed:
         """Wire a not-yet-run simulation into the context so its progress
         can be streamed while it executes."""
         feed = LiveRunFeed()
+        self._register(simulation.result, feed)
         simulation.event_listeners.append(feed.push)
         simulation.abort_listeners.append(feed.close)
-        with self._lock:
-            self.feeds[simulation.run_id] = feed
-            self.results[simulation.run_id] = simulation.result
         return feed
+
+    def _register(self, result: SimulationResult, feed: "LiveRunFeed | None") -> None:
+        # a run id names one run: replacing it would keep the old run's
+        # place in the registration order that newest-wins lookups read
+        with self._lock:
+            if result.run_id in self.results:
+                raise ServiceError(f"run {result.run_id!r} is already registered")
+            self.results[result.run_id] = result
+            if feed is not None:
+                self.feeds[result.run_id] = feed
 
     def result(self, run_id: str) -> SimulationResult:
         with self._lock:
@@ -154,10 +161,6 @@ class ServiceContext:
             if run_id not in self.results:
                 raise UnknownRunError(run_id)
             return self.feeds.get(run_id)
-
-    def run_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self.results)
 
     def find_task(self, task_id: str):
         """Locate a task instance across runs; newest registration wins."""

@@ -347,15 +347,11 @@ def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatus
     return [report for report in map(fold.step, records) if report is not None]
 
 
-def _stream_seed(seed: int, task_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{task_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _stream_seeder(seed: int):
-    """``task_id -> _stream_seed(seed, task_id)`` for one run: the
-    ``f"{seed}:"`` prefix is hashed once, and each instance continues a
-    copy of that hash state with its own id."""
+    """``task_id ->`` the seed of that instance's random stream for one run:
+    the first 8 bytes, big-endian, of ``sha256(f"{seed}:{task_id}")``.  The
+    ``f"{seed}:"`` prefix is hashed once, and each instance continues a copy
+    of that hash state with its own id."""
     prefix = hashlib.sha256(f"{seed}:".encode())
 
     def stream_seed(task_id: str) -> int:
@@ -364,12 +360,6 @@ def _stream_seeder(seed: int):
         return int.from_bytes(digest.digest()[:8], "big")
 
     return stream_seed
-
-
-def instance_stream(seed: int, task_id: str) -> random.Random:
-    """Independent random stream for one instance, derived from the root
-    seed and the instance id only."""
-    return random.Random(_stream_seed(seed, task_id))
 
 
 @dataclass(slots=True)
@@ -453,13 +443,6 @@ class MetricPlan:
             total_pages - hits,
             failure_draw,
         )
-
-
-def synthesize_metrics(model: TaskModel, memory_request_bytes: int, rng: random.Random) -> SynthesizedMetrics:
-    """Draw one task execution's metric set from its model.  Draw order is
-    fixed (runtime, failure, page-cache ratio) so records are reproducible
-    from the instance stream alone."""
-    return MetricPlan(model, memory_request_bytes).draw(rng)
 
 
 @dataclass(slots=True)
@@ -566,7 +549,8 @@ class SimulationResult:
 
 class Simulation:
     """One configured run.  Construct, optionally inject faults, then call
-    run() exactly once."""
+    run_to_completion() exactly once.  Faults may also be injected while it
+    runs, until the run has ended."""
 
     def __init__(
         self,
@@ -625,6 +609,7 @@ class Simulation:
         self._seq = itertools.count()
         self._now = 0
         self._started = False
+        # set when run_completed is emitted, or when run_to_completion raises
         self._finished = False
         self._poisoned: set[str] = set()
         self._poisoned_defs: set[str] = set()
@@ -664,6 +649,8 @@ class Simulation:
         goes on the event heap, a task fault into the index by target."""
         if self._started and injection.at_ms <= self._now:
             raise InjectionInPastError(injection.at_ms, self._now)
+        if self._finished:
+            raise SimulationError(f"run {self.run_id} has ended; no fault can fire")
         if injection.kind is InjectionKind.MACHINE_UNHEALTHY:
             if injection.target not in self.registry.machine_ids():
                 raise TargetUnknownError(injection.target)
@@ -703,6 +690,7 @@ class Simulation:
         try:
             return self._run()
         except BaseException:
+            self._finished = True
             for listener in self.abort_listeners:
                 listener()
             raise
@@ -923,24 +911,6 @@ class Simulation:
         )
 
 
-def run_simulation(
-    spec: WorkflowSpec,
-    machines: list[MachineDescriptor],
-    fs_total_bytes: int,
-    input_count: int,
-    seed: int,
-    topology: TopologyMode = TopologyMode.WORKFLOW_AWARE,
-    injections: list[FaultInjection] = (),
-    **kwargs,
-) -> SimulationResult:
-    simulation = Simulation(
-        spec, machines, fs_total_bytes, input_count, seed, topology, **kwargs
-    )
-    for injection in injections:
-        simulation.inject(injection)
-    return simulation.run_to_completion()
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A run's inputs.  The defaults hold for whatever a scenario file
@@ -1013,7 +983,9 @@ def load_scenario(path: "Path | str") -> ScenarioSpec:
     return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
-def run_scenario(scenario: ScenarioSpec, **kwargs) -> SimulationResult:
+def scenario_simulation(scenario: ScenarioSpec, **kwargs) -> Simulation:
+    """The scenario's run with its faults armed, ready for
+    ``run_to_completion``; ``kwargs`` go to ``Simulation``."""
     from .machine import parse_cluster
     from .workflow import parse_workflow
 
@@ -1022,13 +994,14 @@ def run_scenario(scenario: ScenarioSpec, **kwargs) -> SimulationResult:
         default_workflow_id=scenario.workflow_path.stem,
     )
     machines, fs_total = parse_cluster(scenario.cluster_path.read_text(encoding="utf-8"))
-    return run_simulation(
-        spec,
-        machines,
-        fs_total,
-        scenario.input_count,
-        scenario.seed,
-        scenario.topology,
-        injections=list(scenario.injections),
+    simulation = Simulation(
+        spec, machines, fs_total, scenario.input_count, scenario.seed, scenario.topology,
         **kwargs,
     )
+    for injection in scenario.injections:
+        simulation.inject(injection)
+    return simulation
+
+
+def run_scenario(scenario: ScenarioSpec, **kwargs) -> SimulationResult:
+    return scenario_simulation(scenario, **kwargs).run_to_completion()

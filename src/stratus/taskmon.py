@@ -327,14 +327,3 @@ def synthesize_code_parts(record: TaskTraceRecord) -> list[CodePartProfile]:
         CodePartProfile(record.task_id, "compute", duration * 70 // 100, record.rss_bytes),
         CodePartProfile(record.task_id, "teardown", duration * 10 // 100, record.rss_bytes * 10 // 100),
     ]
-
-
-def validate_code_parts(parts: "list[CodePartProfile]", record: TaskTraceRecord) -> None:
-    """Check that one task's code-part durations fit inside its trace
-    duration."""
-    total = sum(p.duration_ms for p in parts)
-    if total > record.duration_ms:
-        raise TraceError(
-            f"{record.task_id}: code part durations {total} exceed task "
-            f"duration {record.duration_ms}"
-        )

@@ -495,21 +495,6 @@ def workflow_status(run: RunRecord) -> WorkflowStatusReport:
     )
 
 
-def resolve_final_state(run: RunRecord, poisoned: frozenset[str] = frozenset()) -> RunState:
-    """Derive the run's final state.  ``poisoned`` holds instances that can
-    never become eligible (their ancestry failed); they stay pending forever
-    and do not keep the run alive."""
-    states = [i.state for i in run.instances]
-    if all(s is TaskState.SUCCEEDED for s in states):
-        return RunState.SUCCEEDED
-    open_instances = [
-        i for i in run.instances if not i.state.terminal and i.task_id not in poisoned
-    ]
-    if any(s is TaskState.FAILED for s in states) and not open_instances:
-        return RunState.FAILED
-    return RunState.RUNNING
-
-
 _DOT_BARE_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 

@@ -3,14 +3,29 @@ summary printed at the end of the session."""
 
 import random
 from contextlib import contextmanager
+from importlib import resources
 
 import pytest
 from hypothesis import strategies as st
 
+from stratus.blueprint import TopologyMode, parse_capability_profile
+from stratus.fixtures import fixture_text
 from stratus.machine import HardwareSpec, MachineDescriptor, MachineType, ResourceVector
+from stratus.sim import Simulation
 from stratus.workflow import ResourceRequest, TaskDefinition, WorkflowSpec
 
 GiB = 1024**3
+
+# every capability profile bundled with the package, by lowercase name
+PROFILE_NAMES = tuple(sorted(
+    entry.name.removesuffix(".profile")
+    for entry in resources.files("stratus.data").iterdir()
+    if entry.name.endswith(".profile")
+))
+
+
+def load_profile(name: str):
+    return parse_capability_profile(fixture_text(f"{name}.profile"), default_name=name)
 
 
 def make_request(cpus=1, mem=GiB, disk=GiB // 4, timeout=600_000) -> ResourceRequest:
@@ -31,6 +46,18 @@ def make_machine(machine_id, cpus=8, mem=16 * GiB, disk=100 * GiB) -> MachineDes
         ),
         capacity=ResourceVector(cpu_cores=cpus, memory_bytes=mem, disk_bytes=disk),
     )
+
+
+def run_simulation(
+    spec, machines, fs_total_bytes, input_count, seed,
+    topology=TopologyMode.WORKFLOW_AWARE, injections=(), **kwargs,
+):
+    """One run to completion with its faults armed first; ``kwargs`` go to
+    ``Simulation``."""
+    simulation = Simulation(spec, machines, fs_total_bytes, input_count, seed, topology, **kwargs)
+    for injection in injections:
+        simulation.inject(injection)
+    return simulation.run_to_completion()
 
 
 def random_dag_spec(

@@ -14,7 +14,7 @@ import time
 import pytest
 import requests
 
-from conftest import GiB, make_machine, random_dag_spec
+from conftest import PROFILE_NAMES, GiB, load_profile, make_machine, random_dag_spec, run_simulation
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -25,7 +25,7 @@ from stratus.blueprint import (
     default_access_matrix,
 )
 from stratus.cli import main
-from stratus.fixtures import PROFILE_NAMES, fixture_path, fixture_text, load_all_profiles
+from stratus.fixtures import fixture_path, fixture_text
 from stratus.machine import MachineStatus, ResourceVector, parse_cluster
 from stratus.service import ServiceContext, replay_progress, serve
 from stratus.sim import (
@@ -34,7 +34,6 @@ from stratus.sim import (
     Simulation,
     load_scenario,
     run_scenario,
-    run_simulation,
 )
 from stratus.taskmon import (
     TRACE_HEADER,
@@ -153,10 +152,9 @@ def test_criterion_01_access_matrix_conformance(acceptance, capsys):
 def test_criterion_02_capability_profiles(acceptance):
     with acceptance(2, "bundled system profiles score to recorded counts"):
         started = time.perf_counter()
-        profiles = load_all_profiles()
-        assert set(profiles) == set(PROFILE_NAMES) == set(EXPECTED_SCORES)
+        assert set(PROFILE_NAMES) == set(EXPECTED_SCORES)
         for name, expected in EXPECTED_SCORES.items():
-            summary = classify_capabilities(profiles[name])
+            summary = classify_capabilities(load_profile(name))
             got = {layer.wire_name: counts for layer, counts in summary.per_layer.items()}
             assert got == expected, name
         elapsed = time.perf_counter() - started

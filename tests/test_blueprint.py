@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import PROFILE_NAMES, load_profile
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -25,7 +26,6 @@ from stratus.blueprint import (
     parse_matrix_overrides,
     render_matrix_grid,
 )
-from stratus.fixtures import PROFILE_NAMES, load_all_profiles, load_profile
 
 # Independent transcription of the permitted-layer table, encoded as letter
 # strings (R = resource manager, W = workflow, M = machine, T = task) so it
@@ -227,10 +227,9 @@ SYSTEM_EXPECTED = {
 
 
 def test_bundled_profiles_score_as_expected():
-    profiles = load_all_profiles()
-    assert set(profiles) == set(PROFILE_NAMES)
+    assert set(SYSTEM_EXPECTED) == set(PROFILE_NAMES)
     for name, expected in SYSTEM_EXPECTED.items():
-        summary = classify_capabilities(profiles[name])
+        summary = classify_capabilities(load_profile(name))
         got = {l.wire_name: counts for l, counts in summary.per_layer.items()}
         assert got == expected, name
 

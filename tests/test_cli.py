@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -227,32 +226,57 @@ def test_serve_rejects_bad_bind(sandbox, capsys):
 # --- serve, end to end ---
 
 
-def test_serve_subcommand_answers_queries(tmp_path):
+def start_serve(tmp_path, *flags) -> subprocess.Popen:
     env = dict(os.environ)
     env["STRATUS_OUT"] = str(tmp_path / "out")
     # the server process imports the same stratus package as this one
     src = str(Path(stratus.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    process = subprocess.Popen(
-        [
-            sys.executable, "-u", "-m", "stratus.cli",
-            "serve", "--bind", "127.0.0.1:0",
-            "--scenario", data_path("fig1.scenario"),
-        ],
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "stratus.cli", "serve", "--bind", "127.0.0.1:0", *flags],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
+
+
+def read_line(process, prefix: str, lines: list[str]) -> str:
+    """Read the server's output up to the first line that starts with
+    ``prefix``; every line read is appended to ``lines``."""
+    for line in iter(process.stdout.readline, ""):
+        lines.append(line.rstrip("\n"))
+        if line.startswith(prefix):
+            return lines[-1]
+    raise AssertionError(f"server exited without a {prefix!r} line: {lines}")
+
+
+def stop(process) -> None:
+    process.terminate()
+    # reads both pipes to the end and closes them
+    process.communicate(timeout=10)
+
+
+def test_serve_subcommand_answers_queries(tmp_path):
+    process = start_serve(tmp_path, "--scenario", data_path("fig1.scenario"))
     try:
-        url = None
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            line = process.stdout.readline()
-            if line.startswith("serving on "):
-                url = line.split("serving on ", 1)[1].strip()
-                break
-        assert url, "server never reported its address"
+        lines = []
+        run_id = read_line(process, "attached run ", lines).removeprefix("attached run ")
+        url = read_line(process, "serving on ", lines).removeprefix("serving on ")
+        # the run is attached live: its progress streams from the engine
+        with requests.get(
+            f"{url}/v1/workflow/live_progress",
+            params={"as_layer": "workflow", "subject": run_id},
+            stream=True,
+            timeout=30,
+        ) as stream:
+            assert stream.status_code == 200
+            records = [json.loads(line) for line in stream.iter_lines() if line]
+        assert (records[-1]["state"], records[-1]["progress"]) == ("succeeded", 1.0)
+        # the run starts once the server is up and reports its end
+        read_line(process, f"run {run_id}: ", lines)
+        assert lines == [f"attached run {run_id}", f"serving on {url}", f"run {run_id}: succeeded"]
+
         response = requests.get(
             f"{url}/v1/resource_manager/infrastructure_status",
             params={"as_layer": "resource_manager"},
@@ -267,6 +291,49 @@ def test_serve_subcommand_answers_queries(tmp_path):
         )
         assert denied.status_code == 403
     finally:
-        process.terminate()
-        # reads both pipes to the end and closes them
-        process.communicate(timeout=10)
+        stop(process)
+
+
+@pytest.mark.parametrize("flags, status", [((), 403), (("--topology", "workflow-aware"), 200)])
+def test_serve_keeps_the_scenario_topology_unless_given(tmp_path, flags, status):
+    scenario = tmp_path / "disjoint.scenario"
+    scenario.write_text(
+        f"workflow {data_path('fig1.wf')}\n"
+        f"cluster {data_path('two.cluster')}\n"
+        "input_count 4\nseed 42\ntopology disjoint\n"
+    )
+    process = start_serve(tmp_path, "--scenario", str(scenario), *flags)
+    try:
+        lines = []
+        run_id = read_line(process, "attached run ", lines).removeprefix("attached run ")
+        url = read_line(process, "serving on ", lines).removeprefix("serving on ")
+        # in a disjoint deployment the resource manager reads no workflow feature
+        response = requests.get(
+            f"{url}/v1/workflow/workflow_status",
+            params={"as_layer": "resource_manager", "subject": run_id},
+            timeout=10,
+        )
+        assert response.status_code == status
+    finally:
+        stop(process)
+
+
+def test_serve_closes_and_exits_1_when_the_run_fails_to_finish(tmp_path):
+    workflow = tmp_path / "huge.wf"
+    workflow.write_text(
+        "workflow w\n"
+        "task huge scatter=false cpus=64 mem=1073741824 disk=0 timeout=1000 model=quick\n"
+    )
+    scenario = tmp_path / "huge.scenario"
+    scenario.write_text(f"workflow {workflow}\ncluster {data_path('two.cluster')}\n")
+    process = start_serve(tmp_path, "--scenario", str(scenario))
+    try:
+        lines = []
+        read_line(process, "serving on ", lines)
+        out, err = process.communicate(timeout=10)
+    finally:
+        if process.poll() is None:
+            stop(process)
+    assert process.returncode == 1
+    assert out == ""
+    assert "stratus: error: event queue drained with non-terminal instances: w/huge/0" in err

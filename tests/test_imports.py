@@ -1,5 +1,6 @@
-"""Import hygiene: every module in src/stratus/ and tests/ reads each name
-it imports.  Checked with the stdlib ast module, so no linter is needed."""
+"""Import and definition hygiene: every module in src/stratus/ and tests/
+reads each name it imports, and every src definition is read by some src
+module.  Checked with the stdlib ast module, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,21 @@ UNREAD_ALLOWED = {
     # when the tracer wraps the stratus.workflow names instead
     ("src/stratus/sim.py", "ready_tasks"),
     ("src/stratus/sim.py", "workflow_status"),
+}
+
+# src definitions (module.name or module.Class.method) that no src module
+# reads, each with the reason it stays
+UNREAD_DEFINITIONS_ALLOWED = {
+    "workflow.ready_tasks": "the benchmark's tracer wraps it as stratus.sim.ready_tasks",
+    "workflow.RunRecord.snapshot": "the benchmark's service mix copies stored runs with it",
+    "workflow.WorkflowSpec.successors": "the benchmark's tracer wraps it by attribute",
+    "sim.SimulationResult.progress_records": "the benchmark checks replay against it",
+    "service.ServiceContext.add_result": "the benchmark's service mix registers its runs with it",
+    "fixtures.fixture_text": "the benchmark reads the bundled inputs with it",
+    "taskmon.parse_trace": "the public reader of the trace file a run writes",
+    "fixtures.fixture_path": "the path of a bundled file, for loaders of scenario files",
+    "machine.ResourceVector.plus": "the arithmetic of the resource manager's test oracles",
+    "cli._Parser.error": "argparse calls it on a usage error",
 }
 
 
@@ -79,3 +95,66 @@ def test_the_scan_sees_unread_and_string_annotation_imports():
     )
     used = read_names(tree)
     assert {name for name in imported_names(tree) if name not in used} == {"os", "d"}
+
+
+def definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name, line) of every top-level function and
+    class, and of every method of a top-level class that is not a dunder."""
+    functions = ast.FunctionDef | ast.AsyncFunctionDef
+    for node in tree.body:
+        if not isinstance(node, functions | ast.ClassDef):
+            continue
+        yield f"{module}.{node.name}", node.name, node.lineno
+        for member in node.body if isinstance(node, ast.ClassDef) else ():
+            # Python calls the dunders itself
+            if isinstance(member, functions) and not (
+                member.name.startswith("__") and member.name.endswith("__")
+            ):
+                yield f"{module}.{node.name}.{member.name}", member.name, member.lineno
+
+
+def unread_definitions(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """Qualified name -> line of each definition in ``trees`` that none of
+    them reads as a name or an attribute, leaving out each module's
+    ``__all__``."""
+    read = set()
+    for tree in trees.values():
+        read |= read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {
+        qualified: line
+        for module, tree in trees.items()
+        for qualified, name, line in definitions(module, tree)
+        if name not in read and qualified.split(".")[1] not in exported_names(tree)
+    }
+
+
+def test_every_src_definition_is_read_by_src():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((ROOT / "src/stratus").glob("*.py"))
+    }
+    unread = [
+        f"{qualified} (line {line})"
+        for qualified, line in unread_definitions(trees).items()
+        if qualified not in UNREAD_DEFINITIONS_ALLOWED
+    ]
+    assert not unread, "defined in src/ but read by no src module:\n" + "\n".join(unread)
+    defined = {q for module, tree in trees.items() for q, _, _ in definitions(module, tree)}
+    assert set(UNREAD_DEFINITIONS_ALLOWED) <= defined
+
+
+def test_the_scan_sees_unread_definitions():
+    trees = {
+        "a": ast.parse(
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def unread(): pass\n"
+            "class C:\n"
+            "    def __init__(self): pass\n"
+            "    def used(self): pass\n"
+            "    def unused(self): pass\n"
+        ),
+        "b": ast.parse("from a import C\nC().used()\n"),
+    }
+    assert unread_definitions(trees) == {"a.unread": 3, "a.C.unused": 7}

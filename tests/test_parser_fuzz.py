@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import PROFILE_NAMES
 from stratus.blueprint import (
     BlueprintError,
     InvalidMatrixError,
@@ -19,7 +20,7 @@ from stratus.blueprint import (
     parse_capability_profile,
     parse_matrix_overrides,
 )
-from stratus.fixtures import PROFILE_NAMES, fixture_path, fixture_text
+from stratus.fixtures import fixture_path, fixture_text
 from stratus.machine import ClusterSyntaxError, MachineError, parse_cluster
 from stratus.sim import (
     EventLogSyntaxError,

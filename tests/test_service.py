@@ -11,7 +11,7 @@ import time
 import pytest
 import requests
 
-from conftest import make_machine, make_request
+from conftest import make_machine, make_request, run_simulation
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -28,11 +28,12 @@ from stratus import service
 from stratus.service import (
     LiveRunFeed,
     ServiceContext,
+    ServiceError,
     authorize,
     replay_progress,
     serve,
 )
-from stratus.sim import NonQuiescentError, Simulation, load_scenario, run_simulation
+from stratus.sim import NonQuiescentError, Simulation, load_scenario
 from stratus.store import RunStore
 from stratus.workflow import (
     TaskDefinition,
@@ -685,11 +686,35 @@ def test_context_finds_newest_registration():
     )
     context.add_result(second)
     assert context.resource_manager() is second.resource_manager
-    assert context.run_ids() == ["other", RUN_ID]
+    assert list(context.results) == [RUN_ID, "other"]
     found, instance = context.find_task(TASK)
     assert found.run_id == "other"
     assert instance.task_id == TASK
     assert context.find_task("missing/x/0") is None
+
+
+def test_a_run_id_is_registered_once():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    two, fs_two = parse_cluster(fixture_text("two.cluster"))
+    four, fs_four = parse_cluster(fixture_text("four.cluster"))
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    for run_id in ("A", "B"):
+        context.add_result(
+            run_simulation(spec, two, fs_two, 4, 42, run_id=run_id, submission_ms=0)
+        )
+    newest = context.result("B")
+    again = run_simulation(spec, four, fs_four, 4, 42, run_id="A", submission_ms=0)
+    with pytest.raises(ServiceError, match="'A' is already registered"):
+        context.add_result(again)
+    live = Simulation(spec, four, fs_four, 4, 42, run_id="B", submission_ms=0)
+    with pytest.raises(ServiceError, match="'B' is already registered"):
+        context.attach_live(live)
+    assert live.event_listeners == [] and live.abort_listeners == []
+    assert context.feeds == {}
+    # newest-wins lookups still answer from B, the last run registered
+    assert context.find_task(TASK)[0] is newest
+    assert context.resource_manager() is newest.resource_manager
+    assert context.resource_manager().registry.machine_ids() == ["m1", "m2"]
 
 
 def test_every_feature_has_exactly_one_table_row():

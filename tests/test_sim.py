@@ -16,7 +16,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dag_specs, make_machine, make_request, random_cluster, random_dag_spec
+from conftest import (
+    dag_specs,
+    make_machine,
+    make_request,
+    random_cluster,
+    random_dag_spec,
+    run_simulation,
+)
+from oracles import instance_stream, resolve_final_state, stream_seed
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_text
 from stratus.machine import parse_cluster
@@ -41,16 +49,12 @@ from stratus.sim import (
     TaskModel,
     _Execution,
     _scaled_record,
-    _stream_seed,
     _stream_seeder,
-    instance_stream,
     load_scenario,
     parse_event_log,
     parse_scenario,
     replay_progress,
     run_scenario,
-    run_simulation,
-    synthesize_metrics,
 )
 from stratus.store import RunStore
 from stratus.taskmon import (
@@ -69,7 +73,6 @@ from stratus.workflow import (
     WorkflowSpec,
     parse_workflow,
     ready_tasks,
-    resolve_final_state,
     workflow_status,
 )
 
@@ -117,15 +120,15 @@ def test_runtime_jitter_stays_within_band():
         high = model.base_runtime_ms * (1 + jitter) + 0.5
         for i in range(1000):
             rng = instance_stream(1234, f"w/{model.model_key}/{i}")
-            metrics = synthesize_metrics(model, GiB, rng)
+            metrics = MetricPlan(model, GiB).draw(rng)
             assert low <= metrics.runtime_ms <= high
             assert metrics.runtime_ms >= 1
 
 
 def test_synthesis_is_a_pure_function_of_the_stream():
     model = BUILTIN_MODELS["default"]
-    first = synthesize_metrics(model, GiB, instance_stream(5, "w/x/0"))
-    second = synthesize_metrics(model, GiB, instance_stream(5, "w/x/0"))
+    first = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
+    second = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
     assert first == second
     assert first.rss_bytes == int(0.5 * GiB)
     assert first.rchar_bytes == model.io_read_bytes
@@ -208,7 +211,6 @@ def test_metric_plan_matches_the_reference_formula(model, memory, seed, task_ids
     for task_id in task_ids:
         expected = reference_synthesize_metrics(model, memory, instance_stream(seed, task_id))
         assert plan.draw(instance_stream(seed, task_id)) == expected
-        assert synthesize_metrics(model, memory, instance_stream(seed, task_id)) == expected
 
 
 def test_metric_plan_covers_a_model_without_io():
@@ -306,9 +308,9 @@ def test_a_plan_over_the_float_bound_scales_its_counters(io_bytes, exact):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-(2**70), 2**70), st.lists(st.text(max_size=16), max_size=4))
 def test_the_per_run_seed_prefix_gives_each_stream_seed(seed, task_ids):
-    stream_seed = _stream_seeder(seed)
+    seeder = _stream_seeder(seed)
     for task_id in task_ids:
-        assert stream_seed(task_id) == _stream_seed(seed, task_id)
+        assert seeder(task_id) == stream_seed(seed, task_id)
 
 
 def test_model_validation():
@@ -654,7 +656,7 @@ def test_spontaneous_failure_follows_the_drawn_probability():
     failures = 0
     for record in result.trace_records:
         rng = instance_stream(5, record.task_id)
-        metrics = synthesize_metrics(BUILTIN_MODELS["flaky"], GiB, rng)
+        metrics = MetricPlan(BUILTIN_MODELS["flaky"], GiB).draw(rng)
         should_fail = metrics.failure_draw < BUILTIN_MODELS["flaky"].failure_probability
         assert (record.status == "failed") == should_fail
         failures += should_fail
@@ -673,6 +675,45 @@ def test_injection_validation():
         simulation.inject(FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m2", at_ms=5))
     with pytest.raises(SimulationError):
         simulation.run_to_completion()
+
+
+def test_a_fault_is_refused_once_the_run_has_ended():
+    spec, machines, fs_total = fig1_setup()
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="r", submission_ms=0)
+    refused = []
+
+    def inject_at_the_end(event):
+        if event.kind == "run_completed":
+            machine_fault = FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", event.t_ms + 1)
+            with pytest.raises(SimulationError, match="has ended"):
+                simulation.inject(machine_fault)
+            refused.append(event.t_ms)
+
+    simulation.event_listeners.append(inject_at_the_end)
+    result = simulation.run_to_completion()
+    assert refused == [result.event_records[-1].t_ms]
+    for injection in (
+        FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=18000),
+        FaultInjection(InjectionKind.TASK_OOM, "wf1/VI/0", at_ms=18000),
+    ):
+        with pytest.raises(SimulationError, match="has ended"):
+            simulation.inject(injection)
+    assert simulation._events == [] and simulation._task_faults == {}
+    assert simulation._pending_machine_events == 0
+    assert not any(e.kind == "machine_status" for e in result.event_records)
+
+    # a run that raised has ended too
+    stuck = Simulation(
+        parse_workflow(
+            "workflow w\n"
+            "task huge scatter=false cpus=64 mem=1073741824 disk=0 timeout=1000 model=quick\n"
+        ),
+        [make_machine("m1", cpus=8), make_machine("m2", cpus=8)], 1024**4, 1, 0,
+    )
+    with pytest.raises(NonQuiescentError):
+        stuck.run_to_completion()
+    with pytest.raises(SimulationError, match="has ended"):
+        stuck.inject(FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m2", at_ms=1))
 
 
 def run_with_mid_run_injection(make_injection):

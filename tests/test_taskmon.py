@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import validate_code_parts
 from stratus.machine import MachineStatus
 from stratus.taskmon import (
     TRACE_COLUMNS,
@@ -27,8 +28,8 @@ from stratus.taskmon import (
     format_log,
     format_trace_file,
     parse_trace,
+    synthesize_code_parts,
     task_log,
-    validate_code_parts,
 )
 from stratus.workflow import ResourceRequest, TaskInstance
 
@@ -441,3 +442,4 @@ def test_code_parts_must_fit_task_duration():
     parts.append(CodePartProfile("w/a/0", "teardown", 11, 1))
     with pytest.raises(TraceError):
         validate_code_parts(parts, record)
+    validate_code_parts(synthesize_code_parts(record), record)

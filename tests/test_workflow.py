@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dag_specs, make_request, random_dag_spec
+from oracles import resolve_final_state
 from stratus.fixtures import fixture_text
 from stratus.workflow import (
     CycleError,
@@ -32,7 +33,6 @@ from stratus.workflow import (
     export_dot,
     parse_workflow,
     ready_tasks,
-    resolve_final_state,
     workflow_status,
 )
 
