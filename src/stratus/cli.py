@@ -318,9 +318,10 @@ def cmd_serve(args) -> int:
     print(f"serving on {handle.url}", flush=True)
     try:
         # the run executes here, streamed live; an engine error closes the
-        # server and reaches main, which exits 1
+        # server and reaches main, which exits 1 with nothing stored
         if simulation is not None:
             simulation.run_to_completion()
+            context.store.append(simulation.run)
             print(f"run {simulation.run_id}: {simulation.run.final_state.value}", flush=True)
         while True:
             time.sleep(3600)

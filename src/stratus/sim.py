@@ -36,11 +36,23 @@ instance:
   generator re-seeded for each instance's stream.  The plan holds every
   value of the metric formula that no draw touches, so an instance only
   makes its three draws and derives what depends on them.  Task faults
-  are indexed by target id as they are injected.
+  are indexed by target id as they are injected.  The generator is the C
+  base ``_random.Random``, whose ``seed`` skips ``random.Random.seed``'s
+  Python wrapper.
 - What holds for the whole run is computed once per run: the event
-  texts that name only a definition or a machine, and the sha256
-  state after the stream seed's ``f"{seed}:"`` prefix, which each instance
-  copies and continues with its id.  Failure texts are built per failure.
+  texts that name only a definition or a machine, the sorted machine ids
+  each sample tick walks, and the sha256 state after the stream seed's
+  ``f"{seed}:"`` prefix, which each instance copies and continues with its
+  id.  (A one-shot hash of ``f"{seed}:{task_id}"`` measured slower than the
+  copy with Python 3.11 and OpenSSL 3.0.)  Failure texts are built per
+  failure.
+- Seeding the Mersenne Twister (``init_by_array``, about 6 us per
+  instance) is the floor: the pinned artifact bytes fix it.
+- Per-instance reads are plain: ``TaskState.terminal`` is a member
+  attribute, the enum members an instance's lifecycle compares against
+  are bound once at module level (Python 3.11 reads a member through its
+  class via ``EnumType.__getattr__``), and a finished instance's status
+  text is passed as a literal rather than read from ``TaskState.value``.
 - An instance that ran its full planned runtime takes its trace counters
   as drawn: the scaling ratio is exactly 1.0, and ``int(x * 1.0) == x``
   for every integer up to 2**53.  ``MetricPlan`` checks that bound once
@@ -71,12 +83,12 @@ instance:
   disabled stays disabled.
 """
 
+import _random
 import enum
 import gc
 import hashlib
 import heapq
 import itertools
-import random
 import time
 import uuid
 from dataclasses import dataclass, replace
@@ -116,6 +128,9 @@ from .workflow import (
 )
 
 SAMPLE_CADENCE_MS = 1000
+
+# bound once, as workflow binds TaskState's members for its transitions
+_SUCCEEDED, _FAILED, _HEALTHY = TaskState.SUCCEEDED, TaskState.FAILED, MachineStatus.HEALTHY
 
 EXIT_OOM = 137
 EXIT_TIMEOUT = 124
@@ -263,9 +278,6 @@ class EventRecord:
     kind: str
     subject: str
     detail: str
-
-    def line(self) -> str:
-        return f"{self.t_ms}\t{self.kind}\t{self.subject}\t{self.detail}"
 
 
 class EventLogSyntaxError(LineError, SimulationError):
@@ -419,7 +431,7 @@ class MetricPlan:
             self._syscall_rate_per_s * runtime_cap / 1000,
         ) <= _EXACT_FLOAT_INT
 
-    def draw(self, rng: random.Random) -> SynthesizedMetrics:
+    def draw(self, rng: _random.Random) -> SynthesizedMetrics:
         draw = rng.random
         runtime_factor = 1 + (self._jitter_low + self._jitter_span * draw())
         runtime_ms = max(1, round(self._base_runtime_ms * runtime_factor))
@@ -541,7 +553,9 @@ class SimulationResult:
         )
 
     def event_log_text(self) -> str:
-        return "\n".join(r.line() for r in self.event_records) + "\n"
+        return "\n".join(
+            [f"{r.t_ms}\t{r.kind}\t{r.subject}\t{r.detail}" for r in self.event_records]
+        ) + "\n"
 
     def trace_text(self) -> str:
         return format_trace_file(self.trace_records)
@@ -703,7 +717,9 @@ class Simulation:
         for d in self.spec.tasks:
             model = BUILTIN_MODELS[d.runtime_model]
             self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
-        self._rng = random.Random()
+        # the C base of random.Random: the subclass's seed only adds a type
+        # check and a gauss_next reset, and a draw only calls random()
+        self._rng = _random.Random()
         self._instance_seed = _stream_seeder(self.seed)
         # the event details that name only a machine: started, succeeded
         self._machine_texts = {
@@ -809,8 +825,11 @@ class Simulation:
         task_id = execution.task_id
         instance = self._instances[task_id]
         definition, _, plan = self._definitions[instance.definition]
-        status = TaskState.SUCCEEDED if exit_code == 0 else TaskState.FAILED
-        record = _scaled_record(execution, instance.submit_ms, t_ms, status.value, exit_code, plan)
+        if exit_code == 0:
+            status, status_text = _SUCCEEDED, "succeeded"
+        else:
+            status, status_text = _FAILED, "failed"
+        record = _scaled_record(execution, instance.submit_ms, t_ms, status_text, exit_code, plan)
         instance.mark_finished(t_ms, status)
         self._open -= 1
         self.rm.release(task_id, record.wchar_bytes)
@@ -823,13 +842,13 @@ class Simulation:
         if exit_code == 0:
             # diagnose never reads the status of a success, and a machine
             # that fails kills what runs on it
-            machine_status = MachineStatus.HEALTHY
+            machine_status = _HEALTHY
         else:
             machine_status = self.registry.descriptor(execution.machine_id).status
         diagnosis = diagnose(record, definition.requested, machine_status)
         self.diagnoses[task_id] = diagnosis
 
-        if status is TaskState.SUCCEEDED:
+        if exit_code == 0:
             self._count_success(instance.definition)
             self._emit(
                 t_ms, "instance_succeeded", task_id, self._machine_texts[execution.machine_id][1]
@@ -857,7 +876,8 @@ class Simulation:
         self._pump(t_ms)
 
     def _on_sample_tick(self, t_ms: int) -> None:
-        for machine_id in self.registry.machine_ids():
+        # the run's machine ids, sorted when the run started
+        for machine_id in self._machine_texts:
             used = self.rm.reserved_on(machine_id)
             sample = MachineSample(machine_id=machine_id, t_ms=t_ms, used=used)
             self.registry.record_sample(sample)

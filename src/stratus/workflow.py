@@ -74,9 +74,15 @@ class TaskState(enum.Enum):
     SUCCEEDED = "succeeded"
     FAILED = "failed"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (TaskState.SUCCEEDED, TaskState.FAILED)
+    def __init__(self, value: str):
+        # a plain attribute, not a property: mark_finished reads it once
+        # per instance
+        self.terminal = value in ("succeeded", "failed")
+
+
+# bound once: on Python 3.11 a member read through its enum class goes
+# through EnumType.__getattr__, and the transitions below run per instance
+_PENDING, _QUEUED, _RUNNING = TaskState.PENDING, TaskState.QUEUED, TaskState.RUNNING
 
 
 class RunState(enum.Enum):
@@ -221,24 +227,24 @@ class TaskInstance:
         return self.end_ms - self.start_ms
 
     def mark_queued(self, t_ms: int) -> None:
-        if self.state is not TaskState.PENDING:
+        if self.state is not _PENDING:
             raise InvalidTransitionError(self.task_id, self.state, "queue")
-        self.state = TaskState.QUEUED
+        self.state = _QUEUED
         self.submit_ms = t_ms
 
     def mark_running(self, t_ms: int, machine: str) -> None:
-        if self.state is not TaskState.QUEUED:
+        if self.state is not _QUEUED:
             raise InvalidTransitionError(self.task_id, self.state, "start")
         if t_ms < self.submit_ms:
             raise WorkflowError(f"{self.task_id}: start {t_ms} before submit {self.submit_ms}")
-        self.state = TaskState.RUNNING
+        self.state = _RUNNING
         # machine before start: a task's derived log names the machine as
         # soon as a live reader sees the start
         self.machine = machine
         self.start_ms = t_ms
 
     def mark_finished(self, t_ms: int, state: TaskState) -> None:
-        if self.state is not TaskState.RUNNING:
+        if self.state is not _RUNNING:
             raise InvalidTransitionError(self.task_id, self.state, "finish")
         if not state.terminal:
             raise WorkflowError(f"{self.task_id}: {state.value} is not terminal")

@@ -2,9 +2,11 @@
 a rule the plain way; the system computes the same thing faster or as a
 by-product, and a differential test checks that the two agree."""
 
+import dataclasses
 import hashlib
 import random
 
+from stratus.sim import EventRecord
 from stratus.taskmon import CodePartProfile, TaskTraceRecord, TraceError
 from stratus.workflow import RunRecord, RunState, TaskState
 
@@ -18,6 +20,17 @@ def instance_stream(seed: int, task_id: str) -> random.Random:
     """Independent random stream for one instance, derived from the root
     seed and the instance id only."""
     return random.Random(stream_seed(seed, task_id))
+
+
+def trace_line(record: TaskTraceRecord) -> str:
+    """One trace line: the str() of each field in declaration order, which
+    is column order, tab-separated."""
+    return "\t".join(str(getattr(record, field.name)) for field in dataclasses.fields(record))
+
+
+def event_line(event: EventRecord) -> str:
+    """One event-log line: time, kind, subject, detail, tab-separated."""
+    return f"{event.t_ms}\t{event.kind}\t{event.subject}\t{event.detail}"
 
 
 def resolve_final_state(run: RunRecord, poisoned: frozenset[str] = frozenset()) -> RunState:

@@ -294,6 +294,29 @@ def test_serve_subcommand_answers_queries(tmp_path):
         stop(process)
 
 
+def test_serve_adds_its_finished_run_to_the_run_history(tmp_path, capsys):
+    store = tmp_path / "runs.jsonl"
+    process = start_serve(tmp_path, "--scenario", data_path("faults.scenario"), "--store", str(store))
+    try:
+        lines = []
+        run_id = read_line(process, "attached run ", lines).removeprefix("attached run ")
+        url = read_line(process, "serving on ", lines).removeprefix("serving on ")
+        read_line(process, f"run {run_id}: ", lines)
+        assert lines[-1] == f"run {run_id}: failed"
+        response = requests.get(
+            f"{url}/v1/workflow/previous_executions",
+            params={"as_layer": "workflow", "subject": "wf1"},
+            timeout=10,
+        )
+        assert response.status_code == 200
+        executions = response.json()["payload"]["executions"]
+        assert [(e["run_id"], e["final_state"]) for e in executions] == [(run_id, "failed")]
+    finally:
+        stop(process)
+    assert main(["status", run_id, "--store", str(store)]) == 0
+    assert capsys.readouterr().out.startswith("state=failed ")
+
+
 @pytest.mark.parametrize("flags, status", [((), 403), (("--topology", "workflow-aware"), 200)])
 def test_serve_keeps_the_scenario_topology_unless_given(tmp_path, flags, status):
     scenario = tmp_path / "disjoint.scenario"
@@ -326,7 +349,8 @@ def test_serve_closes_and_exits_1_when_the_run_fails_to_finish(tmp_path):
     )
     scenario = tmp_path / "huge.scenario"
     scenario.write_text(f"workflow {workflow}\ncluster {data_path('two.cluster')}\n")
-    process = start_serve(tmp_path, "--scenario", str(scenario))
+    store = tmp_path / "runs.jsonl"
+    process = start_serve(tmp_path, "--scenario", str(scenario), "--store", str(store))
     try:
         lines = []
         read_line(process, "serving on ", lines)
@@ -337,3 +361,5 @@ def test_serve_closes_and_exits_1_when_the_run_fails_to_finish(tmp_path):
     assert process.returncode == 1
     assert out == ""
     assert "stratus: error: event queue drained with non-terminal instances: w/huge/0" in err
+    # a run that did not finish is not history
+    assert not store.exists()

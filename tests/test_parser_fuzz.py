@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import PROFILE_NAMES
+from oracles import event_line
 from stratus.blueprint import (
     BlueprintError,
     InvalidMatrixError,
@@ -258,7 +259,7 @@ def test_an_event_log_line_is_accepted_iff_it_re_renders_to_its_own_bytes(t_ms, 
     except EventLogSyntaxError:
         assert spelling != canonical
         return
-    assert [record.line() for record in records] == [line]
+    assert [event_line(record) for record in records] == [line]
 
 
 @st.composite

@@ -24,7 +24,7 @@ from conftest import (
     random_dag_spec,
     run_simulation,
 )
-from oracles import instance_stream, resolve_final_state, stream_seed
+from oracles import event_line, instance_stream, resolve_final_state, stream_seed
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_text
 from stratus.machine import parse_cluster
@@ -35,6 +35,7 @@ from stratus.sim import (
     EXIT_TASK_ERROR,
     EXIT_TIMEOUT,
     EventLogSyntaxError,
+    EventRecord,
     FaultInjection,
     InjectionInPastError,
     InjectionKind,
@@ -1043,7 +1044,7 @@ def test_incremental_engine_agrees_with_naive_scans(case):
         stuck = exc.stuck
     run = simulation.run
     assert mismatches == []
-    event_log = "".join(e.line() + "\n" for e in simulation.event_records)
+    event_log = simulation.result.event_log_text()
     assert received == simulation.result.progress_records == replay_progress(event_log)
     if stuck is None:
         assert result is simulation.result
@@ -1070,7 +1071,7 @@ def test_incremental_engine_agrees_with_naive_scans(case):
         assert stuck is None
     except NonQuiescentError as exc:
         assert exc.stuck == stuck
-    assert "".join(e.line() + "\n" for e in quiet.event_records) == event_log
+    assert quiet.result.event_log_text() == event_log
     assert format_trace_file(quiet.trace_records) == format_trace_file(simulation.trace_records)
     never_eligible = naive_never_eligible(run, spec)
     open_instances = sorted(
@@ -1135,6 +1136,55 @@ def test_artifacts_round_trip_over_random_runs(case):
         store = RunStore(Path(tmp) / "runs.jsonl")
         store.append(result.run)
         assert store.load_all() == [result.run]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_each_success_carries_the_draws_of_its_reference_stream(case):
+    """The engine re-seeds one shared generator per instance; a fresh
+    random.Random of the reference seed must give the same draws."""
+    spec, machines, input_count, seed, topology, injections = case
+    simulation = Simulation(
+        spec, machines, 10**15, input_count, seed, topology, run_id="p", submission_ms=0
+    )
+    for injection in injections:
+        simulation.inject(injection)
+    try:
+        simulation.run_to_completion()
+    except NonQuiescentError:
+        pass
+    definitions = {d.name: d for d in spec.tasks}
+    for record in simulation.trace_records:
+        definition = definitions[record.task_id.split("/")[1]]
+        plan = MetricPlan(BUILTIN_MODELS[definition.runtime_model], definition.requested.memory_bytes)
+        # a success ran its full runtime, so its counters are unscaled
+        if record.status != "succeeded" or not plan.full_runtime_exact:
+            continue
+        drawn = plan.draw(instance_stream(seed, record.task_id))
+        assert (
+            record.duration_ms, record.cpu_pct, record.rss_bytes, record.rchar_bytes,
+            record.wchar_bytes, record.syscall_read_count, record.syscall_write_count,
+            record.cpu_wait_ms, record.page_cache_hits, record.page_cache_misses,
+        ) == (
+            drawn.runtime_ms, drawn.cpu_pct, drawn.rss_bytes, drawn.rchar_bytes,
+            drawn.wchar_bytes, drawn.syscall_read_count, drawn.syscall_write_count,
+            drawn.cpu_wait_ms, drawn.page_cache_hits, drawn.page_cache_misses,
+        ), record.task_id
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(EventRecord, st.integers(-(2**63), 2**63), st.text(), st.text(), st.text()),
+        max_size=8,
+    )
+)
+@example([])
+def test_the_event_log_is_one_reference_line_per_event(events):
+    spec, machines, fs_total = fig1_setup()
+    result = Simulation(spec, machines, fs_total, 1, 0, run_id="r", submission_ms=0).result
+    result = dataclasses.replace(result, event_records=events)
+    assert result.event_log_text() == "\n".join(event_line(e) for e in events) + "\n"
 
 
 # --- a spec built in code either refuses construction or runs clean ---

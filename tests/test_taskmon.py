@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import validate_code_parts
+from oracles import trace_line, validate_code_parts
 from stratus.machine import MachineStatus
 from stratus.taskmon import (
     TRACE_COLUMNS,
@@ -138,6 +138,35 @@ def test_format_round_trips_byte_exactly():
     assert format_trace_file(parse_trace(text)) == text
     assert text.startswith(TRACE_HEADER + "\n")
     assert text.endswith("\n")
+
+
+_counter = st.integers(0, 2**63)
+
+
+@st.composite
+def trace_records(draw) -> TaskTraceRecord:
+    """A valid record with counters up to 2**63 and any text for its id."""
+    start_ms = draw(st.integers(0, 2**62))
+    duration_ms = draw(st.integers(0, 2**62))
+    exit_code = draw(st.sampled_from([0, 1, 124, 137, 143, -9, 2**31]))
+    return TaskTraceRecord(
+        draw(st.text()),
+        "succeeded" if exit_code == 0 else "failed",
+        exit_code,
+        draw(_counter),
+        start_ms,
+        start_ms + duration_ms,
+        duration_ms,
+        *(draw(_counter) for _ in range(9)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(trace_records(), max_size=6))
+def test_trace_rendering_equals_the_per_column_reference(records):
+    assert [emit_trace(record) for record in records] == [trace_line(r) for r in records]
+    reference = "\n".join([TRACE_HEADER] + [trace_line(r) for r in records]) + "\n"
+    assert format_trace_file(records) == reference
 
 
 # --- malformed input rejection ---

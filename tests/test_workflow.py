@@ -405,6 +405,16 @@ def test_instance_happy_path_and_duration():
     assert inst.state.terminal
 
 
+def test_only_succeeded_and_failed_are_terminal():
+    assert {state: state.terminal for state in TaskState} == {
+        TaskState.PENDING: False,
+        TaskState.QUEUED: False,
+        TaskState.RUNNING: False,
+        TaskState.SUCCEEDED: True,
+        TaskState.FAILED: True,
+    }
+
+
 def test_instance_rejects_skipping_queue():
     inst = make_instance()
     with pytest.raises(InvalidTransitionError):
