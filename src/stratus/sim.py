@@ -826,9 +826,12 @@ class Simulation:
         instance = self._instances[task_id]
         definition, _, plan = self._definitions[instance.definition]
         if exit_code == 0:
-            status, status_text = _SUCCEEDED, "succeeded"
+            # diagnose never reads the status of a success, and a machine
+            # that fails kills what runs on it
+            status, status_text, machine_status = _SUCCEEDED, "succeeded", _HEALTHY
         else:
             status, status_text = _FAILED, "failed"
+            machine_status = self.registry.descriptor(execution.machine_id).status
         record = _scaled_record(execution, instance.submit_ms, t_ms, status_text, exit_code, plan)
         instance.mark_finished(t_ms, status)
         self._open -= 1
@@ -839,12 +842,6 @@ class Simulation:
         self.trace_records.append(record)
         self._trace_index.setdefault(task_id, record)
 
-        if exit_code == 0:
-            # diagnose never reads the status of a success, and a machine
-            # that fails kills what runs on it
-            machine_status = _HEALTHY
-        else:
-            machine_status = self.registry.descriptor(execution.machine_id).status
         diagnosis = diagnose(record, definition.requested, machine_status)
         self.diagnoses[task_id] = diagnosis
 
