@@ -41,7 +41,10 @@ class MatrixFileError(LineError, BlueprintError):
 
 
 class InvalidMatrixError(BlueprintError):
-    pass
+    def __init__(self, message: str, key: str | None = None, line: int | None = None):
+        super().__init__(message)
+        self.key = key  # the entry at fault as a row names it: <feature> or extension <name>
+        self.line = line  # the row that set it, when parsing found it
 
 
 class LayerId(enum.IntEnum):
@@ -220,22 +223,25 @@ class AccessMatrix:
             owner = feature.owning_layer
             if owner not in permitted:
                 raise InvalidMatrixError(
-                    f"{feature.value}: owning layer {owner.wire_name} not permitted"
+                    f"{feature.value}: owning layer {owner.wire_name} not permitted",
+                    feature.value,
                 )
             below = [l for l in permitted if l < owner]
             if below:
                 raise InvalidMatrixError(
                     f"{feature.value}: layers below the owner are permitted: "
-                    f"{[l.wire_name for l in below]}"
+                    f"{[l.wire_name for l in below]}",
+                    feature.value,
                 )
         standard_names = {f.value for f in ALL_FEATURES}
         for name, permitted in self.extensions.items():
+            key = f"extension {name}"
             if not _EXTENSION_NAME_RE.match(name):
-                raise InvalidMatrixError(f"extension name not lower_snake_case: {name!r}")
+                raise InvalidMatrixError(f"extension name not lower_snake_case: {name!r}", key)
             if name in standard_names:
-                raise InvalidMatrixError(f"extension {name!r} shadows a standard feature")
+                raise InvalidMatrixError(f"extension {name!r} shadows a standard feature", key)
             if not permitted:
-                raise InvalidMatrixError(f"extension {name!r} permits no layer")
+                raise InvalidMatrixError(f"extension {name!r} permits no layer", key)
 
     def lookup(self, feature: "FeatureKey | str") -> frozenset[LayerId]:
         if feature in self.extensions:
@@ -320,6 +326,7 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
     """
     entries = dict(_DEFAULT_PERMITTED)
     extensions: dict[str, frozenset[LayerId]] = {}
+    rows: dict[str, int] = {}  # row key -> the line that last set it
     for lineno, line in directive_lines(text):
         if ":" not in line:
             raise MatrixFileError(lineno, f"expected '<feature>: <layers>', got {line!r}")
@@ -337,12 +344,17 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
             if not _EXTENSION_NAME_RE.match(name):
                 raise MatrixFileError(lineno, f"bad extension name {name!r}")
             extensions[name] = layers
+            rows[f"extension {name}"] = lineno
         else:
-            entries[FeatureKey.from_wire(key_part, lineno)] = layers
+            feature = FeatureKey.from_wire(key_part, lineno)
+            entries[feature] = layers
+            rows[feature.value] = lineno
     try:
         return AccessMatrix(entries=entries, extensions=extensions)
     except InvalidMatrixError as exc:
-        raise InvalidMatrixError(f"override file: {exc}") from None
+        # the defaults obey every rule, so a row set the entry at fault
+        line = rows[exc.key]
+        raise InvalidMatrixError(f"override file line {line}: {exc}", exc.key, line) from None
 
 
 def parse_capability_profile(text: str, default_name: str = "profile") -> CapabilityProfile:

@@ -73,6 +73,7 @@ class UnknownEntryError(ResmanError):
 # on plain tuples; ResourceVector is built only for callers
 _Vector = tuple[float, int, int]
 _ZERO: _Vector = (0, 0, 0)
+_DISJOINT = TopologyMode.DISJOINT  # bound once: submit_task reads it per instance
 
 
 def _triple(v: "ResourceVector | ResourceRequest") -> _Vector:
@@ -146,7 +147,7 @@ class ResourceManager:
     def submit_task(self, task_id: str, requested: ResourceRequest) -> None:
         """External single-task submission; only the disjoint driver may use
         this path."""
-        if self.topology is not TopologyMode.DISJOINT:
+        if self.topology is not _DISJOINT:
             raise WrongTopologyError("submit_task", self.topology)
         self.enqueue(task_id, requested)
 
@@ -283,7 +284,7 @@ class ResourceManager:
     def running_workflows(self) -> list[tuple[str, str, str]]:
         """(run_id, workflow_id, state) triples for registered runs; the
         disjoint resource manager cannot see workflows and reports none."""
-        if self.topology is TopologyMode.DISJOINT:
+        if self.topology is _DISJOINT:
             return []
         return [
             (run.run_id, run.workflow_id, run.final_state.value) for run in self._runs

@@ -26,7 +26,7 @@ from .blueprint import (
     default_access_matrix,
 )
 from .machine import MachineDescriptor, MachineRegistry
-from .sim import EventRecord, ProgressFold, SimulationResult, replay_progress
+from .sim import ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
 from .taskmon import LogLevel, TaskTraceRecord, consumed_vs_requested, synthesize_code_parts
 from .textfmt import parse_decimal
@@ -60,50 +60,6 @@ _STATUS_ALIASES = {
 }
 
 
-class LiveRunFeed:
-    """Fan-out buffer between one running simulation and any number of
-    progress subscribers.  The engine pushes each event as it is appended;
-    the feed folds them into progress records the way ``replay_progress``
-    does.  Subscribers replay from the start and then block until new
-    records arrive or the feed closes."""
-
-    def __init__(self):
-        self._fold = ProgressFold()
-        self._records: list[WorkflowStatusReport] = []
-        self._closed = False
-        self._cond = threading.Condition()
-
-    def push(self, event: EventRecord) -> None:
-        # only the engine's thread pushes, so the fold needs no lock
-        record = self._fold.step(event)
-        if record is None:
-            return
-        with self._cond:
-            self._records.append(record)
-            if record.state is not RunState.RUNNING:
-                self._closed = True
-            self._cond.notify_all()
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def subscribe(self):
-        index = 0
-        while True:
-            with self._cond:
-                while index >= len(self._records) and not self._closed:
-                    self._cond.wait(timeout=10)
-                if index >= len(self._records):
-                    if self._closed:
-                        return
-                    continue
-                record = self._records[index]
-            index += 1
-            yield record
-
-
 class ServiceContext:
     """Everything the handlers read: completed or live runs, the machine
     registry, the resource manager, and the access policy."""
@@ -118,30 +74,60 @@ class ServiceContext:
         self.matrix = matrix or default_access_matrix()
         self.store = store
         self.results: dict[str, SimulationResult] = {}
-        self.feeds: dict[str, LiveRunFeed] = {}
         self._lock = threading.Lock()
+        # caught-up progress readers wait here, and _waiting counts them
+        self._progressed = threading.Condition()
+        self._waiting = 0
 
     def add_result(self, result: SimulationResult) -> None:
-        self._register(result, None)
+        """Register a run that has ended; ``attach_live`` takes one that has not."""
+        if not result.ended:
+            raise ServiceError(f"run {result.run_id!r} has not ended; attach it live")
+        self._register(result)
 
-    def attach_live(self, simulation) -> LiveRunFeed:
-        """Wire a not-yet-run simulation into the context so its progress
+    def attach_live(self, simulation) -> None:
+        """Register a simulation before or while it runs, so its progress
         can be streamed while it executes."""
-        feed = LiveRunFeed()
-        self._register(simulation.result, feed)
-        simulation.event_listeners.append(feed.push)
-        simulation.abort_listeners.append(feed.close)
-        return feed
+        self._register(simulation.result)
+        simulation.event_listeners.append(self._wake)
+        simulation.abort_listeners.append(self._wake)
 
-    def _register(self, result: SimulationResult, feed: "LiveRunFeed | None") -> None:
+    def _register(self, result: SimulationResult) -> None:
         # a run id names one run: replacing it would keep the old run's
         # place in the registration order that newest-wins lookups read
         with self._lock:
             if result.run_id in self.results:
                 raise ServiceError(f"run {result.run_id!r} is already registered")
             self.results[result.run_id] = result
-            if feed is not None:
-                self.feeds[result.run_id] = feed
+
+    def _wake(self, *_) -> None:
+        # called after an append or after ended is set; a reader counts
+        # itself before it looks, so one skipped here has yet to look
+        if self._waiting:
+            with self._progressed:
+                self._progressed.notify_all()
+
+    def progress(self, run_id: str):
+        """``replay_progress`` of the run's event list from event 0, one list
+        of records per wake, until the terminal record or, once the run has
+        ended, its last event."""
+        result = self.result(run_id)
+        events, fold, read = result.event_records, ProgressFold(), 0
+        while True:
+            with self._progressed:
+                self._waiting += 1
+                while read == len(events) and not result.ended:
+                    self._progressed.wait()
+                self._waiting -= 1
+                # ended is set after the last append, so it is read first
+                ended, end = result.ended, len(events)
+            # by its module name, so a wrapper on it sees every batch
+            batch = replay_progress(events[read:end], fold)
+            read = end
+            if batch:
+                yield batch
+            if ended or fold.state is not RunState.RUNNING:
+                return
 
     def result(self, run_id: str) -> SimulationResult:
         with self._lock:
@@ -154,13 +140,6 @@ class ServiceContext:
         with self._lock:
             newest = next(reversed(self.results.values()), None)
         return newest.resource_manager if newest else None
-
-    def live_feed(self, run_id: str) -> "LiveRunFeed | None":
-        """The run's live feed while attached live, else None."""
-        with self._lock:
-            if run_id not in self.results:
-                raise UnknownRunError(run_id)
-            return self.feeds.get(run_id)
 
     def find_task(self, task_id: str):
         """Locate a task instance across runs; newest registration wins."""
@@ -581,23 +560,16 @@ def _make_handler(context: ServiceContext):
         def _live_progress(self, run_id: str | None):
             if not run_id:
                 raise _HTTPError(400, "live_progress needs a run_id subject")
-            try:
-                feed = context.live_feed(run_id)
-            except UnknownRunError as exc:
-                raise _HTTPError(404, str(exc)) from None
-
+            _run(context, FeatureKey.WORKFLOW_STATUS, run_id)  # 404 before the stream starts
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Connection", "close")
             self.end_headers()
-            if feed is not None:
-                records = feed.subscribe()
-            else:
-                # completed run: replay its event log
-                records = replay_progress(context.result(run_id).event_records)
-            for record in records:
-                line = json.dumps(_status_payload(record), sort_keys=True)
-                self.wfile.write(line.encode() + b"\n")
+            for batch in context.progress(run_id):
+                self.wfile.write(b"".join(
+                    json.dumps(_status_payload(record), sort_keys=True).encode() + b"\n"
+                    for record in batch
+                ))
                 self.wfile.flush()
             self.close_connection = True
 

@@ -24,10 +24,11 @@ instance:
   no predecessors.
 - Completion comes from a running count of open instances (not terminal
   and not poisoned): the run can finish only once it is 0.  Progress has
-  one definition, ``ProgressFold``, a fold over the event log: the stored
-  stream is ``replay_progress`` of the log, and live listeners get every
-  event as it is appended and fold it the same way.  Code-part profiles
-  and application logs are derived on query.
+  one definition, ``ProgressFold``: every stream, live or finished, is
+  ``replay_progress`` of the run's own event list from event 0, read up to
+  the last append (``SimulationResult.ended`` is set after it), and no
+  second copy is kept.  Code-part profiles and application logs are
+  derived on query.
 - Each run fact is kept once.  The run's one ``SimulationResult`` is built
   with the engine and shares its lists and dicts, and machine samples live
   only in the registry's per-machine series.
@@ -49,10 +50,10 @@ instance:
 - Seeding the Mersenne Twister (``init_by_array``, about 6 us per
   instance) is the floor: the pinned artifact bytes fix it.
 - Per-instance reads are plain: ``TaskState.terminal`` is a member
-  attribute, the enum members an instance's lifecycle compares against
-  are bound once at module level (Python 3.11 reads a member through its
-  class via ``EnumType.__getattr__``), and a finished instance's status
-  text is passed as a literal rather than read from ``TaskState.value``.
+  attribute, the enum members read per instance are bound once at module
+  level (Python 3.11 reads a member through its class via
+  ``EnumType.__getattr__``), and a finished instance's status text is
+  passed as a literal rather than read from ``TaskState.value``.
 - An instance that ran its full planned runtime takes its trace counters
   as drawn: the scaling ratio is exactly 1.0, and ``int(x * 1.0) == x``
   for every integer up to 2**53.  ``MetricPlan`` checks that bound once
@@ -351,12 +352,15 @@ class ProgressFold:
         return WorkflowStatusReport(self.state, self.finished, self.total, self.failures)
 
 
-def replay_progress(event_log: "str | list[EventRecord]") -> list[WorkflowStatusReport]:
+def replay_progress(
+    event_log: "str | list[EventRecord]", fold: ProgressFold | None = None
+) -> list[WorkflowStatusReport]:
     """Recompute the progress stream from an event log alone: one record
-    per state-changing event, exactly what a live listener folds."""
+    per state-changing event.  With ``fold``, continue that fold over the
+    log's events, as a live reader does with each batch it reads."""
     records = parse_event_log(event_log) if isinstance(event_log, str) else event_log
-    fold = ProgressFold()
-    return [report for report in map(fold.step, records) if report is not None]
+    step = (fold or ProgressFold()).step
+    return [report for report in map(step, records) if report is not None]
 
 
 def _stream_seeder(seed: int):
@@ -530,6 +534,7 @@ class SimulationResult:
     # task_id -> instance and task_id -> first trace record
     instances_by_id: dict[str, TaskInstance]
     trace_by_id: dict[str, TaskTraceRecord]
+    ended: bool = False  # set once the run returned or raised, after its last append
 
     @property
     def samples(self) -> list[MachineSample]:
@@ -637,7 +642,7 @@ class Simulation:
         self.diagnoses: dict[str, Diagnosis] = {}
         # called with each EventRecord as it is appended
         self.event_listeners: list = []
-        # called with no arguments when run_to_completion raises
+        # called with no arguments once run_to_completion raised and set ended
         self.abort_listeners: list = []
         self.result = SimulationResult(
             run_id=self.run_id,
@@ -704,7 +709,7 @@ class Simulation:
         try:
             return self._run()
         except BaseException:
-            self._finished = True
+            self._finished = self.result.ended = True
             for listener in self.abort_listeners:
                 listener()
             raise
@@ -761,6 +766,7 @@ class Simulation:
                 if not i.state.terminal and i.task_id not in self._poisoned
             )
             raise NonQuiescentError(stuck)
+        self.result.ended = True
         return self.result
 
     # -- pumps --------------------------------------------------------------

@@ -187,6 +187,9 @@ class Verdict(enum.Enum):
     MACHINE_FAILURE = "machine_failure"
 
 
+_NO_VERDICT = Verdict.NONE  # bound once: diagnose reads it per success
+
+
 @dataclass(slots=True)
 class Diagnosis:
     task_id: str
@@ -207,7 +210,7 @@ def diagnose(
     also matched are kept in the evidence text.
     """
     if record.status == "succeeded":
-        return Diagnosis(record.task_id, Verdict.NONE, "exit 0")
+        return Diagnosis(record.task_id, _NO_VERDICT, "exit 0")
     signals = []
     if machine_status_at_end is MachineStatus.UNHEALTHY:
         signals.append(

@@ -291,6 +291,24 @@ def test_parse_overrides_rejects_hierarchy_violation():
         parse_matrix_overrides("workflow_status: workflow, task\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("# c\nworkflow_status: machine,workflow\n", 2),
+    # the last row for a feature is the one in force
+    ("workflow_id: task\nworkflow_id: workflow\n\nworkflow_id: resource_manager\n", 4),
+    # an extension and a feature of one name are told apart
+    ("workflow_status: workflow\nextension workflow_status: task\n", 2),
+])
+def test_parse_overrides_names_the_row_that_breaks_a_rule(text, line):
+    with pytest.raises(InvalidMatrixError) as info:
+        parse_matrix_overrides(text)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"override file line {line}: ")
+    # a matrix built in code has no rows
+    with pytest.raises(InvalidMatrixError) as info:
+        AccessMatrix(entries={f: frozenset({LayerId.TASK}) for f in ALL_FEATURES})
+    assert info.value.line is None
+
+
 def test_parse_overrides_extension_declarations():
     matrix = parse_matrix_overrides(
         "extension gpu_utilization: machine, resource_manager\n"

@@ -3,6 +3,7 @@ reads each name it imports, and every src definition is read by some src
 module.  Checked with the stdlib ast module, so no linter is needed."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,3 +159,44 @@ def test_the_scan_sees_unread_definitions():
         "b": ast.parse("from a import C\nC().used()\n"),
     }
     assert unread_definitions(trees) == {"a.unread": 3, "a.C.unused": 7}
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    """perfbench/layers.py wraps src names by string, so a src change that
+    drops or renames one of them fails here, not only in the benchmark."""
+    from conftest import run_simulation
+    from stratus import machine, resman, service, sim, store, taskmon, workflow
+    from stratus.blueprint import TopologyMode
+    from stratus.fixtures import fixture_text
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    tracing = importlib.import_module("tracing")
+    modules = (machine, resman, service, sim, store, taskmon, workflow)
+    owners = [*modules] + [
+        value for module in modules for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    before = [dict(vars(owner)) for owner in owners]
+
+    tracer = tracing.Tracer(kept=layers.KEPT)
+    layers.install(tracer)
+    try:
+        spec = workflow.parse_workflow(fixture_text("fig1.wf"))
+        machines, fs_total = machine.parse_cluster(fixture_text("two.cluster"))
+        result = run_simulation(spec, machines, fs_total, 2, 42, run_id="traced")
+        context = service.ServiceContext(TopologyMode.WORKFLOW_AWARE)
+        context.add_result(result)
+        assert [r for batch in context.progress("traced") for r in batch] == (
+            result.progress_records
+        )
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["sim.run"].calls == 1
+    # the progress stream calls replay_progress by its stratus.service name
+    assert totals["service.replay_progress"].calls == 1
+    after = [dict(vars(owner)) for owner in owners]
+    assert all(
+        a.keys() == b.keys() and all(a[k] is b[k] for k in a) for a, b in zip(after, before)
+    )

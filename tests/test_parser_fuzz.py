@@ -13,7 +13,6 @@ from conftest import PROFILE_NAMES
 from oracles import event_line
 from stratus.blueprint import (
     BlueprintError,
-    InvalidMatrixError,
     LayerId,
     MatrixFileError,
     TopologyMode,
@@ -86,8 +85,7 @@ def assert_own_error_with_a_line(parse, text: str, own_error: type) -> None:
     try:
         parse(text)
     except own_error as exc:
-        # a matrix that breaks a hierarchy rule is checked as a whole
-        if isinstance(exc, (CycleError, InvalidMatrixError)) or str(exc) in WHOLE_FILE_ERRORS:
+        if isinstance(exc, CycleError) or str(exc) in WHOLE_FILE_ERRORS:
             return
         line = getattr(exc, "line", None)
         assert isinstance(line, int), f"{exc!r} carries no line"

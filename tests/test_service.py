@@ -5,6 +5,7 @@ the context's bookkeeping."""
 import ast
 import inspect
 import json
+import sys
 import threading
 import time
 
@@ -26,9 +27,9 @@ from stratus.fixtures import fixture_path, fixture_text
 from stratus.machine import parse_cluster
 from stratus import service
 from stratus.service import (
-    LiveRunFeed,
     ServiceContext,
     ServiceError,
+    UnknownRunError,
     authorize,
     replay_progress,
     serve,
@@ -36,6 +37,7 @@ from stratus.service import (
 from stratus.sim import NonQuiescentError, Simulation, load_scenario
 from stratus.store import RunStore
 from stratus.workflow import (
+    RunState,
     TaskDefinition,
     TaskState,
     WorkflowSpec,
@@ -590,42 +592,170 @@ def test_live_progress_streams_during_execution():
         assert arrival_times[0] < engine_done
         assert any(r["state"] == "running" for r in received)
         assert received[-1]["state"] == "succeeded"
-        expected = [
-            {
-                "state": r.state.value,
-                "finished": r.finished,
-                "total": r.total,
-                "progress": r.progress,
-                "failures": r.failures,
-            }
-            for r in replay_progress(simulation.event_records)
-        ]
-        assert received == expected
+        assert received == expected_stream(simulation)
     finally:
         handle.close()
 
 
-def test_live_feed_closes_when_the_engine_raises():
-    # one task larger than every machine: the engine drains its events and
-    # raises NonQuiescentError with the task still queued
+def read_progress(context, run_id):
+    """The run's progress records, read on a daemon thread: a stream that
+    does not end fails the test instead of hanging it."""
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.extend(r for batch in context.progress(run_id) for r in batch),
+        daemon=True,
+    )
+    reader.start()
+    return reader, received
+
+
+def stuck_simulation(run_id):
+    """One task larger than every machine: the engine drains its events and
+    raises NonQuiescentError with the task still queued."""
     huge = TaskDefinition("huge", False, make_request(cpus=64), "quick")
     spec = WorkflowSpec(workflow_id="big", tasks=(huge,), edges=())
-    simulation = Simulation(
-        spec, [make_machine("m1")], 10**12, 1, 0, run_id="stuck", submission_ms=0
-    )
-    feed = ServiceContext(TopologyMode.WORKFLOW_AWARE).attach_live(simulation)
-    received = []
-    ended = threading.Event()
+    return Simulation(spec, [make_machine("m1")], 10**12, 1, 0, run_id=run_id, submission_ms=0)
 
-    def consume():
-        received.extend(feed.subscribe())
-        ended.set()
 
-    threading.Thread(target=consume, daemon=True).start()
+def test_live_progress_ends_when_the_engine_raises():
+    simulation = stuck_simulation("stuck")
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    reader, received = read_progress(context, "stuck")
     with pytest.raises(NonQuiescentError):
         simulation.run_to_completion()
-    assert ended.wait(1.0)
+    reader.join(timeout=5)
+    assert not reader.is_alive()
     assert received == simulation.result.progress_records
+
+
+def test_an_aborted_result_added_later_ends_its_stream():
+    simulation = stuck_simulation("stuck")
+    with pytest.raises(NonQuiescentError):
+        simulation.run_to_completion()
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.add_result(simulation.result)
+    reader, received = read_progress(context, "stuck")
+    reader.join(timeout=5)
+    assert not reader.is_alive()
+    # submitted and queued, never completed
+    assert received == simulation.result.progress_records
+    assert [r.state for r in received] == [RunState.RUNNING]
+
+
+def test_a_run_yet_to_end_is_attached_live_not_added():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="later", submission_ms=0)
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    with pytest.raises(ServiceError, match="'later' has not ended"):
+        context.add_result(simulation.result)
+    assert context.results == {}
+
+
+def test_live_readers_under_fast_thread_switching_all_read_the_whole_stream():
+    # a wake-up lost between a reader's check and its wait would leave that
+    # reader blocked, and its join below would time out
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    simulation = Simulation(spec, machines, fs_total, 8, 42, run_id="busy", submission_ms=0)
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    readers = [read_progress(context, "busy") for _ in range(3)]
+
+    def start_another(event):
+        if len(simulation.event_records) % 16 == 0:
+            readers.append(read_progress(context, "busy"))
+
+    simulation.event_listeners.append(start_another)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        simulation.run_to_completion()
+        for reader, _ in readers:
+            reader.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(readers) > 6
+    assert not any(reader.is_alive() for reader, _ in readers)
+    assert all(received == simulation.result.progress_records for _, received in readers)
+
+
+def live_stream_over_http(url, run_id):
+    """A reader thread streaming the run's live_progress over HTTP, and the
+    list its records land in."""
+    received = []
+
+    def consume():
+        response = requests.get(
+            f"{url}/v1/workflow/live_progress",
+            params={"as_layer": "workflow", "subject": run_id},
+            stream=True,
+            timeout=10,
+        )
+        received.extend(json.loads(line) for line in response.iter_lines() if line)
+
+    reader = threading.Thread(target=consume, daemon=True)
+    reader.start()
+    return reader, received
+
+
+def expected_stream(simulation):
+    return [
+        {
+            "state": r.state.value,
+            "finished": r.finished,
+            "total": r.total,
+            "progress": r.progress,
+            "failures": r.failures,
+        }
+        for r in replay_progress(simulation.event_records)
+    ]
+
+
+def test_a_run_attached_mid_run_streams_from_its_first_event():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="mid", submission_ms=0)
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    handle = serve(context)
+    readers = []
+
+    def attach_at_event_10(event):
+        if len(simulation.event_records) == 10:
+            context.attach_live(simulation)
+            readers.append(live_stream_over_http(handle.url, "mid"))
+        # slow the engine so the reader catches up and waits mid-run
+        time.sleep(0.001)
+
+    simulation.event_listeners.append(attach_at_event_10)
+    try:
+        simulation.run_to_completion()
+        (reader, received), = readers
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == expected_stream(simulation)
+        assert received[0]["total"] == len(simulation.run.instances)
+    finally:
+        handle.close()
+
+
+def test_a_run_attached_after_it_finished_streams_whole_and_ends():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="done", submission_ms=0)
+    simulation.run_to_completion()
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    handle = serve(context)
+    try:
+        reader, received = live_stream_over_http(handle.url, "done")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == expected_stream(simulation)
+        assert received[-1]["state"] == "succeeded"
+    finally:
+        handle.close()
 
 
 def test_live_run_registers_the_result_the_engine_returns():
@@ -710,7 +840,6 @@ def test_a_run_id_is_registered_once():
     with pytest.raises(ServiceError, match="'B' is already registered"):
         context.attach_live(live)
     assert live.event_listeners == [] and live.abort_listeners == []
-    assert context.feeds == {}
     # newest-wins lookups still answer from B, the last run registered
     assert context.find_task(TASK)[0] is newest
     assert context.resource_manager() is newest.resource_manager
@@ -800,10 +929,10 @@ def test_task_lookups_match_naive_scans():
     assert_lookups_match_naive_scans(context, task_ids)
 
 
-def test_feed_closes_on_terminal_record():
-    feed = LiveRunFeed()
+def test_a_finished_runs_stream_is_one_batch_ending_on_the_terminal_record():
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
     run = completed_result(TopologyMode.WORKFLOW_AWARE)
-    for event in run.event_records:
-        feed.push(event)
-    collected = list(feed.subscribe())
-    assert collected == run.progress_records
+    context.add_result(run)
+    assert list(context.progress(RUN_ID)) == [run.progress_records]
+    with pytest.raises(UnknownRunError):
+        next(context.progress("ghost"))
