@@ -17,7 +17,11 @@ recomputed when an assignment or a release changes its reservation.
 Capacities, reservations, headroom and request vectors are plain (cpu,
 memory, disk) tuples inside the class, so a pass and a release build no
 ResourceVector and hash no dataclass; the public reads (reserved_on,
-infrastructure_status) still return ResourceVector.
+infrastructure_status) still return ResourceVector.  reserved_on hands out
+one shared vector per machine until that machine's reservation changes, so
+a sample tick builds a vector only for machines whose load moved.  A pass
+tests the registry version inline and keeps the tuple of a segment it does
+not merge; a release pops the running entry once.
 
 Two coupling topologies exist; in both, the engine resolves readiness and
 queues each ready instance as a task id and its request.  In workflow-aware
@@ -124,6 +128,8 @@ class ResourceManager:
         self._running: dict[str, tuple[str, _Vector]] = {}
         self._finished: set[str] = set()
         self._reserved: dict[str, _Vector] = {}
+        # machine_id -> (the reservation tuple, its ResourceVector) last read
+        self._readings: dict[str, tuple[_Vector, ResourceVector]] = {}
         self._fs_written_bytes = 0
         self._runs: list[RunRecord] = []
         # healthy machines in ascending id order with capacity, headroom and
@@ -168,8 +174,6 @@ class ResourceManager:
 
     def _refresh_healthy(self) -> None:
         version = self.registry.version
-        if version == self._healthy_version:
-            return
         self._machine_ids, self._capacity, self._headroom = [], [], []
         self._slot = {}
         for machine_id in self.registry.machine_ids():
@@ -189,7 +193,8 @@ class ResourceManager:
         fit nowhere stay queued."""
         if not self._segments:
             return []
-        self._refresh_healthy()
+        if self.registry.version != self._healthy_version:
+            self._refresh_healthy()
         machine_ids, capacity, headroom = self._machine_ids, self._capacity, self._headroom
         # per request vector: index of the first machine that may still fit
         # it; len(machine_ids) once it fits nowhere
@@ -197,7 +202,8 @@ class ResourceManager:
         assignments = []
         remaining = []
         reservations = self._reserved
-        for requested, need, task_ids in self._segments:
+        for segment in self._segments:
+            requested, need, task_ids = segment
             cpu, mem, disk = need
             k = first_fit.get(need, 0)
             while task_ids and k < len(machine_ids):
@@ -221,16 +227,18 @@ class ResourceManager:
             if remaining and (remaining[-1][0] is requested or remaining[-1][0] == requested):
                 remaining[-1][2].extend(task_ids)
             else:
-                remaining.append((requested, need, task_ids))
+                # the deque holds what is left of the segment: keep its tuple
+                remaining.append(segment)
         self._segments = remaining
         return assignments
 
     def release(self, task_id: str, wchar_bytes: int = 0) -> None:
         """Return a finished task's reservation and account its writes
         against the shared file system."""
-        if task_id not in self._running:
-            raise UnknownEntryError(task_id)
-        machine_id, need = self._running.pop(task_id)
+        try:
+            machine_id, need = self._running.pop(task_id)
+        except KeyError:
+            raise UnknownEntryError(task_id) from None
         # _minus, inline: this runs once per finished instance
         held = self._reserved[machine_id]
         reserved = self._reserved[machine_id] = (
@@ -254,7 +262,14 @@ class ResourceManager:
         return len(self._queued)
 
     def reserved_on(self, machine_id: str) -> ResourceVector:
-        return ResourceVector(*self._reserved.get(machine_id, _ZERO))
+        """The machine's reservation.  One immutable vector per machine is
+        handed out until its reservation changes: every assignment and
+        release stores a new tuple, so the tuple's identity tells."""
+        reserved = self._reserved.get(machine_id, _ZERO)
+        reading = self._readings.get(machine_id)
+        if reading is None or reading[0] is not reserved:
+            reading = self._readings[machine_id] = (reserved, ResourceVector(*reserved))
+        return reading[1]
 
     # -- status -------------------------------------------------------------
 

@@ -355,7 +355,7 @@ def _consumed_resources(task: _Task, *_) -> dict:
 
 
 def _fault_diagnosis(task: _Task, *_) -> dict:
-    found = task.result.diagnoses.get(task.task_id)
+    found = task.result.diagnosis(task.task_id)
     if found is None:
         raise _HTTPError(404, f"no diagnosis yet for {task.task_id!r}")
     return {"task_id": task.task_id, "verdict": found.verdict.value, "evidence": found.evidence}

@@ -28,7 +28,10 @@ instance:
   ``replay_progress`` of the run's own event list from event 0, read up to
   the last append (``SimulationResult.ended`` is set after it), and no
   second copy is kept.  Code-part profiles and application logs are
-  derived on query.
+  derived on query, and so is a success's diagnosis: the run stores a
+  ``Diagnosis`` for each failed instance only (``SimulationResult.diagnoses``),
+  and ``SimulationResult.diagnosis`` derives a success's (``none``,
+  ``exit 0``) from its trace record.
 - Each run fact is kept once.  The run's one ``SimulationResult`` is built
   with the engine and shares its lists and dicts, and machine samples live
   only in the registry's per-machine series.
@@ -47,8 +50,18 @@ instance:
   id.  (A one-shot hash of ``f"{seed}:{task_id}"`` measured slower than the
   copy with Python 3.11 and OpenSSL 3.0.)  Failure texts are built per
   failure.
-- Seeding the Mersenne Twister (``init_by_array``, about 6 us per
-  instance) is the floor: the pinned artifact bytes fix it.
+- Re-seeding the Mersenne Twister per instance (hashing the stream seed,
+  ``init_by_array`` and the first draw's state twist, about 7 us, a third
+  of a fig1 run) is the floor: the pinned artifact bytes fix it.
+- A started instance's ``_Execution`` carries the instance and its row of
+  the definition table, so finishing it makes no lookup by id or name.
+  The completion goes straight onto the heap, a success decrements its
+  definition's count inline, and the loop sets the clock to each popped
+  time: pops come in time order.
+- Machine readings are shared: ``ResourceManager.reserved_on`` hands out
+  one vector per machine until its reservation changes, and a sample tick
+  reuses the ``machine_sample`` text while the reading is the same
+  object.  Every sample still passes ``MachineRegistry.record_sample``.
 - Per-instance reads are plain: ``TaskState.terminal`` is a member
   attribute, the enum members read per instance are bound once at module
   level (Python 3.11 reads a member through its class via
@@ -59,7 +72,7 @@ instance:
   for every integer up to 2**53.  ``MetricPlan`` checks that bound once
   per definition; timeouts, machine kills and plans over the bound scale.
 - The machine's status, a locked registry read, is read only for a
-  failed instance; ``diagnose`` never looks at it for a success.
+  failed instance, the only one diagnosed when it ends.
 - An instance's start and finish build only what the run keeps: its
   trace record is indexed by task id as it lands (the service's task
   lookups read that index and the instance map).
@@ -101,6 +114,7 @@ from .machine import (
     MachineRegistry,
     MachineSample,
     MachineStatus,
+    ResourceVector,
 )
 from .resman import ResourceManager
 from .taskmon import (
@@ -110,12 +124,14 @@ from .taskmon import (
     TaskTraceRecord,
     diagnose,
     format_trace_file,
+    success_diagnosis,
     task_log,
 )
 from .textfmt import LineError, directive_lines, line_int, parse_decimal
 from .workflow import (
     RunRecord,
     RunState,
+    TaskDefinition,
     TaskInstance,
     TaskState,
     WorkflowSpec,
@@ -131,7 +147,7 @@ from .workflow import (
 SAMPLE_CADENCE_MS = 1000
 
 # bound once, as workflow binds TaskState's members for its transitions
-_SUCCEEDED, _FAILED, _HEALTHY = TaskState.SUCCEEDED, TaskState.FAILED, MachineStatus.HEALTHY
+_SUCCEEDED, _FAILED = TaskState.SUCCEEDED, TaskState.FAILED
 
 EXIT_OOM = 137
 EXIT_TIMEOUT = 124
@@ -463,40 +479,40 @@ class MetricPlan:
 
 @dataclass(slots=True)
 class _Execution:
-    """Book-keeping for one started instance until its completion event."""
+    """Book-keeping for one started instance until its completion event:
+    the running instance (its id, submission, start and machine), its
+    definition's row of the run's table, its draws and its exit code."""
 
-    task_id: str
-    machine_id: str
-    start_ms: int
-    planned_end_ms: int
+    instance: TaskInstance
+    row: tuple[TaskDefinition, TaskModel, MetricPlan]
     metrics: SynthesizedMetrics
     exit_code: int
 
 
 def _scaled_record(
-    execution: _Execution, submit_ms: int, end_ms: int, status: str, exit_code: int,
-    plan: MetricPlan,
+    execution: _Execution, end_ms: int, status: str, exit_code: int
 ) -> TaskTraceRecord:
     """Build the final trace record, scaling cumulative counters down
     when the task was cut short of its planned runtime."""
+    instance = execution.instance
     metrics = execution.metrics
-    start_ms = execution.start_ms
+    start_ms = instance.start_ms
     duration = end_ms - start_ms
     planned = metrics.runtime_ms
-    if duration == planned and plan.full_runtime_exact:
+    if duration == planned and execution.row[2].full_runtime_exact:
         # the ratio is exactly 1.0, and int(x * 1.0) == x up to 2**53
         return TaskTraceRecord(
-            execution.task_id, status, exit_code, submit_ms, start_ms, end_ms, duration,
-            metrics.cpu_pct, metrics.rss_bytes, metrics.rchar_bytes, metrics.wchar_bytes,
-            metrics.syscall_read_count, metrics.syscall_write_count, metrics.cpu_wait_ms,
-            metrics.page_cache_hits, metrics.page_cache_misses,
+            instance.task_id, status, exit_code, instance.submit_ms, start_ms, end_ms,
+            duration, metrics.cpu_pct, metrics.rss_bytes, metrics.rchar_bytes,
+            metrics.wchar_bytes, metrics.syscall_read_count, metrics.syscall_write_count,
+            metrics.cpu_wait_ms, metrics.page_cache_hits, metrics.page_cache_misses,
         )
     ratio = min(1.0, duration / planned) if planned else 1.0
     return TaskTraceRecord(
-        task_id=execution.task_id,
+        task_id=instance.task_id,
         status=status,
         exit_code=exit_code,
-        submit_ms=submit_ms,
+        submit_ms=instance.submit_ms,
         start_ms=start_ms,
         end_ms=end_ms,
         duration_ms=duration,
@@ -526,6 +542,8 @@ class SimulationResult:
     seed: int
     event_records: list[EventRecord]
     trace_records: list[TaskTraceRecord]
+    # task_id -> diagnosis of each failed instance; a success's is derived
+    # on read, by diagnosis()
     diagnoses: dict[str, Diagnosis]
     registry: MachineRegistry
     resource_manager: ResourceManager
@@ -545,14 +563,28 @@ class SimulationResult:
     def progress_records(self) -> list[WorkflowStatusReport]:
         return replay_progress(self.event_records)
 
+    def diagnosis(self, task_id: str) -> Diagnosis | None:
+        """The task's diagnosis once it has one, else None.  A failure's is
+        stored when it ends; a success's (no verdict, ``exit 0``) is derived
+        from its trace record."""
+        # a live run stores a failure's record before its diagnosis, so a
+        # reader takes the stored diagnosis first
+        found = self.diagnoses.get(task_id)
+        if found is not None:
+            return found
+        record = self.trace_by_id.get(task_id)
+        if record is not None and record.status == "succeeded":
+            return success_diagnosis(record)
+        return None
+
     def application_logs(
         self, task_id: str, min_level: LogLevel = LogLevel.DEBUG
     ) -> list[LogEntry]:
         """The task's log lines at ``min_level`` or above; KeyError for a
         task id the run does not have."""
-        # a live run stores the record before the diagnosis, so a reader
-        # takes the diagnosis first
-        diagnosis = self.diagnoses.get(task_id)
+        # the record is there once the diagnosis is, so the diagnosis is
+        # read first
+        diagnosis = self.diagnosis(task_id)
         return task_log(
             self.instances_by_id[task_id], self.trace_by_id.get(task_id), diagnosis, min_level
         )
@@ -639,6 +671,7 @@ class Simulation:
         self.trace_records: list[TaskTraceRecord] = []
         # task_id -> its trace record, filled as records land
         self._trace_index: dict[str, TaskTraceRecord] = {}
+        # task_id -> diagnosis, for failed instances only
         self.diagnoses: dict[str, Diagnosis] = {}
         # called with each EventRecord as it is appended
         self.event_listeners: list = []
@@ -665,7 +698,9 @@ class Simulation:
 
     def inject(self, injection: FaultInjection) -> None:
         """Arm a fault at once, before or during the run: a machine fault
-        goes on the event heap, a task fault into the index by target."""
+        goes on the event heap, a task fault into the index by target.  A
+        task fault whose target has started or was poisoned is refused, as
+        it could never fire."""
         if self._started and injection.at_ms <= self._now:
             raise InjectionInPastError(injection.at_ms, self._now)
         if self._finished:
@@ -676,8 +711,16 @@ class Simulation:
             self._push(injection.at_ms, "machine_unhealthy", injection.target)
             self._pending_machine_events += 1
         else:
-            if injection.target not in self._instances:
+            instance = self._instances.get(injection.target)
+            if instance is None:
                 raise TargetUnknownError(injection.target)
+            # a task fault fires only when its target starts
+            if instance.start_ms is not None or injection.target in self._poisoned:
+                state = "poisoned" if instance.start_ms is None else instance.state.value
+                raise SimulationError(
+                    f"fault target {injection.target!r} is {state}; a task fault "
+                    f"fires only when its target starts"
+                )
             self._task_faults.setdefault(injection.target, []).append(injection)
 
     def _task_injection(self, task_id: str, start_ms: int) -> FaultInjection | None:
@@ -730,6 +773,8 @@ class Simulation:
         self._machine_texts = {
             m: (f"machine={m}", f"exit=0 machine={m}") for m in self.registry.machine_ids()
         }
+        # machine_id -> (the reading last sampled, its machine_sample detail)
+        self._sample_texts: dict[str, tuple[ResourceVector, str]] = {}
         self._emit(
             0,
             "run_submitted",
@@ -745,9 +790,11 @@ class Simulation:
         self._pump(0)
         self._push(0, "sample_tick", None)
 
-        while self._events:
-            t_ms, _, kind, payload = heapq.heappop(self._events)
-            self._now = max(self._now, t_ms)
+        events = self._events
+        while events:
+            t_ms, _, kind, payload = heapq.heappop(events)
+            # pops come in time order: nothing is pushed before the clock
+            self._now = t_ms
             if self._finished:
                 continue
             if kind == "completion":
@@ -796,7 +843,8 @@ class Simulation:
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self._instances[task_id]
-        definition, model, plan = self._definitions[instance.definition]
+        row = self._definitions[instance.definition]
+        definition, model, plan = row
         self._rng.seed(self._instance_seed(task_id))
         metrics = plan.draw(self._rng)
 
@@ -820,52 +868,52 @@ class Simulation:
             exit_code = EXIT_TIMEOUT
 
         instance.mark_running(t_ms, machine_id)
-        execution = _Execution(task_id, machine_id, t_ms, t_ms + runtime, metrics, exit_code)
+        execution = _Execution(instance, row, metrics, exit_code)
         self._executions[task_id] = execution
-        self._push(execution.planned_end_ms, "completion", execution)
+        heapq.heappush(self._events, (t_ms + runtime, next(self._seq), "completion", execution))
         self._emit(t_ms, "instance_started", task_id, self._machine_texts[machine_id][0])
 
     # -- event handlers -----------------------------------------------------
 
     def _finish_instance(self, t_ms: int, execution: _Execution, exit_code: int) -> None:
-        task_id = execution.task_id
-        instance = self._instances[task_id]
-        definition, _, plan = self._definitions[instance.definition]
-        if exit_code == 0:
-            # diagnose never reads the status of a success, and a machine
-            # that fails kills what runs on it
-            status, status_text, machine_status = _SUCCEEDED, "succeeded", _HEALTHY
-        else:
-            status, status_text = _FAILED, "failed"
-            machine_status = self.registry.descriptor(execution.machine_id).status
-        record = _scaled_record(execution, instance.submit_ms, t_ms, status_text, exit_code, plan)
+        instance = execution.instance
+        task_id = instance.task_id
+        status, status_text = (_SUCCEEDED, "succeeded") if exit_code == 0 else (_FAILED, "failed")
+        record = _scaled_record(execution, t_ms, status_text, exit_code)
         instance.mark_finished(t_ms, status)
         self._open -= 1
         self.rm.release(task_id, record.wchar_bytes)
         del self._executions[task_id]
-        # the record lands before the diagnosis: a task's log shows its end
-        # line once it has a diagnosis, and reads the end from the record
+        # the record lands before a failure's diagnosis: a task's log shows
+        # its end line once it has a diagnosis, and reads the end from the
+        # record
         self.trace_records.append(record)
         self._trace_index.setdefault(task_id, record)
 
-        diagnosis = diagnose(record, definition.requested, machine_status)
-        self.diagnoses[task_id] = diagnosis
-
+        name = instance.definition
         if exit_code == 0:
-            self._count_success(instance.definition)
+            # a success's diagnosis is derived from its record on read
+            remaining = self._remaining
+            remaining[name] -= 1
+            if not remaining[name]:
+                self._mark_successors_ready(name)
             self._emit(
-                t_ms, "instance_succeeded", task_id, self._machine_texts[execution.machine_id][1]
+                t_ms, "instance_succeeded", task_id, self._machine_texts[instance.machine][1]
             )
         else:
+            # a machine that fails kills what runs on it, so its status is
+            # read only for a failure
+            machine_status = self.registry.descriptor(instance.machine).status
+            diagnosis = diagnose(record, execution.row[0].requested, machine_status)
+            self.diagnoses[task_id] = diagnosis
             self._emit(
                 t_ms, "instance_failed", task_id,
-                f"exit={exit_code} verdict={diagnosis.verdict.value} "
-                f"machine={execution.machine_id}",
+                f"exit={exit_code} verdict={diagnosis.verdict.value} machine={instance.machine}",
             )
-            self._poison_descendants(instance.definition)
+            self._poison_descendants(name)
 
     def _on_completion(self, t_ms: int, execution: _Execution) -> None:
-        if self._executions.get(execution.task_id) is not execution:
+        if self._executions.get(execution.instance.task_id) is not execution:
             return  # killed with its machine
         self._finish_instance(t_ms, execution, execution.exit_code)
         self._pump(t_ms)
@@ -879,26 +927,26 @@ class Simulation:
         self._pump(t_ms)
 
     def _on_sample_tick(self, t_ms: int) -> None:
+        texts = self._sample_texts
         # the run's machine ids, sorted when the run started
         for machine_id in self._machine_texts:
+            # one shared vector per machine until its reservation changes
             used = self.rm.reserved_on(machine_id)
-            sample = MachineSample(machine_id=machine_id, t_ms=t_ms, used=used)
-            self.registry.record_sample(sample)
-            self._emit(
-                t_ms, "machine_sample", machine_id,
-                f"cpu={int(used.cpu_cores)} mem={used.memory_bytes} "
-                f"disk={used.disk_bytes}",
-            )
+            self.registry.record_sample(MachineSample(machine_id, t_ms, used))
+            text = texts.get(machine_id)
+            if text is None or text[0] is not used:
+                text = texts[machine_id] = (
+                    used,
+                    f"cpu={int(used.cpu_cores)} mem={used.memory_bytes} disk={used.disk_bytes}",
+                )
+            self._emit(t_ms, "machine_sample", machine_id, text[1])
         # keep sampling only while something can still happen on its own
         if self._executions or self._pending_machine_events > 0:
             self._push(t_ms + SAMPLE_CADENCE_MS, "sample_tick", None)
 
-    def _count_success(self, definition: str) -> None:
-        """Mark successors ready when ``definition``'s last instance has
-        succeeded and so have all their other predecessors."""
-        self._remaining[definition] -= 1
-        if self._remaining[definition]:
-            return
+    def _mark_successors_ready(self, definition: str) -> None:
+        """``definition``'s last instance has just succeeded: mark ready each
+        of its successors whose predecessors have all succeeded."""
         predecessors, successors = self.spec.adjacency
         for successor in successors.get(definition, ()):
             if all(self._remaining[p] == 0 for p in predecessors[successor]):

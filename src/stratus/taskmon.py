@@ -187,14 +187,16 @@ class Verdict(enum.Enum):
     MACHINE_FAILURE = "machine_failure"
 
 
-_NO_VERDICT = Verdict.NONE  # bound once: diagnose reads it per success
-
-
 @dataclass(slots=True)
 class Diagnosis:
     task_id: str
     verdict: Verdict
     evidence: str
+
+
+def success_diagnosis(record: TaskTraceRecord) -> Diagnosis:
+    """A succeeded record's diagnosis: no verdict, whatever the machine."""
+    return Diagnosis(record.task_id, Verdict.NONE, "exit 0")
 
 
 def diagnose(
@@ -210,7 +212,7 @@ def diagnose(
     also matched are kept in the evidence text.
     """
     if record.status == "succeeded":
-        return Diagnosis(record.task_id, _NO_VERDICT, "exit 0")
+        return success_diagnosis(record)
     signals = []
     if machine_status_at_end is MachineStatus.UNHEALTHY:
         signals.append(

@@ -418,7 +418,7 @@ def test_criterion_09_fault_diagnosis_end_to_end(acceptance):
         for task_id, verdict in verdicts.items():
             if task_id not in {"wf1/III/0", "wf1/III/1"} | machine_kills:
                 assert verdict is Verdict.NONE, task_id
-        assert verdicts == {t: d.verdict for t, d in result.diagnoses.items()}
+        assert verdicts == {t: result.diagnosis(t).verdict for t in verdicts}
 
 
 def test_criterion_10_live_stream_equals_replay(acceptance):

@@ -5,8 +5,7 @@ that means to alter the bytes is a behaviour change and must update these
 digests and say so."""
 
 import hashlib
-import importlib.util
-import sys
+import importlib
 from pathlib import Path
 
 import pytest
@@ -17,6 +16,9 @@ from stratus.cli import _write_run_outputs
 from stratus.fixtures import fixture_path
 from stratus.machine import parse_cluster
 from stratus.sim import (
+    EXIT_MACHINE_KILL,
+    EXIT_OOM,
+    EXIT_TASK_ERROR,
     FaultInjection,
     InjectionKind,
     ScenarioSpec,
@@ -25,6 +27,8 @@ from stratus.sim import (
     run_scenario,
 )
 from stratus.workflow import parse_workflow
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of (event_log_text(), trace_text()) with run_id="golden" and
 # submission_ms=0
@@ -89,27 +93,20 @@ def test_artifact_bytes_match_golden_digests(name):
 
 
 # The benchmark's seeded 48-definition wide DAG at seed 42 and 24 inputs
-# (945 instances, disjoint topology, submit_task path, two task faults that
-# poison their descendants and a machine that fails mid-run).  These are the
-# digests perfbench/engine.py pins for ("engine-wide-faults", 42, 24).
+# (945 instances, disjoint topology, submit_task path, an OOM and a non-zero
+# exit that poison their descendants, and a machine that fails mid-run): the
+# only disjoint run with all three fault kinds pinned at full size.  These
+# are the digests perfbench/engine.py pins for ("engine-wide-faults", 42, 24).
 WIDE_FAULTS_GOLDEN = (
     "891043239c7f3a38b958da032f6d904f6fd536487ea95418378cc96332ffcc38",
     "f3eda548719a03eb46d6c7169ee47e7154dbe076fba4dce17128b28961ae0427",
 )
 
 
-def _perfbench_module(name: str):
-    """perfbench/<name>.py, loaded read-only by path, so these tests check
-    exactly what the benchmark runs."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_wide_faults_workload_matches_golden_digests():
-    inputs = _perfbench_module("inputs").wide_inputs(42, 24)
+def test_wide_faults_workload_matches_golden_digests(monkeypatch):
+    # the benchmark's own input generator, imported as its run script does
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    inputs = importlib.import_module("inputs").wide_inputs(42, 24)
     spec = parse_workflow(inputs.workflow_text, default_workflow_id=inputs.workflow_name)
     machines, fs_total = parse_cluster(inputs.cluster_text)
     simulation = Simulation(
@@ -121,6 +118,8 @@ def test_wide_faults_workload_matches_golden_digests():
     result = simulation.run_to_completion()
     assert len(result.run.instances) == 945
     assert result.run.final_state.value == inputs.expected_final
+    exits = {r.exit_code for r in result.trace_records}
+    assert exits == {0, EXIT_OOM, EXIT_TASK_ERROR, EXIT_MACHINE_KILL}
     assert _result_digests(result) == WIDE_FAULTS_GOLDEN
 
 
@@ -128,10 +127,9 @@ def test_every_name_the_benchmark_traces_exists(monkeypatch):
     """The benchmark's tracer wraps functions by name (some, like
     stratus.sim.ready_tasks, only as names imported into another module);
     installing it fails here when one of them is gone."""
-    tracing = _perfbench_module("tracing")
-    # layers.py imports its sibling by this plain name
-    monkeypatch.setitem(sys.modules, "tracing", tracing)
-    layers = _perfbench_module("layers")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    layers = importlib.import_module("layers")
     originals = (sim.ready_tasks, sim.workflow_status)
     tracer = tracing.Tracer()
     try:

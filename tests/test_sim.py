@@ -27,7 +27,7 @@ from conftest import (
 from oracles import event_line, instance_stream, resolve_final_state, stream_seed
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_text
-from stratus.machine import parse_cluster
+from stratus.machine import MachineStatus, ResourceVector, parse_cluster
 from stratus.sim import (
     BUILTIN_MODELS,
     EXIT_MACHINE_KILL,
@@ -63,12 +63,14 @@ from stratus.taskmon import (
     LogLevel,
     TaskTraceRecord,
     Verdict,
+    diagnose,
     format_trace_file,
     parse_trace,
 )
 from stratus.workflow import (
     RunState,
     TaskDefinition,
+    TaskInstance,
     TaskState,
     WorkflowError,
     WorkflowSpec,
@@ -223,19 +225,19 @@ def test_metric_plan_covers_a_model_without_io():
     assert metrics.syscall_read_count == int(metrics.runtime_ms * 0.5)
 
 
-def reference_scaled_record(execution, submit_ms, end_ms, status, exit_code):
+def reference_scaled_record(execution, end_ms, status, exit_code):
     """The trace-record formula as written before the full-runtime fast
     path: every cumulative counter scaled by the completed share."""
-    metrics = execution.metrics
-    duration = end_ms - execution.start_ms
+    instance, metrics = execution.instance, execution.metrics
+    duration = end_ms - instance.start_ms
     planned = metrics.runtime_ms
     ratio = min(1.0, duration / planned) if planned else 1.0
     return TaskTraceRecord(
-        task_id=execution.task_id,
+        task_id=instance.task_id,
         status=status,
         exit_code=exit_code,
-        submit_ms=submit_ms,
-        start_ms=execution.start_ms,
+        submit_ms=instance.submit_ms,
+        start_ms=instance.start_ms,
         end_ms=end_ms,
         duration_ms=duration,
         cpu_pct=metrics.cpu_pct,
@@ -256,11 +258,19 @@ _SCALED = attrgetter(
 )
 
 
+def running_execution(model, memory, submit_ms, start_ms, metrics, exit_code):
+    """The engine's book-keeping for instance w/a/0 of a definition of
+    ``model`` and ``memory`` bytes, started on m1."""
+    instance = TaskInstance("w/a/0", "a", TaskState.RUNNING, "m1", submit_ms, start_ms)
+    definition = TaskDefinition("a", False, make_request(mem=memory), model.model_key)
+    return _Execution(instance, (definition, model, MetricPlan(model, memory)), metrics, exit_code)
+
+
 @st.composite
 def finished_executions(draw):
-    """(plan, execution, submit_ms, end_ms, exit_code) of one instance
-    that ran its full runtime, failed at it, was OOM-killed, timed out or
-    lost its machine, as the engine finishes each."""
+    """(execution, end_ms, exit_code) of one instance that ran its full
+    runtime, failed at it, was OOM-killed, timed out or lost its machine,
+    as the engine finishes each."""
     model = draw(task_models())
     memory = draw(st.integers(min_value=1, max_value=2**45))
     plan = MetricPlan(model, memory)
@@ -278,19 +288,19 @@ def finished_executions(draw):
         duration, exit_code = draw(st.integers(1, runtime - 1)), EXIT_TIMEOUT
     elif ending == "machine_kill":
         duration, exit_code = draw(st.integers(0, runtime)), EXIT_MACHINE_KILL
-    planned_end = start + (duration if exit_code == EXIT_TIMEOUT else runtime)
-    execution = _Execution("w/a/0", "m1", start, planned_end, metrics, exit_code)
-    return plan, execution, draw(st.integers(0, start)), start + duration, exit_code
+    submit = draw(st.integers(0, start))
+    execution = running_execution(model, memory, submit, start, metrics, exit_code)
+    return execution, start + duration, exit_code
 
 
 @settings(max_examples=500, deadline=None)
 @given(finished_executions())
 def test_trace_records_match_the_scaled_formula(case):
-    plan, execution, submit_ms, end_ms, exit_code = case
+    execution, end_ms, exit_code = case
     status = "succeeded" if exit_code == 0 else "failed"
-    record = _scaled_record(execution, submit_ms, end_ms, status, exit_code, plan)
-    assert record == reference_scaled_record(execution, submit_ms, end_ms, status, exit_code)
-    if plan.full_runtime_exact:
+    record = _scaled_record(execution, end_ms, status, exit_code)
+    assert record == reference_scaled_record(execution, end_ms, status, exit_code)
+    if execution.row[2].full_runtime_exact:
         assert max(_SCALED(execution.metrics)) <= 2**53
 
 
@@ -299,9 +309,9 @@ def test_a_plan_over_the_float_bound_scales_its_counters(io_bytes, exact):
     model = TaskModel("big", 1000, 0, 100, 0.5, io_bytes, 0, 0.0, 0.0, 0.0)
     plan = MetricPlan(model, GiB)
     assert plan.full_runtime_exact is exact
-    metrics = plan.draw(instance_stream(1, "w/big/0"))
-    execution = _Execution("w/big/0", "m1", 0, 1000, metrics, 0)
-    record = _scaled_record(execution, 0, 1000, "succeeded", 0, plan)
+    metrics = plan.draw(instance_stream(1, "w/a/0"))
+    execution = running_execution(model, GiB, 0, 0, metrics, 0)
+    record = _scaled_record(execution, 1000, "succeeded", 0)
     # int(2**53 + 1 * 1.0) is 2**53: only the scaled path reproduces that
     assert record.rchar_bytes == 2**53
 
@@ -410,7 +420,9 @@ def test_clean_run_reaches_success_with_full_accounting():
     assert kinds.count("run_completed") == 1
     assert len(result.trace_records) == 18
     assert all(r.status == "succeeded" for r in result.trace_records)
-    assert all(d.verdict is Verdict.NONE for d in result.diagnoses.values())
+    # only failures are stored; a success's diagnosis is derived on read
+    assert result.diagnoses == {}
+    assert all(result.diagnosis(r.task_id).verdict is Verdict.NONE for r in result.trace_records)
     assert parse_trace(result.trace_text()) == result.trace_records
 
 
@@ -432,24 +444,47 @@ def test_progress_counts_are_monotone_and_complete():
 
 
 def test_a_live_log_read_is_whole_when_the_task_ends_between_its_reads():
-    result = run_fig1()
-    task_id = result.run.instances[0].task_id
-    finished = result.application_logs(task_id)
-    record = result.trace_by_id.pop(task_id)
-    diagnosis = result.diagnoses.pop(task_id)
+    # a success, whose diagnosis is derived from its record, and a failure,
+    # whose diagnosis is stored after its record
+    oom = FaultInjection(InjectionKind.TASK_OOM, "wf1/II/1")
+    for injections, task_id in (([], "wf1/I/0"), ([oom], "wf1/II/1")):
+        result = run_fig1(injections=injections)
+        finished = result.application_logs(task_id)
+        diagnosis = result.diagnosis(task_id)
+        assert len(finished) == 2
+        record = result.trace_by_id[task_id]
+        stored = result.diagnoses.get(task_id)
+        assert (stored is None) == (record.status == "succeeded")
 
-    class EndsOnRead(dict):
-        """The engine finishes the task while the record is being read."""
+        class EndsOnRead(dict):
+            """The engine finishes the task while the record is being read:
+            the record lands, then a failure's diagnosis."""
 
-        def get(self, key, default=None):
-            found = super().get(key, default)
-            self[key] = record
-            result.diagnoses[key] = diagnosis
-            return found
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                self[key] = record
+                if stored is not None:
+                    result.diagnoses[key] = stored
+                return found
 
-    live = dataclasses.replace(result, trace_by_id=EndsOnRead(result.trace_by_id))
-    assert live.application_logs(task_id) == finished[:1]
-    assert live.application_logs(task_id) == finished
+        def racing():
+            """The run as it stood just before the task ended."""
+            result.trace_by_id.pop(task_id, None)
+            result.diagnoses.pop(task_id, None)
+            return dataclasses.replace(result, trace_by_id=EndsOnRead(result.trace_by_id))
+
+        live = racing()
+        assert live.application_logs(task_id) == finished[:1]
+        assert live.application_logs(task_id) == finished
+        live = racing()
+        assert live.diagnosis(task_id) is None
+        assert live.diagnosis(task_id) == diagnosis
+        if stored is not None:
+            # between a failure's record and its diagnosis
+            result.trace_by_id[task_id] = record
+            del result.diagnoses[task_id]
+            assert result.diagnosis(task_id) is None
+            assert result.application_logs(task_id) == finished[:1]
 
 
 # --- event log oracles: dependency order and capacity safety ---
@@ -492,12 +527,14 @@ def assert_dependency_order(result):
 
 def assert_capacity_safety_from_log(result, machines):
     """Walk the event log in order, tracking which instances run where, and
-    check every sample line against the independently summed load."""
+    check every sample line, and the sample the registry stored for it,
+    against the independently summed load."""
     capacity = {m.machine_id: m.capacity for m in machines}
     requested = {
         inst.task_id: result.spec.definition(inst.definition).requested
         for inst in result.run.instances
     }
+    stored = {(sample.machine_id, sample.t_ms): sample.used for sample in result.samples}
     machine_of = {}
     running = set()
     sample_lines = 0
@@ -509,23 +546,44 @@ def assert_capacity_safety_from_log(result, machines):
             running.discard(e.subject)
         elif e.kind == "machine_sample":
             sample_lines += 1
-            cpus = sum(
-                requested[t].cpu_cores
-                for t in running
-                if machine_of[t] == e.subject
-            )
-            mem = sum(
-                requested[t].memory_bytes
-                for t in running
-                if machine_of[t] == e.subject
+            on_machine = [requested[t] for t in running if machine_of[t] == e.subject]
+            load = ResourceVector(
+                sum(r.cpu_cores for r in on_machine),
+                sum(r.memory_bytes for r in on_machine),
+                sum(r.disk_bytes for r in on_machine),
             )
             detail = dict(part.split("=") for part in e.detail.split())
-            assert int(detail["cpu"]) == cpus
-            assert int(detail["mem"]) == mem
-            cap = capacity[e.subject]
-            assert cpus <= cap.cpu_cores
-            assert mem <= cap.memory_bytes
+            assert (int(detail["cpu"]), int(detail["mem"]), int(detail["disk"])) == (
+                load.cpu_cores, load.memory_bytes, load.disk_bytes,
+            )
+            assert stored.pop((e.subject, e.t_ms)) == load
+            assert load.fits_within(capacity[e.subject])
     assert sample_lines > 0
+    assert stored == {}
+
+
+def assert_diagnoses_from_log(result):
+    """Every finished instance reads the diagnosis of its record, its
+    request and its machine's status at its end, the status as the event
+    log tells it; only failures are stored."""
+    status = {}
+    machine_of = {}
+    expected = {}
+    for e in result.event_records:
+        if e.kind == "machine_status":
+            status[e.subject] = MachineStatus(e.detail.split("status=", 1)[1])
+        elif e.kind == "instance_started":
+            machine_of[e.subject] = e.detail.split("machine=", 1)[1]
+        elif e.kind in ("instance_succeeded", "instance_failed"):
+            instance = result.instances_by_id[e.subject]
+            expected[e.subject] = diagnose(
+                result.trace_by_id[e.subject],
+                result.spec.definition(instance.definition).requested,
+                status.get(machine_of[e.subject], MachineStatus.HEALTHY),
+            )
+    assert {task_id: result.diagnosis(task_id) for task_id in expected} == expected
+    failed = {task_id for task_id, d in expected.items() if d.verdict is not Verdict.NONE}
+    assert set(result.diagnoses) == failed
 
 
 def test_fig1_satisfies_dependency_and_capacity_oracles():
@@ -717,6 +775,41 @@ def test_a_fault_is_refused_once_the_run_has_ended():
         stuck.inject(FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m2", at_ms=1))
 
 
+def test_a_task_fault_is_refused_once_its_target_started_or_was_poisoned():
+    """A task fault fires when its target starts, so one armed on a target
+    that started, finished or was poisoned could never fire."""
+    spec, machines, fs_total = fig1_setup()
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="r", submission_ms=0)
+    simulation.inject(FaultInjection(InjectionKind.TASK_NON_ZERO_EXIT, "wf1/II/3"))
+    refused = []
+
+    def refuse(event, target):
+        fault = FaultInjection(InjectionKind.TASK_OOM, target, at_ms=event.t_ms + 1)
+        with pytest.raises(SimulationError) as err:
+            simulation.inject(fault)
+        refused.append(str(err.value))
+
+    def inject_late(event):
+        if event.subject == "wf1/I/0" and event.kind in ("instance_started", "instance_succeeded"):
+            refuse(event, "wf1/I/0")
+        elif event.kind == "instance_failed":
+            refuse(event, "wf1/II/3")
+        elif event.kind == "instance_succeeded" and event.subject == "wf1/II/2":
+            # the failure of wf1/II/3 has poisoned III and what follows it
+            refuse(event, "wf1/III/0")
+
+    simulation.event_listeners.append(inject_late)
+    result = simulation.run_to_completion()
+    assert [message.split(";")[0] for message in refused] == [
+        "fault target 'wf1/I/0' is running",
+        "fault target 'wf1/I/0' is succeeded",
+        "fault target 'wf1/II/3' is failed",
+        "fault target 'wf1/III/0' is poisoned",
+    ]
+    assert result.trace_by_id["wf1/I/0"].exit_code == 0
+    assert list(simulation._task_faults) == ["wf1/II/3"]
+
+
 def run_with_mid_run_injection(make_injection):
     """fig1 with one fault injected from an event listener once the clock
     has left 0; returns the result and the injection."""
@@ -876,12 +969,10 @@ def test_run_bundled_fault_scenario(tmp_path):
     scenario = load_scenario(str(data_dir / "faults.scenario"))
     result = run_scenario(scenario, run_id="r", submission_ms=0)
     assert result.run.final_state is RunState.FAILED
-    verdicts = {t: d.verdict for t, d in result.diagnoses.items()}
+    verdicts = {r.task_id: result.diagnosis(r.task_id).verdict for r in result.trace_records}
     assert verdicts["wf1/III/0"] is Verdict.OUT_OF_MEMORY
     assert verdicts["wf1/III/1"] is Verdict.NON_ZERO_EXIT
-    machine_kills = {
-        t for t, d in result.diagnoses.items() if d.verdict is Verdict.MACHINE_FAILURE
-    }
+    machine_kills = {t for t, v in verdicts.items() if v is Verdict.MACHINE_FAILURE}
     assert machine_kills == {"wf1/III/4", "wf1/III/5", "wf1/III/6", "wf1/III/7"}
     assert verdicts["wf1/III/2"] is Verdict.NONE
     assert verdicts["wf1/III/3"] is Verdict.NONE
@@ -1048,6 +1139,10 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     assert received == simulation.result.progress_records == replay_progress(event_log)
     if stuck is None:
         assert result is simulation.result
+    # a reading shared until its machine's reservation changes is never
+    # stale, across machine kills and in disjoint runs
+    assert_capacity_safety_from_log(simulation.result, machines)
+    assert_diagnoses_from_log(simulation.result)
 
     # every started instance ends once, also when its machine was killed
     # while its completion event was still on the heap
