@@ -17,11 +17,9 @@ recomputed when an assignment or a release changes its reservation.
 Capacities, reservations, headroom and request vectors are plain (cpu,
 memory, disk) tuples inside the class, so a pass and a release build no
 ResourceVector and hash no dataclass; the public reads (reserved_on,
-infrastructure_status) still return ResourceVector.  reserved_on hands out
-one shared vector per machine until that machine's reservation changes, so
-a sample tick builds a vector only for machines whose load moved.  A pass
-tests the registry version inline and keeps the tuple of a segment it does
-not merge; a release pops the running entry once.
+infrastructure_status) still return ResourceVector.  A pass tests the
+registry version inline and keeps the tuple of a segment it does not merge;
+a release pops the running entry once.
 
 Two coupling topologies exist; in both, the engine resolves readiness and
 queues each ready instance as a task id and its request.  In workflow-aware
@@ -128,8 +126,6 @@ class ResourceManager:
         self._running: dict[str, tuple[str, _Vector]] = {}
         self._finished: set[str] = set()
         self._reserved: dict[str, _Vector] = {}
-        # machine_id -> (the reservation tuple, its ResourceVector) last read
-        self._readings: dict[str, tuple[_Vector, ResourceVector]] = {}
         self._fs_written_bytes = 0
         self._runs: list[RunRecord] = []
         # healthy machines in ascending id order with capacity, headroom and
@@ -262,14 +258,7 @@ class ResourceManager:
         return len(self._queued)
 
     def reserved_on(self, machine_id: str) -> ResourceVector:
-        """The machine's reservation.  One immutable vector per machine is
-        handed out until its reservation changes: every assignment and
-        release stores a new tuple, so the tuple's identity tells."""
-        reserved = self._reserved.get(machine_id, _ZERO)
-        reading = self._readings.get(machine_id)
-        if reading is None or reading[0] is not reserved:
-            reading = self._readings[machine_id] = (reserved, ResourceVector(*reserved))
-        return reading[1]
+        return ResourceVector(*self._reserved.get(machine_id, _ZERO))
 
     # -- status -------------------------------------------------------------
 

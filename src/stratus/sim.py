@@ -58,10 +58,6 @@ instance:
   The completion goes straight onto the heap, a success decrements its
   definition's count inline, and the loop sets the clock to each popped
   time: pops come in time order.
-- Machine readings are shared: ``ResourceManager.reserved_on`` hands out
-  one vector per machine until its reservation changes, and a sample tick
-  reuses the ``machine_sample`` text while the reading is the same
-  object.  Every sample still passes ``MachineRegistry.record_sample``.
 - Per-instance reads are plain: ``TaskState.terminal`` is a member
   attribute, the enum members read per instance are bound once at module
   level (Python 3.11 reads a member through its class via
@@ -114,7 +110,6 @@ from .machine import (
     MachineRegistry,
     MachineSample,
     MachineStatus,
-    ResourceVector,
 )
 from .resman import ResourceManager
 from .taskmon import (
@@ -773,8 +768,6 @@ class Simulation:
         self._machine_texts = {
             m: (f"machine={m}", f"exit=0 machine={m}") for m in self.registry.machine_ids()
         }
-        # machine_id -> (the reading last sampled, its machine_sample detail)
-        self._sample_texts: dict[str, tuple[ResourceVector, str]] = {}
         self._emit(
             0,
             "run_submitted",
@@ -927,19 +920,16 @@ class Simulation:
         self._pump(t_ms)
 
     def _on_sample_tick(self, t_ms: int) -> None:
-        texts = self._sample_texts
         # the run's machine ids, sorted when the run started
         for machine_id in self._machine_texts:
-            # one shared vector per machine until its reservation changes
             used = self.rm.reserved_on(machine_id)
-            self.registry.record_sample(MachineSample(machine_id, t_ms, used))
-            text = texts.get(machine_id)
-            if text is None or text[0] is not used:
-                text = texts[machine_id] = (
-                    used,
-                    f"cpu={int(used.cpu_cores)} mem={used.memory_bytes} disk={used.disk_bytes}",
-                )
-            self._emit(t_ms, "machine_sample", machine_id, text[1])
+            sample = MachineSample(machine_id=machine_id, t_ms=t_ms, used=used)
+            self.registry.record_sample(sample)
+            self._emit(
+                t_ms, "machine_sample", machine_id,
+                f"cpu={int(used.cpu_cores)} mem={used.memory_bytes} "
+                f"disk={used.disk_bytes}",
+            )
         # keep sampling only while something can still happen on its own
         if self._executions or self._pending_machine_events > 0:
             self._push(t_ms + SAMPLE_CADENCE_MS, "sample_tick", None)
