@@ -15,7 +15,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .textfmt import LineError, directive_lines, fold_name
+from .textfmt import LineError, directive_lines, fold_name, set_once
 
 
 class BlueprintError(Exception):
@@ -37,6 +37,10 @@ class UnknownFeatureError(BlueprintError):
 
 
 class MatrixFileError(LineError, BlueprintError):
+    pass
+
+
+class ProfileSyntaxError(LineError, BlueprintError):
     pass
 
 
@@ -358,12 +362,15 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
 
 
 def parse_capability_profile(text: str, default_name: str = "profile") -> CapabilityProfile:
-    """Parse a capability profile file: an optional ``name <text>`` line, then
-    one standard feature key per line.  ``#`` comments and blanks ignored."""
+    """Parse a capability profile file: an optional ``name <text>`` line, at
+    most once, and one standard feature key per line.  ``#`` comments and
+    blanks ignored."""
     name = default_name
     supported = set()
+    first_lines: dict[str, int] = {}
     for lineno, line in directive_lines(text):
         if line.startswith("name "):
+            set_once(first_lines, "name", lineno, ProfileSyntaxError)
             name = line[len("name "):].strip()
             continue
         supported.add(FeatureKey.from_wire(line, lineno))

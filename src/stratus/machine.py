@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
-from .textfmt import LineError, directive_lines, key_values, line_int
+from .textfmt import LineError, directive_lines, key_values, line_int, set_once
 
 _T_MS = attrgetter("t_ms")
 
@@ -244,6 +244,7 @@ def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
     machines: list[MachineDescriptor] = []
     seen = set()
     fs_total = 0
+    first_lines: dict[str, int] = {}
     for lineno, line in directive_lines(text):
         parts = line.split()
         if parts[0] == "machine":
@@ -273,6 +274,7 @@ def parse_cluster(text: str) -> tuple[list[MachineDescriptor], int]:
         elif parts[0] == "fs":
             if len(parts) != 2 or not parts[1].startswith("total="):
                 raise ClusterSyntaxError(lineno, "expected 'fs total=<bytes>'")
+            set_once(first_lines, "fs", lineno, ClusterSyntaxError)
             fs_total = line_int(parts[1][len("total="):], lineno, "total", ClusterSyntaxError)
             if fs_total <= 0:
                 raise ClusterSyntaxError(lineno, "fs total must be positive")

@@ -4,22 +4,22 @@ running-workflow registry.
 
 The queue holds task ids, stored as run-length segments: each segment
 holds consecutive ids with an equal ResourceRequest, and that request's
-(cpu, memory, disk) vector, computed once when the segment opens.  Within
-one scheduling pass headroom only shrinks, so once a request vector fits
+(cpu, memory, disk) vector, computed once when the segment opens.  The
+queue is its own depth: queue_depth sums the segment lengths.  Each
+machine's reservation is the only capacity state; a machine's headroom is
+its capacity minus its reservation, computed at each fit test, so an
+assignment and a release write only the reservation.  Within one
+scheduling pass headroom only shrinks, so once a request vector fits
 nowhere, every later task with the same vector fits nowhere either, and a
 machine too small for a vector stays too small for it.  A pass therefore
 skips whole segments and resumes each vector's first-fit scan where the
 previous task left off, costing O(segments + assignments + machines x
-distinct vectors) instead of O(queue x machines).  The healthy machines,
-their capacities and headroom persist between passes: the list is rebuilt
-only when the registry's version moves, and a machine's headroom is
-recomputed when an assignment or a release changes its reservation.
-Capacities, reservations, headroom and request vectors are plain (cpu,
-memory, disk) tuples inside the class, so a pass and a release build no
-ResourceVector and hash no dataclass; the public reads (reserved_on,
-infrastructure_status) still return ResourceVector.  A pass tests the
-registry version inline and keeps the tuple of a segment it does not merge;
-a release pops the running entry once.
+distinct vectors) instead of O(queue x machines).  The healthy machines
+and their capacities persist between passes: the list is rebuilt only
+when the registry's version moves.  Capacities, reservations and request
+vectors are plain (cpu, memory, disk) tuples inside the class, so a pass
+and a release build no ResourceVector and hash no dataclass; the public
+reads (reserved_on, infrastructure_status) still return ResourceVector.
 
 Two coupling topologies exist; in both, the engine resolves readiness and
 queues each ready instance as a task id and its request.  In workflow-aware
@@ -87,11 +87,6 @@ def _plus(a: _Vector, b: _Vector) -> _Vector:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def _minus(a: _Vector, b: _Vector) -> _Vector:
-    """a - b per dimension, as ResourceVector.minus computes it."""
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 @dataclass(frozen=True)
 class InfrastructureStatus:
     machines_total: int
@@ -121,20 +116,18 @@ class ResourceManager:
         self.fs_total_bytes = fs_total_bytes
         # (request, request vector, task ids) segments in FIFO order
         self._segments: list[tuple[ResourceRequest, _Vector, deque[str]]] = []
-        self._queued: set[str] = set()
+        # every task id ever enqueued: a task runs and finishes only after
+        # it was enqueued, so this alone keeps ids unique
+        self._seen: set[str] = set()
         # task_id -> (machine_id, request vector)
         self._running: dict[str, tuple[str, _Vector]] = {}
-        self._finished: set[str] = set()
         self._reserved: dict[str, _Vector] = {}
         self._fs_written_bytes = 0
         self._runs: list[RunRecord] = []
-        # healthy machines in ascending id order with capacity, headroom and
-        # slot by id, as of registry version _healthy_version
+        # (machine_id, capacity) of each healthy machine in ascending id
+        # order, as of registry version _healthy_version
         self._healthy_version: int | None = None
-        self._machine_ids: list[str] = []
-        self._capacity: list[_Vector] = []
-        self._headroom: list[_Vector] = []
-        self._slot: dict[str, int] = {}
+        self._healthy: list[tuple[str, _Vector]] = []
 
     # -- submission ---------------------------------------------------------
 
@@ -154,11 +147,12 @@ class ResourceManager:
         self.enqueue(task_id, requested)
 
     def enqueue(self, task_id: str, requested: ResourceRequest) -> None:
-        """FIFO append with task-id uniqueness across queue, running, and
-        finished sets."""
-        if task_id in self._queued or task_id in self._running or task_id in self._finished:
+        """FIFO append; a task id is refused if it was ever enqueued, whether
+        it is queued, running or finished.  A task joins the last segment
+        when their requests are equal."""
+        if task_id in self._seen:
             raise DuplicateEntryError(task_id)
-        self._queued.add(task_id)
+        self._seen.add(task_id)
         segments = self._segments
         # a definition's instances share one request object: test identity first
         if segments and (segments[-1][0] is requested or segments[-1][0] == requested):
@@ -170,16 +164,11 @@ class ResourceManager:
 
     def _refresh_healthy(self) -> None:
         version = self.registry.version
-        self._machine_ids, self._capacity, self._headroom = [], [], []
-        self._slot = {}
+        self._healthy = []
         for machine_id in self.registry.machine_ids():
             descriptor = self.registry.descriptor(machine_id)
             if descriptor.status is MachineStatus.HEALTHY:
-                self._slot[machine_id] = len(self._machine_ids)
-                self._machine_ids.append(machine_id)
-                capacity = _triple(descriptor.capacity)
-                self._capacity.append(capacity)
-                self._headroom.append(_minus(capacity, self._reserved.get(machine_id, _ZERO)))
+                self._healthy.append((machine_id, _triple(descriptor.capacity)))
         self._healthy_version = version
 
     def schedule(self, t_ms: int) -> list[tuple[str, str]]:
@@ -191,39 +180,32 @@ class ResourceManager:
             return []
         if self.registry.version != self._healthy_version:
             self._refresh_healthy()
-        machine_ids, capacity, headroom = self._machine_ids, self._capacity, self._headroom
+        healthy = self._healthy
         # per request vector: index of the first machine that may still fit
-        # it; len(machine_ids) once it fits nowhere
+        # it; len(healthy) once it fits nowhere
         first_fit: dict[_Vector, int] = {}
         assignments = []
         remaining = []
         reservations = self._reserved
         for segment in self._segments:
-            requested, need, task_ids = segment
+            _, need, task_ids = segment
             cpu, mem, disk = need
             k = first_fit.get(need, 0)
-            while task_ids and k < len(machine_ids):
-                room = headroom[k]
-                if not (cpu <= room[0] and mem <= room[1] and disk <= room[2]):
+            while task_ids and k < len(healthy):
+                chosen, cap = healthy[k]
+                held = reservations.get(chosen, _ZERO)
+                # headroom is cap - held, computed here and nowhere else
+                if not (
+                    cpu <= cap[0] - held[0] and mem <= cap[1] - held[1] and disk <= cap[2] - held[2]
+                ):
                     k += 1
                     continue
                 task_id = task_ids.popleft()
-                chosen = machine_ids[k]
-                reserved = reservations.get(chosen, _ZERO)
-                reserved = reservations[chosen] = (
-                    reserved[0] + cpu, reserved[1] + mem, reserved[2] + disk,
-                )
-                headroom[k] = _minus(capacity[k], reserved)
-                self._queued.discard(task_id)
+                reservations[chosen] = (held[0] + cpu, held[1] + mem, held[2] + disk)
                 self._running[task_id] = (chosen, need)
                 assignments.append((task_id, chosen))
             first_fit[need] = k
-            if not task_ids:
-                continue
-            if remaining and (remaining[-1][0] is requested or remaining[-1][0] == requested):
-                remaining[-1][2].extend(task_ids)
-            else:
-                # the deque holds what is left of the segment: keep its tuple
+            if task_ids:
                 remaining.append(segment)
         self._segments = remaining
         return assignments
@@ -235,18 +217,8 @@ class ResourceManager:
             machine_id, need = self._running.pop(task_id)
         except KeyError:
             raise UnknownEntryError(task_id) from None
-        # _minus, inline: this runs once per finished instance
         held = self._reserved[machine_id]
-        reserved = self._reserved[machine_id] = (
-            held[0] - need[0], held[1] - need[1], held[2] - need[2],
-        )
-        slot = self._slot.get(machine_id)
-        if slot is not None:
-            capacity = self._capacity[slot]
-            self._headroom[slot] = (
-                capacity[0] - reserved[0], capacity[1] - reserved[1], capacity[2] - reserved[2],
-            )
-        self._finished.add(task_id)
+        self._reserved[machine_id] = (held[0] - need[0], held[1] - need[1], held[2] - need[2])
         self._fs_written_bytes += max(0, wchar_bytes)
 
     def running_on(self, machine_id: str) -> list[str]:
@@ -255,7 +227,7 @@ class ResourceManager:
         )
 
     def queue_depth(self) -> int:
-        return len(self._queued)
+        return sum(len(task_ids) for _, _, task_ids in self._segments)
 
     def reserved_on(self, machine_id: str) -> ResourceVector:
         return ResourceVector(*self._reserved.get(machine_id, _ZERO))
@@ -273,7 +245,7 @@ class ResourceManager:
             machines_by_status=counts,
             capacity_total=ResourceVector(*total),
             capacity_reserved=ResourceVector(*reserved),
-            queue_depth=len(self._queued),
+            queue_depth=self.queue_depth(),
             running_tasks=len(self._running),
         )
 

@@ -25,7 +25,7 @@ from .blueprint import (
     access_allowed,
     default_access_matrix,
 )
-from .machine import MachineDescriptor, MachineRegistry
+from .machine import MachineDescriptor, MachineRegistry, UnknownMachineError
 from .sim import ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
 from .taskmon import LogLevel, TaskTraceRecord, consumed_vs_requested, synthesize_code_parts
@@ -278,9 +278,12 @@ def _finished_run(context, feature, subject):
 def _machine(context, feature, subject) -> _Machine:
     machine_id = _subject(feature, subject, "machine_id")
     rm = context.resource_manager()
-    if rm is None or machine_id not in rm.registry.machine_ids():
-        raise _HTTPError(404, f"unknown machine: {machine_id!r}")
-    return _Machine(machine_id, rm.registry, rm.registry.descriptor(machine_id))
+    if rm is not None:
+        try:
+            return _Machine(machine_id, rm.registry, rm.registry.descriptor(machine_id))
+        except UnknownMachineError:
+            pass
+    raise _HTTPError(404, f"unknown machine: {machine_id!r}")
 
 
 def _task(context, feature, subject, missing: str | None = None) -> _Task:

@@ -44,12 +44,8 @@ instance:
   base ``_random.Random``, whose ``seed`` skips ``random.Random.seed``'s
   Python wrapper.
 - What holds for the whole run is computed once per run: the event
-  texts that name only a definition or a machine, the sorted machine ids
-  each sample tick walks, and the sha256 state after the stream seed's
-  ``f"{seed}:"`` prefix, which each instance copies and continues with its
-  id.  (A one-shot hash of ``f"{seed}:{task_id}"`` measured slower than the
-  copy with Python 3.11 and OpenSSL 3.0.)  Failure texts are built per
-  failure.
+  texts that name only a definition or a machine, and the sorted machine
+  ids each sample tick walks.  Failure texts are built per failure.
 - Re-seeding the Mersenne Twister per instance (hashing the stream seed,
   ``init_by_array`` and the first draw's state twist, about 7 us, a third
   of a fig1 run) is the floor: the pinned artifact bytes fix it.
@@ -110,6 +106,7 @@ from .machine import (
     MachineRegistry,
     MachineSample,
     MachineStatus,
+    UnknownMachineError,
 )
 from .resman import ResourceManager
 from .taskmon import (
@@ -122,7 +119,7 @@ from .taskmon import (
     success_diagnosis,
     task_log,
 )
-from .textfmt import LineError, directive_lines, line_int, parse_decimal
+from .textfmt import LineError, directive_lines, line_int, parse_decimal, set_once
 from .workflow import (
     RunRecord,
     RunState,
@@ -374,19 +371,11 @@ def replay_progress(
     return [report for report in map(step, records) if report is not None]
 
 
-def _stream_seeder(seed: int):
-    """``task_id ->`` the seed of that instance's random stream for one run:
-    the first 8 bytes, big-endian, of ``sha256(f"{seed}:{task_id}")``.  The
-    ``f"{seed}:"`` prefix is hashed once, and each instance continues a copy
-    of that hash state with its own id."""
-    prefix = hashlib.sha256(f"{seed}:".encode())
-
-    def stream_seed(task_id: str) -> int:
-        digest = prefix.copy()
-        digest.update(task_id.encode())
-        return int.from_bytes(digest.digest()[:8], "big")
-
-    return stream_seed
+def _stream_seed(seed: int, task_id: str) -> int:
+    """The seed of one instance's random stream: the first 8 bytes,
+    big-endian, of ``sha256(f"{seed}:{task_id}")``."""
+    digest = hashlib.sha256(f"{seed}:{task_id}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(slots=True)
@@ -701,8 +690,10 @@ class Simulation:
         if self._finished:
             raise SimulationError(f"run {self.run_id} has ended; no fault can fire")
         if injection.kind is InjectionKind.MACHINE_UNHEALTHY:
-            if injection.target not in self.registry.machine_ids():
-                raise TargetUnknownError(injection.target)
+            try:
+                self.registry.descriptor(injection.target)
+            except UnknownMachineError:
+                raise TargetUnknownError(injection.target) from None
             self._push(injection.at_ms, "machine_unhealthy", injection.target)
             self._pending_machine_events += 1
         else:
@@ -763,7 +754,6 @@ class Simulation:
         # the C base of random.Random: the subclass's seed only adds a type
         # check and a gauss_next reset, and a draw only calls random()
         self._rng = _random.Random()
-        self._instance_seed = _stream_seeder(self.seed)
         # the event details that name only a machine: started, succeeded
         self._machine_texts = {
             m: (f"machine={m}", f"exit=0 machine={m}") for m in self.registry.machine_ids()
@@ -838,7 +828,7 @@ class Simulation:
         instance = self._instances[task_id]
         row = self._definitions[instance.definition]
         definition, model, plan = row
-        self._rng.seed(self._instance_seed(task_id))
+        self._rng.seed(_stream_seed(self.seed, task_id))
         metrics = plan.draw(self._rng)
 
         injection = self._task_injection(task_id, t_ms) if self._task_faults else None
@@ -989,6 +979,10 @@ class ScenarioSyntaxError(LineError, SimulationError):
     pass
 
 
+# the scenario directives that each set one value, at most once
+_SCENARIO_SETTINGS = ("workflow", "cluster", "input_count", "seed", "topology")
+
+
 def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     """Parse a scenario file tying together a workflow, a cluster, run
     parameters, and scripted faults.  Relative paths resolve against
@@ -998,8 +992,11 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     cluster_path = None
     settings = {}  # the fields the file sets; ScenarioSpec defaults the rest
     injections = []
+    first_lines: dict[str, int] = {}
     for lineno, line in directive_lines(text):
         parts = line.split()
+        if parts[0] in _SCENARIO_SETTINGS and len(parts) == 2:
+            set_once(first_lines, parts[0], lineno, ScenarioSyntaxError)
         if parts[0] == "workflow" and len(parts) == 2:
             workflow_path = base / parts[1]
         elif parts[0] == "cluster" and len(parts) == 2:

@@ -3,6 +3,8 @@
 The input formats (workflow, cluster, scenario, matrix overrides and
 capability profiles) are directive lines, with blanks and ``#`` comments
 skipped, and an error about one line of any format is a ``LineError``.
+A directive that sets one value of the file (a name, a size, a seed) may
+appear once; a repeat is a line error, not a silent override.
 ``int()`` alone accepts spellings that no writer of these formats emits
 (surrounding whitespace, ``_`` separators, non-ASCII digits), so every
 parser reads its integer fields through ``parse_decimal`` instead.
@@ -49,6 +51,16 @@ def key_values(
     if unknown:
         raise error(line, f"unknown keys: {unknown}")
     return kv
+
+
+def set_once(
+    first_lines: dict[str, int], directive: str, line: int, error: type[LineError]
+) -> None:
+    """Note in ``first_lines`` that ``line`` sets ``directive``, which a
+    file may set only once; raises ``error`` when an earlier line set it."""
+    first = first_lines.setdefault(directive, line)
+    if first != line:
+        raise error(line, f"{directive!r} repeated; first set on line {first}")
 
 
 def line_int(text: str, line: int, key: str, error: type[LineError]) -> int:

@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .textfmt import LineError, directive_lines, key_values, line_int
+from .textfmt import LineError, directive_lines, key_values, line_int, set_once
 
 
 class WorkflowError(Exception):
@@ -388,14 +388,14 @@ _TASK_KEYS = ("scatter", "cpus", "mem", "disk", "timeout", "model")
 def parse_workflow(text: str, default_workflow_id: str = "workflow") -> WorkflowSpec:
     """Parse the line-oriented workflow format.
 
-    Lines: optional ``workflow <id>`` header, ``task <name> scatter=<bool>
+    Lines: an optional ``workflow <id>`` header, at most once, ``task <name> scatter=<bool>
     cpus=<n> mem=<bytes> disk=<bytes> timeout=<ms> model=<key>``, and
     ``edge <from> -> <to>``.  Blank lines and ``#`` comments are ignored.
     The spec checks its own structure; the parser only gives an invalid or
     duplicate name or a dangling edge the line that introduced it.
     """
     workflow_id = default_workflow_id
-    workflow_line = None
+    first_lines: dict[str, int] = {}
     tasks: list[TaskDefinition] = []
     task_lines: list[int] = []
     edges: list[tuple[str, str]] = []
@@ -405,8 +405,8 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
         if parts[0] == "workflow":
             if len(parts) != 2:
                 raise WorkflowSyntaxError(lineno, "expected 'workflow <id>'")
+            set_once(first_lines, "workflow", lineno, WorkflowSyntaxError)
             workflow_id = parts[1]
-            workflow_line = lineno
         elif parts[0] == "task":
             if len(parts) != 8:
                 raise WorkflowSyntaxError(
@@ -444,8 +444,10 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
         return WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
     except InvalidNameError as exc:
         # the workflow id is checked first; a default id has no line
-        names = [t.name for t in tasks]
-        exc.line = workflow_line if exc.name == workflow_id else task_lines[names.index(exc.name)]
+        if exc.name == workflow_id:
+            exc.line = first_lines.get("workflow")
+        else:
+            exc.line = task_lines[[t.name for t in tasks].index(exc.name)]
         raise
     except DuplicateTaskError as exc:
         # the spec reports the first name to repeat, at its second definition

@@ -15,6 +15,7 @@ from stratus.blueprint import (
     BlueprintError,
     LayerId,
     MatrixFileError,
+    ProfileSyntaxError,
     TopologyMode,
     UnknownLayerError,
     parse_capability_profile,
@@ -165,6 +166,47 @@ def test_capability_profile_parser_raises_only_blueprint_errors_with_a_line(text
     assert_own_error_with_a_line(parse_capability_profile, text, BlueprintError)
 
 
+# --- directives that set one value ---
+
+TASK_LINE = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
+MACHINE_LINE = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=1\n"
+# each scenario setting: a value, then another valid value for it
+SCENARIO_SETTINGS = {
+    "workflow": ("w.wf", "v.wf"), "cluster": ("c.cluster", "d.cluster"),
+    "input_count": ("3", "2"), "seed": ("1", "2"), "topology": ("disjoint", "workflow-aware"),
+}
+SCENARIO = "".join(f"{key} {first}\n" for key, (first, _) in SCENARIO_SETTINGS.items())
+
+
+def repeated_settings() -> list:
+    """(parser, text, own line error, line) of each directive that sets one
+    value of its file, repeated at ``line`` with another value."""
+    cases = [
+        (parse_workflow, f"workflow a\n{TASK_LINE}# again\nworkflow b\n", WorkflowSyntaxError, 4),
+        (parse_cluster, "fs total=5\n" + MACHINE_LINE + "fs total=7\n", ClusterSyntaxError, 3),
+        (parse_capability_profile, "name a\ntask_id\n\nname b\n", ProfileSyntaxError, 4),
+    ]
+    for key, (_, other) in SCENARIO_SETTINGS.items():
+        cases.append((parse_scenario, f"{SCENARIO}{key} {other}\n", ScenarioSyntaxError, 6))
+    return cases
+
+
+@pytest.mark.parametrize("parse, text, own_error, line", repeated_settings())
+def test_a_repeated_setting_is_refused_at_its_second_line(parse, text, own_error, line):
+    with pytest.raises(own_error) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+def test_each_setting_set_once_is_read():
+    assert parse_workflow("workflow a\n" + TASK_LINE).workflow_id == "a"
+    assert parse_cluster("fs total=5\n" + MACHINE_LINE)[1] == 5
+    assert parse_capability_profile("name a\ntask_id\n").name == "a"
+    scenario = parse_scenario(SCENARIO)
+    assert (scenario.input_count, scenario.seed, scenario.topology) == (3, 1, TopologyMode.DISJOINT)
+
+
 # --- integer fields ---
 
 # spellings that int() reads but no writer emits: separators, non-ASCII
@@ -291,6 +333,7 @@ def test_a_trace_line_is_accepted_iff_it_re_renders_to_its_own_bytes(lines):
     (ScenarioSyntaxError, SimulationError),
     (EventLogSyntaxError, SimulationError),
     (MatrixFileError, BlueprintError),
+    (ProfileSyntaxError, BlueprintError),
     (FieldCountMismatchError, TraceError),
     (InvariantViolationError, TraceError),
 ])

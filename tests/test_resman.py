@@ -287,6 +287,9 @@ def test_segmented_queue_matches_oracle_across_passes(data):
             running[task_id] = (machine_id, needs[task_id])
         queue = [(task_id, needs[task_id]) for task_id in leftover]
         assert_running_on(rm, machines, running)
+        status_report = rm.infrastructure_status()
+        assert status_report.queue_depth == len(queue)
+        assert status_report.running_tasks == len(running)
 
         if running:
             for task_id in data.draw(st.lists(st.sampled_from(sorted(running)), unique=True)):

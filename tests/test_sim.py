@@ -27,7 +27,8 @@ from conftest import (
 from oracles import event_line, instance_stream, resolve_final_state, stream_seed
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_text
-from stratus.machine import MachineStatus, ResourceVector, parse_cluster
+from stratus.machine import MachineRegistry, MachineStatus, ResourceVector, parse_cluster
+from stratus.resman import ResourceManager
 from stratus.sim import (
     BUILTIN_MODELS,
     EXIT_MACHINE_KILL,
@@ -50,7 +51,7 @@ from stratus.sim import (
     TaskModel,
     _Execution,
     _scaled_record,
-    _stream_seeder,
+    _stream_seed,
     load_scenario,
     parse_event_log,
     parse_scenario,
@@ -320,9 +321,8 @@ def test_a_plan_over_the_float_bound_scales_its_counters(io_bytes, exact):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-(2**70), 2**70), st.lists(st.text(max_size=16), max_size=4))
 def test_the_per_run_seed_prefix_gives_each_stream_seed(seed, task_ids):
-    seeder = _stream_seeder(seed)
     for task_id in task_ids:
-        assert seeder(task_id) == stream_seed(seed, task_id)
+        assert _stream_seed(seed, task_id) == stream_seed(seed, task_id)
 
 
 def test_model_validation():
@@ -999,6 +999,21 @@ def test_instance_groups_are_the_runs_definition_runs(spec, input_count):
 
 
 # --- incremental engine state against the naive scans ---
+
+
+def test_a_pass_drops_the_queue_segments_it_empties(monkeypatch):
+    """Once a pass has assigned every queued task, the next pass finds no
+    segment to walk and reads no machine, even after the registry moved:
+    emptied segments are dropped, so a pass costs only the live ones."""
+    registry = MachineRegistry()
+    registry.register_machine(make_machine("m1"))
+    rm = ResourceManager(TopologyMode.WORKFLOW_AWARE, registry, GiB)
+    rm.enqueue("t1", make_request())
+    assert rm.schedule(0) == [("t1", "m1")]
+    registry.set_status("m1", MachineStatus.MAINTENANCE)
+    monkeypatch.setattr(registry, "machine_ids", lambda: pytest.fail("an idle pass read a machine"))
+    assert rm.schedule(1) == []
+    assert rm.queue_depth() == 0
 
 
 @st.composite
