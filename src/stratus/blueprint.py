@@ -29,11 +29,8 @@ class UnknownLayerError(BlueprintError):
 
 
 class UnknownFeatureError(BlueprintError):
-    def __init__(self, name: str, line: int | None = None):
-        at = f" (line {line})" if line is not None else ""
-        super().__init__(f"unknown feature key: {name!r}{at}")
-        self.feature_name = name
-        self.line = line
+    """A name that spells no standard feature.  A file's line that names
+    one raises its format's own line error, which is also this error."""
 
 
 class MatrixFileError(LineError, BlueprintError):
@@ -41,6 +38,14 @@ class MatrixFileError(LineError, BlueprintError):
 
 
 class ProfileSyntaxError(LineError, BlueprintError):
+    pass
+
+
+class UnknownMatrixFeatureError(MatrixFileError, UnknownFeatureError):
+    pass
+
+
+class UnknownProfileFeatureError(ProfileSyntaxError, UnknownFeatureError):
     pass
 
 
@@ -138,13 +143,11 @@ class FeatureKey(str, enum.Enum):
         return min(_DEFAULT_PERMITTED[self])
 
     @classmethod
-    def from_wire(cls, name: str, line: int | None = None) -> "FeatureKey":
-        """The feature ``name`` spells; ``line`` is the text line that
-        named it, for the error when it names none."""
+    def from_wire(cls, name: str) -> "FeatureKey":
         try:
             return cls(name.strip())
         except ValueError:
-            raise UnknownFeatureError(name, line) from None
+            raise UnknownFeatureError(f"unknown feature key: {name!r}") from None
 
 
 # the hierarchy from the top down
@@ -350,7 +353,10 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
             extensions[name] = layers
             rows[f"extension {name}"] = lineno
         else:
-            feature = FeatureKey.from_wire(key_part, lineno)
+            try:
+                feature = FeatureKey.from_wire(key_part)
+            except UnknownFeatureError as exc:
+                raise UnknownMatrixFeatureError(lineno, str(exc)) from None
             entries[feature] = layers
             rows[feature.value] = lineno
     try:
@@ -373,7 +379,10 @@ def parse_capability_profile(text: str, default_name: str = "profile") -> Capabi
             set_once(first_lines, "name", lineno, ProfileSyntaxError)
             name = line[len("name "):].strip()
             continue
-        supported.add(FeatureKey.from_wire(line, lineno))
+        try:
+            supported.add(FeatureKey.from_wire(line))
+        except UnknownFeatureError as exc:
+            raise UnknownProfileFeatureError(lineno, str(exc)) from None
     return CapabilityProfile(name=name, supported=frozenset(supported))
 
 

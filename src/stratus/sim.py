@@ -14,10 +14,10 @@ Each event costs work proportional to what it changed, not to the size of
 the run.  The engine keeps these invariants instead of rescanning every
 instance:
 
-- Readiness is incremental.  ``_remaining[d]`` counts the instances of
-  definition ``d`` not yet succeeded.  Dependencies are all-to-all between
-  instance groups, so a definition becomes ready exactly when the last of
-  its predecessors' counts reaches 0.  Successors are therefore re-checked
+- Readiness is incremental.  Each definition's row counts its instances
+  not yet succeeded.  Dependencies are all-to-all between instance
+  groups, so a definition becomes ready exactly when the last of its
+  predecessors' counts reaches 0.  Successors are therefore re-checked
   only when a definition's last instance succeeds, and each definition is
   queued once, in spec order and then index order, as ``ready_tasks``
   would order it.  The t=0 pump is seeded with the definitions that have
@@ -35,24 +35,26 @@ instance:
 - Each run fact is kept once.  The run's one ``SimulationResult`` is built
   with the engine and shares its lists and dicts, and machine samples live
   only in the registry's per-machine series.
-- Per-run tables built when the run starts replace per-instance lookups:
-  each definition with its task model and MetricPlan, and one random
-  generator re-seeded for each instance's stream.  The plan holds every
-  value of the metric formula that no draw touches, so an instance only
-  makes its three draws and derives what depends on them.  Task faults
-  are indexed by target id as they are injected.  The generator is the C
-  base ``_random.Random``, whose ``seed`` skips ``random.Random.seed``'s
-  Python wrapper.
+- Each definition's facts live in one row built when the run starts: the
+  definition, its task model and MetricPlan, its instances, its spec
+  position, its count of instances not yet succeeded and a poisoned flag.
+  The plan holds every value of the metric formula that no draw touches,
+  so an instance keeps only the seven values its three draws decide
+  (``SynthesizedMetrics``); its trace record reads the rest from the
+  plan.  Task faults are indexed by target id as they are injected.  One
+  generator, the C base ``_random.Random`` (whose ``seed`` skips
+  ``random.Random.seed``'s Python wrapper), is re-seeded per instance.
 - What holds for the whole run is computed once per run: the event
   texts that name only a definition or a machine, and the sorted machine
   ids each sample tick walks.  Failure texts are built per failure.
 - Re-seeding the Mersenne Twister per instance (hashing the stream seed,
   ``init_by_array`` and the first draw's state twist, about 7 us, a third
   of a fig1 run) is the floor: the pinned artifact bytes fix it.
-- A started instance's ``_Execution`` carries the instance and its row of
-  the definition table, so finishing it makes no lookup by id or name.
-  The completion goes straight onto the heap, a success decrements its
-  definition's count inline, and the loop sets the clock to each popped
+- A started instance's ``_Execution`` carries the instance, its row and
+  its footprint (an OOM's forced one), so finishing it looks nothing up.
+  Each heap entry names its handler (completion, machine fault or sample
+  tick), called with the entry's time and payload.  A success decrements
+  its row's count inline, and the loop sets the clock to each popped
   time: pops come in time order.
 - Per-instance reads are plain: ``TaskState.terminal`` is a member
   attribute, the enum members read per instance are bound once at module
@@ -68,7 +70,7 @@ instance:
 - An instance's start and finish build only what the run keeps: its
   trace record is indexed by task id as it lands (the service's task
   lookups read that index and the instance map).
-- Poisoning walks definition groups, and stops at groups already poisoned,
+- Poisoning walks definition rows, and stops at rows already poisoned,
   whose descendants were poisoned with them.
 - The records built per instance or per event (``EventRecord``,
   ``SynthesizedMetrics``, ``_Execution``, and the layers'
@@ -97,7 +99,8 @@ import heapq
 import itertools
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .blueprint import BlueprintError, TopologyMode
@@ -381,10 +384,6 @@ def _stream_seed(seed: int, task_id: str) -> int:
 @dataclass(slots=True)
 class SynthesizedMetrics:
     runtime_ms: int
-    cpu_pct: int
-    rss_bytes: int
-    rchar_bytes: int
-    wchar_bytes: int
     syscall_read_count: int
     syscall_write_count: int
     cpu_wait_ms: int
@@ -400,10 +399,12 @@ _EXACT_FLOAT_INT = 2**53
 class MetricPlan:
     """The part of one definition's metric synthesis that no draw touches.
 
-    Built once per (model, memory request) when a run starts; ``draw`` then
-    makes an instance's three draws (runtime, failure, page-cache ratio, in
-    that order) and derives only the values that depend on them, so each
-    instance's record is reproducible from its stream alone.
+    Built once per (model, memory request) when a run starts, it holds the
+    ``cpu_pct``, ``rss_bytes``, ``rchar_bytes`` and ``wchar_bytes`` of every
+    instance; ``draw`` makes an instance's three draws (runtime, failure,
+    page-cache ratio, in that order) and derives only the seven values that
+    depend on them, so each instance's record is reproducible from its
+    stream alone.
     ``full_runtime_exact`` says that every counter a trace record scales
     stays at most 2**53 for every draw, so scaling one by a ratio of 1.0
     returns it unchanged.
@@ -415,10 +416,10 @@ class MetricPlan:
         self._jitter_low = -jitter
         self._jitter_span = jitter - -jitter
         self._base_runtime_ms = model.base_runtime_ms
-        self._cpu_pct = model.cpu_pct_mean
-        self._rss_bytes = int(model.rss_fraction_of_request * memory_request_bytes)
-        self._rchar_bytes = model.io_read_bytes
-        self._wchar_bytes = model.io_write_bytes
+        self.cpu_pct = model.cpu_pct_mean
+        self.rss_bytes = int(model.rss_fraction_of_request * memory_request_bytes)
+        self.rchar_bytes = model.io_read_bytes
+        self.wchar_bytes = model.io_write_bytes
         self._syscall_rate_per_s = model.syscall_rate_per_s
         io_total = model.io_read_bytes + model.io_write_bytes
         self._read_share = model.io_read_bytes / io_total if io_total else 0.5
@@ -447,30 +448,35 @@ class MetricPlan:
         total_pages = self._total_pages
         hits = int(total_pages * (0.5 + 0.5 * pcache_draw))
         return SynthesizedMetrics(
-            runtime_ms,
-            self._cpu_pct,
-            self._rss_bytes,
-            self._rchar_bytes,
-            self._wchar_bytes,
-            syscall_read,
-            syscall_total - syscall_read,
-            int(self._cpu_wait_fraction * runtime_ms),
-            hits,
-            total_pages - hits,
-            failure_draw,
+            runtime_ms, syscall_read, syscall_total - syscall_read,
+            int(self._cpu_wait_fraction * runtime_ms), hits, total_pages - hits, failure_draw,
         )
+
+
+@dataclass(slots=True, eq=False)
+class _Row:
+    """One definition's facts for a run; compared and hashed by identity."""
+
+    definition: TaskDefinition
+    model: TaskModel
+    plan: MetricPlan
+    instances: list[TaskInstance]  # a slice of the run's list
+    position: int  # in the spec
+    remaining: int  # instances not yet succeeded
+    poisoned: bool = False  # by a failure upstream
 
 
 @dataclass(slots=True)
 class _Execution:
     """Book-keeping for one started instance until its completion event:
     the running instance (its id, submission, start and machine), its
-    definition's row of the run's table, its draws and its exit code."""
+    definition's row, its draws, its exit code and its rss footprint."""
 
     instance: TaskInstance
-    row: tuple[TaskDefinition, TaskModel, MetricPlan]
+    row: _Row
     metrics: SynthesizedMetrics
     exit_code: int
+    rss_bytes: int
 
 
 def _scaled_record(
@@ -480,15 +486,16 @@ def _scaled_record(
     when the task was cut short of its planned runtime."""
     instance = execution.instance
     metrics = execution.metrics
+    plan = execution.row.plan
     start_ms = instance.start_ms
     duration = end_ms - start_ms
     planned = metrics.runtime_ms
-    if duration == planned and execution.row[2].full_runtime_exact:
+    if duration == planned and plan.full_runtime_exact:
         # the ratio is exactly 1.0, and int(x * 1.0) == x up to 2**53
         return TaskTraceRecord(
             instance.task_id, status, exit_code, instance.submit_ms, start_ms, end_ms,
-            duration, metrics.cpu_pct, metrics.rss_bytes, metrics.rchar_bytes,
-            metrics.wchar_bytes, metrics.syscall_read_count, metrics.syscall_write_count,
+            duration, plan.cpu_pct, execution.rss_bytes, plan.rchar_bytes,
+            plan.wchar_bytes, metrics.syscall_read_count, metrics.syscall_write_count,
             metrics.cpu_wait_ms, metrics.page_cache_hits, metrics.page_cache_misses,
         )
     ratio = min(1.0, duration / planned) if planned else 1.0
@@ -500,10 +507,10 @@ def _scaled_record(
         start_ms=start_ms,
         end_ms=end_ms,
         duration_ms=duration,
-        cpu_pct=metrics.cpu_pct,
-        rss_bytes=metrics.rss_bytes,
-        rchar_bytes=int(metrics.rchar_bytes * ratio),
-        wchar_bytes=int(metrics.wchar_bytes * ratio),
+        cpu_pct=plan.cpu_pct,
+        rss_bytes=execution.rss_bytes,
+        rchar_bytes=int(plan.rchar_bytes * ratio),
+        wchar_bytes=int(plan.wchar_bytes * ratio),
         syscall_read_count=int(metrics.syscall_read_count * ratio),
         syscall_write_count=int(metrics.syscall_write_count * ratio),
         cpu_wait_ms=int(metrics.cpu_wait_ms * ratio),
@@ -623,31 +630,19 @@ class Simulation:
             ),
             instances=expand_instances(spec, input_count),
         )
-        instances = self.run.instances
-        self._instances: dict[str, TaskInstance] = {i.task_id: i for i in instances}
-        # expand_instances lists each definition's instances contiguously,
-        # in spec order, so each group is a slice of the instance list
-        self._groups: dict[str, list[TaskInstance]] = {}
-        start = 0
-        for definition in spec.tasks:
-            end = start + definition.instance_count(input_count)
-            self._groups[definition.name] = instances[start:end]
-            start = end
-        self._position = {name: i for i, name in enumerate(self._groups)}
-        self._remaining = {name: len(group) for name, group in self._groups.items()}
-        self._newly_ready: set[str] = set()
-        self._open = len(instances)
+        self._instances: dict[str, TaskInstance] = {i.task_id: i for i in self.run.instances}
+        self._open = len(self.run.instances)
 
         # task faults by target id, in injection order
         self._task_faults: dict[str, list[FaultInjection]] = {}
-        self._events: list[tuple[int, int, str, object]] = []
+        # (time, sequence, handler, payload): the loop calls handler(time, payload)
+        self._events: list[tuple[int, int, object, object]] = []
         self._seq = itertools.count()
         self._now = 0
         self._started = False
         # set when run_completed is emitted, or when run_to_completion raises
         self._finished = False
         self._poisoned: set[str] = set()
-        self._poisoned_defs: set[str] = set()
         self._executions: dict[str, _Execution] = {}
         self._pending_machine_events = 0
 
@@ -694,7 +689,7 @@ class Simulation:
                 self.registry.descriptor(injection.target)
             except UnknownMachineError:
                 raise TargetUnknownError(injection.target) from None
-            self._push(injection.at_ms, "machine_unhealthy", injection.target)
+            self._push(injection.at_ms, self._on_machine_unhealthy, injection.target)
             self._pending_machine_events += 1
         else:
             instance = self._instances.get(injection.target)
@@ -709,16 +704,10 @@ class Simulation:
                 )
             self._task_faults.setdefault(injection.target, []).append(injection)
 
-    def _task_injection(self, task_id: str, start_ms: int) -> FaultInjection | None:
-        for inj in self._task_faults.get(task_id, ()):
-            if start_ms >= inj.at_ms:
-                return inj
-        return None
-
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, t_ms: int, kind: str, payload: object) -> None:
-        heapq.heappush(self._events, (t_ms, next(self._seq), kind, payload))
+    def _push(self, t_ms: int, handler, payload: object) -> None:
+        heapq.heappush(self._events, (t_ms, next(self._seq), handler, payload))
 
     def _emit(self, t_ms: int, kind: str, subject: str, detail: str) -> None:
         event = EventRecord(t_ms, kind, subject, detail)
@@ -747,10 +736,16 @@ class Simulation:
                 gc.enable()
 
     def _run(self) -> SimulationResult:
-        self._definitions = {}
-        for d in self.spec.tasks:
+        # expand_instances lists each definition's instances contiguously,
+        # in spec order, so each row's instances are a slice of the list
+        self._rows: dict[str, _Row] = {}
+        end = 0
+        for position, d in enumerate(self.spec.tasks):
+            start, end = end, end + d.instance_count(self.input_count)
             model = BUILTIN_MODELS[d.runtime_model]
-            self._definitions[d.name] = (d, model, MetricPlan(model, d.requested.memory_bytes))
+            plan = MetricPlan(model, d.requested.memory_bytes)
+            instances = self.run.instances[start:end]
+            self._rows[d.name] = _Row(d, model, plan, instances, position, len(instances))
         # the C base of random.Random: the subclass's seed only adds a type
         # check and a gauss_next reset, and a draw only calls random()
         self._rng = _random.Random()
@@ -769,23 +764,18 @@ class Simulation:
             self.rm.submit_workflow(self.run)
 
         predecessors = self.spec.adjacency[0]
-        self._newly_ready = {name for name in self._groups if name not in predecessors}
+        self._newly_ready = {row for name, row in self._rows.items() if name not in predecessors}
         self._pump(0)
-        self._push(0, "sample_tick", None)
+        self._push(0, self._on_sample_tick, None)
 
         events = self._events
         while events:
-            t_ms, _, kind, payload = heapq.heappop(events)
+            t_ms, _, handler, payload = heapq.heappop(events)
             # pops come in time order: nothing is pushed before the clock
             self._now = t_ms
             if self._finished:
                 continue
-            if kind == "completion":
-                self._on_completion(t_ms, payload)
-            elif kind == "machine_unhealthy":
-                self._on_machine_unhealthy(t_ms, payload)
-            elif kind == "sample_tick":
-                self._on_sample_tick(t_ms)
+            handler(t_ms, payload)
             if not self._open:
                 self._check_completion(t_ms)
 
@@ -810,50 +800,50 @@ class Simulation:
             self._start_instance(t_ms, task_id, machine_id)
 
     def _queue_ready(self, t_ms: int) -> None:
-        ready = sorted(self._newly_ready, key=self._position.__getitem__)
+        ready = sorted(self._newly_ready, key=attrgetter("position"))
         self._newly_ready = set()
         # the topology guard is the coupling rule: only the disjoint driver
         # submits single tasks
         aware = self.topology is TopologyMode.WORKFLOW_AWARE
         submit = self.rm.enqueue if aware else self.rm.submit_task
-        for name in ready:
-            requested = self._definitions[name][0].requested
-            detail = f"definition={name}"
-            for instance in self._groups[name]:
+        for row in ready:
+            requested = row.definition.requested
+            detail = f"definition={row.definition.name}"
+            for instance in row.instances:
                 instance.mark_queued(t_ms)
                 submit(instance.task_id, requested)
                 self._emit(t_ms, "instance_queued", instance.task_id, detail)
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self._instances[task_id]
-        row = self._definitions[instance.definition]
-        definition, model, plan = row
+        row = self._rows[instance.definition]
+        requested = row.definition.requested
         self._rng.seed(_stream_seed(self.seed, task_id))
-        metrics = plan.draw(self._rng)
+        metrics = row.plan.draw(self._rng)
 
-        injection = self._task_injection(task_id, t_ms) if self._task_faults else None
-        exit_code = 0
+        exit_code = EXIT_TASK_ERROR if metrics.failure_draw < row.model.failure_probability else 0
+        rss_bytes = row.plan.rss_bytes
+        faults = self._task_faults.get(task_id)
+        # the first fault armed on the target by its start fires, whatever the draw
+        injection = next((f for f in faults if t_ms >= f.at_ms), None) if faults else None
+        if injection is not None:
+            exit_code = EXIT_OOM if injection.kind is InjectionKind.TASK_OOM else EXIT_TASK_ERROR
+        if exit_code == EXIT_OOM:
+            # force the footprint over the request, as if the OOM killer struck
+            rss_bytes = requested.memory_bytes + max(1, requested.memory_bytes // 4)
+
         runtime = metrics.runtime_ms
-        if injection is not None and injection.kind is InjectionKind.TASK_OOM:
-            # force the footprint over the request and die like the kernel
-            # OOM killer struck
-            memory = definition.requested.memory_bytes
-            metrics = replace(metrics, rss_bytes=memory + max(1, memory // 4))
-            exit_code = EXIT_OOM
-        elif injection is not None and injection.kind is InjectionKind.TASK_NON_ZERO_EXIT:
-            exit_code = EXIT_TASK_ERROR
-        elif metrics.failure_draw < model.failure_probability:
-            exit_code = EXIT_TASK_ERROR
-
-        if runtime > definition.requested.max_runtime_ms:
+        if runtime > requested.max_runtime_ms:
             # killed at the limit before it could finish (or fail on its own)
-            runtime = definition.requested.max_runtime_ms
+            runtime = requested.max_runtime_ms
             exit_code = EXIT_TIMEOUT
 
         instance.mark_running(t_ms, machine_id)
-        execution = _Execution(instance, row, metrics, exit_code)
+        execution = _Execution(instance, row, metrics, exit_code, rss_bytes)
         self._executions[task_id] = execution
-        heapq.heappush(self._events, (t_ms + runtime, next(self._seq), "completion", execution))
+        heapq.heappush(
+            self._events, (t_ms + runtime, next(self._seq), self._on_completion, execution)
+        )
         self._emit(t_ms, "instance_started", task_id, self._machine_texts[machine_id][0])
 
     # -- event handlers -----------------------------------------------------
@@ -873,13 +863,12 @@ class Simulation:
         self.trace_records.append(record)
         self._trace_index.setdefault(task_id, record)
 
-        name = instance.definition
+        row = execution.row
         if exit_code == 0:
             # a success's diagnosis is derived from its record on read
-            remaining = self._remaining
-            remaining[name] -= 1
-            if not remaining[name]:
-                self._mark_successors_ready(name)
+            row.remaining -= 1
+            if not row.remaining:
+                self._mark_successors_ready(row)
             self._emit(
                 t_ms, "instance_succeeded", task_id, self._machine_texts[instance.machine][1]
             )
@@ -887,13 +876,13 @@ class Simulation:
             # a machine that fails kills what runs on it, so its status is
             # read only for a failure
             machine_status = self.registry.descriptor(instance.machine).status
-            diagnosis = diagnose(record, execution.row[0].requested, machine_status)
+            diagnosis = diagnose(record, row.definition.requested, machine_status)
             self.diagnoses[task_id] = diagnosis
             self._emit(
                 t_ms, "instance_failed", task_id,
                 f"exit={exit_code} verdict={diagnosis.verdict.value} machine={instance.machine}",
             )
-            self._poison_descendants(name)
+            self._poison_descendants(row)
 
     def _on_completion(self, t_ms: int, execution: _Execution) -> None:
         if self._executions.get(execution.instance.task_id) is not execution:
@@ -909,7 +898,7 @@ class Simulation:
             self._finish_instance(t_ms, self._executions[task_id], EXIT_MACHINE_KILL)
         self._pump(t_ms)
 
-    def _on_sample_tick(self, t_ms: int) -> None:
+    def _on_sample_tick(self, t_ms: int, _payload: None) -> None:
         # the run's machine ids, sorted when the run started
         for machine_id in self._machine_texts:
             used = self.rm.reserved_on(machine_id)
@@ -922,28 +911,29 @@ class Simulation:
             )
         # keep sampling only while something can still happen on its own
         if self._executions or self._pending_machine_events > 0:
-            self._push(t_ms + SAMPLE_CADENCE_MS, "sample_tick", None)
+            self._push(t_ms + SAMPLE_CADENCE_MS, self._on_sample_tick, None)
 
-    def _mark_successors_ready(self, definition: str) -> None:
-        """``definition``'s last instance has just succeeded: mark ready each
-        of its successors whose predecessors have all succeeded."""
+    def _mark_successors_ready(self, row: _Row) -> None:
+        """``row``'s last instance has just succeeded: mark ready each of
+        its successors whose predecessors have all succeeded."""
         predecessors, successors = self.spec.adjacency
-        for successor in successors.get(definition, ()):
-            if all(self._remaining[p] == 0 for p in predecessors[successor]):
-                self._newly_ready.add(successor)
+        for successor in successors.get(row.definition.name, ()):
+            if all(self._rows[p].remaining == 0 for p in predecessors[successor]):
+                self._newly_ready.add(self._rows[successor])
 
-    def _poison_descendants(self, failed_definition: str) -> None:
+    def _poison_descendants(self, failed: _Row) -> None:
         """A failed instance makes every instance of every transitively
         downstream definition permanently ineligible."""
         successors = self.spec.adjacency[1]
-        frontier = [failed_definition]
+        frontier = [failed]
         while frontier:
-            for successor in successors.get(frontier.pop(), ()):
-                if successor in self._poisoned_defs:
+            for name in successors.get(frontier.pop().definition.name, ()):
+                successor = self._rows[name]
+                if successor.poisoned:
                     continue
-                self._poisoned_defs.add(successor)
+                successor.poisoned = True
                 frontier.append(successor)
-                for instance in self._groups[successor]:
+                for instance in successor.instances:
                     if instance.state is TaskState.PENDING:
                         self._poisoned.add(instance.task_id)
                         self._open -= 1
@@ -953,7 +943,7 @@ class Simulation:
         Every instance is then terminal or poisoned, and only a failure
         poisons, so the run failed exactly when some instance did not
         succeed."""
-        failed = any(self._remaining.values())
+        failed = any(row.remaining for row in self._rows.values())
         self.run.final_state = RunState.FAILED if failed else RunState.SUCCEEDED
         self._finished = True
         self._emit(

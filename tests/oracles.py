@@ -6,9 +6,60 @@ import dataclasses
 import hashlib
 import random
 
+from stratus.blueprint import LayerId
 from stratus.sim import EventRecord
 from stratus.taskmon import CodePartProfile, TaskTraceRecord, TraceError
 from stratus.workflow import RunRecord, RunState, TaskState
+
+
+# The paper's grid: an independent transcription of the permitted-layer
+# table, encoded as letter strings (R = resource manager, W = workflow,
+# M = machine, T = task) so it shares no literals with the implementation.
+ORACLE_ROWS = {
+    "infrastructure_status": "R",
+    "file_system_status": "R",
+    "running_workflows": "R",
+    "workflow_status": "RW",
+    "workflow_specification": "RW",
+    "graphical_representation": "W",
+    "workflow_id": "RW",
+    "execution_report": "W",
+    "previous_executions": "W",
+    "machine_status": "RM",
+    "machine_type": "RM",
+    "hardware_specification": "M",
+    "available_resources": "RM",
+    "used_resources": "RM",
+    "task_status": "RWMT",
+    "requested_resources": "RWMT",
+    "consumed_resources": "RWMT",
+    "resource_consumption_for_code_parts": "T",
+    "task_id": "RWMT",
+    "application_logs": "T",
+    "task_duration": "RWMT",
+    "low_level_task_metrics": "T",
+    "fault_diagnosis": "T",
+}
+
+LETTER_TO_LAYER = {
+    "R": LayerId.RESOURCE_MANAGER,
+    "W": LayerId.WORKFLOW,
+    "M": LayerId.MACHINE,
+    "T": LayerId.TASK,
+}
+
+WORKFLOW_OWNED = {
+    "workflow_status",
+    "workflow_specification",
+    "graphical_representation",
+    "workflow_id",
+    "execution_report",
+    "previous_executions",
+}
+
+
+def oracle_permitted(feature_name: str) -> set[LayerId]:
+    return {LETTER_TO_LAYER[ch] for ch in ORACLE_ROWS[feature_name]}
 
 
 def stream_seed(seed: int, task_id: str) -> int:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import PROFILE_NAMES, load_profile
+from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -15,6 +16,7 @@ from stratus.blueprint import (
     InvalidMatrixError,
     LayerId,
     MatrixFileError,
+    ProfileSyntaxError,
     TopologyMode,
     UnknownFeatureError,
     UnknownLayerError,
@@ -26,55 +28,6 @@ from stratus.blueprint import (
     parse_matrix_overrides,
     render_matrix_grid,
 )
-
-# Independent transcription of the permitted-layer table, encoded as letter
-# strings (R = resource manager, W = workflow, M = machine, T = task) so it
-# shares no literals with the implementation.
-ORACLE_ROWS = {
-    "infrastructure_status": "R",
-    "file_system_status": "R",
-    "running_workflows": "R",
-    "workflow_status": "RW",
-    "workflow_specification": "RW",
-    "graphical_representation": "W",
-    "workflow_id": "RW",
-    "execution_report": "W",
-    "previous_executions": "W",
-    "machine_status": "RM",
-    "machine_type": "RM",
-    "hardware_specification": "M",
-    "available_resources": "RM",
-    "used_resources": "RM",
-    "task_status": "RWMT",
-    "requested_resources": "RWMT",
-    "consumed_resources": "RWMT",
-    "resource_consumption_for_code_parts": "T",
-    "task_id": "RWMT",
-    "application_logs": "T",
-    "task_duration": "RWMT",
-    "low_level_task_metrics": "T",
-    "fault_diagnosis": "T",
-}
-
-LETTER_TO_LAYER = {
-    "R": LayerId.RESOURCE_MANAGER,
-    "W": LayerId.WORKFLOW,
-    "M": LayerId.MACHINE,
-    "T": LayerId.TASK,
-}
-
-WORKFLOW_OWNED = {
-    "workflow_status",
-    "workflow_specification",
-    "graphical_representation",
-    "workflow_id",
-    "execution_report",
-    "previous_executions",
-}
-
-
-def oracle_permitted(feature_name: str) -> set[LayerId]:
-    return {LETTER_TO_LAYER[ch] for ch in ORACLE_ROWS[feature_name]}
 
 
 def test_feature_census():
@@ -278,6 +231,9 @@ def test_parse_overrides_rejects_unknown_feature_with_line():
     with pytest.raises(UnknownFeatureError) as info:
         parse_matrix_overrides("task_id: task\ngpu_temp: machine\n")
     assert info.value.line == 2
+    # the format's own line error
+    assert isinstance(info.value, MatrixFileError)
+    assert str(info.value) == "line 2: unknown feature key: 'gpu_temp'"
 
 
 def test_parse_overrides_rejects_unknown_layer():
@@ -337,6 +293,8 @@ def test_parse_profile_errors_carry_line_numbers():
     with pytest.raises(UnknownFeatureError) as info:
         parse_capability_profile("task_id\nnot_a_feature\n")
     assert info.value.line == 2
+    assert isinstance(info.value, ProfileSyntaxError)
+    assert str(info.value) == "line 2: unknown feature key: 'not_a_feature'"
 
 
 def test_parse_profile_name_and_dedup():

@@ -17,6 +17,7 @@ from stratus.blueprint import (
     MatrixFileError,
     ProfileSyntaxError,
     TopologyMode,
+    UnknownFeatureError,
     UnknownLayerError,
     parse_capability_profile,
     parse_matrix_overrides,
@@ -151,10 +152,23 @@ extension gpu_utilization: machine, resource_manager
 """
 
 
+def assert_an_unknown_feature_is_a_line_error(parse, text: str) -> None:
+    """Parse text; a line naming an unknown feature key must raise a
+    LineError that reads ``line N: ...``."""
+    try:
+        parse(text)
+    except UnknownFeatureError as exc:
+        assert isinstance(exc, LineError), repr(exc)
+        assert str(exc).startswith(f"line {exc.line}: "), repr(exc)
+    except BlueprintError:
+        pass
+
+
 @_fuzz
 @given(char_edits(MATRIX_OVERRIDES))
 def test_matrix_override_parser_raises_only_blueprint_errors_with_a_line(text):
     assert_own_error_with_a_line(parse_matrix_overrides, text, BlueprintError)
+    assert_an_unknown_feature_is_a_line_error(parse_matrix_overrides, text)
 
 
 @_fuzz
@@ -164,6 +178,7 @@ def test_matrix_override_parser_raises_only_blueprint_errors_with_a_line(text):
 )
 def test_capability_profile_parser_raises_only_blueprint_errors_with_a_line(text):
     assert_own_error_with_a_line(parse_capability_profile, text, BlueprintError)
+    assert_an_unknown_feature_is_a_line_error(parse_capability_profile, text)
 
 
 # --- directives that set one value ---

@@ -11,8 +11,11 @@ import time
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_machine, make_request, run_simulation
+from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -170,6 +173,108 @@ def test_authorize_helper_agrees_with_matrix():
                 assert (denial is None) == access_allowed(
                     matrix, layer, feature, topology
                 )
+
+
+_EXTENSION_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda name: name not in ORACLE_ROWS
+)
+
+
+@st.composite
+def override_rows(draw):
+    """(row key, permitted layers) of one valid override row: a standard
+    feature with its owner in the paper's grid and any layers above it, or
+    an extension with any layers."""
+    if draw(st.integers(0, 3)) == 0:
+        layers = draw(st.sets(st.sampled_from(ALL_LAYERS), min_size=1))
+        return f"extension {draw(_EXTENSION_NAMES)}", layers
+    name = draw(st.sampled_from(sorted(ORACLE_ROWS)))
+    owner = min(oracle_permitted(name))
+    above = [layer for layer in ALL_LAYERS if layer > owner]
+    return name, {owner} | (draw(st.sets(st.sampled_from(above))) if above else set())
+
+
+def override_file(rows, draw) -> str:
+    """The rows as an override file, each row's layers in a drawn order,
+    with comments and blank lines between rows."""
+    lines = []
+    for key, layers in rows:
+        lines += draw(st.lists(st.sampled_from(["", "# note"]), max_size=1))
+        names = [layer.wire_name for layer in draw(st.permutations(sorted(layers)))]
+        lines.append(f"{key}: " + draw(st.sampled_from([", ", ","])).join(names))
+    return "\n".join(lines) + "\n"
+
+
+def reference_denial(permitted, layer, name, topology) -> str | None:
+    """The rule that denies ``layer`` the feature or extension ``name``, by
+    the paper's grid with the override rows applied: ``permission`` unless
+    the row permits the layer, then ``topology`` for the resource manager
+    of a disjoint deployment on a workflow-owned feature; None when
+    allowed.  An extension is owned by its lowest layer."""
+    if layer not in permitted[name]:
+        return "permission"
+    if name in ORACLE_ROWS:
+        owned = name in WORKFLOW_OWNED
+    else:
+        owned = min(permitted[name]) is LayerId.WORKFLOW
+    if topology is TopologyMode.DISJOINT and layer is LayerId.RESOURCE_MANAGER and owned:
+        return "topology"
+    return None
+
+
+@pytest.mark.parametrize("topology_name", ["workflow_aware", "disjoint"])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(override_rows(), max_size=8), st.data())
+def test_authorize_denies_exactly_what_the_paper_grid_and_overrides_deny(
+    topology_name, aware, disjoint, rows, data
+):
+    """Random valid override files: ``authorize`` denies a layer a feature
+    exactly when the paper's grid with the rows applied (the last row for a
+    key wins) denies it, and its reason names the rule.  Every pair is
+    checked in-process; a few drawn pairs go over HTTP to the one served
+    context of the topology, with the drawn matrix swapped in."""
+    topology = TopologyMode(topology_name)
+    context, _, url = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
+    matrix = parse_matrix_overrides(override_file(rows, data.draw))
+    permitted = {name: oracle_permitted(name) for name in ORACLE_ROWS}
+    permitted.update((key.removeprefix("extension "), layers) for key, layers in rows)
+    assert set(matrix.extensions) == set(permitted) - set(ORACLE_ROWS)
+
+    reasons = {}
+    for name, layers in permitted.items():
+        feature = FeatureKey(name) if name in ORACLE_ROWS else name
+        for layer in ALL_LAYERS:
+            denial = authorize(matrix, layer, feature, topology)
+            rule = reference_denial(permitted, layer, name, topology)
+            assert (denial is None) == (rule is None), (name, layer, denial)
+            if rule == "permission":
+                allowed = ", ".join(sorted(l.wire_name for l in layers))
+                assert denial.reason == (
+                    f"layer {layer.wire_name} is not permitted to read {name} "
+                    f"(permitted: {allowed})"
+                )
+            elif rule == "topology":
+                assert denial.reason.startswith(f"{name} is workflow-owned and ")
+                assert "disjoint" in denial.reason
+            reasons[name, layer] = denial and denial.reason
+
+    pairs = data.draw(st.lists(st.sampled_from(sorted(reasons)), min_size=1, max_size=3))
+    served = context.matrix
+    context.matrix = matrix
+    try:
+        for name, layer in pairs:
+            owner = min(permitted[name]).wire_name
+            params = {"as_layer": layer.wire_name}
+            if name in ORACLE_ROWS:
+                params["subject"] = subject_for(FeatureKey(name))
+            response = requests.get(f"{url}/v1/{owner}/{name}", params=params, timeout=10)
+            if reasons[name, layer] is None:
+                assert response.status_code == 200, (name, layer, response.text)
+            else:
+                assert response.status_code == 403, (name, layer, response.text)
+                assert response.json() == {"error": reasons[name, layer]}
+    finally:
+        context.matrix = served
 
 
 # --- payload correctness ---

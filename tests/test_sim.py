@@ -50,6 +50,7 @@ from stratus.sim import (
     SynthesizedMetrics,
     TaskModel,
     _Execution,
+    _Row,
     _scaled_record,
     _stream_seed,
     load_scenario,
@@ -131,11 +132,12 @@ def test_runtime_jitter_stays_within_band():
 
 def test_synthesis_is_a_pure_function_of_the_stream():
     model = BUILTIN_MODELS["default"]
-    first = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
+    plan = MetricPlan(model, GiB)
+    first = plan.draw(instance_stream(5, "w/x/0"))
     second = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
     assert first == second
-    assert first.rss_bytes == int(0.5 * GiB)
-    assert first.rchar_bytes == model.io_read_bytes
+    assert plan.rss_bytes == int(0.5 * GiB)
+    assert plan.rchar_bytes == model.io_read_bytes
     total_pages = (model.io_read_bytes + model.io_write_bytes) // 4096
     assert first.page_cache_hits + first.page_cache_misses == total_pages
     assert first.page_cache_hits >= total_pages // 2
@@ -143,7 +145,9 @@ def test_synthesis_is_a_pure_function_of_the_stream():
 
 def reference_synthesize_metrics(model, memory_request_bytes, rng):
     """The metric formula as written before per-definition plans: every
-    value recomputed from the model for each instance."""
+    value recomputed from the model for each instance.  Returns the drawn
+    values and the (cpu, rss, read bytes, write bytes) that every instance
+    of a definition shares."""
     jitter = model.runtime_jitter_pct / 100
     runtime_factor = 1 + rng.uniform(-jitter, jitter)
     runtime_ms = max(1, round(model.base_runtime_ms * runtime_factor))
@@ -157,12 +161,8 @@ def reference_synthesize_metrics(model, memory_request_bytes, rng):
     total_pages = io_total // 4096
     hit_ratio = 0.5 + 0.5 * pcache_draw
     hits = int(total_pages * hit_ratio)
-    return SynthesizedMetrics(
+    drawn = SynthesizedMetrics(
         runtime_ms=runtime_ms,
-        cpu_pct=model.cpu_pct_mean,
-        rss_bytes=int(model.rss_fraction_of_request * memory_request_bytes),
-        rchar_bytes=model.io_read_bytes,
-        wchar_bytes=model.io_write_bytes,
         syscall_read_count=syscall_read,
         syscall_write_count=syscall_total - syscall_read,
         cpu_wait_ms=int(model.cpu_wait_fraction * runtime_ms),
@@ -170,6 +170,16 @@ def reference_synthesize_metrics(model, memory_request_bytes, rng):
         page_cache_misses=total_pages - hits,
         failure_draw=failure_draw,
     )
+    shared = (
+        model.cpu_pct_mean,
+        int(model.rss_fraction_of_request * memory_request_bytes),
+        model.io_read_bytes,
+        model.io_write_bytes,
+    )
+    return drawn, shared
+
+
+_SHARED = attrgetter("cpu_pct", "rss_bytes", "rchar_bytes", "wchar_bytes")
 
 
 _unit = st.floats(min_value=0, max_value=1, allow_nan=False)
@@ -213,15 +223,18 @@ def test_metric_plan_matches_the_reference_formula(model, memory, seed, task_ids
     # one plan serves every instance of a definition, as in the engine
     plan = MetricPlan(model, memory)
     for task_id in task_ids:
-        expected = reference_synthesize_metrics(model, memory, instance_stream(seed, task_id))
-        assert plan.draw(instance_stream(seed, task_id)) == expected
+        drawn, shared = reference_synthesize_metrics(model, memory, instance_stream(seed, task_id))
+        assert plan.draw(instance_stream(seed, task_id)) == drawn
+        assert _SHARED(plan) == shared
 
 
 def test_metric_plan_covers_a_model_without_io():
     # no built-in model reaches this branch: read share 0.5, zero pages
     model = TaskModel("noio", 1000, 100, 50, 0.5, 0, 0, 1000.0, 0.1, 0.0)
-    metrics = MetricPlan(model, GiB).draw(instance_stream(3, "w/noio/0"))
-    assert metrics == reference_synthesize_metrics(model, GiB, instance_stream(3, "w/noio/0"))
+    plan = MetricPlan(model, GiB)
+    metrics = plan.draw(instance_stream(3, "w/noio/0"))
+    drawn, shared = reference_synthesize_metrics(model, GiB, instance_stream(3, "w/noio/0"))
+    assert (metrics, _SHARED(plan)) == (drawn, shared)
     assert metrics.page_cache_hits == metrics.page_cache_misses == 0
     assert metrics.syscall_read_count == int(metrics.runtime_ms * 0.5)
 
@@ -229,7 +242,7 @@ def test_metric_plan_covers_a_model_without_io():
 def reference_scaled_record(execution, end_ms, status, exit_code):
     """The trace-record formula as written before the full-runtime fast
     path: every cumulative counter scaled by the completed share."""
-    instance, metrics = execution.instance, execution.metrics
+    instance, metrics, plan = execution.instance, execution.metrics, execution.row.plan
     duration = end_ms - instance.start_ms
     planned = metrics.runtime_ms
     ratio = min(1.0, duration / planned) if planned else 1.0
@@ -241,10 +254,10 @@ def reference_scaled_record(execution, end_ms, status, exit_code):
         start_ms=instance.start_ms,
         end_ms=end_ms,
         duration_ms=duration,
-        cpu_pct=metrics.cpu_pct,
-        rss_bytes=metrics.rss_bytes,
-        rchar_bytes=int(metrics.rchar_bytes * ratio),
-        wchar_bytes=int(metrics.wchar_bytes * ratio),
+        cpu_pct=plan.cpu_pct,
+        rss_bytes=execution.rss_bytes,
+        rchar_bytes=int(plan.rchar_bytes * ratio),
+        wchar_bytes=int(plan.wchar_bytes * ratio),
         syscall_read_count=int(metrics.syscall_read_count * ratio),
         syscall_write_count=int(metrics.syscall_write_count * ratio),
         cpu_wait_ms=int(metrics.cpu_wait_ms * ratio),
@@ -253,19 +266,27 @@ def reference_scaled_record(execution, end_ms, status, exit_code):
     )
 
 
+# the drawn counters a trace record scales; the plan's read and write bytes
+# are scaled too
 _SCALED = attrgetter(
-    "rchar_bytes", "wchar_bytes", "syscall_read_count", "syscall_write_count",
-    "cpu_wait_ms", "page_cache_hits", "page_cache_misses",
+    "syscall_read_count", "syscall_write_count", "cpu_wait_ms", "page_cache_hits",
+    "page_cache_misses",
 )
 
 
-def running_execution(task_id, model, memory, submit_ms, start_ms, metrics, exit_code):
+def running_execution(
+    task_id, model, memory, submit_ms, start_ms, metrics, exit_code, rss_bytes=None
+):
     """The engine's book-keeping for instance ``task_id`` (workflow/name/index)
-    of a definition of ``model`` and ``memory`` bytes, started on m1."""
+    of a definition of ``model`` and ``memory`` bytes, started on m1, with
+    the plan's footprint unless ``rss_bytes`` is given."""
     name = task_id.split("/")[1]
     instance = TaskInstance(task_id, name, TaskState.RUNNING, "m1", submit_ms, start_ms)
     definition = TaskDefinition(name, False, make_request(mem=memory), model.model_key)
-    return _Execution(instance, (definition, model, MetricPlan(model, memory)), metrics, exit_code)
+    plan = MetricPlan(model, memory)
+    row = _Row(definition, model, plan, [instance], 0, 1)
+    footprint = plan.rss_bytes if rss_bytes is None else rss_bytes
+    return _Execution(instance, row, metrics, exit_code, footprint)
 
 
 @st.composite
@@ -280,18 +301,19 @@ def finished_executions(draw):
     runtime = metrics.runtime_ms
     start = draw(st.integers(min_value=0, max_value=10**9))
     ending = draw(st.sampled_from(["succeeded", "failed", "oom", "timeout", "machine_kill"]))
-    duration, exit_code = runtime, 0
+    duration, exit_code, rss_bytes = runtime, 0, None
     if ending == "failed":
         exit_code = EXIT_TASK_ERROR
     elif ending == "oom":
-        metrics = dataclasses.replace(metrics, rss_bytes=memory + max(1, memory // 4))
-        exit_code = EXIT_OOM
+        rss_bytes, exit_code = memory + max(1, memory // 4), EXIT_OOM
     elif ending == "timeout" and runtime > 1:
         duration, exit_code = draw(st.integers(1, runtime - 1)), EXIT_TIMEOUT
     elif ending == "machine_kill":
         duration, exit_code = draw(st.integers(0, runtime)), EXIT_MACHINE_KILL
     submit = draw(st.integers(0, start))
-    execution = running_execution("w/a/0", model, memory, submit, start, metrics, exit_code)
+    execution = running_execution(
+        "w/a/0", model, memory, submit, start, metrics, exit_code, rss_bytes
+    )
     return execution, start + duration, exit_code
 
 
@@ -302,8 +324,9 @@ def test_trace_records_match_the_scaled_formula(case):
     status = "succeeded" if exit_code == 0 else "failed"
     record = _scaled_record(execution, end_ms, status, exit_code)
     assert record == reference_scaled_record(execution, end_ms, status, exit_code)
-    if execution.row[2].full_runtime_exact:
-        assert max(_SCALED(execution.metrics)) <= 2**53
+    plan = execution.row.plan
+    if plan.full_runtime_exact:
+        assert max(plan.rchar_bytes, plan.wchar_bytes, *_SCALED(execution.metrics)) <= 2**53
 
 
 @pytest.mark.parametrize("io_bytes, exact", [(2**53, True), (2**53 + 1, False)])
@@ -987,15 +1010,20 @@ def test_run_bundled_fault_scenario(tmp_path):
 @given(dag_specs(), st.integers(min_value=1, max_value=12))
 def test_instance_groups_are_the_runs_definition_runs(spec, input_count):
     simulation = Simulation(spec, [make_machine("m1")], 10**12, input_count, 1)
+    simulation.run_to_completion()
     instances = simulation.run.instances
     expected = {
         name: list(group)
         for name, group in itertools.groupby(instances, key=attrgetter("definition"))
     }
-    assert list(simulation._groups) == list(expected) == spec.task_names()
-    for name, group in expected.items():
-        # the engine mutates the run's own instances through its groups
-        assert list(map(id, simulation._groups[name])) == list(map(id, group))
+    rows = simulation._rows
+    assert list(rows) == list(expected) == spec.task_names()
+    for position, (name, group) in enumerate(expected.items()):
+        row = rows[name]
+        assert (row.definition, row.position) == (spec.definition(name), position)
+        assert row.model is BUILTIN_MODELS[row.definition.runtime_model]
+        # the engine mutates the run's own instances through its rows
+        assert list(map(id, row.instances)) == list(map(id, group))
 
 
 # --- incremental engine state against the naive scans ---
@@ -1062,8 +1090,9 @@ def engine_cases(draw):
     return spec, machines, input_count, seed, draw(st.sampled_from(list(TopologyMode))), injections
 
 
-def naive_never_eligible(run, spec) -> set[str]:
-    """Pending instances of every definition downstream of a failure."""
+def downstream_of_failures(run, spec) -> set[str]:
+    """Every definition with a transitive predecessor that has a failed
+    instance."""
     failed = {i.definition for i in run.instances if i.state is TaskState.FAILED}
     downstream = set()
     frontier = list(failed)
@@ -1072,6 +1101,12 @@ def naive_never_eligible(run, spec) -> set[str]:
             if successor not in downstream:
                 downstream.add(successor)
                 frontier.append(successor)
+    return downstream
+
+
+def naive_never_eligible(run, spec) -> set[str]:
+    """Pending instances of every definition downstream of a failure."""
+    downstream = downstream_of_failures(run, spec)
     return {
         i.task_id
         for i in run.instances
@@ -1225,6 +1260,29 @@ def test_incremental_engine_agrees_with_naive_scans(case):
             assert order == sorted(order)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_each_row_counts_what_did_not_succeed_and_knows_its_poison(case):
+    """After a run, finished or stuck, each definition's row counts exactly
+    its instances that did not succeed, and is poisoned exactly when a
+    transitive predecessor had a failed instance."""
+    spec, machines, input_count, seed, topology, injections = case
+    simulation = Simulation(
+        spec, machines, 10**15, input_count, seed, topology, run_id="p", submission_ms=0
+    )
+    for injection in injections:
+        simulation.inject(injection)
+    try:
+        simulation.run_to_completion()
+    except NonQuiescentError:
+        pass
+    poisoned = downstream_of_failures(simulation.run, spec)
+    for name, row in simulation._rows.items():
+        unsucceeded = [i for i in row.instances if i.state is not TaskState.SUCCEEDED]
+        assert row.remaining == len(unsucceeded), name
+        assert row.poisoned is (name in poisoned), name
+
+
 # --- written artifacts read back equal, over random runs ---
 
 
@@ -1278,8 +1336,8 @@ def test_each_success_carries_the_draws_of_its_reference_stream(case):
             record.wchar_bytes, record.syscall_read_count, record.syscall_write_count,
             record.cpu_wait_ms, record.page_cache_hits, record.page_cache_misses,
         ) == (
-            drawn.runtime_ms, drawn.cpu_pct, drawn.rss_bytes, drawn.rchar_bytes,
-            drawn.wchar_bytes, drawn.syscall_read_count, drawn.syscall_write_count,
+            drawn.runtime_ms, plan.cpu_pct, plan.rss_bytes, plan.rchar_bytes,
+            plan.wchar_bytes, drawn.syscall_read_count, drawn.syscall_write_count,
             drawn.cpu_wait_ms, drawn.page_cache_hits, drawn.page_cache_misses,
         ), record.task_id
 

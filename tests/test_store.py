@@ -2,8 +2,12 @@
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stratus.store import RunStore, RunSummary, StoreError
 from stratus.workflow import RunRecord, RunState, TaskInstance, TaskState, makespan_ms
@@ -145,9 +149,15 @@ def test_previous_executions_ordering_matches_sort_oracle(tmp_path):
 
 def naive_previous_executions(path, workflow_id):
     """The summaries derived from a full load_all() of a fresh store."""
+    return summaries_of(RunStore(path).load_all(), workflow_id)
+
+
+def summaries_of(history, workflow_id):
+    """The summaries of ``workflow_id``'s records in ``history``, a list in
+    append order: newest submission first, the later append first on a tie."""
     records = [
         (position, record)
-        for position, record in enumerate(RunStore(path).load_all())
+        for position, record in enumerate(history)
         if record.workflow_id == workflow_id
     ]
     records.sort(key=lambda pair: (-pair[1].submission_ms, -pair[0]))
@@ -240,3 +250,44 @@ def test_summaries_raise_on_interior_corruption_not_yet_read(tmp_path):
         with pytest.raises(StoreError) as err:
             store.list_previous_executions("w")
         assert ":3:" in str(err.value)
+
+
+_runs = st.builds(
+    finished_run,
+    st.text(max_size=12),
+    st.sampled_from(("w", "v")),
+    st.integers(0, 2**53),
+    st.integers(1, 10**6),
+)
+
+
+# each example cuts and heals its history about 300 times
+@settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_runs, min_size=3, max_size=3))
+def test_a_history_cut_anywhere_in_its_last_record_heals_on_the_next_append(runs):
+    """A crash may cut an append at any byte.  Cut a two-record history at
+    every byte of its second line, newline included, then append a third
+    record: the cut record is gone unless only its newline was, and both a
+    fresh store and one that read the cut file list the rest."""
+    first, second, third = runs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "runs.jsonl"
+        RunStore(path).append(first)
+        head = path.stat().st_size
+        RunStore(path).append(second)
+        whole = path.read_bytes()
+        for cut in range(head, len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            # the second line lacks at most its newline
+            kept = [first, second] if cut >= len(whole) - 1 else [first]
+            reader = RunStore(path)
+            assert reader.load_all() == kept, cut
+            assert reader.list_previous_executions("w") == summaries_of(kept, "w"), cut
+
+            RunStore(path).append(third)
+            history = kept + [third]
+            for store in (reader, RunStore(path)):
+                assert store.load_all() == history, cut
+                for workflow_id in ("w", "v"):
+                    expected = summaries_of(history, workflow_id)
+                    assert store.list_previous_executions(workflow_id) == expected, cut
