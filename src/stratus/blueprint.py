@@ -50,10 +50,9 @@ class UnknownProfileFeatureError(ProfileSyntaxError, UnknownFeatureError):
 
 
 class InvalidMatrixError(BlueprintError):
-    def __init__(self, message: str, key: str | None = None, line: int | None = None):
+    def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key  # the entry at fault as a row names it: <feature> or extension <name>
-        self.line = line  # the row that set it, when parsing found it
 
 
 class LayerId(enum.IntEnum):
@@ -196,11 +195,6 @@ def features_owned_by(layer: LayerId) -> tuple[FeatureKey, ...]:
     return tuple(f for f in ALL_FEATURES if f.owning_layer is layer)
 
 
-# Per-layer feature totals; the denominators of every coverage summary.
-LAYER_FEATURE_TOTALS: dict[LayerId, int] = {
-    layer: len(features_owned_by(layer)) for layer in ALL_LAYERS
-}
-
 _EXTENSION_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
@@ -329,7 +323,9 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
     must be one of the standard ones; unknown keys are an error.  New
     deployment-specific features are declared explicitly with an
     ``extension`` prefix: ``extension <name>: <layer>[,<layer>...]``.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  The matrix checks its own
+    rules; a row that breaks one raises ``MatrixFileError`` at its line,
+    with the matrix's ``InvalidMatrixError`` as its ``__cause__``.
     """
     entries = dict(_DEFAULT_PERMITTED)
     extensions: dict[str, frozenset[LayerId]] = {}
@@ -348,8 +344,6 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
             raise MatrixFileError(lineno, str(exc)) from None
         if key_part.startswith("extension "):
             name = key_part[len("extension "):].strip()
-            if not _EXTENSION_NAME_RE.match(name):
-                raise MatrixFileError(lineno, f"bad extension name {name!r}")
             extensions[name] = layers
             rows[f"extension {name}"] = lineno
         else:
@@ -363,8 +357,7 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
         return AccessMatrix(entries=entries, extensions=extensions)
     except InvalidMatrixError as exc:
         # the defaults obey every rule, so a row set the entry at fault
-        line = rows[exc.key]
-        raise InvalidMatrixError(f"override file line {line}: {exc}", exc.key, line) from None
+        raise MatrixFileError(rows[exc.key], str(exc)) from exc
 
 
 def parse_capability_profile(text: str, default_name: str = "profile") -> CapabilityProfile:

@@ -157,27 +157,22 @@ class ServiceContext:
         return max([0] + [r.event_records[-1].t_ms for r in results if r.event_records])
 
 
-@dataclass(frozen=True)
-class Denial:
-    reason: str
-
-
 def authorize(
     matrix: AccessMatrix,
     as_layer: LayerId,
     feature: "FeatureKey | str",
     topology: TopologyMode,
-) -> "Denial | None":
+) -> str | None:
     """None when access is allowed; otherwise the violated rule as text."""
     name = feature.value if isinstance(feature, FeatureKey) else feature
     permitted = matrix.lookup(feature)
     if as_layer not in permitted:
-        return Denial(
+        return (
             f"layer {as_layer.wire_name} is not permitted to read {name} "
             f"(permitted: {', '.join(sorted(l.wire_name for l in permitted))})"
         )
     if not access_allowed(matrix, as_layer, feature, topology):
-        return Denial(
+        return (
             f"{name} is workflow-owned and the resource manager layer is "
             f"disjoint from the workflow layer in this deployment"
         )
@@ -536,7 +531,7 @@ def _make_handler(context: ServiceContext):
 
             denial = authorize(context.matrix, as_layer, feature, context.topology)
             if denial is not None:
-                raise _HTTPError(403, denial.reason)
+                raise _HTTPError(403, denial)
             subject = query.get("subject")
             if live:
                 self._live_progress(subject)

@@ -7,7 +7,7 @@ The format is bit-exact; emitting and re-parsing a record is the identity.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .machine import MachineStatus
@@ -35,33 +35,14 @@ TRACE_COLUMNS = (
 
 TRACE_HEADER = "\t".join(TRACE_COLUMNS)
 
-# the TaskTraceRecord fields that may not be negative, in column order
-_COUNTER_FIELDS = (
-    "submit_ms",
-    "start_ms",
-    "end_ms",
-    "duration_ms",
-    "cpu_pct",
-    "rss_bytes",
-    "rchar_bytes",
-    "wchar_bytes",
-    "syscall_read_count",
-    "syscall_write_count",
-    "cpu_wait_ms",
-    "page_cache_hits",
-    "page_cache_misses",
-)
-_counters = attrgetter(*_COUNTER_FIELDS)
-
 
 class TraceError(Exception):
     pass
 
 
-class MissingHeaderError(TraceError):
+class MissingHeaderError(LineError, TraceError):
     def __init__(self):
-        super().__init__(f"first line must be the header {TRACE_HEADER!r}")
-        self.line = 1
+        super().__init__(1, f"first line must be the header {TRACE_HEADER!r}")
 
 
 class FieldCountMismatchError(LineError, TraceError):
@@ -115,6 +96,12 @@ class TaskTraceRecord:
                 f"{self.task_id}: exit {self.exit_code} inconsistent with "
                 f"status {self.status!r}"
             )
+
+
+# the fields after task_id, status and exit_code: the counters, which may
+# not be negative, in column order
+_COUNTER_FIELDS = tuple(f.name for f in fields(TaskTraceRecord))[3:]
+_counters = attrgetter(*_COUNTER_FIELDS)
 
 
 def emit_trace(record: TaskTraceRecord) -> str:
@@ -213,27 +200,27 @@ def diagnose(
     """
     if record.status == "succeeded":
         return success_diagnosis(record)
+    # a record that did not succeed has a non-zero exit code
     signals = []
     if machine_status_at_end is MachineStatus.UNHEALTHY:
         signals.append(
             (Verdict.MACHINE_FAILURE, "assigned machine unhealthy at task end")
         )
-    if record.rss_bytes > requested.memory_bytes and record.exit_code != 0:
+    if record.rss_bytes > requested.memory_bytes:
         signals.append(
             (
                 Verdict.OUT_OF_MEMORY,
                 f"rss {record.rss_bytes} > requested {requested.memory_bytes}",
             )
         )
-    if record.duration_ms >= requested.max_runtime_ms and record.exit_code != 0:
+    if record.duration_ms >= requested.max_runtime_ms:
         signals.append(
             (
                 Verdict.TIMEOUT,
                 f"duration {record.duration_ms} >= limit {requested.max_runtime_ms}",
             )
         )
-    if record.exit_code != 0:
-        signals.append((Verdict.NON_ZERO_EXIT, f"exit code {record.exit_code}"))
+    signals.append((Verdict.NON_ZERO_EXIT, f"exit code {record.exit_code}"))
     verdict, evidence = signals[0]
     extra = "; ".join(e for _, e in signals[1:])
     if extra:

@@ -37,7 +37,8 @@ def key_values(
     parts: list[str], keys: tuple[str, ...], line: int, error: type[LineError]
 ) -> dict[str, str]:
     """``parts``, each ``key=value``, as a dict that names every one of
-    ``keys`` and nothing else; raises ``error`` otherwise."""
+    ``keys``; raises ``error`` otherwise.  Callers pass one part per key,
+    so an unknown or repeated key leaves a key of ``keys`` missing."""
     kv = {}
     for part in parts:
         key, eq, value = part.partition("=")
@@ -47,9 +48,6 @@ def key_values(
     missing = [k for k in keys if k not in kv]
     if missing:
         raise error(line, f"missing keys: {missing}")
-    unknown = [k for k in kv if k not in keys]
-    if unknown:
-        raise error(line, f"unknown keys: {unknown}")
     return kv
 
 

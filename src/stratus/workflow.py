@@ -10,6 +10,7 @@ successor instance becomes ready only once every instance of every
 predecessor definition has succeeded.
 """
 
+import copy
 import enum
 import re
 import statistics
@@ -31,22 +32,18 @@ class DuplicateTaskError(WorkflowError):
     def __init__(self, name: str):
         super().__init__(f"duplicate task name: {name!r}")
         self.task_name = name
-        self.line: int | None = None  # the name's second line, when parsing found it
 
 
 class InvalidNameError(WorkflowError):
     def __init__(self, name: str, rule: str):
         super().__init__(f"name must {rule}: {name!r}")
         self.name = name
-        self.line: int | None = None  # the line that gave the name, when parsing found it
 
 
 class UnknownTaskError(WorkflowError):
     def __init__(self, task_id: str):
         super().__init__(f"unknown task: {task_id!r}")
         self.task_id = task_id
-        # the workflow text line that named the task, when parsing found it
-        self.line: int | None = None
 
 
 class CycleError(WorkflowError):
@@ -300,12 +297,7 @@ class RunRecord:
             run_id=self.run_id,
             workflow_id=self.workflow_id,
             submission_ms=self.submission_ms,
-            instances=[
-                TaskInstance(
-                    i.task_id, i.definition, i.state, i.machine, i.submit_ms, i.start_ms, i.end_ms
-                )
-                for i in self.instances
-            ],
+            instances=[copy.copy(i) for i in self.instances],
             final_state=self.final_state,
         )
 
@@ -391,8 +383,10 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
     Lines: an optional ``workflow <id>`` header, at most once, ``task <name> scatter=<bool>
     cpus=<n> mem=<bytes> disk=<bytes> timeout=<ms> model=<key>``, and
     ``edge <from> -> <to>``.  Blank lines and ``#`` comments are ignored.
-    The spec checks its own structure; the parser only gives an invalid or
-    duplicate name or a dangling edge the line that introduced it.
+    The spec checks its own structure; the parser only says which line broke
+    a rule: an invalid or duplicate name or a dangling edge raises a
+    ``WorkflowSyntaxError`` at the line that introduced it, with the spec's
+    own error as its ``__cause__``.
     """
     workflow_id = default_workflow_id
     first_lines: dict[str, int] = {}
@@ -444,20 +438,22 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
         return WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
     except InvalidNameError as exc:
         # the workflow id is checked first; a default id has no line
-        if exc.name == workflow_id:
-            exc.line = first_lines.get("workflow")
+        if exc.name != workflow_id:
+            line = task_lines[[t.name for t in tasks].index(exc.name)]
+        elif "workflow" in first_lines:
+            line = first_lines["workflow"]
         else:
-            exc.line = task_lines[[t.name for t in tasks].index(exc.name)]
-        raise
+            raise
+        raise WorkflowSyntaxError(line, str(exc)) from exc
     except DuplicateTaskError as exc:
         # the spec reports the first name to repeat, at its second definition
-        exc.line = [line for t, line in zip(tasks, task_lines) if t.name == exc.task_name][1]
-        raise
+        line = [line for t, line in zip(tasks, task_lines) if t.name == exc.task_name][1]
+        raise WorkflowSyntaxError(line, str(exc)) from exc
     except UnknownTaskError as exc:
         # the spec checks the edges in order, so the first edge naming the
         # unknown task is the first dangling one
-        exc.line = next(line for edge, line in zip(edges, edge_lines) if exc.task_id in edge)
-        raise
+        line = next(line for edge, line in zip(edges, edge_lines) if exc.task_id in edge)
+        raise WorkflowSyntaxError(line, str(exc)) from exc
 
 
 def expand_instances(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]:
@@ -539,7 +535,8 @@ def makespan_ms(run: RunRecord) -> int:
 def execution_report(run: RunRecord) -> ExecutionReport:
     """Summarize a finished run: makespan over started instances, counts,
     and per-definition duration statistics over terminal instances."""
-    if run.final_state is RunState.RUNNING:
+    status = workflow_status(run)
+    if status.state is RunState.RUNNING:
         raise ReportOnRunningRunError(run.run_id)
     durations: dict[str, list[int]] = {}
     for inst in run.instances:
@@ -560,8 +557,8 @@ def execution_report(run: RunRecord) -> ExecutionReport:
         run_id=run.run_id,
         submission_ms=run.submission_ms,
         makespan_ms=makespan_ms(run),
-        total=len(run.instances),
-        succeeded=sum(1 for i in run.instances if i.state is TaskState.SUCCEEDED),
-        failed=sum(1 for i in run.instances if i.state is TaskState.FAILED),
+        total=status.total,
+        succeeded=status.finished,
+        failed=status.failures,
         task_stats=task_stats,
     )

@@ -9,7 +9,6 @@ from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
-    LAYER_FEATURE_TOTALS,
     AccessMatrix,
     CapabilityProfile,
     FeatureKey,
@@ -33,13 +32,14 @@ from stratus.blueprint import (
 def test_feature_census():
     assert len(ALL_FEATURES) == 23
     assert len(ORACLE_ROWS) == 23
-    assert LAYER_FEATURE_TOTALS == {
+    totals = {layer: len(features_owned_by(layer)) for layer in ALL_LAYERS}
+    assert totals == {
         LayerId.RESOURCE_MANAGER: 3,
         LayerId.WORKFLOW: 6,
         LayerId.MACHINE: 5,
         LayerId.TASK: 9,
     }
-    assert sum(LAYER_FEATURE_TOTALS.values()) == 23
+    assert sum(totals.values()) == 23
 
 
 def test_layer_hierarchy_ordering():
@@ -120,6 +120,12 @@ def test_matrix_validation_requires_all_features():
     del entries[FeatureKey.FAULT_DIAGNOSIS]
     with pytest.raises(InvalidMatrixError):
         AccessMatrix(entries=entries)
+
+
+def test_matrix_validation_refuses_an_extension_that_permits_no_layer():
+    with pytest.raises(InvalidMatrixError, match=r"^extension 'gpu' permits no layer$") as info:
+        AccessMatrix(entries=dict(default_access_matrix().entries), extensions={"gpu": frozenset()})
+    assert info.value.key == "extension gpu"
 
 
 def test_random_matrices_validate_iff_rules_hold():
@@ -243,8 +249,14 @@ def test_parse_overrides_rejects_unknown_layer():
 
 
 def test_parse_overrides_rejects_hierarchy_violation():
-    with pytest.raises(InvalidMatrixError):
+    with pytest.raises(MatrixFileError) as info:
         parse_matrix_overrides("workflow_status: workflow, task\n")
+    assert str(info.value) == (
+        "line 1: workflow_status: layers below the owner are permitted: ['task']"
+    )
+    # the matrix's own error stays reachable
+    assert isinstance(info.value.__cause__, InvalidMatrixError)
+    assert info.value.__cause__.key == "workflow_status"
 
 
 @pytest.mark.parametrize("text, line", [
@@ -255,14 +267,14 @@ def test_parse_overrides_rejects_hierarchy_violation():
     ("workflow_status: workflow\nextension workflow_status: task\n", 2),
 ])
 def test_parse_overrides_names_the_row_that_breaks_a_rule(text, line):
-    with pytest.raises(InvalidMatrixError) as info:
+    with pytest.raises(MatrixFileError) as info:
         parse_matrix_overrides(text)
     assert info.value.line == line
-    assert str(info.value).startswith(f"override file line {line}: ")
+    assert str(info.value) == f"line {line}: {info.value.__cause__}"
     # a matrix built in code has no rows
     with pytest.raises(InvalidMatrixError) as info:
         AccessMatrix(entries={f: frozenset({LayerId.TASK}) for f in ALL_FEATURES})
-    assert info.value.line is None
+    assert not isinstance(info.value, MatrixFileError)
 
 
 def test_parse_overrides_extension_declarations():

@@ -159,6 +159,17 @@ def test_dot_renders_workflow(sandbox, capsys):
     assert out.count("->") == 7
 
 
+def test_a_workflow_that_repeats_a_task_is_refused_at_its_line(sandbox, tmp_path, capsys):
+    task = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
+    workflow = tmp_path / "repeat.wf"
+    workflow.write_text(f"workflow w\n{task}{task}")
+    expected = "stratus: error: line 3: duplicate task name: 'a'\n"
+    assert main(["dot", str(workflow)]) == 1
+    assert capsys.readouterr().err == expected
+    assert main(["run", str(workflow), data_path("two.cluster")]) == 1
+    assert capsys.readouterr().err == expected
+
+
 def test_matrix_grid_is_stable_and_topology_sensitive(sandbox, capsys):
     assert main(["matrix"]) == 0
     first = capsys.readouterr().out

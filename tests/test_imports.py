@@ -98,19 +98,30 @@ def test_the_scan_sees_unread_and_string_annotation_imports():
     assert {name for name in imported_names(tree) if name not in used} == {"os", "d"}
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name, line) of every top-level function and
-    class, and of every method of a top-level class that is not a dunder."""
+    """(qualified name, bare name, line) of every top-level function, class
+    and assigned name that is not a dunder, and of every method of a
+    top-level class that is not a dunder."""
     functions = ast.FunctionDef | ast.AsyncFunctionDef
     for node in tree.body:
+        if isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    # Python reads the dunders (``__all__``) itself
+                    if isinstance(name, ast.Name) and not is_dunder(name.id):
+                        yield f"{module}.{name.id}", name.id, node.lineno
+            continue
         if not isinstance(node, functions | ast.ClassDef):
             continue
         yield f"{module}.{node.name}", node.name, node.lineno
         for member in node.body if isinstance(node, ast.ClassDef) else ():
             # Python calls the dunders itself
-            if isinstance(member, functions) and not (
-                member.name.startswith("__") and member.name.endswith("__")
-            ):
+            if isinstance(member, functions) and not is_dunder(member.name):
                 yield f"{module}.{node.name}.{member.name}", member.name, member.lineno
 
 
@@ -148,17 +159,24 @@ def test_every_src_definition_is_read_by_src():
 def test_the_scan_sees_unread_definitions():
     trees = {
         "a": ast.parse(
-            "__all__ = ['exported']\n"
+            "__all__ = ['exported', 'EXPORTED']\n"
             "def exported(): pass\n"
             "def unread(): pass\n"
             "class C:\n"
             "    def __init__(self): pass\n"
             "    def used(self): pass\n"
             "    def unused(self): pass\n"
+            "EXPORTED = 1\n"
+            "UNREAD = 2\n"
+            "_READ, (_UNPACKED, _USED) = 3, (4, 5)\n"
+            "TYPED: int = _READ + _USED\n"
+            "__version__ = '1'\n"
         ),
         "b": ast.parse("from a import C\nC().used()\n"),
     }
-    assert unread_definitions(trees) == {"a.unread": 3, "a.C.unused": 7}
+    assert unread_definitions(trees) == {
+        "a.unread": 3, "a.C.unused": 7, "a.UNREAD": 9, "a._UNPACKED": 10, "a.TYPED": 11,
+    }
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls(monkeypatch):

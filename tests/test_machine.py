@@ -231,6 +231,12 @@ def test_parse_cluster_requires_fs_line():
         parse_cluster(good)
 
 
+def test_parse_cluster_requires_a_machine_line():
+    with pytest.raises(MachineError, match="^no machines$") as err:
+        parse_cluster("# none yet\nfs total=1\n")
+    assert not isinstance(err.value, ClusterSyntaxError)
+
+
 def test_parse_cluster_rejects_unknown_directive():
     with pytest.raises(ClusterSyntaxError) as err:
         parse_cluster("rack r1\n")

@@ -2,8 +2,9 @@
 cluster, scenario and capability-profile files, of a matrix override file
 and of an engine event log (parsed, and replayed into progress).  Each
 parser may raise only its own module's base error, and every error about
-one line must carry that line as ``.line``.  Then the shared grammar's
-fixed points: integer spellings, the ``line N:`` prefix, and wire names."""
+one line must be that format's ``LineError``, carrying the line as ``.line``
+and reading ``line N: ...``.  Then the shared grammar's fixed points:
+integer spellings, the ``line N:`` prefix, and wire names."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,6 +40,7 @@ from stratus.taskmon import (
     FieldCountMismatchError,
     InvariantViolationError,
     LogLevel,
+    MissingHeaderError,
     TraceError,
     emit_trace,
     parse_trace,
@@ -89,9 +91,9 @@ def assert_own_error_with_a_line(parse, text: str, own_error: type) -> None:
     except own_error as exc:
         if isinstance(exc, CycleError) or str(exc) in WHOLE_FILE_ERRORS:
             return
-        line = getattr(exc, "line", None)
-        assert isinstance(line, int), f"{exc!r} carries no line"
-        assert 1 <= line <= len(text.splitlines()), f"{exc!r} names line {line}"
+        assert isinstance(exc, LineError), f"{exc!r} is not a line error"
+        assert str(exc).startswith(f"{exc.prefix} {exc.line}: "), repr(exc)
+        assert 1 <= exc.line <= len(text.splitlines()), f"{exc!r} names line {exc.line}"
 
 
 _fuzz = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -185,6 +187,7 @@ def test_capability_profile_parser_raises_only_blueprint_errors_with_a_line(text
 
 TASK_LINE = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
 MACHINE_LINE = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=1\n"
+TRACE_LINE = "w/a/0\tsucceeded\t0\t5\t10\t20\t10\t50\t100\t1\t2\t3\t4\t5\t6\t7"
 # each scenario setting: a value, then another valid value for it
 SCENARIO_SETTINGS = {
     "workflow": ("w.wf", "v.wf"), "cluster": ("c.cluster", "d.cluster"),
@@ -214,6 +217,44 @@ def test_a_repeated_setting_is_refused_at_its_second_line(parse, text, own_error
     assert str(err.value).startswith(f"line {line}: ")
 
 
+# (parser, text, own line error, its text): one line of the file breaks a
+# rule, of the format or of the structure the parser builds
+BROKEN_LINES = [
+    (parse_workflow, f"workflow a b\n{TASK_LINE}", WorkflowSyntaxError,
+     "line 1: expected 'workflow <id>'"),
+    # a repeated task, reported at its second line
+    (parse_workflow, f"workflow w\n{TASK_LINE}{TASK_LINE}", WorkflowSyntaxError,
+     "line 3: duplicate task name: 'a'"),
+    (parse_workflow, f"{TASK_LINE}edge a -> ghost\n", WorkflowSyntaxError,
+     "line 2: unknown task: 'ghost'"),
+    # a name DOT cannot quote
+    (parse_workflow, "# c\n" + TASK_LINE.replace(" a ", " a\\ "), WorkflowSyntaxError,
+     "line 2: name must not end in a backslash: 'a\\\\'"),
+    (parse_cluster, f"{MACHINE_LINE}fs size=5\n", ClusterSyntaxError,
+     "line 2: expected 'fs total=<bytes>'"),
+    (parse_cluster, f"{MACHINE_LINE}fs total=0\n", ClusterSyntaxError,
+     "line 2: fs total must be positive"),
+    (parse_matrix_overrides, "task_id: task\ntask_duration: ,\n", MatrixFileError,
+     "line 2: no layers listed"),
+    # a layer below the owner
+    (parse_matrix_overrides, "task_id: task\nworkflow_status: workflow, task\n",
+     MatrixFileError, "line 2: workflow_status: layers below the owner are permitted: ['task']"),
+    (parse_matrix_overrides, "# c\nextension Bad-Name: task\n", MatrixFileError,
+     "line 2: extension name not lower_snake_case: 'Bad-Name'"),
+    (parse_trace, f"{TRACE_LINE}\n", MissingHeaderError,
+     f"line 1: first line must be the header {TRACE_HEADER!r}"),
+]
+
+
+@pytest.mark.parametrize("parse, text, own_error, message", BROKEN_LINES)
+def test_a_line_that_breaks_a_rule_is_the_formats_line_error(parse, text, own_error, message):
+    with pytest.raises(own_error) as err:
+        parse(text)
+    assert isinstance(err.value, LineError)
+    assert str(err.value) == message
+    assert message.startswith(f"line {err.value.line}: ")
+
+
 def test_each_setting_set_once_is_read():
     assert parse_workflow("workflow a\n" + TASK_LINE).workflow_id == "a"
     assert parse_cluster("fs total=5\n" + MACHINE_LINE)[1] == 5
@@ -229,8 +270,6 @@ def test_each_setting_set_once_is_read():
 # leading zero that str() would not write
 FOREIGN_INTEGERS = ["1_0", " ١", "١", "５", " 5", "5 ", "0x1", ""]
 NON_CANONICAL_INTEGERS = ["+5", "007", "-0", "-07"]
-
-TRACE_LINE = "w/a/0\tsucceeded\t0\t5\t10\t20\t10\t50\t100\t1\t2\t3\t4\t5\t6\t7"
 
 
 @pytest.mark.parametrize("spelling", FOREIGN_INTEGERS + NON_CANONICAL_INTEGERS)
@@ -351,6 +390,7 @@ def test_a_trace_line_is_accepted_iff_it_re_renders_to_its_own_bytes(lines):
     (ProfileSyntaxError, BlueprintError),
     (FieldCountMismatchError, TraceError),
     (InvariantViolationError, TraceError),
+    (MissingHeaderError, TraceError),
 ])
 def test_each_line_error_is_a_line_error_of_its_own_module(error, base):
     assert issubclass(error, LineError) and issubclass(error, base)

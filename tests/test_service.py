@@ -249,14 +249,14 @@ def test_authorize_denies_exactly_what_the_paper_grid_and_overrides_deny(
             assert (denial is None) == (rule is None), (name, layer, denial)
             if rule == "permission":
                 allowed = ", ".join(sorted(l.wire_name for l in layers))
-                assert denial.reason == (
+                assert denial == (
                     f"layer {layer.wire_name} is not permitted to read {name} "
                     f"(permitted: {allowed})"
                 )
             elif rule == "topology":
-                assert denial.reason.startswith(f"{name} is workflow-owned and ")
-                assert "disjoint" in denial.reason
-            reasons[name, layer] = denial and denial.reason
+                assert denial.startswith(f"{name} is workflow-owned and ")
+                assert "disjoint" in denial
+            reasons[name, layer] = denial
 
     pairs = data.draw(st.lists(st.sampled_from(sorted(reasons)), min_size=1, max_size=3))
     served = context.matrix
@@ -756,6 +756,27 @@ def test_a_run_yet_to_end_is_attached_live_not_added():
     with pytest.raises(ServiceError, match="'later' has not ended"):
         context.add_result(simulation.result)
     assert context.results == {}
+
+
+def test_a_live_run_has_an_execution_report_only_once_it_ends():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="later", submission_ms=0)
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    handle = serve(context)
+    try:
+        url = f"{handle.url}/v1/workflow/execution_report"
+        params = {"as_layer": "workflow", "subject": "later"}
+        response = requests.get(url, params=params, timeout=10)
+        assert response.status_code == 400
+        assert response.json() == {"error": "run later has not finished"}
+        simulation.run_to_completion()
+        response = requests.get(url, params=params, timeout=10)
+        assert response.status_code == 200
+        assert response.json()["payload"]["counts"]["total"] == len(simulation.result.run.instances)
+    finally:
+        handle.close()
 
 
 def test_live_readers_under_fast_thread_switching_all_read_the_whole_stream():

@@ -86,14 +86,16 @@ def test_parse_rejects_garbage_line():
 
 def test_parse_rejects_duplicate_task():
     text = TASK_LINE.format(name="a") + TASK_LINE.format(name="a")
-    with pytest.raises(DuplicateTaskError, match=r"^duplicate task name: 'a'$") as err:
+    with pytest.raises(WorkflowSyntaxError, match=r"^line 2: duplicate task name: 'a'$") as err:
         parse_workflow(text)
     assert err.value.line == 2
+    # the spec's own error stays reachable
+    assert isinstance(err.value.__cause__, DuplicateTaskError)
     # the first name to repeat is reported, at its second definition
     text = "".join(TASK_LINE.format(name=n) for n in "abcbca")
-    with pytest.raises(DuplicateTaskError) as err:
+    with pytest.raises(WorkflowSyntaxError) as err:
         parse_workflow(text)
-    assert (err.value.task_name, err.value.line) == ("b", 4)
+    assert (err.value.__cause__.task_name, err.value.line) == ("b", 4)
 
 
 def test_parse_rejects_empty():
@@ -113,11 +115,12 @@ def test_parse_gives_the_first_dangling_edge_its_line():
         + TASK_LINE.format(name="b")
         + "edge a -> b\nedge a -> ghost\nedge ghost -> b\n"
     )
-    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'ghost'$") as err:
+    with pytest.raises(WorkflowSyntaxError, match=r"^line 4: unknown task: 'ghost'$") as err:
         parse_workflow(text)
     assert err.value.line == 4
+    assert isinstance(err.value.__cause__, UnknownTaskError)
     # the dangling end may be the source, and may be named before its edge's tasks
-    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'x'$") as err:
+    with pytest.raises(WorkflowSyntaxError, match=r"^line 1: unknown task: 'x'$") as err:
         parse_workflow("edge x -> a\n" + TASK_LINE.format(name="a"))
     assert err.value.line == 1
 
@@ -180,7 +183,7 @@ def test_validate_rejects_unknown_edge_endpoint():
     with pytest.raises(UnknownTaskError) as err:
         WorkflowSpec(workflow_id="w", tasks=definitions("a"), edges=(("a", "ghost"),))
     # a spec built in code has no text lines
-    assert err.value.line is None
+    assert not isinstance(err.value, WorkflowSyntaxError)
 
 
 def test_validate_rejects_a_repeated_definition():
@@ -188,7 +191,6 @@ def test_validate_rejects_a_repeated_definition():
     with pytest.raises(DuplicateTaskError, match=r"^duplicate task name: 'a'$") as err:
         WorkflowSpec(workflow_id="w", tasks=definitions("aba"), edges=())
     assert err.value.task_name == "a"
-    assert err.value.line is None
     assert not isinstance(err.value, WorkflowSyntaxError)
 
 
@@ -205,10 +207,12 @@ def test_validate_rejects_a_name_dot_cannot_quote(name):
     # a quoted DOT id that ends in a backslash escapes its own closing quote
     with pytest.raises(InvalidNameError, match="^name must not end in a backslash") as err:
         WorkflowSpec(workflow_id="w", tasks=definitions([name]), edges=())
-    assert (err.value.name, err.value.line) == (name, None)
+    assert err.value.name == name
+    assert not isinstance(err.value, WorkflowSyntaxError)
     with pytest.raises(InvalidNameError, match="^name must not end in a backslash") as err:
         WorkflowSpec(workflow_id=name, tasks=definitions("a"), edges=())
-    assert (err.value.name, err.value.line) == (name, None)
+    assert err.value.name == name
+    assert not isinstance(err.value, WorkflowSyntaxError)
     # a backslash anywhere else is kept
     spec = WorkflowSpec(workflow_id="w\\1", tasks=definitions(["a\\b"]), edges=())
     assert '"a\\b" [label="a\\b [x1]"];' in export_dot(spec)
@@ -216,18 +220,21 @@ def test_validate_rejects_a_name_dot_cannot_quote(name):
 
 def test_parse_gives_an_invalid_name_its_line():
     text = "workflow w\n" + TASK_LINE.format(name="a") + TASK_LINE.format(name="b\\")
-    with pytest.raises(InvalidNameError, match=r"backslash: 'b\\\\'$") as err:
+    with pytest.raises(
+        WorkflowSyntaxError, match=r"^line 3: name must not end in a backslash: 'b\\\\'$"
+    ) as err:
         parse_workflow(text)
     assert err.value.line == 3
+    assert isinstance(err.value.__cause__, InvalidNameError)
     # the header that names the workflow, before the task lines
     text = "# id\nworkflow w\\\n" + TASK_LINE.format(name="a\\")
-    with pytest.raises(InvalidNameError) as err:
+    with pytest.raises(WorkflowSyntaxError) as err:
         parse_workflow(text)
-    assert (err.value.name, err.value.line) == ("w\\", 2)
+    assert (err.value.__cause__.name, err.value.line) == ("w\\", 2)
     # a default id comes from no line
     with pytest.raises(InvalidNameError) as err:
         parse_workflow(TASK_LINE.format(name="a"), default_workflow_id="w\\")
-    assert err.value.line is None
+    assert not isinstance(err.value, WorkflowSyntaxError)
 
 
 def test_validate_keeps_spaces_in_names():
