@@ -115,13 +115,12 @@ def _scenario_from_run_args(args) -> ScenarioSpec:
     scenario_files = [p for p in paths if p.suffix == ".scenario"]
     workflow_files = [p for p in paths if p.suffix == ".wf"]
     cluster_files = [p for p in paths if p.suffix == ".cluster"]
+    counts = len(scenario_files), len(workflow_files), len(cluster_files)
+    if counts not in ((1, 0, 0), (0, 1, 1)):
+        raise ValueError("give either one .scenario file or a .wf/.cluster pair")
     if scenario_files:
-        if len(scenario_files) > 1 or workflow_files or cluster_files:
-            raise ValueError("give either one .scenario file or a .wf/.cluster pair")
         scenario = load_scenario(scenario_files[0])
     else:
-        if len(workflow_files) != 1 or len(cluster_files) != 1:
-            raise ValueError("give either one .scenario file or a .wf/.cluster pair")
         scenario = ScenarioSpec(workflow_path=workflow_files[0], cluster_path=cluster_files[0])
     if args.input_count is not None:
         scenario = replace(scenario, input_count=args.input_count)

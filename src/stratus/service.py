@@ -9,6 +9,7 @@ data is available during execution, not only after it.
 
 import json
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -25,15 +26,17 @@ from .blueprint import (
     access_allowed,
     default_access_matrix,
 )
-from .machine import MachineDescriptor, MachineRegistry, UnknownMachineError
+from .machine import InvalidWindowError, MachineDescriptor, MachineRegistry, UnknownMachineError
 from .sim import ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
 from .taskmon import LogLevel, TaskTraceRecord, consumed_vs_requested, synthesize_code_parts
 from .textfmt import parse_decimal
 from .workflow import (
+    ReportOnRunningRunError,
     ResourceRequest,
     RunState,
     TaskInstance,
+    UnknownTaskError,
     WorkflowStatusReport,
     execution_report,
     export_dot,
@@ -209,15 +212,16 @@ class _HTTPError(ServiceError):
         self.status = status
 
 
-def _window_bound(query: dict[str, str], key: str, default: int) -> int:
-    """The ``from`` or ``to`` window bound, in the input formats' integer grammar."""
-    text = query.get(key)
-    if text is None:
-        return default
+@contextmanager
+def _refusals():
+    """The one place a layer's refusal of a request gets its status: the
+    resolvers, builders and window bounds let the layers' errors through."""
     try:
-        return parse_decimal(text)
-    except ValueError:
-        raise _HTTPError(400, f"{key} is not an integer: {text!r}") from None
+        yield
+    except (UnknownRunError, UnknownMachineError, UnknownTaskError) as exc:
+        raise _HTTPError(404, str(exc)) from None
+    except (ValueError, InvalidWindowError, ReportOnRunningRunError) as exc:
+        raise _HTTPError(400, str(exc)) from None
 
 
 class _Machine(NamedTuple):
@@ -233,8 +237,8 @@ class _Task(NamedTuple):
     record: TaskTraceRecord | None = None  # read only for the features that need it
 
 
-# Subject resolvers, one per subject kind: 400 without a subject, 404 for one
-# that names nothing; each returns what the feature's builder reads.
+# Subject resolvers, one per subject kind: 400 without a subject, the layer's
+# own error for one that names nothing; each returns what the builder reads.
 
 
 def _subject(feature: FeatureKey, subject: str | None, kind: str) -> str:
@@ -256,29 +260,15 @@ def _history(context, feature, subject) -> list:
 
 
 def _run(context, feature, subject) -> SimulationResult:
-    run_id = _subject(feature, subject, "run_id")
-    try:
-        return context.result(run_id)
-    except UnknownRunError as exc:
-        raise _HTTPError(404, str(exc)) from None
-
-
-def _finished_run(context, feature, subject):
-    run = _run(context, feature, subject).run
-    if run.final_state is RunState.RUNNING:
-        raise _HTTPError(400, f"run {run.run_id} has not finished")
-    return run
+    return context.result(_subject(feature, subject, "run_id"))
 
 
 def _machine(context, feature, subject) -> _Machine:
     machine_id = _subject(feature, subject, "machine_id")
     rm = context.resource_manager()
-    if rm is not None:
-        try:
-            return _Machine(machine_id, rm.registry, rm.registry.descriptor(machine_id))
-        except UnknownMachineError:
-            pass
-    raise _HTTPError(404, f"unknown machine: {machine_id!r}")
+    if rm is None:
+        raise UnknownMachineError(machine_id)
+    return _Machine(machine_id, rm.registry, rm.registry.descriptor(machine_id))
 
 
 def _task(context, feature, subject, missing: str | None = None) -> _Task:
@@ -286,7 +276,7 @@ def _task(context, feature, subject, missing: str | None = None) -> _Task:
     task_id = _subject(feature, subject, "task_id")
     found = context.find_task(task_id)
     if found is None:
-        raise _HTTPError(404, f"unknown task: {task_id!r}")
+        raise UnknownTaskError(task_id)
     result, instance = found
     if missing is None:
         return _Task(task_id, result, instance)
@@ -385,7 +375,7 @@ _FEATURES = {
     FeatureKey.WORKFLOW_ID: (
         _run, lambda run, *_: {"run_id": run.run_id, "workflow_id": run.run.workflow_id}
     ),
-    FeatureKey.EXECUTION_REPORT: (_finished_run, lambda run, *_: execution_report(run).to_record()),
+    FeatureKey.EXECUTION_REPORT: (_run, lambda run, *_: execution_report(run.run).to_record()),
     FeatureKey.PREVIOUS_EXECUTIONS: (_history, lambda summaries, *_: {"executions": [
         {
             "run_id": s.run_id,
@@ -537,16 +527,14 @@ def _make_handler(context: ServiceContext):
                 self._live_progress(subject)
                 return
 
-            try:
-                t_from = _window_bound(query, "from", 0)
-                t_to = _window_bound(query, "to", MAX_WINDOW_MS)
+            with _refusals():
+                t_from = parse_decimal(query["from"], key="from") if "from" in query else 0
+                t_to = parse_decimal(query["to"], key="to") if "to" in query else MAX_WINDOW_MS
                 if t_from > t_to:
-                    raise _HTTPError(400, f"invalid window: from {t_from} > to {t_to}")
+                    raise InvalidWindowError(t_from, t_to)
                 level = query.get("min_level")
                 min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
                 payload = _build_payload(context, feature, subject, t_from, t_to, min_level)
-            except ValueError as exc:
-                raise _HTTPError(400, str(exc)) from None
 
             self._send_json(200, {
                 "feature": feature.value if isinstance(feature, FeatureKey) else feature,
@@ -558,7 +546,8 @@ def _make_handler(context: ServiceContext):
         def _live_progress(self, run_id: str | None):
             if not run_id:
                 raise _HTTPError(400, "live_progress needs a run_id subject")
-            _run(context, FeatureKey.WORKFLOW_STATUS, run_id)  # 404 before the stream starts
+            with _refusals():  # 404 before the stream starts, never after
+                context.result(run_id)
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Connection", "close")

@@ -1031,17 +1031,24 @@ def load_scenario(path: "Path | str") -> ScenarioSpec:
     return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
+def _parse_file(parse, path: Path, **kwargs):
+    """``parse`` of the text of ``path``; a line error's text names the file."""
+    try:
+        return parse(path.read_text(encoding="utf-8"), **kwargs)
+    except LineError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def scenario_simulation(scenario: ScenarioSpec, **kwargs) -> Simulation:
     """The scenario's run with its faults armed, ready for
     ``run_to_completion``; ``kwargs`` go to ``Simulation``."""
     from .machine import parse_cluster
     from .workflow import parse_workflow
 
-    spec = parse_workflow(
-        scenario.workflow_path.read_text(encoding="utf-8"),
-        default_workflow_id=scenario.workflow_path.stem,
-    )
-    machines, fs_total = parse_cluster(scenario.cluster_path.read_text(encoding="utf-8"))
+    workflow_path = scenario.workflow_path
+    spec = _parse_file(parse_workflow, workflow_path, default_workflow_id=workflow_path.stem)
+    machines, fs_total = _parse_file(parse_cluster, scenario.cluster_path)
     simulation = Simulation(
         spec, machines, fs_total, scenario.input_count, scenario.seed, scenario.topology,
         **kwargs,

@@ -65,19 +65,20 @@ def line_int(text: str, line: int, key: str, error: type[LineError]) -> int:
     """The integer field ``key`` of a directive line; raises ``error``
     when ``text`` is not an optionally signed run of ASCII digits."""
     try:
-        return parse_decimal(text)
-    except ValueError:
-        raise error(line, f"{key} is not an integer: {text!r}") from None
+        return parse_decimal(text, key=key)
+    except ValueError as exc:
+        raise error(line, str(exc)) from None
 
 
-def parse_decimal(text: str, canonical: bool = False) -> int:
-    """The value of ``text`` as an optionally signed run of ASCII digits.
+def parse_decimal(text: str, canonical: bool = False, key: str = "value") -> int:
+    """The value of field ``key``, ``text``, as an optionally signed run of
+    ASCII digits; raises ValueError ``<key> is not an integer: <text!r>``.
 
     With ``canonical`` only the spelling ``str(n)`` gives is accepted:
     ``0`` or ``-?[1-9][0-9]*``, with no ``+`` and no leading zero.  That is
     the grammar of the files the engine writes (event logs and traces),
-    where a parsed line must re-render to its own bytes.  Raises
-    ValueError for anything else.
+    where a parsed line must re-render to its own bytes, and anything else
+    raises int()'s ValueError or ``not a canonical integer``.
     """
     if canonical:
         value = int(text)
@@ -89,7 +90,7 @@ def parse_decimal(text: str, canonical: bool = False) -> int:
         return int(text)
     if text[:1] in ("+", "-") and text[1:].isdigit() and text.isascii():
         return int(text)
-    raise ValueError(f"not an ASCII integer: {text!r}")
+    raise ValueError(f"{key} is not an integer: {text!r}")
 
 
 def fold_name(name: str) -> str:

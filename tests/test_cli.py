@@ -163,11 +163,34 @@ def test_a_workflow_that_repeats_a_task_is_refused_at_its_line(sandbox, tmp_path
     task = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
     workflow = tmp_path / "repeat.wf"
     workflow.write_text(f"workflow w\n{task}{task}")
-    expected = "stratus: error: line 3: duplicate task name: 'a'\n"
+    expected = "line 3: duplicate task name: 'a'\n"
     assert main(["dot", str(workflow)]) == 1
-    assert capsys.readouterr().err == expected
+    assert capsys.readouterr().err == f"stratus: error: {expected}"
+    # run reads two files, so it names the one the line is in
     assert main(["run", str(workflow), data_path("two.cluster")]) == 1
-    assert capsys.readouterr().err == expected
+    assert capsys.readouterr().err == f"stratus: error: {workflow}: {expected}"
+
+
+@pytest.mark.parametrize(
+    "workflow, cluster, expected",
+    [
+        ("bad.wf", "two.cluster", "bad.wf: line 2: duplicate task name: 'a'"),
+        ("fig1.wf", "bad.cluster", "bad.cluster: line 1: total is not an integer: 'x'"),
+    ],
+)
+def test_run_names_the_scenario_file_a_line_error_is_in(
+    sandbox, tmp_path, monkeypatch, capsys, workflow, cluster, expected
+):
+    task = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
+    (tmp_path / "bad.wf").write_text(f"{task}{task}")
+    (tmp_path / "bad.cluster").write_text("fs total=x\n")
+    for name in ("fig1.wf", "two.cluster"):
+        (tmp_path / name).write_text(Path(data_path(name)).read_text())
+    # line 2 of the scenario is its cluster line: the text must name the file
+    (tmp_path / "s.scenario").write_text(f"workflow {workflow}\ncluster {cluster}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "s.scenario"]) == 1
+    assert capsys.readouterr().err == f"stratus: error: {expected}\n"
 
 
 def test_matrix_grid_is_stable_and_topology_sensitive(sandbox, capsys):

@@ -1,6 +1,7 @@
 """Import and definition hygiene: every module in src/stratus/ and tests/
-reads each name it imports, and every src definition is read by some src
-module.  Checked with the stdlib ast module, so no linter is needed."""
+reads each name it imports, every src definition is read by some src
+module, and no two src raise sites state the same refusal.  Checked with
+the stdlib ast module, so no linter is needed."""
 
 import ast
 import importlib
@@ -176,6 +177,115 @@ def test_the_scan_sees_unread_definitions():
     }
     assert unread_definitions(trees) == {
         "a.unread": 3, "a.C.unused": 7, "a.UNREAD": 9, "a._UNPACKED": 10, "a.TYPED": 11,
+    }
+
+
+# error-message templates that more than one src raise site builds, each
+# with the reason it is stated more than once
+RESTATED_REFUSALS_ALLOWED = {
+    "unknown directive {}": "the workflow and cluster formats each refuse a first word they do"
+    " not define as their own line error; the shared grammar keeps no table of directives",
+    "input_count must be positive, got {}": "a scenario file refuses it at its line, and"
+    " expand_instances refuses it from a caller that builds the run in code, with no line",
+}
+
+
+def _template(node: ast.expr) -> str | None:
+    """The text of a str or f-string literal, each f-string field as ``{}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in node.values
+        )
+    return None
+
+
+def _is_error_name(name: str) -> bool:
+    return name.endswith(("Error", "Exception"))
+
+
+def raised_templates(tree: ast.Module):
+    """(template, line) of each str or f-string literal passed to an
+    exception constructor (a callee named ``...Error`` or ``...Exception``,
+    or the call a ``raise`` raises) or to ``super().__init__`` in an error
+    class."""
+    raised = {id(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    in_error_class = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and _is_error_name(cls.name)
+        for node in ast.walk(cls)
+    }
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        callee = call.func
+        name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+        is_super_init = (
+            isinstance(callee, ast.Attribute)
+            and name == "__init__"
+            and isinstance(callee.value, ast.Call)
+            and getattr(callee.value.func, "id", None) == "super"
+            and id(call) in in_error_class
+        )
+        if _is_error_name(name) or id(call) in raised or is_super_init:
+            for arg in [*call.args, *(k.value for k in call.keywords)]:
+                template = _template(arg)
+                if template is not None:
+                    yield template, arg.lineno
+
+
+def restated_templates(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Template -> its ``path:line`` sites, for each template built at
+    more than one raise site across ``trees``."""
+    sites: dict[str, list[str]] = {}
+    for path, tree in trees.items():
+        for template, line in raised_templates(tree):
+            sites.setdefault(template, []).append(f"{path}:{line}")
+    return {t: where for t, where in sites.items() if len(where) > 1}
+
+
+def test_no_refusal_is_stated_twice():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((ROOT / "src/stratus").glob("*.py"))
+    }
+    restated = restated_templates(trees)
+    unexplained = [
+        f"{template!r} at {', '.join(where)}"
+        for template, where in restated.items()
+        if template not in RESTATED_REFUSALS_ALLOWED
+    ]
+    assert not unexplained, "one refusal stated at two raise sites:\n" + "\n".join(unexplained)
+    # an entry whose pair was folded goes with it
+    assert set(RESTATED_REFUSALS_ALLOWED) <= set(restated)
+
+
+def test_the_scan_sees_restated_templates():
+    trees = {
+        "a.py": ast.parse(
+            "class AError(Exception):\n"
+            "    def __init__(self, x):\n"
+            "        super().__init__(f'unknown a: {x!r}')\n"
+            "class Other:\n"
+            "    def __init__(self, x):\n"
+            "        super().__init__(f'unknown a: {x!r}')\n"
+            "def f(error, x):\n"
+            "    raise error(1, f'{x} is bad')\n"
+        ),
+        "b.py": ast.parse(
+            "def g(x):\n"
+            "    if x:\n"
+            "        raise ValueError(f'unknown a: {x!r}')\n"
+            "    log(f'{x} is bad')\n"
+            "    raise HTTPError(400, f'{x} is bad')\n"
+            "    raise AError(x)\n"
+        ),
+    }
+    assert restated_templates(trees) == {
+        "unknown a: {}": ["a.py:3", "b.py:3"],
+        "{} is bad": ["a.py:8", "b.py:5"],
     }
 
 

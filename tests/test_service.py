@@ -11,11 +11,12 @@ import time
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_machine, make_request, run_simulation
 from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
+from test_sim import engine_cases
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -24,10 +25,11 @@ from stratus.blueprint import (
     TopologyMode,
     access_allowed,
     default_access_matrix,
+    features_owned_by,
     parse_matrix_overrides,
 )
 from stratus.fixtures import fixture_path, fixture_text
-from stratus.machine import parse_cluster
+from stratus.machine import UnknownMachineError, parse_cluster
 from stratus import service
 from stratus.service import (
     ServiceContext,
@@ -39,11 +41,15 @@ from stratus.service import (
 )
 from stratus.sim import NonQuiescentError, Simulation, load_scenario
 from stratus.store import RunStore
+from stratus.taskmon import LogLevel
 from stratus.workflow import (
+    ReportOnRunningRunError,
     RunState,
     TaskDefinition,
     TaskState,
+    UnknownTaskError,
     WorkflowSpec,
+    execution_report,
     export_dot,
     parse_workflow,
     workflow_status,
@@ -1062,3 +1068,97 @@ def test_a_finished_runs_stream_is_one_batch_ending_on_the_terminal_record():
     assert list(context.progress(RUN_ID)) == [run.progress_records]
     with pytest.raises(UnknownRunError):
         next(context.progress("ghost"))
+
+
+# --- answers over random runs ---
+
+
+def answer(context, feature, subject):
+    """(200, payload), or the (status, text) the service refuses with."""
+    try:
+        with service._refusals():
+            return 200, service._build_payload(
+                context, feature, subject, 0, service.MAX_WINDOW_MS, LogLevel.DEBUG
+            )
+    except service._HTTPError as exc:
+        return exc.status, str(exc)
+
+
+def drawn_simulation(case, run_id, started):
+    spec, machines, input_count, seed, topology, injections = case
+    simulation = Simulation(
+        spec, machines, 10**15, input_count, seed, topology, run_id=run_id, submission_ms=0
+    )
+    for injection in injections:
+        simulation.inject(injection)
+    if started:
+        try:
+            simulation.run_to_completion()
+        except NonQuiescentError:
+            pass
+    return simulation
+
+
+TASK_FEATURES = features_owned_by(LayerId.TASK)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(engine_cases(), st.booleans()), min_size=1, max_size=3), st.data())
+def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, data):
+    """Every engine case's tasks share ids (``pw/t0/0``, ...), so runs drawn
+    with different sizes hold some ids in one run only; a run that was
+    never started holds its tasks with no trace records."""
+    simulations = [
+        drawn_simulation(case, f"r{n}", started) for n, (case, started) in enumerate(runs)
+    ]
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    order = data.draw(st.permutations(simulations))
+    for simulation in order:
+        context.attach_live(simulation)
+
+    held = {s.run_id: {i.task_id for i in s.run.instances} for s in simulations}
+    task_ids = sorted(set().union(*held.values()))
+    for task_id in task_ids:
+        holder = next(s for s in reversed(order) if task_id in held[s.run_id])
+        alone = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+        alone.attach_live(holder)
+        for feature in TASK_FEATURES:
+            assert answer(context, feature, task_id) == answer(alone, feature, task_id)
+        assert answer(context, FeatureKey.TASK_ID, task_id)[1]["run_id"] == holder.run_id
+        traced = any(r.task_id == task_id for r in holder.result.trace_records)
+        assert answer(context, FeatureKey.TASK_DURATION, task_id)[0] == (200 if traced else 404)
+
+    # a subject that names nothing answers the owning layer's own error
+    newest = order[-1]
+    for feature, subject, error in (
+        (FeatureKey.TASK_STATUS, "pw/ghost/0", UnknownTaskError("pw/ghost/0")),
+        (FeatureKey.WORKFLOW_STATUS, "ghost", UnknownRunError("ghost")),
+        (FeatureKey.MACHINE_STATUS, "m9", UnknownMachineError("m9")),
+    ):
+        assert answer(context, feature, subject) == (404, str(error))
+    for simulation in simulations:
+        reported = answer(context, FeatureKey.EXECUTION_REPORT, simulation.run_id)
+        if simulation.run.final_state is RunState.RUNNING:
+            assert reported == (400, str(ReportOnRunningRunError(simulation.run_id)))
+        else:
+            assert reported == (200, execution_report(simulation.run).to_record())
+    machine_id = newest.result.registry.machine_ids()[0]
+    assert answer(context, FeatureKey.MACHINE_STATUS, machine_id)[0] == 200
+
+    # a few of the same requests over HTTP answer the same status and body
+    requests_drawn = data.draw(st.lists(
+        st.tuples(st.sampled_from(TASK_FEATURES), st.sampled_from(task_ids + ["pw/ghost/0"])),
+        min_size=1, max_size=3,
+    ))
+    handle = serve(context)
+    try:
+        for feature, subject in requests_drawn:
+            status, body = answer(context, feature, subject)
+            response = get_feature(handle.url, feature, LayerId.TASK, subject=subject)
+            assert response.status_code == status
+            if status == 200:
+                assert response.json()["payload"] == json.loads(json.dumps(body))
+            else:
+                assert response.json() == {"error": body}
+    finally:
+        handle.close()

@@ -76,6 +76,7 @@ from stratus.workflow import (
     TaskState,
     WorkflowError,
     WorkflowSpec,
+    WorkflowSyntaxError,
     parse_workflow,
     ready_tasks,
     workflow_status,
@@ -1001,6 +1002,18 @@ def test_run_bundled_fault_scenario(tmp_path):
     assert machine_kills == {"wf1/III/4", "wf1/III/5", "wf1/III/6", "wf1/III/7"}
     assert verdicts["wf1/III/2"] is Verdict.NONE
     assert verdicts["wf1/III/3"] is Verdict.NONE
+
+
+def test_a_scenario_run_names_the_file_of_a_line_error(tmp_path):
+    (tmp_path / "bad.wf").write_text("workflow w\nworkflow v\n")
+    (tmp_path / "c.cluster").write_text(fixture_text("two.cluster"))
+    scenario = parse_scenario("workflow bad.wf\ncluster c.cluster\n", base_dir=tmp_path)
+    # a library caller keeps the format's error and its line
+    with pytest.raises(WorkflowSyntaxError) as err:
+        run_scenario(scenario, run_id="r")
+    assert err.value.line == 2
+    expected = "line 2: 'workflow' repeated; first set on line 1"
+    assert str(err.value) == f"{tmp_path / 'bad.wf'}: {expected}"
 
 
 # --- construction ---
