@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import time
-import uuid
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,14 +194,13 @@ def _print_status(record) -> None:
 
 def cmd_run(args) -> int:
     scenario = _scenario_from_run_args(args)
-    run_id = args.run_id or f"run-{uuid.uuid4().hex[:12]}"
-    result = run_scenario(scenario, run_id=run_id)
+    result = run_scenario(scenario, run_id=args.run_id)
 
-    run_dir = out_root() / run_id
+    run_dir = out_root() / result.run_id
     report = _write_run_outputs(result, run_dir)
     _store_from(args.store).append(result.run)
 
-    print(f"run {run_id}: {result.run.final_state.value}")
+    print(f"run {result.run_id}: {result.run.final_state.value}")
     print(
         f"instances {report.total} (succeeded {report.succeeded}, "
         f"failed {report.failed}), makespan {report.makespan_ms} ms"
@@ -301,7 +299,7 @@ def cmd_serve(args) -> int:
         scenario = load_scenario(args.scenario)
         if args.topology is not None:
             scenario = replace(scenario, topology=TopologyMode.from_wire(args.topology))
-        simulation = scenario_simulation(scenario, run_id=f"run-{uuid.uuid4().hex[:12]}")
+        simulation = scenario_simulation(scenario)
         topology = scenario.topology
     else:
         topology = TopologyMode.from_wire(args.topology or "workflow-aware")

@@ -104,26 +104,31 @@ class ServiceContext:
             self.results[result.run_id] = result
 
     def _wake(self, *_) -> None:
-        # called after an append or after ended is set; a reader counts
-        # itself before it looks, so one skipped here has yet to look
+        # called after an append, after ended is set, or after a server's
+        # closed is set; a reader counts itself before it looks, so one
+        # skipped here has yet to look
         if self._waiting:
             with self._progressed:
                 self._progressed.notify_all()
 
-    def progress(self, run_id: str):
+    def progress(self, run_id: str, closed: threading.Event | None = None):
         """``replay_progress`` of the run's event list from event 0, one list
         of records per wake, until the terminal record or, once the run has
-        ended, its last event."""
+        ended, its last event.  Once ``closed`` is set (and ``_wake`` called)
+        it ends at once, short of both."""
         result = self.result(run_id)
         events, fold, read = result.event_records, ProgressFold(), 0
+        closed = closed or threading.Event()
         while True:
             with self._progressed:
                 self._waiting += 1
-                while read == len(events) and not result.ended:
+                while read == len(events) and not result.ended and not closed.is_set():
                     self._progressed.wait()
                 self._waiting -= 1
                 # ended is set after the last append, so it is read first
                 ended, end = result.ended, len(events)
+            if closed.is_set():
+                return
             # by its module name, so a wrapper on it sees every batch
             batch = replay_progress(events[read:end], fold)
             read = end
@@ -471,114 +476,137 @@ def _build_payload(
     return build(resolve(context, feature, subject), t_from, t_to, min_level)
 
 
-def _make_handler(context: ServiceContext):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+def _resolve_feature(context: ServiceContext, layer: LayerId, segment: str):
+    """The feature or declared extension the path names; 404 unless ``layer`` owns it."""
+    alias = _STATUS_ALIASES.get((layer, segment))
+    if alias is not None:
+        return alias
+    if segment in context.matrix.extensions:
+        if context.matrix.owning_layer(segment) is not layer:
+            raise _HTTPError(404, f"extension {segment!r} is not owned by {layer.wire_name}")
+        return segment
+    try:
+        feature = FeatureKey.from_wire(segment)
+    except UnknownFeatureError as exc:
+        raise _HTTPError(404, str(exc)) from None
+    if feature.owning_layer is not layer:
+        owner = feature.owning_layer.wire_name
+        raise _HTTPError(404, f"{feature.value} is owned by {owner}, not {layer.wire_name}")
+    return feature
 
-        def log_message(self, format, *args):
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection to the query service; it reads the context its server
+    carries, so no class holds a context of its own."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):
+        pass
+
+    def _send_json(self, code: int, payload: dict) -> None:
+        body = json.dumps(payload, sort_keys=True).encode()
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        try:
+            self._route()
+        except _HTTPError as exc:
+            self._send_json(exc.status, {"error": str(exc)})
+        except BrokenPipeError:
             pass
 
-        def _send_json(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload, sort_keys=True).encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self):
-            try:
-                self._route()
-            except _HTTPError as exc:
-                self._send_json(exc.status, {"error": str(exc)})
-            except BrokenPipeError:
-                pass
-
-        def _route(self):
-            parsed = urlparse(self.path)
-            segments = [s for s in parsed.path.split("/") if s]
-            query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-            if len(segments) != 3 or segments[0] != "v1":
-                raise _HTTPError(404, "expected /v1/<layer>/<feature>")
-            try:
-                path_layer = LayerId.from_wire(segments[1])
-            except UnknownLayerError as exc:
-                raise _HTTPError(404, str(exc)) from None
-
-            # the live stream is read under workflow_status's access rule
-            live = segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW
-            feature = (
-                FeatureKey.WORKFLOW_STATUS if live else _resolve_feature(path_layer, segments[2])
-            )
-
-            as_layer_name = query.get("as_layer")
-            if not as_layer_name:
-                raise _HTTPError(400, "missing as_layer parameter")
-            try:
-                as_layer = LayerId.from_wire(as_layer_name)
-            except UnknownLayerError as exc:
-                raise _HTTPError(400, str(exc)) from None
-
-            denial = authorize(context.matrix, as_layer, feature, context.topology)
-            if denial is not None:
-                raise _HTTPError(403, denial)
-            subject = query.get("subject")
-            if live:
-                self._live_progress(subject)
-                return
-
-            with _refusals():
-                t_from = parse_decimal(query["from"], key="from") if "from" in query else 0
-                t_to = parse_decimal(query["to"], key="to") if "to" in query else MAX_WINDOW_MS
-                if t_from > t_to:
-                    raise InvalidWindowError(t_from, t_to)
-                level = query.get("min_level")
-                min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
-                payload = _build_payload(context, feature, subject, t_from, t_to, min_level)
-
-            self._send_json(200, {
-                "feature": feature.value if isinstance(feature, FeatureKey) else feature,
-                "subject": subject,
-                "served_at_ms": context.served_at_ms(),
-                "payload": payload,
-            })
-
-        def _live_progress(self, run_id: str | None):
-            if not run_id:
-                raise _HTTPError(400, "live_progress needs a run_id subject")
-            with _refusals():  # 404 before the stream starts, never after
-                context.result(run_id)
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            for batch in context.progress(run_id):
-                self.wfile.write(b"".join(
-                    json.dumps(_status_payload(record), sort_keys=True).encode() + b"\n"
-                    for record in batch
-                ))
-                self.wfile.flush()
-            self.close_connection = True
-
-    def _resolve_feature(layer: LayerId, segment: str):
-        """The feature or declared extension the path names; 404 unless ``layer`` owns it."""
-        alias = _STATUS_ALIASES.get((layer, segment))
-        if alias is not None:
-            return alias
-        if segment in context.matrix.extensions:
-            if context.matrix.owning_layer(segment) is not layer:
-                raise _HTTPError(404, f"extension {segment!r} is not owned by {layer.wire_name}")
-            return segment
+    def _route(self):
+        context = self.server.context
+        parsed = urlparse(self.path)
+        segments = [s for s in parsed.path.split("/") if s]
+        query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+        if len(segments) != 3 or segments[0] != "v1":
+            raise _HTTPError(404, "expected /v1/<layer>/<feature>")
         try:
-            feature = FeatureKey.from_wire(segment)
-        except UnknownFeatureError as exc:
+            path_layer = LayerId.from_wire(segments[1])
+        except UnknownLayerError as exc:
             raise _HTTPError(404, str(exc)) from None
-        if feature.owning_layer is not layer:
-            owner = feature.owning_layer.wire_name
-            raise _HTTPError(404, f"{feature.value} is owned by {owner}, not {layer.wire_name}")
-        return feature
 
-    return Handler
+        # the live stream is read under workflow_status's access rule
+        live = segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW
+        feature = (
+            FeatureKey.WORKFLOW_STATUS if live
+            else _resolve_feature(context, path_layer, segments[2])
+        )
+
+        as_layer_name = query.get("as_layer")
+        if not as_layer_name:
+            raise _HTTPError(400, "missing as_layer parameter")
+        try:
+            as_layer = LayerId.from_wire(as_layer_name)
+        except UnknownLayerError as exc:
+            raise _HTTPError(400, str(exc)) from None
+
+        denial = authorize(context.matrix, as_layer, feature, context.topology)
+        if denial is not None:
+            raise _HTTPError(403, denial)
+        subject = query.get("subject")
+        if live:
+            self._live_progress(context, subject)
+            return
+
+        with _refusals():
+            t_from = parse_decimal(query["from"], key="from") if "from" in query else 0
+            t_to = parse_decimal(query["to"], key="to") if "to" in query else MAX_WINDOW_MS
+            if t_from > t_to:
+                raise InvalidWindowError(t_from, t_to)
+            level = query.get("min_level")
+            min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
+            payload = _build_payload(context, feature, subject, t_from, t_to, min_level)
+
+        self._send_json(200, {
+            "feature": feature.value if isinstance(feature, FeatureKey) else feature,
+            "subject": subject,
+            "served_at_ms": context.served_at_ms(),
+            "payload": payload,
+        })
+
+    def _live_progress(self, context: ServiceContext, run_id: str | None):
+        if not run_id:
+            raise _HTTPError(400, "live_progress needs a run_id subject")
+        with _refusals():  # 404 before the stream starts, never after
+            context.result(run_id)
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")
+        self.end_headers()
+        # a stream the server's close cuts short ends without a terminal record
+        for batch in context.progress(run_id, self.server.closed):
+            self.wfile.write(b"".join(
+                json.dumps(_status_payload(record), sort_keys=True).encode() + b"\n"
+                for record in batch
+            ))
+            self.wfile.flush()
+        self.close_connection = True
+
+
+class _Server(ThreadingHTTPServer):
+    """The query service's HTTP server; its handlers read ``context``."""
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], context: ServiceContext):
+        # set first: a failed bind calls server_close from super().__init__
+        self.context = context
+        self.closed = threading.Event()
+        super().__init__(address, _Handler)
+
+    def server_close(self) -> None:
+        # end the live streams this server is writing: each waits on the
+        # context, so it is woken to see `closed`
+        self.closed.set()
+        self.context._wake()
+        super().server_close()
 
 
 # how often serve_forever checks for shutdown; close() waits up to this long
@@ -587,7 +615,7 @@ _POLL_INTERVAL_S = 0.05
 
 @dataclass
 class ServiceHandle:
-    server: ThreadingHTTPServer
+    server: _Server
     thread: threading.Thread
 
     @property
@@ -608,8 +636,7 @@ class ServiceHandle:
 def serve(context: ServiceContext, host: str = "127.0.0.1", port: int = 0) -> ServiceHandle:
     """Start the query service on a daemon thread and return a handle with
     the bound address and a close()."""
-    server = ThreadingHTTPServer((host, port), _make_handler(context))
-    server.daemon_threads = True
+    server = _Server((host, port), context)
     thread = threading.Thread(target=server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True)
     thread.start()
     return ServiceHandle(server=server, thread=thread)

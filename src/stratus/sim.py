@@ -74,7 +74,8 @@ instance:
   whose descendants were poisoned with them.
 - The records built per instance or per event (``EventRecord``,
   ``SynthesizedMetrics``, ``_Execution``, and the layers'
-  ``MachineSample``, ``TaskTraceRecord`` and ``Diagnosis``) are slotted
+  ``MachineSample``, ``TaskTraceRecord``, ``Diagnosis`` and
+  ``WorkflowStatusReport``) are slotted
   dataclasses, not frozen ones.  Each is written once, when it is built,
   and nothing hashes it; a frozen dataclass sets every field through
   ``object.__setattr__``, which makes building one about four times as

@@ -321,7 +321,7 @@ class RunRecord:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WorkflowStatusReport:
     state: RunState
     finished: int

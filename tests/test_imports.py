@@ -1,7 +1,8 @@
 """Import and definition hygiene: every module in src/stratus/ and tests/
 reads each name it imports, every src definition is read by some src
-module, and no two src raise sites state the same refusal.  Checked with
-the stdlib ast module, so no linter is needed."""
+module, no two src raise sites state the same refusal, and no src function
+defines a class.  Checked with the stdlib ast module, so no linter is
+needed."""
 
 import ast
 import importlib
@@ -30,6 +31,8 @@ UNREAD_DEFINITIONS_ALLOWED = {
     "fixtures.fixture_path": "the path of a bundled file, for loaders of scenario files",
     "machine.ResourceVector.plus": "the arithmetic of the resource manager's test oracles",
     "cli._Parser.error": "argparse calls it on a usage error",
+    "service._Handler.do_GET": "http.server calls it",
+    "service._Handler.log_message": "http.server calls it",
 }
 
 
@@ -287,6 +290,55 @@ def test_the_scan_sees_restated_templates():
         "unknown a: {}": ["a.py:3", "b.py:3"],
         "{} is bad": ["a.py:8", "b.py:5"],
     }
+
+
+def classes_defined_in_functions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each class statement in a function body.  Each call
+    of the function makes a new class, and a class sits in a reference
+    cycle, so what its methods close over lives until a full collection."""
+    functions = ast.FunctionDef | ast.AsyncFunctionDef
+    return sorted({
+        (node.name, node.lineno)
+        for function in ast.walk(tree)
+        if isinstance(function, functions)
+        for node in ast.walk(function)
+        if isinstance(node, ast.ClassDef)
+    })
+
+
+def test_no_src_function_defines_a_class():
+    factories = [
+        f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+        for path in sorted((ROOT / "src/stratus").glob("*.py"))
+        for name, line in classes_defined_in_functions(
+            ast.parse(path.read_text(), filename=str(path))
+        )
+    ]
+    assert not factories, "class defined inside a function:\n" + "\n".join(factories)
+
+
+def test_the_scan_sees_classes_defined_in_functions():
+    tree = ast.parse(
+        "class Top:\n"
+        "    class Nested:\n"
+        "        pass\n"
+        "    def method(self):\n"
+        "        class InMethod:\n"
+        "            pass\n"
+        "def factory(x):\n"
+        "    def inner():\n"
+        "        class Deep:\n"
+        "            pass\n"
+        "    class Made:\n"
+        "        y = x\n"
+        "    return Made\n"
+        "async def later():\n"
+        "    class Waited:\n"
+        "        pass\n"
+    )
+    assert classes_defined_in_functions(tree) == [
+        ("Deep", 9), ("InMethod", 5), ("Made", 11), ("Waited", 15),
+    ]
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls(monkeypatch):

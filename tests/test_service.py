@@ -3,11 +3,14 @@ payload correctness per feature, error codes, the live progress stream, and
 the context's bookkeeping."""
 
 import ast
+import gc
+import http.client
 import inspect
 import json
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 import requests
@@ -908,6 +911,58 @@ def test_live_run_registers_the_result_the_engine_returns():
     poisoned = {i.task_id for i in result.run.instances if i.state is TaskState.PENDING}
     assert poisoned
     assert context.result("live-faults").never_eligible == poisoned
+
+
+def wait_until(done, seconds=5.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not done():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_closing_the_service_ends_its_waiting_live_streams():
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    # never started, so its stream waits for a first event that never comes
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="idle", submission_ms=0)
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    before = set(threading.enumerate())
+    handle = serve(context)
+    response = requests.get(
+        f"{handle.url}/v1/workflow/live_progress",
+        params={"as_layer": "workflow", "subject": "idle"},
+        stream=True,
+        timeout=5,
+    )
+    assert response.status_code == 200
+    handle.close()
+    # a stream still waiting would fail this read with a timeout
+    assert response.raw.read() == b""
+    assert wait_until(lambda: not set(threading.enumerate()) - before)
+
+
+def test_a_closed_service_frees_its_context_without_a_collection():
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        context, _, handle = start_server(TopologyMode.WORKFLOW_AWARE)
+        # a client whose socket closes now, not when a collection frees it
+        client = http.client.HTTPConnection(*handle.address, timeout=10)
+        client.request("GET", f"/v1/workflow/status?as_layer=workflow&subject={RUN_ID}")
+        response = client.getresponse()
+        assert response.status == 200 and json.loads(response.read())["subject"] == RUN_ID
+        client.close()
+        alive = weakref.ref(context)
+        handle.close()
+        del context, handle
+        # the connection's handler thread ends once it reads the client's close
+        assert wait_until(lambda: alive() is None)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_live_progress_errors(aware):
