@@ -262,24 +262,38 @@ def default_access_matrix() -> AccessMatrix:
     return AccessMatrix(entries=dict(_DEFAULT_PERMITTED))
 
 
+def authorize(
+    matrix: AccessMatrix,
+    layer: LayerId,
+    feature: "FeatureKey | str",
+    topology: TopologyMode,
+) -> str | None:
+    """The access decision: None when ``layer`` may serve/report ``feature``
+    under the matrix, otherwise the violated rule as text.  In the disjoint
+    topology the resource manager also loses every workflow-owned feature,
+    since the workflow system no longer shares its structures with it."""
+    name = feature.value if isinstance(feature, FeatureKey) else feature
+    permitted = matrix.lookup(feature)
+    if layer not in permitted:
+        allowed = ", ".join(sorted(l.wire_name for l in permitted))
+        return f"layer {layer.wire_name} is not permitted to read {name} (permitted: {allowed})"
+    disjoint = topology is TopologyMode.DISJOINT and layer is LayerId.RESOURCE_MANAGER
+    if disjoint and min(permitted) is LayerId.WORKFLOW:
+        return (
+            f"{name} is workflow-owned and the resource manager layer is "
+            f"disjoint from the workflow layer in this deployment"
+        )
+    return None
+
+
 def access_allowed(
     matrix: AccessMatrix,
     layer: LayerId,
     feature: "FeatureKey | str",
     topology: TopologyMode,
 ) -> bool:
-    """Whether ``layer`` may serve/report ``feature`` under the matrix.
-
-    In the disjoint topology the resource manager additionally loses access
-    to every workflow-owned feature, since the workflow system no longer
-    shares its structures with it.
-    """
-    permitted = matrix.lookup(feature)
-    return layer in permitted and not (
-        topology is TopologyMode.DISJOINT
-        and layer is LayerId.RESOURCE_MANAGER
-        and min(permitted) is LayerId.WORKFLOW
-    )
+    """Whether ``layer`` may serve/report ``feature`` under the matrix."""
+    return authorize(matrix, layer, feature, topology) is None
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,9 @@ logger = logging.getLogger("stratus")
 
 EX_USAGE = 64
 
+# the --topology spellings, in TopologyMode's order
+_TOPOLOGIES = tuple(mode.wire_name.replace("_", "-") for mode in TopologyMode)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -67,7 +70,7 @@ def build_parser() -> _Parser:
     run_p.add_argument("files", nargs="+", help="one .scenario file, or a .wf and a .cluster file")
     run_p.add_argument("--input-count", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--topology", choices=["workflow-aware", "disjoint"], default=None)
+    run_p.add_argument("--topology", choices=_TOPOLOGIES, default=None)
     run_p.add_argument("--run-id", default=None)
     run_p.add_argument("--store", default=None, help="run history file (default: STRATUS_STORE)")
 
@@ -83,9 +86,7 @@ def build_parser() -> _Parser:
     dot_p.add_argument("workflow")
 
     matrix_p = sub.add_parser("matrix", help="print the effective access matrix")
-    matrix_p.add_argument(
-        "--topology", choices=["workflow-aware", "disjoint"], default="workflow-aware"
-    )
+    matrix_p.add_argument("--topology", choices=_TOPOLOGIES, default="workflow-aware")
     matrix_p.add_argument("--overrides", default=None, help="matrix override file")
 
     classify_p = sub.add_parser("classify", help="score a capability profile")
@@ -95,7 +96,7 @@ def build_parser() -> _Parser:
     serve_p.add_argument("--bind", default="127.0.0.1:8321", help="host:port")
     serve_p.add_argument(
         "--topology",
-        choices=["workflow-aware", "disjoint"],
+        choices=_TOPOLOGIES,
         default=None,
         help="default: the scenario's topology, else workflow-aware",
     )

@@ -11,7 +11,7 @@ import enum
 import itertools
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .textfmt import LineError, directive_lines, key_values, line_int, set_once
@@ -132,6 +132,18 @@ class MachineSample:
     used: ResourceVector
 
 
+@dataclass(slots=True)
+class _Entry:
+    """One registered machine: its descriptor and its samples in time order."""
+
+    descriptor: MachineDescriptor
+    series: list[MachineSample] = field(default_factory=list)
+
+    def latest(self, t_ms: int) -> MachineSample | None:
+        end = bisect_right(self.series, t_ms, key=_T_MS)
+        return self.series[end - 1] if end else None
+
+
 class MachineRegistry:
     """Registry of machines plus their sample series.
 
@@ -142,57 +154,56 @@ class MachineRegistry:
     """
 
     def __init__(self):
-        self._machines: dict[str, MachineDescriptor] = {}
-        self._series: dict[str, list[MachineSample]] = {}
+        self._entries: dict[str, _Entry] = {}
         self._lock = threading.Lock()
         self.version = 0
 
+    def _entry(self, machine_id: str) -> _Entry:
+        # the caller holds the lock
+        try:
+            return self._entries[machine_id]
+        except KeyError:
+            raise UnknownMachineError(machine_id) from None
+
     def register_machine(self, descriptor: MachineDescriptor) -> None:
         with self._lock:
-            if descriptor.machine_id in self._machines:
+            if descriptor.machine_id in self._entries:
                 raise DuplicateMachineIdError(descriptor.machine_id)
-            self._machines[descriptor.machine_id] = descriptor
-            self._series[descriptor.machine_id] = []
+            self._entries[descriptor.machine_id] = _Entry(descriptor)
             self.version += 1
 
     def machine_ids(self) -> list[str]:
         with self._lock:
-            return sorted(self._machines)
+            return sorted(self._entries)
 
     def descriptor(self, machine_id: str) -> MachineDescriptor:
         with self._lock:
-            try:
-                return self._machines[machine_id]
-            except KeyError:
-                raise UnknownMachineError(machine_id) from None
+            return self._entry(machine_id).descriptor
 
     def set_status(self, machine_id: str, status: MachineStatus) -> None:
         with self._lock:
-            if machine_id not in self._machines:
-                raise UnknownMachineError(machine_id)
-            self._machines[machine_id] = replace(self._machines[machine_id], status=status)
+            entry = self._entry(machine_id)
+            entry.descriptor = replace(entry.descriptor, status=status)
             self.version += 1
 
     def status_counts(self) -> dict[MachineStatus, int]:
         with self._lock:
             counts = {status: 0 for status in MachineStatus}
-            for descriptor in self._machines.values():
-                counts[descriptor.status] += 1
+            for entry in self._entries.values():
+                counts[entry.descriptor.status] += 1
             return counts
 
     def record_sample(self, sample: MachineSample) -> None:
         with self._lock:
-            descriptor = self._machines.get(sample.machine_id)
-            if descriptor is None:
-                raise UnknownMachineError(sample.machine_id)
+            entry = self._entry(sample.machine_id)
             used = sample.used
             if used.cpu_cores < 0 or used.memory_bytes < 0 or used.disk_bytes < 0:
                 raise InvalidSampleError(f"{sample.machine_id}: negative usage at t={sample.t_ms}")
-            if not used.fits_within(descriptor.capacity):
+            if not used.fits_within(entry.descriptor.capacity):
                 raise InvalidSampleError(
                     f"{sample.machine_id}: usage exceeds capacity at t={sample.t_ms}"
                 )
-            series = self._series[sample.machine_id]
+            series = entry.series
             if series and sample.t_ms <= series[-1].t_ms:
                 raise InvalidSampleError(
                     f"{sample.machine_id}: sample time {sample.t_ms} not after "
@@ -204,34 +215,27 @@ class MachineRegistry:
         if t_from > t_to:
             raise InvalidWindowError(t_from, t_to)
         with self._lock:
-            series = self._series.get(machine_id)
-            if series is None:
-                raise UnknownMachineError(machine_id)
+            series = self._entry(machine_id).series
             start = bisect_left(series, t_from, key=_T_MS)
             return series[start:bisect_right(series, t_to, lo=start, key=_T_MS)]
 
     def latest_sample(self, machine_id: str, t_ms: int) -> MachineSample | None:
         with self._lock:
-            series = self._series.get(machine_id)
-            if series is None:
-                raise UnknownMachineError(machine_id)
-            end = bisect_right(series, t_ms, key=_T_MS)
-            return series[end - 1] if end else None
+            return self._entry(machine_id).latest(t_ms)
 
     def all_samples(self) -> list[MachineSample]:
         """Every machine's series merged by time, then machine id."""
         with self._lock:
-            samples = itertools.chain.from_iterable(self._series.values())
+            samples = itertools.chain.from_iterable(e.series for e in self._entries.values())
             return sorted(samples, key=attrgetter("t_ms", "machine_id"))
 
     def available_resources(self, machine_id: str, t_ms: int) -> ResourceVector:
         """Capacity minus the most recent sample at or before t_ms; full
         capacity when nothing has been sampled yet."""
-        capacity = self.descriptor(machine_id).capacity
-        latest = self.latest_sample(machine_id, t_ms)
-        if latest is None:
-            return capacity
-        return capacity.minus(latest.used)
+        with self._lock:
+            entry = self._entry(machine_id)
+            capacity, latest = entry.descriptor.capacity, entry.latest(t_ms)
+        return capacity if latest is None else capacity.minus(latest.used)
 
 
 _MACHINE_KEYS = ("type", "cpus", "mem", "disk", "arch", "model", "clock")

@@ -37,18 +37,6 @@ from .blueprint import TopologyMode
 from .machine import MachineRegistry, MachineStatus, ResourceVector
 from .workflow import ResourceRequest, RunRecord
 
-__all__ = [
-    "TopologyMode",
-    "InfrastructureStatus",
-    "FileSystemStatus",
-    "ResourceManager",
-    "ResmanError",
-    "WrongTopologyError",
-    "DuplicateEntryError",
-    "UnknownEntryError",
-]
-
-
 class ResmanError(Exception):
     pass
 
@@ -80,11 +68,6 @@ _DISJOINT = TopologyMode.DISJOINT  # bound once: submit_task reads it per instan
 
 def _triple(v: "ResourceVector | ResourceRequest") -> _Vector:
     return (v.cpu_cores, v.memory_bytes, v.disk_bytes)
-
-
-def _plus(a: _Vector, b: _Vector) -> _Vector:
-    """a + b per dimension, as ResourceVector.plus computes it."""
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 @dataclass(frozen=True)
@@ -236,15 +219,15 @@ class ResourceManager:
 
     def infrastructure_status(self) -> InfrastructureStatus:
         counts = self.registry.status_counts()
-        total = reserved = _ZERO
+        total = reserved = ResourceVector(*_ZERO)
         for machine_id in self.registry.machine_ids():
-            total = _plus(total, _triple(self.registry.descriptor(machine_id).capacity))
-            reserved = _plus(reserved, self._reserved.get(machine_id, _ZERO))
+            total = total.plus(self.registry.descriptor(machine_id).capacity)
+            reserved = reserved.plus(self.reserved_on(machine_id))
         return InfrastructureStatus(
             machines_total=sum(counts.values()),
             machines_by_status=counts,
-            capacity_total=ResourceVector(*total),
-            capacity_reserved=ResourceVector(*reserved),
+            capacity_total=total,
+            capacity_reserved=reserved,
             queue_depth=self.queue_depth(),
             running_tasks=len(self._running),
         )

@@ -8,8 +8,9 @@ data is available during execution, not only after it.
 """
 
 import json
+import socket
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -23,7 +24,7 @@ from .blueprint import (
     TopologyMode,
     UnknownFeatureError,
     UnknownLayerError,
-    access_allowed,
+    authorize,
     default_access_matrix,
 )
 from .machine import InvalidWindowError, MachineDescriptor, MachineRegistry, UnknownMachineError
@@ -163,28 +164,6 @@ class ServiceContext:
         with self._lock:
             results = list(self.results.values())
         return max([0] + [r.event_records[-1].t_ms for r in results if r.event_records])
-
-
-def authorize(
-    matrix: AccessMatrix,
-    as_layer: LayerId,
-    feature: "FeatureKey | str",
-    topology: TopologyMode,
-) -> str | None:
-    """None when access is allowed; otherwise the violated rule as text."""
-    name = feature.value if isinstance(feature, FeatureKey) else feature
-    permitted = matrix.lookup(feature)
-    if as_layer not in permitted:
-        return (
-            f"layer {as_layer.wire_name} is not permitted to read {name} "
-            f"(permitted: {', '.join(sorted(l.wire_name for l in permitted))})"
-        )
-    if not access_allowed(matrix, as_layer, feature, topology):
-        return (
-            f"{name} is workflow-owned and the resource manager layer is "
-            f"disjoint from the workflow layer in this deployment"
-        )
-    return None
 
 
 def _vector_payload(vector) -> dict:
@@ -547,6 +526,7 @@ class _Handler(BaseHTTPRequestHandler):
         except UnknownLayerError as exc:
             raise _HTTPError(400, str(exc)) from None
 
+        # blueprint's decision, by its module name here so a wrapper sees each one
         denial = authorize(context.matrix, as_layer, feature, context.topology)
         if denial is not None:
             raise _HTTPError(403, denial)
@@ -599,13 +579,28 @@ class _Server(ThreadingHTTPServer):
         # set first: a failed bind calls server_close from super().__init__
         self.context = context
         self.closed = threading.Event()
+        # the connections a handler still serves; each set call is atomic
+        self._open: set[socket.socket] = set()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self._open.discard(request)
+        super().shutdown_request(request)
 
     def server_close(self) -> None:
         # end the live streams this server is writing: each waits on the
         # context, so it is woken to see `closed`
         self.closed.set()
         self.context._wake()
+        # end the idle keep-alive connections: a handler waiting for the
+        # next request reads EOF, and one writing a response finishes it
+        for request in list(self._open):
+            with suppress(OSError):  # its handler closed it meanwhile
+                request.shutdown(socket.SHUT_RD)
         super().server_close()
 
 

@@ -87,8 +87,15 @@ def test_register_and_list_sorted():
 def test_machine_id_never_reusable():
     registry = MachineRegistry()
     registry.register_machine(make_machine("m1"))
+    registry.record_sample(sample("m1", 100))
+    version = registry.version
     with pytest.raises(DuplicateMachineIdError):
-        registry.register_machine(make_machine("m1"))
+        registry.register_machine(make_machine("m1", cpus=4))
+    # the refused descriptor replaced nothing: ids, series and version stand
+    assert registry.machine_ids() == ["m1"]
+    assert registry.descriptor("m1").capacity.cpu_cores == 8
+    assert registry.query_series("m1", 0, 200) == [sample("m1", 100)]
+    assert registry.version == version
 
 
 def test_status_transitions_and_counts():
@@ -128,9 +135,29 @@ def test_sample_rejects_negative_and_overflow_usage():
     registry.record_sample(sample("m1", 0, cpus=4.0))
 
 
-def test_sample_for_unknown_machine():
-    with pytest.raises(UnknownMachineError):
-        MachineRegistry().record_sample(sample("ghost", 0))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda registry: registry.descriptor("ghost"),
+        lambda registry: registry.set_status("ghost", MachineStatus.UNHEALTHY),
+        lambda registry: registry.record_sample(sample("ghost", 0)),
+        lambda registry: registry.query_series("ghost", 0, 10),
+        lambda registry: registry.latest_sample("ghost", 10),
+        lambda registry: registry.available_resources("ghost", 10),
+    ],
+    ids=[
+        "descriptor", "set_status", "record_sample", "query_series", "latest_sample",
+        "available_resources",
+    ],
+)
+def test_every_registry_call_refuses_an_unknown_machine(call):
+    registry = MachineRegistry()
+    registry.register_machine(make_machine("m1"))
+    version = registry.version
+    with pytest.raises(UnknownMachineError, match="^unknown machine: 'ghost'$") as raised:
+        call(registry)
+    assert raised.value.machine_id == "ghost"
+    assert registry.version == version
 
 
 # --- window queries against a linear scan oracle ---

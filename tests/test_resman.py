@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_machine, make_request, random_cluster
+from stratus.blueprint import TopologyMode
 from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
 from stratus.resman import (
     DuplicateEntryError,
     ResmanError,
     ResourceManager,
-    TopologyMode,
     UnknownEntryError,
     WrongTopologyError,
 )

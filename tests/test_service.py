@@ -173,17 +173,6 @@ def test_authorization_runs_before_subject_checks(aware):
     assert response.status_code == 403
 
 
-def test_authorize_helper_agrees_with_matrix():
-    matrix = default_access_matrix()
-    for topology in TopologyMode:
-        for feature in ALL_FEATURES:
-            for layer in ALL_LAYERS:
-                denial = authorize(matrix, layer, feature, topology)
-                assert (denial is None) == access_allowed(
-                    matrix, layer, feature, topology
-                )
-
-
 _EXTENSION_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
     lambda name: name not in ORACLE_ROWS
 )
@@ -960,6 +949,36 @@ def test_a_closed_service_frees_its_context_without_a_collection():
         del context, handle
         # the connection's handler thread ends once it reads the client's close
         assert wait_until(lambda: alive() is None)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_closing_the_service_ends_its_idle_keep_alive_connections():
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        before = set(threading.enumerate())
+        context, _, handle = start_server(TopologyMode.WORKFLOW_AWARE)
+        path = f"/v1/workflow/status?as_layer=workflow&subject={RUN_ID}"
+        # a client that keeps its connection open across the close
+        client = http.client.HTTPConnection(*handle.address, timeout=5)
+        client.request("GET", path)
+        response = client.getresponse()
+        assert response.status == 200 and json.loads(response.read())["subject"] == RUN_ID
+        alive = weakref.ref(context)
+        handle.close()
+        del context, handle
+        # the connection's handler thread reads EOF and ends, freeing the context
+        assert wait_until(lambda: not set(threading.enumerate()) - before)
+        assert wait_until(lambda: alive() is None)
+        try:
+            client.request("GET", path)
+            status = client.getresponse().status
+        except (http.client.HTTPException, OSError):
+            status = None
+        client.close()
+        assert status != 200
     finally:
         if collecting:
             gc.enable()
