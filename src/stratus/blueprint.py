@@ -100,59 +100,8 @@ class TopologyMode(enum.Enum):
             raise BlueprintError(f"unknown topology: {name!r}") from None
 
 
-class FeatureKey(str, enum.Enum):
-    """The monitoring features, in the canonical grouped order (resource
-    manager, workflow, machine, task).  Values are the wire spelling used in
-    every file format and API path."""
-
-    # resource manager layer
-    INFRASTRUCTURE_STATUS = "infrastructure_status"
-    FILE_SYSTEM_STATUS = "file_system_status"
-    RUNNING_WORKFLOWS = "running_workflows"
-    # workflow layer
-    WORKFLOW_STATUS = "workflow_status"
-    WORKFLOW_SPECIFICATION = "workflow_specification"
-    GRAPHICAL_REPRESENTATION = "graphical_representation"
-    WORKFLOW_ID = "workflow_id"
-    EXECUTION_REPORT = "execution_report"
-    PREVIOUS_EXECUTIONS = "previous_executions"
-    # machine layer
-    MACHINE_STATUS = "machine_status"
-    MACHINE_TYPE = "machine_type"
-    HARDWARE_SPECIFICATION = "hardware_specification"
-    AVAILABLE_RESOURCES = "available_resources"
-    USED_RESOURCES = "used_resources"
-    # task layer
-    TASK_STATUS = "task_status"
-    REQUESTED_RESOURCES = "requested_resources"
-    CONSUMED_RESOURCES = "consumed_resources"
-    RESOURCE_CONSUMPTION_FOR_CODE_PARTS = "resource_consumption_for_code_parts"
-    TASK_ID = "task_id"
-    APPLICATION_LOGS = "application_logs"
-    TASK_DURATION = "task_duration"
-    LOW_LEVEL_TASK_METRICS = "low_level_task_metrics"
-    FAULT_DIAGNOSIS = "fault_diagnosis"
-
-    @property
-    def wire_name(self) -> str:
-        return self.value
-
-    @property
-    def owning_layer(self) -> LayerId:
-        return min(_DEFAULT_PERMITTED[self])
-
-    @classmethod
-    def from_wire(cls, name: str) -> "FeatureKey":
-        try:
-            return cls(name.strip())
-        except ValueError:
-            raise UnknownFeatureError(f"unknown feature key: {name!r}") from None
-
-
 # the hierarchy from the top down
 ALL_LAYERS: tuple[LayerId, ...] = tuple(reversed(LayerId))
-
-ALL_FEATURES: tuple[FeatureKey, ...] = tuple(FeatureKey)
 
 _EVERY_LAYER = frozenset(ALL_LAYERS)
 _RM = frozenset({LayerId.RESOURCE_MANAGER})
@@ -162,33 +111,65 @@ _RM_M = frozenset({LayerId.RESOURCE_MANAGER, LayerId.MACHINE})
 _M = frozenset({LayerId.MACHINE})
 _T = frozenset({LayerId.TASK})
 
-# The default permitted-layer sets, row by row.  The lowest layer of a row
-# owns the feature.
-_DEFAULT_PERMITTED: dict[FeatureKey, frozenset[LayerId]] = {
-    FeatureKey.INFRASTRUCTURE_STATUS: _RM,
-    FeatureKey.FILE_SYSTEM_STATUS: _RM,
-    FeatureKey.RUNNING_WORKFLOWS: _RM,
-    FeatureKey.WORKFLOW_STATUS: _RM_WF,
-    FeatureKey.WORKFLOW_SPECIFICATION: _RM_WF,
-    FeatureKey.GRAPHICAL_REPRESENTATION: _WF,
-    FeatureKey.WORKFLOW_ID: _RM_WF,
-    FeatureKey.EXECUTION_REPORT: _WF,
-    FeatureKey.PREVIOUS_EXECUTIONS: _WF,
-    FeatureKey.MACHINE_STATUS: _RM_M,
-    FeatureKey.MACHINE_TYPE: _RM_M,
-    FeatureKey.HARDWARE_SPECIFICATION: _M,
-    FeatureKey.AVAILABLE_RESOURCES: _RM_M,
-    FeatureKey.USED_RESOURCES: _RM_M,
-    FeatureKey.TASK_STATUS: _EVERY_LAYER,
-    FeatureKey.REQUESTED_RESOURCES: _EVERY_LAYER,
-    FeatureKey.CONSUMED_RESOURCES: _EVERY_LAYER,
-    FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: _T,
-    FeatureKey.TASK_ID: _EVERY_LAYER,
-    FeatureKey.APPLICATION_LOGS: _T,
-    FeatureKey.TASK_DURATION: _EVERY_LAYER,
-    FeatureKey.LOW_LEVEL_TASK_METRICS: _T,
-    FeatureKey.FAULT_DIAGNOSIS: _T,
-}
+
+class FeatureKey(str, enum.Enum):
+    """The monitoring features, in the canonical grouped order (resource
+    manager, workflow, machine, task).  Values are the wire spelling used in
+    every file format and API path.  Each member carries its row of the
+    default access matrix, ``default_permitted``; the lowest layer of a row
+    owns the feature."""
+
+    # resource manager layer
+    INFRASTRUCTURE_STATUS = "infrastructure_status", _RM
+    FILE_SYSTEM_STATUS = "file_system_status", _RM
+    RUNNING_WORKFLOWS = "running_workflows", _RM
+    # workflow layer
+    WORKFLOW_STATUS = "workflow_status", _RM_WF
+    WORKFLOW_SPECIFICATION = "workflow_specification", _RM_WF
+    GRAPHICAL_REPRESENTATION = "graphical_representation", _WF
+    WORKFLOW_ID = "workflow_id", _RM_WF
+    EXECUTION_REPORT = "execution_report", _WF
+    PREVIOUS_EXECUTIONS = "previous_executions", _WF
+    # machine layer
+    MACHINE_STATUS = "machine_status", _RM_M
+    MACHINE_TYPE = "machine_type", _RM_M
+    HARDWARE_SPECIFICATION = "hardware_specification", _M
+    AVAILABLE_RESOURCES = "available_resources", _RM_M
+    USED_RESOURCES = "used_resources", _RM_M
+    # task layer
+    TASK_STATUS = "task_status", _EVERY_LAYER
+    REQUESTED_RESOURCES = "requested_resources", _EVERY_LAYER
+    CONSUMED_RESOURCES = "consumed_resources", _EVERY_LAYER
+    RESOURCE_CONSUMPTION_FOR_CODE_PARTS = "resource_consumption_for_code_parts", _T
+    TASK_ID = "task_id", _EVERY_LAYER
+    APPLICATION_LOGS = "application_logs", _T
+    TASK_DURATION = "task_duration", _EVERY_LAYER
+    LOW_LEVEL_TASK_METRICS = "low_level_task_metrics", _T
+    FAULT_DIAGNOSIS = "fault_diagnosis", _T
+
+    def __new__(cls, wire_name: str, default_permitted: frozenset[LayerId]):
+        member = str.__new__(cls, wire_name)
+        member._value_ = wire_name
+        member.default_permitted = default_permitted
+        return member
+
+    @property
+    def wire_name(self) -> str:
+        return self.value
+
+    @property
+    def owning_layer(self) -> LayerId:
+        return min(self.default_permitted)
+
+    @classmethod
+    def from_wire(cls, name: str) -> "FeatureKey":
+        try:
+            return cls(name.strip())
+        except ValueError:
+            raise UnknownFeatureError(f"unknown feature key: {name!r}") from None
+
+
+ALL_FEATURES: tuple[FeatureKey, ...] = tuple(FeatureKey)
 
 
 def features_owned_by(layer: LayerId) -> tuple[FeatureKey, ...]:
@@ -196,6 +177,10 @@ def features_owned_by(layer: LayerId) -> tuple[FeatureKey, ...]:
 
 
 _EXTENSION_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+
+# path segments the query service routes before any extension: a layer's
+# bare `status` and the workflow layer's live progress stream
+_SERVICE_ROUTES = frozenset({"status", "live_progress"})
 
 
 @dataclass(frozen=True)
@@ -241,6 +226,8 @@ class AccessMatrix:
                 raise InvalidMatrixError(f"extension name not lower_snake_case: {name!r}", key)
             if name in standard_names:
                 raise InvalidMatrixError(f"extension {name!r} shadows a standard feature", key)
+            if name in _SERVICE_ROUTES:
+                raise InvalidMatrixError(f"extension {name!r} shadows a service route", key)
             if not permitted:
                 raise InvalidMatrixError(f"extension {name!r} permits no layer", key)
 
@@ -259,7 +246,7 @@ class AccessMatrix:
 def default_access_matrix() -> AccessMatrix:
     """The built-in access matrix: one permitted-layer set per feature, the
     default policy every deployment starts from."""
-    return AccessMatrix(entries=dict(_DEFAULT_PERMITTED))
+    return AccessMatrix(entries={f: f.default_permitted for f in ALL_FEATURES})
 
 
 def authorize(
@@ -341,7 +328,7 @@ def parse_matrix_overrides(text: str) -> AccessMatrix:
     rules; a row that breaks one raises ``MatrixFileError`` at its line,
     with the matrix's ``InvalidMatrixError`` as its ``__cause__``.
     """
-    entries = dict(_DEFAULT_PERMITTED)
+    entries = dict(default_access_matrix().entries)
     extensions: dict[str, frozenset[LayerId]] = {}
     rows: dict[str, int] = {}  # row key -> the line that last set it
     for lineno, line in directive_lines(text):

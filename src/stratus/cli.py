@@ -24,7 +24,7 @@ from .blueprint import (
     parse_matrix_overrides,
     render_matrix_grid,
 )
-from .sim import ScenarioSpec, load_scenario, run_scenario, scenario_simulation
+from .sim import ScenarioSpec, load_scenario, parse_file, run_scenario, scenario_simulation
 from .store import RunStore
 from .service import ServiceContext, serve
 from .taskmon import format_log
@@ -164,9 +164,8 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
                 "machine_id": machine_id,
                 "type": descriptor.machine_type.value,
                 "status": descriptor.status.value,
-                "cpu_cores": descriptor.capacity.cpu_cores,
-                "memory_bytes": descriptor.capacity.memory_bytes,
-                "disk_bytes": descriptor.capacity.disk_bytes,
+                # a frozen dataclass without slots: vars holds its fields
+                **vars(descriptor.capacity),
                 "cpu_architecture": descriptor.hardware.cpu_architecture,
                 "cpu_model": descriptor.hardware.cpu_model,
                 "memory_clock_mhz": descriptor.hardware.memory_clock_mhz,
@@ -211,7 +210,8 @@ def cmd_run(args) -> int:
 
 
 def _load_run(store: RunStore, run_id: str):
-    for record in store.load_all():
+    # a reused run id names its newest run, as in the query service
+    for record in reversed(store.load_all()):
         if record.run_id == run_id:
             return record
     raise ValueError(f"run {run_id!r} not found in {store.path}")
@@ -306,7 +306,9 @@ def cmd_serve(args) -> int:
         topology = TopologyMode.from_wire(args.topology or "workflow-aware")
     context = ServiceContext(
         topology,
-        matrix=_matrix_from(args.overrides),
+        # serve reads up to four files, so a line error names its file
+        matrix=parse_file(parse_matrix_overrides, args.overrides)
+        if args.overrides else default_access_matrix(),
         store=_store_from(args.store),
     )
     if simulation is not None:

@@ -166,16 +166,13 @@ class ServiceContext:
         return max([0] + [r.event_records[-1].t_ms for r in results if r.event_records])
 
 
-def _vector_payload(vector) -> dict:
-    return {
-        "cpu_cores": vector.cpu_cores,
-        "memory_bytes": vector.memory_bytes,
-        "disk_bytes": vector.disk_bytes,
-    }
-
-
-def _request_payload(requested: ResourceRequest) -> dict:
-    return {**_vector_payload(requested), "max_runtime_ms": requested.max_runtime_ms}
+def _whole(record) -> dict:
+    """Every field of a layer record served whole, as a new dict.  The
+    record's field names are the payload's keys, so renaming a field changes
+    the wire format.  The records served so are frozen dataclasses without
+    slots, so ``__dict__`` holds exactly their fields; a tuple field is a
+    JSON array, as ``json.dumps`` writes it."""
+    return record.__dict__.copy()
 
 
 def _status_payload(report: WorkflowStatusReport) -> dict:
@@ -282,26 +279,10 @@ def _infrastructure_status(rm, *_) -> dict:
     return {
         "machines_total": status.machines_total,
         "machines_by_status": {s.value: n for s, n in status.machines_by_status.items()},
-        "capacity_total": _vector_payload(status.capacity_total),
-        "capacity_reserved": _vector_payload(status.capacity_reserved),
+        "capacity_total": _whole(status.capacity_total),
+        "capacity_reserved": _whole(status.capacity_reserved),
         "queue_depth": status.queue_depth,
         "running_tasks": status.running_tasks,
-    }
-
-
-def _file_system_status(rm, *_) -> dict:
-    fs = rm.filesystem_status()
-    return {"total_bytes": fs.total_bytes, "used_bytes": fs.used_bytes, "healthy": fs.healthy}
-
-
-def _hardware_specification(machine: _Machine, *_) -> dict:
-    hw = machine.descriptor.hardware
-    return {
-        "machine_id": machine.machine_id,
-        "cpu_architecture": hw.cpu_architecture,
-        "cpu_model": hw.cpu_model,
-        "memory_clock_mhz": hw.memory_clock_mhz,
-        "disk_partitions": [[name, size] for name, size in hw.disk_partitions],
     }
 
 
@@ -311,18 +292,13 @@ def _requested(task: _Task) -> ResourceRequest:
 
 def _consumed_resources(task: _Task, *_) -> dict:
     record = task.record
-    utilization = consumed_vs_requested(record, _requested(task))
     return {
         "task_id": task.task_id,
         "cpu_pct": record.cpu_pct,
         "rss_bytes": record.rss_bytes,
         "rchar_bytes": record.rchar_bytes,
         "wchar_bytes": record.wchar_bytes,
-        "utilization": {
-            "cpu_ratio": utilization.cpu_ratio,
-            "memory_ratio": utilization.memory_ratio,
-            "runtime_ratio": utilization.runtime_ratio,
-        },
+        "utilization": _whole(consumed_vs_requested(record, _requested(task))),
     }
 
 
@@ -337,7 +313,7 @@ def _fault_diagnosis(task: _Task, *_) -> dict:
 # is the resolved subject: rm, run, m (machine) or t (task)
 _FEATURES = {
     FeatureKey.INFRASTRUCTURE_STATUS: (_cluster, _infrastructure_status),
-    FeatureKey.FILE_SYSTEM_STATUS: (_cluster, _file_system_status),
+    FeatureKey.FILE_SYSTEM_STATUS: (_cluster, lambda rm, *_: _whole(rm.filesystem_status())),
     FeatureKey.RUNNING_WORKFLOWS: (_cluster, lambda rm, *_: {"running": [
         {"run_id": r, "workflow_id": w, "state": s} for r, w, s in rm.running_workflows()
     ]}),
@@ -345,12 +321,7 @@ _FEATURES = {
     FeatureKey.WORKFLOW_SPECIFICATION: (_run, lambda run, *_: {
         "workflow_id": run.spec.workflow_id,
         "tasks": [
-            {
-                "name": t.name,
-                "scatter": t.scatter,
-                **_request_payload(t.requested),
-                "model": t.runtime_model,
-            }
+            {"name": t.name, "scatter": t.scatter, "model": t.runtime_model, **_whole(t.requested)}
             for t in run.spec.tasks
         ],
         "edges": [[a, b] for a, b in run.spec.edges],
@@ -360,30 +331,25 @@ _FEATURES = {
         _run, lambda run, *_: {"run_id": run.run_id, "workflow_id": run.run.workflow_id}
     ),
     FeatureKey.EXECUTION_REPORT: (_run, lambda run, *_: execution_report(run.run).to_record()),
-    FeatureKey.PREVIOUS_EXECUTIONS: (_history, lambda summaries, *_: {"executions": [
-        {
-            "run_id": s.run_id,
-            "workflow_id": s.workflow_id,
-            "submission_ms": s.submission_ms,
-            "final_state": s.final_state,
-            "makespan_ms": s.makespan_ms,
-        }
-        for s in summaries
-    ]}),
+    FeatureKey.PREVIOUS_EXECUTIONS: (
+        _history, lambda summaries, *_: {"executions": [_whole(s) for s in summaries]}
+    ),
     FeatureKey.MACHINE_STATUS: (
         _machine, lambda m, *_: {"machine_id": m.machine_id, "status": m.descriptor.status.value}
     ),
     FeatureKey.MACHINE_TYPE: (_machine, lambda m, *_: {
         "machine_id": m.machine_id, "type": m.descriptor.machine_type.value
     }),
-    FeatureKey.HARDWARE_SPECIFICATION: (_machine, _hardware_specification),
-    FeatureKey.AVAILABLE_RESOURCES: (_machine, lambda m, t_from, t_to, level: _vector_payload(
+    FeatureKey.HARDWARE_SPECIFICATION: (
+        _machine, lambda m, *_: {"machine_id": m.machine_id, **_whole(m.descriptor.hardware)}
+    ),
+    FeatureKey.AVAILABLE_RESOURCES: (_machine, lambda m, t_from, t_to, level: _whole(
         m.registry.available_resources(m.machine_id, t_to)
     )),
     FeatureKey.USED_RESOURCES: (_machine, lambda m, t_from, t_to, level: {
         "machine_id": m.machine_id,
         "samples": [
-            {"t_ms": s.t_ms, **_vector_payload(s.used)}
+            {"t_ms": s.t_ms, **_whole(s.used)}
             for s in m.registry.query_series(m.machine_id, t_from, t_to)
         ],
     }),
@@ -391,7 +357,7 @@ _FEATURES = {
         _task, lambda t, *_: {"task_id": t.task_id, "state": t.instance.state.value}
     ),
     FeatureKey.REQUESTED_RESOURCES: (
-        _task, lambda t, *_: {"task_id": t.task_id, **_request_payload(_requested(t))}
+        _task, lambda t, *_: {"task_id": t.task_id, **_whole(_requested(t))}
     ),
     FeatureKey.CONSUMED_RESOURCES: (_traced, _consumed_resources),
     FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: (

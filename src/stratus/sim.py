@@ -1027,18 +1027,18 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     return ScenarioSpec(workflow_path, cluster_path, injections=tuple(injections), **settings)
 
 
-def load_scenario(path: "Path | str") -> ScenarioSpec:
-    path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), base_dir=path.parent)
-
-
-def _parse_file(parse, path: Path, **kwargs):
-    """``parse`` of the text of ``path``; a line error's text names the file."""
+def parse_file(parse, path: "Path | str", **kwargs):
+    """``parse`` of the text of ``path``; a line error's text names the file,
+    for the commands that read more than one."""
     try:
-        return parse(path.read_text(encoding="utf-8"), **kwargs)
+        return parse(Path(path).read_text(encoding="utf-8"), **kwargs)
     except LineError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def load_scenario(path: "Path | str") -> ScenarioSpec:
+    return parse_file(parse_scenario, path, base_dir=Path(path).parent)
 
 
 def scenario_simulation(scenario: ScenarioSpec, **kwargs) -> Simulation:
@@ -1048,8 +1048,8 @@ def scenario_simulation(scenario: ScenarioSpec, **kwargs) -> Simulation:
     from .workflow import parse_workflow
 
     workflow_path = scenario.workflow_path
-    spec = _parse_file(parse_workflow, workflow_path, default_workflow_id=workflow_path.stem)
-    machines, fs_total = _parse_file(parse_cluster, scenario.cluster_path)
+    spec = parse_file(parse_workflow, workflow_path, default_workflow_id=workflow_path.stem)
+    machines, fs_total = parse_file(parse_cluster, scenario.cluster_path)
     simulation = Simulation(
         spec, machines, fs_total, scenario.input_count, scenario.seed, scenario.topology,
         **kwargs,

@@ -362,15 +362,8 @@ class ExecutionReport:
                 "succeeded": self.succeeded,
                 "failed": self.failed,
             },
-            "task_stats": {
-                name: {
-                    "count": s.count,
-                    "min_ms": s.min_ms,
-                    "mean_ms": s.mean_ms,
-                    "max_ms": s.max_ms,
-                }
-                for name, s in self.task_stats.items()
-            },
+            # DurationStats is frozen without slots: __dict__ holds its fields
+            "task_stats": {name: s.__dict__.copy() for name, s in self.task_stats.items()},
         }
 
 

@@ -277,6 +277,16 @@ def test_parse_overrides_names_the_row_that_breaks_a_rule(text, line):
     assert not isinstance(info.value, MatrixFileError)
 
 
+@pytest.mark.parametrize("name", ["status", "live_progress"])
+def test_an_extension_may_not_take_a_name_the_service_routes(name):
+    # a layer's bare status and the live stream resolve before any
+    # extension, so an extension of either name could never be served
+    with pytest.raises(MatrixFileError) as info:
+        parse_matrix_overrides(f"extension gpu: machine\nextension {name}: workflow\n")
+    assert str(info.value) == f"line 2: extension {name!r} shadows a service route"
+    assert info.value.__cause__.key == f"extension {name}"
+
+
 def test_parse_overrides_extension_declarations():
     matrix = parse_matrix_overrides(
         "extension gpu_utilization: machine, resource_manager\n"

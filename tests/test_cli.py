@@ -148,6 +148,21 @@ def test_report_prints_and_writes(sandbox, capsys):
     assert report["run_id"] == "r1"
 
 
+def test_a_reused_run_id_names_its_newest_run(sandbox, capsys):
+    assert main(["run", data_path("faults.scenario"), "--run-id", "demo"]) == 2
+    assert main(["run", data_path("fig1.scenario"), "--run-id", "demo"]) == 0
+    written = (sandbox / "demo" / "report.json").read_bytes()
+    capsys.readouterr()
+    assert main(["status", "demo"]) == 0
+    assert capsys.readouterr().out == (
+        "state=succeeded finished=18 total=18 progress=1.000 failures=0\n"
+    )
+    assert main(["report", "demo"]) == 0
+    assert "state     succeeded" in capsys.readouterr().out
+    # report rewrites the newest run's own report, byte for byte
+    assert (sandbox / "demo" / "report.json").read_bytes() == written
+
+
 # --- dot, matrix, classify ---
 
 
@@ -171,25 +186,37 @@ def test_a_workflow_that_repeats_a_task_is_refused_at_its_line(sandbox, tmp_path
     assert capsys.readouterr().err == f"stratus: error: {workflow}: {expected}"
 
 
+_RUN = ["run", "s.scenario"]
+_SERVE = ["serve", "--scenario", "s.scenario"]
+_BAD_SEED = "s.scenario: line 3: seed is not an integer: 'x'"
+
+
 @pytest.mark.parametrize(
-    "workflow, cluster, expected",
+    "workflow, cluster, rest, argv, expected",
     [
-        ("bad.wf", "two.cluster", "bad.wf: line 2: duplicate task name: 'a'"),
-        ("fig1.wf", "bad.cluster", "bad.cluster: line 1: total is not an integer: 'x'"),
+        ("bad.wf", "two.cluster", "", _RUN, "bad.wf: line 2: duplicate task name: 'a'"),
+        ("fig1.wf", "bad.cluster", "", _RUN, "bad.cluster: line 1: total is not an integer: 'x'"),
+        ("fig1.wf", "two.cluster", "seed x\n", _RUN, _BAD_SEED),
+        ("fig1.wf", "two.cluster", "seed x\n", _SERVE, _BAD_SEED),
+        (
+            "fig1.wf", "two.cluster", "", [*_SERVE, "--overrides", "bad.matrix"],
+            "bad.matrix: line 1: unknown feature key: 'bogus'",
+        ),
     ],
 )
 def test_run_names_the_scenario_file_a_line_error_is_in(
-    sandbox, tmp_path, monkeypatch, capsys, workflow, cluster, expected
+    sandbox, tmp_path, monkeypatch, capsys, workflow, cluster, rest, argv, expected
 ):
     task = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
     (tmp_path / "bad.wf").write_text(f"{task}{task}")
     (tmp_path / "bad.cluster").write_text("fs total=x\n")
+    (tmp_path / "bad.matrix").write_text("bogus: workflow\n")
     for name in ("fig1.wf", "two.cluster"):
         (tmp_path / name).write_text(Path(data_path(name)).read_text())
     # line 2 of the scenario is its cluster line: the text must name the file
-    (tmp_path / "s.scenario").write_text(f"workflow {workflow}\ncluster {cluster}\n")
+    (tmp_path / "s.scenario").write_text(f"workflow {workflow}\ncluster {cluster}\n{rest}")
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "s.scenario"]) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err == f"stratus: error: {expected}\n"
 
 

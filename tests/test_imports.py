@@ -1,8 +1,8 @@
 """Import and definition hygiene: every module in src/stratus/ and tests/
 reads each name it imports, every src definition is read by some src
-module, no two src raise sites state the same refusal, and no src function
-defines a class.  Checked with the stdlib ast module, so no linter is
-needed."""
+module, no two src raise sites state the same refusal, no src function
+defines a class, and every src name perfbench imports exists.  Checked
+with the stdlib ast module, so no linter is needed."""
 
 import ast
 import importlib
@@ -414,3 +414,12 @@ def test_every_benchmark_patch_point_is_a_src_callable(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, "patch points that name no callable:\n" + "\n".join(missing)
+
+
+def test_every_src_name_perfbench_imports_resolves(monkeypatch):
+    """A src rename of a name perfbench imports or annotates breaks the
+    benchmark at import; ``workloads`` pulls in every other perfbench module
+    but ``run``, and importing them only defines things."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for module in ("workloads", "run"):
+        importlib.import_module(module)
