@@ -31,6 +31,7 @@ from .taskmon import format_log
 from .textfmt import parse_decimal
 from .workflow import (
     ExecutionReport,
+    RunRecord,
     RunState,
     execution_report,
     export_dot,
@@ -198,7 +199,7 @@ def cmd_run(args) -> int:
 
     run_dir = out_root() / result.run_id
     report = _write_run_outputs(result, run_dir)
-    _store_from(args.store).append(result.run)
+    _store_from(args.store).append(result.run, run_dir)
 
     print(f"run {result.run_id}: {result.run.final_state.value}")
     print(
@@ -209,22 +210,27 @@ def cmd_run(args) -> int:
     return 0 if result.run.final_state is RunState.SUCCEEDED else 2
 
 
-def _load_run(store: RunStore, run_id: str):
+def _load_run(store: RunStore, run_id: str) -> tuple[RunRecord, Path]:
+    """The run record in the run directory of the newest history entry
+    with ``run_id``, and that directory."""
     # a reused run id names its newest run, as in the query service
-    for record in reversed(store.load_all()):
-        if record.run_id == run_id:
-            return record
+    for summary, run_dir in reversed(store.load_all()):
+        if summary.run_id == run_id:
+            if run_dir is None:
+                raise ValueError(f"run {run_id!r} in {store.path} has no run directory")
+            run_payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+            return RunRecord.from_record(run_payload), run_dir
     raise ValueError(f"run {run_id!r} not found in {store.path}")
 
 
 def cmd_status(args) -> int:
-    record = _load_run(_store_from(args.store), args.run_id)
+    record, _ = _load_run(_store_from(args.store), args.run_id)
     _print_status(record)
     return 0
 
 
 def cmd_report(args) -> int:
-    record = _load_run(_store_from(args.store), args.run_id)
+    record, run_dir = _load_run(_store_from(args.store), args.run_id)
     report = execution_report(record)
     print(f"run       {report.run_id}")
     print(f"state     {record.final_state.value}")
@@ -241,8 +247,7 @@ def cmd_report(args) -> int:
                 f"  {name:<{width}}  count={stats.count} min={stats.min_ms} "
                 f"mean={stats.mean_ms:.1f} max={stats.max_ms}"
             )
-    out_path = out_root() / report.run_id / "report.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = run_dir / "report.json"
     _write_json(out_path, report.to_record())
     print(f"written to {out_path}")
     return 0
@@ -317,12 +322,15 @@ def cmd_serve(args) -> int:
     handle = serve(context, host, port)
     print(f"serving on {handle.url}", flush=True)
     try:
-        # the run executes here, streamed live; an engine error closes the
-        # server and reaches main, which exits 1 with nothing stored
+        # the run executes here, streamed live, and is then written and
+        # stored as `run` does; an engine error closes the server and
+        # reaches main, which exits 1 with nothing written or stored
         if simulation is not None:
-            simulation.run_to_completion()
-            context.store.append(simulation.run)
-            print(f"run {simulation.run_id}: {simulation.run.final_state.value}", flush=True)
+            result = simulation.run_to_completion()
+            run_dir = out_root() / result.run_id
+            _write_run_outputs(result, run_dir)
+            context.store.append(result.run, run_dir)
+            print(f"run {result.run_id}: {result.run.final_state.value}", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

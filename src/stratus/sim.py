@@ -125,6 +125,7 @@ from .taskmon import (
 )
 from .textfmt import LineError, directive_lines, line_int, parse_decimal, set_once
 from .workflow import (
+    InvalidNameError,
     RunRecord,
     RunState,
     TaskDefinition,
@@ -593,7 +594,8 @@ class SimulationResult:
 class Simulation:
     """One configured run.  Construct, optionally inject faults, then call
     run_to_completion() exactly once.  Faults may also be injected while it
-    runs, until the run has ended."""
+    runs, until the run has ended.  A given run id names the run's directory
+    under the output root, so it must be one path segment."""
 
     def __init__(
         self,
@@ -606,6 +608,16 @@ class Simulation:
         run_id: str | None = None,
         submission_ms: int | None = None,
     ):
+        if run_id is not None and (
+            run_id in (".", "..")
+            or any(c in run_id for c in "/\\\t")
+            or run_id.splitlines() != [run_id]  # also refuses ""
+        ):
+            raise InvalidNameError(
+                run_id,
+                "be one non-empty path segment other than '.' and '..',"
+                " without '/', '\\', tabs or line breaks",
+            )
         self.spec = spec
         self.topology = topology
         self.input_count = input_count

@@ -1,4 +1,5 @@
-"""Append-only run history store: one JSON record per line, fsync on append."""
+"""Append-only run history store: an index of runs, one JSON summary line
+per run, fsync on append."""
 
 import json
 import logging
@@ -6,8 +7,9 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .workflow import RunRecord, makespan_ms
+from .workflow import RunRecord, RunState, makespan_ms
 
 logger = logging.getLogger("stratus")
 
@@ -27,8 +29,12 @@ class RunSummary:
     makespan_ms: int
 
 
-def _decode(line: bytes) -> RunRecord:
-    return RunRecord.from_record(json.loads(line))
+class RunEntry(NamedTuple):
+    """One stored run: its summary, and the absolute path of the directory
+    that holds the whole run, or None when no directory was recorded."""
+
+    summary: RunSummary
+    run_dir: "Path | None"
 
 
 def _summarize(record: RunRecord) -> RunSummary:
@@ -41,18 +47,41 @@ def _summarize(record: RunRecord) -> RunSummary:
     )
 
 
+def _decode(line: bytes) -> RunEntry:
+    fields = json.loads(line)
+    if "instances" in fields:
+        # a whole-record line, as written before the store became an index
+        return RunEntry(_summarize(RunRecord.from_record(fields)), None)
+    run_dir = fields["run_dir"]
+    return RunEntry(
+        RunSummary(
+            run_id=fields["run_id"],
+            workflow_id=fields["workflow_id"],
+            submission_ms=fields["submission_ms"],
+            final_state=RunState(fields["final_state"]).value,
+            makespan_ms=fields["makespan_ms"],
+        ),
+        None if run_dir is None else Path(run_dir),
+    )
+
+
 class RunStore:
-    """Crash-safe run history at a single file path.  Appends are flushed
-    and fsynced before returning; ``load_all`` scans the whole file.
+    """Crash-safe run history at a single file path.  Each append writes one
+    line: the run's five ``RunSummary`` fields and ``run_dir``, the absolute
+    path of the run's directory or null, with sorted keys.  The directory,
+    not the store, holds the whole run.  Appends are flushed and fsynced
+    before returning.  A line written before the store became an index holds
+    the whole ``RunRecord``; it is read as that record's summary with no run
+    directory.
 
     An append cut short by a crash leaves an unparseable final line with no
     newline.  Reads skip it with a warning and the next append truncates it;
     a bad line anywhere else is corruption and raises StoreError.
 
-    Run summaries are kept in memory with the byte offset and the inode of
-    the file they were read from: each ``list_previous_executions`` call
-    parses only the whole lines appended since, by this store or any other
-    writer, and starts over when the file shrank or was replaced."""
+    Entries are kept in memory with the byte offset and the inode of the
+    file they were read from: each read parses only the whole lines appended
+    since, by this store or any other writer, and starts over when the file
+    shrank or was replaced."""
 
     def __init__(self, path: "str | Path"):
         self.path = Path(path)
@@ -61,13 +90,17 @@ class RunStore:
 
     def _reset(self, inode: "int | None") -> None:
         self._inode = inode
-        self._summaries: list[RunSummary] = []
-        self._offset = 0  # bytes of the whole lines summarized
+        self._entries: list[RunEntry] = []
+        self._offset = 0  # bytes of the whole lines read
         self._lines = 0
 
-    def append(self, record: RunRecord) -> None:
+    def append(self, record: RunRecord, run_dir: "str | Path | None" = None) -> None:
+        fields = {
+            **vars(_summarize(record)),
+            "run_dir": None if run_dir is None else str(Path(run_dir).resolve()),
+        }
+        line = json.dumps(fields, sort_keys=True).encode() + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record.to_record(), sort_keys=True).encode() + b"\n"
         with open(self.path, "ab+") as fh:
             fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
             if fh.read(1) not in (b"", b"\n"):
@@ -86,40 +119,38 @@ class RunStore:
 
     def _scan(self, data: bytes, first_line: int):
         """Decode ``data``, whose first line is line ``first_line`` of the
-        file.  Yields (length with newline, record or None when blank) per
-        whole line, then (0, record) for a final record that only lacks its
+        file.  Yields (length with newline, entry or None when blank) per
+        whole line, then (0, entry) for a final line that only lacks its
         newline.  A torn final line is skipped with a warning; a bad whole
         line raises StoreError."""
         lines = data.split(b"\n")
         tail = lines.pop()  # empty unless the last append was cut short
         for lineno, line in enumerate(lines, start=first_line):
-            record = None
+            entry = None
             if line.strip():
                 try:
-                    record = _decode(line)
+                    entry = _decode(line)
                 except _BAD_RECORD as exc:
                     raise StoreError(f"{self.path}:{lineno}: bad record: {exc}") from None
-            yield len(line) + 1, record
+            yield len(line) + 1, entry
         if tail.strip():
             try:
-                record = _decode(tail)
+                entry = _decode(tail)
             except _BAD_RECORD as exc:
                 logger.warning(
                     "%s:%d: skipping torn final record: %s",
                     self.path, first_line + len(lines), exc,
                 )
                 return
-            yield 0, record
+            yield 0, entry
 
-    def load_all(self) -> list[RunRecord]:
-        if not self.path.exists():
-            return []
-        data = self.path.read_bytes()
-        return [record for _, record in self._scan(data, 1) if record is not None]
+    def load_all(self) -> list[RunEntry]:
+        """One entry per stored line, in file order."""
+        with self._lock:
+            return self._read()
 
-    def _all_summaries(self) -> list[RunSummary]:
-        """Summaries of every stored record in file order; call with the
-        lock held."""
+    def _read(self) -> list[RunEntry]:
+        """Every entry in file order; call with the lock held."""
         try:
             fh = open(self.path, "rb")
         except FileNotFoundError:
@@ -131,23 +162,23 @@ class RunStore:
                 self._reset(stat.st_ino)
             fh.seek(self._offset)
             data = fh.read()
-        for size, record in self._scan(data, self._lines + 1):
+        for size, entry in self._scan(data, self._lines + 1):
             if not size:
-                return self._summaries + [_summarize(record)]
-            if record is not None:
-                self._summaries.append(_summarize(record))
+                return self._entries + [entry]
+            if entry is not None:
+                self._entries.append(entry)
             self._offset += size
             self._lines += 1
-        return list(self._summaries)
+        return list(self._entries)
 
     def list_previous_executions(self, workflow_id: str) -> list[RunSummary]:
         """Summaries of persisted runs of one workflow, newest submission
         first; ties keep the later-appended record first."""
         with self._lock:
-            summaries = self._all_summaries()
+            entries = self._read()
         matches = [
             (position, summary)
-            for position, summary in enumerate(summaries)
+            for position, (summary, _) in enumerate(entries)
             if summary.workflow_id == workflow_id
         ]
         matches.sort(key=lambda pair: (-pair[1].submission_ms, -pair[0]))

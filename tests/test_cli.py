@@ -15,6 +15,7 @@ import stratus
 from stratus.cli import main
 from stratus.store import RunStore
 from stratus.taskmon import parse_trace
+from stratus.workflow import RunRecord
 
 
 def data_path(name: str) -> str:
@@ -60,7 +61,7 @@ def test_run_scenario_writes_all_artifacts(sandbox, capsys):
     assert (run_dir / "samples.tsv").read_text().startswith("t_ms\tmachine\t")
 
     store = RunStore(sandbox / "runs.jsonl")
-    assert [r.run_id for r in store.load_all()] == ["r1"]
+    assert [e.summary.run_id for e in store.load_all()] == ["r1"]
 
 
 def test_run_same_seed_gives_identical_artifact_bytes(sandbox, capsys):
@@ -102,6 +103,19 @@ def test_run_failing_scenario_exits_two(sandbox, capsys):
     assert run_payload["never_eligible"] != []
 
 
+@pytest.mark.parametrize(
+    "run_id", ["../escape", "a/b", "a\\b", "t\tx", "nl\nx", "cr\rx", "", ".", ".."]
+)
+def test_a_run_id_that_is_not_one_path_segment_is_refused(sandbox, tmp_path, capsys, run_id):
+    assert main(["run", data_path("fig1.scenario"), "--run-id", run_id]) == 1
+    assert capsys.readouterr().err == (
+        "stratus: error: name must be one non-empty path segment other than '.' and"
+        f" '..', without '/', '\\', tabs or line breaks: {run_id!r}\n"
+    )
+    # refused before any file is written, inside the output root or beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_run_rejects_bad_file_combinations(sandbox, capsys):
     assert main(["run", data_path("fig1.wf")]) == 1
     assert "stratus: error:" in capsys.readouterr().err
@@ -114,7 +128,7 @@ def test_run_respects_store_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STRATUS_STORE", str(tmp_path / "elsewhere" / "history.jsonl"))
     assert main(["run", data_path("fig1.scenario"), "--run-id", "r1"]) == 0
     store = RunStore(tmp_path / "elsewhere" / "history.jsonl")
-    assert [r.run_id for r in store.load_all()] == ["r1"]
+    assert [e.summary.run_id for e in store.load_all()] == ["r1"]
 
 
 # --- status and report ---
@@ -146,6 +160,56 @@ def test_report_prints_and_writes(sandbox, capsys):
         assert f"  {name} " in out
     report = json.loads((sandbox / "r1" / "report.json").read_text())
     assert report["run_id"] == "r1"
+
+
+def test_status_and_report_read_the_run_directory_from_anywhere(
+    tmp_path, monkeypatch, capsys
+):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.delenv("STRATUS_STORE", raising=False)
+    monkeypatch.chdir(first)
+    monkeypatch.setenv("STRATUS_OUT", "out")  # relative to the first directory
+    assert main(["run", data_path("faults.scenario"), "--run-id", "r1"]) == 2
+    written = (first / "out" / "r1" / "report.json").read_bytes()
+    (first / "out" / "r1" / "report.json").unlink()
+    capsys.readouterr()
+
+    monkeypatch.chdir(second)
+    monkeypatch.setenv("STRATUS_OUT", str(tmp_path / "elsewhere"))
+    store = str(first / "out" / "runs.jsonl")
+    assert main(["status", "r1", "--store", store]) == 0
+    assert capsys.readouterr().out.startswith("state=failed ")
+    assert main(["report", "r1", "--store", store]) == 0
+    assert "state     failed" in capsys.readouterr().out
+    # report rewrites the report in the run's own directory, byte for byte
+    assert (first / "out" / "r1" / "report.json").read_bytes() == written
+    assert sorted(p.name for p in second.iterdir()) == []
+    assert not (tmp_path / "elsewhere").exists()
+
+
+@pytest.mark.parametrize("command", ["status", "report"])
+def test_an_entry_without_a_run_directory_is_refused(sandbox, capsys, command):
+    store = RunStore(sandbox / "runs.jsonl")
+    main(["run", data_path("fig1.scenario"), "--run-id", "r1"])
+    # a history line with no run directory, as another writer may append
+    store.append(recorded_run(sandbox / "r1"))
+    capsys.readouterr()
+    assert main([command, "r1"]) == 1
+    assert capsys.readouterr().err == (
+        f"stratus: error: run 'r1' in {sandbox / 'runs.jsonl'} has no run directory\n"
+    )
+    # a whole-record line from before the history was an index reads the same
+    with open(sandbox / "runs.jsonl", "a") as fh:
+        fh.write(json.dumps(recorded_run(sandbox / "r1").to_record(), sort_keys=True) + "\n")
+    assert main([command, "r1"]) == 1
+    assert "has no run directory" in capsys.readouterr().err
+
+
+def recorded_run(run_dir: Path) -> RunRecord:
+    """The run record that ``run_dir``'s run.json holds."""
+    return RunRecord.from_record(json.loads((run_dir / "run.json").read_text()))
 
 
 def test_a_reused_run_id_names_its_newest_run(sandbox, capsys):
@@ -376,6 +440,34 @@ def test_serve_adds_its_finished_run_to_the_run_history(tmp_path, capsys):
         stop(process)
     assert main(["status", run_id, "--store", str(store)]) == 0
     assert capsys.readouterr().out.startswith("state=failed ")
+
+
+def test_serve_writes_the_run_directory_that_run_writes(tmp_path, capsys, monkeypatch):
+    process = start_serve(tmp_path, "--scenario", data_path("fig1.scenario"))
+    try:
+        lines = []
+        run_id = read_line(process, "attached run ", lines).removeprefix("attached run ")
+        read_line(process, f"run {run_id}: ", lines)
+    finally:
+        stop(process)
+    served = tmp_path / "out" / run_id
+    monkeypatch.setenv("STRATUS_OUT", str(tmp_path / "ran"))
+    monkeypatch.delenv("STRATUS_STORE", raising=False)
+    assert main(["run", data_path("fig1.scenario"), "--run-id", "r1"]) == 0
+    ran = tmp_path / "ran" / "r1"
+    renamed = {f"trace-{run_id}.tsv": "trace-r1.tsv"}
+    assert {renamed.get(p.name, p.name) for p in served.iterdir()} == {
+        p.name for p in ran.iterdir()
+    }
+    # the files that do not name the run hold the same bytes
+    for name in ("samples.tsv", "machines.json", "logs.tsv"):
+        assert (served / name).read_bytes() == (ran / name).read_bytes(), name
+    # the served run is in its history, which names its directory
+    capsys.readouterr()
+    assert main(["status", run_id, "--store", str(tmp_path / "out" / "runs.jsonl")]) == 0
+    assert capsys.readouterr().out == (
+        "state=succeeded finished=18 total=18 progress=1.000 failures=0\n"
+    )
 
 
 @pytest.mark.parametrize("flags, status", [((), 403), (("--topology", "workflow-aware"), 200)])

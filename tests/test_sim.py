@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import json
 import random
 import tempfile
 from collections import Counter
@@ -59,7 +60,7 @@ from stratus.sim import (
     replay_progress,
     run_scenario,
 )
-from stratus.store import RunStore
+from stratus.store import RunEntry, RunStore, _summarize
 from stratus.taskmon import (
     LogEntry,
     LogLevel,
@@ -70,6 +71,7 @@ from stratus.taskmon import (
     parse_trace,
 )
 from stratus.workflow import (
+    RunRecord,
     RunState,
     TaskDefinition,
     TaskInstance,
@@ -1315,10 +1317,12 @@ def test_artifacts_round_trip_over_random_runs(case):
     result = simulation.result
     assert parse_event_log(result.event_log_text()) == result.event_records
     assert parse_trace(result.trace_text()) == result.trace_records
+    # run.json holds the record's JSON, which status and report read back
+    assert RunRecord.from_record(json.loads(json.dumps(result.run.to_record()))) == result.run
     with tempfile.TemporaryDirectory() as tmp:
         store = RunStore(Path(tmp) / "runs.jsonl")
-        store.append(result.run)
-        assert store.load_all() == [result.run]
+        store.append(result.run, tmp)
+        assert store.load_all() == [RunEntry(_summarize(result.run), Path(tmp).resolve())]
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,5 @@
-"""Run history store tests: append/load round trips, ordering, corruption."""
+"""Run history store tests: summary lines and their run directories, the
+reading of whole-record lines, ordering, corruption."""
 
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stratus.store import RunStore, RunSummary, StoreError
+from stratus.store import RunEntry, RunStore, RunSummary, StoreError
 from stratus.workflow import RunRecord, RunState, TaskInstance, TaskState, makespan_ms
 
 
@@ -27,13 +28,28 @@ def finished_run(run_id, workflow_id, submission_ms, duration=100) -> RunRecord:
     )
 
 
-def test_append_then_load_round_trip(tmp_path):
-    store = RunStore(tmp_path / "runs.jsonl")
+def old_line(run: RunRecord) -> bytes:
+    """A history line as written before the store became an index."""
+    return json.dumps(run.to_record(), sort_keys=True).encode() + b"\n"
+
+
+def test_append_then_load_round_trip(tmp_path, monkeypatch):
+    path = tmp_path / "runs.jsonl"
+    store = RunStore(path)
     run = finished_run("r1", "w", 1000)
-    store.append(run)
-    loaded = store.load_all()
-    assert len(loaded) == 1
-    assert loaded[0].to_record() == run.to_record()
+    monkeypatch.chdir(tmp_path)
+    store.append(run, "out/r1")  # a relative directory is stored absolute
+    store.append(finished_run("r2", "v", 2000, duration=7))
+    summary = RunSummary("r1", "w", 1000, "succeeded", 100)
+    assert store.load_all() == [
+        RunEntry(summary, tmp_path.resolve() / "out" / "r1"),
+        RunEntry(RunSummary("r2", "v", 2000, "succeeded", 7), None),
+    ]
+    assert RunStore(path).load_all() == store.load_all()
+    # one short line per run: the five summary fields and the run directory
+    assert path.read_bytes().split(b"\n")[0] == json.dumps(
+        {**vars(summary), "run_dir": str(tmp_path.resolve() / "out" / "r1")}, sort_keys=True
+    ).encode()
 
 
 def test_load_missing_file_is_empty(tmp_path):
@@ -75,10 +91,10 @@ def test_torn_final_append_is_skipped_then_truncated(tmp_path, caplog):
     store.append(finished_run("r2", "w", 1))
     path.write_bytes(path.read_bytes()[:-20])  # a crash cut the last append short
     with caplog.at_level("WARNING", logger="stratus"):
-        assert [r.run_id for r in store.load_all()] == ["r1"]
+        assert [e.summary.run_id for e in store.load_all()] == ["r1"]
     assert "torn final record" in caplog.text
     store.append(finished_run("r3", "w", 2))
-    assert [r.run_id for r in store.load_all()] == ["r1", "r3"]
+    assert [e.summary.run_id for e in store.load_all()] == ["r1", "r3"]
     assert [json.loads(l)["run_id"] for l in path.read_text().splitlines()] == ["r1", "r3"]
 
 
@@ -87,9 +103,9 @@ def test_unterminated_whole_final_record_is_kept(tmp_path):
     store = RunStore(path)
     store.append(finished_run("r1", "w", 0))
     path.write_bytes(path.read_bytes()[:-1])
-    assert [r.run_id for r in store.load_all()] == ["r1"]
+    assert [e.summary.run_id for e in store.load_all()] == ["r1"]
     store.append(finished_run("r2", "w", 1))
-    assert [r.run_id for r in store.load_all()] == ["r1", "r2"]
+    assert [e.summary.run_id for e in store.load_all()] == ["r1", "r2"]
 
 
 def test_interior_garbage_still_raises(tmp_path):
@@ -147,30 +163,37 @@ def test_previous_executions_ordering_matches_sort_oracle(tmp_path):
 # --- incremental summaries against a full reload ---
 
 
+def summary_of(record: RunRecord) -> RunSummary:
+    return RunSummary(
+        run_id=record.run_id,
+        workflow_id=record.workflow_id,
+        submission_ms=record.submission_ms,
+        final_state=record.final_state.value,
+        makespan_ms=makespan_ms(record),
+    )
+
+
+def newest_first(summaries, workflow_id):
+    """``workflow_id``'s summaries in ``summaries``, a list in append order:
+    newest submission first, the later append first on a tie."""
+    matches = [
+        (position, summary)
+        for position, summary in enumerate(summaries)
+        if summary.workflow_id == workflow_id
+    ]
+    matches.sort(key=lambda pair: (-pair[1].submission_ms, -pair[0]))
+    return [summary for _, summary in matches]
+
+
 def naive_previous_executions(path, workflow_id):
     """The summaries derived from a full load_all() of a fresh store."""
-    return summaries_of(RunStore(path).load_all(), workflow_id)
+    return newest_first([entry.summary for entry in RunStore(path).load_all()], workflow_id)
 
 
 def summaries_of(history, workflow_id):
-    """The summaries of ``workflow_id``'s records in ``history``, a list in
-    append order: newest submission first, the later append first on a tie."""
-    records = [
-        (position, record)
-        for position, record in enumerate(history)
-        if record.workflow_id == workflow_id
-    ]
-    records.sort(key=lambda pair: (-pair[1].submission_ms, -pair[0]))
-    return [
-        RunSummary(
-            run_id=r.run_id,
-            workflow_id=r.workflow_id,
-            submission_ms=r.submission_ms,
-            final_state=r.final_state.value,
-            makespan_ms=makespan_ms(r),
-        )
-        for _, r in records
-    ]
+    """The summaries of ``workflow_id``'s records in ``history``, a list of
+    run records in append order."""
+    return newest_first([summary_of(record) for record in history], workflow_id)
 
 
 def test_summaries_follow_appends_from_any_writer(tmp_path):
@@ -178,13 +201,18 @@ def test_summaries_follow_appends_from_any_writer(tmp_path):
     rng = random.Random(5)
     store, other = RunStore(path), RunStore(path)
     assert store.list_previous_executions("w") == []
+    appended = []
     for position in range(30):
         writer = store if rng.random() < 0.5 else other
         run = finished_run(
             f"r{position}", rng.choice(("w", "v")), rng.randint(0, 4) * 100,
             duration=rng.randint(1, 500),
         )
-        writer.append(run)
+        run_dir = rng.choice((None, tmp_path.resolve() / run.run_id))
+        writer.append(run, run_dir)
+        appended.append(RunEntry(summary_of(run), run_dir))
+        for reader in (store, other, RunStore(path)):
+            assert reader.load_all() == appended
         for workflow_id in ("w", "v"):
             expected = naive_previous_executions(path, workflow_id)
             assert store.list_previous_executions(workflow_id) == expected
@@ -201,9 +229,13 @@ def test_summaries_skip_a_torn_tail_until_the_next_append(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="stratus"):
         assert [s.run_id for s in store.list_previous_executions("w")] == ["r1"]
     assert "torn final record" in caplog.text
-    RunStore(path).append(finished_run("r3", "w", 2))
+    RunStore(path).append(finished_run("r3", "w", 2), tmp_path.resolve() / "r3")
     assert [s.run_id for s in store.list_previous_executions("w")] == ["r3", "r1"]
     assert store.list_previous_executions("w") == naive_previous_executions(path, "w")
+    assert store.load_all() == [
+        RunEntry(summary_of(finished_run("r1", "w", 0)), None),
+        RunEntry(summary_of(finished_run("r3", "w", 2)), tmp_path.resolve() / "r3"),
+    ]
 
 
 def test_summaries_keep_a_whole_record_missing_its_newline(tmp_path):
@@ -261,33 +293,114 @@ _runs = st.builds(
 )
 
 
-# each example cuts and heals its history about 300 times
+# each example cuts and heals its history about 300 times per format of
+# its second line
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_runs, min_size=3, max_size=3))
 def test_a_history_cut_anywhere_in_its_last_record_heals_on_the_next_append(runs):
     """A crash may cut an append at any byte.  Cut a two-record history at
     every byte of its second line, newline included, then append a third
     record: the cut record is gone unless only its newline was, and both a
-    fresh store and one that read the cut file list the rest."""
+    fresh store and one that read the cut file list the rest.  The second
+    line is a summary line, or a whole-record line as written before the
+    store became an index."""
     first, second, third = runs
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
-        RunStore(path).append(first)
-        head = path.stat().st_size
-        RunStore(path).append(second)
-        whole = path.read_bytes()
-        for cut in range(head, len(whole) + 1):
-            path.write_bytes(whole[:cut])
-            # the second line lacks at most its newline
-            kept = [first, second] if cut >= len(whole) - 1 else [first]
-            reader = RunStore(path)
-            assert reader.load_all() == kept, cut
-            assert reader.list_previous_executions("w") == summaries_of(kept, "w"), cut
+        run_dir = Path(tmp).resolve() / "run"
+        entries = [
+            RunEntry(summary_of(first), run_dir),
+            RunEntry(summary_of(second), None),
+            RunEntry(summary_of(third), run_dir),
+        ]
+        for second_line in ("summary", "whole record"):
+            path.unlink(missing_ok=True)
+            RunStore(path).append(first, run_dir)
+            head = path.stat().st_size
+            if second_line == "summary":
+                RunStore(path).append(second)
+            else:
+                with open(path, "ab") as fh:
+                    fh.write(old_line(second))
+            whole = path.read_bytes()
+            for cut in range(head, len(whole) + 1):
+                path.write_bytes(whole[:cut])
+                # the second line lacks at most its newline
+                kept = 2 if cut >= len(whole) - 1 else 1
+                reader = RunStore(path)
+                assert reader.load_all() == entries[:kept], (second_line, cut)
+                expected = summaries_of(runs[:kept], "w")
+                assert reader.list_previous_executions("w") == expected, (second_line, cut)
 
-            RunStore(path).append(third)
-            history = kept + [third]
-            for store in (reader, RunStore(path)):
-                assert store.load_all() == history, cut
-                for workflow_id in ("w", "v"):
-                    expected = summaries_of(history, workflow_id)
-                    assert store.list_previous_executions(workflow_id) == expected, cut
+                RunStore(path).append(third, run_dir)
+                history = [*runs[:kept], third]
+                for store in (reader, RunStore(path)):
+                    assert store.load_all() == [*entries[:kept], entries[2]], (second_line, cut)
+                    for workflow_id in ("w", "v"):
+                        expected = summaries_of(history, workflow_id)
+                        assert store.list_previous_executions(workflow_id) == expected, (
+                            second_line, cut,
+                        )
+
+
+# --- histories written before the store became an index ---
+
+
+def test_a_whole_record_history_and_a_mixed_one_list_as_before(tmp_path):
+    """Whole-record lines, alone or between summary lines, give the same
+    previous_executions payloads as when every line was a whole record; their
+    entries have no run directory."""
+    runs = [
+        finished_run("a", "w", 300, duration=40),
+        finished_run("b", "w", 100, duration=250),
+        finished_run("c", "v", 200),
+        finished_run("d", "w", 300, duration=9),
+    ]
+    # the payload previous_executions serves for "w" from these runs
+    expected = [
+        {"run_id": "d", "workflow_id": "w", "submission_ms": 300,
+         "final_state": "succeeded", "makespan_ms": 9},
+        {"run_id": "a", "workflow_id": "w", "submission_ms": 300,
+         "final_state": "succeeded", "makespan_ms": 40},
+        {"run_id": "b", "workflow_id": "w", "submission_ms": 100,
+         "final_state": "succeeded", "makespan_ms": 250},
+    ]
+    old = tmp_path / "old.jsonl"
+    old.write_bytes(b"".join(old_line(run) for run in runs))
+    mixed = tmp_path / "mixed.jsonl"
+    run_dir = tmp_path.resolve() / "b"
+    mixed.write_bytes(old_line(runs[0]))
+    RunStore(mixed).append(runs[1], run_dir)
+    with open(mixed, "ab") as fh:
+        fh.write(old_line(runs[2]))
+    RunStore(mixed).append(runs[3])
+    for path in (old, mixed):
+        store = RunStore(path)
+        assert [vars(s) for s in store.list_previous_executions("w")] == expected
+        assert store.list_previous_executions("v") == [summary_of(runs[2])]
+    assert [e.run_dir for e in RunStore(old).load_all()] == [None] * 4
+    assert RunStore(mixed).load_all() == [
+        RunEntry(summary_of(runs[0]), None),
+        RunEntry(summary_of(runs[1]), run_dir),
+        RunEntry(summary_of(runs[2]), None),
+        RunEntry(summary_of(runs[3]), None),
+    ]
+
+
+def test_an_append_costs_the_same_bytes_whatever_the_run_size(tmp_path):
+    small = finished_run("r", "w", 5, duration=100)
+    large = finished_run("r", "w", 5, duration=100)
+    for index in range(1, 10_000):
+        inst = TaskInstance(task_id=f"w/a/{index}", definition="a")
+        inst.mark_queued(0)
+        inst.mark_running(0, "m1")
+        inst.mark_finished(100, TaskState.SUCCEEDED)
+        large.instances.append(inst)
+    assert len(large.instances) == 10_000
+    assert summary_of(large) == summary_of(small)
+    sizes = []
+    for run in (small, large):
+        path = tmp_path / f"{len(run.instances)}.jsonl"
+        RunStore(path).append(run, tmp_path / "run")
+        sizes.append(path.stat().st_size)
+    assert sizes[0] == sizes[1]
