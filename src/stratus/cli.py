@@ -24,7 +24,7 @@ from .blueprint import (
     parse_matrix_overrides,
     render_matrix_grid,
 )
-from .sim import ScenarioSpec, load_scenario, parse_file, run_scenario, scenario_simulation
+from .sim import ScenarioSpec, load_scenario, parse_file, scenario_simulation
 from .store import RunStore
 from .service import ServiceContext, serve
 from .taskmon import format_log
@@ -193,15 +193,26 @@ def _print_status(record) -> None:
     )
 
 
-def cmd_run(args) -> int:
-    scenario = _scenario_from_run_args(args)
-    result = run_scenario(scenario, run_id=args.run_id)
-
+def _keep(result, store: RunStore) -> tuple[Path, ExecutionReport]:
+    """Keep a finished run, the one way `run` and `serve` do: write its
+    directory, ``$STRATUS_OUT/<run id>``, append its history entry naming
+    that directory, and print its final state.  Returns the directory and
+    the run's report."""
     run_dir = out_root() / result.run_id
     report = _write_run_outputs(result, run_dir)
-    _store_from(args.store).append(result.run, run_dir)
+    store.append(result.run, run_dir)
+    print(f"run {result.run_id}: {result.run.final_state.value}", flush=True)
+    return run_dir, report
 
-    print(f"run {result.run_id}: {result.run.final_state.value}")
+
+def cmd_run(args) -> int:
+    simulation = scenario_simulation(_scenario_from_run_args(args), run_id=args.run_id)
+    # a run directory holds one run, the one its history entry names
+    taken = out_root() / simulation.run_id
+    if taken.exists():
+        raise ValueError(f"run directory {taken} already exists")
+    result = simulation.run_to_completion()
+    run_dir, report = _keep(result, _store_from(args.store))
     print(
         f"instances {report.total} (succeeded {report.succeeded}, "
         f"failed {report.failed}), makespan {report.makespan_ms} ms"
@@ -213,7 +224,7 @@ def cmd_run(args) -> int:
 def _load_run(store: RunStore, run_id: str) -> tuple[RunRecord, Path]:
     """The run record in the run directory of the newest history entry
     with ``run_id``, and that directory."""
-    # a reused run id names its newest run, as in the query service
+    # `run` refuses a reused run id, but an older history may repeat one
     for summary, run_dir in reversed(store.load_all()):
         if summary.run_id == run_id:
             if run_dir is None:
@@ -326,11 +337,7 @@ def cmd_serve(args) -> int:
         # stored as `run` does; an engine error closes the server and
         # reaches main, which exits 1 with nothing written or stored
         if simulation is not None:
-            result = simulation.run_to_completion()
-            run_dir = out_root() / result.run_id
-            _write_run_outputs(result, run_dir)
-            context.store.append(result.run, run_dir)
-            print(f"run {result.run_id}: {result.run.final_state.value}", flush=True)
+            _keep(simulation.run_to_completion(), context.store)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

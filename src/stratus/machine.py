@@ -113,6 +113,9 @@ class MachineDescriptor:
     status: MachineStatus = MachineStatus.HEALTHY
 
     def __post_init__(self):
+        # the event log and samples.tsv are tab-separated lines
+        if "\t" in self.machine_id or self.machine_id.splitlines() != [self.machine_id]:
+            raise MachineError(f"machine id must be one line without tabs: {self.machine_id!r}")
         if self.capacity.cpu_cores <= 0 or self.capacity.memory_bytes <= 0 or self.capacity.disk_bytes <= 0:
             raise MachineError(f"{self.machine_id}: capacity values must be strictly positive")
         partition_total = sum(size for _, size in self.hardware.disk_partitions)

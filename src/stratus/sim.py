@@ -1069,7 +1069,3 @@ def scenario_simulation(scenario: ScenarioSpec, **kwargs) -> Simulation:
     for injection in scenario.injections:
         simulation.inject(injection)
     return simulation
-
-
-def run_scenario(scenario: ScenarioSpec, **kwargs) -> SimulationResult:
-    return scenario_simulation(scenario, **kwargs).run_to_completion()

@@ -5,7 +5,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,21 +48,14 @@ def _summarize(record: RunRecord) -> RunSummary:
 
 
 def _decode(line: bytes) -> RunEntry:
-    fields = json.loads(line)
-    if "instances" in fields:
+    keys = json.loads(line)
+    if "instances" in keys:
         # a whole-record line, as written before the store became an index
-        return RunEntry(_summarize(RunRecord.from_record(fields)), None)
-    run_dir = fields["run_dir"]
-    return RunEntry(
-        RunSummary(
-            run_id=fields["run_id"],
-            workflow_id=fields["workflow_id"],
-            submission_ms=fields["submission_ms"],
-            final_state=RunState(fields["final_state"]).value,
-            makespan_ms=fields["makespan_ms"],
-        ),
-        None if run_dir is None else Path(run_dir),
-    )
+        return RunEntry(_summarize(RunRecord.from_record(keys)), None)
+    summary = RunSummary(**{field.name: keys[field.name] for field in fields(RunSummary)})
+    RunState(summary.final_state)  # a state no run ends in is a bad record
+    run_dir = keys["run_dir"]
+    return RunEntry(summary, None if run_dir is None else Path(run_dir))
 
 
 class RunStore:
@@ -78,10 +71,12 @@ class RunStore:
     newline.  Reads skip it with a warning and the next append truncates it;
     a bad line anywhere else is corruption and raises StoreError.
 
-    Entries are kept in memory with the byte offset and the inode of the
-    file they were read from: each read parses only the whole lines appended
-    since, by this store or any other writer, and starts over when the file
-    shrank or was replaced."""
+    ``load_all`` is the one read: every other reader, here and in the CLI
+    and the query service, goes through it.  It keeps the entries in memory
+    with the byte offset and the inode of the file they were read from, so
+    each call parses only the whole lines appended since, by this store or
+    any other writer, and starts over when the file shrank or was
+    replaced."""
 
     def __init__(self, path: "str | Path"):
         self.path = Path(path)
@@ -95,11 +90,11 @@ class RunStore:
         self._lines = 0
 
     def append(self, record: RunRecord, run_dir: "str | Path | None" = None) -> None:
-        fields = {
+        keys = {
             **vars(_summarize(record)),
             "run_dir": None if run_dir is None else str(Path(run_dir).resolve()),
         }
-        line = json.dumps(fields, sort_keys=True).encode() + b"\n"
+        line = json.dumps(keys, sort_keys=True).encode() + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "ab+") as fh:
             fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
@@ -117,69 +112,47 @@ class RunStore:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def _scan(self, data: bytes, first_line: int):
-        """Decode ``data``, whose first line is line ``first_line`` of the
-        file.  Yields (length with newline, entry or None when blank) per
-        whole line, then (0, entry) for a final line that only lacks its
-        newline.  A torn final line is skipped with a warning; a bad whole
-        line raises StoreError."""
-        lines = data.split(b"\n")
-        tail = lines.pop()  # empty unless the last append was cut short
-        for lineno, line in enumerate(lines, start=first_line):
-            entry = None
-            if line.strip():
-                try:
-                    entry = _decode(line)
-                except _BAD_RECORD as exc:
-                    raise StoreError(f"{self.path}:{lineno}: bad record: {exc}") from None
-            yield len(line) + 1, entry
-        if tail.strip():
-            try:
-                entry = _decode(tail)
-            except _BAD_RECORD as exc:
-                logger.warning(
-                    "%s:%d: skipping torn final record: %s",
-                    self.path, first_line + len(lines), exc,
-                )
-                return
-            yield 0, entry
-
     def load_all(self) -> list[RunEntry]:
-        """One entry per stored line, in file order."""
+        """One entry per stored line, in file order: the entries read
+        before, then the whole lines appended since, then a final line that
+        only lacks its newline.  A torn final line is skipped with a
+        warning; a bad whole line raises StoreError."""
         with self._lock:
-            return self._read()
-
-    def _read(self) -> list[RunEntry]:
-        """Every entry in file order; call with the lock held."""
-        try:
-            fh = open(self.path, "rb")
-        except FileNotFoundError:
-            self._reset(None)
-            return []
-        with fh:
-            stat = os.fstat(fh.fileno())
-            if stat.st_ino != self._inode or stat.st_size < self._offset:
-                self._reset(stat.st_ino)
-            fh.seek(self._offset)
-            data = fh.read()
-        for size, entry in self._scan(data, self._lines + 1):
-            if not size:
-                return self._entries + [entry]
-            if entry is not None:
-                self._entries.append(entry)
-            self._offset += size
-            self._lines += 1
-        return list(self._entries)
+            try:
+                fh = open(self.path, "rb")
+            except FileNotFoundError:
+                self._reset(None)
+                return []
+            with fh:
+                stat = os.fstat(fh.fileno())
+                if stat.st_ino != self._inode or stat.st_size < self._offset:
+                    self._reset(stat.st_ino)
+                fh.seek(self._offset)
+                # the tail is empty unless the last append was cut short
+                *lines, tail = fh.read().split(b"\n")
+            for line in lines:
+                if line.strip():
+                    try:
+                        self._entries.append(_decode(line))
+                    except _BAD_RECORD as exc:
+                        raise StoreError(
+                            f"{self.path}:{self._lines + 1}: bad record: {exc}"
+                        ) from None
+                self._offset += len(line) + 1
+                self._lines += 1
+            entries = list(self._entries)
+            if tail.strip():
+                try:
+                    entries.append(_decode(tail))
+                except _BAD_RECORD as exc:
+                    logger.warning(
+                        "%s:%d: skipping torn final record: %s", self.path, self._lines + 1, exc
+                    )
+            return entries
 
     def list_previous_executions(self, workflow_id: str) -> list[RunSummary]:
         """Summaries of persisted runs of one workflow, newest submission
         first; ties keep the later-appended record first."""
-        with self._lock:
-            entries = self._read()
-        matches = [
-            (position, summary)
-            for position, (summary, _) in enumerate(entries)
-            if summary.workflow_id == workflow_id
-        ]
-        matches.sort(key=lambda pair: (-pair[1].submission_ms, -pair[0]))
-        return [summary for _, summary in matches]
+        matches = [s for s, _ in reversed(self.load_all()) if s.workflow_id == workflow_id]
+        # sorted is stable, also in reverse, so ties stay newest-appended first
+        return sorted(matches, key=lambda summary: summary.submission_ms, reverse=True)

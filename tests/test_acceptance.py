@@ -15,6 +15,7 @@ import pytest
 import requests
 
 from conftest import PROFILE_NAMES, GiB, load_profile, make_machine, random_dag_spec, run_simulation
+from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -33,7 +34,7 @@ from stratus.sim import (
     InjectionKind,
     Simulation,
     load_scenario,
-    run_scenario,
+    scenario_simulation,
 )
 from stratus.taskmon import (
     TRACE_HEADER,
@@ -51,50 +52,6 @@ from test_resman import entry, make_rm, oracle_first_fit
 from test_sim import assert_capacity_safety_from_log, assert_dependency_order, event_times
 from test_taskmon import make_record, random_record
 
-# Letter-coded transcription of the permitted-layer table, independent of the
-# implementation's own constants (same convention as test_blueprint).
-PERMITTED = {
-    "infrastructure_status": "R",
-    "file_system_status": "R",
-    "running_workflows": "R",
-    "workflow_status": "RW",
-    "workflow_specification": "RW",
-    "graphical_representation": "W",
-    "workflow_id": "RW",
-    "execution_report": "W",
-    "previous_executions": "W",
-    "machine_status": "RM",
-    "machine_type": "RM",
-    "hardware_specification": "M",
-    "available_resources": "RM",
-    "used_resources": "RM",
-    "task_status": "RWMT",
-    "requested_resources": "RWMT",
-    "consumed_resources": "RWMT",
-    "resource_consumption_for_code_parts": "T",
-    "task_id": "RWMT",
-    "application_logs": "T",
-    "task_duration": "RWMT",
-    "low_level_task_metrics": "T",
-    "fault_diagnosis": "T",
-}
-
-LETTERS = {
-    "R": LayerId.RESOURCE_MANAGER,
-    "W": LayerId.WORKFLOW,
-    "M": LayerId.MACHINE,
-    "T": LayerId.TASK,
-}
-
-WORKFLOW_OWNED = {
-    "workflow_status",
-    "workflow_specification",
-    "graphical_representation",
-    "workflow_id",
-    "execution_report",
-    "previous_executions",
-}
-
 EXPECTED_SCORES = {
     "pegasus": {"resource_manager": (0, 3), "workflow": (5, 6), "machine": (0, 5), "task": (6, 9)},
     "nextflow": {"resource_manager": (0, 3), "workflow": (6, 6), "machine": (0, 5), "task": (6, 9)},
@@ -105,7 +62,7 @@ EXPECTED_SCORES = {
 
 
 def oracle_allowed(feature_name: str, layer: LayerId, topology: TopologyMode) -> bool:
-    permitted = {LETTERS[ch] for ch in PERMITTED[feature_name]}
+    permitted = oracle_permitted(feature_name)
     if (
         topology is TopologyMode.DISJOINT
         and feature_name in WORKFLOW_OWNED
@@ -137,7 +94,7 @@ def test_criterion_01_access_matrix_conformance(acceptance, capsys):
             header = lines[0].split()
             assert header[0] == "feature"
             column_layers = [LayerId.from_wire(name) for name in header[1:]]
-            assert len(lines) == 1 + len(PERMITTED)
+            assert len(lines) == 1 + len(ORACLE_ROWS)
             for line in lines[1:]:
                 tokens = line.split()
                 name, marks = tokens[0], tokens[1:]
@@ -231,16 +188,17 @@ def test_criterion_05_determinism_at_desk_scale(acceptance):
         results = []
         for run_id in ("a", "b"):
             started = time.perf_counter()
-            results.append(run_scenario(scenario, run_id=run_id, submission_ms=0))
+            simulation = scenario_simulation(scenario, run_id=run_id, submission_ms=0)
+            results.append(simulation.run_to_completion())
             timings.append(time.perf_counter() - started)
         first, second = results
         assert first.trace_text() == second.trace_text()
         assert first.event_log_text() == second.event_log_text()
-        reseeded = run_scenario(
+        reseeded = scenario_simulation(
             dataclasses.replace(scenario, seed=scenario.seed + 1),
             run_id="c",
             submission_ms=0,
-        )
+        ).run_to_completion()
         assert reseeded.trace_text() != first.trace_text()
         assert len(first.run.instances) == 4 * 32 + 2
         for elapsed in timings:
@@ -401,7 +359,7 @@ def test_criterion_08_trace_round_trip(acceptance):
 def test_criterion_09_fault_diagnosis_end_to_end(acceptance):
     with acceptance(9, "injected faults diagnose correctly from the trace file"):
         scenario = load_scenario(fixture_path("faults.scenario"))
-        result = run_scenario(scenario, run_id="r", submission_ms=0)
+        result = scenario_simulation(scenario, run_id="r", submission_ms=0).run_to_completion()
         records = parse_trace(result.trace_text())
         assert records
         _, _, _, _, machine_of = event_times(result)

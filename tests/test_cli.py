@@ -12,7 +12,9 @@ import pytest
 import requests
 
 import stratus
+from stratus.blueprint import TopologyMode
 from stratus.cli import main
+from stratus.service import ServiceContext, serve
 from stratus.store import RunStore
 from stratus.taskmon import parse_trace
 from stratus.workflow import RunRecord
@@ -212,19 +214,65 @@ def recorded_run(run_dir: Path) -> RunRecord:
     return RunRecord.from_record(json.loads((run_dir / "run.json").read_text()))
 
 
-def test_a_reused_run_id_names_its_newest_run(sandbox, capsys):
+def test_a_reused_run_id_is_refused_and_status_names_the_newest_entry(
+    sandbox, tmp_path, monkeypatch, capsys
+):
     assert main(["run", data_path("faults.scenario"), "--run-id", "demo"]) == 2
-    assert main(["run", data_path("fig1.scenario"), "--run-id", "demo"]) == 0
     written = (sandbox / "demo" / "report.json").read_bytes()
+    history = (sandbox / "runs.jsonl").read_bytes()
     capsys.readouterr()
+    # refused before the engine runs: the first run's directory and its one
+    # history entry stay as they were
+    assert main(["run", data_path("fig1.scenario"), "--run-id", "demo"]) == 1
+    assert capsys.readouterr() == (
+        "", f"stratus: error: run directory {sandbox / 'demo'} already exists\n"
+    )
+    assert (sandbox / "demo" / "report.json").read_bytes() == written
+    assert (sandbox / "runs.jsonl").read_bytes() == history
     assert main(["status", "demo"]) == 0
+    assert capsys.readouterr().out.startswith("state=failed ")
+
+    # another output root may repeat the id in one history; the newest
+    # entry names the run
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("STRATUS_OUT", str(elsewhere))
+    store = ["--store", str(sandbox / "runs.jsonl")]
+    assert main(["run", data_path("fig1.scenario"), "--run-id", "demo", *store]) == 0
+    capsys.readouterr()
+    assert main(["status", "demo", *store]) == 0
     assert capsys.readouterr().out == (
         "state=succeeded finished=18 total=18 progress=1.000 failures=0\n"
     )
-    assert main(["report", "demo"]) == 0
+    assert main(["report", "demo", *store]) == 0
     assert "state     succeeded" in capsys.readouterr().out
-    # report rewrites the newest run's own report, byte for byte
     assert (sandbox / "demo" / "report.json").read_bytes() == written
+
+
+def test_every_history_reader_decodes_through_load_all(sandbox, monkeypatch, capsys):
+    assert main(["run", data_path("fig1.scenario"), "--run-id", "r1"]) == 0
+    readers = []
+    load_all = RunStore.load_all
+
+    def counted(store):
+        readers.append(store.path)
+        return load_all(store)
+
+    monkeypatch.setattr(RunStore, "load_all", counted)
+    history = sandbox / "runs.jsonl"
+    assert main(["status", "r1"]) == 0
+    assert readers == [history]
+
+    handle = serve(ServiceContext(TopologyMode.WORKFLOW_AWARE, store=RunStore(history)))
+    try:
+        response = requests.get(
+            f"{handle.url}/v1/workflow/previous_executions",
+            params={"as_layer": "workflow", "subject": "wf1"},
+            timeout=10,
+        )
+    finally:
+        handle.close()
+    assert [e["run_id"] for e in response.json()["payload"]["executions"]] == ["r1"]
+    assert readers == [history, history]
 
 
 # --- dot, matrix, classify ---

@@ -24,7 +24,7 @@ from stratus.sim import (
     ScenarioSpec,
     Simulation,
     load_scenario,
-    run_scenario,
+    scenario_simulation,
 )
 from stratus.workflow import parse_workflow
 
@@ -57,7 +57,8 @@ GOLDEN = {
 
 
 def _digests(scenario: ScenarioSpec) -> tuple[str, str]:
-    return _result_digests(run_scenario(scenario, run_id="golden", submission_ms=0))
+    simulation = scenario_simulation(scenario, run_id="golden", submission_ms=0)
+    return _result_digests(simulation.run_to_completion())
 
 
 def _result_digests(result) -> tuple[str, str]:
@@ -170,7 +171,8 @@ CLI_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
 def test_cli_artifact_bytes_match_golden_digests(name, tmp_path):
-    result = run_scenario(SCENARIOS[name](), run_id="golden", submission_ms=0)
+    simulation = scenario_simulation(SCENARIOS[name](), run_id="golden", submission_ms=0)
+    result = simulation.run_to_completion()
     _write_run_outputs(result, tmp_path)
     digests = {
         artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()

@@ -21,7 +21,7 @@ from stratus.blueprint import (
 )
 from stratus.fixtures import fixture_path
 from stratus.service import ServiceContext, serve
-from stratus.sim import load_scenario, run_scenario
+from stratus.sim import load_scenario, scenario_simulation
 from stratus.store import RunStore
 from stratus.taskmon import LogLevel
 
@@ -189,7 +189,7 @@ def served(request, tmp_path_factory):
     scenario = dataclasses.replace(
         load_scenario(fixture_path("faults.scenario")), topology=topology
     )
-    result = run_scenario(scenario, run_id=RUN_ID, submission_ms=0)
+    result = scenario_simulation(scenario, run_id=RUN_ID, submission_ms=0).run_to_completion()
     store = RunStore(tmp_path_factory.mktemp("store") / "runs.jsonl")
     store.append(result.run)
     matrix = parse_matrix_overrides(f"extension {EXTENSION}: machine, resource_manager\n")

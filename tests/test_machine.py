@@ -53,6 +53,13 @@ def test_descriptor_rejects_nonpositive_capacity():
         make_machine("m1", cpus=0)
 
 
+@pytest.mark.parametrize("machine_id", ["m\t1", "m\n1", "m\r1", "m1\n", ""])
+def test_descriptor_refuses_a_machine_id_that_is_not_one_line_without_tabs(machine_id):
+    with pytest.raises(MachineError) as err:
+        make_machine(machine_id)
+    assert str(err.value) == f"machine id must be one line without tabs: {machine_id!r}"
+
+
 def test_descriptor_rejects_oversized_partitions():
     with pytest.raises(MachineError):
         MachineDescriptor(

@@ -33,7 +33,7 @@ from stratus.sim import (
     parse_event_log,
     parse_scenario,
     replay_progress,
-    run_scenario,
+    scenario_simulation,
 )
 from stratus.taskmon import (
     TRACE_HEADER,
@@ -81,7 +81,8 @@ def char_edits(draw, text: str) -> str:
 
 def event_log_text() -> str:
     scenario = load_scenario(str(fixture_path("faults.scenario")))
-    return run_scenario(scenario, run_id="r", submission_ms=0).event_log_text()
+    simulation = scenario_simulation(scenario, run_id="r", submission_ms=0)
+    return simulation.run_to_completion().event_log_text()
 
 
 def assert_own_error_with_a_line(parse, text: str, own_error: type) -> None:

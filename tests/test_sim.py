@@ -58,7 +58,7 @@ from stratus.sim import (
     parse_event_log,
     parse_scenario,
     replay_progress,
-    run_scenario,
+    scenario_simulation,
 )
 from stratus.store import RunEntry, RunStore, _summarize
 from stratus.taskmon import (
@@ -412,6 +412,14 @@ def test_topology_changes_nothing_but_the_submission_line():
 
 def test_event_log_round_trips():
     result = run_fig1()
+    assert parse_event_log(result.event_log_text()) == result.event_records
+
+
+@pytest.mark.parametrize("machine_id", ["a b", "m-1.x", "\u00fc"])
+def test_event_log_round_trips_any_accepted_machine_id(machine_id):
+    spec, _, fs_total = fig1_setup()
+    result = run_simulation(spec, [make_machine(machine_id)], fs_total, 2, 42)
+    assert f"\tmachine={machine_id}\n" in result.event_log_text()
     assert parse_event_log(result.event_log_text()) == result.event_records
 
 
@@ -995,7 +1003,7 @@ def test_run_bundled_fault_scenario(tmp_path):
 
     data_dir = importlib.resources.files("stratus.data")
     scenario = load_scenario(str(data_dir / "faults.scenario"))
-    result = run_scenario(scenario, run_id="r", submission_ms=0)
+    result = scenario_simulation(scenario, run_id="r", submission_ms=0).run_to_completion()
     assert result.run.final_state is RunState.FAILED
     verdicts = {r.task_id: result.diagnosis(r.task_id).verdict for r in result.trace_records}
     assert verdicts["wf1/III/0"] is Verdict.OUT_OF_MEMORY
@@ -1012,7 +1020,7 @@ def test_a_scenario_run_names_the_file_of_a_line_error(tmp_path):
     scenario = parse_scenario("workflow bad.wf\ncluster c.cluster\n", base_dir=tmp_path)
     # a library caller keeps the format's error and its line
     with pytest.raises(WorkflowSyntaxError) as err:
-        run_scenario(scenario, run_id="r")
+        scenario_simulation(scenario, run_id="r").run_to_completion()
     assert err.value.line == 2
     expected = "line 2: 'workflow' repeated; first set on line 1"
     assert str(err.value) == f"{tmp_path / 'bad.wf'}: {expected}"
