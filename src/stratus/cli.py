@@ -265,17 +265,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    spec = parse_workflow(
-        Path(args.workflow).read_text(encoding="utf-8"),
-        default_workflow_id=Path(args.workflow).stem,
-    )
+    spec = parse_file(parse_workflow, args.workflow, default_workflow_id=Path(args.workflow).stem)
     sys.stdout.write(export_dot(spec))
     return 0
 
 
 def _matrix_from(overrides: str | None):
     if overrides:
-        return parse_matrix_overrides(Path(overrides).read_text(encoding="utf-8"))
+        return parse_file(parse_matrix_overrides, overrides)
     return default_access_matrix()
 
 
@@ -287,9 +284,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    profile = parse_capability_profile(
-        Path(args.profile).read_text(encoding="utf-8"),
-        default_name=Path(args.profile).stem,
+    profile = parse_file(
+        parse_capability_profile, args.profile, default_name=Path(args.profile).stem
     )
     summary = classify_capabilities(profile)
     print(f"profile {profile.name}")
@@ -321,11 +317,7 @@ def cmd_serve(args) -> int:
     else:
         topology = TopologyMode.from_wire(args.topology or "workflow-aware")
     context = ServiceContext(
-        topology,
-        # serve reads up to four files, so a line error names its file
-        matrix=parse_file(parse_matrix_overrides, args.overrides)
-        if args.overrides else default_access_matrix(),
-        store=_store_from(args.store),
+        topology, matrix=_matrix_from(args.overrides), store=_store_from(args.store)
     )
     if simulation is not None:
         context.attach_live(simulation)

@@ -20,6 +20,7 @@ when the registry's version moves.  Capacities, reservations and request
 vectors are plain (cpu, memory, disk) tuples inside the class, so a pass
 and a release build no ResourceVector and hash no dataclass; the public
 reads (reserved_on, infrastructure_status) still return ResourceVector.
+README's "Engine cost model" records what this was measured against.
 
 Two coupling topologies exist; in both, the engine resolves readiness and
 queues each ready instance as a task id and its request.  In workflow-aware

@@ -12,7 +12,8 @@ unrelated work therefore never perturbs another task's draws.
 
 Each event costs work proportional to what it changed, not to the size of
 the run.  The engine keeps these invariants instead of rescanning every
-instance:
+instance (README's "Engine cost model" records what they were measured to
+cost, and what was measured and left out):
 
 - Readiness is incremental.  Each definition's row counts its instances
   not yet succeeded.  Dependencies are all-to-all between instance
@@ -23,15 +24,26 @@ instance:
   would order it.  The t=0 pump is seeded with the definitions that have
   no predecessors.
 - Completion comes from a running count of open instances (not terminal
-  and not poisoned): the run can finish only once it is 0.  Progress has
-  one definition, ``ProgressFold``: every stream, live or finished, is
-  ``replay_progress`` of the run's own event list from event 0, read up to
-  the last append (``SimulationResult.ended`` is set after it), and no
-  second copy is kept.  Code-part profiles and application logs are
-  derived on query, and so is a success's diagnosis: the run stores a
-  ``Diagnosis`` for each failed instance only (``SimulationResult.diagnoses``),
-  and ``SimulationResult.diagnosis`` derives a success's (``none``,
-  ``exit 0``) from its trace record.
+  and not poisoned): the run can finish only once it is 0.  A run ends
+  once, at its ``run_completed`` event: the final state is set, the
+  event heap is emptied, and ``inject`` refuses a fault from then on.
+- Progress is folded one way, by ``ProgressFold``: every stream, live or
+  finished, is ``replay_progress`` of the run's own event list from event
+  0, read up to the last append (``SimulationResult.ended`` is set after
+  it), and no second copy is kept.  A live reader that has caught up
+  waits for the next append; with no reader waiting, an attached run pays
+  one listener check per event and no fold.  ``workflow.workflow_status``
+  derives the same report from the instances' states instead: it is what
+  a stored run's status reads, and the reference the fold is tested
+  against.
+- Code-part profiles and application logs are derived on query, and so
+  is a success's diagnosis: the run stores a ``Diagnosis`` for each
+  failed instance only (``SimulationResult.diagnoses``), and
+  ``SimulationResult.diagnosis`` derives a success's (``none``,
+  ``exit 0``) from its trace record.  The engine sets an instance's
+  machine before its start and stores a failure's trace record before its
+  diagnosis, so a read that races a task's end sees its start line alone
+  or its whole log.
 - Each run fact is kept once.  The run's one ``SimulationResult`` is built
   with the engine and shares its lists and dicts, and machine samples live
   only in the registry's per-machine series.
@@ -653,8 +665,6 @@ class Simulation:
         self._seq = itertools.count()
         self._now = 0
         self._started = False
-        # set when run_completed is emitted, or when run_to_completion raises
-        self._finished = False
         self._poisoned: set[str] = set()
         self._executions: dict[str, _Execution] = {}
         self._pending_machine_events = 0
@@ -695,7 +705,7 @@ class Simulation:
         it could never fire."""
         if self._started and injection.at_ms <= self._now:
             raise InjectionInPastError(injection.at_ms, self._now)
-        if self._finished:
+        if self.run.final_state is not RunState.RUNNING or self.result.ended:
             raise SimulationError(f"run {self.run_id} has ended; no fault can fire")
         if injection.kind is InjectionKind.MACHINE_UNHEALTHY:
             try:
@@ -740,7 +750,7 @@ class Simulation:
         try:
             return self._run()
         except BaseException:
-            self._finished = self.result.ended = True
+            self.result.ended = True
             for listener in self.abort_listeners:
                 listener()
             raise
@@ -786,13 +796,11 @@ class Simulation:
             t_ms, _, handler, payload = heapq.heappop(events)
             # pops come in time order: nothing is pushed before the clock
             self._now = t_ms
-            if self._finished:
-                continue
             handler(t_ms, payload)
             if not self._open:
                 self._check_completion(t_ms)
 
-        if not self._finished:
+        if self.run.final_state is RunState.RUNNING:
             stuck = sorted(
                 i.task_id
                 for i in self.run.instances
@@ -958,11 +966,12 @@ class Simulation:
         succeed."""
         failed = any(row.remaining for row in self._rows.values())
         self.run.final_state = RunState.FAILED if failed else RunState.SUCCEEDED
-        self._finished = True
         self._emit(
             t_ms, "run_completed", self.spec.workflow_id,
             f"final={self.run.final_state.value}",
         )
+        # nothing happens after a run's last event
+        self._events.clear()
 
 
 @dataclass(frozen=True)
@@ -1040,8 +1049,8 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
 
 
 def parse_file(parse, path: "Path | str", **kwargs):
-    """``parse`` of the text of ``path``; a line error's text names the file,
-    for the commands that read more than one."""
+    """``parse`` of the text of ``path``; a line error's text names the
+    file.  Every command reads its input files through it."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"), **kwargs)
     except LineError as exc:

@@ -6,6 +6,7 @@ import logging
 import os
 import threading
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,22 +73,18 @@ class RunStore:
     a bad line anywhere else is corruption and raises StoreError.
 
     ``load_all`` is the one read: every other reader, here and in the CLI
-    and the query service, goes through it.  It keeps the entries in memory
-    with the byte offset and the inode of the file they were read from, so
-    each call parses only the whole lines appended since, by this store or
-    any other writer, and starts over when the file shrank or was
-    replaced."""
+    and the query service, goes through it.  It keeps its entries in memory
+    with the bytes of the whole lines they were decoded from.  Each call
+    reads the file; while the file still starts with those bytes, only the
+    lines after them are decoded, and otherwise (the file was cleared, cut,
+    rewritten or replaced) every line is.  So a store's entries are always
+    those of the file as it is now, whoever wrote it."""
 
     def __init__(self, path: "str | Path"):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._reset(None)
-
-    def _reset(self, inode: "int | None") -> None:
-        self._inode = inode
+        self._decoded = b""  # the whole lines that _entries were decoded from
         self._entries: list[RunEntry] = []
-        self._offset = 0  # bytes of the whole lines read
-        self._lines = 0
 
     def append(self, record: RunRecord, run_dir: "str | Path | None" = None) -> None:
         keys = {
@@ -113,41 +110,36 @@ class RunStore:
             os.fsync(fh.fileno())
 
     def load_all(self) -> list[RunEntry]:
-        """One entry per stored line, in file order: the entries read
-        before, then the whole lines appended since, then a final line that
-        only lacks its newline.  A torn final line is skipped with a
-        warning; a bad whole line raises StoreError."""
+        """One entry per stored line, in file order, ending with a final
+        line that only lacks its newline.  A torn final line is skipped with
+        a warning; a bad whole line raises StoreError."""
         with self._lock:
             try:
-                fh = open(self.path, "rb")
+                data = self.path.read_bytes()
             except FileNotFoundError:
-                self._reset(None)
-                return []
-            with fh:
-                stat = os.fstat(fh.fileno())
-                if stat.st_ino != self._inode or stat.st_size < self._offset:
-                    self._reset(stat.st_ino)
-                fh.seek(self._offset)
-                # the tail is empty unless the last append was cut short
-                *lines, tail = fh.read().split(b"\n")
-            for line in lines:
+                data = b""
+            if not data.startswith(self._decoded):
+                self._decoded, self._entries = b"", []
+            # the tail is empty unless the last append was cut short
+            *lines, tail = data[len(self._decoded):].split(b"\n")
+            # kept only once all are decoded: a bad line leaves the store as it was
+            added = []
+            for index, line in enumerate(lines):
                 if line.strip():
                     try:
-                        self._entries.append(_decode(line))
+                        added.append(_decode(line))
                     except _BAD_RECORD as exc:
-                        raise StoreError(
-                            f"{self.path}:{self._lines + 1}: bad record: {exc}"
-                        ) from None
-                self._offset += len(line) + 1
-                self._lines += 1
+                        number = self._decoded.count(b"\n") + index + 1
+                        raise StoreError(f"{self.path}:{number}: bad record: {exc}") from None
+            self._entries += added
+            self._decoded = data[: len(data) - len(tail)]
             entries = list(self._entries)
             if tail.strip():
                 try:
                     entries.append(_decode(tail))
                 except _BAD_RECORD as exc:
-                    logger.warning(
-                        "%s:%d: skipping torn final record: %s", self.path, self._lines + 1, exc
-                    )
+                    number = self._decoded.count(b"\n") + 1
+                    logger.warning("%s:%d: skipping torn final record: %s", self.path, number, exc)
             return entries
 
     def list_previous_executions(self, workflow_id: str) -> list[RunSummary]:
@@ -155,4 +147,4 @@ class RunStore:
         first; ties keep the later-appended record first."""
         matches = [s for s, _ in reversed(self.load_all()) if s.workflow_id == workflow_id]
         # sorted is stable, also in reverse, so ties stay newest-appended first
-        return sorted(matches, key=lambda summary: summary.submission_ms, reverse=True)
+        return sorted(matches, key=attrgetter("submission_ms"), reverse=True)

@@ -292,8 +292,7 @@ def test_a_workflow_that_repeats_a_task_is_refused_at_its_line(sandbox, tmp_path
     workflow.write_text(f"workflow w\n{task}{task}")
     expected = "line 3: duplicate task name: 'a'\n"
     assert main(["dot", str(workflow)]) == 1
-    assert capsys.readouterr().err == f"stratus: error: {expected}"
-    # run reads two files, so it names the one the line is in
+    assert capsys.readouterr().err == f"stratus: error: {workflow}: {expected}"
     assert main(["run", str(workflow), data_path("two.cluster")]) == 1
     assert capsys.readouterr().err == f"stratus: error: {workflow}: {expected}"
 
@@ -314,15 +313,25 @@ _BAD_SEED = "s.scenario: line 3: seed is not an integer: 'x'"
             "fig1.wf", "two.cluster", "", [*_SERVE, "--overrides", "bad.matrix"],
             "bad.matrix: line 1: unknown feature key: 'bogus'",
         ),
+        ("", "", "", ["dot", "bad.wf"], "bad.wf: line 2: duplicate task name: 'a'"),
+        (
+            "", "", "", ["classify", "bad.profile"],
+            "bad.profile: line 2: unknown feature key: 'bogus'",
+        ),
+        (
+            "", "", "", ["matrix", "--overrides", "bad.matrix"],
+            "bad.matrix: line 1: unknown feature key: 'bogus'",
+        ),
     ],
 )
-def test_run_names_the_scenario_file_a_line_error_is_in(
+def test_every_command_names_the_file_a_line_error_is_in(
     sandbox, tmp_path, monkeypatch, capsys, workflow, cluster, rest, argv, expected
 ):
     task = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 model=default\n"
     (tmp_path / "bad.wf").write_text(f"{task}{task}")
     (tmp_path / "bad.cluster").write_text("fs total=x\n")
     (tmp_path / "bad.matrix").write_text("bogus: workflow\n")
+    (tmp_path / "bad.profile").write_text("name p\nbogus\n")
     for name in ("fig1.wf", "two.cluster"):
         (tmp_path / name).write_text(Path(data_path(name)).read_text())
     # line 2 of the scenario is its cluster line: the text must name the file

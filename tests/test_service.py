@@ -3,6 +3,7 @@ payload correctness per feature, error codes, the live progress stream, and
 the context's bookkeeping."""
 
 import ast
+import dataclasses
 import gc
 import http.client
 import inspect
@@ -363,6 +364,35 @@ def test_previous_executions_requires_store(aware, tmp_path):
         assert executions[0]["run_id"] == RUN_ID
         assert executions[0]["final_state"] == "succeeded"
         assert executions[0]["makespan_ms"] > 0
+    finally:
+        handle.close()
+
+
+def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
+    """The service's store has read three runs; the history is then cleared
+    in place and four runs appended by another writer, leaving the file
+    longer than what was read: only the four new runs are listed."""
+    path = tmp_path / "runs.jsonl"
+    run = completed_result(TopologyMode.WORKFLOW_AWARE).run
+
+    def append(*positions):
+        for position in positions:
+            kept = dataclasses.replace(run, run_id=f"r{position}", submission_ms=position)
+            RunStore(path).append(kept)
+
+    append(0, 1, 2)
+    _, _, handle = start_server(TopologyMode.WORKFLOW_AWARE, store=RunStore(path))
+    try:
+        listed = lambda: [
+            execution["run_id"]
+            for execution in get_feature(
+                handle.url, FeatureKey.PREVIOUS_EXECUTIONS, LayerId.WORKFLOW
+            ).json()["payload"]["executions"]
+        ]
+        assert listed() == ["r2", "r1", "r0"]
+        path.write_bytes(b"")
+        append(5, 6, 7, 8)
+        assert listed() == ["r8", "r7", "r6", "r5"]
     finally:
         handle.close()
 

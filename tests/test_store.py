@@ -1,6 +1,7 @@
 """Run history store tests: summary lines and their run directories, the
 reading of whole-record lines, ordering, corruption."""
 
+import itertools
 import json
 import random
 import tempfile
@@ -197,26 +198,67 @@ def summaries_of(history, workflow_id):
 
 
 def test_summaries_follow_appends_from_any_writer(tmp_path):
+    """Two long-lived stores read one history while it is appended to by
+    either of them, cleared in place and appended to before anyone reads,
+    rewritten in place longer or shorter, and replaced by a rename.  After
+    each step both list what a fresh store lists, and that is the history
+    as written."""
     path = tmp_path / "runs.jsonl"
     rng = random.Random(5)
     store, other = RunStore(path), RunStore(path)
     assert store.list_previous_executions("w") == []
-    appended = []
-    for position in range(30):
-        writer = store if rng.random() < 0.5 else other
-        run = finished_run(
-            f"r{position}", rng.choice(("w", "v")), rng.randint(0, 4) * 100,
-            duration=rng.randint(1, 500),
-        )
-        run_dir = rng.choice((None, tmp_path.resolve() / run.run_id))
-        writer.append(run, run_dir)
-        appended.append(RunEntry(summary_of(run), run_dir))
-        for reader in (store, other, RunStore(path)):
-            assert reader.load_all() == appended
+    made = itertools.count()
+
+    def new_entries(count):
+        """``count`` new (run, run directory or None) pairs."""
+        pairs = []
+        for _ in range(count):
+            run = finished_run(
+                f"r{next(made)}", rng.choice(("w", "v")), rng.randint(0, 4) * 100,
+                duration=rng.randint(1, 500),
+            )
+            pairs.append((run, rng.choice((None, tmp_path.resolve() / run.run_id))))
+        return pairs
+
+    def written(pairs, target):
+        """Clear ``target`` in place, then append ``pairs`` to it."""
+        target.write_bytes(b"")
+        for run, run_dir in pairs:
+            RunStore(target).append(run, run_dir)
+
+    steps = ["append"] * 30 + ["clear", "longer", "shorter", "replace"] * 4
+    rng.shuffle(steps)
+    history = []  # (run, run_dir) per line of the file
+    for step in ["append"] * 3 + steps:
+        if step == "append":
+            (run, run_dir), = new_entries(1)
+            rng.choice((store, other)).append(run, run_dir)
+            history.append((run, run_dir))
+        elif step == "clear":
+            # appended to before any read: longer than what was read when
+            # more runs follow than there were
+            history = new_entries(rng.randint(0, len(history) + 3))
+            written(history, path)
+        elif step == "replace":
+            history = rng.sample(history, len(history)) + new_entries(rng.randint(0, 3))
+            written(history, tmp_path / "next.jsonl")
+            (tmp_path / "next.jsonl").replace(path)
+        else:
+            # in place: the old lines reordered, then more runs or fewer lines
+            history = rng.sample(history, len(history))
+            if step == "longer":
+                history += new_entries(rng.randint(1, 3))
+            else:
+                history = history[: rng.randint(0, max(len(history) - 1, 0))]
+            written(history, path)
+        expected = [RunEntry(summary_of(run), run_dir) for run, run_dir in history]
+        assert RunStore(path).load_all() == expected, step
+        for reader in (store, other):
+            assert reader.load_all() == expected, step
         for workflow_id in ("w", "v"):
             expected = naive_previous_executions(path, workflow_id)
-            assert store.list_previous_executions(workflow_id) == expected
-            assert other.list_previous_executions(workflow_id) == expected
+            assert store.list_previous_executions(workflow_id) == expected, step
+            assert other.list_previous_executions(workflow_id) == expected, step
 
 
 def test_summaries_skip_a_torn_tail_until_the_next_append(tmp_path, caplog):
