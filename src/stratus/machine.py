@@ -142,10 +142,6 @@ class _Entry:
     descriptor: MachineDescriptor
     series: list[MachineSample] = field(default_factory=list)
 
-    def latest(self, t_ms: int) -> MachineSample | None:
-        end = bisect_right(self.series, t_ms, key=_T_MS)
-        return self.series[end - 1] if end else None
-
 
 class MachineRegistry:
     """Registry of machines plus their sample series.
@@ -224,7 +220,9 @@ class MachineRegistry:
 
     def latest_sample(self, machine_id: str, t_ms: int) -> MachineSample | None:
         with self._lock:
-            return self._entry(machine_id).latest(t_ms)
+            series = self._entry(machine_id).series
+            end = bisect_right(series, t_ms, key=_T_MS)
+            return series[end - 1] if end else None
 
     def all_samples(self) -> list[MachineSample]:
         """Every machine's series merged by time, then machine id."""
@@ -236,8 +234,8 @@ class MachineRegistry:
         """Capacity minus the most recent sample at or before t_ms; full
         capacity when nothing has been sampled yet."""
         with self._lock:
-            entry = self._entry(machine_id)
-            capacity, latest = entry.descriptor.capacity, entry.latest(t_ms)
+            capacity = self._entry(machine_id).descriptor.capacity
+        latest = self.latest_sample(machine_id, t_ms)  # the lock is not re-entrant
         return capacity if latest is None else capacity.minus(latest.used)
 
 

@@ -242,10 +242,8 @@ class ResourceManager:
         )
 
     def running_workflows(self) -> list[tuple[str, str, str]]:
-        """(run_id, workflow_id, state) triples for registered runs; the
-        disjoint resource manager cannot see workflows and reports none."""
-        if self.topology is _DISJOINT:
-            return []
+        """(run_id, workflow_id, state) triples for registered runs; only
+        the workflow-aware resource manager has any (``submit_workflow``)."""
         return [
             (run.run_id, run.workflow_id, run.final_state.value) for run in self._runs
         ]

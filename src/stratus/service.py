@@ -97,6 +97,12 @@ class ServiceContext:
         simulation.abort_listeners.append(self._wake)
 
     def _register(self, result: SimulationResult) -> None:
+        # the access matrix decides under the context's topology alone
+        if result.topology is not self.topology:
+            raise ServiceError(
+                f"run {result.run_id!r} is {result.topology.wire_name}; "
+                f"this service serves {self.topology.wire_name} runs"
+            )
         # a run id names one run: replacing it would keep the old run's
         # place in the registration order that newest-wins lookups read
         with self._lock:

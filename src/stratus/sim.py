@@ -122,7 +122,6 @@ from .machine import (
     MachineRegistry,
     MachineSample,
     MachineStatus,
-    UnknownMachineError,
 )
 from .resman import ResourceManager
 from .taskmon import (
@@ -143,6 +142,7 @@ from .workflow import (
     TaskDefinition,
     TaskInstance,
     TaskState,
+    UnknownTaskError,
     WorkflowSpec,
     WorkflowStatusReport,
     expand_instances,
@@ -166,12 +166,6 @@ EXIT_TASK_ERROR = 1
 
 class SimulationError(Exception):
     pass
-
-
-class TargetUnknownError(SimulationError):
-    def __init__(self, target: str):
-        super().__init__(f"injection target does not exist: {target!r}")
-        self.target = target
 
 
 class InjectionInPastError(SimulationError):
@@ -700,24 +694,22 @@ class Simulation:
 
     def inject(self, injection: FaultInjection) -> None:
         """Arm a fault at once, before or during the run: a machine fault
-        goes on the event heap, a task fault into the index by target.  A
-        task fault whose target has started or was poisoned is refused, as
-        it could never fire."""
+        goes on the event heap, a task fault into the index by target.  An
+        unknown target raises its layer's own error (``UnknownMachineError``
+        or ``UnknownTaskError``); a task fault whose target has started or
+        was poisoned is refused, as it could never fire."""
         if self._started and injection.at_ms <= self._now:
             raise InjectionInPastError(injection.at_ms, self._now)
         if self.run.final_state is not RunState.RUNNING or self.result.ended:
             raise SimulationError(f"run {self.run_id} has ended; no fault can fire")
         if injection.kind is InjectionKind.MACHINE_UNHEALTHY:
-            try:
-                self.registry.descriptor(injection.target)
-            except UnknownMachineError:
-                raise TargetUnknownError(injection.target) from None
+            self.registry.descriptor(injection.target)
             self._push(injection.at_ms, self._on_machine_unhealthy, injection.target)
             self._pending_machine_events += 1
         else:
             instance = self._instances.get(injection.target)
             if instance is None:
-                raise TargetUnknownError(injection.target)
+                raise UnknownTaskError(injection.target)
             # a task fault fires only when its target starts
             if instance.start_ms is not None or injection.target in self._poisoned:
                 state = "poisoned" if instance.start_ms is None else instance.state.value

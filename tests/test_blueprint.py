@@ -10,6 +10,7 @@ from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
     AccessMatrix,
+    BlueprintError,
     CapabilityProfile,
     FeatureKey,
     InvalidMatrixError,
@@ -160,6 +161,10 @@ def test_classify_empty_and_full_profiles():
     )
     assert full.per_layer == {l: (t, t) for l, (_, t) in empty.per_layer.items()}
     assert full.missing == frozenset()
+
+    # a feature's wire name is a str equal to its key, but not the key
+    with pytest.raises(BlueprintError, match=r"^profile 'raw': not a FeatureKey: 'task_id'$"):
+        CapabilityProfile(name="raw", supported=frozenset({"task_id"}))
 
 
 def test_classify_counts_only_owned_features_per_layer():

@@ -96,6 +96,42 @@ def test_run_override_flags_change_the_run(sandbox, capsys):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("flag, scenario_topology", [
+    ("disjoint", "workflow-aware"), ("workflow-aware", "disjoint"),
+])
+def test_run_topology_flag_overrides_the_scenario(
+    sandbox, tmp_path, capsys, flag, scenario_topology
+):
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(
+        f"workflow {data_path('fig1.wf')}\n"
+        f"cluster {data_path('two.cluster')}\n"
+        f"input_count 4\nseed 42\ntopology {scenario_topology}\n"
+    )
+    assert main(["run", str(scenario), "--run-id", "t", "--topology", flag]) == 0
+    wire_name = TopologyMode.from_wire(flag).wire_name
+    assert json.loads((sandbox / "t" / "run.json").read_text())["topology"] == wire_name
+    submitted = (sandbox / "t" / "events.log").read_text().splitlines()[0].split("\t")
+    assert submitted[1] == "run_submitted"
+    assert f"topology={wire_name}" in submitted[3].split()
+
+
+@pytest.mark.parametrize("injection, error", [
+    ("TaskOOM wf1/ZZ/0", "unknown task: 'wf1/ZZ/0'"),
+    ("MachineUnhealthy m9", "unknown machine: 'm9'"),
+])
+def test_run_names_an_unknown_fault_target_by_its_layer(
+    sandbox, tmp_path, capsys, injection, error
+):
+    scenario = tmp_path / "ghost.scenario"
+    scenario.write_text(
+        f"workflow {data_path('fig1.wf')}\ncluster {data_path('two.cluster')}\n"
+        f"inject {injection} at=5\n"
+    )
+    assert main(["run", str(scenario), "--run-id", "g"]) == 1
+    assert capsys.readouterr().err == f"stratus: error: {error}\n"
+
+
 def test_run_failing_scenario_exits_two(sandbox, capsys):
     code = main(["run", data_path("faults.scenario"), "--run-id", "f1"])
     assert code == 2

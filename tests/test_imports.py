@@ -28,8 +28,6 @@ UNREAD_DEFINITIONS_ALLOWED = {
     "fixtures.fixture_text": "the benchmark reads the bundled inputs with it",
     "taskmon.parse_trace": "the public reader of the trace file a run writes",
     "fixtures.fixture_path": "the path of a bundled file, for loaders of scenario files",
-    "machine.MachineRegistry.latest_sample": "the machine layer's latest-sample read;"
-    " available_resources does the same read under its own lookup and lock",
     "service._Handler.do_GET": "http.server calls it",
     "service._Handler.log_message": "http.server calls it",
 }

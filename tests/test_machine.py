@@ -78,6 +78,8 @@ def test_descriptor_rejects_oversized_partitions():
 def test_hardware_rejects_bad_clock():
     with pytest.raises(MachineError):
         HardwareSpec("x86_64", "sim", 0, ())
+    with pytest.raises(MachineError, match=r"^partition 'scratch' has negative size$"):
+        HardwareSpec("x86_64", "sim", 2666, (("root", 0), ("scratch", -1)))
 
 
 # --- registry lifecycle ---

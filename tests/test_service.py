@@ -43,9 +43,15 @@ from stratus.service import (
     replay_progress,
     serve,
 )
-from stratus.sim import NonQuiescentError, Simulation, load_scenario
+from stratus.sim import (
+    FaultInjection,
+    InjectionKind,
+    NonQuiescentError,
+    Simulation,
+    load_scenario,
+)
 from stratus.store import RunStore
-from stratus.taskmon import LogLevel
+from stratus.taskmon import LogLevel, diagnose
 from stratus.workflow import (
     ReportOnRunningRunError,
     RunState,
@@ -807,6 +813,31 @@ def test_a_live_run_has_an_execution_report_only_once_it_ends():
         handle.close()
 
 
+def test_a_failure_read_before_its_diagnosis_lands_answers_404(monkeypatch):
+    """A failed task's trace record lands before its diagnosis, so a live
+    reader in between gets past the record check and finds no diagnosis."""
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="oom", submission_ms=0)
+    simulation.inject(FaultInjection(InjectionKind.TASK_OOM, TASK))
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    between = []
+
+    def diagnose_after_a_read(record, *args):
+        between.append((
+            record.task_id in simulation.result.trace_by_id,
+            answer(context, FeatureKey.FAULT_DIAGNOSIS, record.task_id),
+        ))
+        return diagnose(record, *args)
+
+    monkeypatch.setattr("stratus.sim.diagnose", diagnose_after_a_read)
+    simulation.run_to_completion()
+    assert between == [(True, (404, f"no diagnosis yet for {TASK!r}"))]
+    status, payload = answer(context, FeatureKey.FAULT_DIAGNOSIS, TASK)
+    assert (status, payload["verdict"]) == (200, "out_of_memory")
+
+
 def test_live_readers_under_fast_thread_switching_all_read_the_whole_stream():
     # a wake-up lost between a reader's check and its wait would leave that
     # reader blocked, and its join below would time out
@@ -1082,6 +1113,27 @@ def test_a_run_id_is_registered_once():
     assert context.resource_manager().registry.machine_ids() == ["m1", "m2"]
 
 
+@pytest.mark.parametrize("topology", list(TopologyMode))
+def test_a_service_registers_only_runs_of_its_own_topology(topology):
+    """The access matrix decides under the context's topology, so a run
+    coupled the other way is refused, ended or live, and changes nothing."""
+    other = next(t for t in TopologyMode if t is not topology)
+    spec = parse_workflow(fixture_text("fig1.wf"))
+    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
+    context = ServiceContext(topology)
+    context.add_result(completed_result(topology))
+    registered = dict(context.results)
+    refusal = f"^run 'x' is {other.wire_name}; this service serves {topology.wire_name} runs$"
+    ended = run_simulation(spec, machines, fs_total, 4, 42, other, run_id="x", submission_ms=0)
+    with pytest.raises(ServiceError, match=refusal):
+        context.add_result(ended)
+    live = Simulation(spec, machines, fs_total, 4, 42, other, run_id="x", submission_ms=0)
+    with pytest.raises(ServiceError, match=refusal):
+        context.attach_live(live)
+    assert live.event_listeners == [] and live.abort_listeners == []
+    assert context.results == registered
+
+
 def test_every_feature_has_exactly_one_table_row():
     assert set(service._FEATURES) == set(FeatureKey)
 
@@ -1207,15 +1259,21 @@ TASK_FEATURES = features_owned_by(LayerId.TASK)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.tuples(engine_cases(), st.booleans()), min_size=1, max_size=3), st.data())
-def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, data):
+@given(
+    st.lists(st.tuples(engine_cases(), st.booleans()), min_size=1, max_size=3),
+    st.sampled_from(TopologyMode),
+    st.data(),
+)
+def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, topology, data):
     """Every engine case's tasks share ids (``pw/t0/0``, ...), so runs drawn
     with different sizes hold some ids in one run only; a run that was
-    never started holds its tasks with no trace records."""
+    never started holds its tasks with no trace records.  A service serves
+    one topology, so every run of an example is coupled the same way."""
     simulations = [
-        drawn_simulation(case, f"r{n}", started) for n, (case, started) in enumerate(runs)
+        drawn_simulation((*case[:4], topology, case[5]), f"r{n}", started)
+        for n, (case, started) in enumerate(runs)
     ]
-    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context = ServiceContext(topology)
     order = data.draw(st.permutations(simulations))
     for simulation in order:
         context.attach_live(simulation)
@@ -1224,7 +1282,7 @@ def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, data):
     task_ids = sorted(set().union(*held.values()))
     for task_id in task_ids:
         holder = next(s for s in reversed(order) if task_id in held[s.run_id])
-        alone = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+        alone = ServiceContext(topology)
         alone.attach_live(holder)
         for feature in TASK_FEATURES:
             assert answer(context, feature, task_id) == answer(alone, feature, task_id)

@@ -28,7 +28,13 @@ from conftest import (
 from oracles import event_line, instance_stream, resolve_final_state, stream_seed
 from stratus.blueprint import TopologyMode
 from stratus.fixtures import fixture_text
-from stratus.machine import MachineRegistry, MachineStatus, ResourceVector, parse_cluster
+from stratus.machine import (
+    MachineRegistry,
+    MachineStatus,
+    ResourceVector,
+    UnknownMachineError,
+    parse_cluster,
+)
 from stratus.resman import ResourceManager
 from stratus.sim import (
     BUILTIN_MODELS,
@@ -47,7 +53,6 @@ from stratus.sim import (
     ScenarioSyntaxError,
     Simulation,
     SimulationError,
-    TargetUnknownError,
     SynthesizedMetrics,
     TaskModel,
     _Execution,
@@ -76,6 +81,7 @@ from stratus.workflow import (
     TaskDefinition,
     TaskInstance,
     TaskState,
+    UnknownTaskError,
     WorkflowError,
     WorkflowSpec,
     WorkflowSyntaxError,
@@ -761,9 +767,10 @@ def test_spontaneous_failure_follows_the_drawn_probability():
 def test_injection_validation():
     spec, machines, fs_total = fig1_setup()
     simulation = Simulation(spec, machines, fs_total, 4, 42)
-    with pytest.raises(TargetUnknownError):
+    # an unknown target raises its own layer's error, as the service's 404 does
+    with pytest.raises(UnknownTaskError, match=r"^unknown task: 'wf1/II/99'$"):
         simulation.inject(FaultInjection(InjectionKind.TASK_OOM, "wf1/II/99"))
-    with pytest.raises(TargetUnknownError):
+    with pytest.raises(UnknownMachineError, match=r"^unknown machine: 'm99'$"):
         simulation.inject(FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m99"))
     simulation.run_to_completion()
     with pytest.raises(InjectionInPastError):

@@ -458,6 +458,8 @@ def test_instance_rejects_double_finish():
     inst.mark_finished(1, TaskState.SUCCEEDED)
     with pytest.raises(InvalidTransitionError):
         inst.mark_finished(2, TaskState.FAILED)
+    with pytest.raises(InvalidTransitionError, match=r"^w/a/0: cannot queue from state succeeded$"):
+        inst.mark_queued(2)
 
 
 def test_instance_record_round_trip():
