@@ -5,12 +5,15 @@ with the caller declaring its own layer via ``as_layer``.  The access matrix
 decides 200 versus 403; a denial carries only the violated rule, never data.
 The workflow layer additionally streams live run progress, so monitoring
 data is available during execution, not only after it.
+``ServiceContext.answer`` computes every response; the HTTP server only
+moves its bytes.
 """
 
 import json
 import socket
+import sys
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -171,6 +174,79 @@ class ServiceContext:
             results = list(self.results.values())
         return max([0] + [r.event_records[-1].t_ms for r in results if r.event_records])
 
+    def answer(self, target: str, closed: threading.Event | None = None):
+        """The response to ``GET target`` as (status, content type, body):
+        the bytes a client of ``serve`` gets.  The body is bytes, or for
+        ``live_progress`` an iterator of byte chunks, one per batch of
+        progress records, which ``closed`` ends as it ends ``progress``."""
+        try:
+            # leading slashes of a path name no host; an absolute-form
+            # target (RFC 9112 3.2.2) names one before its path
+            parsed = urlparse("/" + target.lstrip("/") if target.startswith("/") else target)
+            segments = [s for s in parsed.path.split("/") if s]
+            query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+            if len(segments) != 3 or segments[0] != "v1":
+                raise _HTTPError(404, "expected /v1/<layer>/<feature>")
+            try:
+                path_layer = LayerId.from_wire(segments[1])
+            except UnknownLayerError as exc:
+                raise _HTTPError(404, str(exc)) from None
+
+            # the live stream is read under workflow_status's access rule
+            live = segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW
+            feature = (
+                FeatureKey.WORKFLOW_STATUS if live
+                else _resolve_feature(self, path_layer, segments[2])
+            )
+
+            as_layer_name = query.get("as_layer")
+            if not as_layer_name:
+                raise _HTTPError(400, "missing as_layer parameter")
+            try:
+                as_layer = LayerId.from_wire(as_layer_name)
+            except UnknownLayerError as exc:
+                raise _HTTPError(400, str(exc)) from None
+
+            # blueprint's decision, by its module name here so a wrapper sees each one
+            denial = authorize(self.matrix, as_layer, feature, self.topology)
+            if denial is not None:
+                raise _HTTPError(403, denial)
+            subject = query.get("subject")
+            if live:
+                if not subject:
+                    raise _HTTPError(400, "live_progress needs a run_id subject")
+                self.result(subject)  # 404 before the stream starts, never after
+                # a stream that `closed` cuts short ends without a terminal record
+                return 200, "application/x-ndjson", (
+                    b"".join(json.dumps(_status_payload(r), sort_keys=True).encode() + b"\n"
+                             for r in batch)
+                    for batch in self.progress(subject, closed)
+                )
+
+            t_from = parse_decimal(query["from"], key="from") if "from" in query else 0
+            t_to = parse_decimal(query["to"], key="to") if "to" in query else MAX_WINDOW_MS
+            if t_from > t_to:
+                raise InvalidWindowError(t_from, t_to)
+            level = query.get("min_level")
+            min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
+            # by its module name, so a wrapper sees every payload built
+            payload = _build_payload(self, feature, subject, t_from, t_to, min_level)
+            status, body = 200, {
+                "feature": feature.value if isinstance(feature, FeatureKey) else feature,
+                "subject": subject,
+                "served_at_ms": self.served_at_ms(),
+                "payload": payload,
+            }
+        except _HTTPError as exc:
+            status, body = exc.status, {"error": str(exc)}
+        # the one place a layer's refusal of a request gets its status: the
+        # resolvers, builders and window bounds let the layers' errors through
+        except (UnknownRunError, UnknownMachineError, UnknownTaskError) as exc:
+            status, body = 404, {"error": str(exc)}
+        except (ValueError, InvalidWindowError, ReportOnRunningRunError) as exc:
+            status, body = 400, {"error": str(exc)}
+        return status, "application/json", json.dumps(body, sort_keys=True).encode()
+
 
 def _whole(record) -> dict:
     """Every field of a layer record served whole, as a new dict.  The
@@ -197,18 +273,6 @@ class _HTTPError(ServiceError):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
-
-
-@contextmanager
-def _refusals():
-    """The one place a layer's refusal of a request gets its status: the
-    resolvers, builders and window bounds let the layers' errors through."""
-    try:
-        yield
-    except (UnknownRunError, UnknownMachineError, UnknownTaskError) as exc:
-        raise _HTTPError(404, str(exc)) from None
-    except (ValueError, InvalidWindowError, ReportOnRunningRunError) as exc:
-        raise _HTTPError(400, str(exc)) from None
 
 
 class _Machine(NamedTuple):
@@ -447,99 +511,30 @@ def _resolve_feature(context: ServiceContext, layer: LayerId, segment: str):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One connection to the query service; it reads the context its server
-    carries, so no class holds a context of its own."""
+    """One connection to the query service.  It only moves bytes: each
+    response is the one ``ServiceContext.answer`` computes from the context
+    its server carries, so no class holds a context of its own."""
 
     protocol_version = "HTTP/1.1"
 
     def log_message(self, format, *args):
         pass
 
-    def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
     def do_GET(self):
-        try:
-            self._route()
-        except _HTTPError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
-        except BrokenPipeError:
-            pass
-
-    def _route(self):
-        context = self.server.context
-        parsed = urlparse(self.path)
-        segments = [s for s in parsed.path.split("/") if s]
-        query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-        if len(segments) != 3 or segments[0] != "v1":
-            raise _HTTPError(404, "expected /v1/<layer>/<feature>")
-        try:
-            path_layer = LayerId.from_wire(segments[1])
-        except UnknownLayerError as exc:
-            raise _HTTPError(404, str(exc)) from None
-
-        # the live stream is read under workflow_status's access rule
-        live = segments[2] == "live_progress" and path_layer is LayerId.WORKFLOW
-        feature = (
-            FeatureKey.WORKFLOW_STATUS if live
-            else _resolve_feature(context, path_layer, segments[2])
-        )
-
-        as_layer_name = query.get("as_layer")
-        if not as_layer_name:
-            raise _HTTPError(400, "missing as_layer parameter")
-        try:
-            as_layer = LayerId.from_wire(as_layer_name)
-        except UnknownLayerError as exc:
-            raise _HTTPError(400, str(exc)) from None
-
-        # blueprint's decision, by its module name here so a wrapper sees each one
-        denial = authorize(context.matrix, as_layer, feature, context.topology)
-        if denial is not None:
-            raise _HTTPError(403, denial)
-        subject = query.get("subject")
-        if live:
-            self._live_progress(context, subject)
+        status, content_type, body = self.server.context.answer(self.path, self.server.closed)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        if isinstance(body, bytes):
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
             return
-
-        with _refusals():
-            t_from = parse_decimal(query["from"], key="from") if "from" in query else 0
-            t_to = parse_decimal(query["to"], key="to") if "to" in query else MAX_WINDOW_MS
-            if t_from > t_to:
-                raise InvalidWindowError(t_from, t_to)
-            level = query.get("min_level")
-            min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
-            payload = _build_payload(context, feature, subject, t_from, t_to, min_level)
-
-        self._send_json(200, {
-            "feature": feature.value if isinstance(feature, FeatureKey) else feature,
-            "subject": subject,
-            "served_at_ms": context.served_at_ms(),
-            "payload": payload,
-        })
-
-    def _live_progress(self, context: ServiceContext, run_id: str | None):
-        if not run_id:
-            raise _HTTPError(400, "live_progress needs a run_id subject")
-        with _refusals():  # 404 before the stream starts, never after
-            context.result(run_id)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
+        # a stream has no length, so it ends with its connection
         self.send_header("Connection", "close")
         self.end_headers()
-        # a stream the server's close cuts short ends without a terminal record
-        for batch in context.progress(run_id, self.server.closed):
-            self.wfile.write(b"".join(
-                json.dumps(_status_payload(record), sort_keys=True).encode() + b"\n"
-                for record in batch
-            ))
+        for chunk in body:
+            self.wfile.write(chunk)
             self.wfile.flush()
-        self.close_connection = True
 
 
 class _Server(ThreadingHTTPServer):
@@ -562,6 +557,11 @@ class _Server(ThreadingHTTPServer):
     def shutdown_request(self, request) -> None:
         self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # a client that resets or leaves early ends only its own connection
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         # end the live streams this server is writing: each waits on the

@@ -132,7 +132,7 @@ def test_criterion_03_diamond_expansion(acceptance):
         assert len(node_lines) == 6
 
 
-def _serve_completed(topology):
+def _completed_context(topology):
     spec = parse_workflow(fixture_text("fig1.wf"))
     machines, fs_total = parse_cluster(fixture_text("two.cluster"))
     result = run_simulation(
@@ -140,45 +140,30 @@ def _serve_completed(topology):
     )
     context = ServiceContext(topology)
     context.add_result(result)
-    return result, serve(context)
+    return result, context
+
+
+def _ask_as_the_manager(context, path: str) -> tuple[int, dict]:
+    status, _, body = context.answer(f"{path}?as_layer=resource_manager&subject=acc-run")
+    return status, json.loads(body)
 
 
 def test_criterion_04_topology_gates_workflow_features(acceptance):
     with acceptance(4, "disjoint topology hides workflow features from the manager"):
-        result, handle = _serve_completed(TopologyMode.DISJOINT)
-        try:
-            assert result.resource_manager.running_workflows() == []
-            response = requests.get(
-                f"{handle.url}/v1/resource_manager/running_workflows",
-                params={"as_layer": "resource_manager"},
-                timeout=10,
-            )
-            assert response.status_code == 200
-            assert response.json()["payload"] == {"running": []}
-            for name in sorted(WORKFLOW_OWNED):
-                subject = "wf1" if name == "previous_executions" else "acc-run"
-                response = requests.get(
-                    f"{handle.url}/v1/workflow/{name}",
-                    params={"as_layer": "resource_manager", "subject": subject},
-                    timeout=10,
-                )
-                assert response.status_code == 403, (name, response.text)
-                assert set(response.json()) == {"error"}
-        finally:
-            handle.close()
+        result, context = _completed_context(TopologyMode.DISJOINT)
+        assert result.resource_manager.running_workflows() == []
+        status, body = _ask_as_the_manager(context, "/v1/resource_manager/running_workflows")
+        assert (status, body["payload"]) == (200, {"running": []})
+        for name in sorted(WORKFLOW_OWNED):
+            status, body = _ask_as_the_manager(context, f"/v1/workflow/{name}")
+            assert status == 403, (name, body)
+            assert set(body) == {"error"}
 
-        result, handle = _serve_completed(TopologyMode.WORKFLOW_AWARE)
-        try:
-            for name in ("workflow_status", "workflow_specification", "workflow_id"):
-                response = requests.get(
-                    f"{handle.url}/v1/workflow/{name}",
-                    params={"as_layer": "resource_manager", "subject": "acc-run"},
-                    timeout=10,
-                )
-                assert response.status_code == 200, (name, response.text)
-                assert response.json()["feature"] == name
-        finally:
-            handle.close()
+        _, context = _completed_context(TopologyMode.WORKFLOW_AWARE)
+        for name in ("workflow_status", "workflow_specification", "workflow_id"):
+            status, body = _ask_as_the_manager(context, f"/v1/workflow/{name}")
+            assert status == 200, (name, body)
+            assert body["feature"] == name
 
 
 def test_criterion_05_determinism_at_desk_scale(acceptance):

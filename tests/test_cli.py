@@ -14,7 +14,7 @@ import requests
 import stratus
 from stratus.blueprint import TopologyMode
 from stratus.cli import main
-from stratus.service import ServiceContext, serve
+from stratus.service import ServiceContext
 from stratus.store import RunStore
 from stratus.taskmon import parse_trace
 from stratus.workflow import RunRecord
@@ -298,16 +298,9 @@ def test_every_history_reader_decodes_through_load_all(sandbox, monkeypatch, cap
     assert main(["status", "r1"]) == 0
     assert readers == [history]
 
-    handle = serve(ServiceContext(TopologyMode.WORKFLOW_AWARE, store=RunStore(history)))
-    try:
-        response = requests.get(
-            f"{handle.url}/v1/workflow/previous_executions",
-            params={"as_layer": "workflow", "subject": "wf1"},
-            timeout=10,
-        )
-    finally:
-        handle.close()
-    assert [e["run_id"] for e in response.json()["payload"]["executions"]] == ["r1"]
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE, store=RunStore(history))
+    _, _, body = context.answer("/v1/workflow/previous_executions?as_layer=workflow&subject=wf1")
+    assert [e["run_id"] for e in json.loads(body)["payload"]["executions"]] == ["r1"]
     assert readers == [history, history]
 
 

@@ -1,12 +1,15 @@
 """Golden digests of the query service's responses: the status and body bytes
 of every feature, asked as every layer and with every kind of bad request,
-are pinned for the bundled fault scenario in both topologies.  A refactor of
-the service that changes any response byte fails here, even when the change
-is the same on every run.  A change that means to alter a response is a
-behaviour change and must update these digests and say so."""
+are pinned for the bundled fault scenario in both topologies.  Each request
+list is answered twice, in-process by ``ServiceContext.answer`` and over
+HTTP, and both must give the pinned digest.  A refactor of the service that
+changes any response byte fails here, even when the change is the same on
+every run.  A change that means to alter a response is a behaviour change
+and must update these digests and say so."""
 
 import dataclasses
 import hashlib
+from urllib.parse import urlencode
 
 import pytest
 import requests
@@ -173,12 +176,28 @@ def empty_context_requests() -> list[tuple[str, dict]]:
     return out
 
 
-def digest(url: str, plan: list[tuple[str, dict]]) -> str:
+def fetchers(context: ServiceContext, url: str) -> dict:
+    """Two ways to get (status, body bytes) for a (path, query): in-process
+    from ``context.answer``, a stream's chunks joined, and over HTTP from
+    the server at ``url`` that serves ``context``."""
+
+    def answer(path: str, query: dict) -> tuple[int, bytes]:
+        status, _, body = context.answer(f"{path}?{urlencode(query)}")
+        return status, body if isinstance(body, bytes) else b"".join(body)
+
+    def http(path: str, query: dict) -> tuple[int, bytes]:
+        response = requests.get(url + path, params=query, timeout=10)
+        return response.status_code, response.content
+
+    return {"answer": answer, "http": http}
+
+
+def digest(fetch, plan: list[tuple[str, dict]]) -> str:
     h = hashlib.sha256()
     for path, query in plan:
-        response = requests.get(url + path, params=query, timeout=10)
-        h.update(f"{path} {sorted(query.items())} {response.status_code}\n".encode())
-        h.update(response.content)
+        status, body = fetch(path, query)
+        h.update(f"{path} {sorted(query.items())} {status}\n".encode())
+        h.update(body)
         h.update(b"\n")
     return h.hexdigest()
 
@@ -195,11 +214,11 @@ def served(request, tmp_path_factory):
     matrix = parse_matrix_overrides(f"extension {EXTENSION}: machine, resource_manager\n")
     context = ServiceContext(topology, matrix=matrix, store=store)
     context.add_result(result)
-    handle = serve(context)
-    empty = serve(ServiceContext(topology))
-    yield request.param, handle.url, empty.url
+    empty = ServiceContext(topology)
+    handle, empty_handle = serve(context), serve(empty)
+    yield request.param, fetchers(context, handle.url), fetchers(empty, empty_handle.url)
     handle.close()
-    empty.close()
+    empty_handle.close()
 
 
 def test_golden_keys_cover_every_feature():
@@ -209,11 +228,14 @@ def test_golden_keys_cover_every_feature():
 
 @pytest.mark.parametrize("feature", ALL_FEATURES, ids=lambda f: f.value)
 def test_feature_responses_match_golden_digests(served, feature):
-    topology, url, _ = served
-    assert digest(url, feature_requests(feature)) == GOLDEN[topology][feature.value]
+    topology, fetchers, _ = served
+    for way, fetch in fetchers.items():
+        assert digest(fetch, feature_requests(feature)) == GOLDEN[topology][feature.value], way
 
 
 def test_extra_responses_match_golden_digest(served):
-    topology, url, empty_url = served
-    combined = digest(url, extra_requests()) + digest(empty_url, empty_context_requests())
-    assert hashlib.sha256(combined.encode()).hexdigest() == GOLDEN_EXTRA[topology]
+    topology, fetchers, empty_fetchers = served
+    for way in fetchers:
+        combined = digest(fetchers[way], extra_requests())
+        combined += digest(empty_fetchers[way], empty_context_requests())
+        assert hashlib.sha256(combined.encode()).hexdigest() == GOLDEN_EXTRA[topology], way

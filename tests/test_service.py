@@ -1,6 +1,7 @@
-"""Query service tests: exhaustive layer/feature authorization over HTTP,
-payload correctness per feature, error codes, the live progress stream, and
-the context's bookkeeping."""
+"""Query service tests: exhaustive layer/feature authorization, payload
+correctness per feature and error codes, each through the in-process
+``ServiceContext.answer``; the transport over HTTP (keep-alive, the live
+progress stream, close and client resets); and the context's bookkeeping."""
 
 import ast
 import dataclasses
@@ -8,10 +9,15 @@ import gc
 import http.client
 import inspect
 import json
+import socket
+import socketserver
+import struct
 import sys
 import threading
 import time
 import weakref
+from collections import Counter
+from urllib.parse import urlencode
 
 import pytest
 import requests
@@ -51,7 +57,7 @@ from stratus.sim import (
     load_scenario,
 )
 from stratus.store import RunStore
-from stratus.taskmon import LogLevel, diagnose
+from stratus.taskmon import diagnose
 from stratus.workflow import (
     ReportOnRunningRunError,
     RunState,
@@ -78,26 +84,21 @@ def completed_result(topology):
     )
 
 
-def start_server(topology, store=None, matrix=None):
+def make_context(topology, store=None, matrix=None):
     context = ServiceContext(topology, matrix=matrix, store=store)
     result = completed_result(topology)
     context.add_result(result)
-    handle = serve(context)
-    return context, result, handle
+    return context, result
 
 
 @pytest.fixture(scope="module")
 def aware():
-    context, result, handle = start_server(TopologyMode.WORKFLOW_AWARE)
-    yield context, result, handle.url
-    handle.close()
+    return make_context(TopologyMode.WORKFLOW_AWARE)
 
 
 @pytest.fixture(scope="module")
 def disjoint():
-    context, result, handle = start_server(TopologyMode.DISJOINT)
-    yield context, result, handle.url
-    handle.close()
+    return make_context(TopologyMode.DISJOINT)
 
 
 def subject_for(feature: FeatureKey) -> str | None:
@@ -113,39 +114,58 @@ def subject_for(feature: FeatureKey) -> str | None:
     return TASK
 
 
-def get_feature(url, feature: FeatureKey, as_layer: LayerId, **params):
-    params = {"as_layer": as_layer.wire_name, **params}
-    subject = subject_for(feature)
-    if subject is not None and "subject" not in params:
-        params["subject"] = subject
-    return requests.get(
-        f"{url}/v1/{feature.owning_layer.wire_name}/{feature.value}",
-        params=params,
-        timeout=10,
-    )
+def target(path: str, **params) -> str:
+    """The request target of ``path`` with ``params`` as its query; a
+    parameter given as None is left out."""
+    query = urlencode({k: v for k, v in params.items() if v is not None})
+    return f"{path}?{query}" if query else path
+
+
+def feature_target(feature: FeatureKey, as_layer: LayerId | None = None, **params) -> str:
+    """``feature`` asked as ``as_layer`` (its owning layer by default), with
+    the subject ``subject_for`` names unless ``params`` names one."""
+    params.setdefault("subject", subject_for(feature))
+    owner = feature.owning_layer
+    as_layer = owner if as_layer is None else as_layer
+    return target(f"/v1/{owner.wire_name}/{feature.value}", as_layer=as_layer.wire_name, **params)
+
+
+def ask(context, request_target: str) -> tuple[int, dict]:
+    """The status and decoded JSON body of ``context``'s answer."""
+    status, content_type, body = context.answer(request_target)
+    assert content_type == "application/json"
+    return status, json.loads(body)
+
+
+def ask_feature(context, feature, as_layer=None, **params) -> tuple[int, dict]:
+    return ask(context, feature_target(feature, as_layer, **params))
+
+
+def payload_of(context, feature, as_layer=None, **params) -> dict:
+    status, body = ask_feature(context, feature, as_layer, **params)
+    assert status == 200, body
+    return body["payload"]
 
 
 # --- exhaustive authorization conformance ---
 
 
 @pytest.mark.parametrize("topology_name", ["workflow_aware", "disjoint"])
-def test_every_layer_feature_pair_over_http(topology_name, aware, disjoint):
+def test_every_layer_feature_pair(topology_name, aware, disjoint):
     matrix = default_access_matrix()
     topology = TopologyMode(topology_name)
-    _, _, url = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
+    context, _ = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
     checked = 0
     for feature in ALL_FEATURES:
         for layer in ALL_LAYERS:
-            response = get_feature(url, feature, layer)
+            status, body = ask_feature(context, feature, layer)
             allowed = access_allowed(matrix, layer, feature, topology)
             if allowed:
-                assert response.status_code == 200, (feature, layer, response.text)
-                body = response.json()
+                assert status == 200, (feature, layer, body)
                 assert set(body) == {"feature", "subject", "served_at_ms", "payload"}
                 assert body["feature"] == feature.value
             else:
-                assert response.status_code == 403, (feature, layer, response.text)
-                body = response.json()
+                assert status == 403, (feature, layer, body)
                 assert set(body) == {"error"}
                 assert feature.value in body["error"]
             checked += 1
@@ -153,10 +173,9 @@ def test_every_layer_feature_pair_over_http(topology_name, aware, disjoint):
 
 
 def test_denial_carries_no_data(aware):
-    _, _, url = aware
-    response = get_feature(url, FeatureKey.WORKFLOW_STATUS, LayerId.TASK)
-    assert response.status_code == 403
-    body = response.json()
+    context, _ = aware
+    status, body = ask_feature(context, FeatureKey.WORKFLOW_STATUS, LayerId.TASK)
+    assert status == 403
     assert list(body) == ["error"]
     assert "not permitted" in body["error"]
     for leak in ("finished", "progress", "payload", RUN_ID):
@@ -164,20 +183,20 @@ def test_denial_carries_no_data(aware):
 
 
 def test_disjoint_denial_names_the_topology_rule(disjoint):
-    _, _, url = disjoint
-    response = get_feature(
-        url, FeatureKey.WORKFLOW_SPECIFICATION, LayerId.RESOURCE_MANAGER
+    context, _ = disjoint
+    status, body = ask_feature(
+        context, FeatureKey.WORKFLOW_SPECIFICATION, LayerId.RESOURCE_MANAGER
     )
-    assert response.status_code == 403
-    assert "disjoint" in response.json()["error"]
+    assert status == 403
+    assert "disjoint" in body["error"]
 
 
 def test_authorization_runs_before_subject_checks(aware):
-    _, _, url = aware
-    response = get_feature(
-        url, FeatureKey.WORKFLOW_STATUS, LayerId.TASK, subject="no-such-run"
+    context, _ = aware
+    status, _ = ask_feature(
+        context, FeatureKey.WORKFLOW_STATUS, LayerId.TASK, subject="no-such-run"
     )
-    assert response.status_code == 403
+    assert status == 403
 
 
 _EXTENSION_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
@@ -227,6 +246,8 @@ def reference_denial(permitted, layer, name, topology) -> str | None:
     return None
 
 
+
+
 @pytest.mark.parametrize("topology_name", ["workflow_aware", "disjoint"])
 @settings(max_examples=60, deadline=None)
 @given(st.lists(override_rows(), max_size=8), st.data())
@@ -236,10 +257,10 @@ def test_authorize_denies_exactly_what_the_paper_grid_and_overrides_deny(
     """Random valid override files: ``authorize`` denies a layer a feature
     exactly when the paper's grid with the rows applied (the last row for a
     key wins) denies it, and its reason names the rule.  Every pair is
-    checked in-process; a few drawn pairs go over HTTP to the one served
+    checked against ``authorize``; a few drawn pairs are asked of the one
     context of the topology, with the drawn matrix swapped in."""
     topology = TopologyMode(topology_name)
-    context, _, url = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
+    context, _ = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
     matrix = parse_matrix_overrides(override_file(rows, data.draw))
     permitted = {name: oracle_permitted(name) for name in ORACLE_ROWS}
     permitted.update((key.removeprefix("extension "), layers) for key, layers in rows)
@@ -269,15 +290,14 @@ def test_authorize_denies_exactly_what_the_paper_grid_and_overrides_deny(
     try:
         for name, layer in pairs:
             owner = min(permitted[name]).wire_name
-            params = {"as_layer": layer.wire_name}
-            if name in ORACLE_ROWS:
-                params["subject"] = subject_for(FeatureKey(name))
-            response = requests.get(f"{url}/v1/{owner}/{name}", params=params, timeout=10)
+            subject = subject_for(FeatureKey(name)) if name in ORACLE_ROWS else None
+            status, body = ask(
+                context, target(f"/v1/{owner}/{name}", as_layer=layer.wire_name, subject=subject)
+            )
             if reasons[name, layer] is None:
-                assert response.status_code == 200, (name, layer, response.text)
+                assert status == 200, (name, layer, body)
             else:
-                assert response.status_code == 403, (name, layer, response.text)
-                assert response.json() == {"error": reasons[name, layer]}
+                assert (status, body) == (403, {"error": reasons[name, layer]})
     finally:
         context.matrix = served
 
@@ -286,45 +306,37 @@ def test_authorize_denies_exactly_what_the_paper_grid_and_overrides_deny(
 
 
 def test_workflow_status_payload_matches_model(aware):
-    _, result, url = aware
-    body = get_feature(url, FeatureKey.WORKFLOW_STATUS, LayerId.WORKFLOW).json()
+    context, result = aware
+    payload = payload_of(context, FeatureKey.WORKFLOW_STATUS)
     report = workflow_status(result.run)
-    assert body["payload"] == {
+    assert payload == {
         "state": report.state.value,
         "finished": report.finished,
         "total": report.total,
         "progress": report.progress,
         "failures": report.failures,
     }
-    assert body["payload"]["finished"] == 18
+    assert payload["finished"] == 18
 
 
 def test_status_aliases_resolve_per_layer(aware):
-    _, _, url = aware
-    for layer, subject in (
-        (LayerId.WORKFLOW, RUN_ID),
-        (LayerId.MACHINE, "m1"),
-        (LayerId.TASK, TASK),
+    context, _ = aware
+    for layer, subject, expected in (
+        (LayerId.WORKFLOW, RUN_ID, "workflow_status"),
+        (LayerId.MACHINE, "m1", "machine_status"),
+        # the resource manager may read task_status through the alias too
+        (LayerId.TASK, TASK, "task_status"),
     ):
-        response = requests.get(
-            f"{url}/v1/{layer.wire_name}/status",
-            params={"as_layer": "resource_manager", "subject": subject},
-            timeout=10,
-        )
-        if layer is LayerId.TASK:
-            # the resource manager may read task_status through the alias too
-            assert response.status_code == 200
-            assert response.json()["feature"] == "task_status"
-        else:
-            assert response.status_code == 200
-            expected = "workflow_status" if layer is LayerId.WORKFLOW else "machine_status"
-            assert response.json()["feature"] == expected
+        status, body = ask(context, target(
+            f"/v1/{layer.wire_name}/status", as_layer="resource_manager", subject=subject
+        ))
+        assert status == 200
+        assert body["feature"] == expected
 
 
 def test_workflow_specification_payload(aware):
-    _, result, url = aware
-    body = get_feature(url, FeatureKey.WORKFLOW_SPECIFICATION, LayerId.WORKFLOW).json()
-    payload = body["payload"]
+    context, _ = aware
+    payload = payload_of(context, FeatureKey.WORKFLOW_SPECIFICATION)
     assert payload["workflow_id"] == "wf1"
     assert [t["name"] for t in payload["tasks"]] == ["I", "II", "III", "IV", "V", "VI"]
     assert ["I", "II"] in payload["edges"]
@@ -332,46 +344,37 @@ def test_workflow_specification_payload(aware):
 
 
 def test_graphical_representation_payload(aware):
-    _, result, url = aware
-    body = get_feature(url, FeatureKey.GRAPHICAL_REPRESENTATION, LayerId.WORKFLOW).json()
-    assert body["payload"]["dot"] == export_dot(result.spec)
+    context, result = aware
+    assert payload_of(context, FeatureKey.GRAPHICAL_REPRESENTATION) == {
+        "dot": export_dot(result.spec)
+    }
 
 
 def test_execution_report_payload(aware):
-    _, result, url = aware
-    body = get_feature(url, FeatureKey.EXECUTION_REPORT, LayerId.WORKFLOW).json()
-    payload = body["payload"]
+    context, _ = aware
+    payload = payload_of(context, FeatureKey.EXECUTION_REPORT)
     assert payload["counts"] == {"total": 18, "succeeded": 18, "failed": 0}
     assert payload["makespan_ms"] > 0
     assert set(payload["task_stats"]) == {"I", "II", "III", "IV", "V", "VI"}
 
 
 def test_workflow_id_payload(aware):
-    _, _, url = aware
-    body = get_feature(url, FeatureKey.WORKFLOW_ID, LayerId.WORKFLOW).json()
-    assert body["payload"] == {"run_id": RUN_ID, "workflow_id": "wf1"}
+    context, _ = aware
+    assert payload_of(context, FeatureKey.WORKFLOW_ID) == {"run_id": RUN_ID, "workflow_id": "wf1"}
 
 
 def test_previous_executions_requires_store(aware, tmp_path):
-    _, _, url = aware
-    body = get_feature(url, FeatureKey.PREVIOUS_EXECUTIONS, LayerId.WORKFLOW).json()
-    assert body["payload"] == {"executions": []}
+    context, _ = aware
+    assert payload_of(context, FeatureKey.PREVIOUS_EXECUTIONS) == {"executions": []}
 
     store = RunStore(tmp_path / "runs.jsonl")
-    result = completed_result(TopologyMode.WORKFLOW_AWARE)
-    store.append(result.run)
-    context, _, handle = start_server(TopologyMode.WORKFLOW_AWARE, store=store)
-    try:
-        body = get_feature(
-            handle.url, FeatureKey.PREVIOUS_EXECUTIONS, LayerId.WORKFLOW
-        ).json()
-        executions = body["payload"]["executions"]
-        assert len(executions) == 1
-        assert executions[0]["run_id"] == RUN_ID
-        assert executions[0]["final_state"] == "succeeded"
-        assert executions[0]["makespan_ms"] > 0
-    finally:
-        handle.close()
+    store.append(completed_result(TopologyMode.WORKFLOW_AWARE).run)
+    context, _ = make_context(TopologyMode.WORKFLOW_AWARE, store=store)
+    executions = payload_of(context, FeatureKey.PREVIOUS_EXECUTIONS)["executions"]
+    assert len(executions) == 1
+    assert executions[0]["run_id"] == RUN_ID
+    assert executions[0]["final_state"] == "succeeded"
+    assert executions[0]["makespan_ms"] > 0
 
 
 def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
@@ -387,38 +390,32 @@ def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
             RunStore(path).append(kept)
 
     append(0, 1, 2)
-    _, _, handle = start_server(TopologyMode.WORKFLOW_AWARE, store=RunStore(path))
-    try:
-        listed = lambda: [
-            execution["run_id"]
-            for execution in get_feature(
-                handle.url, FeatureKey.PREVIOUS_EXECUTIONS, LayerId.WORKFLOW
-            ).json()["payload"]["executions"]
-        ]
-        assert listed() == ["r2", "r1", "r0"]
-        path.write_bytes(b"")
-        append(5, 6, 7, 8)
-        assert listed() == ["r8", "r7", "r6", "r5"]
-    finally:
-        handle.close()
+    context, _ = make_context(TopologyMode.WORKFLOW_AWARE, store=RunStore(path))
+    listed = lambda: [
+        execution["run_id"]
+        for execution in payload_of(context, FeatureKey.PREVIOUS_EXECUTIONS)["executions"]
+    ]
+    assert listed() == ["r2", "r1", "r0"]
+    path.write_bytes(b"")
+    append(5, 6, 7, 8)
+    assert listed() == ["r8", "r7", "r6", "r5"]
 
 
 def test_machine_payloads(aware):
-    _, result, url = aware
-    body = get_feature(url, FeatureKey.MACHINE_STATUS, LayerId.MACHINE).json()
-    assert body["payload"] == {"machine_id": "m1", "status": "healthy"}
+    context, result = aware
+    assert payload_of(context, FeatureKey.MACHINE_STATUS) == {
+        "machine_id": "m1", "status": "healthy"
+    }
+    assert payload_of(context, FeatureKey.MACHINE_TYPE) == {
+        "machine_id": "m1", "type": "bare_metal"
+    }
 
-    body = get_feature(url, FeatureKey.MACHINE_TYPE, LayerId.MACHINE).json()
-    assert body["payload"] == {"machine_id": "m1", "type": "bare_metal"}
-
-    body = get_feature(url, FeatureKey.HARDWARE_SPECIFICATION, LayerId.MACHINE).json()
-    payload = body["payload"]
+    payload = payload_of(context, FeatureKey.HARDWARE_SPECIFICATION)
     assert payload["cpu_model"] == "EPYC-7302"
     assert payload["memory_clock_mhz"] == 3200
     assert payload["disk_partitions"] == [["root", 100 * 1024**3]]
 
-    body = get_feature(url, FeatureKey.AVAILABLE_RESOURCES, LayerId.MACHINE).json()
-    available = body["payload"]
+    available = payload_of(context, FeatureKey.AVAILABLE_RESOURCES)
     latest = result.registry.latest_sample("m1", 2**62)
     capacity = result.registry.descriptor("m1").capacity
     assert available["cpu_cores"] == capacity.cpu_cores - latest.used.cpu_cores
@@ -426,78 +423,63 @@ def test_machine_payloads(aware):
 
 
 def test_used_resources_window(aware):
-    _, result, url = aware
-    body = get_feature(
-        url, FeatureKey.USED_RESOURCES, LayerId.MACHINE,
-        **{"from": "0", "to": "3000"},
-    ).json()
-    samples = body["payload"]["samples"]
+    context, result = aware
+    window = {"from": "0", "to": "3000"}
+    samples = payload_of(context, FeatureKey.USED_RESOURCES, **window)["samples"]
     expected = [s for s in result.samples if s.machine_id == "m1" and s.t_ms <= 3000]
     assert [s["t_ms"] for s in samples] == [s.t_ms for s in expected]
     assert all(0 <= s["cpu_cores"] <= 8 for s in samples)
 
 
 def test_resource_manager_payloads(aware):
-    _, result, url = aware
-    body = get_feature(
-        url, FeatureKey.INFRASTRUCTURE_STATUS, LayerId.RESOURCE_MANAGER
-    ).json()
-    payload = body["payload"]
+    context, result = aware
+    payload = payload_of(context, FeatureKey.INFRASTRUCTURE_STATUS)
     assert payload["machines_total"] == 2
     assert payload["machines_by_status"]["healthy"] == 2
     assert payload["capacity_total"]["cpu_cores"] == 16
     assert payload["queue_depth"] == 0
     assert payload["running_tasks"] == 0
 
-    body = get_feature(url, FeatureKey.FILE_SYSTEM_STATUS, LayerId.RESOURCE_MANAGER).json()
     fs = result.resource_manager.filesystem_status()
-    assert body["payload"] == {
+    assert payload_of(context, FeatureKey.FILE_SYSTEM_STATUS) == {
         "total_bytes": fs.total_bytes,
         "used_bytes": fs.used_bytes,
         "healthy": True,
     }
     assert fs.used_bytes == sum(r.wchar_bytes for r in result.trace_records)
 
-    body = get_feature(url, FeatureKey.RUNNING_WORKFLOWS, LayerId.RESOURCE_MANAGER).json()
-    assert body["payload"]["running"] == [
+    assert payload_of(context, FeatureKey.RUNNING_WORKFLOWS)["running"] == [
         {"run_id": RUN_ID, "workflow_id": "wf1", "state": "succeeded"}
     ]
 
 
 def test_running_workflows_empty_in_disjoint(disjoint):
-    _, _, url = disjoint
-    body = get_feature(url, FeatureKey.RUNNING_WORKFLOWS, LayerId.RESOURCE_MANAGER).json()
-    assert body["payload"] == {"running": []}
+    context, _ = disjoint
+    assert payload_of(context, FeatureKey.RUNNING_WORKFLOWS) == {"running": []}
 
 
 def test_task_payloads(aware):
-    _, result, url = aware
+    context, result = aware
     record = next(r for r in result.trace_records if r.task_id == TASK)
     requested = result.spec.definition("I").requested
 
-    body = get_feature(url, FeatureKey.TASK_STATUS, LayerId.TASK).json()
-    assert body["payload"] == {"task_id": TASK, "state": "succeeded"}
+    assert payload_of(context, FeatureKey.TASK_STATUS) == {"task_id": TASK, "state": "succeeded"}
 
-    body = get_feature(url, FeatureKey.REQUESTED_RESOURCES, LayerId.TASK).json()
-    assert body["payload"]["cpu_cores"] == requested.cpu_cores
-    assert body["payload"]["max_runtime_ms"] == requested.max_runtime_ms
+    payload = payload_of(context, FeatureKey.REQUESTED_RESOURCES)
+    assert payload["cpu_cores"] == requested.cpu_cores
+    assert payload["max_runtime_ms"] == requested.max_runtime_ms
 
-    body = get_feature(url, FeatureKey.CONSUMED_RESOURCES, LayerId.TASK).json()
-    payload = body["payload"]
+    payload = payload_of(context, FeatureKey.CONSUMED_RESOURCES)
     assert payload["rss_bytes"] == record.rss_bytes
     assert payload["utilization"]["cpu_ratio"] == pytest.approx(
         (record.cpu_pct / 100) / requested.cpu_cores
     )
 
-    body = get_feature(
-        url, FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS, LayerId.TASK
-    ).json()
-    parts = body["payload"]["parts"]
+    parts = payload_of(context, FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS)["parts"]
     assert [p["part_name"] for p in parts] == ["setup", "compute", "teardown"]
     assert sum(p["duration_ms"] for p in parts) <= record.duration_ms
 
-    body = get_feature(url, FeatureKey.TASK_ID, LayerId.TASK).json()
-    assert body["payload"] == {
+    assert payload_of(context, FeatureKey.TASK_ID) == {
         "task_id": TASK,
         "workflow_id": "wf1",
         "run_id": RUN_ID,
@@ -505,135 +487,100 @@ def test_task_payloads(aware):
         "index": 0,
     }
 
-    body = get_feature(url, FeatureKey.TASK_DURATION, LayerId.TASK).json()
-    assert body["payload"] == {
+    assert payload_of(context, FeatureKey.TASK_DURATION) == {
         "task_id": TASK,
         "start_ms": record.start_ms,
         "end_ms": record.end_ms,
         "duration_ms": record.duration_ms,
     }
 
-    body = get_feature(url, FeatureKey.LOW_LEVEL_TASK_METRICS, LayerId.TASK).json()
-    assert body["payload"]["syscall_read_count"] == record.syscall_read_count
-    assert body["payload"]["page_cache_hits"] == record.page_cache_hits
+    payload = payload_of(context, FeatureKey.LOW_LEVEL_TASK_METRICS)
+    assert payload["syscall_read_count"] == record.syscall_read_count
+    assert payload["page_cache_hits"] == record.page_cache_hits
 
-    body = get_feature(url, FeatureKey.FAULT_DIAGNOSIS, LayerId.TASK).json()
-    assert body["payload"] == {"task_id": TASK, "verdict": "none", "evidence": "exit 0"}
+    assert payload_of(context, FeatureKey.FAULT_DIAGNOSIS) == {
+        "task_id": TASK, "verdict": "none", "evidence": "exit 0"
+    }
 
 
 def test_application_logs_with_level_filter(aware):
-    _, result, url = aware
-    body = get_feature(url, FeatureKey.APPLICATION_LOGS, LayerId.TASK).json()
-    entries = body["payload"]["entries"]
+    context, result = aware
+    entries = payload_of(context, FeatureKey.APPLICATION_LOGS)["entries"]
     assert entries == [
         {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
         for e in result.application_logs(TASK)
     ]
     assert [e["level"] for e in entries] == ["Info", "Info"]
 
-    body = get_feature(
-        url, FeatureKey.APPLICATION_LOGS, LayerId.TASK, min_level="Error"
-    ).json()
-    assert body["payload"]["entries"] == []
+    assert payload_of(context, FeatureKey.APPLICATION_LOGS, min_level="Error") == {
+        "task_id": TASK, "entries": []
+    }
 
 
 # --- error paths ---
 
 
 def test_path_and_parameter_errors(aware):
-    _, _, url = aware
-    assert requests.get(f"{url}/v2/task/task_status", timeout=10).status_code == 404
-    assert requests.get(f"{url}/v1/task", timeout=10).status_code == 404
-    assert (
-        requests.get(
-            f"{url}/v1/basement/task_status", params={"as_layer": "task"}, timeout=10
-        ).status_code
-        == 404
-    )
-    assert (
-        requests.get(
-            f"{url}/v1/task/no_such_feature", params={"as_layer": "task"}, timeout=10
-        ).status_code
-        == 404
-    )
-    # right feature, wrong owning layer in the path
-    assert (
-        requests.get(
-            f"{url}/v1/machine/task_status", params={"as_layer": "task"}, timeout=10
-        ).status_code
-        == 404
-    )
-    # missing and unknown as_layer
-    assert (
-        requests.get(f"{url}/v1/task/task_status", timeout=10).status_code == 400
-    )
-    assert (
-        requests.get(
-            f"{url}/v1/task/task_status", params={"as_layer": "chef"}, timeout=10
-        ).status_code
-        == 400
-    )
+    context, _ = aware
+    for request_target, status in (
+        (target("/v2/task/task_status"), 404),
+        (target("/v1/task"), 404),
+        (target("/v1/basement/task_status", as_layer="task"), 404),
+        (target("/v1/task/no_such_feature", as_layer="task"), 404),
+        # right feature, wrong owning layer in the path
+        (target("/v1/machine/task_status", as_layer="task"), 404),
+        # missing and unknown as_layer
+        (target("/v1/task/task_status"), 400),
+        (target("/v1/task/task_status", as_layer="chef"), 400),
+        (target("//v1//task/task_status", as_layer="task", subject=TASK), 200),
+        # absolute form: the host is not a path segment
+        ("http://127.0.0.1:80" + target("/v1/task/task_status", as_layer="task", subject=TASK), 200),
+    ):
+        assert ask(context, request_target)[0] == status, request_target
 
 
 def test_subject_errors(aware):
-    _, _, url = aware
-    response = get_feature(url, FeatureKey.TASK_STATUS, LayerId.TASK, subject="wf1/I/99")
-    assert response.status_code == 404
-    response = requests.get(
-        f"{url}/v1/task/task_status", params={"as_layer": "task"}, timeout=10
-    )
-    assert response.status_code == 400
-    response = get_feature(url, FeatureKey.WORKFLOW_STATUS, LayerId.WORKFLOW, subject="nope")
-    assert response.status_code == 404
-    response = get_feature(url, FeatureKey.MACHINE_STATUS, LayerId.MACHINE, subject="m9")
-    assert response.status_code == 404
+    context, _ = aware
+    for feature, subject, status in (
+        (FeatureKey.TASK_STATUS, "wf1/I/99", 404),
+        (FeatureKey.TASK_STATUS, None, 400),
+        (FeatureKey.WORKFLOW_STATUS, "nope", 404),
+        (FeatureKey.MACHINE_STATUS, "m9", 404),
+    ):
+        assert ask_feature(context, feature, subject=subject)[0] == status, (feature, subject)
 
 
 def test_window_and_level_errors(aware):
-    _, _, url = aware
-    response = get_feature(
-        url, FeatureKey.USED_RESOURCES, LayerId.MACHINE,
-        **{"from": "100", "to": "50"},
-    )
-    assert response.status_code == 400
-    response = get_feature(
-        url, FeatureKey.APPLICATION_LOGS, LayerId.TASK, min_level="Loud"
-    )
-    assert response.status_code == 400
+    context, _ = aware
+    window = {"from": "100", "to": "50"}
+    assert ask_feature(context, FeatureKey.USED_RESOURCES, **window)[0] == 400
+    assert ask_feature(context, FeatureKey.APPLICATION_LOGS, min_level="Loud")[0] == 400
 
 
 @pytest.mark.parametrize("key", ["from", "to"])
 @pytest.mark.parametrize("text", ["1_0", "١", " 5", "5 ", "0x10", "1e3"])
 def test_window_bounds_take_only_ascii_integers(aware, key, text):
     # int() alone reads these as 10, 1 and 5; the input formats refuse them
-    _, _, url = aware
+    context, _ = aware
     window = {"from": "0", "to": "1000", key: text}
-    response = get_feature(url, FeatureKey.USED_RESOURCES, LayerId.MACHINE, **window)
-    assert response.status_code == 400
-    assert response.json() == {"error": f"{key} is not an integer: {text!r}"}
+    assert ask_feature(context, FeatureKey.USED_RESOURCES, **window) == (
+        400, {"error": f"{key} is not an integer: {text!r}"}
+    )
 
 
 def test_window_bounds_read_signed_ascii_digits(aware):
-    _, _, url = aware
-    response = get_feature(
-        url, FeatureKey.USED_RESOURCES, LayerId.MACHINE, **{"from": "-5", "to": "+007"}
-    )
-    assert response.status_code == 200
+    context, _ = aware
+    window = {"from": "-5", "to": "+007"}
+    assert ask_feature(context, FeatureKey.USED_RESOURCES, **window)[0] == 200
 
 
 def test_lookalike_layer_and_level_names_are_unknown(aware):
     # dotless i and long s case-map onto ASCII letters, but only ASCII names fold
-    _, _, url = aware
-    response = requests.get(
-        f"{url}/v1/task/task_status", params={"as_layer": "ta\u017fk", "subject": TASK},
-        timeout=10,
+    context, _ = aware
+    assert ask(context, target("/v1/task/task_status", as_layer="ta\u017fk", subject=TASK)) == (
+        400, {"error": "unknown layer: 'ta\u017fk'"}
     )
-    assert response.status_code == 400
-    assert response.json() == {"error": "unknown layer: 'ta\u017fk'"}
-    response = get_feature(
-        url, FeatureKey.APPLICATION_LOGS, LayerId.TASK, min_level="\u0131nfo"
-    )
-    assert response.status_code == 400
+    assert ask_feature(context, FeatureKey.APPLICATION_LOGS, min_level="\u0131nfo")[0] == 400
 
 
 # --- extensions ---
@@ -641,33 +588,12 @@ def test_lookalike_layer_and_level_names_are_unknown(aware):
 
 def test_extension_feature_is_authorized_but_unbound():
     matrix = parse_matrix_overrides("extension gpu_utilization: machine, resource_manager\n")
-    context, _, handle = (None, None, None)
-    context = ServiceContext(TopologyMode.WORKFLOW_AWARE, matrix=matrix)
-    context.add_result(completed_result(TopologyMode.WORKFLOW_AWARE))
-    handle = serve(context)
-    try:
-        url = handle.url
-        ok = requests.get(
-            f"{url}/v1/machine/gpu_utilization",
-            params={"as_layer": "resource_manager"},
-            timeout=10,
-        )
-        assert ok.status_code == 200
-        assert ok.json()["payload"] == {"extension": "gpu_utilization", "value": None}
-        denied = requests.get(
-            f"{url}/v1/machine/gpu_utilization",
-            params={"as_layer": "task"},
-            timeout=10,
-        )
-        assert denied.status_code == 403
-        wrong_layer = requests.get(
-            f"{url}/v1/task/gpu_utilization",
-            params={"as_layer": "task"},
-            timeout=10,
-        )
-        assert wrong_layer.status_code == 404
-    finally:
-        handle.close()
+    context, _ = make_context(TopologyMode.WORKFLOW_AWARE, matrix=matrix)
+    status, body = ask(context, target("/v1/machine/gpu_utilization", as_layer="resource_manager"))
+    assert status == 200
+    assert body["payload"] == {"extension": "gpu_utilization", "value": None}
+    assert ask(context, target("/v1/machine/gpu_utilization", as_layer="task"))[0] == 403
+    assert ask(context, target("/v1/task/gpu_utilization", as_layer="task"))[0] == 404
 
 
 # --- progress replay and live streaming ---
@@ -679,61 +605,35 @@ def test_replay_progress_equals_engine_stream():
     assert replay_progress(result.event_records) == result.progress_records
 
 
+def expected_stream(result):
+    return [
+        {
+            "state": r.state.value,
+            "finished": r.finished,
+            "total": r.total,
+            "progress": r.progress,
+            "failures": r.failures,
+        }
+        for r in replay_progress(result.event_records)
+    ]
+
+
 def test_live_progress_replays_completed_run(aware):
-    _, result, url = aware
-    response = requests.get(
-        f"{url}/v1/workflow/live_progress",
-        params={"as_layer": "workflow", "subject": RUN_ID},
-        timeout=10,
-    )
-    assert response.status_code == 200
-    assert response.headers["Content-Type"] == "application/x-ndjson"
-    lines = [json.loads(l) for l in response.text.splitlines() if l]
-    assert len(lines) == len(result.progress_records)
-    assert lines[-1]["state"] == "succeeded"
-    assert lines[-1]["progress"] == 1.0
-
-
-def test_live_progress_streams_during_execution():
-    spec = parse_workflow(fixture_text("fig1.wf"))
-    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
-    simulation = Simulation(
-        spec, machines, fs_total, 4, 42, run_id="live-run", submission_ms=0
-    )
-    # slow the engine down so the subscriber demonstrably reads mid-run
-    simulation.event_listeners.append(lambda event: time.sleep(0.002))
-    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
-    context.attach_live(simulation)
+    context, result = aware
+    request_target = target("/v1/workflow/live_progress", as_layer="workflow", subject=RUN_ID)
+    status, content_type, chunks = context.answer(request_target)
+    streamed = b"".join(chunks)
+    assert (status, content_type) == (200, "application/x-ndjson")
+    assert [json.loads(line) for line in streamed.splitlines()] == expected_stream(result)
+    # over HTTP the stream is the same bytes, and its connection closes
     handle = serve(context)
-    received = []
-    arrival_times = []
-
-    def consume():
-        response = requests.get(
-            f"{handle.url}/v1/workflow/live_progress",
-            params={"as_layer": "workflow", "subject": "live-run"},
-            stream=True,
-            timeout=30,
-        )
-        for line in response.iter_lines():
-            if line:
-                received.append(json.loads(line))
-                arrival_times.append(time.monotonic())
-
     try:
-        reader = threading.Thread(target=consume)
-        reader.start()
-        time.sleep(0.05)
-        simulation.run_to_completion()
-        engine_done = time.monotonic()
-        reader.join(timeout=30)
-        assert not reader.is_alive()
-        assert arrival_times[0] < engine_done
-        assert any(r["state"] == "running" for r in received)
-        assert received[-1]["state"] == "succeeded"
-        assert received == expected_stream(simulation)
+        response = requests.get(handle.url + request_target, timeout=10)
     finally:
         handle.close()
+    assert (response.status_code, response.content) == (200, streamed)
+    assert response.headers["Content-Type"] == "application/x-ndjson"
+    assert response.headers["Connection"] == "close"
 
 
 def read_progress(context, run_id):
@@ -798,19 +698,12 @@ def test_a_live_run_has_an_execution_report_only_once_it_ends():
     simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="later", submission_ms=0)
     context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
     context.attach_live(simulation)
-    handle = serve(context)
-    try:
-        url = f"{handle.url}/v1/workflow/execution_report"
-        params = {"as_layer": "workflow", "subject": "later"}
-        response = requests.get(url, params=params, timeout=10)
-        assert response.status_code == 400
-        assert response.json() == {"error": "run later has not finished"}
-        simulation.run_to_completion()
-        response = requests.get(url, params=params, timeout=10)
-        assert response.status_code == 200
-        assert response.json()["payload"]["counts"]["total"] == len(simulation.result.run.instances)
-    finally:
-        handle.close()
+    report = lambda: ask_feature(context, FeatureKey.EXECUTION_REPORT, subject="later")
+    assert report() == (400, {"error": "run later has not finished"})
+    simulation.run_to_completion()
+    status, body = report()
+    assert status == 200
+    assert body["payload"]["counts"]["total"] == len(simulation.result.run.instances)
 
 
 def test_a_failure_read_before_its_diagnosis_lands_answers_404(monkeypatch):
@@ -827,15 +720,14 @@ def test_a_failure_read_before_its_diagnosis_lands_answers_404(monkeypatch):
     def diagnose_after_a_read(record, *args):
         between.append((
             record.task_id in simulation.result.trace_by_id,
-            answer(context, FeatureKey.FAULT_DIAGNOSIS, record.task_id),
+            ask_feature(context, FeatureKey.FAULT_DIAGNOSIS, subject=record.task_id),
         ))
         return diagnose(record, *args)
 
     monkeypatch.setattr("stratus.sim.diagnose", diagnose_after_a_read)
     simulation.run_to_completion()
-    assert between == [(True, (404, f"no diagnosis yet for {TASK!r}"))]
-    status, payload = answer(context, FeatureKey.FAULT_DIAGNOSIS, TASK)
-    assert (status, payload["verdict"]) == (200, "out_of_memory")
+    assert between == [(True, (404, {"error": f"no diagnosis yet for {TASK!r}"}))]
+    assert payload_of(context, FeatureKey.FAULT_DIAGNOSIS)["verdict"] == "out_of_memory"
 
 
 def test_live_readers_under_fast_thread_switching_all_read_the_whole_stream():
@@ -885,19 +777,6 @@ def live_stream_over_http(url, run_id):
     return reader, received
 
 
-def expected_stream(simulation):
-    return [
-        {
-            "state": r.state.value,
-            "finished": r.finished,
-            "total": r.total,
-            "progress": r.progress,
-            "failures": r.failures,
-        }
-        for r in replay_progress(simulation.event_records)
-    ]
-
-
 def test_a_run_attached_mid_run_streams_from_its_first_event():
     spec = parse_workflow(fixture_text("fig1.wf"))
     machines, fs_total = parse_cluster(fixture_text("two.cluster"))
@@ -919,7 +798,7 @@ def test_a_run_attached_mid_run_streams_from_its_first_event():
         (reader, received), = readers
         reader.join(timeout=10)
         assert not reader.is_alive()
-        assert received == expected_stream(simulation)
+        assert received == expected_stream(simulation.result)
         assert received[0]["total"] == len(simulation.run.instances)
     finally:
         handle.close()
@@ -937,7 +816,7 @@ def test_a_run_attached_after_it_finished_streams_whole_and_ends():
         reader, received = live_stream_over_http(handle.url, "done")
         reader.join(timeout=10)
         assert not reader.is_alive()
-        assert received == expected_stream(simulation)
+        assert received == expected_stream(simulation.result)
         assert received[-1]["state"] == "succeeded"
     finally:
         handle.close()
@@ -998,7 +877,8 @@ def test_a_closed_service_frees_its_context_without_a_collection():
     collecting = gc.isenabled()
     gc.disable()
     try:
-        context, _, handle = start_server(TopologyMode.WORKFLOW_AWARE)
+        context, _ = make_context(TopologyMode.WORKFLOW_AWARE)
+        handle = serve(context)
         # a client whose socket closes now, not when a collection frees it
         client = http.client.HTTPConnection(*handle.address, timeout=10)
         client.request("GET", f"/v1/workflow/status?as_layer=workflow&subject={RUN_ID}")
@@ -1020,7 +900,8 @@ def test_closing_the_service_ends_its_idle_keep_alive_connections():
     gc.disable()
     try:
         before = set(threading.enumerate())
-        context, _, handle = start_server(TopologyMode.WORKFLOW_AWARE)
+        context, _ = make_context(TopologyMode.WORKFLOW_AWARE)
+        handle = serve(context)
         path = f"/v1/workflow/status?as_layer=workflow&subject={RUN_ID}"
         # a client that keeps its connection open across the close
         client = http.client.HTTPConnection(*handle.address, timeout=5)
@@ -1045,26 +926,113 @@ def test_closing_the_service_ends_its_idle_keep_alive_connections():
             gc.enable()
 
 
+def resetting_client(address) -> http.client.HTTPConnection:
+    """A connected client whose close resets the connection (TCP RST)
+    instead of ending it."""
+    client = http.client.HTTPConnection(*address, timeout=5)
+    client.connect()
+    client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    return client
+
+
+def test_a_client_that_resets_ends_only_its_own_connection(aware, monkeypatch):
+    """A client that resets its connection while its response is written,
+    or while the connection idles between requests, ends that connection
+    and nothing is reported; any other error in a handler still reaches
+    socketserver's report, which prints it."""
+    context, _ = aware
+    reported = []
+    monkeypatch.setattr(
+        socketserver.BaseServer, "handle_error",
+        lambda server, request, address: reported.append(sys.exc_info()[0]),
+    )
+    answering, was_reset = threading.Event(), threading.Event()
+
+    def authorize_after_the_reset(*args):
+        # the first request is answered only once its client has reset
+        if not answering.is_set():
+            answering.set()
+            assert was_reset.wait(5)
+        return authorize(*args)
+
+    monkeypatch.setattr(service, "authorize", authorize_after_the_reset)
+    handle = serve(context)
+    before = set(threading.enumerate())
+    handled = lambda: wait_until(lambda: not set(threading.enumerate()) - before)
+    path = f"/v1/workflow/status?as_layer=workflow&subject={RUN_ID}"
+    try:
+        client = resetting_client(handle.address)
+        client.request("GET", path)
+        assert answering.wait(5)
+        client.close()
+        was_reset.set()
+        assert handled()
+        client = resetting_client(handle.address)
+        client.request("GET", path)
+        assert client.getresponse().read()
+        client.close()  # while the handler waits for the next request
+        assert handled() and reported == []
+
+        monkeypatch.setattr(service, "authorize", lambda *args: 1 / 0)
+        client = http.client.HTTPConnection(*handle.address, timeout=5)
+        with pytest.raises(http.client.RemoteDisconnected):
+            client.request("GET", path)
+            client.getresponse()
+        client.close()
+        assert handled() and reported == [ZeroDivisionError]
+    finally:
+        handle.close()
+
+
+def test_every_request_reaches_the_benchmark_patch_points(aware, monkeypatch):
+    """The benchmark's tracer wraps these names in stratus.service, so each
+    request, answered in-process or over HTTP, looks them up when it runs:
+    the access check for every request, the payload builder for an allowed
+    feature, and the progress replay for a live stream."""
+    context, _ = aware
+    calls = []
+
+    def recording(name, original):
+        def record(*args):
+            calls.append(name)
+            return original(*args)
+        return record
+
+    for name in ("authorize", "_build_payload", "replay_progress"):
+        monkeypatch.setattr(service, name, recording(name, getattr(service, name)))
+    requested = [
+        feature_target(FeatureKey.TASK_STATUS),
+        feature_target(FeatureKey.WORKFLOW_STATUS, LayerId.TASK),
+        target("/v1/workflow/live_progress", as_layer="workflow", subject=RUN_ID),
+    ]
+
+    def in_process(request_target):
+        status, _, body = context.answer(request_target)
+        list(body)  # reading a stream to its end replays its run
+        return status
+
+    handle = serve(context)
+    over_http = lambda t: requests.get(handle.url + t, timeout=10).status_code
+    try:
+        for status_of in (in_process, over_http):
+            calls.clear()
+            assert [status_of(t) for t in requested] == [200, 403, 200]
+            assert Counter(calls) == {"authorize": 3, "_build_payload": 1, "replay_progress": 1}
+    finally:
+        handle.close()
+
+
 def test_live_progress_errors(aware):
-    _, _, url = aware
-    response = requests.get(
-        f"{url}/v1/workflow/live_progress",
-        params={"as_layer": "task", "subject": RUN_ID},
-        timeout=10,
+    context, _ = aware
+    path = "/v1/workflow/live_progress"
+    assert ask(context, target(path, as_layer="task", subject=RUN_ID))[0] == 403
+    assert ask(context, target(path, as_layer="workflow")) == (
+        400, {"error": "live_progress needs a run_id subject"}
     )
-    assert response.status_code == 403
-    response = requests.get(
-        f"{url}/v1/workflow/live_progress",
-        params={"as_layer": "workflow"},
-        timeout=10,
+    # an unknown run is refused before the stream starts
+    assert ask(context, target(path, as_layer="workflow", subject="ghost")) == (
+        404, {"error": "unknown run: 'ghost'"}
     )
-    assert response.status_code == 400
-    response = requests.get(
-        f"{url}/v1/workflow/live_progress",
-        params={"as_layer": "workflow", "subject": "ghost"},
-        timeout=10,
-    )
-    assert response.status_code == 404
 
 
 # --- context bookkeeping ---
@@ -1154,6 +1122,19 @@ def test_only_the_context_takes_its_lock():
     assert not hasattr(service, "_any_rm")
 
 
+def test_the_handler_only_moves_bytes():
+    """``ServiceContext.answer`` computes every response, so the HTTP
+    handler names nothing of routing, access or payloads."""
+    tree = ast.parse(inspect.getsource(service._Handler))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    request_logic = {
+        "authorize", "_build_payload", "_HTTPError",
+        "FeatureKey", "LayerId", "parse_qs", "urlparse",
+    }
+    assert named & request_logic == set()
+
+
 def naive_find_task(context, task_id):
     for result in reversed(list(context.results.values())):
         for instance in result.run.instances:
@@ -1229,15 +1210,11 @@ def test_a_finished_runs_stream_is_one_batch_ending_on_the_terminal_record():
 # --- answers over random runs ---
 
 
-def answer(context, feature, subject):
-    """(200, payload), or the (status, text) the service refuses with."""
-    try:
-        with service._refusals():
-            return 200, service._build_payload(
-                context, feature, subject, 0, service.MAX_WINDOW_MS, LogLevel.DEBUG
-            )
-    except service._HTTPError as exc:
-        return exc.status, str(exc)
+def answered(context, feature, subject):
+    """(200, payload), or the status and error text of the refusal, of
+    ``context.answer`` to the feature's owning layer."""
+    status, body = ask_feature(context, feature, subject=subject)
+    return status, body["payload"] if status == 200 else body["error"]
 
 
 def drawn_simulation(case, run_id, started):
@@ -1285,10 +1262,10 @@ def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, topolog
         alone = ServiceContext(topology)
         alone.attach_live(holder)
         for feature in TASK_FEATURES:
-            assert answer(context, feature, task_id) == answer(alone, feature, task_id)
-        assert answer(context, FeatureKey.TASK_ID, task_id)[1]["run_id"] == holder.run_id
+            assert answered(context, feature, task_id) == answered(alone, feature, task_id)
+        assert answered(context, FeatureKey.TASK_ID, task_id)[1]["run_id"] == holder.run_id
         traced = any(r.task_id == task_id for r in holder.result.trace_records)
-        assert answer(context, FeatureKey.TASK_DURATION, task_id)[0] == (200 if traced else 404)
+        assert answered(context, FeatureKey.TASK_DURATION, task_id)[0] == (200 if traced else 404)
 
     # a subject that names nothing answers the owning layer's own error
     newest = order[-1]
@@ -1297,30 +1274,14 @@ def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, topolog
         (FeatureKey.WORKFLOW_STATUS, "ghost", UnknownRunError("ghost")),
         (FeatureKey.MACHINE_STATUS, "m9", UnknownMachineError("m9")),
     ):
-        assert answer(context, feature, subject) == (404, str(error))
+        assert answered(context, feature, subject) == (404, str(error))
     for simulation in simulations:
-        reported = answer(context, FeatureKey.EXECUTION_REPORT, simulation.run_id)
+        reported = answered(context, FeatureKey.EXECUTION_REPORT, simulation.run_id)
         if simulation.run.final_state is RunState.RUNNING:
             assert reported == (400, str(ReportOnRunningRunError(simulation.run_id)))
         else:
-            assert reported == (200, execution_report(simulation.run).to_record())
+            report = execution_report(simulation.run).to_record()
+            assert reported == (200, json.loads(json.dumps(report)))
     machine_id = newest.result.registry.machine_ids()[0]
-    assert answer(context, FeatureKey.MACHINE_STATUS, machine_id)[0] == 200
+    assert answered(context, FeatureKey.MACHINE_STATUS, machine_id)[0] == 200
 
-    # a few of the same requests over HTTP answer the same status and body
-    requests_drawn = data.draw(st.lists(
-        st.tuples(st.sampled_from(TASK_FEATURES), st.sampled_from(task_ids + ["pw/ghost/0"])),
-        min_size=1, max_size=3,
-    ))
-    handle = serve(context)
-    try:
-        for feature, subject in requests_drawn:
-            status, body = answer(context, feature, subject)
-            response = get_feature(handle.url, feature, LayerId.TASK, subject=subject)
-            assert response.status_code == status
-            if status == 200:
-                assert response.json()["payload"] == json.loads(json.dumps(body))
-            else:
-                assert response.json() == {"error": body}
-    finally:
-        handle.close()
