@@ -27,15 +27,16 @@ cost, and what was measured and left out):
   and not poisoned): the run can finish only once it is 0.  A run ends
   once, at its ``run_completed`` event: the final state is set, the
   event heap is emptied, and ``inject`` refuses a fault from then on.
-- Progress is folded one way, by ``ProgressFold``: every stream, live or
+- Progress is folded one way, by ``ProgressFold``.  Every stream, live or
   finished, is ``replay_progress`` of the run's own event list from event
   0, read up to the last append (``SimulationResult.ended`` is set after
   it), and no second copy is kept.  A live reader that has caught up
   waits for the next append; with no reader waiting, an attached run pays
-  one listener check per event and no fold.  ``workflow.workflow_status``
-  derives the same report from the instances' states instead: it is what
-  a stored run's status reads, and the reference the fold is tested
-  against.
+  one listener check per event and no fold.  The service answers
+  ``workflow_status`` from a fold it keeps per run and advances per
+  request.  ``workflow.workflow_status`` derives the same report from the
+  instances' states: a stored run's status reads it, and the fold is
+  tested against it.
 - Code-part profiles and application logs are derived on query, and so
   is a success's diagnosis: the run stores a ``Diagnosis`` for each
   failed instance only (``SimulationResult.diagnoses``), and
@@ -44,9 +45,9 @@ cost, and what was measured and left out):
   machine before its start and stores a failure's trace record before its
   diagnosis, so a read that races a task's end sees its start line alone
   or its whole log.
-- Each run fact is kept once.  The run's one ``SimulationResult`` is built
-  with the engine and shares its lists and dicts, and machine samples live
-  only in the registry's per-machine series.
+- Each run fact is kept once.  The run's one ``SimulationResult`` makes
+  its own lists and dicts, and the engine writes each record into it
+  alone; machine samples live only in the registry's per-machine series.
 - Each definition's facts live in one row built when the run starts: the
   definition, its task model and MetricPlan, its instances, its spec
   position, its count of instances not yet succeeded and a poisoned flag.
@@ -112,7 +113,7 @@ import heapq
 import itertools
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
@@ -347,12 +348,12 @@ def parse_event_log(text: str) -> list[EventRecord]:
 class ProgressFold:
     """A run's progress folded from its event log one event at a time.
     ``step`` returns the progress record of a state-changing event and None
-    for any other event."""
+    for any other event.  ``total`` stands until ``run_submitted`` is read."""
 
-    def __init__(self):
+    def __init__(self, total: int = 0):
         self.state = RunState.RUNNING
         self.finished = 0
-        self.total = 0
+        self.total = total
         self.failures = 0
 
     def step(self, event: EventRecord) -> WorkflowStatusReport | None:
@@ -372,14 +373,14 @@ class ProgressFold:
 
 
 def replay_progress(
-    event_log: "str | list[EventRecord]", fold: ProgressFold | None = None
+    events: list[EventRecord], fold: ProgressFold | None = None
 ) -> list[WorkflowStatusReport]:
-    """Recompute the progress stream from an event log alone: one record
-    per state-changing event.  With ``fold``, continue that fold over the
-    log's events, as a live reader does with each batch it reads."""
-    records = parse_event_log(event_log) if isinstance(event_log, str) else event_log
+    """Recompute the progress stream from a run's events alone (a log's text
+    goes through ``parse_event_log`` first): one record per state-changing
+    event.  With ``fold``, continue that fold over the events, as a live
+    reader does with each batch it reads."""
     step = (fold or ProgressFold()).step
-    return [report for report in map(step, records) if report is not None]
+    return [report for report in map(step, events) if report is not None]
 
 
 def _stream_seed(seed: int, task_id: str) -> int:
@@ -530,8 +531,8 @@ def _scaled_record(
 @dataclass
 class SimulationResult:
     """What one run produced.  The engine builds it before the run starts
-    and fills the lists, dicts and sets it shares with it, so a live run's
-    result is its final result."""
+    and writes each record into its lists, dicts and sets alone, so a live
+    run's result is its final result."""
 
     run_id: str
     run: RunRecord
@@ -539,19 +540,22 @@ class SimulationResult:
     topology: TopologyMode
     input_count: int
     seed: int
-    event_records: list[EventRecord]
-    trace_records: list[TaskTraceRecord]
-    # task_id -> diagnosis of each failed instance; a success's is derived
-    # on read, by diagnosis()
-    diagnoses: dict[str, Diagnosis]
     registry: MachineRegistry
     resource_manager: ResourceManager
+    event_records: list[EventRecord] = field(default_factory=list)
+    trace_records: list[TaskTraceRecord] = field(default_factory=list)
+    # task_id -> diagnosis of each failed instance; a success's is derived
+    # on read, by diagnosis()
+    diagnoses: dict[str, Diagnosis] = field(default_factory=dict)
     # instances poisoned by a failure upstream; they stay pending
-    never_eligible: set[str]
-    # task_id -> instance and task_id -> first trace record
-    instances_by_id: dict[str, TaskInstance]
-    trace_by_id: dict[str, TaskTraceRecord]
+    never_eligible: set[str] = field(default_factory=set)
+    # task_id -> first trace record, and task_id -> instance
+    trace_by_id: dict[str, TaskTraceRecord] = field(default_factory=dict)
+    instances_by_id: dict[str, TaskInstance] = field(init=False)
     ended: bool = False  # set once the run returned or raised, after its last append
+
+    def __post_init__(self):
+        self.instances_by_id = {i.task_id: i for i in self.run.instances}
 
     @property
     def samples(self) -> list[MachineSample]:
@@ -624,10 +628,6 @@ class Simulation:
                 "be one non-empty path segment other than '.' and '..',"
                 " without '/', '\\', tabs or line breaks",
             )
-        self.spec = spec
-        self.topology = topology
-        self.input_count = input_count
-        self.seed = seed
         for definition in spec.tasks:
             if definition.runtime_model not in BUILTIN_MODELS:
                 raise SimulationError(
@@ -649,7 +649,6 @@ class Simulation:
             ),
             instances=expand_instances(spec, input_count),
         )
-        self._instances: dict[str, TaskInstance] = {i.task_id: i for i in self.run.instances}
         self._open = len(self.run.instances)
 
         # task faults by target id, in injection order
@@ -659,35 +658,16 @@ class Simulation:
         self._seq = itertools.count()
         self._now = 0
         self._started = False
-        self._poisoned: set[str] = set()
         self._executions: dict[str, _Execution] = {}
         self._pending_machine_events = 0
 
-        self.event_records: list[EventRecord] = []
-        self.trace_records: list[TaskTraceRecord] = []
-        # task_id -> its trace record, filled as records land
-        self._trace_index: dict[str, TaskTraceRecord] = {}
-        # task_id -> diagnosis, for failed instances only
-        self.diagnoses: dict[str, Diagnosis] = {}
         # called with each EventRecord as it is appended
         self.event_listeners: list = []
         # called with no arguments once run_to_completion raised and set ended
         self.abort_listeners: list = []
         self.result = SimulationResult(
-            run_id=self.run_id,
-            run=self.run,
-            spec=spec,
-            topology=topology,
-            input_count=input_count,
-            seed=seed,
-            event_records=self.event_records,
-            trace_records=self.trace_records,
-            diagnoses=self.diagnoses,
-            registry=self.registry,
-            resource_manager=self.rm,
-            never_eligible=self._poisoned,
-            instances_by_id=self._instances,
-            trace_by_id=self._trace_index,
+            run_id=self.run_id, run=self.run, spec=spec, topology=topology,
+            input_count=input_count, seed=seed, registry=self.registry, resource_manager=self.rm,
         )
 
     # -- fault injection ----------------------------------------------------
@@ -707,11 +687,11 @@ class Simulation:
             self._push(injection.at_ms, self._on_machine_unhealthy, injection.target)
             self._pending_machine_events += 1
         else:
-            instance = self._instances.get(injection.target)
+            instance = self.result.instances_by_id.get(injection.target)
             if instance is None:
                 raise UnknownTaskError(injection.target)
             # a task fault fires only when its target starts
-            if instance.start_ms is not None or injection.target in self._poisoned:
+            if instance.start_ms is not None or injection.target in self.result.never_eligible:
                 state = "poisoned" if instance.start_ms is None else instance.state.value
                 raise SimulationError(
                     f"fault target {injection.target!r} is {state}; a task fault "
@@ -726,7 +706,7 @@ class Simulation:
 
     def _emit(self, t_ms: int, kind: str, subject: str, detail: str) -> None:
         event = EventRecord(t_ms, kind, subject, detail)
-        self.event_records.append(event)
+        self.result.event_records.append(event)
         if self.event_listeners:
             for listener in self.event_listeners:
                 listener(event)
@@ -751,12 +731,13 @@ class Simulation:
                 gc.enable()
 
     def _run(self) -> SimulationResult:
+        result = self.result
         # expand_instances lists each definition's instances contiguously,
         # in spec order, so each row's instances are a slice of the list
         self._rows: dict[str, _Row] = {}
         end = 0
-        for position, d in enumerate(self.spec.tasks):
-            start, end = end, end + d.instance_count(self.input_count)
+        for position, d in enumerate(result.spec.tasks):
+            start, end = end, end + d.instance_count(result.input_count)
             model = BUILTIN_MODELS[d.runtime_model]
             plan = MetricPlan(model, d.requested.memory_bytes)
             instances = self.run.instances[start:end]
@@ -769,16 +750,14 @@ class Simulation:
             m: (f"machine={m}", f"exit=0 machine={m}") for m in self.registry.machine_ids()
         }
         self._emit(
-            0,
-            "run_submitted",
-            self.spec.workflow_id,
-            f"input_count={self.input_count} topology={self.topology.wire_name} "
+            0, "run_submitted", result.spec.workflow_id,
+            f"input_count={result.input_count} topology={result.topology.wire_name} "
             f"instances={len(self.run.instances)}",
         )
-        if self.topology is TopologyMode.WORKFLOW_AWARE:
+        if result.topology is TopologyMode.WORKFLOW_AWARE:
             self.rm.submit_workflow(self.run)
 
-        predecessors = self.spec.adjacency[0]
+        predecessors = result.spec.adjacency[0]
         self._newly_ready = {row for name, row in self._rows.items() if name not in predecessors}
         self._pump(0)
         self._push(0, self._on_sample_tick, None)
@@ -796,11 +775,11 @@ class Simulation:
             stuck = sorted(
                 i.task_id
                 for i in self.run.instances
-                if not i.state.terminal and i.task_id not in self._poisoned
+                if not i.state.terminal and i.task_id not in result.never_eligible
             )
             raise NonQuiescentError(stuck)
-        self.result.ended = True
-        return self.result
+        result.ended = True
+        return result
 
     # -- pumps --------------------------------------------------------------
 
@@ -817,7 +796,7 @@ class Simulation:
         self._newly_ready = set()
         # the topology guard is the coupling rule: only the disjoint driver
         # submits single tasks
-        aware = self.topology is TopologyMode.WORKFLOW_AWARE
+        aware = self.result.topology is TopologyMode.WORKFLOW_AWARE
         submit = self.rm.enqueue if aware else self.rm.submit_task
         for row in ready:
             requested = row.definition.requested
@@ -828,10 +807,10 @@ class Simulation:
                 self._emit(t_ms, "instance_queued", instance.task_id, detail)
 
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
-        instance = self._instances[task_id]
+        instance = self.result.instances_by_id[task_id]
         row = self._rows[instance.definition]
         requested = row.definition.requested
-        self._rng.seed(_stream_seed(self.seed, task_id))
+        self._rng.seed(_stream_seed(self.result.seed, task_id))
         metrics = row.plan.draw(self._rng)
 
         exit_code = EXIT_TASK_ERROR if metrics.failure_draw < row.model.failure_probability else 0
@@ -873,8 +852,9 @@ class Simulation:
         # the record lands before a failure's diagnosis: a task's log shows
         # its end line once it has a diagnosis, and reads the end from the
         # record
-        self.trace_records.append(record)
-        self._trace_index.setdefault(task_id, record)
+        result = self.result
+        result.trace_records.append(record)
+        result.trace_by_id.setdefault(task_id, record)
 
         row = execution.row
         if exit_code == 0:
@@ -890,7 +870,7 @@ class Simulation:
             # read only for a failure
             machine_status = self.registry.descriptor(instance.machine).status
             diagnosis = diagnose(record, row.definition.requested, machine_status)
-            self.diagnoses[task_id] = diagnosis
+            result.diagnoses[task_id] = diagnosis
             self._emit(
                 t_ms, "instance_failed", task_id,
                 f"exit={exit_code} verdict={diagnosis.verdict.value} machine={instance.machine}",
@@ -929,7 +909,7 @@ class Simulation:
     def _mark_successors_ready(self, row: _Row) -> None:
         """``row``'s last instance has just succeeded: mark ready each of
         its successors whose predecessors have all succeeded."""
-        predecessors, successors = self.spec.adjacency
+        predecessors, successors = self.result.spec.adjacency
         for successor in successors.get(row.definition.name, ()):
             if all(self._rows[p].remaining == 0 for p in predecessors[successor]):
                 self._newly_ready.add(self._rows[successor])
@@ -937,7 +917,7 @@ class Simulation:
     def _poison_descendants(self, failed: _Row) -> None:
         """A failed instance makes every instance of every transitively
         downstream definition permanently ineligible."""
-        successors = self.spec.adjacency[1]
+        successors = self.result.spec.adjacency[1]
         frontier = [failed]
         while frontier:
             for name in successors.get(frontier.pop().definition.name, ()):
@@ -948,7 +928,7 @@ class Simulation:
                 frontier.append(successor)
                 for instance in successor.instances:
                     if instance.state is TaskState.PENDING:
-                        self._poisoned.add(instance.task_id)
+                        self.result.never_eligible.add(instance.task_id)
                         self._open -= 1
 
     def _check_completion(self, t_ms: int) -> None:
@@ -959,7 +939,7 @@ class Simulation:
         failed = any(row.remaining for row in self._rows.values())
         self.run.final_state = RunState.FAILED if failed else RunState.SUCCEEDED
         self._emit(
-            t_ms, "run_completed", self.spec.workflow_id,
+            t_ms, "run_completed", self.result.spec.workflow_id,
             f"final={self.run.final_state.value}",
         )
         # nothing happens after a run's last event

@@ -407,7 +407,7 @@ def test_criterion_10_live_stream_equals_replay(acceptance):
                     "progress": r.progress,
                     "failures": r.failures,
                 }
-                for r in replay_progress(simulation.event_records)
+                for r in replay_progress(simulation.result.event_records)
             ]
             assert received == replayed
         finally:

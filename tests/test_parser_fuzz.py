@@ -32,7 +32,6 @@ from stratus.sim import (
     load_scenario,
     parse_event_log,
     parse_scenario,
-    replay_progress,
     scenario_simulation,
 )
 from stratus.taskmon import (
@@ -125,7 +124,6 @@ def test_scenario_parser_raises_only_simulation_errors_with_a_line(text):
 @given(st.deferred(lambda: char_edits(event_log_text())))
 def test_event_log_parser_raises_only_simulation_errors_with_a_line(text):
     assert_own_error_with_a_line(parse_event_log, text, SimulationError)
-    assert_own_error_with_a_line(replay_progress, text, SimulationError)
 
 
 # what the progress fold reads: the instance total and the final state
@@ -140,11 +138,10 @@ def test_event_log_parser_raises_only_simulation_errors_with_a_line(text):
 ])
 def test_progress_details_are_checked_where_the_event_log_is_parsed(detail):
     text = f"0\tinstance_queued\tw/a/0\tdefinition=a\n0\t{detail}\n"
-    for parse in (parse_event_log, replay_progress):
-        with pytest.raises(EventLogSyntaxError) as err:
-            parse(text)
-        assert err.value.line == 2
-        assert str(err.value).startswith("event log line 2: ")
+    with pytest.raises(EventLogSyntaxError) as err:
+        parse_event_log(text)
+    assert err.value.line == 2
+    assert str(err.value).startswith("event log line 2: ")
 
 
 MATRIX_OVERRIDES = """# one deployment's overrides

@@ -21,10 +21,10 @@ from urllib.parse import urlencode
 
 import pytest
 import requests
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine, make_request, run_simulation
+from conftest import GiB, make_machine, make_request, run_simulation
 from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
 from test_sim import engine_cases
 from stratus.blueprint import (
@@ -55,6 +55,7 @@ from stratus.sim import (
     NonQuiescentError,
     Simulation,
     load_scenario,
+    parse_event_log,
 )
 from stratus.store import RunStore
 from stratus.taskmon import diagnose
@@ -65,6 +66,7 @@ from stratus.workflow import (
     TaskState,
     UnknownTaskError,
     WorkflowSpec,
+    WorkflowStatusReport,
     execution_report,
     export_dot,
     parse_workflow,
@@ -601,7 +603,7 @@ def test_extension_feature_is_authorized_but_unbound():
 
 def test_replay_progress_equals_engine_stream():
     result = completed_result(TopologyMode.WORKFLOW_AWARE)
-    assert replay_progress(result.event_log_text()) == result.progress_records
+    assert replay_progress(parse_event_log(result.event_log_text())) == result.progress_records
     assert replay_progress(result.event_records) == result.progress_records
 
 
@@ -741,7 +743,7 @@ def test_live_readers_under_fast_thread_switching_all_read_the_whole_stream():
     readers = [read_progress(context, "busy") for _ in range(3)]
 
     def start_another(event):
-        if len(simulation.event_records) % 16 == 0:
+        if len(simulation.result.event_records) % 16 == 0:
             readers.append(read_progress(context, "busy"))
 
     simulation.event_listeners.append(start_another)
@@ -756,6 +758,120 @@ def test_live_readers_under_fast_thread_switching_all_read_the_whole_stream():
     assert len(readers) > 6
     assert not any(reader.is_alive() for reader, _ in readers)
     assert all(received == simulation.result.progress_records for _, received in readers)
+
+
+def status_fields(payload: dict) -> tuple:
+    return payload["state"], payload["finished"], payload["total"], payload["failures"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_live_workflow_status_answers_are_progress_records_that_never_go_back(seed):
+    """More readers than cores, switching threads often, ask while the
+    engine is between an instance's state change and its event.  Each
+    answer is still a state the run's progress stream holds (or the
+    initial one), and no reader's answers go back."""
+    flaky = TaskDefinition("f", True, make_request(), "flaky")
+    spec = WorkflowSpec(workflow_id="race", tasks=(flaky,), edges=())
+    machines = [make_machine(f"m{i}", cpus=64, mem=256 * GiB) for i in range(8)]
+    simulation = Simulation(spec, machines, 10**15, 1000, seed, run_id="race", submission_ms=0)
+    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
+    context.attach_live(simulation)
+    request = target("/v1/workflow/workflow_status", as_layer="workflow", subject="race")
+    answers = [[] for _ in range(4)]
+
+    def read(into):
+        while not simulation.result.ended:
+            status, body = ask(context, request)
+            assert status == 200
+            into.append(status_fields(body["payload"]))
+
+    engine = threading.Thread(target=simulation.run_to_completion, daemon=True)
+    readers = [threading.Thread(target=read, args=(a,), daemon=True) for a in answers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        engine.start()
+        for reader in readers:
+            reader.start()
+        engine.join(timeout=60)
+        for reader in readers:
+            reader.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not engine.is_alive()
+    assert not any(reader.is_alive() for reader in readers)
+    held = {("running", 0, 1000, 0)} | {
+        (r.state.value, r.finished, r.total, r.failures)
+        for r in simulation.result.progress_records
+    }
+    assert [answer for read_ in answers for answer in read_ if answer not in held] == []
+    for read_ in answers:
+        ended = [finished + failures for _, finished, _, failures in read_]
+        assert ended == sorted(ended)
+
+
+# m1 is killed while the four t0 instances run on it, which poisons t1
+MACHINE_KILL = (
+    WorkflowSpec(
+        workflow_id="pw",
+        tasks=(
+            TaskDefinition("t0", True, make_request(), "default"),
+            TaskDefinition("t1", False, make_request(), "quick"),
+        ),
+        edges=(("t0", "t1"),),
+    ),
+    [make_machine("m1", cpus=4), make_machine("m2", cpus=4)],
+    4,
+    7,
+    TopologyMode.WORKFLOW_AWARE,
+    [FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=1000)],
+)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases(), st.lists(st.floats(0, 1), min_size=1, max_size=3))
+@example(MACHINE_KILL, [0.0, 0.5, 1.0])
+def test_a_paused_engine_is_answered_from_the_events_before_its_pause(case, fractions):
+    """The engine thread is held inside the append of its n-th event, at a
+    few drawn n.  Each workflow_status answer then reads the first n
+    events: the last progress record among them, or the initial record
+    before there is one."""
+    count = len(drawn_simulation(case, "counted", True).result.event_records)
+    pauses = {max(1, round(f * count)): (threading.Event(), threading.Event()) for f in fractions}
+    simulation = drawn_simulation(case, "paused", False)
+    context = ServiceContext(case[4])
+    context.attach_live(simulation)
+    events = simulation.result.event_records
+
+    def hold(event):
+        if len(events) in pauses:
+            reached, released = pauses[len(events)]
+            reached.set()
+            released.wait(timeout=10)
+
+    def run():
+        try:
+            simulation.run_to_completion()
+        except NonQuiescentError:
+            pass
+
+    simulation.event_listeners.append(hold)
+    engine = threading.Thread(target=run, daemon=True)
+    engine.start()
+    try:
+        for n in sorted(pauses):
+            reached, released = pauses[n]
+            assert reached.wait(timeout=10)
+            records = replay_progress(events[:n])
+            initial = WorkflowStatusReport(RunState.RUNNING, 0, len(simulation.run.instances), 0)
+            expected = service._status_payload(records[-1] if records else initial)
+            assert answered(context, FeatureKey.WORKFLOW_STATUS, "paused") == (200, expected)
+            released.set()
+    finally:
+        for _, released in pauses.values():
+            released.set()
+        engine.join(timeout=10)
+    assert not engine.is_alive()
 
 
 def live_stream_over_http(url, run_id):
@@ -786,7 +902,7 @@ def test_a_run_attached_mid_run_streams_from_its_first_event():
     readers = []
 
     def attach_at_event_10(event):
-        if len(simulation.event_records) == 10:
+        if len(simulation.result.event_records) == 10:
             context.attach_live(simulation)
             readers.append(live_stream_over_http(handle.url, "mid"))
         # slow the engine so the reader catches up and waits mid-run

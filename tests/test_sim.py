@@ -1218,7 +1218,9 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     run = simulation.run
     assert mismatches == []
     event_log = simulation.result.event_log_text()
-    assert received == simulation.result.progress_records == replay_progress(event_log)
+    assert received == simulation.result.progress_records == replay_progress(
+        parse_event_log(event_log)
+    )
     if stuck is None:
         assert result is simulation.result
     # every logged and stored sample equals the summed load, across machine
@@ -1229,11 +1231,11 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     # every started instance ends once, also when its machine was killed
     # while its completion event was still on the heap
     terminal = Counter(
-        e.subject for e in simulation.event_records
+        e.subject for e in simulation.result.event_records
         if e.kind in ("instance_succeeded", "instance_failed")
     )
-    traced = Counter(r.task_id for r in simulation.trace_records)
-    for event in simulation.event_records:
+    traced = Counter(r.task_id for r in simulation.result.trace_records)
+    for event in simulation.result.event_records:
         if event.kind == "instance_started":
             assert terminal[event.subject] == traced[event.subject] == 1, event.subject
 
@@ -1249,7 +1251,9 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     except NonQuiescentError as exc:
         assert exc.stuck == stuck
     assert quiet.result.event_log_text() == event_log
-    assert format_trace_file(quiet.trace_records) == format_trace_file(simulation.trace_records)
+    assert format_trace_file(quiet.result.trace_records) == format_trace_file(
+        simulation.result.trace_records
+    )
     never_eligible = naive_never_eligible(run, spec)
     open_instances = sorted(
         i.task_id
@@ -1280,7 +1284,7 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     # one millisecond pump twice, so a millisecond may hold two such runs.
     position = {t.name: k for k, t in enumerate(spec.tasks)}
     for queued, events in itertools.groupby(
-        simulation.event_records, key=lambda e: e.kind == "instance_queued"
+        simulation.result.event_records, key=lambda e: e.kind == "instance_queued"
     ):
         if queued:
             order = [
@@ -1356,7 +1360,7 @@ def test_each_success_carries_the_draws_of_its_reference_stream(case):
     except NonQuiescentError:
         pass
     definitions = {d.name: d for d in spec.tasks}
-    for record in simulation.trace_records:
+    for record in simulation.result.trace_records:
         definition = definitions[record.task_id.split("/")[1]]
         plan = MetricPlan(BUILTIN_MODELS[definition.runtime_model], definition.requested.memory_bytes)
         # a success ran its full runtime, so its counters are unscaled
