@@ -179,9 +179,8 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
     )
     (run_dir / "logs.tsv").write_text(log_text, encoding="utf-8")
 
-    report = execution_report(result.run)
-    _write_json(run_dir / "report.json", report.to_record())
-    return report
+    _write_json(run_dir / "report.json", result.report.to_record())
+    return result.report
 
 
 def _print_status(record) -> None:

@@ -42,7 +42,6 @@ from .workflow import (
     TaskInstance,
     UnknownTaskError,
     WorkflowStatusReport,
-    execution_report,
     export_dot,
     workflow_status,  # not called: the benchmark's tracer wraps this name
 )
@@ -153,15 +152,15 @@ class ServiceContext:
 
     def status(self, run_id: str) -> WorkflowStatusReport:
         """The run's progress after its first n events, n read once: its
-        kept fold, advanced over the events appended since the last call."""
+        kept fold, stepped over the events appended since the last call."""
         result = self.result(run_id)
         with self._folding:
             fold, read = self._status[run_id]
             n = len(result.event_records)
-            # by its module name, so a wrapper sees every advance
-            replay_progress(result.event_records[read:n], fold)
+            for event in result.event_records[read:n]:
+                fold.step(event)
             self._status[run_id] = fold, n
-            return WorkflowStatusReport(fold.state, fold.finished, fold.total, fold.failures)
+            return fold.report()
 
     def result(self, run_id: str) -> SimulationResult:
         with self._lock:
@@ -420,7 +419,7 @@ _FEATURES = {
     FeatureKey.WORKFLOW_ID: (
         _run, lambda run, *_: {"run_id": run.run_id, "workflow_id": run.run.workflow_id}
     ),
-    FeatureKey.EXECUTION_REPORT: (_run, lambda run, *_: execution_report(run.run).to_record()),
+    FeatureKey.EXECUTION_REPORT: (_run, lambda run, *_: run.report.to_record()),
     FeatureKey.PREVIOUS_EXECUTIONS: (
         _history, lambda summaries, *_: {"executions": [_whole(s) for s in summaries]}
     ),

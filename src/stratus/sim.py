@@ -27,16 +27,18 @@ cost, and what was measured and left out):
   and not poisoned): the run can finish only once it is 0.  A run ends
   once, at its ``run_completed`` event: the final state is set, the
   event heap is emptied, and ``inject`` refuses a fault from then on.
-- Progress is folded one way, by ``ProgressFold``.  Every stream, live or
-  finished, is ``replay_progress`` of the run's own event list from event
-  0, read up to the last append (``SimulationResult.ended`` is set after
-  it), and no second copy is kept.  A live reader that has caught up
-  waits for the next append; with no reader waiting, an attached run pays
-  one listener check per event and no fold.  The service answers
-  ``workflow_status`` from a fold it keeps per run and advances per
-  request.  ``workflow.workflow_status`` derives the same report from the
-  instances' states: a stored run's status reads it, and the fold is
-  tested against it.
+- Progress is folded one way, by ``ProgressFold``: ``step`` folds an
+  event and builds nothing, and ``report`` is the one place a progress
+  record is built from fold state.  Every stream, live or finished, is
+  ``replay_progress`` of the run's own event list from event 0, read up
+  to the last append (``SimulationResult.ended`` is set after it), and no
+  second copy is kept.  A live reader that has caught up waits for the
+  next append; with no reader waiting, an attached run pays one listener
+  check per event and no fold.  The service answers ``workflow_status``
+  from a fold it keeps per run, steps over the events appended since the
+  last request, and reports once.  ``workflow.workflow_status`` derives
+  the same report from the instances' states: a stored run's status reads
+  it, and the fold is tested against it.
 - Code-part profiles and application logs are derived on query, and so
   is a success's diagnosis: the run stores a ``Diagnosis`` for each
   failed instance only (``SimulationResult.diagnoses``), and
@@ -48,6 +50,8 @@ cost, and what was measured and left out):
 - Each run fact is kept once.  The run's one ``SimulationResult`` makes
   its own lists and dicts, and the engine writes each record into it
   alone; machine samples live only in the registry's per-machine series.
+  An ended run's execution report is computed on its first read and kept
+  (``SimulationResult.report``).
 - Each definition's facts live in one row built when the run starts: the
   definition, its task model and MetricPlan, its instances, its spec
   position, its count of instances not yet succeeded and a poisoned flag.
@@ -81,8 +85,9 @@ cost, and what was measured and left out):
 - The machine's status, a locked registry read, is read only for a
   failed instance, the only one diagnosed when it ends.
 - An instance's start and finish build only what the run keeps: its
-  trace record is indexed by task id as it lands (the service's task
-  lookups read that index and the instance map).
+  trace record lands once, in ``trace_by_id``.  An instance finishes once,
+  so that dict's order is completion order and ``trace_records`` reads
+  it; the service's task lookups read it and the instance map.
 - Poisoning walks definition rows, and stops at rows already poisoned,
   whose descendants were poisoned with them.
 - The records built per instance or per event (``EventRecord``,
@@ -114,6 +119,7 @@ import itertools
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -137,6 +143,7 @@ from .taskmon import (
 )
 from .textfmt import LineError, directive_lines, line_int, parse_decimal, set_once
 from .workflow import (
+    ExecutionReport,
     InvalidNameError,
     RunRecord,
     RunState,
@@ -146,6 +153,7 @@ from .workflow import (
     UnknownTaskError,
     WorkflowSpec,
     WorkflowStatusReport,
+    execution_report,
     expand_instances,
     # ready_tasks and workflow_status are not called here; they stay
     # importable as stratus.sim.* because the benchmark's tracer wraps them
@@ -347,8 +355,10 @@ def parse_event_log(text: str) -> list[EventRecord]:
 
 class ProgressFold:
     """A run's progress folded from its event log one event at a time.
-    ``step`` returns the progress record of a state-changing event and None
-    for any other event.  ``total`` stands until ``run_submitted`` is read."""
+    ``step`` folds an event and says whether it changed the run's progress;
+    ``report`` is the progress record of the events folded so far, and the
+    one place a record is built from fold state.  ``total`` stands until
+    ``run_submitted`` is read."""
 
     def __init__(self, total: int = 0):
         self.state = RunState.RUNNING
@@ -356,7 +366,7 @@ class ProgressFold:
         self.total = total
         self.failures = 0
 
-    def step(self, event: EventRecord) -> WorkflowStatusReport | None:
+    def step(self, event: EventRecord) -> bool:
         kind = event.kind
         if kind == "instance_succeeded":
             self.finished += 1
@@ -366,9 +376,12 @@ class ProgressFold:
             self.state = _final_state(event.detail)
         elif kind == "run_submitted":
             self.total = _submitted_total(event.detail)
-            return None
-        elif kind not in ("instance_queued", "instance_started"):
-            return None
+            return False
+        else:
+            return kind in ("instance_queued", "instance_started")
+        return True
+
+    def report(self) -> WorkflowStatusReport:
         return WorkflowStatusReport(self.state, self.finished, self.total, self.failures)
 
 
@@ -379,8 +392,8 @@ def replay_progress(
     goes through ``parse_event_log`` first): one record per state-changing
     event.  With ``fold``, continue that fold over the events, as a live
     reader does with each batch it reads."""
-    step = (fold or ProgressFold()).step
-    return [report for report in map(step, events) if report is not None]
+    fold = fold or ProgressFold()
+    return [fold.report() for event in events if fold.step(event)]
 
 
 def _stream_seed(seed: int, task_id: str) -> int:
@@ -543,13 +556,13 @@ class SimulationResult:
     registry: MachineRegistry
     resource_manager: ResourceManager
     event_records: list[EventRecord] = field(default_factory=list)
-    trace_records: list[TaskTraceRecord] = field(default_factory=list)
     # task_id -> diagnosis of each failed instance; a success's is derived
     # on read, by diagnosis()
     diagnoses: dict[str, Diagnosis] = field(default_factory=dict)
     # instances poisoned by a failure upstream; they stay pending
     never_eligible: set[str] = field(default_factory=set)
-    # task_id -> first trace record, and task_id -> instance
+    # task_id -> trace record, in completion order: an instance finishes
+    # once; and task_id -> instance
     trace_by_id: dict[str, TaskTraceRecord] = field(default_factory=dict)
     instances_by_id: dict[str, TaskInstance] = field(init=False)
     ended: bool = False  # set once the run returned or raised, after its last append
@@ -563,8 +576,19 @@ class SimulationResult:
         return self.registry.all_samples()
 
     @property
+    def trace_records(self) -> list[TaskTraceRecord]:
+        """Every trace record, in completion order."""
+        return list(self.trace_by_id.values())
+
+    @property
     def progress_records(self) -> list[WorkflowStatusReport]:
         return replay_progress(self.event_records)
+
+    @cached_property
+    def report(self) -> ExecutionReport:
+        """The run's execution report, computed once the run has ended;
+        ``ReportOnRunningRunError`` while it runs, when nothing is kept."""
+        return execution_report(self.run)
 
     def diagnosis(self, task_id: str) -> Diagnosis | None:
         """The task's diagnosis once it has one, else None.  A failure's is
@@ -853,8 +877,7 @@ class Simulation:
         # its end line once it has a diagnosis, and reads the end from the
         # record
         result = self.result
-        result.trace_records.append(record)
-        result.trace_by_id.setdefault(task_id, record)
+        result.trace_by_id[task_id] = record
 
         row = execution.row
         if exit_code == 0:

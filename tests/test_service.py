@@ -321,6 +321,22 @@ def test_workflow_status_payload_matches_model(aware):
     assert payload["finished"] == 18
 
 
+def test_a_first_workflow_status_answer_builds_one_report(monkeypatch):
+    """The kept fold is stepped over the whole event log and builds only
+    the record it answers, not one per state-changing event."""
+    context, result = make_context(TopologyMode.WORKFLOW_AWARE)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return WorkflowStatusReport(*args)
+
+    for module in ("stratus.sim", "stratus.service"):
+        monkeypatch.setattr(f"{module}.WorkflowStatusReport", counting)
+    assert context.status(RUN_ID) == workflow_status(result.run)
+    assert len(built) == 1
+
+
 def test_status_aliases_resolve_per_layer(aware):
     context, _ = aware
     for layer, subject, expected in (
@@ -694,7 +710,16 @@ def test_a_run_yet_to_end_is_attached_live_not_added():
     assert context.results == {}
 
 
-def test_a_live_run_has_an_execution_report_only_once_it_ends():
+def test_a_live_run_has_an_execution_report_only_once_it_ends(monkeypatch):
+    """A running run answers 400 and keeps nothing; an ended run's report
+    is computed once, for every later answer."""
+    computed = []
+
+    def counting(run):
+        computed.append(run.run_id)
+        return execution_report(run)
+
+    monkeypatch.setattr("stratus.sim.execution_report", counting)
     spec = parse_workflow(fixture_text("fig1.wf"))
     machines, fs_total = parse_cluster(fixture_text("two.cluster"))
     simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="later", submission_ms=0)
@@ -702,10 +727,13 @@ def test_a_live_run_has_an_execution_report_only_once_it_ends():
     context.attach_live(simulation)
     report = lambda: ask_feature(context, FeatureKey.EXECUTION_REPORT, subject="later")
     assert report() == (400, {"error": "run later has not finished"})
+    assert computed == ["later"] and "report" not in vars(simulation.result)
+    computed.clear()
     simulation.run_to_completion()
-    status, body = report()
-    assert status == 200
-    assert body["payload"]["counts"]["total"] == len(simulation.result.run.instances)
+    answers = [report() for _ in range(2)]
+    assert computed == ["later"]
+    final = json.loads(json.dumps(execution_report(simulation.run).to_record()))
+    assert [(status, body["payload"]) for status, body in answers] == [(200, final)] * 2
 
 
 def test_a_failure_read_before_its_diagnosis_lands_answers_404(monkeypatch):

@@ -1168,6 +1168,18 @@ TWO_PUMPS_IN_ONE_MS = (
 )
 
 
+def assert_one_trace_store(result) -> None:
+    """The run keeps one trace record per ``instance_succeeded`` or
+    ``instance_failed`` event, in event-log order, each the one its task
+    id indexes."""
+    records = result.trace_records
+    assert [r.task_id for r in records] == [
+        e.subject for e in result.event_records
+        if e.kind in ("instance_succeeded", "instance_failed")
+    ]
+    assert all(result.trace_by_id[r.task_id] is r for r in records)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(engine_cases())
 @example(TWO_PUMPS_IN_ONE_MS)
@@ -1187,7 +1199,7 @@ def test_incremental_engine_agrees_with_naive_scans(case):
     def check_progress(event):
         if event.kind in ("instance_started", "instance_succeeded", "instance_failed"):
             check_log(event)
-        record = fold.step(event)
+        record = fold.report() if fold.step(event) else None
         if record is None:
             return
         received.append(record)
@@ -1230,14 +1242,14 @@ def test_incremental_engine_agrees_with_naive_scans(case):
 
     # every started instance ends once, also when its machine was killed
     # while its completion event was still on the heap
+    assert_one_trace_store(simulation.result)
     terminal = Counter(
         e.subject for e in simulation.result.event_records
         if e.kind in ("instance_succeeded", "instance_failed")
     )
-    traced = Counter(r.task_id for r in simulation.result.trace_records)
     for event in simulation.result.event_records:
         if event.kind == "instance_started":
-            assert terminal[event.subject] == traced[event.subject] == 1, event.subject
+            assert terminal[event.subject] == 1, event.subject
 
     # listeners only observe: a run without one writes the same bytes
     quiet = Simulation(
@@ -1315,6 +1327,29 @@ def test_each_row_counts_what_did_not_succeed_and_knows_its_poison(case):
         unsucceeded = [i for i in row.instances if i.state is not TaskState.SUCCEEDED]
         assert row.remaining == len(unsucceeded), name
         assert row.poisoned is (name in poisoned), name
+
+
+def test_the_trace_store_keeps_completion_order_across_kills_timeouts_and_stuck_runs():
+    # t0 runs on m1 when m1 is killed, t1 outgrows its timeout, and t2
+    # outgrows every machine, so the run ends stuck
+    spec = WorkflowSpec(
+        workflow_id="pw",
+        tasks=(
+            TaskDefinition("t0", True, make_request(cpus=1), "default"),
+            TaskDefinition("t1", True, make_request(cpus=1, timeout=1000), "quick"),
+            TaskDefinition("t2", False, make_request(cpus=9), "quick"),
+        ),
+        edges=(),
+    )
+    machines = [make_machine("m1", cpus=2), make_machine("m2", cpus=4)]
+    simulation = Simulation(spec, machines, 10**15, 3, 7, run_id="p", submission_ms=0)
+    simulation.inject(FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=500))
+    with pytest.raises(NonQuiescentError) as stuck:
+        simulation.run_to_completion()
+    assert stuck.value.stuck == ["pw/t2/0"]
+    exits = {r.exit_code for r in simulation.result.trace_records}
+    assert {EXIT_MACHINE_KILL, EXIT_TIMEOUT} <= exits
+    assert_one_trace_store(simulation.result)
 
 
 # --- written artifacts read back equal, over random runs ---
