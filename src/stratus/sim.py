@@ -27,6 +27,10 @@ cost, and what was measured and left out):
   and not poisoned): the run can finish only once it is 0.  A run ends
   once, at its ``run_completed`` event: the final state is set, the
   event heap is emptied, and ``inject`` refuses a fault from then on.
+- A scheduler pass runs at t=0 and after each completion, and not after
+  a machine fault: its kills free capacity only on the machine it has just
+  marked unhealthy, which takes no new task, and a failure makes nothing
+  ready, so that pass could start nothing.
 - Progress is folded one way, by ``ProgressFold``: ``step`` folds an
   event and builds nothing, and ``report`` is the one place a progress
   record is built from fold state.  Every stream, live or finished, is
@@ -912,7 +916,6 @@ class Simulation:
         self._emit(t_ms, "machine_status", machine_id, "status=unhealthy")
         for task_id in self.rm.running_on(machine_id):
             self._finish_instance(t_ms, self._executions[task_id], EXIT_MACHINE_KILL)
-        self._pump(t_ms)
 
     def _on_sample_tick(self, t_ms: int, _payload: None) -> None:
         # the run's machine ids, sorted when the run started

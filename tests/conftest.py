@@ -1,5 +1,5 @@
-"""Shared fixtures: workflow/cluster generators and the acceptance-criteria
-summary printed at the end of the session."""
+"""Shared fixtures: workflow/cluster generators, the drawn engine cases and
+the acceptance-criteria summary printed at the end of the session."""
 
 import random
 from contextlib import contextmanager
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stratus.blueprint import TopologyMode, parse_capability_profile
 from stratus.fixtures import fixture_text
 from stratus.machine import HardwareSpec, MachineDescriptor, MachineType, ResourceVector
-from stratus.sim import Simulation
+from stratus.sim import FaultInjection, InjectionKind, Simulation
 from stratus.workflow import ResourceRequest, TaskDefinition, WorkflowSpec
 
 GiB = 1024**3
@@ -125,6 +125,60 @@ def random_cluster(rng: random.Random, max_machines: int = 3) -> list[MachineDes
         )
         for i in range(count)
     ]
+
+
+@st.composite
+def engine_cases(draw):
+    """(spec, machines, input_count, seed, topology, injections): a random
+    DAG (up to 12 definitions, scatter mixed), a random cluster and a random
+    fault script, drawn so that every engine rule can fire.  Disk requests
+    of 0-24 GiB meet machine disks of 25-60 GiB, so disk binds; some
+    timeouts cut a task short; some requests exceed every machine and some
+    scripts kill every machine, so stuck runs are drawn too."""
+    count = draw(st.integers(1, 12))
+    # at most one definition, in about a quarter of the cases, outgrows every machine
+    oversized = draw(st.integers(0, 4 * count))
+    tasks = tuple(
+        TaskDefinition(
+            name=f"t{i}",
+            scatter=draw(st.booleans()),
+            requested=make_request(
+                cpus=9 if i == oversized else draw(st.integers(1, 3)),
+                mem=draw(st.integers(1, 3)) * GiB,
+                disk=draw(st.integers(0, 24)) * GiB,
+                timeout=draw(st.sampled_from((1500, 3000, 5000, 600_000))),
+            ),
+            runtime_model=draw(st.sampled_from(("quick", "default", "flaky", "cpu_heavy"))),
+        )
+        for i in range(count)
+    )
+    pairs = [(f"t{i}", f"t{j}") for i in range(count) for j in range(i + 1, count)]
+    edges = tuple(p for p in pairs if draw(st.integers(0, 99)) < 30)
+    spec = WorkflowSpec(workflow_id="pw", tasks=tasks, edges=edges)
+    machines = [
+        make_machine(
+            f"m{i + 1}",
+            cpus=draw(st.integers(2, 8)),
+            mem=draw(st.integers(4, 16)) * GiB,
+            disk=draw(st.integers(25, 60)) * GiB,
+        )
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    input_count = draw(st.integers(1, 4))
+    task_ids = [
+        f"pw/{t.name}/{k}" for t in tasks for k in range(input_count if t.scatter else 1)
+    ]
+    injections = []
+    for _ in range(draw(st.integers(0, 4))):
+        # one draw in four kills a machine, so most runs do not strand
+        kind = draw(st.sampled_from(list(InjectionKind) + [InjectionKind.TASK_OOM]))
+        if kind is InjectionKind.MACHINE_UNHEALTHY:
+            target = draw(st.sampled_from([m.machine_id for m in machines]))
+        else:
+            target = draw(st.sampled_from(task_ids))
+        injections.append(FaultInjection(kind, target, at_ms=draw(st.integers(0, 20000))))
+    seed = draw(st.integers(0, 2**16))
+    return spec, machines, input_count, seed, draw(st.sampled_from(list(TopologyMode))), injections
 
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}

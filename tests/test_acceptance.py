@@ -15,7 +15,14 @@ import pytest
 import requests
 
 from conftest import PROFILE_NAMES, GiB, load_profile, make_machine, random_dag_spec, run_simulation
-from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
+from oracles import (
+    ORACLE_ROWS,
+    WORKFLOW_OWNED,
+    assert_equals_reference,
+    oracle_first_fit,
+    oracle_permitted,
+    reference_run,
+)
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -48,8 +55,7 @@ from stratus.taskmon import (
     parse_trace,
 )
 from stratus.workflow import expand_instances, export_dot, parse_workflow
-from test_resman import entry, make_rm, oracle_first_fit
-from test_sim import assert_capacity_safety_from_log, assert_dependency_order, event_times
+from test_resman import entry, make_rm
 from test_taskmon import make_record, random_record
 
 EXPECTED_SCORES = {
@@ -251,21 +257,6 @@ def test_criterion_06_capacity_safety_against_oracle(acceptance):
                     assert rm.reserved_on(machine_id).fits_within(capacity[machine_id])
 
 
-def _descendants(spec, root):
-    children = {}
-    for a, b in spec.edges:
-        children.setdefault(a, set()).add(b)
-    seen = set()
-    frontier = [root]
-    while frontier:
-        node = frontier.pop()
-        for child in children.get(node, ()):
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
-
-
 def test_criterion_07_dependency_order_and_poisoning(acceptance):
     with acceptance(7, "dependency barriers hold and failures poison descendants"):
         rng = random.Random(9090)
@@ -276,49 +267,27 @@ def test_criterion_07_dependency_order_and_poisoning(acceptance):
                 make_machine(f"m{i + 1}", cpus=rng.randint(4, 8), mem=rng.randint(8, 16) * GiB)
                 for i in range(rng.randint(1, 3))
             ]
-            with_children = [
-                d.name for d in spec.tasks if _descendants(spec, d.name)
-            ]
+            with_children = [d.name for d in spec.tasks if spec.successors(d.name)]
             target_definition = (
                 rng.choice(with_children) if with_children else spec.tasks[0].name
             )
             input_count = rng.randint(1, 4)
-            result = run_simulation(
-                spec,
-                machines,
-                1024**4,
-                input_count,
-                seed=round_number,
-                injections=[
-                    FaultInjection(
-                        kind=InjectionKind.TASK_NON_ZERO_EXIT,
-                        target=f"{spec.workflow_id}/{target_definition}/0",
-                        at_ms=0,
-                    )
-                ],
-                run_id="r",
-                submission_ms=0,
+            fault = FaultInjection(
+                InjectionKind.TASK_NON_ZERO_EXIT, f"{spec.workflow_id}/{target_definition}/0"
             )
-            assert_dependency_order(result)
-            assert_capacity_safety_from_log(result, machines)
-            queued, _, _, _, _ = event_times(result)
-            failed = {
-                e.subject for e in result.event_records if e.kind == "instance_failed"
-            }
-            assert any(task.startswith(f"{spec.workflow_id}/{target_definition}/") for task in failed)
-            poisoned_definitions = set()
-            for task_id in failed:
-                poisoned_definitions |= _descendants(spec, task_id.split("/")[1])
-            if poisoned_definitions:
+            result = run_simulation(
+                spec, machines, 1024**4, input_count, round_number, injections=[fault],
+                run_id="r", submission_ms=0,
+            )
+            # the reference queues a definition only once every instance of
+            # each predecessor succeeded, and never one downstream of a failure
+            reference = reference_run(
+                spec, machines, input_count, round_number, TopologyMode.WORKFLOW_AWARE, [fault]
+            )
+            assert_equals_reference(result, [], reference)
+            assert result.trace_by_id[fault.target].exit_code == 1
+            if result.never_eligible:
                 poisoned_rounds += 1
-            downstream = [
-                inst.task_id
-                for inst in result.run.instances
-                if inst.definition in poisoned_definitions
-            ]
-            for task_id in downstream:
-                assert task_id not in queued, task_id
-                assert task_id in result.never_eligible
         assert poisoned_rounds >= 20
 
 
@@ -347,12 +316,11 @@ def test_criterion_09_fault_diagnosis_end_to_end(acceptance):
         result = scenario_simulation(scenario, run_id="r", submission_ms=0).run_to_completion()
         records = parse_trace(result.trace_text())
         assert records
-        _, _, _, _, machine_of = event_times(result)
         verdicts = {}
         for record in records:
-            definition = record.task_id.split("/")[1]
-            requested = result.spec.definition(definition).requested
-            status = result.registry.descriptor(machine_of[record.task_id]).status
+            instance = result.instances_by_id[record.task_id]
+            requested = result.spec.definition(instance.definition).requested
+            status = result.registry.descriptor(instance.machine).status
             verdicts[record.task_id] = diagnose(record, requested, status).verdict
         assert verdicts["wf1/III/0"] is Verdict.OUT_OF_MEMORY
         assert verdicts["wf1/III/1"] is Verdict.NON_ZERO_EXIT

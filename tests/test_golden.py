@@ -2,7 +2,8 @@
 of the bundled scenarios are pinned, so any engine change that alters them
 fails here even when it alters them the same way on every run.  A change
 that means to alter the bytes is a behaviour change and must update these
-digests and say so."""
+digests and say so.  Every pinned input also runs against the plain
+reference run of ``oracles.reference_run``, which must give the same bytes."""
 
 import hashlib
 import importlib
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_simulation
+from oracles import assert_equals_reference, reference_run
 from stratus import sim
 from stratus.blueprint import TopologyMode
 from stratus.cli import _write_run_outputs
@@ -22,8 +25,8 @@ from stratus.sim import (
     FaultInjection,
     InjectionKind,
     ScenarioSpec,
-    Simulation,
     load_scenario,
+    parse_file,
     scenario_simulation,
 )
 from stratus.workflow import parse_workflow
@@ -104,24 +107,57 @@ WIDE_FAULTS_GOLDEN = (
 )
 
 
-def test_wide_faults_workload_matches_golden_digests(monkeypatch):
+def _wide_faults(monkeypatch):
+    """The wide-faults input as (fs_total, expected final state, case), the
+    case being ``reference_run``'s arguments."""
     # the benchmark's own input generator, imported as its run script does
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     inputs = importlib.import_module("inputs").wide_inputs(42, 24)
     spec = parse_workflow(inputs.workflow_text, default_workflow_id=inputs.workflow_name)
     machines, fs_total = parse_cluster(inputs.cluster_text)
-    simulation = Simulation(
-        spec, machines, fs_total, inputs.input_count, inputs.seed,
-        TopologyMode.from_wire(inputs.topology), run_id="golden", submission_ms=0,
+    faults = [FaultInjection(InjectionKind(f.kind), f.target, f.at_ms) for f in inputs.faults]
+    topology = TopologyMode.from_wire(inputs.topology)
+    case = (spec, machines, inputs.input_count, inputs.seed, topology, faults)
+    return fs_total, inputs.expected_final, case
+
+
+def _scenario_case(name):
+    """A pinned scenario as (fs_total, case), the case being
+    ``reference_run``'s arguments."""
+    scenario = SCENARIOS[name]()
+    path = scenario.workflow_path
+    spec = parse_file(parse_workflow, path, default_workflow_id=path.stem)
+    machines, fs_total = parse_file(parse_cluster, scenario.cluster_path)
+    case = (spec, machines, scenario.input_count, scenario.seed, scenario.topology,
+            list(scenario.injections))
+    return fs_total, case
+
+
+def _golden_run(fs_total, case):
+    spec, machines, input_count, seed, topology, injections = case
+    return run_simulation(
+        spec, machines, fs_total, input_count, seed, topology, injections,
+        run_id="golden", submission_ms=0,
     )
-    for fault in inputs.faults:
-        simulation.inject(FaultInjection(InjectionKind(fault.kind), fault.target, fault.at_ms))
-    result = simulation.run_to_completion()
+
+
+def test_wide_faults_workload_matches_golden_digests(monkeypatch):
+    fs_total, expected_final, case = _wide_faults(monkeypatch)
+    result = _golden_run(fs_total, case)
     assert len(result.run.instances) == 945
-    assert result.run.final_state.value == inputs.expected_final
+    assert result.run.final_state.value == expected_final
     exits = {r.exit_code for r in result.trace_records}
     assert exits == {0, EXIT_OOM, EXIT_TASK_ERROR, EXIT_MACHINE_KILL}
     assert _result_digests(result) == WIDE_FAULTS_GOLDEN
+
+
+@pytest.mark.parametrize("name", [*sorted(SCENARIOS), "engine-wide-faults"])
+def test_every_pinned_input_equals_the_reference_run(name, monkeypatch):
+    if name == "engine-wide-faults":
+        fs_total, _, case = _wide_faults(monkeypatch)
+    else:
+        fs_total, case = _scenario_case(name)
+    assert_equals_reference(_golden_run(fs_total, case), [], reference_run(*case))
 
 
 def test_every_name_the_benchmark_traces_exists(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_machine, make_request, random_cluster
+from oracles import oracle_first_fit
 from stratus.blueprint import TopologyMode
 from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
 from stratus.resman import (
@@ -144,29 +145,6 @@ def test_assignment_and_running_on_views():
 
 
 # --- oracle comparison and capacity safety ---
-
-
-def oracle_first_fit(queue, machines, reserved):
-    """Independent first-fit pass: returns (assignments, leftover queue)."""
-    reserved = dict(reserved)
-    assignments = []
-    leftover = []
-    for task_id, need in queue:
-        placed = None
-        for machine_id, capacity, healthy in machines:
-            if not healthy:
-                continue
-            used = reserved.get(machine_id, ResourceVector(0, 0, 0))
-            free = capacity.minus(used)
-            if need.fits_within(free):
-                placed = machine_id
-                reserved[machine_id] = used.plus(need)
-                break
-        if placed is None:
-            leftover.append(task_id)
-        else:
-            assignments.append((task_id, placed))
-    return assignments, leftover
 
 
 def test_schedule_matches_oracle_on_random_load():

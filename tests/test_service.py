@@ -24,9 +24,8 @@ import requests
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GiB, make_machine, make_request, run_simulation
+from conftest import GiB, engine_cases, make_machine, make_request, run_simulation
 from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
-from test_sim import engine_cases
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,

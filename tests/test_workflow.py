@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dag_specs, make_request, random_dag_spec
-from oracles import resolve_final_state
 from stratus.fixtures import fixture_text
 from stratus.workflow import (
     CycleError,
@@ -533,22 +532,6 @@ def test_workflow_status_counts():
 def test_workflow_status_empty_run_is_complete():
     run = RunRecord(run_id="r", workflow_id="w", submission_ms=0, instances=[])
     assert workflow_status(run).progress == 1.0
-
-
-def test_final_state_transitions():
-    run = make_run(small_spec())
-    assert resolve_final_state(run) is RunState.RUNNING
-    for inst in run.instances:
-        finish(inst, TaskState.SUCCEEDED)
-    assert resolve_final_state(run) is RunState.SUCCEEDED
-
-
-def test_final_state_failed_only_once_poisoning_settles():
-    run = make_run(small_spec())
-    finish(run.instances[0], TaskState.FAILED)
-    rest = frozenset(i.task_id for i in run.instances[1:])
-    assert resolve_final_state(run) is RunState.RUNNING
-    assert resolve_final_state(run, poisoned=rest) is RunState.FAILED
 
 
 # --- DOT export ---
