@@ -28,7 +28,7 @@ from .sim import ScenarioSpec, load_scenario, parse_file, scenario_simulation
 from .store import RunStore
 from .service import ServiceContext, serve
 from .taskmon import format_log
-from .textfmt import parse_decimal
+from .textfmt import field_dict, parse_decimal
 from .workflow import (
     ExecutionReport,
     RunRecord,
@@ -157,22 +157,19 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
         )
     (run_dir / "samples.tsv").write_text("\n".join(sample_lines) + "\n", encoding="utf-8")
 
-    machines_payload = []
-    for machine_id in result.registry.machine_ids():
-        descriptor = result.registry.descriptor(machine_id)
-        machines_payload.append(
-            {
-                "machine_id": machine_id,
-                "type": descriptor.machine_type.value,
-                "status": descriptor.status.value,
-                # a frozen dataclass without slots: vars holds its fields
-                **vars(descriptor.capacity),
-                "cpu_architecture": descriptor.hardware.cpu_architecture,
-                "cpu_model": descriptor.hardware.cpu_model,
-                "memory_clock_mhz": descriptor.hardware.memory_clock_mhz,
-            }
-        )
-    _write_json(run_dir / "machines.json", machines_payload)
+    descriptors = [result.registry.descriptor(m) for m in result.registry.machine_ids()]
+    _write_json(run_dir / "machines.json", [
+        {
+            "machine_id": d.machine_id,
+            "type": d.machine_type.value,
+            "status": d.status.value,
+            **field_dict(d.capacity),
+            "cpu_architecture": d.hardware.cpu_architecture,
+            "cpu_model": d.hardware.cpu_model,
+            "memory_clock_mhz": d.hardware.memory_clock_mhz,
+        }
+        for d in descriptors
+    ])
 
     log_text = "".join(
         format_log(result.application_logs(task_id)) for task_id in sorted(result.instances_by_id)

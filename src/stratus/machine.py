@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .textfmt import LineError, directive_lines, key_values, line_int, set_once
+from .textfmt import LineError, directive_lines, key_values, line_int, one_field_line, set_once
 
 _T_MS = attrgetter("t_ms")
 
@@ -114,7 +114,7 @@ class MachineDescriptor:
 
     def __post_init__(self):
         # the event log and samples.tsv are tab-separated lines
-        if "\t" in self.machine_id or self.machine_id.splitlines() != [self.machine_id]:
+        if not one_field_line(self.machine_id):
             raise MachineError(f"machine id must be one line without tabs: {self.machine_id!r}")
         if self.capacity.cpu_cores <= 0 or self.capacity.memory_bytes <= 0 or self.capacity.disk_bytes <= 0:
             raise MachineError(f"{self.machine_id}: capacity values must be strictly positive")

@@ -34,7 +34,7 @@ from .machine import InvalidWindowError, MachineDescriptor, MachineRegistry, Unk
 from .sim import ProgressFold, SimulationResult, replay_progress
 from .store import RunStore
 from .taskmon import LogLevel, TaskTraceRecord, consumed_vs_requested, synthesize_code_parts
-from .textfmt import parse_decimal
+from .textfmt import field_dict, parse_decimal
 from .workflow import (
     ReportOnRunningRunError,
     ResourceRequest,
@@ -195,12 +195,13 @@ class ServiceContext:
         ``live_progress`` an iterator of byte chunks, one per batch of
         progress records, which ``closed`` ends as it ends ``progress``."""
         try:
-            # leading slashes of a path name no host; an absolute-form
-            # target (RFC 9112 3.2.2) names one before its path
-            parsed = urlparse("/" + target.lstrip("/") if target.startswith("/") else target)
+            # leading slashes of a path name no host; an absolute-form target
+            # (RFC 9112 3.2.2) names one before its path; any other has no path
+            origin = target.startswith("/")
+            parsed = urlparse("/" + target.lstrip("/") if origin else target)
             segments = [s for s in parsed.path.split("/") if s]
             query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-            if len(segments) != 3 or segments[0] != "v1":
+            if len(segments) != 3 or segments[0] != "v1" or not (origin or parsed.netloc):
                 raise _HTTPError(404, "expected /v1/<layer>/<feature>")
             try:
                 path_layer = LayerId.from_wire(segments[1])
@@ -242,12 +243,11 @@ class ServiceContext:
             t_to = parse_decimal(query["to"], key="to") if "to" in query else MAX_WINDOW_MS
             if t_from > t_to:
                 raise InvalidWindowError(t_from, t_to)
-            level = query.get("min_level")
-            min_level = LogLevel.DEBUG if level is None else LogLevel.from_wire(level)
+            min_level = LogLevel.from_wire(query.get("min_level", LogLevel.DEBUG.wire_name))
             # by its module name, so a wrapper sees every payload built
             payload = _build_payload(self, feature, subject, t_from, t_to, min_level)
             status, body = 200, {
-                "feature": feature.value if isinstance(feature, FeatureKey) else feature,
+                "feature": feature,  # a FeatureKey is a str: JSON writes its wire name
                 "subject": subject,
                 "served_at_ms": self.served_at_ms(),
                 "payload": payload,
@@ -261,15 +261,6 @@ class ServiceContext:
         except (ValueError, InvalidWindowError, ReportOnRunningRunError) as exc:
             status, body = 400, {"error": str(exc)}
         return status, "application/json", json.dumps(body, sort_keys=True).encode()
-
-
-def _whole(record) -> dict:
-    """Every field of a layer record served whole, as a new dict.  The
-    record's field names are the payload's keys, so renaming a field changes
-    the wire format.  The records served so are frozen dataclasses without
-    slots, so ``__dict__`` holds exactly their fields; a tuple field is a
-    JSON array, as ``json.dumps`` writes it."""
-    return record.__dict__.copy()
 
 
 def _status_payload(report: WorkflowStatusReport, *_) -> dict:
@@ -300,7 +291,7 @@ class _Task(NamedTuple):
     task_id: str
     result: SimulationResult
     instance: TaskInstance
-    record: TaskTraceRecord | None = None  # read only for the features that need it
+    record: TaskTraceRecord | None  # None until the task has ended
 
 
 # Subject resolvers, one per subject kind: 400 without a subject, the layer's
@@ -348,10 +339,8 @@ def _task(context, feature, subject, missing: str | None = None) -> _Task:
     if found is None:
         raise UnknownTaskError(task_id)
     result, instance = found
-    if missing is None:
-        return _Task(task_id, result, instance)
     record = result.trace_by_id.get(task_id)
-    if record is None:
+    if missing is not None and record is None:
         raise _HTTPError(404, f"no {missing} yet for {task_id!r}")
     return _Task(task_id, result, instance, record)
 
@@ -368,8 +357,8 @@ def _infrastructure_status(rm, *_) -> dict:
     return {
         "machines_total": status.machines_total,
         "machines_by_status": {s.value: n for s, n in status.machines_by_status.items()},
-        "capacity_total": _whole(status.capacity_total),
-        "capacity_reserved": _whole(status.capacity_reserved),
+        "capacity_total": field_dict(status.capacity_total),
+        "capacity_reserved": field_dict(status.capacity_reserved),
         "queue_depth": status.queue_depth,
         "running_tasks": status.running_tasks,
     }
@@ -387,7 +376,7 @@ def _consumed_resources(task: _Task, *_) -> dict:
         "rss_bytes": record.rss_bytes,
         "rchar_bytes": record.rchar_bytes,
         "wchar_bytes": record.wchar_bytes,
-        "utilization": _whole(consumed_vs_requested(record, _requested(task))),
+        "utilization": field_dict(consumed_vs_requested(record, _requested(task))),
     }
 
 
@@ -402,7 +391,7 @@ def _fault_diagnosis(task: _Task, *_) -> dict:
 # is the resolved subject: rm, run, m (machine) or t (task)
 _FEATURES = {
     FeatureKey.INFRASTRUCTURE_STATUS: (_cluster, _infrastructure_status),
-    FeatureKey.FILE_SYSTEM_STATUS: (_cluster, lambda rm, *_: _whole(rm.filesystem_status())),
+    FeatureKey.FILE_SYSTEM_STATUS: (_cluster, lambda rm, *_: field_dict(rm.filesystem_status())),
     FeatureKey.RUNNING_WORKFLOWS: (_cluster, lambda rm, *_: {"running": [
         {"run_id": r, "workflow_id": w, "state": s} for r, w, s in rm.running_workflows()
     ]}),
@@ -410,7 +399,7 @@ _FEATURES = {
     FeatureKey.WORKFLOW_SPECIFICATION: (_run, lambda run, *_: {
         "workflow_id": run.spec.workflow_id,
         "tasks": [
-            {"name": t.name, "scatter": t.scatter, "model": t.runtime_model, **_whole(t.requested)}
+            dict(name=t.name, scatter=t.scatter, model=t.runtime_model, **field_dict(t.requested))
             for t in run.spec.tasks
         ],
         "edges": [[a, b] for a, b in run.spec.edges],
@@ -421,7 +410,7 @@ _FEATURES = {
     ),
     FeatureKey.EXECUTION_REPORT: (_run, lambda run, *_: run.report.to_record()),
     FeatureKey.PREVIOUS_EXECUTIONS: (
-        _history, lambda summaries, *_: {"executions": [_whole(s) for s in summaries]}
+        _history, lambda summaries, *_: {"executions": [field_dict(s) for s in summaries]}
     ),
     FeatureKey.MACHINE_STATUS: (
         _machine, lambda m, *_: {"machine_id": m.machine_id, "status": m.descriptor.status.value}
@@ -430,15 +419,15 @@ _FEATURES = {
         "machine_id": m.machine_id, "type": m.descriptor.machine_type.value
     }),
     FeatureKey.HARDWARE_SPECIFICATION: (
-        _machine, lambda m, *_: {"machine_id": m.machine_id, **_whole(m.descriptor.hardware)}
+        _machine, lambda m, *_: {"machine_id": m.machine_id, **field_dict(m.descriptor.hardware)}
     ),
-    FeatureKey.AVAILABLE_RESOURCES: (_machine, lambda m, t_from, t_to, level: _whole(
+    FeatureKey.AVAILABLE_RESOURCES: (_machine, lambda m, t_from, t_to, level: field_dict(
         m.registry.available_resources(m.machine_id, t_to)
     )),
     FeatureKey.USED_RESOURCES: (_machine, lambda m, t_from, t_to, level: {
         "machine_id": m.machine_id,
         "samples": [
-            {"t_ms": s.t_ms, **_whole(s.used)}
+            {"t_ms": s.t_ms, **field_dict(s.used)}
             for s in m.registry.query_series(m.machine_id, t_from, t_to)
         ],
     }),
@@ -446,7 +435,7 @@ _FEATURES = {
         _task, lambda t, *_: {"task_id": t.task_id, "state": t.instance.state.value}
     ),
     FeatureKey.REQUESTED_RESOURCES: (
-        _task, lambda t, *_: {"task_id": t.task_id, **_whole(_requested(t))}
+        _task, lambda t, *_: {"task_id": t.task_id, **field_dict(_requested(t))}
     ),
     FeatureKey.CONSUMED_RESOURCES: (_traced, _consumed_resources),
     FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS: (

@@ -145,7 +145,7 @@ from .taskmon import (
     success_diagnosis,
     task_log,
 )
-from .textfmt import LineError, directive_lines, line_int, parse_decimal, set_once
+from .textfmt import LineError, directive_lines, line_int, one_field_line, parse_decimal, set_once
 from .workflow import (
     ExecutionReport,
     InvalidNameError,
@@ -647,9 +647,7 @@ class Simulation:
         submission_ms: int | None = None,
     ):
         if run_id is not None and (
-            run_id in (".", "..")
-            or any(c in run_id for c in "/\\\t")
-            or run_id.splitlines() != [run_id]  # also refuses ""
+            run_id in (".", "..") or "/" in run_id or "\\" in run_id or not one_field_line(run_id)
         ):
             raise InvalidNameError(
                 run_id,

@@ -10,6 +10,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from .textfmt import field_dict
 from .workflow import RunRecord, RunState, makespan_ms
 
 logger = logging.getLogger("stratus")
@@ -88,7 +89,7 @@ class RunStore:
 
     def append(self, record: RunRecord, run_dir: "str | Path | None" = None) -> None:
         keys = {
-            **vars(_summarize(record)),
+            **field_dict(_summarize(record)),
             "run_dir": None if run_dir is None else str(Path(run_dir).resolve()),
         }
         line = json.dumps(keys, sort_keys=True).encode() + b"\n"

@@ -93,6 +93,20 @@ def parse_decimal(text: str, canonical: bool = False, key: str = "value") -> int
     raise ValueError(f"{key} is not an integer: {text!r}")
 
 
+def one_field_line(text: str) -> bool:
+    """Whether ``text`` is one non-empty line without tabs, as a name
+    written into a field of a tab-separated line must be."""
+    return "\t" not in text and text.splitlines() == [text]
+
+
+def field_dict(record) -> dict:
+    """A record written whole (a response payload, a history line, a run
+    file) as a new dict keyed by its field names, so renaming a field
+    changes the format.  Such records are frozen dataclasses without slots:
+    ``__dict__`` holds exactly their fields."""
+    return record.__dict__.copy()
+
+
 def fold_name(name: str) -> str:
     """``name`` stripped and in lower case, for matching a wire name in any
     ASCII case.  Outside ASCII, case mappings carry other letters onto ASCII

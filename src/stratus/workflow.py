@@ -17,7 +17,9 @@ import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .textfmt import LineError, directive_lines, key_values, line_int, set_once
+from .textfmt import (
+    LineError, directive_lines, field_dict, key_values, line_int, one_field_line, set_once
+)
 
 
 class WorkflowError(Exception):
@@ -137,7 +139,7 @@ class WorkflowSpec:
         names = self.task_names()
         for name in (self.workflow_id, *names):
             # the event log and the trace file are tab-separated lines
-            if "\t" in name or name.splitlines() != [name]:
+            if not one_field_line(name):
                 raise InvalidNameError(name, "be one line without tabs")
             # DOT reads a quoted id's trailing backslash as escaping its closing quote
             if name.endswith("\\"):
@@ -362,8 +364,7 @@ class ExecutionReport:
                 "succeeded": self.succeeded,
                 "failed": self.failed,
             },
-            # DurationStats is frozen without slots: __dict__ holds its fields
-            "task_stats": {name: s.__dict__.copy() for name, s in self.task_stats.items()},
+            "task_stats": {name: field_dict(s) for name, s in self.task_stats.items()},
         }
 
 

@@ -1,9 +1,12 @@
-"""Shared fixtures: workflow/cluster generators, the drawn engine cases and
-the acceptance-criteria summary printed at the end of the session."""
+"""Shared fixtures: workflow/cluster generators, the drawn engine cases, an
+import reader and the acceptance-criteria summary printed at the end of the
+session."""
 
+import ast
 import random
 from contextlib import contextmanager
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -179,6 +182,18 @@ def engine_cases(draw):
         injections.append(FaultInjection(kind, target, at_ms=draw(st.integers(0, 20000))))
     seed = draw(st.integers(0, 2**16))
     return spec, machines, input_count, seed, draw(st.sampled_from(list(TopologyMode))), injections
+
+
+def imports_of(path) -> dict[str, set[str]]:
+    """Module -> the names the source file at ``path`` imports from it; a
+    plain ``import`` of a module lists ``*``."""
+    imported = {}
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.name, {"*"}) for a in node.names)
+    return imported
 
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}

@@ -6,10 +6,13 @@ import dataclasses
 import hashlib
 import heapq
 import itertools
+import json
 import random
+import statistics
 from collections import namedtuple
+from urllib.parse import parse_qs
 
-from stratus.blueprint import LayerId
+from stratus.blueprint import LayerId, TopologyMode, UnknownLayerError
 from stratus.machine import MachineStatus, ResourceVector
 from stratus.sim import (
     BUILTIN_MODELS,
@@ -21,8 +24,26 @@ from stratus.sim import (
     EventRecord,
     InjectionKind,
 )
-from stratus.taskmon import TRACE_HEADER, CodePartProfile, TaskTraceRecord, TraceError, diagnose
-from stratus.workflow import RunRecord, RunState, TaskState, expand_instances, ready_tasks
+from stratus.taskmon import (
+    TRACE_HEADER,
+    CodePartProfile,
+    Diagnosis,
+    LogLevel,
+    TaskTraceRecord,
+    TraceError,
+    Verdict,
+    diagnose,
+    synthesize_code_parts,
+    task_log,
+)
+from stratus.workflow import (
+    RunRecord,
+    RunState,
+    TaskState,
+    expand_instances,
+    export_dot,
+    ready_tasks,
+)
 
 
 # The paper's grid: an independent transcription of the permitted-layer
@@ -71,8 +92,32 @@ WORKFLOW_OWNED = {
 }
 
 
+# the one matrix extension the reference serves, in the grid's letters
+ORACLE_EXTENSIONS = {"gpu_utilization": "RM"}
+
+
 def oracle_permitted(feature_name: str) -> set[LayerId]:
-    return {LETTER_TO_LAYER[ch] for ch in ORACLE_ROWS[feature_name]}
+    letters = {**ORACLE_ROWS, **ORACLE_EXTENSIONS}[feature_name]
+    return {LETTER_TO_LAYER[ch] for ch in letters}
+
+
+def reference_denial(permitted, layer, name, topology) -> str | None:
+    """The text of the rule that denies ``layer`` the feature or extension
+    ``name``, or None when it is allowed; ``permitted`` maps each name to
+    its permitted layers.  The permission rule comes first, then the
+    disjoint rule: the resource manager of a disjoint deployment reads no
+    workflow-owned feature.  An extension is owned by its lowest layer."""
+    layers = permitted[name]
+    if layer not in layers:
+        allowed = ", ".join(sorted(l.wire_name for l in layers))
+        return f"layer {layer.wire_name} is not permitted to read {name} (permitted: {allowed})"
+    owned = name in WORKFLOW_OWNED if name in ORACLE_ROWS else min(layers) is LayerId.WORKFLOW
+    if topology is TopologyMode.DISJOINT and layer is LayerId.RESOURCE_MANAGER and owned:
+        return (
+            f"{name} is workflow-owned and the resource manager layer is disjoint"
+            " from the workflow layer in this deployment"
+        )
+    return None
 
 
 def stream_seed(seed: int, task_id: str) -> int:
@@ -393,3 +438,270 @@ def assert_equals_reference(result, stuck, reference) -> None:
     assert result.never_eligible == reference.never_eligible
     assert result.run.final_state is reference.run.final_state
     assert result.run.instances == reference.run.instances
+
+
+# --- the query service, answered the plain way ---
+
+_KINDS = {LayerId.WORKFLOW: "run_id", LayerId.MACHINE: "machine_id", LayerId.TASK: "task_id"}
+_VECTOR = ("cpu_cores", "memory_bytes", "disk_bytes")
+# the events each of which writes a progress record
+_PROGRESS_KINDS = {
+    "instance_queued", "instance_started", "instance_succeeded", "instance_failed", "run_completed"
+}
+# the features read from a trace record, and the record fields each serves
+_TRACE_FIELDS = {
+    "consumed_resources": ("cpu_pct", "rss_bytes", "rchar_bytes", "wchar_bytes"),
+    "task_duration": ("start_ms", "end_ms", "duration_ms"),
+    "low_level_task_metrics": ("syscall_read_count", "syscall_write_count", "cpu_wait_ms",
+                               "page_cache_hits", "page_cache_misses"),
+    "resource_consumption_for_code_parts": (), "fault_diagnosis": (),
+}
+
+
+class _Refusal(Exception):
+    """A request answered with (status, error text)."""
+
+
+def _refuse(status: int, text: str):
+    # it raises, so `check or _refuse(...)` reads as a check with its refusal
+    raise _Refusal(status, text)
+
+
+def reference_answer(results, target, store=None, topology=None) -> tuple[int, bytes]:
+    """The query service's answer to ``GET target`` as (status, body bytes),
+    a live stream's chunks joined, written from README's "Query service"
+    rules.  ``results`` are the registered runs in registration order and
+    ``store`` their history; the matrix is the paper's grid plus
+    ``ORACLE_EXTENSIONS``, deciding under ``topology`` (by default the
+    runs')."""
+    try:
+        body = _answer(results, target, store, topology or results[0].topology)
+    except _Refusal as refusal:
+        return refusal.args[0], json.dumps({"error": refusal.args[1]}).encode()
+    return 200, body if isinstance(body, bytes) else json.dumps(body, sort_keys=True).encode()
+
+
+def _layer(name: str, status: int) -> LayerId:
+    try:
+        return LayerId.from_wire(name)
+    except UnknownLayerError as exc:
+        _refuse(status, str(exc))
+
+
+def _bound(query: dict, key: str, default: int) -> int:
+    """A window bound: optionally signed ASCII digits."""
+    text = query.get(key, str(default))
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    digits.isascii() and digits.isdigit() or _refuse(400, f"{key} is not an integer: {text!r}")
+    return int(text)
+
+
+def _progress(result, events) -> dict:
+    """The progress record after ``events``, the first events of the run."""
+    kinds = [e.kind for e in events]
+    total, finished = len(result.run.instances), kinds.count("instance_succeeded")
+    final = [e.detail.removeprefix("final=") for e in events if e.kind == "run_completed"]
+    return {"state": final[-1] if final else "running", "finished": finished, "total": total,
+            "progress": finished / total if total else 1.0,
+            "failures": kinds.count("instance_failed")}
+
+
+def _answer(results, target, store, topology):
+    if not target.startswith("/"):  # absolute form: the path follows the host
+        target = "/" + target.partition("://")[2].partition("/")[2]
+    path, _, query = target.partition("?")
+    # an empty value counts as missing; of a repeated key the last counts
+    query = {key: values[-1] for key, values in parse_qs(query).items()}
+    segments = [s for s in path.split("/") if s]
+    # 1. the path
+    if len(segments) != 3 or segments[0] != "v1":
+        _refuse(404, "expected /v1/<layer>/<feature>")
+    layer, name = _layer(segments[1], 404), segments[2]
+    permitted = {n: oracle_permitted(n) for n in {**ORACLE_ROWS, **ORACLE_EXTENSIONS}}
+    live = name == "live_progress" and layer is LayerId.WORKFLOW
+    if live or (name == "status" and layer in _KINDS):
+        name = f"{layer.wire_name}_status"  # a stream is read under workflow_status's rule
+    name in permitted or _refuse(404, f"unknown feature key: {name!r}")
+    owner = min(permitted[name])
+    if owner is not layer and name in ORACLE_EXTENSIONS:
+        _refuse(404, f"extension {name!r} is not owned by {layer.wire_name}")
+    if owner is not layer:
+        _refuse(404, f"{name} is owned by {owner.wire_name}, not {layer.wire_name}")
+    # 2. the asking layer and 3. the access matrix
+    asking = _layer(query.get("as_layer") or _refuse(400, "missing as_layer parameter"), 400)
+    denial = reference_denial(permitted, asking, name, topology)
+    denial is None or _refuse(403, denial)
+    subject = query.get("subject")
+    if live:
+        result = _run(results, subject or _refuse(400, "live_progress needs a run_id subject"))
+        events = result.event_records
+        return b"".join(
+            json.dumps(_progress(result, events[:n + 1]), sort_keys=True).encode() + b"\n"
+            for n, event in enumerate(events) if event.kind in _PROGRESS_KINDS
+        )
+    # 4. the window and the level
+    t_from, t_to = _bound(query, "from", 0), _bound(query, "to", 2**62)
+    t_from <= t_to or _refuse(400, f"invalid window: from {t_from} > to {t_to}")
+    try:
+        level = LogLevel.from_wire(query.get("min_level", "debug"))
+    except ValueError as exc:
+        _refuse(400, str(exc))
+    # 5. the subject, by its kind
+    if name in ORACLE_EXTENSIONS:
+        payload = {"extension": name, "value": None}
+    elif owner is LayerId.RESOURCE_MANAGER:
+        payload = _cluster(results[-1] if results else _refuse(404, "no cluster attached"))[name]
+    else:
+        kind = "workflow_id" if name == "previous_executions" else _KINDS[owner]
+        subject or _refuse(400, f"feature {name} needs a {kind} subject")
+        if kind == "workflow_id":
+            summaries = [s for s, _ in store.load_all()] if store else []
+            summaries = [s for s in summaries if s.workflow_id == subject]
+            # newest submission first; of equal ones, the later appended first
+            ordered = sorted(reversed(summaries), key=lambda s: -s.submission_ms)
+            payload = {"executions": [dataclasses.asdict(s) for s in ordered]}
+        elif kind == "run_id":
+            payload = _workflow(_run(results, subject), name)
+        elif kind == "machine_id":
+            payload = _machine(results, subject, t_from, t_to)[name]
+        else:
+            payload = _task(results, subject, name, level)
+    served_at = max((e.t_ms for r in results for e in r.event_records), default=0)
+    return {"feature": name, "subject": subject, "served_at_ms": served_at, "payload": payload}
+
+
+def _run(results, run_id):
+    found = [r for r in results if r.run_id == run_id]
+    return found[0] if found else _refuse(404, f"unknown run: {run_id!r}")
+
+
+def _total(vectors) -> dict:
+    return {key: sum(getattr(v, key) for v in vectors) for key in _VECTOR}
+
+
+def _cluster(result) -> dict:
+    """The resource-manager payloads of the newest run's cluster, by feature."""
+    run, registry = result.run, result.registry
+    machines = [registry.descriptor(m) for m in registry.machine_ids()]
+    running = [i for i in run.instances if i.state is TaskState.RUNNING]
+    reserved = [result.spec.definition(i.definition).requested for i in running]
+    fs_total = result.resource_manager.fs_total_bytes
+    written = min(fs_total, sum(max(0, r.wchar_bytes) for r in result.trace_records))
+    # a workflow-aware cluster holds its run once the run is submitted
+    held = result.topology is TopologyMode.WORKFLOW_AWARE and result.event_records
+    return {
+        "infrastructure_status": {
+            "machines_total": len(machines),
+            "machines_by_status": {s.value: sum(d.status is s for d in machines)
+                                   for s in MachineStatus},
+            "capacity_total": _total([d.capacity for d in machines]),
+            "capacity_reserved": _total(reserved),
+            "queue_depth": sum(i.state is TaskState.QUEUED for i in run.instances),
+            "running_tasks": len(running),
+        },
+        "file_system_status": {
+            "total_bytes": fs_total, "used_bytes": written, "healthy": written < fs_total
+        },
+        "running_workflows": {"running": [
+            {"run_id": run.run_id, "workflow_id": run.workflow_id, "state": run.final_state.value}
+        ] if held else []},
+    }
+
+
+def _workflow(result, name) -> dict:
+    spec, run = result.spec, result.run
+    if name != "execution_report":
+        return {
+            "workflow_status": _progress(result, result.event_records),
+            "workflow_specification": {
+                "workflow_id": spec.workflow_id,
+                "tasks": [{"name": t.name, "scatter": t.scatter, "model": t.runtime_model,
+                           **dataclasses.asdict(t.requested)} for t in spec.tasks],
+                "edges": [list(edge) for edge in spec.edges],
+            },
+            "graphical_representation": {"dot": export_dot(spec)},
+            "workflow_id": {"run_id": result.run_id, "workflow_id": run.workflow_id},
+        }[name]
+    if not any(e.kind == "run_completed" for e in result.event_records):
+        _refuse(400, f"run {result.run_id} has not finished")
+    started = [i for i in run.instances if i.start_ms is not None]
+    ends = [i.end_ms for i in started if i.end_ms is not None]
+    durations = {}
+    for i in started:
+        if i.state.terminal and i.end_ms is not None:
+            durations.setdefault(i.definition, []).append(i.end_ms - i.start_ms)
+    states = [i.state for i in run.instances]
+    return {
+        "run_id": result.run_id,
+        "submission_ms": run.submission_ms,
+        "makespan_ms": max(ends) - min(i.start_ms for i in started) if ends else 0,
+        "counts": {"total": len(states), "succeeded": states.count(TaskState.SUCCEEDED),
+                   "failed": states.count(TaskState.FAILED)},
+        "task_stats": {name: {"count": len(d), "min_ms": min(d), "mean_ms": statistics.fmean(d),
+                              "max_ms": max(d)} for name, d in durations.items()},
+    }
+
+
+def _machine(results, machine_id, t_from, t_to) -> dict:
+    """The payloads of a machine of the newest run's cluster, by feature."""
+    if not results or machine_id not in results[-1].registry.machine_ids():
+        _refuse(404, f"unknown machine: {machine_id!r}")
+    machine = results[-1].registry.descriptor(machine_id)
+    samples = [s for s in results[-1].samples if s.machine_id == machine_id]
+    used = ([s.used for s in samples if s.t_ms <= t_to] or [ResourceVector(0, 0, 0)])[-1]
+    capacity, hardware = machine.capacity, dataclasses.asdict(machine.hardware)
+    return {
+        "machine_status": {"machine_id": machine_id, "status": machine.status.value},
+        "machine_type": {"machine_id": machine_id, "type": machine.machine_type.value},
+        "hardware_specification": {"machine_id": machine_id, **hardware},
+        "available_resources": {k: getattr(capacity, k) - getattr(used, k) for k in _VECTOR},
+        "used_resources": {"machine_id": machine_id, "samples": [
+            {"t_ms": s.t_ms, **dataclasses.asdict(s.used)}
+            for s in samples if t_from <= s.t_ms <= t_to
+        ]},
+    }
+
+
+def _task(results, task_id, name, level) -> dict:
+    """A task feature's payload: the task of the newest run that holds its id."""
+    result, instance = next(
+        ((r, i) for r in reversed(results) for i in r.run.instances if i.task_id == task_id),
+        None,
+    ) or _refuse(404, f"unknown task: {task_id!r}")
+    requested = result.spec.definition(instance.definition).requested
+    record = next((r for r in result.trace_records if r.task_id == task_id), None)
+    diagnosis = result.diagnoses.get(task_id)
+    if diagnosis is None and record is not None and record.status == "succeeded":
+        diagnosis = Diagnosis(task_id, Verdict.NONE, "exit 0")
+    if name not in _TRACE_FIELDS:
+        return {"task_id": task_id, **{
+            "task_status": {"state": instance.state.value},
+            "requested_resources": dataclasses.asdict(requested),
+            "task_id": {
+                "workflow_id": result.run.workflow_id, "run_id": result.run_id,
+                "definition": instance.definition, "index": int(task_id.rsplit("/", 1)[1]),
+            },
+            "application_logs": {"entries": [
+                {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
+                for e in task_log(instance, record, diagnosis, level)
+            ]},
+        }[name]}
+    # 6. the trace record
+    if record is None:
+        parts = name == "resource_consumption_for_code_parts"
+        _refuse(404, f"no {'code part profile' if parts else 'trace record'} yet for {task_id!r}")
+    payload = {"task_id": task_id, **{k: getattr(record, k) for k in _TRACE_FIELDS[name]}}
+    if name == "consumed_resources":
+        payload["utilization"] = {
+            "cpu_ratio": record.cpu_pct / 100 / requested.cpu_cores,
+            "memory_ratio": record.rss_bytes / requested.memory_bytes,
+            "runtime_ratio": record.duration_ms / requested.max_runtime_ms,
+        }
+    elif name == "resource_consumption_for_code_parts":
+        payload["parts"] = [{"part_name": p.part_name, "duration_ms": p.duration_ms,
+                             "peak_memory_bytes": p.peak_memory_bytes}
+                            for p in synthesize_code_parts(record)]
+    elif name == "fault_diagnosis":
+        diagnosis or _refuse(404, f"no diagnosis yet for {task_id!r}")
+        payload |= {"verdict": diagnosis.verdict.value, "evidence": diagnosis.evidence}
+    return payload

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import PROFILE_NAMES, load_profile
-from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
+from oracles import ORACLE_ROWS, oracle_permitted
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -66,40 +66,6 @@ def test_owning_layer_matches_oracle_grouping():
         permitted = oracle_permitted(feature.value)
         # the owner is the lowest layer in the permitted set
         assert feature.owning_layer == min(permitted)
-
-
-def test_default_matrix_matches_oracle_exhaustively():
-    matrix = default_access_matrix()
-    checked = 0
-    for feature in ALL_FEATURES:
-        expected = oracle_permitted(feature.value)
-        for layer in ALL_LAYERS:
-            assert access_allowed(
-                matrix, layer, feature, TopologyMode.WORKFLOW_AWARE
-            ) == (layer in expected), (feature.value, layer.wire_name)
-            checked += 1
-    assert checked == 92
-
-
-def test_disjoint_blocks_exactly_rm_times_workflow_features():
-    matrix = default_access_matrix()
-    flipped = []
-    for feature in ALL_FEATURES:
-        for layer in ALL_LAYERS:
-            aware = access_allowed(matrix, layer, feature, TopologyMode.WORKFLOW_AWARE)
-            disjoint = access_allowed(matrix, layer, feature, TopologyMode.DISJOINT)
-            if aware != disjoint:
-                flipped.append((layer, feature.value))
-                assert aware and not disjoint
-    # only resource-manager reads of workflow-owned features flip, and only
-    # those that were granted in the first place
-    expected = [
-        (LayerId.RESOURCE_MANAGER, n)
-        for n in ORACLE_ROWS
-        if n in WORKFLOW_OWNED and "R" in ORACLE_ROWS[n]
-    ]
-    assert sorted(flipped) == sorted(expected)
-    assert len(flipped) == 3
 
 
 def test_matrix_validation_owner_must_be_permitted():

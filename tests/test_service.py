@@ -1,7 +1,8 @@
-"""Query service tests: exhaustive layer/feature authorization, payload
-correctness per feature and error codes, each through the in-process
-``ServiceContext.answer``; the transport over HTTP (keep-alive, the live
-progress stream, close and client resets); and the context's bookkeeping."""
+"""Query service tests: every answer of ``ServiceContext.answer`` against the
+plain reference answer of ``oracles.reference_answer``, over drawn runs and
+requests; authorization under drawn override matrices; live runs and their
+streams; the transport over HTTP (keep-alive, the live progress stream,
+close and client resets); and the context's bookkeeping."""
 
 import ast
 import dataclasses
@@ -13,32 +14,42 @@ import socket
 import socketserver
 import struct
 import sys
+import tempfile
 import threading
 import time
 import weakref
 from collections import Counter
-from urllib.parse import urlencode
+from contextlib import contextmanager
+from pathlib import Path
+from typing import NamedTuple
+from urllib.parse import parse_qs, urlencode
 
 import pytest
 import requests
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from conftest import GiB, engine_cases, make_machine, make_request, run_simulation
-from oracles import ORACLE_ROWS, WORKFLOW_OWNED, oracle_permitted
+import oracles
+import test_golden_service as golden
+from conftest import GiB, engine_cases, imports_of, make_machine, make_request, run_simulation
+from oracles import (
+    ORACLE_EXTENSIONS,
+    ORACLE_ROWS,
+    oracle_permitted,
+    reference_answer,
+    reference_denial,
+)
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
     FeatureKey,
     LayerId,
     TopologyMode,
-    access_allowed,
-    default_access_matrix,
     features_owned_by,
     parse_matrix_overrides,
 )
 from stratus.fixtures import fixture_path, fixture_text
-from stratus.machine import UnknownMachineError, parse_cluster
+from stratus.machine import parse_cluster
 from stratus import service
 from stratus.service import (
     ServiceContext,
@@ -49,6 +60,7 @@ from stratus.service import (
     serve,
 )
 from stratus.sim import (
+    SAMPLE_CADENCE_MS,
     FaultInjection,
     InjectionKind,
     NonQuiescentError,
@@ -59,15 +71,13 @@ from stratus.sim import (
 from stratus.store import RunStore
 from stratus.taskmon import diagnose
 from stratus.workflow import (
-    ReportOnRunningRunError,
     RunState,
     TaskDefinition,
     TaskState,
-    UnknownTaskError,
     WorkflowSpec,
     WorkflowStatusReport,
     execution_report,
-    export_dot,
+    expand_instances,
     parse_workflow,
     workflow_status,
 )
@@ -85,8 +95,8 @@ def completed_result(topology):
     )
 
 
-def make_context(topology, store=None, matrix=None):
-    context = ServiceContext(topology, matrix=matrix, store=store)
+def make_context(topology, store=None):
+    context = ServiceContext(topology, store=store)
     result = completed_result(topology)
     context.add_result(result)
     return context, result
@@ -97,22 +107,12 @@ def aware():
     return make_context(TopologyMode.WORKFLOW_AWARE)
 
 
-@pytest.fixture(scope="module")
-def disjoint():
-    return make_context(TopologyMode.DISJOINT)
-
-
 def subject_for(feature: FeatureKey) -> str | None:
-    owner = feature.owning_layer
-    if owner is LayerId.RESOURCE_MANAGER:
-        return None
     if feature is FeatureKey.PREVIOUS_EXECUTIONS:
         return "wf1"
-    if owner is LayerId.WORKFLOW:
-        return RUN_ID
-    if owner is LayerId.MACHINE:
-        return "m1"
-    return TASK
+    return {LayerId.WORKFLOW: RUN_ID, LayerId.MACHINE: "m1", LayerId.TASK: TASK}.get(
+        feature.owning_layer
+    )
 
 
 def target(path: str, **params) -> str:
@@ -148,56 +148,7 @@ def payload_of(context, feature, as_layer=None, **params) -> dict:
     return body["payload"]
 
 
-# --- exhaustive authorization conformance ---
-
-
-@pytest.mark.parametrize("topology_name", ["workflow_aware", "disjoint"])
-def test_every_layer_feature_pair(topology_name, aware, disjoint):
-    matrix = default_access_matrix()
-    topology = TopologyMode(topology_name)
-    context, _ = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
-    checked = 0
-    for feature in ALL_FEATURES:
-        for layer in ALL_LAYERS:
-            status, body = ask_feature(context, feature, layer)
-            allowed = access_allowed(matrix, layer, feature, topology)
-            if allowed:
-                assert status == 200, (feature, layer, body)
-                assert set(body) == {"feature", "subject", "served_at_ms", "payload"}
-                assert body["feature"] == feature.value
-            else:
-                assert status == 403, (feature, layer, body)
-                assert set(body) == {"error"}
-                assert feature.value in body["error"]
-            checked += 1
-    assert checked == 92
-
-
-def test_denial_carries_no_data(aware):
-    context, _ = aware
-    status, body = ask_feature(context, FeatureKey.WORKFLOW_STATUS, LayerId.TASK)
-    assert status == 403
-    assert list(body) == ["error"]
-    assert "not permitted" in body["error"]
-    for leak in ("finished", "progress", "payload", RUN_ID):
-        assert leak not in body["error"]
-
-
-def test_disjoint_denial_names_the_topology_rule(disjoint):
-    context, _ = disjoint
-    status, body = ask_feature(
-        context, FeatureKey.WORKFLOW_SPECIFICATION, LayerId.RESOURCE_MANAGER
-    )
-    assert status == 403
-    assert "disjoint" in body["error"]
-
-
-def test_authorization_runs_before_subject_checks(aware):
-    context, _ = aware
-    status, _ = ask_feature(
-        context, FeatureKey.WORKFLOW_STATUS, LayerId.TASK, subject="no-such-run"
-    )
-    assert status == 403
+# --- authorization under drawn override matrices ---
 
 
 _EXTENSION_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
@@ -230,94 +181,29 @@ def override_file(rows, draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_denial(permitted, layer, name, topology) -> str | None:
-    """The rule that denies ``layer`` the feature or extension ``name``, by
-    the paper's grid with the override rows applied: ``permission`` unless
-    the row permits the layer, then ``topology`` for the resource manager
-    of a disjoint deployment on a workflow-owned feature; None when
-    allowed.  An extension is owned by its lowest layer."""
-    if layer not in permitted[name]:
-        return "permission"
-    if name in ORACLE_ROWS:
-        owned = name in WORKFLOW_OWNED
-    else:
-        owned = min(permitted[name]) is LayerId.WORKFLOW
-    if topology is TopologyMode.DISJOINT and layer is LayerId.RESOURCE_MANAGER and owned:
-        return "topology"
-    return None
-
-
-
-
 @pytest.mark.parametrize("topology_name", ["workflow_aware", "disjoint"])
 @settings(max_examples=60, deadline=None)
 @given(st.lists(override_rows(), max_size=8), st.data())
 def test_authorize_denies_exactly_what_the_paper_grid_and_overrides_deny(
-    topology_name, aware, disjoint, rows, data
+    topology_name, rows, data
 ):
     """Random valid override files: ``authorize`` denies a layer a feature
     exactly when the paper's grid with the rows applied (the last row for a
-    key wins) denies it, and its reason names the rule.  Every pair is
-    checked against ``authorize``; a few drawn pairs are asked of the one
-    context of the topology, with the drawn matrix swapped in."""
+    key wins) denies it, with the text of the rule it breaks."""
     topology = TopologyMode(topology_name)
-    context, _ = aware if topology is TopologyMode.WORKFLOW_AWARE else disjoint
     matrix = parse_matrix_overrides(override_file(rows, data.draw))
     permitted = {name: oracle_permitted(name) for name in ORACLE_ROWS}
     permitted.update((key.removeprefix("extension "), layers) for key, layers in rows)
     assert set(matrix.extensions) == set(permitted) - set(ORACLE_ROWS)
 
-    reasons = {}
-    for name, layers in permitted.items():
+    for name in permitted:
         feature = FeatureKey(name) if name in ORACLE_ROWS else name
         for layer in ALL_LAYERS:
             denial = authorize(matrix, layer, feature, topology)
-            rule = reference_denial(permitted, layer, name, topology)
-            assert (denial is None) == (rule is None), (name, layer, denial)
-            if rule == "permission":
-                allowed = ", ".join(sorted(l.wire_name for l in layers))
-                assert denial == (
-                    f"layer {layer.wire_name} is not permitted to read {name} "
-                    f"(permitted: {allowed})"
-                )
-            elif rule == "topology":
-                assert denial.startswith(f"{name} is workflow-owned and ")
-                assert "disjoint" in denial
-            reasons[name, layer] = denial
-
-    pairs = data.draw(st.lists(st.sampled_from(sorted(reasons)), min_size=1, max_size=3))
-    served = context.matrix
-    context.matrix = matrix
-    try:
-        for name, layer in pairs:
-            owner = min(permitted[name]).wire_name
-            subject = subject_for(FeatureKey(name)) if name in ORACLE_ROWS else None
-            status, body = ask(
-                context, target(f"/v1/{owner}/{name}", as_layer=layer.wire_name, subject=subject)
-            )
-            if reasons[name, layer] is None:
-                assert status == 200, (name, layer, body)
-            else:
-                assert (status, body) == (403, {"error": reasons[name, layer]})
-    finally:
-        context.matrix = served
+            assert denial == reference_denial(permitted, layer, name, topology), (name, layer)
 
 
-# --- payload correctness ---
-
-
-def test_workflow_status_payload_matches_model(aware):
-    context, result = aware
-    payload = payload_of(context, FeatureKey.WORKFLOW_STATUS)
-    report = workflow_status(result.run)
-    assert payload == {
-        "state": report.state.value,
-        "finished": report.finished,
-        "total": report.total,
-        "progress": report.progress,
-        "failures": report.failures,
-    }
-    assert payload["finished"] == 18
+# --- the kept status fold and the run history ---
 
 
 def test_a_first_workflow_status_answer_builds_one_report(monkeypatch):
@@ -334,64 +220,6 @@ def test_a_first_workflow_status_answer_builds_one_report(monkeypatch):
         monkeypatch.setattr(f"{module}.WorkflowStatusReport", counting)
     assert context.status(RUN_ID) == workflow_status(result.run)
     assert len(built) == 1
-
-
-def test_status_aliases_resolve_per_layer(aware):
-    context, _ = aware
-    for layer, subject, expected in (
-        (LayerId.WORKFLOW, RUN_ID, "workflow_status"),
-        (LayerId.MACHINE, "m1", "machine_status"),
-        # the resource manager may read task_status through the alias too
-        (LayerId.TASK, TASK, "task_status"),
-    ):
-        status, body = ask(context, target(
-            f"/v1/{layer.wire_name}/status", as_layer="resource_manager", subject=subject
-        ))
-        assert status == 200
-        assert body["feature"] == expected
-
-
-def test_workflow_specification_payload(aware):
-    context, _ = aware
-    payload = payload_of(context, FeatureKey.WORKFLOW_SPECIFICATION)
-    assert payload["workflow_id"] == "wf1"
-    assert [t["name"] for t in payload["tasks"]] == ["I", "II", "III", "IV", "V", "VI"]
-    assert ["I", "II"] in payload["edges"]
-    assert len(payload["edges"]) == 7
-
-
-def test_graphical_representation_payload(aware):
-    context, result = aware
-    assert payload_of(context, FeatureKey.GRAPHICAL_REPRESENTATION) == {
-        "dot": export_dot(result.spec)
-    }
-
-
-def test_execution_report_payload(aware):
-    context, _ = aware
-    payload = payload_of(context, FeatureKey.EXECUTION_REPORT)
-    assert payload["counts"] == {"total": 18, "succeeded": 18, "failed": 0}
-    assert payload["makespan_ms"] > 0
-    assert set(payload["task_stats"]) == {"I", "II", "III", "IV", "V", "VI"}
-
-
-def test_workflow_id_payload(aware):
-    context, _ = aware
-    assert payload_of(context, FeatureKey.WORKFLOW_ID) == {"run_id": RUN_ID, "workflow_id": "wf1"}
-
-
-def test_previous_executions_requires_store(aware, tmp_path):
-    context, _ = aware
-    assert payload_of(context, FeatureKey.PREVIOUS_EXECUTIONS) == {"executions": []}
-
-    store = RunStore(tmp_path / "runs.jsonl")
-    store.append(completed_result(TopologyMode.WORKFLOW_AWARE).run)
-    context, _ = make_context(TopologyMode.WORKFLOW_AWARE, store=store)
-    executions = payload_of(context, FeatureKey.PREVIOUS_EXECUTIONS)["executions"]
-    assert len(executions) == 1
-    assert executions[0]["run_id"] == RUN_ID
-    assert executions[0]["final_state"] == "succeeded"
-    assert executions[0]["makespan_ms"] > 0
 
 
 def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
@@ -418,201 +246,6 @@ def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
     assert listed() == ["r8", "r7", "r6", "r5"]
 
 
-def test_machine_payloads(aware):
-    context, result = aware
-    assert payload_of(context, FeatureKey.MACHINE_STATUS) == {
-        "machine_id": "m1", "status": "healthy"
-    }
-    assert payload_of(context, FeatureKey.MACHINE_TYPE) == {
-        "machine_id": "m1", "type": "bare_metal"
-    }
-
-    payload = payload_of(context, FeatureKey.HARDWARE_SPECIFICATION)
-    assert payload["cpu_model"] == "EPYC-7302"
-    assert payload["memory_clock_mhz"] == 3200
-    assert payload["disk_partitions"] == [["root", 100 * 1024**3]]
-
-    available = payload_of(context, FeatureKey.AVAILABLE_RESOURCES)
-    latest = result.registry.latest_sample("m1", 2**62)
-    capacity = result.registry.descriptor("m1").capacity
-    assert available["cpu_cores"] == capacity.cpu_cores - latest.used.cpu_cores
-    assert available["memory_bytes"] == capacity.memory_bytes - latest.used.memory_bytes
-
-
-def test_used_resources_window(aware):
-    context, result = aware
-    window = {"from": "0", "to": "3000"}
-    samples = payload_of(context, FeatureKey.USED_RESOURCES, **window)["samples"]
-    expected = [s for s in result.samples if s.machine_id == "m1" and s.t_ms <= 3000]
-    assert [s["t_ms"] for s in samples] == [s.t_ms for s in expected]
-    assert all(0 <= s["cpu_cores"] <= 8 for s in samples)
-
-
-def test_resource_manager_payloads(aware):
-    context, result = aware
-    payload = payload_of(context, FeatureKey.INFRASTRUCTURE_STATUS)
-    assert payload["machines_total"] == 2
-    assert payload["machines_by_status"]["healthy"] == 2
-    assert payload["capacity_total"]["cpu_cores"] == 16
-    assert payload["queue_depth"] == 0
-    assert payload["running_tasks"] == 0
-
-    fs = result.resource_manager.filesystem_status()
-    assert payload_of(context, FeatureKey.FILE_SYSTEM_STATUS) == {
-        "total_bytes": fs.total_bytes,
-        "used_bytes": fs.used_bytes,
-        "healthy": True,
-    }
-    assert fs.used_bytes == sum(r.wchar_bytes for r in result.trace_records)
-
-    assert payload_of(context, FeatureKey.RUNNING_WORKFLOWS)["running"] == [
-        {"run_id": RUN_ID, "workflow_id": "wf1", "state": "succeeded"}
-    ]
-
-
-def test_running_workflows_empty_in_disjoint(disjoint):
-    context, _ = disjoint
-    assert payload_of(context, FeatureKey.RUNNING_WORKFLOWS) == {"running": []}
-
-
-def test_task_payloads(aware):
-    context, result = aware
-    record = next(r for r in result.trace_records if r.task_id == TASK)
-    requested = result.spec.definition("I").requested
-
-    assert payload_of(context, FeatureKey.TASK_STATUS) == {"task_id": TASK, "state": "succeeded"}
-
-    payload = payload_of(context, FeatureKey.REQUESTED_RESOURCES)
-    assert payload["cpu_cores"] == requested.cpu_cores
-    assert payload["max_runtime_ms"] == requested.max_runtime_ms
-
-    payload = payload_of(context, FeatureKey.CONSUMED_RESOURCES)
-    assert payload["rss_bytes"] == record.rss_bytes
-    assert payload["utilization"]["cpu_ratio"] == pytest.approx(
-        (record.cpu_pct / 100) / requested.cpu_cores
-    )
-
-    parts = payload_of(context, FeatureKey.RESOURCE_CONSUMPTION_FOR_CODE_PARTS)["parts"]
-    assert [p["part_name"] for p in parts] == ["setup", "compute", "teardown"]
-    assert sum(p["duration_ms"] for p in parts) <= record.duration_ms
-
-    assert payload_of(context, FeatureKey.TASK_ID) == {
-        "task_id": TASK,
-        "workflow_id": "wf1",
-        "run_id": RUN_ID,
-        "definition": "I",
-        "index": 0,
-    }
-
-    assert payload_of(context, FeatureKey.TASK_DURATION) == {
-        "task_id": TASK,
-        "start_ms": record.start_ms,
-        "end_ms": record.end_ms,
-        "duration_ms": record.duration_ms,
-    }
-
-    payload = payload_of(context, FeatureKey.LOW_LEVEL_TASK_METRICS)
-    assert payload["syscall_read_count"] == record.syscall_read_count
-    assert payload["page_cache_hits"] == record.page_cache_hits
-
-    assert payload_of(context, FeatureKey.FAULT_DIAGNOSIS) == {
-        "task_id": TASK, "verdict": "none", "evidence": "exit 0"
-    }
-
-
-def test_application_logs_with_level_filter(aware):
-    context, result = aware
-    entries = payload_of(context, FeatureKey.APPLICATION_LOGS)["entries"]
-    assert entries == [
-        {"t_ms": e.t_ms, "level": e.level.wire_name, "message": e.message}
-        for e in result.application_logs(TASK)
-    ]
-    assert [e["level"] for e in entries] == ["Info", "Info"]
-
-    assert payload_of(context, FeatureKey.APPLICATION_LOGS, min_level="Error") == {
-        "task_id": TASK, "entries": []
-    }
-
-
-# --- error paths ---
-
-
-def test_path_and_parameter_errors(aware):
-    context, _ = aware
-    for request_target, status in (
-        (target("/v2/task/task_status"), 404),
-        (target("/v1/task"), 404),
-        (target("/v1/basement/task_status", as_layer="task"), 404),
-        (target("/v1/task/no_such_feature", as_layer="task"), 404),
-        # right feature, wrong owning layer in the path
-        (target("/v1/machine/task_status", as_layer="task"), 404),
-        # missing and unknown as_layer
-        (target("/v1/task/task_status"), 400),
-        (target("/v1/task/task_status", as_layer="chef"), 400),
-        (target("//v1//task/task_status", as_layer="task", subject=TASK), 200),
-        # absolute form: the host is not a path segment
-        ("http://127.0.0.1:80" + target("/v1/task/task_status", as_layer="task", subject=TASK), 200),
-    ):
-        assert ask(context, request_target)[0] == status, request_target
-
-
-def test_subject_errors(aware):
-    context, _ = aware
-    for feature, subject, status in (
-        (FeatureKey.TASK_STATUS, "wf1/I/99", 404),
-        (FeatureKey.TASK_STATUS, None, 400),
-        (FeatureKey.WORKFLOW_STATUS, "nope", 404),
-        (FeatureKey.MACHINE_STATUS, "m9", 404),
-    ):
-        assert ask_feature(context, feature, subject=subject)[0] == status, (feature, subject)
-
-
-def test_window_and_level_errors(aware):
-    context, _ = aware
-    window = {"from": "100", "to": "50"}
-    assert ask_feature(context, FeatureKey.USED_RESOURCES, **window)[0] == 400
-    assert ask_feature(context, FeatureKey.APPLICATION_LOGS, min_level="Loud")[0] == 400
-
-
-@pytest.mark.parametrize("key", ["from", "to"])
-@pytest.mark.parametrize("text", ["1_0", "١", " 5", "5 ", "0x10", "1e3"])
-def test_window_bounds_take_only_ascii_integers(aware, key, text):
-    # int() alone reads these as 10, 1 and 5; the input formats refuse them
-    context, _ = aware
-    window = {"from": "0", "to": "1000", key: text}
-    assert ask_feature(context, FeatureKey.USED_RESOURCES, **window) == (
-        400, {"error": f"{key} is not an integer: {text!r}"}
-    )
-
-
-def test_window_bounds_read_signed_ascii_digits(aware):
-    context, _ = aware
-    window = {"from": "-5", "to": "+007"}
-    assert ask_feature(context, FeatureKey.USED_RESOURCES, **window)[0] == 200
-
-
-def test_lookalike_layer_and_level_names_are_unknown(aware):
-    # dotless i and long s case-map onto ASCII letters, but only ASCII names fold
-    context, _ = aware
-    assert ask(context, target("/v1/task/task_status", as_layer="ta\u017fk", subject=TASK)) == (
-        400, {"error": "unknown layer: 'ta\u017fk'"}
-    )
-    assert ask_feature(context, FeatureKey.APPLICATION_LOGS, min_level="\u0131nfo")[0] == 400
-
-
-# --- extensions ---
-
-
-def test_extension_feature_is_authorized_but_unbound():
-    matrix = parse_matrix_overrides("extension gpu_utilization: machine, resource_manager\n")
-    context, _ = make_context(TopologyMode.WORKFLOW_AWARE, matrix=matrix)
-    status, body = ask(context, target("/v1/machine/gpu_utilization", as_layer="resource_manager"))
-    assert status == 200
-    assert body["payload"] == {"extension": "gpu_utilization", "value": None}
-    assert ask(context, target("/v1/machine/gpu_utilization", as_layer="task"))[0] == 403
-    assert ask(context, target("/v1/task/gpu_utilization", as_layer="task"))[0] == 404
-
-
 # --- progress replay and live streaming ---
 
 
@@ -623,16 +256,8 @@ def test_replay_progress_equals_engine_stream():
 
 
 def expected_stream(result):
-    return [
-        {
-            "state": r.state.value,
-            "finished": r.finished,
-            "total": r.total,
-            "progress": r.progress,
-            "failures": r.failures,
-        }
-        for r in replay_progress(result.event_records)
-    ]
+    """The run's stream records; the property below checks their bytes."""
+    return [service._status_payload(r) for r in replay_progress(result.event_records)]
 
 
 def test_live_progress_replays_completed_run(aware):
@@ -1165,40 +790,7 @@ def test_every_request_reaches_the_benchmark_patch_points(aware, monkeypatch):
         handle.close()
 
 
-def test_live_progress_errors(aware):
-    context, _ = aware
-    path = "/v1/workflow/live_progress"
-    assert ask(context, target(path, as_layer="task", subject=RUN_ID))[0] == 403
-    assert ask(context, target(path, as_layer="workflow")) == (
-        400, {"error": "live_progress needs a run_id subject"}
-    )
-    # an unknown run is refused before the stream starts
-    assert ask(context, target(path, as_layer="workflow", subject="ghost")) == (
-        404, {"error": "unknown run: 'ghost'"}
-    )
-
-
 # --- context bookkeeping ---
-
-
-def test_context_finds_newest_registration():
-    context = ServiceContext(TopologyMode.WORKFLOW_AWARE)
-    assert context.resource_manager() is None
-    first = completed_result(TopologyMode.WORKFLOW_AWARE)
-    context.add_result(first)
-    assert context.resource_manager() is first.resource_manager
-    spec = parse_workflow(fixture_text("fig1.wf"))
-    machines, fs_total = parse_cluster(fixture_text("two.cluster"))
-    second = run_simulation(
-        spec, machines, fs_total, 4, 43, run_id="other", submission_ms=0
-    )
-    context.add_result(second)
-    assert context.resource_manager() is second.resource_manager
-    assert list(context.results) == [RUN_ID, "other"]
-    found, instance = context.find_task(TASK)
-    assert found.run_id == "other"
-    assert instance.task_id == TASK
-    assert context.find_task("missing/x/0") is None
 
 
 def test_a_run_id_is_registered_once():
@@ -1375,56 +967,267 @@ def drawn_simulation(case, run_id, started):
     return simulation
 
 
-TASK_FEATURES = features_owned_by(LayerId.TASK)
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    st.lists(st.tuples(engine_cases(), st.booleans()), min_size=1, max_size=3),
-    st.sampled_from(TopologyMode),
-    st.data(),
+# --- every answer against the reference answer ---
+
+EXTENSION, = ORACLE_EXTENSIONS
+EXTENSION_MATRIX = parse_matrix_overrides(
+    f"extension {EXTENSION}: {', '.join(l.wire_name for l in oracle_permitted(EXTENSION))}\n"
 )
-def test_each_answer_comes_from_the_newest_run_holding_its_subject(runs, topology, data):
-    """Every engine case's tasks share ids (``pw/t0/0``, ...), so runs drawn
-    with different sizes hold some ids in one run only; a run that was
-    never started holds its tasks with no trace records.  A service serves
-    one topology, so every run of an example is coupled the same way."""
-    simulations = [
-        drawn_simulation((*case[:4], topology, case[5]), f"r{n}", started)
-        for n, (case, started) in enumerate(runs)
-    ]
-    context = ServiceContext(topology)
-    order = data.draw(st.permutations(simulations))
-    for simulation in order:
-        context.attach_live(simulation)
+# window bounds and names the wire grammar refuses or reads
+ODD_BOUNDS = ("1_0", "١", " 5", "5 ", "0x10", "1e3", "-5", "+007", "")
+LEVEL_NAMES = ("Debug", "info", "WARNING", " Error ", "Loud", "ınfo", "")
+LAYER_NAMES = (*(layer.wire_name for layer in ALL_LAYERS), "TASK", " machine ", "taſk", "chef", "")
+BAD_PATHS = (
+    "", "/", "/v2/task/task_status", "/v1/task", "/v1/task/task_status/extra", "/v1/TASK/task_id",
+    "/v1/basement/task_status", "/v1/taſk/task_status", "/v1/task/no_such_feature",
+    "/v1/resource_manager/status", "/v1/task/live_progress", "v1/task/task_status",
+    "http:/v1/task/task_status",
+)
+PREFIXES = ("/v1/", "/v1/", "/v1/", "//v1//", "http://127.0.0.1:8321/v1/")
+# each case asks each of these once, then a few again
+ODD_REQUESTS = [
+    "alias", "bad path", "any feature", "extension", "live", "history", "shared task", "used",
+    "available",
+]
 
-    held = {s.run_id: {i.task_id for i in s.run.instances} for s in simulations}
-    task_ids = sorted(set().union(*held.values()))
-    for task_id in task_ids:
-        holder = next(s for s in reversed(order) if task_id in held[s.run_id])
-        alone = ServiceContext(topology)
-        alone.attach_live(holder)
-        for feature in TASK_FEATURES:
-            assert answered(context, feature, task_id) == answered(alone, feature, task_id)
-        assert answered(context, FeatureKey.TASK_ID, task_id)[1]["run_id"] == holder.run_id
-        traced = any(r.task_id == task_id for r in holder.result.trace_records)
-        assert answered(context, FeatureKey.TASK_DURATION, task_id)[0] == (200 if traced else 404)
 
-    # a subject that names nothing answers the owning layer's own error
-    newest = order[-1]
-    for feature, subject, error in (
-        (FeatureKey.TASK_STATUS, "pw/ghost/0", UnknownTaskError("pw/ghost/0")),
-        (FeatureKey.WORKFLOW_STATUS, "ghost", UnknownRunError("ghost")),
-        (FeatureKey.MACHINE_STATUS, "m9", UnknownMachineError("m9")),
-    ):
-        assert answered(context, feature, subject) == (404, str(error))
-    for simulation in simulations:
-        reported = answered(context, FeatureKey.EXECUTION_REPORT, simulation.run_id)
-        if simulation.run.final_state is RunState.RUNNING:
-            assert reported == (400, str(ReportOnRunningRunError(simulation.run_id)))
+class ServiceCase(NamedTuple):
+    """A service's topology, its runs in registration order as (run id,
+    engine case, started), its store's runs as (index into runs, submission
+    ms) or None for no store, and the request targets."""
+
+    topology: TopologyMode
+    runs: list
+    stored: list | None
+    targets: list[str]
+
+
+@st.composite
+def service_cases(draw):
+    """1-3 engine cases of one topology, each run to its end or never
+    started, with every feature asked as every layer under a drawn subject,
+    window and level, then aliases, bad paths, lookalike names, the
+    extension, live streams of ended runs, history and sample windows."""
+    topology = draw(st.sampled_from(TopologyMode))
+    # three runs in four are run, so most newest runs have samples and records
+    started = st.integers(0, 3).map(lambda n: n < 3)
+    drawn = draw(st.lists(st.tuples(engine_cases(), started), min_size=1, max_size=3))
+    runs = draw(st.permutations([
+        (f"r{n}", (*case[:4], topology, case[5]), run) for n, (case, run) in enumerate(drawn)
+    ]))
+    ended = [run_id for run_id, _, run in runs if run]
+    stored = None
+    if ended and draw(st.integers(0, 3)) > 0:
+        entries = st.tuples(st.integers(0, len(runs) - 1), st.integers(0, 2))
+        stored = [(n, ms) for n, ms in draw(st.lists(entries, max_size=4)) if runs[n][2]]
+    kinds = {
+        LayerId.WORKFLOW: [run_id for run_id, _, _ in runs] + ["ghost"],
+        LayerId.MACHINE: sorted({m.machine_id for _, case, _ in runs for m in case[1]}) + ["m9"],
+        LayerId.TASK: sorted({
+            i.task_id for _, (spec, _, inputs, *_), _ in runs
+            for i in expand_instances(spec, inputs)
+        }) + ["pw/t0/99", "pw/ghost/0"],
+        FeatureKey.PREVIOUS_EXECUTIONS: ["pw", "wf1"],
+    }
+    every = kinds[LayerId.RESOURCE_MANAGER] = sorted({s for pool in kinds.values() for s in pool})
+
+    def subject(pool):
+        # mostly an id of the feature's kind, then any id, a missing or an empty one
+        choice = draw(st.integers(0, 9))
+        if choice < 8:
+            return draw(st.sampled_from(pool if choice < 6 else every))
+        return None if choice == 8 else ""
+
+    def tick():
+        # a sample time of a run's first seconds, or one next to it
+        return draw(st.integers(-1, 10)) * SAMPLE_CADENCE_MS + draw(st.sampled_from((0, 0, -1, 1)))
+
+    def maybe(value, one_in):
+        return value() if draw(st.integers(1, one_in)) == 1 else None
+
+    def window():
+        odd_bound = lambda: draw(st.sampled_from(ODD_BOUNDS))
+        bound = lambda: str(tick()) if draw(st.integers(0, 4)) else odd_bound()
+        level = lambda: draw(st.sampled_from(LEVEL_NAMES))
+        return {"from": maybe(bound, 3), "to": maybe(bound, 3), "min_level": maybe(level, 4)}
+
+    def layer_path():
+        return f"/v1/{draw(st.sampled_from(ALL_LAYERS)).wire_name}/"
+
+    targets = []
+    for feature in ALL_FEATURES:
+        pool = kinds.get(feature, kinds[feature.owning_layer])
+        path = f"{feature.owning_layer.wire_name}/{feature.value}"
+        for layer in ALL_LAYERS:
+            params = {"as_layer": layer.wire_name, "subject": subject(pool), **window()}
+            targets.append(target(draw(st.sampled_from(PREFIXES)) + path, **params))
+    for odd in ODD_REQUESTS + draw(st.lists(st.sampled_from(ODD_REQUESTS), max_size=6)):
+        params = {"as_layer": draw(st.sampled_from(LAYER_NAMES)), "subject": subject(every)}
+        if odd == "alias":
+            path = layer_path() + "status"
+        elif odd == "bad path":
+            path = draw(st.sampled_from(BAD_PATHS))
+        elif odd == "any feature":
+            path = layer_path() + draw(st.sampled_from(ALL_FEATURES)).value
+            params |= window()
+        elif odd == "extension":
+            path = layer_path() + EXTENSION
+        elif odd == "live":
+            # a stream of a run that never started would wait for its first event
+            path = "/v1/workflow/live_progress"
+            params["as_layer"] = draw(st.sampled_from(("workflow", *LAYER_NAMES)))
+            params["subject"] = draw(st.sampled_from(ended * 2 + ["ghost", None, ""]))
+        elif odd == "history":
+            path = "/v1/workflow/previous_executions"
+            params = {"as_layer": "workflow", "subject": subject(["pw"])}
+        elif odd == "shared task":
+            # every drawn run holds this id, so the newest of them answers
+            path = f"/v1/task/{draw(st.sampled_from(features_owned_by(LayerId.TASK))).value}"
+            params = {"as_layer": "task", "subject": "pw/t0/0"}
         else:
-            report = execution_report(simulation.run).to_record()
-            assert reported == (200, json.loads(json.dumps(report)))
-    machine_id = newest.result.registry.machine_ids()[0]
-    assert answered(context, FeatureKey.MACHINE_STATUS, machine_id)[0] == 200
+            # the machine layer reads a sample window whose ends are in order
+            path = f"/v1/machine/{odd}_resources"
+            t_from, t_to = sorted((tick(), tick()))
+            params = {"as_layer": "machine", "subject": subject(kinds[LayerId.MACHINE])}
+            params |= {"from": str(t_from), "to": str(t_to)}
+        targets.append(target(path, **params))
+    return ServiceCase(topology, runs, stored, targets)
 
+
+def golden_case(topology: TopologyMode, empty: bool) -> ServiceCase:
+    """``tests/test_golden_service.py``'s requests: of the fault scenario,
+    stored once, or of a context with no run and no store."""
+    if empty:
+        return ServiceCase(topology, [], None, [
+            target(p, **q) for p, q in golden.empty_context_requests()
+        ])
+    scenario = load_scenario(fixture_path("faults.scenario"))
+    spec = parse_workflow(scenario.workflow_path.read_text(), default_workflow_id="wf1")
+    machines, _ = parse_cluster(scenario.cluster_path.read_text())
+    case = spec, machines, scenario.input_count, scenario.seed, topology, scenario.injections
+    plan = [r for f in ALL_FEATURES for r in golden.feature_requests(f)] + golden.extra_requests()
+    return ServiceCase(
+        topology, [(golden.RUN_ID, case, True)], [(0, 0)], [target(p, **q) for p, q in plan]
+    )
+
+
+@contextmanager
+def serving(case: ServiceCase):
+    """The case's registered results, its store, and a function giving the
+    status and body of the service's answer to a target."""
+    simulations = [drawn_simulation(c, run_id, run) for run_id, c, run in case.runs]
+    with tempfile.TemporaryDirectory() as directory:
+        store = None if case.stored is None else RunStore(Path(directory) / "runs.jsonl")
+        for n, submission_ms in case.stored or ():
+            store.append(dataclasses.replace(simulations[n].run, submission_ms=submission_ms))
+        context = ServiceContext(case.topology, matrix=EXTENSION_MATRIX, store=store)
+        for simulation in simulations:
+            if simulation.result.ended:
+                context.add_result(simulation.result)
+            else:
+                context.attach_live(simulation)
+
+        def answer(request):
+            status, _, body = context.answer(request)
+            return status, body if isinstance(body, bytes) else b"".join(body)
+
+        yield [s.result for s in simulations], store, answer
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(service_cases())
+@example(golden_case(TopologyMode.WORKFLOW_AWARE, False))
+@example(golden_case(TopologyMode.DISJOINT, False))
+@example(golden_case(TopologyMode.WORKFLOW_AWARE, True))
+@example(golden_case(TopologyMode.DISJOINT, True))
+def test_every_answer_equals_the_reference_answer(case):
+    """``ServiceContext.answer`` gives the reference answer byte for byte,
+    status and body, for every drawn request of every drawn set of runs."""
+    with serving(case) as (results, store, answer):
+        for request in case.targets:
+            expected = reference_answer(results, request, store, case.topology)
+            assert answer(request) == expected, request
+
+
+def _payloads(answers, feature):
+    """The payloads of the case's 200 answers to ``feature``, with their queries."""
+    return [
+        (query, json.loads(body)["payload"])
+        for name, query, status, body in answers if name == feature and status == 200
+    ]
+
+
+def _used_at(results, machine_id, t_ms):
+    """The newest run's latest reading of the machine at or before ``t_ms``."""
+    used = [s.used for s in results[-1].samples if s.machine_id == machine_id and s.t_ms <= t_ms]
+    return used[-1] if used else None
+
+
+def _refused(answers, status, text):
+    return any(s == status and text in body for _, _, s, body in answers)
+
+
+# rule -> whether a drawn case's results and answers exercise it
+_SERVICE_RULES = {
+    "the window's closed end": lambda results, answers: any(
+        p["samples"] and str(p["samples"][-1]["t_ms"]) == q.get("to")
+        for q, p in _payloads(answers, "used_resources")
+    ),
+    "a reading at to, not at from": lambda results, answers: any(
+        "from" in q and _used_at(results, q["subject"], int(q["from"]))
+        != _used_at(results, q["subject"], int(q.get("to", 2**62)))
+        for q, _ in _payloads(answers, "available_resources")
+    ),
+    "the newer of two holders": lambda results, answers: any(
+        sum(q["subject"] in r.instances_by_id for r in results) > 1
+        for q, _ in _payloads(answers, "task_id")
+    ),
+    "a history tie": lambda results, answers: any(
+        len({e["submission_ms"] for e in p["executions"]}) < len(p["executions"])
+        for _, p in _payloads(answers, "previous_executions")
+    ),
+    "the disjoint rule": lambda results, answers: _refused(answers, 403, b"is workflow-owned"),
+    "an unknown traced task": lambda results, answers: any(
+        name == "task_duration" and s == 404 and b"unknown task" in body
+        for name, _, s, body in answers
+    ),
+    "a task with no record": lambda results, answers: _refused(answers, 404, b"no trace record"),
+    "a live stream": lambda results, answers: any(
+        name == "live_progress" and s == 200 and body for name, _, s, body in answers
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_SERVICE_RULES))
+def test_service_cases_draw_requests_where_each_rule_fires(rule):
+    """A rule the drawn cases never exercise is one the reference comparison
+    cannot check: each one fires within the first 100 draws."""
+
+    def fires(case):
+        with serving(case) as (results, _, answer):
+            answers = [
+                (path.rpartition("/")[2], {k: v[-1] for k, v in parse_qs(q).items()}, *answer(t))
+                for t in case.targets for path, _, q in [t.partition("?")]
+            ]
+            return _SERVICE_RULES[rule](results, answers)
+
+    find(service_cases(), fires, settings=settings(
+        max_examples=100, derandomize=True, database=None, phases=[Phase.generate],
+        deadline=None, suppress_health_check=list(HealthCheck),
+    ))
+
+
+def test_the_reference_answer_takes_no_service_code():
+    """The reference answer restates the service's rules, so it reads none
+    of the code that decides access, progress, reports or ratios."""
+    imported = imports_of(oracles.__file__)
+    assert "stratus.service" not in imported and "stratus" not in imported
+    for module, names in {
+        "stratus.blueprint": {"authorize", "access_allowed"},
+        "stratus.sim": {"ProgressFold", "replay_progress"},
+        "stratus.workflow": {"workflow_status", "execution_report", "makespan_ms"},
+        "stratus.taskmon": {"consumed_vs_requested", "success_diagnosis"},
+    }.items():
+        assert not imported.get(module, set()) & names, module

@@ -2,7 +2,6 @@
 the engine against the plain reference run of ``oracles.reference_run``,
 fault injection, stuck-run detection, and scenario files."""
 
-import ast
 import dataclasses
 import gc
 import hashlib
@@ -18,7 +17,14 @@ from hypothesis import HealthCheck, Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import dag_specs, engine_cases, make_machine, make_request, run_simulation
+from conftest import (
+    dag_specs,
+    engine_cases,
+    imports_of,
+    make_machine,
+    make_request,
+    run_simulation,
+)
 from oracles import (
     assert_equals_reference,
     event_line,
@@ -1031,13 +1037,7 @@ _REFERENCE_ENGINE_DATA = {
 
 
 def test_the_reference_takes_only_data_from_the_engine():
-    tree = ast.parse(Path(oracles.__file__).read_text())
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.setdefault(node.module, set()).update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update((a.name, {"*"}) for a in node.names)
+    imported = imports_of(oracles.__file__)
     assert imported["stratus.sim"] <= _REFERENCE_ENGINE_DATA
     assert "stratus.resman" not in imported and "stratus" not in imported
 

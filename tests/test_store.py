@@ -124,27 +124,6 @@ def test_interior_garbage_still_raises(tmp_path):
     assert ":3:" in str(err.value)
 
 
-def test_previous_executions_newest_first(tmp_path):
-    store = RunStore(tmp_path / "runs.jsonl")
-    store.append(finished_run("old", "w", 100))
-    store.append(finished_run("new", "w", 300))
-    store.append(finished_run("mid", "w", 200))
-    store.append(finished_run("other", "different", 999))
-    summaries = store.list_previous_executions("w")
-    assert [s.run_id for s in summaries] == ["new", "mid", "old"]
-    assert all(s.workflow_id == "w" for s in summaries)
-    assert summaries[0].final_state == "succeeded"
-    assert summaries[0].makespan_ms == 100
-
-
-def test_previous_executions_tie_keeps_latest_append_first(tmp_path):
-    store = RunStore(tmp_path / "runs.jsonl")
-    store.append(finished_run("first", "w", 500))
-    store.append(finished_run("second", "w", 500))
-    summaries = store.list_previous_executions("w")
-    assert [s.run_id for s in summaries] == ["second", "first"]
-
-
 def test_previous_executions_ordering_matches_sort_oracle(tmp_path):
     rng = random.Random(77)
     store = RunStore(tmp_path / "runs.jsonl")

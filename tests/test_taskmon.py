@@ -22,7 +22,6 @@ from stratus.taskmon import (
     TaskTraceRecord,
     TraceError,
     Verdict,
-    consumed_vs_requested,
     diagnose,
     emit_trace,
     format_log,
@@ -396,17 +395,6 @@ def test_diagnose_verdict_none_iff_succeeded():
         record = random_record(rng)
         verdict = diagnose(record, REQ, rng.choice(statuses)).verdict
         assert (verdict is Verdict.NONE) == (record.status == "succeeded")
-
-
-# --- utilization ---
-
-
-def test_consumed_vs_requested_ratios():
-    record = make_record(cpu_pct=150, rss_bytes=GiB // 2, end_ms=20 + 2500, duration_ms=2500)
-    ratios = consumed_vs_requested(record, REQ)
-    assert ratios.cpu_ratio == pytest.approx(0.75)
-    assert ratios.memory_ratio == pytest.approx(0.5)
-    assert ratios.runtime_ratio == pytest.approx(0.5)
 
 
 # --- logs ---

@@ -17,7 +17,6 @@ from stratus.workflow import (
     DuplicateTaskError,
     InvalidNameError,
     InvalidTransitionError,
-    ReportOnRunningRunError,
     RunRecord,
     RunState,
     TaskDefinition,
@@ -27,7 +26,6 @@ from stratus.workflow import (
     WorkflowError,
     WorkflowSpec,
     WorkflowSyntaxError,
-    execution_report,
     expand_instances,
     export_dot,
     parse_workflow,
@@ -568,7 +566,7 @@ def test_export_dot_quotes_what_dot_cannot_read_bare():
     assert export_dot(keyword).startswith('digraph "edge" {\n')
 
 
-# --- execution report ---
+# --- run records ---
 
 
 def two_task_run(starts: dict[str, int], ends: dict[str, int]) -> RunRecord:
@@ -581,44 +579,6 @@ def two_task_run(starts: dict[str, int], ends: dict[str, int]) -> RunRecord:
         finish(inst, TaskState.SUCCEEDED, starts[inst.definition], ends[inst.definition])
     run.final_state = RunState.SUCCEEDED
     return run
-
-
-def test_execution_report_makespan_spans_all_instances():
-    run = two_task_run(starts={"a": 0, "b": 10}, ends={"a": 50, "b": 80})
-    report = execution_report(run)
-    assert report.makespan_ms == 80
-    assert (report.total, report.succeeded, report.failed) == (2, 2, 0)
-    assert report.task_stats["a"].mean_ms == 50.0
-    assert report.task_stats["b"].count == 1
-
-
-def test_execution_report_duration_stats():
-    spec = WorkflowSpec(
-        workflow_id="w",
-        tasks=(TaskDefinition("a", True, make_request(), "default"),),
-        edges=(),
-    )
-    run = make_run(spec, 3)
-    for offset, inst in enumerate(run.instances):
-        finish(inst, TaskState.SUCCEEDED, 0, 100 + 10 * offset)
-    run.final_state = RunState.SUCCEEDED
-    stats = execution_report(run).task_stats["a"]
-    assert (stats.count, stats.min_ms, stats.mean_ms, stats.max_ms) == (3, 100, 110.0, 120)
-
-
-def test_execution_report_skips_instances_that_never_ran():
-    run = make_run(small_spec())
-    finish(run.instance("wf1/I/0"), TaskState.FAILED)
-    run.final_state = RunState.FAILED
-    report = execution_report(run)
-    assert report.makespan_ms == 10
-    assert report.task_stats.keys() == {"I"}
-    assert report.to_record()["counts"] == {"total": 6, "succeeded": 0, "failed": 1}
-
-
-def test_execution_report_refuses_running_run():
-    with pytest.raises(ReportOnRunningRunError):
-        execution_report(make_run(small_spec()))
 
 
 def test_run_record_round_trip():
