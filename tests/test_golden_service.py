@@ -5,7 +5,8 @@ list is answered twice, in-process by ``ServiceContext.answer`` and over
 HTTP, and both must give the pinned digest.  A refactor of the service that
 changes any response byte fails here, even when the change is the same on
 every run.  A change that means to alter a response is a behaviour change
-and must update these digests and say so."""
+and must update these digests and say so.  Each request is also compared,
+both ways, with ``oracles.reference_answer``."""
 
 import dataclasses
 import hashlib
@@ -14,6 +15,7 @@ from urllib.parse import urlencode
 import pytest
 import requests
 
+from oracles import reference_answer
 from stratus.blueprint import (
     ALL_FEATURES,
     ALL_LAYERS,
@@ -216,7 +218,8 @@ def served(request, tmp_path_factory):
     context.add_result(result)
     empty = ServiceContext(topology)
     handle, empty_handle = serve(context), serve(empty)
-    yield request.param, fetchers(context, handle.url), fetchers(empty, empty_handle.url)
+    ways = fetchers(context, handle.url), fetchers(empty, empty_handle.url)
+    yield request.param, *ways, result, store
     handle.close()
     empty_handle.close()
 
@@ -228,14 +231,32 @@ def test_golden_keys_cover_every_feature():
 
 @pytest.mark.parametrize("feature", ALL_FEATURES, ids=lambda f: f.value)
 def test_feature_responses_match_golden_digests(served, feature):
-    topology, fetchers, _ = served
+    topology, fetchers, *_ = served
     for way, fetch in fetchers.items():
         assert digest(fetch, feature_requests(feature)) == GOLDEN[topology][feature.value], way
 
 
 def test_extra_responses_match_golden_digest(served):
-    topology, fetchers, empty_fetchers = served
+    topology, fetchers, empty_fetchers, *_ = served
     for way in fetchers:
         combined = digest(fetchers[way], extra_requests())
         combined += digest(empty_fetchers[way], empty_context_requests())
         assert hashlib.sha256(combined.encode()).hexdigest() == GOLDEN_EXTRA[topology], way
+
+
+@pytest.mark.parametrize("feature", [*ALL_FEATURES, None], ids=lambda f: f.value if f else "extra")
+def test_responses_equal_the_reference_answer(served, feature):
+    """Both ways give ``oracles.reference_answer`` to each pinned request, so
+    each pinned byte follows from README's rules; ``None`` stands for the
+    extra requests and those of the empty context."""
+    topology, fetchers, empty_fetchers, result, store = served
+    plan = feature_requests(feature) if feature else extra_requests()
+    plans = [(fetchers, [result], store, plan)]
+    if feature is None:
+        plans.append((empty_fetchers, [], None, empty_context_requests()))
+    for ways, results, history, plan in plans:
+        for path, query in plan:
+            expected = reference_answer(
+                results, f"{path}?{urlencode(query)}", history, TopologyMode(topology)
+            )
+            assert all(fetch(path, query) == expected for fetch in ways.values()), (path, query)

@@ -517,7 +517,8 @@ def test_a_paused_engine_is_answered_from_the_events_before_its_pause(case, frac
             records = replay_progress(events[:n])
             initial = WorkflowStatusReport(RunState.RUNNING, 0, len(simulation.run.instances), 0)
             expected = service._status_payload(records[-1] if records else initial)
-            assert answered(context, FeatureKey.WORKFLOW_STATUS, "paused") == (200, expected)
+            status, body = ask_feature(context, FeatureKey.WORKFLOW_STATUS, subject="paused")
+            assert (status, body.get("payload")) == (200, expected), body
             released.set()
     finally:
         for _, released in pauses.values():
@@ -942,14 +943,7 @@ def test_a_finished_runs_stream_is_one_batch_ending_on_the_terminal_record():
         next(context.progress("ghost"))
 
 
-# --- answers over random runs ---
-
-
-def answered(context, feature, subject):
-    """(200, payload), or the status and error text of the refusal, of
-    ``context.answer`` to the feature's owning layer."""
-    status, body = ask_feature(context, feature, subject=subject)
-    return status, body["payload"] if status == 200 else body["error"]
+# --- every answer against the reference answer ---
 
 
 def drawn_simulation(case, run_id, started):
@@ -965,11 +959,6 @@ def drawn_simulation(case, run_id, started):
         except NonQuiescentError:
             pass
     return simulation
-
-
-
-
-# --- every answer against the reference answer ---
 
 EXTENSION, = ORACLE_EXTENSIONS
 EXTENSION_MATRIX = parse_matrix_overrides(
