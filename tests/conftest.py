@@ -117,6 +117,19 @@ def dag_specs(draw, max_tasks: int = 10) -> WorkflowSpec:
     return WorkflowSpec(workflow_id, tasks, tuple(edges))
 
 
+def random_cluster(rng: random.Random, max_machines: int = 3) -> list[MachineDescriptor]:
+    count = rng.randint(1, max_machines)
+    return [
+        make_machine(
+            f"m{i + 1}",
+            cpus=rng.randint(2, 8),
+            mem=rng.randint(4, 16) * GiB,
+            disk=rng.randint(20, 100) * GiB,
+        )
+        for i in range(count)
+    ]
+
+
 @st.composite
 def engine_cases(draw):
     """(spec, machines, input_count, seed, topology, injections): a random

@@ -1,12 +1,13 @@
 """Resource manager tests: topology guards, FIFO first-fit against a brute
-force oracle over several passes, and status reports; acceptance criterion
-6 checks reservations against the oracle's under churn."""
+force oracle, reservation safety under random load, and status reports."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine, make_request
+from conftest import make_machine, make_request, random_cluster
 from oracles import oracle_first_fit
 from stratus.blueprint import TopologyMode
 from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
@@ -61,6 +62,19 @@ def test_running_workflows_hidden_in_disjoint_mode():
 # --- queue semantics ---
 
 
+def test_task_ids_unique_across_lifecycle():
+    rm = make_rm()
+    rm.enqueue(*entry("t1"))
+    with pytest.raises(DuplicateEntryError):
+        rm.enqueue(*entry("t1"))
+    rm.schedule(0)
+    with pytest.raises(DuplicateEntryError):
+        rm.enqueue(*entry("t1"))
+    rm.release("t1")
+    with pytest.raises(DuplicateEntryError):
+        rm.enqueue(*entry("t1"))
+
+
 def test_release_requires_running_task():
     rm = make_rm()
     with pytest.raises(UnknownEntryError):
@@ -68,6 +82,129 @@ def test_release_requires_running_task():
     rm.enqueue(*entry("t1"))
     with pytest.raises(UnknownEntryError):
         rm.release("t1")
+
+
+# --- first-fit behavior ---
+
+
+def test_first_fit_prefers_lowest_machine_id():
+    machines = [make_machine("m1", cpus=4), make_machine("m2", cpus=4)]
+    rm = make_rm(machines)
+    rm.enqueue(*entry("t1", cpus=2))
+    rm.enqueue(*entry("t2", cpus=2))
+    rm.enqueue(*entry("t3", cpus=2))
+    assert rm.schedule(0) == [("t1", "m1"), ("t2", "m1"), ("t3", "m2")]
+
+
+def test_first_fit_skips_unhealthy_machines():
+    machines = [make_machine("m1"), make_machine("m2")]
+    rm = make_rm(machines)
+    rm.registry.set_status("m1", MachineStatus.UNHEALTHY)
+    rm.enqueue(*entry("t1"))
+    assert rm.schedule(0) == [("t1", "m2")]
+    rm.registry.set_status("m2", MachineStatus.MAINTENANCE)
+    rm.enqueue(*entry("t2"))
+    assert rm.schedule(0) == []
+    assert rm.queue_depth() == 1
+
+
+def test_blocked_head_does_not_starve_smaller_entries():
+    rm = make_rm([make_machine("m1", cpus=4)])
+    rm.enqueue(*entry("big", cpus=8))
+    rm.enqueue(*entry("small", cpus=1))
+    assert rm.schedule(0) == [("small", "m1")]
+    assert rm.queue_depth() == 1
+
+
+def test_fifo_order_when_everything_fits():
+    rm = make_rm([make_machine("m1", cpus=8)])
+    for i in range(4):
+        rm.enqueue(*entry(f"t{i}", cpus=1))
+    assert [task for task, _ in rm.schedule(0)] == ["t0", "t1", "t2", "t3"]
+
+
+def test_release_makes_room_again():
+    rm = make_rm([make_machine("m1", cpus=2)])
+    rm.enqueue(*entry("t1", cpus=2))
+    assert rm.schedule(0) == [("t1", "m1")]
+    rm.enqueue(*entry("t2", cpus=2))
+    assert rm.schedule(1) == []
+    rm.release("t1")
+    assert rm.schedule(2) == [("t2", "m1")]
+
+
+def test_assignment_and_running_on_views():
+    machines = [make_machine("m1", cpus=2), make_machine("m2", cpus=8)]
+    rm = make_rm(machines)
+    rm.enqueue(*entry("t1", cpus=2))
+    rm.enqueue(*entry("t2", cpus=4))
+    rm.schedule(0)
+    assert rm.running_on("m1") == ["t1"]
+    assert rm.running_on("m2") == ["t2"]
+    assert rm.running_on("ghost") == []
+
+
+# --- oracle comparison and capacity safety ---
+
+
+def test_schedule_matches_oracle_on_random_load():
+    rng = random.Random(271)
+    for round_number in range(200):
+        machines = random_cluster(rng, max_machines=4)
+        rm = make_rm(machines)
+        unhealthy = {
+            m.machine_id for m in machines if rng.random() < 0.2
+        }
+        for machine_id in unhealthy:
+            rm.registry.set_status(machine_id, MachineStatus.UNHEALTHY)
+        queue = []
+        for i in range(rng.randint(0, 12)):
+            task_id, requested = entry(
+                f"t{round_number}_{i}",
+                cpus=rng.randint(1, 6),
+                mem=rng.randint(1, 8) * GiB,
+                disk=rng.randint(0, 4) * GiB,
+            )
+            rm.enqueue(task_id, requested)
+            queue.append((task_id, ResourceVector(
+                requested.cpu_cores, requested.memory_bytes, requested.disk_bytes
+            )))
+        oracle_machines = [
+            (m.machine_id, m.capacity, m.machine_id not in unhealthy)
+            for m in sorted(machines, key=lambda d: d.machine_id)
+        ]
+        expected, leftover = oracle_first_fit(queue, oracle_machines, {})
+        got = rm.schedule(0)
+        assert got == expected
+        assert rm.queue_depth() == len(leftover)
+        for machine in machines:
+            r = rm.reserved_on(machine.machine_id)
+            assert r.fits_within(machine.capacity)
+            assert r.cpu_cores >= 0 and r.memory_bytes >= 0 and r.disk_bytes >= 0
+
+
+def test_reservations_never_exceed_capacity_under_churn():
+    rng = random.Random(733)
+    machines = [make_machine("m1", cpus=4, mem=8 * GiB), make_machine("m2", cpus=2, mem=4 * GiB)]
+    rm = make_rm(machines)
+    capacity = {m.machine_id: m.capacity for m in machines}
+    next_id = 0
+    running = []
+    for _ in range(600):
+        if rng.random() < 0.6:
+            rm.enqueue(*entry(f"t{next_id}", cpus=rng.randint(1, 3), mem=rng.randint(1, 3) * GiB))
+            next_id += 1
+        for task_id, _ in rm.schedule(0):
+            running.append(task_id)
+        if running and rng.random() < 0.5:
+            task_id = running.pop(rng.randrange(len(running)))
+            rm.release(task_id, wchar_bytes=rng.randint(0, 10**6))
+        for machine_id, cap in capacity.items():
+            reserved = rm.reserved_on(machine_id)
+            assert reserved.fits_within(cap)
+            assert reserved.cpu_cores >= 0
+    status = rm.infrastructure_status()
+    assert status.running_tasks == len(running)
 
 
 def assert_running_on(rm, machines, running):
@@ -78,7 +215,6 @@ def assert_running_on(rm, machines, running):
             if machine_id == machine.machine_id
         )
         assert rm.running_on(machine.machine_id) == expected
-    assert rm.running_on("ghost") == []
 
 
 @settings(max_examples=200, deadline=None)

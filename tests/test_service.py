@@ -66,6 +66,7 @@ from stratus.sim import (
     NonQuiescentError,
     Simulation,
     load_scenario,
+    parse_event_log,
 )
 from stratus.store import RunStore
 from stratus.taskmon import diagnose
@@ -246,6 +247,12 @@ def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
 
 
 # --- progress replay and live streaming ---
+
+
+def test_replay_progress_equals_engine_stream():
+    result = completed_result(TopologyMode.WORKFLOW_AWARE)
+    assert replay_progress(parse_event_log(result.event_log_text())) == result.progress_records
+    assert replay_progress(result.event_records) == result.progress_records
 
 
 def expected_stream(result):

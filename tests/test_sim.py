@@ -1,7 +1,6 @@
-"""Simulation engine tests: metric synthesis and trace scaling against
-their reference formulas, the engine against the plain reference run of
-``oracles.reference_run``, when a fault may be injected, stuck-run
-detection, and scenario files."""
+"""Simulation engine tests: byte-level determinism, metric synthesis bounds,
+the engine against the plain reference run of ``oracles.reference_run``,
+fault injection, stuck-run detection, and scenario files."""
 
 import dataclasses
 import gc
@@ -66,6 +65,7 @@ from stratus.sim import (
     _Row,
     _scaled_record,
     _stream_seed,
+    load_scenario,
     parse_event_log,
     parse_scenario,
     scenario_simulation,
@@ -116,6 +116,41 @@ def test_instance_stream_matches_hash_derivation():
     digest = hashlib.sha256(f"{seed}:{task_id}".encode()).digest()
     expected = random.Random(int.from_bytes(digest[:8], "big")).random()
     assert instance_stream(seed, task_id).random() == expected
+
+
+def test_instance_streams_are_independent():
+    a1 = instance_stream(7, "w/a/0").random()
+    a2 = instance_stream(7, "w/a/0").random()
+    b = instance_stream(7, "w/b/0").random()
+    other_seed = instance_stream(8, "w/a/0").random()
+    assert a1 == a2
+    assert a1 != b
+    assert a1 != other_seed
+
+
+def test_runtime_jitter_stays_within_band():
+    for model in BUILTIN_MODELS.values():
+        jitter = model.runtime_jitter_pct / 100
+        low = model.base_runtime_ms * (1 - jitter) - 0.5
+        high = model.base_runtime_ms * (1 + jitter) + 0.5
+        for i in range(1000):
+            rng = instance_stream(1234, f"w/{model.model_key}/{i}")
+            metrics = MetricPlan(model, GiB).draw(rng)
+            assert low <= metrics.runtime_ms <= high
+            assert metrics.runtime_ms >= 1
+
+
+def test_synthesis_is_a_pure_function_of_the_stream():
+    model = BUILTIN_MODELS["default"]
+    plan = MetricPlan(model, GiB)
+    first = plan.draw(instance_stream(5, "w/x/0"))
+    second = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
+    assert first == second
+    assert plan.rss_bytes == int(0.5 * GiB)
+    assert plan.rchar_bytes == model.io_read_bytes
+    total_pages = (model.io_read_bytes + model.io_write_bytes) // 4096
+    assert first.page_cache_hits + first.page_cache_misses == total_pages
+    assert first.page_cache_hits >= total_pages // 2
 
 
 _SHARED = attrgetter("cpu_pct", "rss_bytes", "rchar_bytes", "wchar_bytes")
@@ -282,7 +317,49 @@ def test_unknown_model_rejected_at_construction():
         Simulation(spec, [make_machine("m1")], GiB, 1, 0)
 
 
-# --- the event log ---
+# --- determinism ---
+
+
+def test_equal_inputs_give_byte_identical_artifacts():
+    first = run_fig1(seed=42)
+    second = run_fig1(seed=42)
+    assert first.event_log_text() == second.event_log_text()
+    assert first.trace_text() == second.trace_text()
+    assert first.samples == second.samples
+
+
+def test_different_seed_changes_artifacts():
+    assert run_fig1(seed=42).trace_text() != run_fig1(seed=43).trace_text()
+
+
+def test_run_id_not_part_of_artifact_bytes():
+    spec, machines, fs_total = fig1_setup()
+    first = run_simulation(
+        spec, machines, fs_total, 4, 42, run_id="alpha", submission_ms=0
+    )
+    second = run_simulation(
+        spec, machines, fs_total, 4, 42, run_id="beta", submission_ms=999
+    )
+    assert first.event_log_text() == second.event_log_text()
+    assert first.trace_text() == second.trace_text()
+
+
+def test_topology_changes_nothing_but_the_submission_line():
+    aware = run_fig1(topology=TopologyMode.WORKFLOW_AWARE)
+    disjoint = run_fig1(topology=TopologyMode.DISJOINT)
+    assert aware.trace_text() == disjoint.trace_text()
+    aware_lines = aware.event_log_text().splitlines()
+    disjoint_lines = disjoint.event_log_text().splitlines()
+    assert aware_lines[1:] == disjoint_lines[1:]
+    assert "topology=workflow_aware" in aware_lines[0]
+    assert "topology=disjoint" in disjoint_lines[0]
+    assert aware.resource_manager.running_workflows() == [("r-test", "wf1", "succeeded")]
+    assert disjoint.resource_manager.running_workflows() == []
+
+
+def test_event_log_round_trips():
+    result = run_fig1()
+    assert parse_event_log(result.event_log_text()) == result.event_records
 
 
 @pytest.mark.parametrize("machine_id", ["a b", "m-1.x", "\u00fc"])
@@ -306,6 +383,46 @@ def test_event_log_errors_carry_the_line(text, line, message):
         parse_event_log(text)
     assert err.value.line == line
     assert str(err.value) == message
+
+
+# --- end-to-end structure of a clean run ---
+
+
+def test_clean_run_reaches_success_with_full_accounting():
+    result = run_fig1()
+    assert result.run.final_state is RunState.SUCCEEDED
+    assert len(result.run.instances) == 18
+    assert result.never_eligible == frozenset()
+    kinds = [e.kind for e in result.event_records]
+    assert kinds.count("run_submitted") == 1
+    assert kinds.count("instance_queued") == 18
+    assert kinds.count("instance_started") == 18
+    assert kinds.count("instance_succeeded") == 18
+    assert kinds.count("instance_failed") == 0
+    assert kinds.count("run_completed") == 1
+    assert len(result.trace_records) == 18
+    assert all(r.status == "succeeded" for r in result.trace_records)
+    # only failures are stored; a success's diagnosis is derived on read
+    assert result.diagnoses == {}
+    assert all(result.diagnosis(r.task_id).verdict is Verdict.NONE for r in result.trace_records)
+    assert parse_trace(result.trace_text()) == result.trace_records
+
+
+def test_progress_counts_are_monotone_and_complete():
+    result = run_fig1()
+    finished = [p.finished for p in result.progress_records]
+    assert finished == sorted(finished)
+    assert result.progress_records[-1].progress == 1.0
+    assert result.progress_records[-1].state is RunState.SUCCEEDED
+    lifecycle_events = sum(
+        1
+        for e in result.event_records
+        if e.kind in (
+            "instance_queued", "instance_started",
+            "instance_succeeded", "instance_failed", "run_completed",
+        )
+    )
+    assert len(result.progress_records) == lifecycle_events
 
 
 def test_a_live_log_read_is_whole_when_the_task_ends_between_its_reads():
@@ -350,6 +467,105 @@ def test_a_live_log_read_is_whole_when_the_task_ends_between_its_reads():
             del result.diagnoses[task_id]
             assert result.diagnosis(task_id) is None
             assert result.application_logs(task_id) == finished[:1]
+
+
+# --- fault injection ---
+
+
+def test_oom_injection_end_to_end():
+    result = run_fig1(injections=[
+        FaultInjection(InjectionKind.TASK_OOM, "wf1/II/1"),
+    ])
+    record = next(r for r in result.trace_records if r.task_id == "wf1/II/1")
+    assert record.status == "failed"
+    assert record.exit_code == EXIT_OOM
+    assert record.rss_bytes > GiB
+    assert result.diagnoses["wf1/II/1"].verdict is Verdict.OUT_OF_MEMORY
+    assert result.run.final_state is RunState.FAILED
+
+
+def test_non_zero_exit_injection_end_to_end():
+    result = run_fig1(injections=[
+        FaultInjection(InjectionKind.TASK_NON_ZERO_EXIT, "wf1/III/2"),
+    ])
+    record = next(r for r in result.trace_records if r.task_id == "wf1/III/2")
+    assert record.exit_code == EXIT_TASK_ERROR
+    assert result.diagnoses["wf1/III/2"].verdict is Verdict.NON_ZERO_EXIT
+
+
+def test_failure_poisons_exactly_the_transitive_descendants():
+    result = run_fig1(injections=[
+        FaultInjection(InjectionKind.TASK_NON_ZERO_EXIT, "wf1/IV/0"),
+    ])
+    assert result.run.final_state is RunState.FAILED
+    expected = {"wf1/V/0", "wf1/VI/0", "wf1/VI/1", "wf1/VI/2", "wf1/VI/3"}
+    assert result.never_eligible == expected
+    queued = {e.subject for e in result.event_records if e.kind == "instance_queued"}
+    for task_id in expected:
+        assert task_id not in queued
+        assert result.run.instance(task_id).state is TaskState.PENDING
+    # everything upstream of the failure still ran to completion
+    for task_id in queued:
+        if task_id not in expected:
+            assert result.run.instance(task_id).state.terminal
+
+
+def test_machine_unhealthy_kills_and_diagnoses():
+    result = run_fig1(injections=[
+        FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=2500),
+    ])
+    status_events = [e for e in result.event_records if e.kind == "machine_status"]
+    assert [(e.t_ms, e.subject, e.detail) for e in status_events] == [
+        (2500, "m1", "status=unhealthy")
+    ]
+    killed = [r for r in result.trace_records if r.exit_code == EXIT_MACHINE_KILL]
+    assert {r.task_id for r in killed} == {
+        "wf1/II/0", "wf1/II/1", "wf1/II/2", "wf1/II/3"
+    }
+    for record in killed:
+        assert record.end_ms == 2500
+        assert result.diagnoses[record.task_id].verdict is Verdict.MACHINE_FAILURE
+    assert result.run.final_state is RunState.FAILED
+    # the whole downstream chain became permanently ineligible
+    assert len(result.never_eligible) == 10
+    for e in result.event_records:
+        if e.kind == "instance_started":
+            assert e.t_ms <= 2500
+
+
+def test_timeout_cuts_runtime_and_scales_counters():
+    spec = parse_workflow(
+        "workflow w\n"
+        "task slow scatter=false cpus=1 mem=1073741824 disk=0 timeout=1500 model=default\n"
+    )
+    result = run_simulation(
+        spec, [make_machine("m1")], 1024**4, 1, 42, run_id="r", submission_ms=0
+    )
+    record = result.trace_records[0]
+    assert record.exit_code == EXIT_TIMEOUT
+    assert record.duration_ms == 1500
+    model = BUILTIN_MODELS["default"]
+    assert record.rchar_bytes < model.io_read_bytes
+    assert result.diagnoses["w/slow/0"].verdict is Verdict.TIMEOUT
+    assert result.run.final_state is RunState.FAILED
+
+
+def test_spontaneous_failure_follows_the_drawn_probability():
+    spec = parse_workflow(
+        "workflow w\n"
+        "task maybe scatter=true cpus=1 mem=1073741824 disk=0 timeout=600000 model=flaky\n"
+    )
+    result = run_simulation(
+        spec, [make_machine("m1")], 1024**4, 40, 5, run_id="r", submission_ms=0
+    )
+    failures = 0
+    for record in result.trace_records:
+        rng = instance_stream(5, record.task_id)
+        metrics = MetricPlan(BUILTIN_MODELS["flaky"], GiB).draw(rng)
+        should_fail = metrics.failure_draw < BUILTIN_MODELS["flaky"].failure_probability
+        assert (record.status == "failed") == should_fail
+        failures += should_fail
+    assert failures > 0
 
 
 def test_injection_validation():
@@ -591,6 +807,22 @@ def test_parse_scenario_bad_values_carry_the_line(line):
     with pytest.raises(ScenarioSyntaxError) as err:
         parse_scenario(f"workflow w.wf\ncluster c.cluster\n{line}\n")
     assert err.value.line == 3
+
+
+def test_run_bundled_fault_scenario(tmp_path):
+    import importlib.resources
+
+    data_dir = importlib.resources.files("stratus.data")
+    scenario = load_scenario(str(data_dir / "faults.scenario"))
+    result = scenario_simulation(scenario, run_id="r", submission_ms=0).run_to_completion()
+    assert result.run.final_state is RunState.FAILED
+    verdicts = {r.task_id: result.diagnosis(r.task_id).verdict for r in result.trace_records}
+    assert verdicts["wf1/III/0"] is Verdict.OUT_OF_MEMORY
+    assert verdicts["wf1/III/1"] is Verdict.NON_ZERO_EXIT
+    machine_kills = {t for t, v in verdicts.items() if v is Verdict.MACHINE_FAILURE}
+    assert machine_kills == {"wf1/III/4", "wf1/III/5", "wf1/III/6", "wf1/III/7"}
+    assert verdicts["wf1/III/2"] is Verdict.NONE
+    assert verdicts["wf1/III/3"] is Verdict.NONE
 
 
 def test_a_scenario_run_names_the_file_of_a_line_error(tmp_path):

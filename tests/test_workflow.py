@@ -1,7 +1,6 @@
 """Workflow model tests: parsing, the spec's construction checks against a
-networkx oracle, instance expansion, status math, reports, and DOT export.
-``ready_tasks`` is checked by the engine's comparison with the reference
-run, which reads readiness from it."""
+networkx oracle, instance expansion, readiness, status math, reports, and
+DOT export."""
 
 import dataclasses
 import random
@@ -30,6 +29,7 @@ from stratus.workflow import (
     expand_instances,
     export_dot,
     parse_workflow,
+    ready_tasks,
     workflow_status,
 )
 
@@ -349,6 +349,49 @@ def test_expand_rejects_nonpositive_inputs():
         expand_instances(small_spec(), 0)
 
 
+# --- readiness, brute force oracle ---
+
+
+def oracle_ready(spec: WorkflowSpec, run: RunRecord) -> set[str]:
+    by_name: dict[str, list[TaskInstance]] = {}
+    for inst in run.instances:
+        by_name.setdefault(inst.definition, []).append(inst)
+    out = set()
+    for inst in run.instances:
+        if inst.state is not TaskState.PENDING:
+            continue
+        ok = True
+        for pred in spec.predecessors(inst.definition):
+            group = by_name.get(pred, [])
+            if not group or any(g.state is not TaskState.SUCCEEDED for g in group):
+                ok = False
+        if ok:
+            out.add(inst.task_id)
+    return out
+
+
+def test_ready_matches_oracle_on_random_states():
+    rng = random.Random(31)
+    states = list(TaskState)
+    for _ in range(200):
+        spec = random_dag_spec(rng)
+        run = make_run(spec, rng.randint(1, 3))
+        for inst in run.instances:
+            inst.state = rng.choice(states)
+        assert ready_tasks(run, spec) == oracle_ready(spec, run)
+
+
+def test_ready_needs_whole_predecessor_group():
+    spec = small_spec()
+    run = make_run(spec, 2)
+    run.instance("wf1/I/0").state = TaskState.SUCCEEDED
+    ready = ready_tasks(run, spec)
+    assert "wf1/II/0" not in ready
+    assert "wf1/II/1" not in ready
+    run.instance("wf1/I/1").state = TaskState.SUCCEEDED
+    assert ready_tasks(run, spec) == {"wf1/II/0", "wf1/II/1"}
+
+
 # --- instance state machine ---
 
 
@@ -469,6 +512,19 @@ def finish(inst: TaskInstance, state: TaskState, start=0, end=10) -> None:
     inst.mark_queued(start)
     inst.mark_running(start, "m1")
     inst.mark_finished(end, state)
+
+
+def test_workflow_status_counts():
+    run = make_run(small_spec())
+    report = workflow_status(run)
+    assert (report.finished, report.total, report.failures) == (0, 6, 0)
+    assert report.progress == 0.0
+    assert report.state is RunState.RUNNING
+    finish(run.instances[0], TaskState.SUCCEEDED)
+    finish(run.instances[1], TaskState.FAILED)
+    report = workflow_status(run)
+    assert (report.finished, report.total, report.failures) == (1, 6, 1)
+    assert report.progress == pytest.approx(1 / 6)
 
 
 def test_workflow_status_empty_run_is_complete():
