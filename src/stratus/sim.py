@@ -57,13 +57,13 @@ cost, and what was measured and left out):
   An ended run's execution report is computed on its first read and kept
   (``SimulationResult.report``).
 - Each definition's facts live in one row built when the run starts: the
-  definition, its task model and MetricPlan, its instances, its spec
-  position, its count of instances not yet succeeded and a poisoned flag.
-  The plan holds every value of the metric formula that no draw touches,
-  so an instance keeps only the seven values its three draws decide
-  (``SynthesizedMetrics``); its trace record reads the rest from the
-  plan.  Task faults are indexed by target id as they are injected.  One
-  generator, the C base ``_random.Random`` (whose ``seed`` skips
+  definition, its MetricPlan, its instances, its spec position, its count
+  of instances not yet succeeded and a poisoned flag.  The plan holds
+  every value of the metric formula that no draw touches, and the model's
+  failure probability; a started instance keeps only the values its three
+  draws decide, and its trace record reads the rest from the plan.  Task
+  faults are indexed by target id as they are injected.  One generator,
+  the C base ``_random.Random`` (whose ``seed`` skips
   ``random.Random.seed``'s Python wrapper), is re-seeded per instance.
 - What holds for the whole run is computed once per run: the event
   texts that name only a definition or a machine, and the sorted machine
@@ -71,21 +71,21 @@ cost, and what was measured and left out):
 - Re-seeding the Mersenne Twister per instance (hashing the stream seed,
   ``init_by_array`` and the first draw's state twist, about 7 us, a third
   of a fig1 run) is the floor: the pinned artifact bytes fix it.
-- A started instance's ``_Execution`` carries the instance, its row and
-  its footprint (an OOM's forced one), so finishing it looks nothing up.
-  Each heap entry names its handler (completion, machine fault or sample
-  tick), called with the entry's time and payload.  A success decrements
-  its row's count inline, and the loop sets the clock to each popped
-  time: pops come in time order.
+- A started instance is one record, its ``_Execution``: the instance, its
+  row, its exit code, its footprint (an OOM's forced one) and its drawn
+  runtime and counters, so finishing it looks nothing up.  Each heap
+  entry names its handler (completion, machine fault or sample tick),
+  called with the entry's time and payload.  A success decrements its
+  row's count inline, and the loop sets the clock to each popped time:
+  pops come in time order.
 - Per-instance reads are plain: ``TaskState.terminal`` is a member
   attribute, the enum members read per instance are bound once at module
   level (Python 3.11 reads a member through its class via
   ``EnumType.__getattr__``), and a finished instance's status text is
   passed as a literal rather than read from ``TaskState.value``.
 - An instance that ran its full planned runtime takes its trace counters
-  as drawn: the scaling ratio is exactly 1.0, and ``int(x * 1.0) == x``
-  for every integer up to 2**53.  ``MetricPlan`` checks that bound once
-  per definition; timeouts, machine kills and plans over the bound scale.
+  as drawn; only a record cut short (a timeout or a machine kill) scales
+  them.
 - The machine's status, a locked registry read, is read only for a
   failed instance, the only one diagnosed when it ends.
 - An instance's start and finish build only what the run keeps: its
@@ -95,10 +95,9 @@ cost, and what was measured and left out):
 - Poisoning walks definition rows, and stops at rows already poisoned,
   whose descendants were poisoned with them.
 - The records built per instance or per event (``EventRecord``,
-  ``SynthesizedMetrics``, ``_Execution``, and the layers'
-  ``MachineSample``, ``TaskTraceRecord``, ``Diagnosis`` and
-  ``WorkflowStatusReport``) are slotted
-  dataclasses, not frozen ones.  Each is written once, when it is built,
+  ``_Execution``, and the layers' ``MachineSample``, ``TaskTraceRecord``,
+  ``Diagnosis`` and ``WorkflowStatusReport``) are slotted dataclasses, not
+  frozen ones.  Each is written once, when it is built,
   and nothing hashes it; a frozen dataclass sets every field through
   ``object.__setattr__``, which makes building one about four times as
   costly.  Types used as dict keys or set members (``ResourceRequest``,
@@ -120,6 +119,7 @@ import gc
 import hashlib
 import heapq
 import itertools
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -407,33 +407,15 @@ def _stream_seed(seed: int, task_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(slots=True)
-class SynthesizedMetrics:
-    runtime_ms: int
-    syscall_read_count: int
-    syscall_write_count: int
-    cpu_wait_ms: int
-    page_cache_hits: int
-    page_cache_misses: int
-    failure_draw: float
-
-
-# the largest n with int(float(n)) == n for every integer up to it
-_EXACT_FLOAT_INT = 2**53
-
-
 class MetricPlan:
     """The part of one definition's metric synthesis that no draw touches.
 
     Built once per (model, memory request) when a run starts, it holds the
     ``cpu_pct``, ``rss_bytes``, ``rchar_bytes`` and ``wchar_bytes`` of every
-    instance; ``draw`` makes an instance's three draws (runtime, failure,
-    page-cache ratio, in that order) and derives only the seven values that
-    depend on them, so each instance's record is reproducible from its
-    stream alone.
-    ``full_runtime_exact`` says that every counter a trace record scales
-    stays at most 2**53 for every draw, so scaling one by a ratio of 1.0
-    returns it unchanged.
+    instance and the model's ``failure_probability``; ``draw`` makes an
+    instance's three draws (runtime, failure, page-cache ratio, in that
+    order) and derives only the seven values that depend on them, so each
+    instance's record is reproducible from its stream alone.
     """
 
     def __init__(self, model: TaskModel, memory_request_bytes: int):
@@ -446,23 +428,16 @@ class MetricPlan:
         self.rss_bytes = int(model.rss_fraction_of_request * memory_request_bytes)
         self.rchar_bytes = model.io_read_bytes
         self.wchar_bytes = model.io_write_bytes
+        self.failure_probability = model.failure_probability
         self._syscall_rate_per_s = model.syscall_rate_per_s
         io_total = model.io_read_bytes + model.io_write_bytes
         self._read_share = model.io_read_bytes / io_total if io_total else 0.5
         self._total_pages = io_total // 4096
         self._cpu_wait_fraction = model.cpu_wait_fraction
-        # jitter is at most 100 %, so no draw's runtime exceeds twice the base;
-        # every counter a trace record scales is then at most one of these
-        runtime_cap = 2 * model.base_runtime_ms + 1
-        self.full_runtime_exact = max(
-            model.io_read_bytes,
-            model.io_write_bytes,
-            self._total_pages,
-            runtime_cap,
-            self._syscall_rate_per_s * runtime_cap / 1000,
-        ) <= _EXACT_FLOAT_INT
 
-    def draw(self, rng: _random.Random) -> SynthesizedMetrics:
+    def draw(self, rng: _random.Random) -> tuple[int, int, int, int, int, int, float]:
+        """(runtime_ms, syscall_read_count, syscall_write_count, cpu_wait_ms,
+        page_cache_hits, page_cache_misses, failure_draw) of one instance."""
         draw = rng.random
         runtime_factor = 1 + (self._jitter_low + self._jitter_span * draw())
         runtime_ms = max(1, round(self._base_runtime_ms * runtime_factor))
@@ -473,7 +448,7 @@ class MetricPlan:
         syscall_read = int(syscall_total * self._read_share)
         total_pages = self._total_pages
         hits = int(total_pages * (0.5 + 0.5 * pcache_draw))
-        return SynthesizedMetrics(
+        return (
             runtime_ms, syscall_read, syscall_total - syscall_read,
             int(self._cpu_wait_fraction * runtime_ms), hits, total_pages - hits, failure_draw,
         )
@@ -484,7 +459,6 @@ class _Row:
     """One definition's facts for a run; compared and hashed by identity."""
 
     definition: TaskDefinition
-    model: TaskModel
     plan: MetricPlan
     instances: list[TaskInstance]  # a slice of the run's list
     position: int  # in the spec
@@ -494,37 +468,43 @@ class _Row:
 
 @dataclass(slots=True)
 class _Execution:
-    """Book-keeping for one started instance until its completion event:
-    the running instance (its id, submission, start and machine), its
-    definition's row, its draws, its exit code and its rss footprint."""
+    """One started instance until its completion event: the running
+    instance (its id, submission, start and machine), its definition's row,
+    its exit code and rss footprint, and what its draws decided for its
+    trace record (the failure draw is spent when it starts)."""
 
     instance: TaskInstance
     row: _Row
-    metrics: SynthesizedMetrics
     exit_code: int
     rss_bytes: int
+    runtime_ms: int  # as drawn, before any timeout
+    syscall_read_count: int
+    syscall_write_count: int
+    cpu_wait_ms: int
+    page_cache_hits: int
+    page_cache_misses: int
 
 
 def _scaled_record(
     execution: _Execution, end_ms: int, status: str, exit_code: int
 ) -> TaskTraceRecord:
-    """Build the final trace record, scaling cumulative counters down
-    when the task was cut short of its planned runtime."""
+    """Build the final trace record: an instance that ran its planned
+    runtime keeps its counters as drawn, and one cut short scales each by
+    the share of that runtime it ran."""
     instance = execution.instance
-    metrics = execution.metrics
     plan = execution.row.plan
     start_ms = instance.start_ms
     duration = end_ms - start_ms
-    planned = metrics.runtime_ms
-    if duration == planned and plan.full_runtime_exact:
-        # the ratio is exactly 1.0, and int(x * 1.0) == x up to 2**53
+    planned = execution.runtime_ms
+    if duration == planned:
         return TaskTraceRecord(
             instance.task_id, status, exit_code, instance.submit_ms, start_ms, end_ms,
             duration, plan.cpu_pct, execution.rss_bytes, plan.rchar_bytes,
-            plan.wchar_bytes, metrics.syscall_read_count, metrics.syscall_write_count,
-            metrics.cpu_wait_ms, metrics.page_cache_hits, metrics.page_cache_misses,
+            plan.wchar_bytes, execution.syscall_read_count, execution.syscall_write_count,
+            execution.cpu_wait_ms, execution.page_cache_hits, execution.page_cache_misses,
         )
-    ratio = min(1.0, duration / planned) if planned else 1.0
+    # cut short: a draw's runtime is at least 1 ms
+    ratio = duration / planned
     return TaskTraceRecord(
         task_id=instance.task_id,
         status=status,
@@ -537,11 +517,11 @@ def _scaled_record(
         rss_bytes=execution.rss_bytes,
         rchar_bytes=int(plan.rchar_bytes * ratio),
         wchar_bytes=int(plan.wchar_bytes * ratio),
-        syscall_read_count=int(metrics.syscall_read_count * ratio),
-        syscall_write_count=int(metrics.syscall_write_count * ratio),
-        cpu_wait_ms=int(metrics.cpu_wait_ms * ratio),
-        page_cache_hits=int(metrics.page_cache_hits * ratio),
-        page_cache_misses=int(metrics.page_cache_misses * ratio),
+        syscall_read_count=int(execution.syscall_read_count * ratio),
+        syscall_write_count=int(execution.syscall_write_count * ratio),
+        cpu_wait_ms=int(execution.cpu_wait_ms * ratio),
+        page_cache_hits=int(execution.page_cache_hits * ratio),
+        page_cache_misses=int(execution.page_cache_misses * ratio),
     )
 
 
@@ -632,8 +612,9 @@ class SimulationResult:
 class Simulation:
     """One configured run.  Construct, optionally inject faults, then call
     run_to_completion() exactly once.  Faults may also be injected while it
-    runs, until the run has ended.  A given run id names the run's directory
-    under the output root, so it must be one path segment."""
+    runs, from the thread that runs it, until the run has ended.  A given
+    run id names the run's directory under the output root, so it must be
+    one path segment."""
 
     def __init__(
         self,
@@ -684,6 +665,8 @@ class Simulation:
         self._seq = itertools.count()
         self._now = 0
         self._started = False
+        # the thread running run_to_completion, while it runs
+        self._engine_thread: int | None = None
         self._executions: dict[str, _Execution] = {}
         self._pending_machine_events = 0
 
@@ -703,7 +686,15 @@ class Simulation:
         goes on the event heap, a task fault into the index by target.  An
         unknown target raises its layer's own error (``UnknownMachineError``
         or ``UnknownTaskError``); a task fault whose target has started or
-        was poisoned is refused, as it could never fire."""
+        was poisoned is refused, as it could never fire.  While the run is
+        live, only its own thread may inject (an event listener, say): the
+        engine takes no lock, so a call from another thread is refused
+        rather than racing the loop's clock, heap and counts."""
+        engine_thread = self._engine_thread
+        if engine_thread is not None and engine_thread != threading.get_ident():
+            raise SimulationError(
+                f"run {self.run_id} is live on another thread; inject from that thread"
+            )
         if self._started and injection.at_ms <= self._now:
             raise InjectionInPastError(injection.at_ms, self._now)
         if self.run.final_state is not RunState.RUNNING or self.result.ended:
@@ -742,6 +733,7 @@ class Simulation:
     def run_to_completion(self) -> SimulationResult:
         if self._started:
             raise SimulationError("simulation already ran")
+        self._engine_thread = threading.get_ident()
         self._started = True
         collecting = gc.isenabled()
         gc.disable()
@@ -753,6 +745,7 @@ class Simulation:
                 listener()
             raise
         finally:
+            self._engine_thread = None
             if collecting:
                 gc.enable()
 
@@ -764,10 +757,9 @@ class Simulation:
         end = 0
         for position, d in enumerate(result.spec.tasks):
             start, end = end, end + d.instance_count(result.input_count)
-            model = BUILTIN_MODELS[d.runtime_model]
-            plan = MetricPlan(model, d.requested.memory_bytes)
+            plan = MetricPlan(BUILTIN_MODELS[d.runtime_model], d.requested.memory_bytes)
             instances = self.run.instances[start:end]
-            self._rows[d.name] = _Row(d, model, plan, instances, position, len(instances))
+            self._rows[d.name] = _Row(d, plan, instances, position, len(instances))
         # the C base of random.Random: the subclass's seed only adds a type
         # check and a gauss_next reset, and a draw only calls random()
         self._rng = _random.Random()
@@ -835,12 +827,13 @@ class Simulation:
     def _start_instance(self, t_ms: int, task_id: str, machine_id: str) -> None:
         instance = self.result.instances_by_id[task_id]
         row = self._rows[instance.definition]
+        plan = row.plan
         requested = row.definition.requested
         self._rng.seed(_stream_seed(self.result.seed, task_id))
-        metrics = row.plan.draw(self._rng)
+        runtime_ms, reads, writes, cpu_wait_ms, hits, misses, failure_draw = plan.draw(self._rng)
 
-        exit_code = EXIT_TASK_ERROR if metrics.failure_draw < row.model.failure_probability else 0
-        rss_bytes = row.plan.rss_bytes
+        exit_code = EXIT_TASK_ERROR if failure_draw < plan.failure_probability else 0
+        rss_bytes = plan.rss_bytes
         faults = self._task_faults.get(task_id)
         # the first fault armed on the target by its start fires, whatever the draw
         injection = next((f for f in faults if t_ms >= f.at_ms), None) if faults else None
@@ -850,18 +843,19 @@ class Simulation:
             # force the footprint over the request, as if the OOM killer struck
             rss_bytes = requested.memory_bytes + max(1, requested.memory_bytes // 4)
 
-        runtime = metrics.runtime_ms
-        if runtime > requested.max_runtime_ms:
+        ends_ms = t_ms + runtime_ms
+        if runtime_ms > requested.max_runtime_ms:
             # killed at the limit before it could finish (or fail on its own)
-            runtime = requested.max_runtime_ms
+            ends_ms = t_ms + requested.max_runtime_ms
             exit_code = EXIT_TIMEOUT
 
         instance.mark_running(t_ms, machine_id)
-        execution = _Execution(instance, row, metrics, exit_code, rss_bytes)
-        self._executions[task_id] = execution
-        heapq.heappush(
-            self._events, (t_ms + runtime, next(self._seq), self._on_completion, execution)
+        execution = _Execution(
+            instance, row, exit_code, rss_bytes, runtime_ms, reads, writes, cpu_wait_ms, hits,
+            misses,
         )
+        self._executions[task_id] = execution
+        heapq.heappush(self._events, (ends_ms, next(self._seq), self._on_completion, execution))
         self._emit(t_ms, "instance_started", task_id, self._machine_texts[machine_id][0])
 
     # -- event handlers -----------------------------------------------------

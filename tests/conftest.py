@@ -134,7 +134,9 @@ def random_cluster(rng: random.Random, max_machines: int = 3) -> list[MachineDes
 def engine_cases(draw):
     """(spec, machines, input_count, seed, topology, injections): a random
     DAG (up to 12 definitions, scatter mixed), a random cluster and a random
-    fault script, drawn so that every engine rule can fire.  Disk requests
+    fault script, drawn so that every engine rule can fire.  Task faults
+    aim at a pool of one or two instances, about half armed from t=0, so
+    that faults stacked on one instance are common.  Disk requests
     of 0-24 GiB meet machine disks of 25-60 GiB, so disk binds; some
     timeouts cut a task short; some requests exceed every machine and some
     scripts kill every machine, so stuck runs are drawn too."""
@@ -171,15 +173,18 @@ def engine_cases(draw):
     task_ids = [
         f"pw/{t.name}/{k}" for t in tasks for k in range(input_count if t.scatter else 1)
     ]
+    targets = draw(st.lists(st.sampled_from(task_ids), min_size=1, max_size=2, unique=True))
     injections = []
     for _ in range(draw(st.integers(0, 4))):
         # one draw in four kills a machine, so most runs do not strand
         kind = draw(st.sampled_from(list(InjectionKind) + [InjectionKind.TASK_OOM]))
         if kind is InjectionKind.MACHINE_UNHEALTHY:
             target = draw(st.sampled_from([m.machine_id for m in machines]))
+            at_ms = draw(st.integers(0, 20000))
         else:
-            target = draw(st.sampled_from(task_ids))
-        injections.append(FaultInjection(kind, target, at_ms=draw(st.integers(0, 20000))))
+            target = draw(st.sampled_from(targets))
+            at_ms = draw(st.one_of(st.just(0), st.integers(0, 20000)))
+        injections.append(FaultInjection(kind, target, at_ms=at_ms))
     seed = draw(st.integers(0, 2**16))
     return spec, machines, input_count, seed, draw(st.sampled_from(list(TopologyMode))), injections
 

@@ -194,11 +194,15 @@ def reference_synthesize_metrics(model, memory_request_bytes, rng):
 
 def reference_scaled_record(instance, drawn, shared, rss_bytes, end_ms, status, exit_code):
     """The trace record of a started ``instance`` that ends at ``end_ms``:
-    every cumulative counter scaled by the completed share of its drawn
-    runtime."""
+    its counters as drawn if it ran its drawn runtime, and if it was cut
+    short, each scaled by the share of that runtime it ran."""
     cpu_pct, _, rchar_bytes, wchar_bytes = shared
     duration = end_ms - instance.start_ms
-    ratio = min(1.0, duration / drawn.runtime_ms) if drawn.runtime_ms else 1.0
+    ratio = duration / drawn.runtime_ms
+
+    def counter(value):
+        return int(value * ratio) if duration < drawn.runtime_ms else value
+
     return TaskTraceRecord(
         task_id=instance.task_id,
         status=status,
@@ -209,13 +213,13 @@ def reference_scaled_record(instance, drawn, shared, rss_bytes, end_ms, status, 
         duration_ms=duration,
         cpu_pct=cpu_pct,
         rss_bytes=rss_bytes,
-        rchar_bytes=int(rchar_bytes * ratio),
-        wchar_bytes=int(wchar_bytes * ratio),
-        syscall_read_count=int(drawn.syscall_read_count * ratio),
-        syscall_write_count=int(drawn.syscall_write_count * ratio),
-        cpu_wait_ms=int(drawn.cpu_wait_ms * ratio),
-        page_cache_hits=int(drawn.page_cache_hits * ratio),
-        page_cache_misses=int(drawn.page_cache_misses * ratio),
+        rchar_bytes=counter(rchar_bytes),
+        wchar_bytes=counter(wchar_bytes),
+        syscall_read_count=counter(drawn.syscall_read_count),
+        syscall_write_count=counter(drawn.syscall_write_count),
+        cpu_wait_ms=counter(drawn.cpu_wait_ms),
+        page_cache_hits=counter(drawn.page_cache_hits),
+        page_cache_misses=counter(drawn.page_cache_misses),
     )
 
 

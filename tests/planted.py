@@ -61,6 +61,7 @@ GOLDEN_ANSWER = "tests/test_golden_service.py::test_responses_equal_the_referenc
 SEGMENTED = "tests/test_resman.py::test_segmented_queue_matches_oracle_across_passes"
 CRITERION_6 = "tests/test_acceptance.py::test_criterion_06_capacity_safety_against_oracle"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_dependency_order_and_poisoning"
+SCALED = "tests/test_sim.py::test_trace_records_match_the_scaled_formula"
 
 FAULTS = [
     # -- What a run does: the engine against oracles.reference_run --
@@ -160,8 +161,8 @@ FAULTS = [
     ),
     Fault(
         "src/stratus/sim.py",
-        "metrics.failure_draw < row.model.failure_probability",
-        "metrics.failure_draw > row.model.failure_probability",
+        "failure_draw < plan.failure_probability",
+        "failure_draw > plan.failure_probability",
         "an instance fails on its own when its failure draw is below the model's probability",
         (ENGINE,),
     ),
@@ -188,10 +189,17 @@ FAULTS = [
     ),
     Fault(
         "src/stratus/sim.py",
-        "ratio = min(1.0, duration / planned) if planned else 1.0",
-        "ratio = min(1.0, duration / (planned + 1)) if planned else 1.0",
+        "ratio = duration / planned",
+        "ratio = duration / (planned + 1)",
         "a record cut short scales its counters by the share of its drawn runtime that it ran",
-        (ENGINE, PINNED, "tests/test_sim.py::test_trace_records_match_the_scaled_formula"),
+        (ENGINE, PINNED, SCALED),
+    ),
+    Fault(
+        "src/stratus/sim.py",
+        "    if duration == planned:",
+        "    if duration < 0:",
+        "a record that ran its whole drawn runtime keeps its counters as drawn",
+        ("tests/test_sim.py::test_a_full_run_keeps_its_drawn_counters", SCALED),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -209,6 +217,13 @@ FAULTS = [
         "        for task_id in reversed(self.rm.running_on(machine_id)):",
         "a machine fault ends the instances running on it in task-id order",
         (ENGINE, PINNED),
+    ),
+    Fault(
+        "src/stratus/sim.py",
+        "        self._engine_thread = threading.get_ident()",
+        "        self._engine_thread = None",
+        "while a run is live, a fault from any thread but its own is refused",
+        ("tests/test_sim.py::test_a_live_run_refuses_a_fault_from_another_thread",),
     ),
     Fault(
         "src/stratus/sim.py",

@@ -21,6 +21,7 @@ from oracles import (
     assert_equals_reference,
     oracle_first_fit,
     oracle_permitted,
+    reference_denial,
     reference_run,
 )
 from stratus.blueprint import (
@@ -67,15 +68,8 @@ EXPECTED_SCORES = {
 }
 
 
-def oracle_allowed(feature_name: str, layer: LayerId, topology: TopologyMode) -> bool:
-    permitted = oracle_permitted(feature_name)
-    if (
-        topology is TopologyMode.DISJOINT
-        and feature_name in WORKFLOW_OWNED
-        and layer is LayerId.RESOURCE_MANAGER
-    ):
-        return False
-    return layer in permitted
+# the paper's grid, by feature name, as reference_denial reads it
+GRID = {name: oracle_permitted(name) for name in ORACLE_ROWS}
 
 
 def test_criterion_01_access_matrix_conformance(acceptance, capsys):
@@ -86,8 +80,8 @@ def test_criterion_01_access_matrix_conformance(acceptance, capsys):
             checked = 0
             for feature in ALL_FEATURES:
                 for layer in ALL_LAYERS:
-                    assert access_allowed(matrix, layer, feature, topology) == oracle_allowed(
-                        feature.value, layer, topology
+                    assert access_allowed(matrix, layer, feature, topology) == (
+                        reference_denial(GRID, layer, feature.value, topology) is None
                     ), (feature, layer, topology)
                     checked += 1
             assert checked == 92
@@ -106,8 +100,8 @@ def test_criterion_01_access_matrix_conformance(acceptance, capsys):
                 name, marks = tokens[0], tokens[1:]
                 assert len(marks) == len(column_layers)
                 for layer, mark in zip(column_layers, marks):
-                    expected = "x" if oracle_allowed(name, layer, topology) else "·"
-                    assert mark == expected, (name, layer, topology)
+                    allowed = reference_denial(GRID, layer, name, topology) is None
+                    assert mark == ("x" if allowed else "·"), (name, layer, topology)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"matrix conformance took {elapsed:.3f}s"
 

@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import tempfile
+import threading
 from operator import attrgetter
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from conftest import (
     run_simulation,
 )
 from oracles import (
+    Draws,
     assert_equals_reference,
     event_line,
     instance_stream,
@@ -135,15 +137,15 @@ def test_runtime_jitter_stays_within_band():
         high = model.base_runtime_ms * (1 + jitter) + 0.5
         for i in range(1000):
             rng = instance_stream(1234, f"w/{model.model_key}/{i}")
-            metrics = MetricPlan(model, GiB).draw(rng)
-            assert low <= metrics.runtime_ms <= high
-            assert metrics.runtime_ms >= 1
+            runtime_ms = MetricPlan(model, GiB).draw(rng)[0]
+            assert low <= runtime_ms <= high
+            assert runtime_ms >= 1
 
 
 def test_synthesis_is_a_pure_function_of_the_stream():
     model = BUILTIN_MODELS["default"]
     plan = MetricPlan(model, GiB)
-    first = plan.draw(instance_stream(5, "w/x/0"))
+    first = Draws(*plan.draw(instance_stream(5, "w/x/0")))
     second = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
     assert first == second
     assert plan.rss_bytes == int(0.5 * GiB)
@@ -198,7 +200,7 @@ def test_metric_plan_matches_the_reference_formula(model, memory, seed, task_ids
     plan = MetricPlan(model, memory)
     for task_id in task_ids:
         drawn, shared = reference_synthesize_metrics(model, memory, instance_stream(seed, task_id))
-        assert dataclasses.astuple(plan.draw(instance_stream(seed, task_id))) == drawn
+        assert plan.draw(instance_stream(seed, task_id)) == drawn
         assert _SHARED(plan) == shared
 
 
@@ -206,46 +208,39 @@ def test_metric_plan_covers_a_model_without_io():
     # no built-in model reaches this branch: read share 0.5, zero pages
     model = TaskModel("noio", 1000, 100, 50, 0.5, 0, 0, 1000.0, 0.1, 0.0)
     plan = MetricPlan(model, GiB)
-    metrics = plan.draw(instance_stream(3, "w/noio/0"))
+    metrics = Draws(*plan.draw(instance_stream(3, "w/noio/0")))
     drawn, shared = reference_synthesize_metrics(model, GiB, instance_stream(3, "w/noio/0"))
-    assert (dataclasses.astuple(metrics), _SHARED(plan)) == (drawn, shared)
+    assert (metrics, _SHARED(plan)) == (drawn, shared)
     assert metrics.page_cache_hits == metrics.page_cache_misses == 0
     assert metrics.syscall_read_count == int(metrics.runtime_ms * 0.5)
 
 
-# the drawn counters a trace record scales; the plan's read and write bytes
-# are scaled too
-_SCALED = attrgetter(
-    "syscall_read_count", "syscall_write_count", "cpu_wait_ms", "page_cache_hits",
-    "page_cache_misses",
-)
-
-
 def running_execution(
-    task_id, model, memory, submit_ms, start_ms, metrics, exit_code, rss_bytes=None
+    task_id, model, memory, submit_ms, start_ms, drawn, exit_code, rss_bytes=None
 ):
     """The engine's book-keeping for instance ``task_id`` (workflow/name/index)
-    of a definition of ``model`` and ``memory`` bytes, started on m1, with
-    the plan's footprint unless ``rss_bytes`` is given."""
+    of a definition of ``model`` and ``memory`` bytes, started on m1 with
+    the ``drawn`` values of ``MetricPlan.draw``, with the plan's footprint
+    unless ``rss_bytes`` is given."""
     name = task_id.split("/")[1]
     instance = TaskInstance(task_id, name, TaskState.RUNNING, "m1", submit_ms, start_ms)
     definition = TaskDefinition(name, False, make_request(mem=memory), model.model_key)
     plan = MetricPlan(model, memory)
-    row = _Row(definition, model, plan, [instance], 0, 1)
+    row = _Row(definition, plan, [instance], 0, 1)
     footprint = plan.rss_bytes if rss_bytes is None else rss_bytes
-    return _Execution(instance, row, metrics, exit_code, footprint)
+    # the failure draw, last, is spent when an instance starts
+    return _Execution(instance, row, exit_code, footprint, *drawn[:6])
 
 
 @st.composite
 def finished_executions(draw):
-    """(execution, end_ms, exit_code) of one instance that ran its full
-    runtime, failed at it, was OOM-killed, timed out or lost its machine,
-    as the engine finishes each."""
+    """(execution, drawn, end_ms, exit_code) of one instance that ran its
+    full runtime, failed at it, was OOM-killed, timed out or lost its
+    machine, as the engine finishes each, and the values it drew."""
     model = draw(task_models())
     memory = draw(st.integers(min_value=1, max_value=2**45))
-    plan = MetricPlan(model, memory)
-    metrics = plan.draw(instance_stream(draw(st.integers()), "w/a/0"))
-    runtime = metrics.runtime_ms
+    drawn = Draws(*MetricPlan(model, memory).draw(instance_stream(draw(st.integers()), "w/a/0")))
+    runtime = drawn.runtime_ms
     start = draw(st.integers(min_value=0, max_value=10**9))
     ending = draw(st.sampled_from(["succeeded", "failed", "oom", "timeout", "machine_kill"]))
     duration, exit_code, rss_bytes = runtime, 0, None
@@ -259,36 +254,35 @@ def finished_executions(draw):
         duration, exit_code = draw(st.integers(0, runtime)), EXIT_MACHINE_KILL
     submit = draw(st.integers(0, start))
     execution = running_execution(
-        "w/a/0", model, memory, submit, start, metrics, exit_code, rss_bytes
+        "w/a/0", model, memory, submit, start, drawn, exit_code, rss_bytes
     )
-    return execution, start + duration, exit_code
+    return execution, drawn, start + duration, exit_code
 
 
 @settings(max_examples=500, deadline=None)
 @given(finished_executions())
 def test_trace_records_match_the_scaled_formula(case):
-    execution, end_ms, exit_code = case
+    execution, drawn, end_ms, exit_code = case
     status = "succeeded" if exit_code == 0 else "failed"
     record = _scaled_record(execution, end_ms, status, exit_code)
-    plan = execution.row.plan
     assert record == reference_scaled_record(
-        execution.instance, execution.metrics, _SHARED(plan), execution.rss_bytes, end_ms, status,
-        exit_code,
+        execution.instance, drawn, _SHARED(execution.row.plan), execution.rss_bytes, end_ms,
+        status, exit_code,
     )
-    if plan.full_runtime_exact:
-        assert max(plan.rchar_bytes, plan.wchar_bytes, *_SCALED(execution.metrics)) <= 2**53
 
 
-@pytest.mark.parametrize("io_bytes, exact", [(2**53, True), (2**53 + 1, False)])
-def test_a_plan_over_the_float_bound_scales_its_counters(io_bytes, exact):
+@pytest.mark.parametrize("io_bytes", [2**53, 2**53 + 1])
+def test_a_full_run_keeps_its_drawn_counters(io_bytes):
+    # 2**53 + 1 is the first integer a float cannot hold: int(x * 1.0) would
+    # round it to 2**53
     model = TaskModel("big", 1000, 0, 100, 0.5, io_bytes, 0, 0.0, 0.0, 0.0)
-    plan = MetricPlan(model, GiB)
-    assert plan.full_runtime_exact is exact
-    metrics = plan.draw(instance_stream(1, "w/big/0"))
-    execution = running_execution("w/big/0", model, GiB, 0, 0, metrics, 0)
+    drawn = MetricPlan(model, GiB).draw(instance_stream(1, "w/big/0"))
+    execution = running_execution("w/big/0", model, GiB, 0, 0, drawn, 0)
     record = _scaled_record(execution, 1000, "succeeded", 0)
-    # int(2**53 + 1 * 1.0) is 2**53: only the scaled path reproduces that
-    assert record.rchar_bytes == 2**53
+    assert record.rchar_bytes == io_bytes
+    # one cut short to half its runtime scales it by 0.5
+    cut = _scaled_record(execution, 500, "failed", EXIT_MACHINE_KILL)
+    assert cut.rchar_bytes == int(io_bytes * 0.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -561,8 +555,8 @@ def test_spontaneous_failure_follows_the_drawn_probability():
     failures = 0
     for record in result.trace_records:
         rng = instance_stream(5, record.task_id)
-        metrics = MetricPlan(BUILTIN_MODELS["flaky"], GiB).draw(rng)
-        should_fail = metrics.failure_draw < BUILTIN_MODELS["flaky"].failure_probability
+        failure_draw = MetricPlan(BUILTIN_MODELS["flaky"], GiB).draw(rng)[-1]
+        should_fail = failure_draw < BUILTIN_MODELS["flaky"].failure_probability
         assert (record.status == "failed") == should_fail
         failures += should_fail
     assert failures > 0
@@ -702,6 +696,43 @@ def test_machine_fault_injected_mid_run_fires_at_its_time():
             assert e.t_ms < injection.at_ms
 
 
+def test_a_live_run_refuses_a_fault_from_another_thread():
+    """The engine takes no lock, so while a run is live only its own thread
+    may inject: a helper thread's fault is refused and changes nothing.
+    Before the run starts, any thread may arm one."""
+    spec, machines, fs_total = fig1_setup()
+    simulation = Simulation(spec, machines, fs_total, 4, 42, run_id="r", submission_ms=0)
+    outcomes = []
+
+    def inject_from_a_helper(fault):
+        def helper():
+            try:
+                simulation.inject(fault)
+            except SimulationError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append("armed")
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        thread.join()
+
+    inject_from_a_helper(FaultInjection(InjectionKind.TASK_NON_ZERO_EXIT, "wf1/II/3"))
+
+    def inject_mid_run(event):
+        if len(outcomes) == 1 and event.t_ms > 0:
+            inject_from_a_helper(
+                FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=event.t_ms + 1)
+            )
+
+    simulation.event_listeners.append(inject_mid_run)
+    result = simulation.run_to_completion()
+    assert outcomes == ["armed", "run r is live on another thread; inject from that thread"]
+    assert result.trace_by_id["wf1/II/3"].exit_code == EXIT_TASK_ERROR
+    assert not any(e.kind == "machine_status" for e in result.event_records)
+    assert simulation._pending_machine_events == 0
+
+
 # --- stuck runs ---
 
 
@@ -797,6 +828,7 @@ def test_parse_scenario_error_cases():
         "input_count 0",
         "seed x",
         "topology sideways",
+        "inject TaskOOM x",
         "inject TaskOOM x at=abc",
         "inject TaskOOM x at=-5",
         "inject TaskOOM x on_run=0",
@@ -855,7 +887,8 @@ def test_instance_groups_are_the_runs_definition_runs(spec, input_count):
     for position, (name, group) in enumerate(expected.items()):
         row = rows[name]
         assert (row.definition, row.position) == (spec.definition(name), position)
-        assert row.model is BUILTIN_MODELS[row.definition.runtime_model]
+        model = BUILTIN_MODELS[row.definition.runtime_model]
+        assert row.plan.failure_probability == model.failure_probability
         # the engine mutates the run's own instances through its rows
         assert list(map(id, row.instances)) == list(map(id, group))
 

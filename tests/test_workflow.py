@@ -403,6 +403,7 @@ def test_instance_happy_path_and_duration():
     inst = make_instance()
     inst.mark_queued(5)
     inst.mark_running(10, "m1")
+    assert inst.duration_ms is None  # running: no end yet
     inst.mark_finished(40, TaskState.SUCCEEDED)
     assert inst.duration_ms == 30
     assert inst.machine == "m1"
