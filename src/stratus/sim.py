@@ -133,6 +133,7 @@ from .machine import (
     MachineRegistry,
     MachineSample,
     MachineStatus,
+    parse_cluster,
 )
 from .resman import ResourceManager
 from .taskmon import (
@@ -159,6 +160,7 @@ from .workflow import (
     WorkflowStatusReport,
     execution_report,
     expand_instances,
+    parse_workflow,
     # ready_tasks and workflow_status are not called here; they stay
     # importable as stratus.sim.* because the benchmark's tracer wraps them
     # by that name
@@ -241,8 +243,8 @@ class TaskModel:
                 raise SimulationError(f"{self.model_key}: {name} must be in [0, 1]")
 
 
-BUILTIN_MODELS: dict[str, TaskModel] = {
-    "default": TaskModel(
+BUILTIN_MODELS: dict[str, TaskModel] = {model.model_key: model for model in (
+    TaskModel(
         model_key="default",
         base_runtime_ms=3000,
         runtime_jitter_pct=10,
@@ -254,7 +256,7 @@ BUILTIN_MODELS: dict[str, TaskModel] = {
         cpu_wait_fraction=0.05,
         failure_probability=0.0,
     ),
-    "quick": TaskModel(
+    TaskModel(
         model_key="quick",
         base_runtime_ms=1200,
         runtime_jitter_pct=10,
@@ -266,7 +268,7 @@ BUILTIN_MODELS: dict[str, TaskModel] = {
         cpu_wait_fraction=0.03,
         failure_probability=0.0,
     ),
-    "cpu_heavy": TaskModel(
+    TaskModel(
         model_key="cpu_heavy",
         base_runtime_ms=5000,
         runtime_jitter_pct=15,
@@ -278,7 +280,7 @@ BUILTIN_MODELS: dict[str, TaskModel] = {
         cpu_wait_fraction=0.10,
         failure_probability=0.0,
     ),
-    "io_heavy": TaskModel(
+    TaskModel(
         model_key="io_heavy",
         base_runtime_ms=4000,
         runtime_jitter_pct=15,
@@ -290,7 +292,7 @@ BUILTIN_MODELS: dict[str, TaskModel] = {
         cpu_wait_fraction=0.08,
         failure_probability=0.0,
     ),
-    "flaky": TaskModel(
+    TaskModel(
         model_key="flaky",
         base_runtime_ms=2500,
         runtime_jitter_pct=10,
@@ -302,7 +304,7 @@ BUILTIN_MODELS: dict[str, TaskModel] = {
         cpu_wait_fraction=0.05,
         failure_probability=0.15,
     ),
-}
+)}
 
 
 @dataclass(slots=True)
@@ -990,52 +992,46 @@ def parse_scenario(text: str, base_dir: "Path | str" = ".") -> ScenarioSpec:
     parameters, and scripted faults.  Relative paths resolve against
     base_dir."""
     base = Path(base_dir)
-    workflow_path = None
-    cluster_path = None
     settings = {}  # the fields the file sets; ScenarioSpec defaults the rest
     injections = []
     first_lines: dict[str, int] = {}
     for lineno, line in directive_lines(text):
-        parts = line.split()
-        if parts[0] in _SCENARIO_SETTINGS and len(parts) == 2:
-            set_once(first_lines, parts[0], lineno, ScenarioSyntaxError)
-        if parts[0] == "workflow" and len(parts) == 2:
-            workflow_path = base / parts[1]
-        elif parts[0] == "cluster" and len(parts) == 2:
-            cluster_path = base / parts[1]
-        elif parts[0] == "input_count" and len(parts) == 2:
-            input_count = line_int(parts[1], lineno, "input_count", ScenarioSyntaxError)
-            if input_count <= 0:
-                raise ScenarioSyntaxError(lineno, f"input_count must be positive, got {input_count}")
-            settings["input_count"] = input_count
-        elif parts[0] == "seed" and len(parts) == 2:
-            settings["seed"] = line_int(parts[1], lineno, "seed", ScenarioSyntaxError)
-        elif parts[0] == "topology" and len(parts) == 2:
-            try:
-                settings["topology"] = TopologyMode.from_wire(parts[1])
-            except BlueprintError as exc:
-                raise ScenarioSyntaxError(lineno, str(exc)) from None
-        elif parts[0] == "inject":
-            if len(parts) != 4:
+        directive, *args = line.split()
+        if directive in _SCENARIO_SETTINGS and len(args) == 1:
+            set_once(first_lines, directive, lineno, ScenarioSyntaxError)
+            if directive in ("workflow", "cluster"):
+                settings[f"{directive}_path"] = base / args[0]
+            elif directive == "topology":
+                try:
+                    settings["topology"] = TopologyMode.from_wire(args[0])
+                except BlueprintError as exc:
+                    raise ScenarioSyntaxError(lineno, str(exc)) from None
+            else:
+                value = line_int(args[0], lineno, directive, ScenarioSyntaxError)
+                if directive == "input_count" and value <= 0:
+                    raise ScenarioSyntaxError(lineno, f"input_count must be positive, got {value}")
+                settings[directive] = value
+        elif directive == "inject":
+            if len(args) != 3:
                 raise ScenarioSyntaxError(lineno, "expected 'inject <kind> <target> at=<ms>'")
+            kind, target, at = args
             try:
-                kind = InjectionKind(parts[1])
+                kind = InjectionKind(kind)
             except ValueError:
-                raise ScenarioSyntaxError(lineno, f"unknown injection kind {parts[1]!r}") from None
-            if not parts[3].startswith("at="):
-                raise ScenarioSyntaxError(lineno, f"expected at=<ms>, got {parts[3]!r}")
-            at_ms = line_int(parts[3][len("at="):], lineno, "at", ScenarioSyntaxError)
+                raise ScenarioSyntaxError(lineno, f"unknown injection kind {kind!r}") from None
+            if not at.startswith("at="):
+                raise ScenarioSyntaxError(lineno, f"expected at=<ms>, got {at!r}")
+            at_ms = line_int(at[len("at="):], lineno, "at", ScenarioSyntaxError)
             try:
-                injections.append(FaultInjection(kind=kind, target=parts[2], at_ms=at_ms))
+                injections.append(FaultInjection(kind=kind, target=target, at_ms=at_ms))
             except SimulationError as exc:
                 raise ScenarioSyntaxError(lineno, str(exc)) from None
         else:
             raise ScenarioSyntaxError(lineno, f"bad directive: {line!r}")
-    if workflow_path is None:
-        raise SimulationError("scenario missing 'workflow' line")
-    if cluster_path is None:
-        raise SimulationError("scenario missing 'cluster' line")
-    return ScenarioSpec(workflow_path, cluster_path, injections=tuple(injections), **settings)
+    for directive in ("workflow", "cluster"):
+        if directive not in first_lines:
+            raise SimulationError(f"scenario missing {directive!r} line")
+    return ScenarioSpec(injections=tuple(injections), **settings)
 
 
 def parse_file(parse, path: "Path | str", **kwargs):
@@ -1055,9 +1051,6 @@ def load_scenario(path: "Path | str") -> ScenarioSpec:
 def scenario_simulation(scenario: ScenarioSpec, **kwargs) -> Simulation:
     """The scenario's run with its faults armed, ready for
     ``run_to_completion``; ``kwargs`` go to ``Simulation``."""
-    from .machine import parse_cluster
-    from .workflow import parse_workflow
-
     workflow_path = scenario.workflow_path
     spec = parse_file(parse_workflow, workflow_path, default_workflow_id=workflow_path.stem)
     machines, fs_total = parse_file(parse_cluster, scenario.cluster_path)

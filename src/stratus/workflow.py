@@ -23,7 +23,12 @@ from .textfmt import (
 
 
 class WorkflowError(Exception):
-    """Base class for workflow definition and lifecycle errors."""
+    """Base class for workflow definition and lifecycle errors.  A spec's
+    refusal of one of its entries names that entry in ``key``: ``"workflow"``
+    for its id, ``("task", i)`` for its i-th definition, ``("edge", i)`` for
+    its i-th edge; a refusal of the whole spec leaves it None."""
+
+    key: "str | tuple[str, int] | None" = None
 
 
 class WorkflowSyntaxError(LineError, WorkflowError):
@@ -31,21 +36,24 @@ class WorkflowSyntaxError(LineError, WorkflowError):
 
 
 class DuplicateTaskError(WorkflowError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, key=None):
         super().__init__(f"duplicate task name: {name!r}")
         self.task_name = name
+        self.key = key
 
 
 class InvalidNameError(WorkflowError):
-    def __init__(self, name: str, rule: str):
+    def __init__(self, name: str, rule: str, key=None):
         super().__init__(f"name must {rule}: {name!r}")
         self.name = name
+        self.key = key
 
 
 class UnknownTaskError(WorkflowError):
-    def __init__(self, task_id: str):
+    def __init__(self, task_id: str, key=None):
         super().__init__(f"unknown task: {task_id!r}")
         self.task_id = task_id
+        self.key = key
 
 
 class CycleError(WorkflowError):
@@ -137,18 +145,22 @@ class WorkflowSpec:
         if not self.tasks:
             raise WorkflowError("no tasks")
         names = self.task_names()
-        for name in (self.workflow_id, *names):
+        keyed = {"workflow": self.workflow_id, **{("task", i): n for i, n in enumerate(names)}}
+        for key, name in keyed.items():
             # the event log and the trace file are tab-separated lines
             if not one_field_line(name):
-                raise InvalidNameError(name, "be one line without tabs")
+                raise InvalidNameError(name, "be one line without tabs", key)
             # DOT reads a quoted id's trailing backslash as escaping its closing quote
             if name.endswith("\\"):
-                raise InvalidNameError(name, "not end in a backslash")
+                raise InvalidNameError(name, "not end in a backslash", key)
         if len(self._by_name) < len(names):
-            raise DuplicateTaskError(next(n for i, n in enumerate(names) if n in names[:i]))
-        for name in (name for edge in self.edges for name in edge):
-            if name not in self._by_name:
-                raise UnknownTaskError(name)
+            # the first name to repeat, at its second definition
+            i = next(i for i, n in enumerate(names) if n in names[:i])
+            raise DuplicateTaskError(names[i], ("task", i))
+        for i, edge in enumerate(self.edges):
+            for name in edge:
+                if name not in self._by_name:
+                    raise UnknownTaskError(name, ("edge", i))
         preds, succs = self.adjacency
         # Kahn's pass: a definition is done once all its predecessors are done
         waiting = {name: len(preds.get(name, ())) for name in self._by_name}
@@ -377,23 +389,22 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
     Lines: an optional ``workflow <id>`` header, at most once, ``task <name> scatter=<bool>
     cpus=<n> mem=<bytes> disk=<bytes> timeout=<ms> model=<key>``, and
     ``edge <from> -> <to>``.  Blank lines and ``#`` comments are ignored.
-    The spec checks its own structure; the parser only says which line broke
-    a rule: an invalid or duplicate name or a dangling edge raises a
-    ``WorkflowSyntaxError`` at the line that introduced it, with the spec's
-    own error as its ``__cause__``.
+    The spec checks its own structure and names the entry it refuses in
+    ``key``; the parser raises a ``WorkflowSyntaxError`` at the line that
+    gave that entry, with the spec's own error as its ``__cause__``.  A
+    refusal that no line gave (no tasks, a cycle, an invalid default id)
+    passes through unchanged.
     """
     workflow_id = default_workflow_id
-    first_lines: dict[str, int] = {}
     tasks: list[TaskDefinition] = []
-    task_lines: list[int] = []
     edges: list[tuple[str, str]] = []
-    edge_lines: list[int] = []
+    lines: dict = {}  # entry key, as the spec names it -> the line that gave it
     for lineno, line in directive_lines(text):
         parts = line.split()
         if parts[0] == "workflow":
             if len(parts) != 2:
                 raise WorkflowSyntaxError(lineno, "expected 'workflow <id>'")
-            set_once(first_lines, "workflow", lineno, WorkflowSyntaxError)
+            set_once(lines, "workflow", lineno, WorkflowSyntaxError)
             workflow_id = parts[1]
         elif parts[0] == "task":
             if len(parts) != 8:
@@ -412,6 +423,7 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
                 raise WorkflowSyntaxError(lineno, str(exc)) from None
             if kv["scatter"] not in ("true", "false"):
                 raise WorkflowSyntaxError(lineno, f"expected true or false, got {kv['scatter']!r}")
+            lines["task", len(tasks)] = lineno
             tasks.append(
                 TaskDefinition(
                     name=parts[1],
@@ -420,34 +432,19 @@ def parse_workflow(text: str, default_workflow_id: str = "workflow") -> Workflow
                     runtime_model=kv["model"],
                 )
             )
-            task_lines.append(lineno)
         elif parts[0] == "edge":
             if len(parts) != 4 or parts[2] != "->":
                 raise WorkflowSyntaxError(lineno, "expected 'edge <from> -> <to>'")
+            lines["edge", len(edges)] = lineno
             edges.append((parts[1], parts[3]))
-            edge_lines.append(lineno)
         else:
             raise WorkflowSyntaxError(lineno, f"unknown directive {parts[0]!r}")
     try:
         return WorkflowSpec(workflow_id=workflow_id, tasks=tuple(tasks), edges=tuple(edges))
-    except InvalidNameError as exc:
-        # the workflow id is checked first; a default id has no line
-        if exc.name != workflow_id:
-            line = task_lines[[t.name for t in tasks].index(exc.name)]
-        elif "workflow" in first_lines:
-            line = first_lines["workflow"]
-        else:
+    except WorkflowError as exc:
+        if exc.key not in lines:
             raise
-        raise WorkflowSyntaxError(line, str(exc)) from exc
-    except DuplicateTaskError as exc:
-        # the spec reports the first name to repeat, at its second definition
-        line = [line for t, line in zip(tasks, task_lines) if t.name == exc.task_name][1]
-        raise WorkflowSyntaxError(line, str(exc)) from exc
-    except UnknownTaskError as exc:
-        # the spec checks the edges in order, so the first edge naming the
-        # unknown task is the first dangling one
-        line = next(line for edge, line in zip(edges, edge_lines) if exc.task_id in edge)
-        raise WorkflowSyntaxError(line, str(exc)) from exc
+        raise WorkflowSyntaxError(lines[exc.key], str(exc)) from exc
 
 
 def expand_instances(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]:

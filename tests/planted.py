@@ -1,7 +1,8 @@
 """Planted faults: what the suite must catch, one fault at a time.
 
 Each fault replaces one exact source snippet of one file, and so breaks one
-rule that README states ("What a run does", "Query service", "Tests").  Most
+rule that README states ("What a run does", "File formats", "Query service",
+"Tests").  Most
 are caught by comparing the engine with ``oracles.reference_run`` or the
 query service with ``oracles.reference_answer``; this list shows what those
 two references catch, and names the other tests where they cannot catch a
@@ -62,6 +63,9 @@ SEGMENTED = "tests/test_resman.py::test_segmented_queue_matches_oracle_across_pa
 CRITERION_6 = "tests/test_acceptance.py::test_criterion_06_capacity_safety_against_oracle"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_dependency_order_and_poisoning"
 SCALED = "tests/test_sim.py::test_trace_records_match_the_scaled_formula"
+FUZZ = "tests/test_parser_fuzz.py::"
+WORKFLOW_LINE = FUZZ + "test_a_workflow_refusal_is_reported_at_exactly_the_line_that_gave_the_entry"
+MATRIX_ROW = FUZZ + "test_a_matrix_refusal_is_reported_at_the_last_row_that_set_the_entry"
 
 FAULTS = [
     # -- What a run does: the engine against oracles.reference_run --
@@ -280,6 +284,83 @@ FAULTS = [
         "finished=sum(1 for i in run.instances if i.state.terminal)",
         "workflow_status: finished counts the succeeded instances",
         (ENGINE,),
+    ),
+    # -- File formats: the parsers' own tests --
+    Fault(
+        "src/stratus/textfmt.py",
+        "    first = first_lines.setdefault(directive, line)",
+        "    first = first_lines[directive] = line",
+        "a directive that sets one value of its file may appear once, not override silently",
+        (FUZZ + "test_a_repeated_setting_is_refused_at_its_second_line",),
+    ),
+    Fault(
+        "src/stratus/workflow.py",
+        "            i = next(i for i, n in enumerate(names) if n in names[:i])",
+        "            i = names.index(next(n for i, n in enumerate(names) if n in names[:i]))",
+        "a duplicate task is refused at its second task line",
+        ("tests/test_workflow.py::test_parse_rejects_duplicate_task", WORKFLOW_LINE,
+         FUZZ + "test_a_line_that_breaks_a_rule_is_the_formats_line_error"),
+    ),
+    Fault(
+        "src/stratus/workflow.py",
+        '                    raise UnknownTaskError(name, ("edge", i))',
+        '                    raise UnknownTaskError(name, ("edge", len(self.edges) - 1))',
+        "a dangling edge is refused at the first edge that names the unknown task",
+        ("tests/test_workflow.py::test_parse_gives_the_first_dangling_edge_its_line",
+         WORKFLOW_LINE),
+    ),
+    Fault(
+        "src/stratus/workflow.py",
+        '        keyed = {"workflow": self.workflow_id,',
+        '        keyed = {None: self.workflow_id,',
+        "an invalid workflow id is refused at the header line that gave it",
+        ("tests/test_workflow.py::test_parse_gives_an_invalid_name_its_line", WORKFLOW_LINE),
+    ),
+    Fault(
+        "src/stratus/blueprint.py",
+        "            rows[feature.value] = lineno",
+        "            rows.setdefault(feature.value, lineno)",
+        "a matrix refusal is reported at the last row that set the entry",
+        ("tests/test_blueprint.py::test_parse_overrides_names_the_row_that_breaks_a_rule",
+         MATRIX_ROW),
+    ),
+    Fault(
+        "src/stratus/sim.py",
+        '    for directive in ("workflow", "cluster"):',
+        '    for directive in ("workflow",):',
+        "a scenario without its workflow or cluster line is a whole-file error",
+        (FUZZ + "test_a_scenario_without_its_workflow_or_cluster_line_is_a_whole_file_error",),
+    ),
+    Fault(
+        "src/stratus/textfmt.py",
+        "        if str(value) != text:",
+        '        if str(value) != text.removeprefix("+"):',
+        "the event log and the trace file take only the integer spelling str() writes",
+        (FUZZ + "test_event_log_and_trace_accept_only_the_integers_their_writers_emit",
+         FUZZ + "test_an_event_log_line_is_accepted_iff_it_re_renders_to_its_own_bytes",
+         FUZZ + "test_a_trace_line_is_accepted_iff_it_re_renders_to_its_own_bytes"),
+    ),
+    Fault(
+        "src/stratus/textfmt.py",
+        '    if text[:1] in ("+", "-") and text[1:].isdigit() and text.isascii():',
+        '    if text[:1] == "-" and text[1:].isdigit() and text.isascii():',
+        "the workflow, cluster and scenario formats take an optional sign",
+        (FUZZ + "test_input_formats_accept_a_sign_and_leading_zeros",),
+    ),
+    Fault(
+        "src/stratus/textfmt.py",
+        "    if text.isdigit() and text.isascii():",
+        "    if text.isdigit():",
+        "an integer field of an input format is ASCII digits only",
+        (FUZZ + "test_input_formats_accept_only_ascii_integers",),
+    ),
+    Fault(
+        "src/stratus/textfmt.py",
+        '    return name.strip().lower() if name.isascii() else ""',
+        "    return name.strip().casefold()",
+        "a wire name matches in any ASCII case, and a non-ASCII name is not folded",
+        (FUZZ + "test_a_wire_name_is_accepted_iff_it_is_ascii_and_folds_to_a_spelling",
+         FUZZ + "test_lookalike_wire_names_are_line_errors_in_the_text_formats"),
     ),
     # -- Query service: the service against oracles.reference_answer --
     Fault(

@@ -3,17 +3,22 @@ cluster, scenario and capability-profile files, of a matrix override file
 and of an engine event log (parsed, and replayed into progress).  Each
 parser may raise only its own module's base error, and every error about
 one line must be that format's ``LineError``, carrying the line as ``.line``
-and reading ``line N: ...``.  Then the shared grammar's fixed points:
+and reading ``line N: ...``.  Then the exact line of a refused workflow entry
+or matrix row over drawn layouts, and the shared grammar's fixed points:
 integer spellings, the ``line N:`` prefix, and wire names."""
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import PROFILE_NAMES
-from oracles import event_line
+from conftest import PROFILE_NAMES, dag_specs
+from oracles import ORACLE_ROWS, event_line, oracle_permitted
 from stratus.blueprint import (
+    ALL_LAYERS,
     BlueprintError,
+    InvalidMatrixError,
     LayerId,
     MatrixFileError,
     ProfileSyntaxError,
@@ -45,7 +50,16 @@ from stratus.taskmon import (
     parse_trace,
 )
 from stratus.textfmt import LineError
-from stratus.workflow import CycleError, WorkflowError, WorkflowSyntaxError, parse_workflow
+from stratus.workflow import (
+    CycleError,
+    DuplicateTaskError,
+    InvalidNameError,
+    UnknownTaskError,
+    WorkflowError,
+    WorkflowSyntaxError,
+    parse_workflow,
+)
+from test_service import override_file, override_rows
 
 # errors about a whole file, which no single line can be blamed for
 WHOLE_FILE_ERRORS = {
@@ -215,6 +229,15 @@ def test_a_repeated_setting_is_refused_at_its_second_line(parse, text, own_error
     assert str(err.value).startswith(f"line {line}: ")
 
 
+@pytest.mark.parametrize("missing", ["workflow", "cluster"])
+def test_a_scenario_without_its_workflow_or_cluster_line_is_a_whole_file_error(missing):
+    text = "".join(line for line in SCENARIO.splitlines(True) if not line.startswith(missing))
+    with pytest.raises(SimulationError) as err:
+        parse_scenario(text)
+    assert not isinstance(err.value, LineError)
+    assert str(err.value) == f"scenario missing {missing!r} line"
+
+
 # (parser, text, own line error, its text): one line of the file breaks a
 # rule, of the format or of the structure the parser builds
 BROKEN_LINES = [
@@ -259,6 +282,105 @@ def test_each_setting_set_once_is_read():
     assert parse_capability_profile("name a\ntask_id\n").name == "a"
     scenario = parse_scenario(SCENARIO)
     assert (scenario.input_count, scenario.seed, scenario.topology) == (3, 1, TopologyMode.DISJOINT)
+
+
+# --- the line of a refused entry ---
+
+
+def task_line(definition) -> str:
+    r = definition.requested
+    return (
+        f"task {definition.name} scatter={str(definition.scatter).lower()} cpus={r.cpu_cores}"
+        f" mem={r.memory_bytes} disk={r.disk_bytes} timeout={r.max_runtime_ms}"
+        f" model={definition.runtime_model}"
+    )
+
+
+@st.composite
+def workflow_layouts(draw):
+    """(text, planted line, spec error): a drawn spec written as a workflow
+    file, its tasks and edges interleaved in a drawn order (each kind keeps
+    its own order) between drawn blank and comment lines, with an optional
+    header, and one refusal planted at a drawn place."""
+    spec = draw(dag_specs())
+    tasks = [task_line(t) for t in spec.tasks]
+    edges = [f"edge {a} -> {b}" for a, b in spec.edges]
+    header = [f"workflow {spec.workflow_id}"] * draw(st.integers(0, 1))
+    fault = draw(st.sampled_from(["duplicate", "dangling", "task name", "header name"]))
+    if fault == "duplicate":
+        # a later copy of a task line; the first definition stays valid
+        i = draw(st.integers(0, len(tasks) - 1))
+        at = draw(st.integers(i + 1, len(tasks)))
+        tasks.insert(at, tasks[i])
+        planted, cause = ("task", at), DuplicateTaskError
+    elif fault == "dangling":
+        known = draw(st.sampled_from(spec.task_names()))
+        at = draw(st.integers(0, len(edges)))
+        dangling = draw(st.sampled_from([f"edge {known} -> ghost", f"edge ghost -> {known}"]))
+        edges.insert(at, dangling)
+        planted, cause = ("edge", at), UnknownTaskError
+    elif fault == "task name":
+        at = draw(st.integers(0, len(tasks) - 1))
+        tasks[at] = task_line(dataclasses.replace(spec.tasks[at], name=spec.tasks[at].name + "\\"))
+        planted, cause = ("task", at), InvalidNameError
+    else:
+        header = [f"workflow {spec.workflow_id}\\"]
+        planted, cause = "workflow", InvalidNameError
+    kinds = draw(st.permutations(["task"] * len(tasks) + ["edge"] * len(edges)))
+    pending = {"task": list(enumerate(tasks)), "edge": list(enumerate(edges))}
+    keyed = []
+    for kind in kinds:
+        i, line = pending[kind].pop(0)
+        keyed.append(((kind, i), line))
+    keyed[draw(st.integers(0, len(keyed))):0] = [("workflow", line) for line in header]
+    lines, planted_line = [], None
+    for key, line in keyed:
+        lines += draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=2))
+        lines.append(line)
+        if key == planted:
+            planted_line = len(lines)
+    return "\n".join(lines) + "\n", planted_line, cause
+
+
+@settings(max_examples=300, deadline=None)
+@given(workflow_layouts())
+def test_a_workflow_refusal_is_reported_at_exactly_the_line_that_gave_the_entry(layout):
+    text, line, cause = layout
+    with pytest.raises(WorkflowSyntaxError) as err:
+        parse_workflow(text)
+    assert err.value.line == line, text
+    assert type(err.value.__cause__) is cause
+    assert str(err.value) == f"line {line}: {err.value.__cause__}"
+
+
+@st.composite
+def hierarchy_breaking_rows(draw, feature_names):
+    """(feature, layers): a standard feature, one of ``feature_names`` when
+    there are any, whose layers leave out its owner or go below it."""
+    names = sorted(feature_names) or sorted(ORACLE_ROWS)
+    name = draw(st.one_of(st.sampled_from(names), st.sampled_from(sorted(ORACLE_ROWS))))
+    owner = min(oracle_permitted(name))
+    return name, draw(st.sets(st.sampled_from([l for l in ALL_LAYERS if l != owner]), min_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(override_rows(), max_size=8), st.data())
+def test_a_matrix_refusal_is_reported_at_the_last_row_that_set_the_entry(rows, data):
+    # repeat some rows, then put a row that breaks a rule at a drawn place,
+    # after which nothing sets its feature again
+    repeats = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    rows = data.draw(st.permutations(rows + repeats))
+    name, layers = data.draw(hierarchy_breaking_rows({key for key, _ in rows} & set(ORACLE_ROWS)))
+    at = data.draw(st.integers(0, len(rows)))
+    rows = rows[:at] + [(name, layers)] + [row for row in rows[at:] if row[0] != name]
+    text = override_file(rows, data.draw)
+    line = [n for n, row in enumerate(text.splitlines(), 1) if row.partition(":")[0] == name][-1]
+    with pytest.raises(MatrixFileError) as err:
+        parse_matrix_overrides(text)
+    assert err.value.line == line, text
+    assert type(err.value.__cause__) is InvalidMatrixError
+    assert err.value.__cause__.key == name
+    assert str(err.value) == f"line {line}: {err.value.__cause__}"
 
 
 # --- integer fields ---
