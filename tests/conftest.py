@@ -5,7 +5,7 @@ session."""
 import ast
 import random
 from contextlib import contextmanager
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 import pytest
@@ -199,6 +199,15 @@ def imports_of(path) -> dict[str, set[str]]:
         elif isinstance(node, ast.Import):
             imported.update((a.name, {"*"}) for a in node.names)
     return imported
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """``import_module`` with the benchmark's folder first on the path, so a
+    test imports a benchmark module by its bare name, as its run script
+    does."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return import_module
 
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}

@@ -248,6 +248,85 @@ def oracle_first_fit(queue, machines, reserved):
     return assignments, leftover
 
 
+class FirstFitDriver:
+    """A resource manager driven side by side with the oracle's state.
+
+    Each enqueue, pass, release, status change and new machine goes to both.
+    A pass must assign what ``oracle_first_fit`` assigns, and after every
+    step the manager must agree with the oracle's state: each machine's
+    reservation equals the oracle's and is within capacity and
+    non-negative, ``running_on`` lists the oracle's running tasks, and
+    ``queue_depth`` and ``infrastructure_status``'s counts match.  ``rm`` is
+    a fresh resource manager whose registry holds ``machines``, all
+    healthy."""
+
+    def __init__(self, rm, machines):
+        self.rm = rm
+        self.capacity = {m.machine_id: m.capacity for m in machines}
+        self.status = {m.machine_id: MachineStatus.HEALTHY for m in machines}
+        self.reserved = {m.machine_id: ResourceVector(0, 0, 0) for m in machines}
+        self.queue = []  # (task id, need) in FIFO order
+        self.running = {}  # task id -> (machine id, need)
+        self.finished = []
+
+    def enqueue(self, task_id, requested) -> None:
+        self.rm.enqueue(task_id, requested)
+        need = ResourceVector(requested.cpu_cores, requested.memory_bytes, requested.disk_bytes)
+        self.queue.append((task_id, need))
+        self.check()
+
+    def schedule(self, t_ms) -> None:
+        machines = [
+            (machine_id, capacity, self.status[machine_id] is MachineStatus.HEALTHY)
+            for machine_id, capacity in sorted(self.capacity.items())
+        ]
+        expected, leftover = oracle_first_fit(self.queue, machines, self.reserved)
+        assert self.rm.schedule(t_ms) == expected
+        needs = dict(self.queue)
+        for task_id, machine_id in expected:
+            self.reserved[machine_id] = self.reserved[machine_id].plus(needs[task_id])
+            self.running[task_id] = (machine_id, needs[task_id])
+        self.queue = [(task_id, needs[task_id]) for task_id in leftover]
+        self.check()
+
+    def release(self, task_id, wchar_bytes=0) -> None:
+        self.rm.release(task_id, wchar_bytes=wchar_bytes)
+        machine_id, need = self.running.pop(task_id)
+        self.reserved[machine_id] = self.reserved[machine_id].minus(need)
+        self.finished.append(task_id)
+        self.check()
+
+    def set_status(self, machine_id, status) -> None:
+        self.rm.registry.set_status(machine_id, status)
+        self.status[machine_id] = status
+        self.check()
+
+    def add_machine(self, descriptor) -> None:
+        self.rm.registry.register_machine(descriptor)
+        self.capacity[descriptor.machine_id] = descriptor.capacity
+        self.status[descriptor.machine_id] = MachineStatus.HEALTHY
+        self.reserved[descriptor.machine_id] = ResourceVector(0, 0, 0)
+        self.check()
+
+    def check(self) -> None:
+        rm = self.rm
+        for machine_id, capacity in self.capacity.items():
+            held = rm.reserved_on(machine_id)
+            assert held == self.reserved[machine_id], machine_id
+            assert held.fits_within(capacity), machine_id
+            assert min(held.cpu_cores, held.memory_bytes, held.disk_bytes) >= 0, machine_id
+            assert rm.running_on(machine_id) == sorted(
+                task_id for task_id, (m, _) in self.running.items() if m == machine_id
+            )
+        assert rm.queue_depth() == len(self.queue)
+        report = rm.infrastructure_status()
+        assert (report.queue_depth, report.running_tasks) == (len(self.queue), len(self.running))
+        assert report.machines_total == len(self.status)
+        assert report.machines_by_status == {
+            status: list(self.status.values()).count(status) for status in MachineStatus
+        }
+
+
 def downstream(spec, roots) -> set[str]:
     """Every definition with a transitive predecessor in ``roots``."""
     found = set()

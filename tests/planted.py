@@ -66,6 +66,7 @@ SCALED = "tests/test_sim.py::test_trace_records_match_the_scaled_formula"
 FUZZ = "tests/test_parser_fuzz.py::"
 WORKFLOW_LINE = FUZZ + "test_a_workflow_refusal_is_reported_at_exactly_the_line_that_gave_the_entry"
 MATRIX_ROW = FUZZ + "test_a_matrix_refusal_is_reported_at_the_last_row_that_set_the_entry"
+PARSE_WORKFLOW = "tests/test_workflow.py::test_parse_workflow_refuses"
 
 FAULTS = [
     # -- What a run does: the engine against oracles.reference_run --
@@ -88,7 +89,7 @@ FAULTS = [
         "            if descriptor.status is MachineStatus.HEALTHY:",
         "            if descriptor.status is not MachineStatus.UNHEALTHY:",
         "a machine under maintenance is not healthy and takes no task",
-        (SEGMENTED,),
+        (SEGMENTED, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
@@ -298,7 +299,7 @@ FAULTS = [
         "            i = next(i for i, n in enumerate(names) if n in names[:i])",
         "            i = names.index(next(n for i, n in enumerate(names) if n in names[:i]))",
         "a duplicate task is refused at its second task line",
-        ("tests/test_workflow.py::test_parse_rejects_duplicate_task", WORKFLOW_LINE,
+        (PARSE_WORKFLOW, WORKFLOW_LINE,
          FUZZ + "test_a_line_that_breaks_a_rule_is_the_formats_line_error"),
     ),
     Fault(
@@ -306,23 +307,21 @@ FAULTS = [
         '                    raise UnknownTaskError(name, ("edge", i))',
         '                    raise UnknownTaskError(name, ("edge", len(self.edges) - 1))',
         "a dangling edge is refused at the first edge that names the unknown task",
-        ("tests/test_workflow.py::test_parse_gives_the_first_dangling_edge_its_line",
-         WORKFLOW_LINE),
+        (PARSE_WORKFLOW, WORKFLOW_LINE),
     ),
     Fault(
         "src/stratus/workflow.py",
         '        keyed = {"workflow": self.workflow_id,',
         '        keyed = {None: self.workflow_id,',
         "an invalid workflow id is refused at the header line that gave it",
-        ("tests/test_workflow.py::test_parse_gives_an_invalid_name_its_line", WORKFLOW_LINE),
+        (PARSE_WORKFLOW, WORKFLOW_LINE),
     ),
     Fault(
         "src/stratus/blueprint.py",
         "            rows[feature.value] = lineno",
         "            rows.setdefault(feature.value, lineno)",
         "a matrix refusal is reported at the last row that set the entry",
-        ("tests/test_blueprint.py::test_parse_overrides_names_the_row_that_breaks_a_rule",
-         MATRIX_ROW),
+        ("tests/test_blueprint.py::test_parse_overrides_refuses", MATRIX_ROW),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -412,7 +411,7 @@ FAULTS = [
         "    if record.duration_ms >= requested.max_runtime_ms:",
         "    if record.duration_ms > requested.max_runtime_ms:",
         "a failure that ran up to its limit is diagnosed as a timeout",
-        ("tests/test_taskmon.py::test_diagnose_timeout_needs_duration_at_limit",),
+        ("tests/test_taskmon.py::test_diagnose_verdict",),
     ),
     # -- each reference takes no code from what it checks --
     Fault(

@@ -6,6 +6,7 @@ verdict per criterion.
 """
 
 import dataclasses
+import itertools
 import json
 import random
 import threading
@@ -14,12 +15,20 @@ import time
 import pytest
 import requests
 
-from conftest import PROFILE_NAMES, GiB, load_profile, make_machine, random_dag_spec, run_simulation
+from conftest import (
+    PROFILE_NAMES,
+    GiB,
+    load_profile,
+    make_machine,
+    random_cluster,
+    random_dag_spec,
+    run_simulation,
+)
 from oracles import (
     ORACLE_ROWS,
     WORKFLOW_OWNED,
+    FirstFitDriver,
     assert_equals_reference,
-    oracle_first_fit,
     oracle_permitted,
     reference_denial,
     reference_run,
@@ -35,7 +44,7 @@ from stratus.blueprint import (
 )
 from stratus.cli import main
 from stratus.fixtures import fixture_path, fixture_text
-from stratus.machine import MachineStatus, ResourceVector, parse_cluster
+from stratus.machine import MachineStatus, parse_cluster
 from stratus.service import ServiceContext, replay_progress, serve
 from stratus.sim import (
     FaultInjection,
@@ -56,16 +65,9 @@ from stratus.taskmon import (
     parse_trace,
 )
 from stratus.workflow import expand_instances, export_dot, parse_workflow
+from test_blueprint import SYSTEM_EXPECTED
 from test_resman import entry, make_rm
 from test_taskmon import make_record, random_record
-
-EXPECTED_SCORES = {
-    "pegasus": {"resource_manager": (0, 3), "workflow": (5, 6), "machine": (0, 5), "task": (6, 9)},
-    "nextflow": {"resource_manager": (0, 3), "workflow": (6, 6), "machine": (0, 5), "task": (6, 9)},
-    "airflow": {"resource_manager": (1, 3), "workflow": (6, 6), "machine": (0, 5), "task": (4, 9)},
-    "snakemake": {"resource_manager": (0, 3), "workflow": (5, 6), "machine": (0, 5), "task": (6, 9)},
-    "argo": {"resource_manager": (1, 3), "workflow": (6, 6), "machine": (0, 5), "task": (5, 9)},
-}
 
 
 # the paper's grid, by feature name, as reference_denial reads it
@@ -109,8 +111,8 @@ def test_criterion_01_access_matrix_conformance(acceptance, capsys):
 def test_criterion_02_capability_profiles(acceptance):
     with acceptance(2, "bundled system profiles score to recorded counts"):
         started = time.perf_counter()
-        assert set(PROFILE_NAMES) == set(EXPECTED_SCORES)
-        for name, expected in EXPECTED_SCORES.items():
+        assert set(PROFILE_NAMES) == set(SYSTEM_EXPECTED)
+        for name, expected in SYSTEM_EXPECTED.items():
             summary = classify_capabilities(load_profile(name))
             got = {layer.wire_name: counts for layer, counts in summary.per_layer.items()}
             assert got == expected, name
@@ -194,61 +196,25 @@ def test_criterion_06_capacity_safety_against_oracle(acceptance):
     with acceptance(6, "scheduler equals the first-fit oracle and never overcommits"):
         rng = random.Random(4242)
         for round_number in range(200):
-            machine_count = rng.randint(1, 4)
-            machines = [
-                make_machine(
-                    f"m{i + 1}",
-                    cpus=rng.randint(2, 8),
-                    mem=rng.randint(4, 16) * GiB,
-                    disk=rng.randint(20, 100) * GiB,
-                )
-                for i in range(machine_count)
-            ]
-            rm = make_rm(machines)
-            unhealthy = {m.machine_id for m in machines if rng.random() < 0.2}
-            for machine_id in unhealthy:
-                rm.registry.set_status(machine_id, MachineStatus.UNHEALTHY)
-            ordered = [
-                (m.machine_id, m.capacity, m.machine_id not in unhealthy)
-                for m in sorted(machines, key=lambda d: d.machine_id)
-            ]
-            capacity = {m.machine_id: m.capacity for m in machines}
-            reserved = {m.machine_id: ResourceVector(0, 0, 0) for m in machines}
-            need_of = {}
-            pending = []
-            running = {}
-            next_id = 0
+            machines = random_cluster(rng, max_machines=4)
+            driver = FirstFitDriver(make_rm(machines), machines)
+            for machine in machines:
+                draw = rng.random()
+                if draw < 0.3:
+                    status = MachineStatus.UNHEALTHY if draw < 0.2 else MachineStatus.MAINTENANCE
+                    driver.set_status(machine.machine_id, status)
+            next_id = itertools.count()
             for step in range(3):
                 for _ in range(rng.randint(0, 8)):
-                    task_id, requested = entry(
-                        f"t{round_number}_{next_id}",
+                    driver.enqueue(*entry(
+                        f"t{round_number}_{next(next_id)}",
                         cpus=rng.randint(1, 6),
                         mem=rng.randint(1, 8) * GiB,
                         disk=rng.randint(0, 4) * GiB,
-                    )
-                    next_id += 1
-                    rm.enqueue(task_id, requested)
-                    need = ResourceVector(
-                        requested.cpu_cores, requested.memory_bytes, requested.disk_bytes
-                    )
-                    need_of[task_id] = need
-                    pending.append((task_id, need))
-                expected, leftover = oracle_first_fit(pending, ordered, reserved)
-                assert rm.schedule(step) == expected
-                for task_id, machine_id in expected:
-                    reserved[machine_id] = reserved[machine_id].plus(need_of[task_id])
-                    running[task_id] = machine_id
-                pending = [(task_id, need_of[task_id]) for task_id in leftover]
-                for machine in machines:
-                    r = rm.reserved_on(machine.machine_id)
-                    assert r == reserved[machine.machine_id]
-                    assert r.fits_within(machine.capacity)
-                    assert min(r.cpu_cores, r.memory_bytes, r.disk_bytes) >= 0
-                for task_id in [t for t in running if rng.random() < 0.4]:
-                    machine_id = running.pop(task_id)
-                    rm.release(task_id, wchar_bytes=0)
-                    reserved[machine_id] = reserved[machine_id].minus(need_of[task_id])
-                    assert rm.reserved_on(machine_id).fits_within(capacity[machine_id])
+                    ))
+                driver.schedule(step)
+                for task_id in [t for t in driver.running if rng.random() < 0.4]:
+                    driver.release(task_id)
 
 
 def test_criterion_07_dependency_order_and_poisoning(acceptance):

@@ -68,31 +68,31 @@ def test_owning_layer_matches_oracle_grouping():
         assert feature.owning_layer == min(permitted)
 
 
-def test_matrix_validation_owner_must_be_permitted():
+# (changes to the default owner-only entries, None deleting one; extensions;
+# the key of the entry at fault; message)
+@pytest.mark.parametrize("changes, extensions, key, message", [
+    ({FeatureKey.TASK_ID: {LayerId.RESOURCE_MANAGER}}, {}, "task_id",
+     "task_id: owning layer task not permitted"),
+    ({FeatureKey.WORKFLOW_ID: {LayerId.WORKFLOW, LayerId.TASK}}, {}, "workflow_id",
+     "workflow_id: layers below the owner are permitted: ['task']"),
+    ({FeatureKey.FAULT_DIAGNOSIS: None}, {}, None,
+     "matrix is missing entries for: ['fault_diagnosis']"),
+    ({}, {"gpu": frozenset()}, "extension gpu", "extension 'gpu' permits no layer"),
+    ({feature: {LayerId.TASK} for feature in ALL_FEATURES}, {}, "infrastructure_status",
+     "infrastructure_status: owning layer resource_manager not permitted"),
+])
+def test_access_matrix_refuses(changes, extensions, key, message):
     entries = {f: frozenset({f.owning_layer}) for f in ALL_FEATURES}
-    entries[FeatureKey.TASK_ID] = frozenset({LayerId.RESOURCE_MANAGER})
-    with pytest.raises(InvalidMatrixError):
-        AccessMatrix(entries=entries)
-
-
-def test_matrix_validation_rejects_layers_below_owner():
-    entries = {f: frozenset({f.owning_layer}) for f in ALL_FEATURES}
-    entries[FeatureKey.WORKFLOW_ID] = frozenset({LayerId.WORKFLOW, LayerId.TASK})
-    with pytest.raises(InvalidMatrixError):
-        AccessMatrix(entries=entries)
-
-
-def test_matrix_validation_requires_all_features():
-    entries = {f: frozenset({f.owning_layer}) for f in ALL_FEATURES}
-    del entries[FeatureKey.FAULT_DIAGNOSIS]
-    with pytest.raises(InvalidMatrixError):
-        AccessMatrix(entries=entries)
-
-
-def test_matrix_validation_refuses_an_extension_that_permits_no_layer():
-    with pytest.raises(InvalidMatrixError, match=r"^extension 'gpu' permits no layer$") as info:
-        AccessMatrix(entries=dict(default_access_matrix().entries), extensions={"gpu": frozenset()})
-    assert info.value.key == "extension gpu"
+    for feature, permitted in changes.items():
+        if permitted is None:
+            del entries[feature]
+        else:
+            entries[feature] = frozenset(permitted)
+    with pytest.raises(InvalidMatrixError) as info:
+        AccessMatrix(entries=entries, extensions=extensions)
+    assert (info.value.key, str(info.value)) == (key, message)
+    # a matrix built in code has no rows
+    assert not isinstance(info.value, MatrixFileError)
 
 
 def test_random_matrices_validate_iff_rules_hold():
@@ -204,58 +204,44 @@ def test_parse_overrides_applies_changes_over_default():
     )
 
 
-def test_parse_overrides_rejects_unknown_feature_with_line():
-    with pytest.raises(UnknownFeatureError) as info:
-        parse_matrix_overrides("task_id: task\ngpu_temp: machine\n")
-    assert info.value.line == 2
-    # the format's own line error
-    assert isinstance(info.value, MatrixFileError)
-    assert str(info.value) == "line 2: unknown feature key: 'gpu_temp'"
-
-
-def test_parse_overrides_rejects_unknown_layer():
-    with pytest.raises(MatrixFileError) as info:
-        parse_matrix_overrides("task_id: task, hypervisor\n")
-    assert info.value.line == 1
-
-
-def test_parse_overrides_rejects_hierarchy_violation():
-    with pytest.raises(MatrixFileError) as info:
-        parse_matrix_overrides("workflow_status: workflow, task\n")
-    assert str(info.value) == (
-        "line 1: workflow_status: layers below the owner are permitted: ['task']"
-    )
-    # the matrix's own error stays reachable
-    assert isinstance(info.value.__cause__, InvalidMatrixError)
-    assert info.value.__cause__.key == "workflow_status"
-
-
-@pytest.mark.parametrize("text, line", [
-    ("# c\nworkflow_status: machine,workflow\n", 2),
+# (text, error, line, the key of the matrix's own error as __cause__, message)
+@pytest.mark.parametrize("text, error, line, key, message", [
+    ("task_id: task\ngpu_temp: machine\n", UnknownFeatureError, 2, None,
+     "line 2: unknown feature key: 'gpu_temp'"),
+    ("task_id: task, hypervisor\n", MatrixFileError, 1, None, "line 1: unknown layer: 'hypervisor'"),
+    ("workflow_status: workflow, task\n", MatrixFileError, 1, "workflow_status",
+     "line 1: workflow_status: layers below the owner are permitted: ['task']"),
+    ("# c\nworkflow_status: machine,workflow\n", MatrixFileError, 2, "workflow_status",
+     "line 2: workflow_status: layers below the owner are permitted: ['machine']"),
     # the last row for a feature is the one in force
-    ("workflow_id: task\nworkflow_id: workflow\n\nworkflow_id: resource_manager\n", 4),
+    ("workflow_id: task\nworkflow_id: workflow\n\nworkflow_id: resource_manager\n",
+     MatrixFileError, 4, "workflow_id", "line 4: workflow_id: owning layer workflow not permitted"),
     # an extension and a feature of one name are told apart
-    ("workflow_status: workflow\nextension workflow_status: task\n", 2),
-])
-def test_parse_overrides_names_the_row_that_breaks_a_rule(text, line):
-    with pytest.raises(MatrixFileError) as info:
-        parse_matrix_overrides(text)
-    assert info.value.line == line
-    assert str(info.value) == f"line {line}: {info.value.__cause__}"
-    # a matrix built in code has no rows
-    with pytest.raises(InvalidMatrixError) as info:
-        AccessMatrix(entries={f: frozenset({LayerId.TASK}) for f in ALL_FEATURES})
-    assert not isinstance(info.value, MatrixFileError)
-
-
-@pytest.mark.parametrize("name", ["status", "live_progress"])
-def test_an_extension_may_not_take_a_name_the_service_routes(name):
+    ("workflow_status: workflow\nextension workflow_status: task\n", MatrixFileError, 2,
+     "extension workflow_status", "line 2: extension 'workflow_status' shadows a standard feature"),
     # a layer's bare status and the live stream resolve before any
     # extension, so an extension of either name could never be served
-    with pytest.raises(MatrixFileError) as info:
-        parse_matrix_overrides(f"extension gpu: machine\nextension {name}: workflow\n")
-    assert str(info.value) == f"line 2: extension {name!r} shadows a service route"
-    assert info.value.__cause__.key == f"extension {name}"
+    *[
+        (f"extension gpu: machine\nextension {name}: workflow\n", MatrixFileError, 2,
+         f"extension {name}", f"line 2: extension {name!r} shadows a service route")
+        for name in ["status", "live_progress"]
+    ],
+    ("extension GPU Util: machine\n", MatrixFileError, 1, "extension GPU Util",
+     "line 1: extension name not lower_snake_case: 'GPU Util'"),
+])
+def test_parse_overrides_refuses(text, error, line, key, message):
+    with pytest.raises(error) as info:
+        parse_matrix_overrides(text)
+    # the format's own line error
+    assert isinstance(info.value, MatrixFileError)
+    assert (info.value.line, str(info.value)) == (line, message)
+    # the matrix's own error stays reachable
+    cause = info.value.__cause__
+    if key is None:
+        assert cause is None
+    else:
+        assert isinstance(cause, InvalidMatrixError)
+        assert (cause.key, str(info.value)) == (key, f"line {line}: {cause}")
 
 
 def test_parse_overrides_extension_declarations():
@@ -275,11 +261,6 @@ def test_parse_overrides_extension_declarations():
     assert not access_allowed(
         matrix, LayerId.TASK, "gpu_utilization", TopologyMode.WORKFLOW_AWARE
     )
-
-
-def test_parse_overrides_rejects_bad_extension_name():
-    with pytest.raises(MatrixFileError):
-        parse_matrix_overrides("extension GPU Util: machine\n")
 
 
 def test_parse_profile_errors_carry_line_numbers():

@@ -6,8 +6,6 @@ digests and say so.  Every pinned input also runs against the plain
 reference run of ``oracles.reference_run``, which must give the same bytes."""
 
 import hashlib
-import importlib
-from pathlib import Path
 
 import pytest
 
@@ -31,8 +29,6 @@ from stratus.sim import (
 )
 from stratus.workflow import parse_workflow
 
-ROOT = Path(__file__).resolve().parent.parent
-
 # sha256 of (event_log_text(), trace_text()) with run_id="golden" and
 # submission_ms=0
 GOLDEN = {
@@ -46,10 +42,6 @@ GOLDEN = {
     ),
     "fig1-256-disjoint": (
         "625839b044f757ff619b78db562e30af29ecac11dc90b40c46981d251ee03616",
-        "c6e03aef08eca715cfc976641ac561f1d6a7f2782dd9c31f8cd6a883b03298c5",
-    ),
-    "fig1-256-workflow-aware": (
-        "c0f576157f07a992ad9eaa953e49e8e1497e078018413752ad0d3c9e995ec40a",
         "c6e03aef08eca715cfc976641ac561f1d6a7f2782dd9c31f8cd6a883b03298c5",
     ),
     "fig1x32": (
@@ -91,28 +83,34 @@ SCENARIOS = {
 }
 
 
+# Inputs whose digests perfbench/engine.py pins as (workload, seed, input
+# count) in PINNED_DIGESTS, read from there.  "engine-wide-faults" is the
+# benchmark's seeded 48-definition wide DAG at seed 42 and 24 inputs (945
+# instances, disjoint topology, submit_task path, an OOM and a non-zero exit
+# that poison their descendants, and a machine that fails mid-run): the only
+# disjoint run with all three fault kinds pinned at full size.
+BENCHMARK_PINNED = {
+    "fig1-256-workflow-aware": ("engine-fig1", 42, 256),
+    "engine-wide-faults": ("engine-wide-faults", 42, 24),
+}
+
+
+def _golden(name, perfbench) -> tuple[str, str]:
+    if name in BENCHMARK_PINNED:
+        return perfbench("engine").PINNED_DIGESTS[BENCHMARK_PINNED[name]]
+    return GOLDEN[name]
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_artifact_bytes_match_golden_digests(name):
-    assert _digests(SCENARIOS[name]()) == GOLDEN[name]
+def test_artifact_bytes_match_golden_digests(name, perfbench):
+    assert _digests(SCENARIOS[name]()) == _golden(name, perfbench)
 
 
-# The benchmark's seeded 48-definition wide DAG at seed 42 and 24 inputs
-# (945 instances, disjoint topology, submit_task path, an OOM and a non-zero
-# exit that poison their descendants, and a machine that fails mid-run): the
-# only disjoint run with all three fault kinds pinned at full size.  These
-# are the digests perfbench/engine.py pins for ("engine-wide-faults", 42, 24).
-WIDE_FAULTS_GOLDEN = (
-    "891043239c7f3a38b958da032f6d904f6fd536487ea95418378cc96332ffcc38",
-    "f3eda548719a03eb46d6c7169ee47e7154dbe076fba4dce17128b28961ae0427",
-)
-
-
-def _wide_faults(monkeypatch):
+def _wide_faults(perfbench):
     """The wide-faults input as (fs_total, expected final state, case), the
     case being ``reference_run``'s arguments."""
-    # the benchmark's own input generator, imported as its run script does
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    inputs = importlib.import_module("inputs").wide_inputs(42, 24)
+    # the benchmark's own input generator
+    inputs = perfbench("inputs").wide_inputs(42, 24)
     spec = parse_workflow(inputs.workflow_text, default_workflow_id=inputs.workflow_name)
     machines, fs_total = parse_cluster(inputs.cluster_text)
     faults = [FaultInjection(InjectionKind(f.kind), f.target, f.at_ms) for f in inputs.faults]
@@ -141,32 +139,31 @@ def _golden_run(fs_total, case):
     )
 
 
-def test_wide_faults_workload_matches_golden_digests(monkeypatch):
-    fs_total, expected_final, case = _wide_faults(monkeypatch)
+def test_wide_faults_workload_matches_golden_digests(perfbench):
+    fs_total, expected_final, case = _wide_faults(perfbench)
     result = _golden_run(fs_total, case)
     assert len(result.run.instances) == 945
     assert result.run.final_state.value == expected_final
     exits = {r.exit_code for r in result.trace_records}
     assert exits == {0, EXIT_OOM, EXIT_TASK_ERROR, EXIT_MACHINE_KILL}
-    assert _result_digests(result) == WIDE_FAULTS_GOLDEN
+    assert _result_digests(result) == _golden("engine-wide-faults", perfbench)
 
 
 @pytest.mark.parametrize("name", [*sorted(SCENARIOS), "engine-wide-faults"])
-def test_every_pinned_input_equals_the_reference_run(name, monkeypatch):
+def test_every_pinned_input_equals_the_reference_run(name, perfbench):
     if name == "engine-wide-faults":
-        fs_total, _, case = _wide_faults(monkeypatch)
+        fs_total, _, case = _wide_faults(perfbench)
     else:
         fs_total, case = _scenario_case(name)
     assert_equals_reference(_golden_run(fs_total, case), [], reference_run(*case))
 
 
-def test_every_name_the_benchmark_traces_exists(monkeypatch):
+def test_every_name_the_benchmark_traces_exists(perfbench):
     """The benchmark's tracer wraps functions by name (some, like
     stratus.sim.ready_tasks, only as names imported into another module);
     installing it fails here when one of them is gone."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    tracing = importlib.import_module("tracing")
-    layers = importlib.import_module("layers")
+    tracing = perfbench("tracing")
+    layers = perfbench("layers")
     originals = (sim.ready_tasks, sim.workflow_status)
     tracer = tracing.Tracer()
     try:

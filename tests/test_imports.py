@@ -5,7 +5,6 @@ defines a class, and every src name perfbench imports exists.  Checked
 with the stdlib ast module, so no linter is needed."""
 
 import ast
-import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -350,7 +349,7 @@ def test_the_scan_sees_classes_defined_in_functions():
     ]
 
 
-def test_the_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+def test_the_benchmark_tracer_installs_and_uninstalls(perfbench):
     """perfbench/layers.py wraps src names by string, so a src change that
     drops or renames one of them fails here, not only in the benchmark."""
     from conftest import run_simulation
@@ -358,9 +357,8 @@ def test_the_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     from stratus.blueprint import TopologyMode
     from stratus.fixtures import fixture_text
 
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    layers = importlib.import_module("layers")
-    tracing = importlib.import_module("tracing")
+    layers = perfbench("layers")
+    tracing = perfbench("tracing")
     modules = (machine, resman, service, sim, store, taskmon, workflow)
     owners = [*modules] + [
         value for module in modules for value in vars(module).values()
@@ -402,11 +400,10 @@ class RecordingTracer:
         self.wrapped.append((owner, attr))
 
 
-def test_every_benchmark_patch_point_is_a_src_callable(monkeypatch):
+def test_every_benchmark_patch_point_is_a_src_callable(perfbench):
     """A src rename or move that leaves one of perfbench/layers.py's
     (owner, attr) pairs dangling breaks the benchmark's traced runs."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    layers = importlib.import_module("layers")
+    layers = perfbench("layers")
     tracer = RecordingTracer()
     layers.install(tracer)
     assert tracer.wrapped
@@ -418,10 +415,9 @@ def test_every_benchmark_patch_point_is_a_src_callable(monkeypatch):
     assert not missing, "patch points that name no callable:\n" + "\n".join(missing)
 
 
-def test_every_src_name_perfbench_imports_resolves(monkeypatch):
+def test_every_src_name_perfbench_imports_resolves(perfbench):
     """A src rename of a name perfbench imports or annotates breaks the
     benchmark at import; ``workloads`` pulls in every other perfbench module
     but ``run``, and importing them only defines things."""
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     for module in ("workloads", "run"):
-        importlib.import_module(module)
+        perfbench(module)

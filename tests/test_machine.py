@@ -2,9 +2,11 @@
 refusals, and cluster file parsing; the window queries themselves are
 checked through the query service against ``oracles.reference_answer``."""
 
+from functools import partial
+
 import pytest
 
-from conftest import make_machine
+from conftest import GiB, make_machine
 from stratus.fixtures import fixture_text
 from stratus.machine import (
     ClusterSyntaxError,
@@ -22,8 +24,6 @@ from stratus.machine import (
     UnknownMachineError,
     parse_cluster,
 )
-
-GiB = 1024**3
 
 
 def sample(machine_id, t_ms, cpus=1.0, mem=GiB, disk=0) -> MachineSample:
@@ -47,38 +47,36 @@ def test_vector_arithmetic_and_fit():
     assert a.fits_within(a)
 
 
-def test_descriptor_rejects_nonpositive_capacity():
-    with pytest.raises(MachineError):
-        make_machine("m1", cpus=0)
+def oversized_partitions() -> MachineDescriptor:
+    return MachineDescriptor(
+        machine_id="m1",
+        machine_type=MachineType.VIRTUAL_MACHINE,
+        hardware=HardwareSpec(
+            cpu_architecture="x86_64",
+            cpu_model="sim",
+            memory_clock_mhz=2666,
+            disk_partitions=(("a", 6 * GiB), ("b", 5 * GiB)),
+        ),
+        capacity=ResourceVector(1, GiB, 10 * GiB),
+    )
 
 
-@pytest.mark.parametrize("machine_id", ["m\t1", "m\n1", "m\r1", "m1\n", ""])
-def test_descriptor_refuses_a_machine_id_that_is_not_one_line_without_tabs(machine_id):
+@pytest.mark.parametrize("build, message", [
+    (partial(make_machine, "m1", cpus=0), "m1: capacity values must be strictly positive"),
+    *[
+        (partial(make_machine, machine_id),
+         f"machine id must be one line without tabs: {machine_id!r}")
+        for machine_id in ["m\t1", "m\n1", "m\r1", "m1\n", ""]
+    ],
+    (oversized_partitions, "m1: partitions total 11811160064 exceeds disk capacity 10737418240"),
+    (partial(HardwareSpec, "x86_64", "sim", 0, ()), "memory_clock_mhz must be positive, got 0"),
+    (partial(HardwareSpec, "x86_64", "sim", 2666, (("root", 0), ("scratch", -1))),
+     "partition 'scratch' has negative size"),
+])
+def test_descriptor_refuses(build, message):
     with pytest.raises(MachineError) as err:
-        make_machine(machine_id)
-    assert str(err.value) == f"machine id must be one line without tabs: {machine_id!r}"
-
-
-def test_descriptor_rejects_oversized_partitions():
-    with pytest.raises(MachineError):
-        MachineDescriptor(
-            machine_id="m1",
-            machine_type=MachineType.VIRTUAL_MACHINE,
-            hardware=HardwareSpec(
-                cpu_architecture="x86_64",
-                cpu_model="sim",
-                memory_clock_mhz=2666,
-                disk_partitions=(("a", 6 * GiB), ("b", 5 * GiB)),
-            ),
-            capacity=ResourceVector(1, GiB, 10 * GiB),
-        )
-
-
-def test_hardware_rejects_bad_clock():
-    with pytest.raises(MachineError):
-        HardwareSpec("x86_64", "sim", 0, ())
-    with pytest.raises(MachineError, match=r"^partition 'scratch' has negative size$"):
-        HardwareSpec("x86_64", "sim", 2666, (("root", 0), ("scratch", -1)))
+        build()
+    assert str(err.value) == message
 
 
 # --- registry lifecycle ---
@@ -122,25 +120,23 @@ def test_status_transitions_and_counts():
 # --- sample ingest invariants ---
 
 
-def test_sample_times_strictly_increase():
-    registry = MachineRegistry()
-    registry.register_machine(make_machine("m1"))
-    registry.record_sample(sample("m1", 100))
-    with pytest.raises(InvalidSampleError):
-        registry.record_sample(sample("m1", 100))
-    with pytest.raises(InvalidSampleError):
-        registry.record_sample(sample("m1", 50))
-    registry.record_sample(sample("m1", 101))
-
-
-def test_sample_rejects_negative_and_overflow_usage():
+@pytest.mark.parametrize("refused, message", [
+    # sample times strictly increase
+    (sample("m1", 100), "m1: sample time 100 not after 100"),
+    (sample("m1", 50), "m1: sample time 50 not after 100"),
+    (sample("m1", 101, cpus=-1.0), "m1: negative usage at t=101"),
+    (sample("m1", 101, cpus=5.0), "m1: usage exceeds capacity at t=101"),
+])
+def test_record_sample_refuses(refused, message):
     registry = MachineRegistry()
     registry.register_machine(make_machine("m1", cpus=4))
-    with pytest.raises(InvalidSampleError):
-        registry.record_sample(sample("m1", 0, cpus=-1.0))
-    with pytest.raises(InvalidSampleError):
-        registry.record_sample(sample("m1", 0, cpus=5.0))
-    registry.record_sample(sample("m1", 0, cpus=4.0))
+    registry.record_sample(sample("m1", 100))
+    with pytest.raises(InvalidSampleError) as err:
+        registry.record_sample(refused)
+    assert str(err.value) == message
+    # the refused sample is not kept; the next instant, at full capacity, is taken
+    registry.record_sample(sample("m1", 101, cpus=4.0))
+    assert registry.query_series("m1", 0, 200) == [sample("m1", 100), sample("m1", 101, cpus=4.0)]
 
 
 @pytest.mark.parametrize(
@@ -196,47 +192,28 @@ def test_parse_bundled_clusters():
     assert fs_total == 2 * 1024**4
 
 
-def test_parse_cluster_rejects_duplicate_id():
-    line = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=1\n"
-    with pytest.raises(ClusterSyntaxError) as err:
-        parse_cluster(line + line + "fs total=1\n")
-    assert err.value.line == 2
+MACHINE_LINE = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=1\n"
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        "cpus=0 mem=1 disk=1 arch=a model=b clock=1",
-        "cpus=1 mem=0 disk=1 arch=a model=b clock=1",
-        "cpus=1 mem=1 disk=0 arch=a model=b clock=1",
-        "cpus=1 mem=1 disk=1 arch=a model=b clock=0",
+# (text, line, message); a refusal with no line is a whole-file MachineError
+@pytest.mark.parametrize("text, line, message", [
+    (MACHINE_LINE + MACHINE_LINE + "fs total=1\n", 2, "line 2: duplicate machine id 'm1'"),
+    *[
+        (f"fs total=1\nmachine m1 type=vm {values} arch=a model=b clock=1\n", 2,
+         "line 2: m1: capacity values must be strictly positive")
+        for values in ["cpus=0 mem=1 disk=1", "cpus=1 mem=0 disk=1", "cpus=1 mem=1 disk=0"]
     ],
-)
-def test_parse_cluster_rejects_out_of_range_value_on_its_line(values):
-    with pytest.raises(ClusterSyntaxError) as err:
-        parse_cluster(f"fs total=1\nmachine m1 type=vm {values}\n")
-    assert err.value.line == 2
-
-
-def test_parse_cluster_rejects_bad_type():
-    bad = "machine m1 type=toaster cpus=1 mem=1 disk=1 arch=a model=b clock=1\nfs total=1\n"
-    with pytest.raises(ClusterSyntaxError):
-        parse_cluster(bad)
-
-
-def test_parse_cluster_requires_fs_line():
-    good = "machine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=1\n"
-    with pytest.raises(MachineError):
-        parse_cluster(good)
-
-
-def test_parse_cluster_requires_a_machine_line():
-    with pytest.raises(MachineError, match="^no machines$") as err:
-        parse_cluster("# none yet\nfs total=1\n")
-    assert not isinstance(err.value, ClusterSyntaxError)
-
-
-def test_parse_cluster_rejects_unknown_directive():
-    with pytest.raises(ClusterSyntaxError) as err:
-        parse_cluster("rack r1\n")
-    assert err.value.line == 1
+    ("fs total=1\nmachine m1 type=vm cpus=1 mem=1 disk=1 arch=a model=b clock=0\n", 2,
+     "line 2: memory_clock_mhz must be positive, got 0"),
+    (MACHINE_LINE.replace("type=vm", "type=toaster") + "fs total=1\n", 1,
+     "line 1: unknown machine type 'toaster'"),
+    (MACHINE_LINE, None, "missing 'fs total=' line"),
+    ("# none yet\nfs total=1\n", None, "no machines"),
+    ("rack r1\n", 1, "line 1: unknown directive 'rack'"),
+])
+def test_parse_cluster_refuses(text, line, message):
+    with pytest.raises(MachineError) as err:
+        parse_cluster(text)
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+    assert isinstance(err.value, ClusterSyntaxError) == (line is not None)

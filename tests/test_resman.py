@@ -1,16 +1,17 @@
 """Resource manager tests: topology guards, FIFO first-fit against a brute
 force oracle, reservation safety under random load, and status reports."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine, make_request, random_cluster
-from oracles import oracle_first_fit
+from conftest import GiB, make_machine, make_request, random_cluster
+from oracles import FirstFitDriver
 from stratus.blueprint import TopologyMode
-from stratus.machine import MachineRegistry, MachineStatus, ResourceVector
+from stratus.machine import MachineRegistry, MachineStatus
 from stratus.resman import (
     DuplicateEntryError,
     ResmanError,
@@ -19,8 +20,6 @@ from stratus.resman import (
     WrongTopologyError,
 )
 from stratus.workflow import RunRecord
-
-GiB = 1024**3
 
 
 def make_rm(machines=None, topology=TopologyMode.DISJOINT, fs_total=1024**4):
@@ -151,70 +150,30 @@ def test_schedule_matches_oracle_on_random_load():
     rng = random.Random(271)
     for round_number in range(200):
         machines = random_cluster(rng, max_machines=4)
-        rm = make_rm(machines)
-        unhealthy = {
-            m.machine_id for m in machines if rng.random() < 0.2
-        }
-        for machine_id in unhealthy:
-            rm.registry.set_status(machine_id, MachineStatus.UNHEALTHY)
-        queue = []
+        driver = FirstFitDriver(make_rm(machines), machines)
+        for machine in machines:
+            if rng.random() < 0.2:
+                driver.set_status(machine.machine_id, MachineStatus.UNHEALTHY)
         for i in range(rng.randint(0, 12)):
-            task_id, requested = entry(
+            driver.enqueue(*entry(
                 f"t{round_number}_{i}",
                 cpus=rng.randint(1, 6),
                 mem=rng.randint(1, 8) * GiB,
                 disk=rng.randint(0, 4) * GiB,
-            )
-            rm.enqueue(task_id, requested)
-            queue.append((task_id, ResourceVector(
-                requested.cpu_cores, requested.memory_bytes, requested.disk_bytes
-            )))
-        oracle_machines = [
-            (m.machine_id, m.capacity, m.machine_id not in unhealthy)
-            for m in sorted(machines, key=lambda d: d.machine_id)
-        ]
-        expected, leftover = oracle_first_fit(queue, oracle_machines, {})
-        got = rm.schedule(0)
-        assert got == expected
-        assert rm.queue_depth() == len(leftover)
-        for machine in machines:
-            r = rm.reserved_on(machine.machine_id)
-            assert r.fits_within(machine.capacity)
-            assert r.cpu_cores >= 0 and r.memory_bytes >= 0 and r.disk_bytes >= 0
+            ))
+        driver.schedule(0)
 
 
 def test_reservations_never_exceed_capacity_under_churn():
     rng = random.Random(733)
     machines = [make_machine("m1", cpus=4, mem=8 * GiB), make_machine("m2", cpus=2, mem=4 * GiB)]
-    rm = make_rm(machines)
-    capacity = {m.machine_id: m.capacity for m in machines}
-    next_id = 0
-    running = []
-    for _ in range(600):
+    driver = FirstFitDriver(make_rm(machines), machines)
+    for next_id in range(600):
         if rng.random() < 0.6:
-            rm.enqueue(*entry(f"t{next_id}", cpus=rng.randint(1, 3), mem=rng.randint(1, 3) * GiB))
-            next_id += 1
-        for task_id, _ in rm.schedule(0):
-            running.append(task_id)
-        if running and rng.random() < 0.5:
-            task_id = running.pop(rng.randrange(len(running)))
-            rm.release(task_id, wchar_bytes=rng.randint(0, 10**6))
-        for machine_id, cap in capacity.items():
-            reserved = rm.reserved_on(machine_id)
-            assert reserved.fits_within(cap)
-            assert reserved.cpu_cores >= 0
-    status = rm.infrastructure_status()
-    assert status.running_tasks == len(running)
-
-
-def assert_running_on(rm, machines, running):
-    """rm.running_on(m) lists exactly the oracle's running tasks on m."""
-    for machine in machines:
-        expected = sorted(
-            task_id for task_id, (machine_id, _) in running.items()
-            if machine_id == machine.machine_id
-        )
-        assert rm.running_on(machine.machine_id) == expected
+            driver.enqueue(*entry(f"t{next_id}", cpus=rng.randint(1, 3), mem=rng.randint(1, 3) * GiB))
+        driver.schedule(0)
+        if driver.running and rng.random() < 0.5:
+            driver.release(rng.choice(list(driver.running)), wchar_bytes=rng.randint(0, 10**6))
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,66 +192,34 @@ def test_segmented_queue_matches_oracle_across_passes(data):
         )
         for i in range(data.draw(st.integers(1, 4)))
     ]
-    rm = make_rm(machines)
+    driver = FirstFitDriver(make_rm(machines), machines)
     shapes = data.draw(st.lists(
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from((600_000, 900_000))),
         min_size=2, max_size=3,
     ))
-    status = {m.machine_id: MachineStatus.HEALTHY for m in machines}
-    queue: list[tuple[str, ResourceVector]] = []
-    reserved: dict[str, ResourceVector] = {}
-    running: dict[str, tuple[str, ResourceVector]] = {}
-    finished: list[str] = []
-    next_id = 0
+    next_id = itertools.count()
     for t in range(data.draw(st.integers(1, 8))):
-        for shape in data.draw(st.lists(st.sampled_from(shapes), max_size=10)):
-            cpus, mem, timeout = shape
+        for cpus, mem, timeout in data.draw(st.lists(st.sampled_from(shapes), max_size=10)):
             request = make_request(cpus=cpus, mem=mem * GiB, disk=0, timeout=timeout)
-            rm.enqueue(f"t{next_id}", request)
-            queue.append((f"t{next_id}", ResourceVector(cpus, mem * GiB, 0)))
-            next_id += 1
-        oracle_machines = [
-            (m.machine_id, m.capacity, status[m.machine_id] is MachineStatus.HEALTHY)
-            for m in sorted(machines, key=lambda d: d.machine_id)
-        ]
-        expected, leftover = oracle_first_fit(queue, oracle_machines, reserved)
-        assert rm.schedule(t) == expected
-        assert rm.queue_depth() == len(leftover)
-        needs = dict(queue)
-        for task_id, machine_id in expected:
-            used = reserved.get(machine_id, ResourceVector(0, 0, 0))
-            reserved[machine_id] = used.plus(needs[task_id])
-            running[task_id] = (machine_id, needs[task_id])
-        queue = [(task_id, needs[task_id]) for task_id in leftover]
-        assert_running_on(rm, machines, running)
-        status_report = rm.infrastructure_status()
-        assert status_report.queue_depth == len(queue)
-        assert status_report.running_tasks == len(running)
-
-        if running:
-            for task_id in data.draw(st.lists(st.sampled_from(sorted(running)), unique=True)):
-                rm.release(task_id)
-                machine_id, need = running.pop(task_id)
-                reserved[machine_id] = reserved[machine_id].minus(need)
-                finished.append(task_id)
-        assert_running_on(rm, machines, running)
-        for machine_id in data.draw(st.lists(st.sampled_from(sorted(status)), unique=True)):
-            status[machine_id] = data.draw(st.sampled_from(list(MachineStatus)))
-            rm.registry.set_status(machine_id, status[machine_id])
+            driver.enqueue(f"t{next(next_id)}", request)
+        driver.schedule(t)
+        if driver.running:
+            for task_id in data.draw(st.lists(st.sampled_from(sorted(driver.running)), unique=True)):
+                driver.release(task_id)
+        for machine_id in data.draw(st.lists(st.sampled_from(sorted(driver.status)), unique=True)):
+            driver.set_status(machine_id, data.draw(st.sampled_from(list(MachineStatus))))
         if data.draw(st.booleans()):
-            added = make_machine(
+            driver.add_machine(make_machine(
                 f"{data.draw(st.sampled_from('am'))}x{t}",
                 cpus=data.draw(st.integers(1, 8)), mem=data.draw(st.integers(1, 8)) * GiB,
-            )
-            rm.registry.register_machine(added)
-            machines.append(added)
-            status[added.machine_id] = MachineStatus.HEALTHY
+            ))
 
-        for known in ([task_id for task_id, _ in queue], sorted(running), finished):
+        queued = [task_id for task_id, _ in driver.queue]
+        for known in (queued, sorted(driver.running), driver.finished):
             if known:
                 with pytest.raises(DuplicateEntryError):
-                    rm.enqueue(*entry(data.draw(st.sampled_from(known))))
-        assert rm.queue_depth() == len(queue)
+                    driver.rm.enqueue(*entry(data.draw(st.sampled_from(known))))
+        driver.check()
 
 
 # --- status reports ---

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    GiB,
     dag_specs,
     engine_cases,
     imports_of,
@@ -92,8 +93,6 @@ from stratus.workflow import (
     parse_workflow,
     workflow_status,
 )
-
-GiB = 1024**3
 
 
 def fig1_setup():

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -74,15 +75,38 @@ def test_one_json_object_per_line(tmp_path):
     assert json.loads(lines[1])["run_id"] == "r2"
 
 
-def test_corrupt_line_reports_position(tmp_path):
+# a history as its writers left it: a run id is that run appended by a new
+# store, bytes are written as they are, and READ has the store under test
+# read the history so far
+READ = None
+CORRUPT = b"{not json\n"
+
+
+@pytest.mark.parametrize("read", ["load_all", "list_previous_executions"])
+@pytest.mark.parametrize("history, position", [
+    (["r1", CORRUPT], 2),
+    # a torn line that more appends followed is interior garbage too
+    (["r1", b'{"run_id": "torn', "r2", CORRUPT, "r3"], 3),
+    # corruption after what the store has read
+    (["r1", "r2", READ, CORRUPT, "r3"], 3),
+])
+def test_a_corrupt_interior_line_raises_with_its_position(tmp_path, history, position, read):
     path = tmp_path / "runs.jsonl"
     store = RunStore(path)
-    store.append(finished_run("r1", "w", 0))
-    with open(path, "a") as fh:
-        fh.write("{not json\n")
-    with pytest.raises(StoreError) as err:
-        store.load_all()
-    assert ":2:" in str(err.value)
+    reader = store.load_all if read == "load_all" else partial(store.list_previous_executions, "w")
+    for submission_ms, item in enumerate(history):
+        if item is READ:
+            reader()
+        elif isinstance(item, bytes):
+            with open(path, "ab") as fh:
+                fh.write(item)
+        else:
+            RunStore(path).append(finished_run(item, "w", submission_ms))
+    # a failed read keeps nothing, so the next read raises too
+    for _ in range(2):
+        with pytest.raises(StoreError) as err:
+            reader()
+        assert f":{position}:" in str(err.value)
 
 
 def test_torn_final_append_is_skipped_then_truncated(tmp_path, caplog):
@@ -107,21 +131,6 @@ def test_unterminated_whole_final_record_is_kept(tmp_path):
     assert [e.summary.run_id for e in store.load_all()] == ["r1"]
     store.append(finished_run("r2", "w", 1))
     assert [e.summary.run_id for e in store.load_all()] == ["r1", "r2"]
-
-
-def test_interior_garbage_still_raises(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    store = RunStore(path)
-    store.append(finished_run("r1", "w", 0))
-    with open(path, "a") as fh:
-        fh.write('{"run_id": "torn')
-    store.append(finished_run("r2", "w", 1))
-    with open(path, "a") as fh:
-        fh.write("{not json\n")
-    store.append(finished_run("r3", "w", 2))
-    with pytest.raises(StoreError) as err:
-        store.load_all()
-    assert ":3:" in str(err.value)
 
 
 def test_previous_executions_ordering_matches_sort_oracle(tmp_path):
@@ -288,21 +297,6 @@ def test_summaries_start_over_when_the_file_is_rewritten(tmp_path):
     assert [s.run_id for s in store.list_previous_executions("w")] == ["n2", "n1", "n0"]
     path.unlink()
     assert store.list_previous_executions("w") == []
-
-
-def test_summaries_raise_on_interior_corruption_not_yet_read(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    store = RunStore(path)
-    store.append(finished_run("r1", "w", 0))
-    store.append(finished_run("r2", "w", 1))
-    assert len(store.list_previous_executions("w")) == 2
-    with open(path, "a") as fh:
-        fh.write("{not json\n")
-    RunStore(path).append(finished_run("r3", "w", 2))
-    for _ in range(2):
-        with pytest.raises(StoreError) as err:
-            store.list_previous_executions("w")
-        assert ":3:" in str(err.value)
 
 
 _runs = st.builds(

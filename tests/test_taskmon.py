@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GiB
 from oracles import trace_line, validate_code_parts
 from stratus.machine import MachineStatus
 from stratus.taskmon import (
@@ -31,8 +32,6 @@ from stratus.taskmon import (
     task_log,
 )
 from stratus.workflow import ResourceRequest, TaskInstance
-
-GiB = 1024**3
 
 
 def make_record(**overrides) -> TaskTraceRecord:
@@ -92,22 +91,17 @@ def test_header_matches_column_order():
     assert TRACE_COLUMNS[-1] == "pcache_miss"
 
 
-def test_record_rejects_duration_mismatch():
-    with pytest.raises(TraceError):
-        make_record(duration_ms=99)
-
-
-def test_record_rejects_negative_counter():
-    with pytest.raises(TraceError):
-        make_record(syscall_read_count=-1)
-
-
-def test_record_couples_exit_code_and_status():
-    with pytest.raises(TraceError):
-        make_record(status="failed", exit_code=0)
-    with pytest.raises(TraceError):
-        make_record(status="succeeded", exit_code=1)
-    make_record(status="failed", exit_code=137)
+@pytest.mark.parametrize("overrides, message", [
+    (dict(duration_ms=99), "w/a/0: duration 99 != end 120 - start 20"),
+    (dict(syscall_read_count=-1), "w/a/0: syscall_read_count is negative"),
+    # exit code and status agree: exit 0 iff succeeded
+    (dict(status="failed", exit_code=0), "w/a/0: exit 0 inconsistent with status 'failed'"),
+    (dict(status="succeeded", exit_code=1), "w/a/0: exit 1 inconsistent with status 'succeeded'"),
+])
+def test_record_refuses(overrides, message):
+    with pytest.raises(TraceError) as err:
+        make_record(**overrides)
+    assert str(err.value) == message
 
 
 # --- emit/parse identity ---
@@ -171,43 +165,36 @@ def test_trace_rendering_equals_the_per_column_reference(records):
 # --- malformed input rejection ---
 
 
-def test_parse_rejects_missing_header():
-    with pytest.raises(MissingHeaderError):
-        parse_trace(emit_trace(make_record()) + "\n")
-    with pytest.raises(MissingHeaderError) as err:
-        parse_trace("")
-    assert err.value.line == 1
+GOOD = emit_trace(make_record())
 
 
-def test_parse_rejects_field_count_mismatch_with_line():
-    good = emit_trace(make_record())
-    text = TRACE_HEADER + "\n" + good + "\n" + good + "\textra\n"
-    with pytest.raises(FieldCountMismatchError) as err:
+def replaced(index: int, value: str) -> str:
+    """GOOD with field ``index`` replaced by ``value``."""
+    fields = GOOD.split("\t")
+    fields[index] = value
+    return "\t".join(fields)
+
+
+@pytest.mark.parametrize("text, error, line, field, message", [
+    (GOOD + "\n", MissingHeaderError, 1, None,
+     f"line 1: first line must be the header {TRACE_HEADER!r}"),
+    ("", MissingHeaderError, 1, None, f"line 1: first line must be the header {TRACE_HEADER!r}"),
+    (f"{TRACE_HEADER}\n{GOOD}\n{GOOD}\textra\n", FieldCountMismatchError, 3, None,
+     "line 3: expected 16 fields, got 17"),
+    (f"{TRACE_HEADER}\n{replaced(7, 'fast')}\n", InvariantViolationError, 2, "cpu_pct",
+     "line 2: cpu_pct: not an integer: 'fast'"),
+    (f"{TRACE_HEADER}\n{GOOD}\n{replaced(6, '1')}\n", InvariantViolationError, 3, "record",
+     "line 3: record: w/a/0: duration 1 != end 120 - start 20"),
+])
+def test_parse_trace_refuses(text, error, line, field, message):
+    with pytest.raises(error) as err:
         parse_trace(text)
-    assert err.value.line == 3
-
-
-def test_parse_rejects_noninteger_with_line_and_field():
-    fields = emit_trace(make_record()).split("\t")
-    fields[7] = "fast"
-    text = TRACE_HEADER + "\n" + "\t".join(fields) + "\n"
-    with pytest.raises(InvariantViolationError) as err:
-        parse_trace(text)
-    assert err.value.line == 2
-    assert err.value.field == "cpu_pct"
-
-
-def test_parse_rejects_invariant_violation_with_line():
-    fields = emit_trace(make_record()).split("\t")
-    fields[6] = "1"
-    text = TRACE_HEADER + "\n" + emit_trace(make_record()) + "\n" + "\t".join(fields) + "\n"
-    with pytest.raises(InvariantViolationError) as err:
-        parse_trace(text)
-    assert err.value.line == 3
+    assert (err.value.line, getattr(err.value, "field", None)) == (line, field)
+    assert str(err.value) == message
 
 
 def test_parse_skips_blank_lines():
-    text = TRACE_HEADER + "\n\n" + emit_trace(make_record()) + "\n\n"
+    text = TRACE_HEADER + "\n\n" + GOOD + "\n\n"
     assert len(parse_trace(text)) == 1
 
 
@@ -337,55 +324,35 @@ def test_parse_trace_raises_only_trace_errors_with_a_line(text):
 REQ = ResourceRequest(cpu_cores=2, memory_bytes=GiB, disk_bytes=0, max_runtime_ms=5000)
 
 
-def test_diagnose_success_is_never_a_failure():
-    record = make_record(
-        status="succeeded", exit_code=0, rss_bytes=2 * GiB,
-        end_ms=20 + 9000, duration_ms=9000,
-    )
-    diagnosis = diagnose(record, REQ, MachineStatus.UNHEALTHY)
-    assert diagnosis.verdict is Verdict.NONE
-    assert diagnosis.evidence == "exit 0"
-
-
-def test_diagnose_machine_failure_outranks_everything():
-    record = make_record(
-        status="failed", exit_code=143, rss_bytes=2 * GiB,
-        end_ms=20 + 9000, duration_ms=9000,
-    )
-    diagnosis = diagnose(record, REQ, MachineStatus.UNHEALTHY)
-    assert diagnosis.verdict is Verdict.MACHINE_FAILURE
-    assert "also:" in diagnosis.evidence
-
-
-def test_diagnose_oom_needs_rss_above_request():
-    record = make_record(status="failed", exit_code=137, rss_bytes=GiB + 1)
-    assert diagnose(record, REQ, MachineStatus.HEALTHY).verdict is Verdict.OUT_OF_MEMORY
-    record = make_record(status="failed", exit_code=137, rss_bytes=GiB)
-    assert diagnose(record, REQ, MachineStatus.HEALTHY).verdict is Verdict.NON_ZERO_EXIT
-
-
-def test_diagnose_timeout_needs_duration_at_limit():
-    record = make_record(status="failed", exit_code=124, end_ms=20 + 5000, duration_ms=5000)
-    assert diagnose(record, REQ, MachineStatus.HEALTHY).verdict is Verdict.TIMEOUT
-    record = make_record(status="failed", exit_code=124, end_ms=20 + 4999, duration_ms=4999)
-    assert diagnose(record, REQ, MachineStatus.HEALTHY).verdict is Verdict.NON_ZERO_EXIT
-
-
-def test_diagnose_oom_outranks_timeout():
-    record = make_record(
-        status="failed", exit_code=137, rss_bytes=2 * GiB,
-        end_ms=20 + 6000, duration_ms=6000,
-    )
-    diagnosis = diagnose(record, REQ, MachineStatus.HEALTHY)
-    assert diagnosis.verdict is Verdict.OUT_OF_MEMORY
-    assert "also:" in diagnosis.evidence
-
-
-def test_diagnose_plain_failure():
-    record = make_record(status="failed", exit_code=1)
-    diagnosis = diagnose(record, REQ, MachineStatus.HEALTHY)
-    assert diagnosis.verdict is Verdict.NON_ZERO_EXIT
-    assert diagnosis.evidence == "exit code 1"
+@pytest.mark.parametrize("overrides, machine, verdict, evidence", [
+    # a success is never a failure, whatever else holds
+    (dict(rss_bytes=2 * GiB, end_ms=20 + 9000, duration_ms=9000), MachineStatus.UNHEALTHY,
+     Verdict.NONE, "exit 0"),
+    # a machine failure outranks everything
+    (dict(status="failed", exit_code=143, rss_bytes=2 * GiB, end_ms=20 + 9000, duration_ms=9000),
+     MachineStatus.UNHEALTHY, Verdict.MACHINE_FAILURE,
+     "assigned machine unhealthy at task end (also: rss 2147483648 > requested 1073741824; "
+     "duration 9000 >= limit 5000; exit code 143)"),
+    # an OOM needs rss above the request
+    (dict(status="failed", exit_code=137, rss_bytes=GiB + 1), MachineStatus.HEALTHY,
+     Verdict.OUT_OF_MEMORY, "rss 1073741825 > requested 1073741824 (also: exit code 137)"),
+    (dict(status="failed", exit_code=137, rss_bytes=GiB), MachineStatus.HEALTHY,
+     Verdict.NON_ZERO_EXIT, "exit code 137"),
+    # a timeout needs a duration at the limit
+    (dict(status="failed", exit_code=124, end_ms=20 + 5000, duration_ms=5000),
+     MachineStatus.HEALTHY, Verdict.TIMEOUT, "duration 5000 >= limit 5000 (also: exit code 124)"),
+    (dict(status="failed", exit_code=124, end_ms=20 + 4999, duration_ms=4999),
+     MachineStatus.HEALTHY, Verdict.NON_ZERO_EXIT, "exit code 124"),
+    # an OOM outranks a timeout
+    (dict(status="failed", exit_code=137, rss_bytes=2 * GiB, end_ms=20 + 6000, duration_ms=6000),
+     MachineStatus.HEALTHY, Verdict.OUT_OF_MEMORY,
+     "rss 2147483648 > requested 1073741824 (also: duration 6000 >= limit 5000; exit code 137)"),
+    (dict(status="failed", exit_code=1), MachineStatus.HEALTHY, Verdict.NON_ZERO_EXIT,
+     "exit code 1"),
+])
+def test_diagnose_verdict(overrides, machine, verdict, evidence):
+    diagnosis = diagnose(make_record(**overrides), REQ, machine)
+    assert (diagnosis.verdict, diagnosis.evidence) == (verdict, evidence)
 
 
 def test_diagnose_verdict_none_iff_succeeded():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dag_specs, make_request, random_dag_spec
+from conftest import GiB, dag_specs, make_request, random_dag_spec
 from stratus.fixtures import fixture_text
 from stratus.workflow import (
     CycleError,
@@ -32,8 +32,6 @@ from stratus.workflow import (
     ready_tasks,
     workflow_status,
 )
-
-GiB = 1024**3
 
 TASK_LINE = "task {name} scatter=false cpus=1 mem=1073741824 disk=0 timeout=1000 model=default\n"
 
@@ -74,81 +72,55 @@ def test_parse_defaults_workflow_id():
     assert spec.task_names() == ["a"]
 
 
-def test_parse_rejects_garbage_line():
-    text = "workflow w\n" + TASK_LINE.format(name="a") + "not a directive\n"
-    with pytest.raises(WorkflowSyntaxError) as err:
-        parse_workflow(text)
-    assert err.value.line == 3
+def task_lines(names) -> str:
+    return "".join(TASK_LINE.format(name=name) for name in names)
 
 
-def test_parse_rejects_duplicate_task():
-    text = TASK_LINE.format(name="a") + TASK_LINE.format(name="a")
-    with pytest.raises(WorkflowSyntaxError, match=r"^line 2: duplicate task name: 'a'$") as err:
-        parse_workflow(text)
-    assert err.value.line == 2
-    # the spec's own error stays reachable
-    assert isinstance(err.value.__cause__, DuplicateTaskError)
+def out_of_range(values: str) -> str:
+    return f"workflow w\ntask a scatter=false {values} model=default\n"
+
+
+# (text, line, the spec's own error as __cause__, message); a refusal with no
+# line is a whole-file WorkflowError, not a WorkflowSyntaxError
+@pytest.mark.parametrize("text, line, cause, message", [
+    ("workflow w\n" + task_lines("a") + "not a directive\n", 3, None,
+     "line 3: unknown directive 'not'"),
+    (task_lines("aa"), 2, DuplicateTaskError, "line 2: duplicate task name: 'a'"),
     # the first name to repeat is reported, at its second definition
-    text = "".join(TASK_LINE.format(name=n) for n in "abcbca")
-    with pytest.raises(WorkflowSyntaxError) as err:
-        parse_workflow(text)
-    assert (err.value.__cause__.task_name, err.value.line) == ("b", 4)
-
-
-def test_parse_rejects_empty():
-    with pytest.raises(WorkflowError):
-        parse_workflow("# nothing here\n")
-
-
-def test_parse_rejects_bad_edge():
-    with pytest.raises(WorkflowSyntaxError) as err:
-        parse_workflow(TASK_LINE.format(name="a") + "edge a b\n")
-    assert err.value.line == 2
-
-
-def test_parse_gives_the_first_dangling_edge_its_line():
-    text = (
-        TASK_LINE.format(name="a")
-        + TASK_LINE.format(name="b")
-        + "edge a -> b\nedge a -> ghost\nedge ghost -> b\n"
-    )
-    with pytest.raises(WorkflowSyntaxError, match=r"^line 4: unknown task: 'ghost'$") as err:
-        parse_workflow(text)
-    assert err.value.line == 4
-    assert isinstance(err.value.__cause__, UnknownTaskError)
+    (task_lines("abcbca"), 4, DuplicateTaskError, "line 4: duplicate task name: 'b'"),
+    ("# nothing here\n", None, None, "no tasks"),
+    (task_lines("a") + "edge a b\n", 2, None, "line 2: expected 'edge <from> -> <to>'"),
+    # the first dangling edge
+    (task_lines("ab") + "edge a -> b\nedge a -> ghost\nedge ghost -> b\n", 4, UnknownTaskError,
+     "line 4: unknown task: 'ghost'"),
     # the dangling end may be the source, and may be named before its edge's tasks
-    with pytest.raises(WorkflowSyntaxError, match=r"^line 1: unknown task: 'x'$") as err:
-        parse_workflow("edge x -> a\n" + TASK_LINE.format(name="a"))
-    assert err.value.line == 1
-
-
-def test_parse_rejects_missing_task_key():
-    bad = "task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 extra=x\n"
-    with pytest.raises(WorkflowSyntaxError) as err:
-        parse_workflow(bad)
-    assert err.value.line == 1
-
-
-def test_parse_rejects_noninteger_value():
-    bad = "task a scatter=false cpus=one mem=1 disk=0 timeout=1000 model=default\n"
-    with pytest.raises(WorkflowSyntaxError):
-        parse_workflow(bad)
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        "cpus=0 mem=1 disk=0 timeout=1000",
-        "cpus=1 mem=0 disk=0 timeout=1000",
-        "cpus=1 mem=1 disk=-1 timeout=1000",
-        "cpus=1 mem=1 disk=0 timeout=0",
-    ],
-)
-def test_parse_rejects_out_of_range_value_on_its_line(values):
-    text = "workflow w\n" + f"task a scatter=false {values} model=default\n"
-    with pytest.raises(WorkflowSyntaxError) as err:
+    ("edge x -> a\n" + task_lines("a"), 1, UnknownTaskError, "line 1: unknown task: 'x'"),
+    ("task a scatter=false cpus=1 mem=1 disk=0 timeout=1000 extra=x\n", 1, None,
+     "line 1: missing keys: ['model']"),
+    ("task a scatter=false cpus=one mem=1 disk=0 timeout=1000 model=default\n", 1, None,
+     "line 1: cpus is not an integer: 'one'"),
+    (out_of_range("cpus=0 mem=1 disk=0 timeout=1000"), 2, None,
+     "line 2: cpu_cores must be positive, got 0"),
+    (out_of_range("cpus=1 mem=0 disk=0 timeout=1000"), 2, None,
+     "line 2: memory_bytes must be positive, got 0"),
+    (out_of_range("cpus=1 mem=1 disk=-1 timeout=1000"), 2, None,
+     "line 2: disk_bytes must be nonnegative, got -1"),
+    (out_of_range("cpus=1 mem=1 disk=0 timeout=0"), 2, None,
+     "line 2: max_runtime_ms must be positive, got 0"),
+    ("workflow w\n" + task_lines(["a", "b\\"]), 3, InvalidNameError,
+     "line 3: name must not end in a backslash: 'b\\\\'"),
+    # the header that names the workflow, before the task lines
+    ("# id\nworkflow w\\\n" + task_lines(["a\\"]), 2, InvalidNameError,
+     "line 2: name must not end in a backslash: 'w\\\\'"),
+])
+def test_parse_workflow_refuses(text, line, cause, message):
+    with pytest.raises(WorkflowError) as err:
         parse_workflow(text)
-    assert err.value.line == 2
+    assert str(err.value) == message
+    assert getattr(err.value, "line", None) == line
+    assert isinstance(err.value, WorkflowSyntaxError) == (line is not None)
+    # the spec's own error stays reachable
+    assert type(err.value.__cause__) is (cause or type(None))
 
 
 # --- construction checks, against networkx ---
@@ -210,28 +182,13 @@ def test_validate_rejects_a_name_dot_cannot_quote(name):
         WorkflowSpec(workflow_id=name, tasks=definitions("a"), edges=())
     assert err.value.name == name
     assert not isinstance(err.value, WorkflowSyntaxError)
+    # a default id comes from no line
+    with pytest.raises(InvalidNameError) as err:
+        parse_workflow(TASK_LINE.format(name="a"), default_workflow_id=name)
+    assert not isinstance(err.value, WorkflowSyntaxError)
     # a backslash anywhere else is kept
     spec = WorkflowSpec(workflow_id="w\\1", tasks=definitions(["a\\b"]), edges=())
     assert '"a\\b" [label="a\\b [x1]"];' in export_dot(spec)
-
-
-def test_parse_gives_an_invalid_name_its_line():
-    text = "workflow w\n" + TASK_LINE.format(name="a") + TASK_LINE.format(name="b\\")
-    with pytest.raises(
-        WorkflowSyntaxError, match=r"^line 3: name must not end in a backslash: 'b\\\\'$"
-    ) as err:
-        parse_workflow(text)
-    assert err.value.line == 3
-    assert isinstance(err.value.__cause__, InvalidNameError)
-    # the header that names the workflow, before the task lines
-    text = "# id\nworkflow w\\\n" + TASK_LINE.format(name="a\\")
-    with pytest.raises(WorkflowSyntaxError) as err:
-        parse_workflow(text)
-    assert (err.value.__cause__.name, err.value.line) == ("w\\", 2)
-    # a default id comes from no line
-    with pytest.raises(InvalidNameError) as err:
-        parse_workflow(TASK_LINE.format(name="a"), default_workflow_id="w\\")
-    assert not isinstance(err.value, WorkflowSyntaxError)
 
 
 def test_validate_keeps_spaces_in_names():
@@ -420,44 +377,35 @@ def test_only_succeeded_and_failed_are_terminal():
     }
 
 
-def test_instance_rejects_skipping_queue():
+RUNNING = [("mark_queued", 0), ("mark_running", 0, "m1")]
+FINISHED = [*RUNNING, ("mark_finished", 1, TaskState.SUCCEEDED)]
+
+
+# (the calls that lead up to the refused one, the refused call, its error, message)
+@pytest.mark.parametrize("history, call, error, message", [
+    ([], ("mark_running", 10, "m1"), InvalidTransitionError,
+     "w/a/0: cannot start from state pending"),
+    ([("mark_queued", 5), ("mark_running", 10, "m1")], ("mark_finished", 9, TaskState.FAILED),
+     WorkflowError, "w/a/0: end 9 before start 10"),
+    ([("mark_queued", 10)], ("mark_running", 9, "m1"), WorkflowError,
+     "w/a/0: start 9 before submit 10"),
+    (RUNNING, ("mark_finished", 1, TaskState.RUNNING), WorkflowError,
+     "w/a/0: running is not terminal"),
+    (FINISHED, ("mark_finished", 2, TaskState.FAILED), InvalidTransitionError,
+     "w/a/0: cannot finish from state succeeded"),
+    (FINISHED, ("mark_queued", 2), InvalidTransitionError,
+     "w/a/0: cannot queue from state succeeded"),
+])
+def test_instance_refuses_a_transition(history, call, error, message):
     inst = make_instance()
-    with pytest.raises(InvalidTransitionError):
-        inst.mark_running(10, "m1")
-
-
-def test_instance_rejects_finish_before_start():
-    inst = make_instance()
-    inst.mark_queued(5)
-    inst.mark_running(10, "m1")
-    with pytest.raises(WorkflowError):
-        inst.mark_finished(9, TaskState.FAILED)
-
-
-def test_instance_rejects_start_before_submit():
-    inst = make_instance()
-    inst.mark_queued(10)
-    with pytest.raises(WorkflowError):
-        inst.mark_running(9, "m1")
-
-
-def test_instance_rejects_nonterminal_finish():
-    inst = make_instance()
-    inst.mark_queued(0)
-    inst.mark_running(0, "m1")
-    with pytest.raises(WorkflowError):
-        inst.mark_finished(1, TaskState.RUNNING)
-
-
-def test_instance_rejects_double_finish():
-    inst = make_instance()
-    inst.mark_queued(0)
-    inst.mark_running(0, "m1")
-    inst.mark_finished(1, TaskState.SUCCEEDED)
-    with pytest.raises(InvalidTransitionError):
-        inst.mark_finished(2, TaskState.FAILED)
-    with pytest.raises(InvalidTransitionError, match=r"^w/a/0: cannot queue from state succeeded$"):
-        inst.mark_queued(2)
+    for name, *args in history:
+        getattr(inst, name)(*args)
+    before = inst.to_record()
+    name, *args = call
+    with pytest.raises(error) as err:
+        getattr(inst, name)(*args)
+    assert str(err.value) == message
+    assert inst.to_record() == before
 
 
 def test_instance_record_round_trip():
