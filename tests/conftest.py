@@ -1,6 +1,6 @@
-"""Shared fixtures: workflow/cluster generators, the drawn engine cases, an
-import reader and the acceptance-criteria summary printed at the end of the
-session."""
+"""Shared fixtures: workflow/cluster generators, the drawn engine cases and
+those of the bundled scenarios, an import reader and the acceptance-criteria
+summary printed at the end of the session."""
 
 import ast
 import random
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import strategies as st
 
 from stratus.blueprint import TopologyMode, parse_capability_profile
-from stratus.fixtures import fixture_text
-from stratus.machine import HardwareSpec, MachineDescriptor, MachineType, ResourceVector
-from stratus.sim import FaultInjection, InjectionKind, Simulation
-from stratus.workflow import ResourceRequest, TaskDefinition, WorkflowSpec
+from stratus.fixtures import fixture_path, fixture_text
+from stratus.machine import HardwareSpec, MachineDescriptor, MachineType, ResourceVector, parse_cluster
+from stratus.sim import FaultInjection, InjectionKind, Simulation, load_scenario, parse_file
+from stratus.workflow import ResourceRequest, TaskDefinition, WorkflowSpec, parse_workflow
 
 GiB = 1024**3
 
@@ -187,6 +187,16 @@ def engine_cases(draw):
         injections.append(FaultInjection(kind, target, at_ms=at_ms))
     seed = draw(st.integers(0, 2**16))
     return spec, machines, input_count, seed, draw(st.sampled_from(list(TopologyMode))), injections
+
+
+def scenario_case(name, topology=None):
+    """The engine case of the bundled scenario ``name``, in its own topology
+    unless ``topology`` is given."""
+    scenario = load_scenario(fixture_path(name))
+    machines, _ = parse_file(parse_cluster, scenario.cluster_path)
+    spec = parse_file(parse_workflow, scenario.workflow_path)
+    return (spec, machines, scenario.input_count, scenario.seed, topology or scenario.topology,
+            list(scenario.injections))
 
 
 def imports_of(path) -> dict[str, set[str]]:

@@ -252,7 +252,7 @@ class FirstFitDriver:
     """A resource manager driven side by side with the oracle's state.
 
     Each enqueue, pass, release, status change and new machine goes to both.
-    A pass must assign what ``oracle_first_fit`` assigns, and after every
+    A pass must assign what ``oracle_first_fit`` assigns, and returns it; after every
     step the manager must agree with the oracle's state: each machine's
     reservation equals the oracle's and is within capacity and
     non-negative, ``running_on`` lists the oracle's running tasks, and
@@ -275,7 +275,7 @@ class FirstFitDriver:
         self.queue.append((task_id, need))
         self.check()
 
-    def schedule(self, t_ms) -> None:
+    def schedule(self, t_ms) -> list:
         machines = [
             (machine_id, capacity, self.status[machine_id] is MachineStatus.HEALTHY)
             for machine_id, capacity in sorted(self.capacity.items())
@@ -288,6 +288,7 @@ class FirstFitDriver:
             self.running[task_id] = (machine_id, needs[task_id])
         self.queue = [(task_id, needs[task_id]) for task_id in leftover]
         self.check()
+        return expected
 
     def release(self, task_id, wchar_bytes=0) -> None:
         self.rm.release(task_id, wchar_bytes=wchar_bytes)

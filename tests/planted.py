@@ -56,6 +56,12 @@ class Fault(NamedTuple):
 
 
 ENGINE = "tests/test_sim.py::test_the_engine_equals_the_reference_run"
+# tables of hand-picked cases: named first, a row that a fault breaks fails
+# in about a second, and -x stops the run before ENGINE draws its examples
+ENGINE_TABLE = "tests/test_sim.py::test_a_hand_picked_run_equals_the_reference_and_its_outcome"
+FIRST_FIT = "tests/test_resman.py::test_first_fit_script"
+READINESS = "tests/test_workflow.py::test_readiness_and_status_of_a_run"
+ARTIFACTS = "tests/test_sim.py::test_artifacts_change_only_with_what_shapes_them"
 PINNED = "tests/test_golden.py::test_every_pinned_input_equals_the_reference_run"
 ANSWER = "tests/test_service.py::test_every_answer_equals_the_reference_answer"
 GOLDEN_ANSWER = "tests/test_golden_service.py::test_responses_equal_the_reference_answer"
@@ -82,14 +88,14 @@ FAULTS = [
         "            if descriptor.status is MachineStatus.HEALTHY:",
         "            if descriptor.status is not MachineStatus.MAINTENANCE:",
         "a pass starts tasks on healthy machines only",
-        (ENGINE, SEGMENTED, CRITERION_6),
+        (FIRST_FIT, ENGINE, SEGMENTED, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
         "            if descriptor.status is MachineStatus.HEALTHY:",
         "            if descriptor.status is not MachineStatus.UNHEALTHY:",
         "a machine under maintenance is not healthy and takes no task",
-        (SEGMENTED, CRITERION_6),
+        (FIRST_FIT, SEGMENTED, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
@@ -98,28 +104,28 @@ FAULTS = [
         "        for machine_id in reversed(self.registry.machine_ids()):\n"
         "            descriptor = self.registry.descriptor(machine_id)",
         "a pass tries the healthy machines in id order",
-        (ENGINE, SEGMENTED, CRITERION_6),
+        (ENGINE_TABLE, FIRST_FIT, ENGINE, SEGMENTED, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
         "        for segment in self._segments:",
         "        for segment in reversed(self._segments):",
         "a pass walks the queue in FIFO order",
-        (ENGINE, SEGMENTED, CRITERION_6),
+        (ENGINE_TABLE, FIRST_FIT, ENGINE, SEGMENTED, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
         "            k = first_fit.get(need, 0)",
         "            k = len(healthy) if remaining else first_fit.get(need, 0)",
         "a pass walks the whole queue: a task that fits nowhere blocks none behind it",
-        (ENGINE, SEGMENTED, CRITERION_6),
+        (ENGINE_TABLE, FIRST_FIT, ENGINE, SEGMENTED, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
         "(held[0] - need[0], held[1] - need[1], held[2] - need[2])",
         "(held[0] - need[0], held[1] - need[1], held[2])",
         "a finished task returns its whole reservation, disk included",
-        (ENGINE, CRITERION_6),
+        (ENGINE_TABLE, ENGINE, CRITERION_6),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -134,56 +140,57 @@ FAULTS = [
         "            succeeded_by_def[inst.definition] = False",
         "        succeeded_by_def[inst.definition] = inst.state is TaskState.SUCCEEDED",
         "ready_tasks: a definition is ready once every instance of each predecessor succeeded",
-        (ENGINE, CRITERION_7),
+        (ENGINE_TABLE, READINESS, ENGINE, CRITERION_7),
     ),
     Fault(
         "src/stratus/workflow.py",
         "        if inst.state is not TaskState.SUCCEEDED:",
         "        if not inst.state.terminal:",
         "ready_tasks: a failed predecessor readies nothing",
-        (ENGINE, CRITERION_7),
+        (ENGINE_TABLE, READINESS, ENGINE, CRITERION_7),
     ),
     Fault(
         "src/stratus/sim.py",
         "            if all(self._rows[p].remaining == 0 for p in predecessors[successor]):",
         "            if any(self._rows[p].remaining == 0 for p in predecessors[successor]):",
         "the engine readies a definition once all its predecessors succeeded",
-        (ENGINE, CRITERION_7),
+        (ENGINE_TABLE, ENGINE, CRITERION_7),
     ),
     Fault(
         "src/stratus/sim.py",
         "        failure_draw = draw()\n        pcache_draw = draw()",
         "        pcache_draw = draw()\n        failure_draw = draw()",
         "an instance draws runtime, failure and page-cache ratio from its own stream, in that order",
-        (ENGINE, "tests/test_sim.py::test_metric_plan_matches_the_reference_formula"),
+        (ENGINE_TABLE, ENGINE,
+         "tests/test_sim.py::test_metric_plan_matches_the_reference_formula"),
     ),
     Fault(
         "src/stratus/sim.py",
         "self._rng.seed(_stream_seed(self.result.seed, task_id))",
         "self._rng.seed(_stream_seed(0, task_id))",
         "an instance's stream is seeded from the run's seed and its own id",
-        (ENGINE,),
+        (ENGINE_TABLE, ENGINE),
     ),
     Fault(
         "src/stratus/sim.py",
         "failure_draw < plan.failure_probability",
         "failure_draw > plan.failure_probability",
         "an instance fails on its own when its failure draw is below the model's probability",
-        (ENGINE,),
+        (ENGINE_TABLE, ENGINE),
     ),
     Fault(
         "src/stratus/sim.py",
         "next((f for f in faults if t_ms >= f.at_ms), None)",
         "next((f for f in reversed(faults) if t_ms >= f.at_ms), None)",
         "of the task faults armed on an instance, the first one its start has reached fires",
-        (ENGINE,),
+        (ENGINE_TABLE, ENGINE),
     ),
     Fault(
         "src/stratus/sim.py",
         "            rss_bytes = requested.memory_bytes + max(1, requested.memory_bytes // 4)",
         "            rss_bytes = requested.memory_bytes",
         "an OOM forces the footprint a quarter over the memory request",
-        (ENGINE, PINNED),
+        (ENGINE_TABLE, ENGINE, PINNED),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -197,7 +204,7 @@ FAULTS = [
         "ratio = duration / planned",
         "ratio = duration / (planned + 1)",
         "a record cut short scales its counters by the share of its drawn runtime that it ran",
-        (ENGINE, PINNED, SCALED),
+        (ENGINE_TABLE, ENGINE, PINNED, SCALED),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -214,14 +221,14 @@ FAULTS = [
         "        if execution.exit_code == 0:\n"
         "            self._pump(t_ms)",
         "a completion, a failure too, runs a scheduler pass",
-        (ENGINE,),
+        (ENGINE_TABLE, ENGINE),
     ),
     Fault(
         "src/stratus/sim.py",
         "        for task_id in self.rm.running_on(machine_id):",
         "        for task_id in reversed(self.rm.running_on(machine_id)):",
         "a machine fault ends the instances running on it in task-id order",
-        (ENGINE, PINNED),
+        (ENGINE_TABLE, ENGINE, PINNED),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -235,7 +242,7 @@ FAULTS = [
         "                successor.poisoned = True\n                frontier.append(successor)\n",
         "                successor.poisoned = True\n",
         "a failure poisons every transitively downstream definition",
-        (ENGINE, CRITERION_7),
+        (ENGINE_TABLE, ENGINE, CRITERION_7),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -249,42 +256,42 @@ FAULTS = [
         "heapq.heappush(self._events, (t_ms, next(self._seq), handler, payload))",
         "heapq.heappush(self._events, (t_ms, -next(self._seq), handler, payload))",
         "events in one millisecond run in the order they were scheduled",
-        (ENGINE, PINNED),
+        (ENGINE_TABLE, ENGINE, PINNED),
     ),
     Fault(
         "src/stratus/sim.py",
         'f"input_count={result.input_count} topology=',
         'f"run_id={self.run_id} input_count={result.input_count} topology=',
         "a run's bytes do not depend on its run id",
-        (ENGINE,),
+        (ENGINE_TABLE, ARTIFACTS, ENGINE,),
     ),
     Fault(
         "src/stratus/sim.py",
         'f"input_count={result.input_count} topology=',
         'f"at={self.run.submission_ms} input_count={result.input_count} topology=',
         "a run's bytes do not depend on its submission time",
-        (ENGINE,),
+        (ENGINE_TABLE, ARTIFACTS, ENGINE,),
     ),
     Fault(
         "src/stratus/sim.py",
         "failed = any(row.remaining for row in self._rows.values())",
         "failed = any(row.poisoned for row in self._rows.values())",
         "run_completed reads final=failed unless every instance succeeded",
-        (ENGINE, CRITERION_7),
+        (ENGINE_TABLE, ENGINE, CRITERION_7),
     ),
     Fault(
         "src/stratus/sim.py",
         "        self._events.clear()",
         "        pass",
         "nothing happens after run_completed",
-        (ENGINE, PINNED),
+        (ENGINE_TABLE, ENGINE, PINNED),
     ),
     Fault(
         "src/stratus/workflow.py",
         "finished=sum(1 for i in run.instances if i.state is TaskState.SUCCEEDED)",
         "finished=sum(1 for i in run.instances if i.state.terminal)",
         "workflow_status: finished counts the succeeded instances",
-        (ENGINE,),
+        (ENGINE_TABLE, READINESS, ENGINE,),
     ),
     # -- File formats: the parsers' own tests --
     Fault(
@@ -403,7 +410,7 @@ FAULTS = [
         '            return kind in ("instance_queued", "instance_started")',
         '            return kind == "instance_queued"',
         "a start writes a progress record",
-        (ANSWER,),
+        (ENGINE_TABLE, ANSWER,),
     ),
     # -- taskmon.diagnose, which both references call, so only its own tests catch --
     Fault(

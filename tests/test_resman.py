@@ -1,14 +1,13 @@
-"""Resource manager tests: topology guards, FIFO first-fit against a brute
-force oracle, reservation safety under random load, and status reports."""
+"""Resource manager tests: topology guards, first fit against a brute force
+oracle over hand-picked scripts and random passes, and status reports."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GiB, make_machine, make_request, random_cluster
+from conftest import GiB, make_machine, make_request
 from oracles import FirstFitDriver
 from stratus.blueprint import TopologyMode
 from stratus.machine import MachineRegistry, MachineStatus
@@ -61,19 +60,6 @@ def test_running_workflows_hidden_in_disjoint_mode():
 # --- queue semantics ---
 
 
-def test_task_ids_unique_across_lifecycle():
-    rm = make_rm()
-    rm.enqueue(*entry("t1"))
-    with pytest.raises(DuplicateEntryError):
-        rm.enqueue(*entry("t1"))
-    rm.schedule(0)
-    with pytest.raises(DuplicateEntryError):
-        rm.enqueue(*entry("t1"))
-    rm.release("t1")
-    with pytest.raises(DuplicateEntryError):
-        rm.enqueue(*entry("t1"))
-
-
 def test_release_requires_running_task():
     rm = make_rm()
     with pytest.raises(UnknownEntryError):
@@ -83,97 +69,73 @@ def test_release_requires_running_task():
         rm.release("t1")
 
 
-# --- first-fit behavior ---
+# --- first fit, driven beside the oracle ---
 
-
-def test_first_fit_prefers_lowest_machine_id():
-    machines = [make_machine("m1", cpus=4), make_machine("m2", cpus=4)]
-    rm = make_rm(machines)
-    rm.enqueue(*entry("t1", cpus=2))
-    rm.enqueue(*entry("t2", cpus=2))
-    rm.enqueue(*entry("t3", cpus=2))
-    assert rm.schedule(0) == [("t1", "m1"), ("t2", "m1"), ("t3", "m2")]
-
-
-def test_first_fit_skips_unhealthy_machines():
-    machines = [make_machine("m1"), make_machine("m2")]
-    rm = make_rm(machines)
-    rm.registry.set_status("m1", MachineStatus.UNHEALTHY)
-    rm.enqueue(*entry("t1"))
-    assert rm.schedule(0) == [("t1", "m2")]
-    rm.registry.set_status("m2", MachineStatus.MAINTENANCE)
-    rm.enqueue(*entry("t2"))
-    assert rm.schedule(0) == []
-    assert rm.queue_depth() == 1
-
-
-def test_blocked_head_does_not_starve_smaller_entries():
-    rm = make_rm([make_machine("m1", cpus=4)])
-    rm.enqueue(*entry("big", cpus=8))
-    rm.enqueue(*entry("small", cpus=1))
-    assert rm.schedule(0) == [("small", "m1")]
-    assert rm.queue_depth() == 1
-
-
-def test_fifo_order_when_everything_fits():
-    rm = make_rm([make_machine("m1", cpus=8)])
-    for i in range(4):
-        rm.enqueue(*entry(f"t{i}", cpus=1))
-    assert [task for task, _ in rm.schedule(0)] == ["t0", "t1", "t2", "t3"]
-
-
-def test_release_makes_room_again():
-    rm = make_rm([make_machine("m1", cpus=2)])
-    rm.enqueue(*entry("t1", cpus=2))
-    assert rm.schedule(0) == [("t1", "m1")]
-    rm.enqueue(*entry("t2", cpus=2))
-    assert rm.schedule(1) == []
-    rm.release("t1")
-    assert rm.schedule(2) == [("t2", "m1")]
-
-
-def test_assignment_and_running_on_views():
-    machines = [make_machine("m1", cpus=2), make_machine("m2", cpus=8)]
-    rm = make_rm(machines)
-    rm.enqueue(*entry("t1", cpus=2))
-    rm.enqueue(*entry("t2", cpus=4))
-    rm.schedule(0)
-    assert rm.running_on("m1") == ["t1"]
-    assert rm.running_on("m2") == ["t2"]
-    assert rm.running_on("ghost") == []
-
-
-# --- oracle comparison and capacity safety ---
-
-
-def test_schedule_matches_oracle_on_random_load():
-    rng = random.Random(271)
-    for round_number in range(200):
-        machines = random_cluster(rng, max_machines=4)
-        driver = FirstFitDriver(make_rm(machines), machines)
-        for machine in machines:
-            if rng.random() < 0.2:
-                driver.set_status(machine.machine_id, MachineStatus.UNHEALTHY)
-        for i in range(rng.randint(0, 12)):
-            driver.enqueue(*entry(
-                f"t{round_number}_{i}",
-                cpus=rng.randint(1, 6),
-                mem=rng.randint(1, 8) * GiB,
-                disk=rng.randint(0, 4) * GiB,
-            ))
-        driver.schedule(0)
-
-
-def test_reservations_never_exceed_capacity_under_churn():
-    rng = random.Random(733)
-    machines = [make_machine("m1", cpus=4, mem=8 * GiB), make_machine("m2", cpus=2, mem=4 * GiB)]
-    driver = FirstFitDriver(make_rm(machines), machines)
-    for next_id in range(600):
-        if rng.random() < 0.6:
-            driver.enqueue(*entry(f"t{next_id}", cpus=rng.randint(1, 3), mem=rng.randint(1, 3) * GiB))
-        driver.schedule(0)
-        if driver.running and rng.random() < 0.5:
-            driver.release(rng.choice(list(driver.running)), wchar_bytes=rng.randint(0, 10**6))
+# (machines as (id, cores), a script, then running_on at the end, an unknown
+# machine included, and the ids still queued); a script step enqueues
+# (id, cores), runs a pass at t that must assign what it names, releases
+# an id, sets a machine's status, or enqueues an id that must be refused
+# as a duplicate
+@pytest.mark.parametrize("machines, script, running_on, queued", [
+    pytest.param(
+        [("m1", 8)],
+        [("enqueue", "t1", 1), ("refuse", "t1"), ("pass", 0, [("t1", "m1")]), ("refuse", "t1"),
+         ("release", "t1"), ("refuse", "t1")],
+        {"m1": []}, [], id="an id is refused while queued, running or finished",
+    ),
+    pytest.param(
+        [("m1", 4), ("m2", 4)],
+        [("enqueue", "t1", 2), ("enqueue", "t2", 2), ("enqueue", "t3", 2),
+         ("pass", 0, [("t1", "m1"), ("t2", "m1"), ("t3", "m2")])],
+        {"m1": ["t1", "t2"], "m2": ["t3"]}, [], id="lowest machine id first",
+    ),
+    pytest.param(
+        [("m1", 8), ("m2", 8)],
+        [("status", "m1", MachineStatus.UNHEALTHY), ("enqueue", "t1", 1), ("pass", 0, [("t1", "m2")]),
+         ("status", "m2", MachineStatus.MAINTENANCE), ("enqueue", "t2", 1), ("pass", 0, [])],
+        {"m1": [], "m2": ["t1"]}, ["t2"], id="healthy machines only",
+    ),
+    pytest.param(
+        [("m1", 4)],
+        [("enqueue", "big", 8), ("enqueue", "small", 1), ("pass", 0, [("small", "m1")])],
+        {"m1": ["small"]}, ["big"], id="a blocked head starves nothing behind it",
+    ),
+    pytest.param(
+        [("m1", 8)],
+        [*(("enqueue", f"t{i}", 1) for i in range(4)),
+         ("pass", 0, [("t0", "m1"), ("t1", "m1"), ("t2", "m1"), ("t3", "m1")])],
+        {"m1": ["t0", "t1", "t2", "t3"]}, [], id="fifo when everything fits",
+    ),
+    pytest.param(
+        [("m1", 2)],
+        [("enqueue", "t1", 2), ("pass", 0, [("t1", "m1")]), ("enqueue", "t2", 2), ("pass", 1, []),
+         ("release", "t1"), ("pass", 2, [("t2", "m1")])],
+        {"m1": ["t2"]}, [], id="a release makes room again",
+    ),
+    pytest.param(
+        [("m1", 2), ("m2", 8)],
+        [("enqueue", "t1", 2), ("enqueue", "t2", 4), ("pass", 0, [("t1", "m1"), ("t2", "m2")])],
+        {"m1": ["t1"], "m2": ["t2"], "ghost": []}, [], id="running_on each machine",
+    ),
+])
+def test_first_fit_script(machines, script, running_on, queued):
+    descriptors = [make_machine(machine_id, cpus=cpus) for machine_id, cpus in machines]
+    driver = FirstFitDriver(make_rm(descriptors), descriptors)
+    for step, *args in script:
+        if step == "enqueue":
+            driver.enqueue(*entry(*args))
+        elif step == "pass":
+            t, assigned = args
+            assert driver.schedule(t) == assigned
+        elif step == "release":
+            driver.release(*args)
+        elif step == "status":
+            driver.set_status(*args)
+        else:
+            with pytest.raises(DuplicateEntryError):
+                driver.rm.enqueue(*entry(*args))
+    assert {machine_id: driver.rm.running_on(machine_id) for machine_id in running_on} == running_on
+    assert [task_id for task_id, _ in driver.queue] == queued
 
 
 @settings(max_examples=200, deadline=None)

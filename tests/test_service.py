@@ -31,7 +31,15 @@ from hypothesis import strategies as st
 
 import oracles
 import test_golden_service as golden
-from conftest import GiB, engine_cases, imports_of, make_machine, make_request, run_simulation
+from conftest import (
+    GiB,
+    engine_cases,
+    imports_of,
+    make_machine,
+    make_request,
+    run_simulation,
+    scenario_case,
+)
 from oracles import (
     ORACLE_EXTENSIONS,
     ORACLE_ROWS,
@@ -67,6 +75,7 @@ from stratus.sim import (
     Simulation,
     load_scenario,
     parse_event_log,
+    scenario_simulation,
 )
 from stratus.store import RunStore
 from stratus.taskmon import diagnose
@@ -249,12 +258,6 @@ def test_previous_executions_follow_a_history_cleared_in_place(tmp_path):
 # --- progress replay and live streaming ---
 
 
-def test_replay_progress_equals_engine_stream():
-    result = completed_result(TopologyMode.WORKFLOW_AWARE)
-    assert replay_progress(parse_event_log(result.event_log_text())) == result.progress_records
-    assert replay_progress(result.event_records) == result.progress_records
-
-
 def expected_stream(result):
     """The run's stream records; the property below checks their bytes."""
     return [service._status_payload(r) for r in replay_progress(result.event_records)]
@@ -262,6 +265,9 @@ def expected_stream(result):
 
 def test_live_progress_replays_completed_run(aware):
     context, result = aware
+    # the engine's progress records are the replay of its events, also as read back
+    assert replay_progress(parse_event_log(result.event_log_text())) == result.progress_records
+    assert replay_progress(result.event_records) == result.progress_records
     request_target = target("/v1/workflow/live_progress", as_layer="workflow", subject=RUN_ID)
     status, content_type, chunks = context.answer(request_target)
     streamed = b"".join(chunks)
@@ -594,14 +600,7 @@ def test_a_run_attached_after_it_finished_streams_whole_and_ends():
 def test_live_run_registers_the_result_the_engine_returns():
     # the fault scenario's failures poison every instance downstream of them
     scenario = load_scenario(fixture_path("faults.scenario"))
-    spec = parse_workflow(scenario.workflow_path.read_text(), default_workflow_id="wf1")
-    machines, fs_total = parse_cluster(scenario.cluster_path.read_text())
-    simulation = Simulation(
-        spec, machines, fs_total, scenario.input_count, scenario.seed, scenario.topology,
-        run_id="live-faults", submission_ms=0,
-    )
-    for injection in scenario.injections:
-        simulation.inject(injection)
+    simulation = scenario_simulation(scenario, run_id="live-faults", submission_ms=0)
     context = ServiceContext(scenario.topology)
     context.attach_live(simulation)
     result = simulation.run_to_completion()
@@ -1092,10 +1091,7 @@ def golden_case(topology: TopologyMode, empty: bool) -> ServiceCase:
         return ServiceCase(topology, [], None, [
             target(p, **q) for p, q in golden.empty_context_requests()
         ])
-    scenario = load_scenario(fixture_path("faults.scenario"))
-    spec = parse_workflow(scenario.workflow_path.read_text(), default_workflow_id="wf1")
-    machines, _ = parse_cluster(scenario.cluster_path.read_text())
-    case = spec, machines, scenario.input_count, scenario.seed, topology, scenario.injections
+    case = scenario_case("faults.scenario", topology)
     plan = [r for f in ALL_FEATURES for r in golden.feature_requests(f)] + golden.extra_requests()
     return ServiceCase(
         topology, [(golden.RUN_ID, case, True)], [(0, 0)], [target(p, **q) for p, q in plan]

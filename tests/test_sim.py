@@ -10,8 +10,11 @@ import json
 import random
 import tempfile
 import threading
+from collections import Counter
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, find, given, settings
@@ -26,6 +29,7 @@ from conftest import (
     make_machine,
     make_request,
     run_simulation,
+    scenario_case,
 )
 from oracles import (
     Draws,
@@ -68,7 +72,6 @@ from stratus.sim import (
     _Row,
     _scaled_record,
     _stream_seed,
-    load_scenario,
     parse_event_log,
     parse_scenario,
     scenario_simulation,
@@ -105,53 +108,53 @@ def run_fig1(seed=42, input_count=4, topology=TopologyMode.WORKFLOW_AWARE, **kwa
     spec, machines, fs_total = fig1_setup()
     return run_simulation(
         spec, machines, fs_total, input_count, seed, topology,
-        run_id="r-test", submission_ms=0, **kwargs,
+        **{"run_id": "r-test", "submission_ms": 0, **kwargs},
     )
 
 
 # --- metric synthesis ---
 
 
-def test_instance_stream_matches_hash_derivation():
-    seed, task_id = 42, "wf1/I/0"
+# (seed, task id, the stream's first draw): a stream changes with the seed
+# and with the task id, and is the same whenever both are
+@pytest.mark.parametrize("seed, task_id, first", [
+    (42, "wf1/I/0", 0.035191187651094746),
+    (7, "w/a/0", 0.9232785006298699),
+    (7, "w/b/0", 0.08308655227643713),
+    (8, "w/a/0", 0.4544634460432574),
+])
+def test_instance_stream_matches_hash_derivation(seed, task_id, first):
     digest = hashlib.sha256(f"{seed}:{task_id}".encode()).digest()
-    expected = random.Random(int.from_bytes(digest[:8], "big")).random()
-    assert instance_stream(seed, task_id).random() == expected
+    assert random.Random(int.from_bytes(digest[:8], "big")).random() == first
+    assert instance_stream(seed, task_id).random() == first
 
 
-def test_instance_streams_are_independent():
-    a1 = instance_stream(7, "w/a/0").random()
-    a2 = instance_stream(7, "w/a/0").random()
-    b = instance_stream(7, "w/b/0").random()
-    other_seed = instance_stream(8, "w/a/0").random()
-    assert a1 == a2
-    assert a1 != b
-    assert a1 != other_seed
-
-
-def test_runtime_jitter_stays_within_band():
-    for model in BUILTIN_MODELS.values():
-        jitter = model.runtime_jitter_pct / 100
-        low = model.base_runtime_ms * (1 - jitter) - 0.5
-        high = model.base_runtime_ms * (1 + jitter) + 0.5
-        for i in range(1000):
-            rng = instance_stream(1234, f"w/{model.model_key}/{i}")
-            runtime_ms = MetricPlan(model, GiB).draw(rng)[0]
-            assert low <= runtime_ms <= high
-            assert runtime_ms >= 1
-
-
-def test_synthesis_is_a_pure_function_of_the_stream():
-    model = BUILTIN_MODELS["default"]
+# (model, the footprint of a 1 GiB request): over 1000 streams each model's
+# draws are a pure function of the stream, its runtime stays within its
+# jitter band and at least 1 ms, and its page-cache reads split all its io
+# pages, at least half of them hits
+@pytest.mark.parametrize("model_key, rss_bytes", [
+    ("cpu_heavy", 644245094),
+    ("default", GiB // 2),
+    ("flaky", GiB // 2),
+    ("io_heavy", 429496729),
+    ("quick", 322122547),
+])
+def test_a_models_draws_stay_within_its_bands(model_key, rss_bytes):
+    model = BUILTIN_MODELS[model_key]
     plan = MetricPlan(model, GiB)
-    first = Draws(*plan.draw(instance_stream(5, "w/x/0")))
-    second = MetricPlan(model, GiB).draw(instance_stream(5, "w/x/0"))
-    assert first == second
-    assert plan.rss_bytes == int(0.5 * GiB)
-    assert plan.rchar_bytes == model.io_read_bytes
+    assert (plan.rss_bytes, plan.rchar_bytes) == (rss_bytes, model.io_read_bytes)
+    jitter = model.runtime_jitter_pct / 100
+    low = max(1, model.base_runtime_ms * (1 - jitter) - 0.5)
+    high = model.base_runtime_ms * (1 + jitter) + 0.5
     total_pages = (model.io_read_bytes + model.io_write_bytes) // 4096
-    assert first.page_cache_hits + first.page_cache_misses == total_pages
-    assert first.page_cache_hits >= total_pages // 2
+    for i in range(1000):
+        task_id = f"w/{model_key}/{i}"
+        drawn = Draws(*plan.draw(instance_stream(1234, task_id)))
+        assert MetricPlan(model, GiB).draw(instance_stream(1234, task_id)) == drawn
+        assert low <= drawn.runtime_ms <= high
+        assert drawn.page_cache_hits + drawn.page_cache_misses == total_pages
+        assert drawn.page_cache_hits >= total_pages // 2
 
 
 _SHARED = attrgetter("cpu_pct", "rss_bytes", "rchar_bytes", "wchar_bytes")
@@ -313,46 +316,25 @@ def test_unknown_model_rejected_at_construction():
 # --- determinism ---
 
 
-def test_equal_inputs_give_byte_identical_artifacts():
-    first = run_fig1(seed=42)
-    second = run_fig1(seed=42)
-    assert first.event_log_text() == second.event_log_text()
-    assert first.trace_text() == second.trace_text()
-    assert first.samples == second.samples
-
-
-def test_different_seed_changes_artifacts():
-    assert run_fig1(seed=42).trace_text() != run_fig1(seed=43).trace_text()
-
-
-def test_run_id_not_part_of_artifact_bytes():
-    spec, machines, fs_total = fig1_setup()
-    first = run_simulation(
-        spec, machines, fs_total, 4, 42, run_id="alpha", submission_ms=0
-    )
-    second = run_simulation(
-        spec, machines, fs_total, 4, 42, run_id="beta", submission_ms=999
-    )
-    assert first.event_log_text() == second.event_log_text()
-    assert first.trace_text() == second.trace_text()
-
-
-def test_topology_changes_nothing_but_the_submission_line():
-    aware = run_fig1(topology=TopologyMode.WORKFLOW_AWARE)
-    disjoint = run_fig1(topology=TopologyMode.DISJOINT)
-    assert aware.trace_text() == disjoint.trace_text()
-    aware_lines = aware.event_log_text().splitlines()
-    disjoint_lines = disjoint.event_log_text().splitlines()
-    assert aware_lines[1:] == disjoint_lines[1:]
-    assert "topology=workflow_aware" in aware_lines[0]
-    assert "topology=disjoint" in disjoint_lines[0]
-    assert aware.resource_manager.running_workflows() == [("r-test", "wf1", "succeeded")]
-    assert disjoint.resource_manager.running_workflows() == []
-
-
-def test_event_log_round_trips():
-    result = run_fig1()
-    assert parse_event_log(result.event_log_text()) == result.event_records
+# (what the second fig1 run changes, whether its submission line, the rest
+# of its event log with its samples, and its trace equal the first run's,
+# and the workflows its resource manager reports)
+@pytest.mark.parametrize("change, same, workflows", [
+    pytest.param({}, (True, True, True), [("r-test", "wf1", "succeeded")], id="same inputs"),
+    pytest.param({"seed": 43}, (True, False, False), [("r-test", "wf1", "succeeded")], id="seed"),
+    pytest.param({"run_id": "beta", "submission_ms": 999}, (True, True, True),
+                 [("beta", "wf1", "succeeded")], id="run id and submission time"),
+    pytest.param({"topology": TopologyMode.DISJOINT}, (False, True, True), [], id="topology"),
+])
+def test_artifacts_change_only_with_what_shapes_them(change, same, workflows):
+    first, second = run_fig1(), run_fig1(**change)
+    head, *rest = first.event_log_text().splitlines()
+    second_head, *second_rest = second.event_log_text().splitlines()
+    assert (head == second_head, rest == second_rest, first.trace_text() == second.trace_text()) == same
+    assert (first.samples == second.samples) == same[1]
+    topology = change.get("topology", TopologyMode.WORKFLOW_AWARE)
+    assert f" topology={topology.wire_name} " in second_head
+    assert second.resource_manager.running_workflows() == workflows
 
 
 @pytest.mark.parametrize("machine_id", ["a b", "m-1.x", "\u00fc"])
@@ -378,44 +360,7 @@ def test_event_log_errors_carry_the_line(text, line, message):
     assert str(err.value) == message
 
 
-# --- end-to-end structure of a clean run ---
-
-
-def test_clean_run_reaches_success_with_full_accounting():
-    result = run_fig1()
-    assert result.run.final_state is RunState.SUCCEEDED
-    assert len(result.run.instances) == 18
-    assert result.never_eligible == frozenset()
-    kinds = [e.kind for e in result.event_records]
-    assert kinds.count("run_submitted") == 1
-    assert kinds.count("instance_queued") == 18
-    assert kinds.count("instance_started") == 18
-    assert kinds.count("instance_succeeded") == 18
-    assert kinds.count("instance_failed") == 0
-    assert kinds.count("run_completed") == 1
-    assert len(result.trace_records) == 18
-    assert all(r.status == "succeeded" for r in result.trace_records)
-    # only failures are stored; a success's diagnosis is derived on read
-    assert result.diagnoses == {}
-    assert all(result.diagnosis(r.task_id).verdict is Verdict.NONE for r in result.trace_records)
-    assert parse_trace(result.trace_text()) == result.trace_records
-
-
-def test_progress_counts_are_monotone_and_complete():
-    result = run_fig1()
-    finished = [p.finished for p in result.progress_records]
-    assert finished == sorted(finished)
-    assert result.progress_records[-1].progress == 1.0
-    assert result.progress_records[-1].state is RunState.SUCCEEDED
-    lifecycle_events = sum(
-        1
-        for e in result.event_records
-        if e.kind in (
-            "instance_queued", "instance_started",
-            "instance_succeeded", "instance_failed", "run_completed",
-        )
-    )
-    assert len(result.progress_records) == lifecycle_events
+# --- live reads ---
 
 
 def test_a_live_log_read_is_whole_when_the_task_ends_between_its_reads():
@@ -463,102 +408,6 @@ def test_a_live_log_read_is_whole_when_the_task_ends_between_its_reads():
 
 
 # --- fault injection ---
-
-
-def test_oom_injection_end_to_end():
-    result = run_fig1(injections=[
-        FaultInjection(InjectionKind.TASK_OOM, "wf1/II/1"),
-    ])
-    record = next(r for r in result.trace_records if r.task_id == "wf1/II/1")
-    assert record.status == "failed"
-    assert record.exit_code == EXIT_OOM
-    assert record.rss_bytes > GiB
-    assert result.diagnoses["wf1/II/1"].verdict is Verdict.OUT_OF_MEMORY
-    assert result.run.final_state is RunState.FAILED
-
-
-def test_non_zero_exit_injection_end_to_end():
-    result = run_fig1(injections=[
-        FaultInjection(InjectionKind.TASK_NON_ZERO_EXIT, "wf1/III/2"),
-    ])
-    record = next(r for r in result.trace_records if r.task_id == "wf1/III/2")
-    assert record.exit_code == EXIT_TASK_ERROR
-    assert result.diagnoses["wf1/III/2"].verdict is Verdict.NON_ZERO_EXIT
-
-
-def test_failure_poisons_exactly_the_transitive_descendants():
-    result = run_fig1(injections=[
-        FaultInjection(InjectionKind.TASK_NON_ZERO_EXIT, "wf1/IV/0"),
-    ])
-    assert result.run.final_state is RunState.FAILED
-    expected = {"wf1/V/0", "wf1/VI/0", "wf1/VI/1", "wf1/VI/2", "wf1/VI/3"}
-    assert result.never_eligible == expected
-    queued = {e.subject for e in result.event_records if e.kind == "instance_queued"}
-    for task_id in expected:
-        assert task_id not in queued
-        assert result.run.instance(task_id).state is TaskState.PENDING
-    # everything upstream of the failure still ran to completion
-    for task_id in queued:
-        if task_id not in expected:
-            assert result.run.instance(task_id).state.terminal
-
-
-def test_machine_unhealthy_kills_and_diagnoses():
-    result = run_fig1(injections=[
-        FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=2500),
-    ])
-    status_events = [e for e in result.event_records if e.kind == "machine_status"]
-    assert [(e.t_ms, e.subject, e.detail) for e in status_events] == [
-        (2500, "m1", "status=unhealthy")
-    ]
-    killed = [r for r in result.trace_records if r.exit_code == EXIT_MACHINE_KILL]
-    assert {r.task_id for r in killed} == {
-        "wf1/II/0", "wf1/II/1", "wf1/II/2", "wf1/II/3"
-    }
-    for record in killed:
-        assert record.end_ms == 2500
-        assert result.diagnoses[record.task_id].verdict is Verdict.MACHINE_FAILURE
-    assert result.run.final_state is RunState.FAILED
-    # the whole downstream chain became permanently ineligible
-    assert len(result.never_eligible) == 10
-    for e in result.event_records:
-        if e.kind == "instance_started":
-            assert e.t_ms <= 2500
-
-
-def test_timeout_cuts_runtime_and_scales_counters():
-    spec = parse_workflow(
-        "workflow w\n"
-        "task slow scatter=false cpus=1 mem=1073741824 disk=0 timeout=1500 model=default\n"
-    )
-    result = run_simulation(
-        spec, [make_machine("m1")], 1024**4, 1, 42, run_id="r", submission_ms=0
-    )
-    record = result.trace_records[0]
-    assert record.exit_code == EXIT_TIMEOUT
-    assert record.duration_ms == 1500
-    model = BUILTIN_MODELS["default"]
-    assert record.rchar_bytes < model.io_read_bytes
-    assert result.diagnoses["w/slow/0"].verdict is Verdict.TIMEOUT
-    assert result.run.final_state is RunState.FAILED
-
-
-def test_spontaneous_failure_follows_the_drawn_probability():
-    spec = parse_workflow(
-        "workflow w\n"
-        "task maybe scatter=true cpus=1 mem=1073741824 disk=0 timeout=600000 model=flaky\n"
-    )
-    result = run_simulation(
-        spec, [make_machine("m1")], 1024**4, 40, 5, run_id="r", submission_ms=0
-    )
-    failures = 0
-    for record in result.trace_records:
-        rng = instance_stream(5, record.task_id)
-        failure_draw = MetricPlan(BUILTIN_MODELS["flaky"], GiB).draw(rng)[-1]
-        should_fail = failure_draw < BUILTIN_MODELS["flaky"].failure_probability
-        assert (record.status == "failed") == should_fail
-        failures += should_fail
-    assert failures > 0
 
 
 def test_injection_validation():
@@ -732,22 +581,6 @@ def test_a_live_run_refuses_a_fault_from_another_thread():
     assert simulation._pending_machine_events == 0
 
 
-# --- stuck runs ---
-
-
-def test_unsatisfiable_request_raises_instead_of_spinning():
-    spec = parse_workflow(
-        "workflow w\n"
-        "task huge scatter=false cpus=64 mem=1073741824 disk=0 timeout=1000 model=quick\n"
-    )
-    with pytest.raises(NonQuiescentError) as err:
-        run_simulation(
-            spec, [make_machine("m1", cpus=8)], 1024**4, 1, 0,
-            run_id="r", submission_ms=0,
-        )
-    assert err.value.stuck == ["w/huge/0"]
-
-
 # --- garbage collector ---
 
 
@@ -840,22 +673,6 @@ def test_parse_scenario_bad_values_carry_the_line(line):
     assert err.value.line == 3
 
 
-def test_run_bundled_fault_scenario(tmp_path):
-    import importlib.resources
-
-    data_dir = importlib.resources.files("stratus.data")
-    scenario = load_scenario(str(data_dir / "faults.scenario"))
-    result = scenario_simulation(scenario, run_id="r", submission_ms=0).run_to_completion()
-    assert result.run.final_state is RunState.FAILED
-    verdicts = {r.task_id: result.diagnosis(r.task_id).verdict for r in result.trace_records}
-    assert verdicts["wf1/III/0"] is Verdict.OUT_OF_MEMORY
-    assert verdicts["wf1/III/1"] is Verdict.NON_ZERO_EXIT
-    machine_kills = {t for t, v in verdicts.items() if v is Verdict.MACHINE_FAILURE}
-    assert machine_kills == {"wf1/III/4", "wf1/III/5", "wf1/III/6", "wf1/III/7"}
-    assert verdicts["wf1/III/2"] is Verdict.NONE
-    assert verdicts["wf1/III/3"] is Verdict.NONE
-
-
 def test_a_scenario_run_names_the_file_of_a_line_error(tmp_path):
     (tmp_path / "bad.wf").write_text("workflow w\nworkflow v\n")
     (tmp_path / "c.cluster").write_text(fixture_text("two.cluster"))
@@ -912,61 +729,6 @@ def test_a_pass_drops_the_queue_segments_it_empties(monkeypatch):
 
 # --- the engine against the plain reference run ---
 
-# t1 and t2 succeed in the same millisecond: t1's pump queues and starts
-# t5 before t2's success makes t4 ready, so one millisecond holds two pumps
-TWO_PUMPS_IN_ONE_MS = (
-    WorkflowSpec(
-        workflow_id="pw",
-        tasks=tuple(
-            TaskDefinition(f"t{i}", False, make_request(cpus=9 if i == 0 else 1), model)
-            for i, model in enumerate(
-                ("quick", "default", "default", "quick", "quick", "quick", "quick")
-            )
-        ),
-        edges=(
-            ("t0", "t6"), ("t1", "t4"), ("t1", "t5"), ("t1", "t6"), ("t2", "t4"), ("t2", "t6"),
-            ("t3", "t4"), ("t3", "t5"), ("t3", "t6"), ("t4", "t6"), ("t5", "t6"),
-        ),
-    ),
-    [make_machine(f"m{i}", cpus=2, mem=4 * GiB) for i in (1, 2, 3)],
-    1,
-    10411,
-    TopologyMode.WORKFLOW_AWARE,
-    [],
-)
-
-# t0 runs on m1 when m1 is killed, t1 outgrows its timeout, and t2
-# outgrows every machine, so the run ends stuck
-KILL_TIMEOUT_STUCK = (
-    WorkflowSpec(
-        workflow_id="pw",
-        tasks=(
-            TaskDefinition("t0", True, make_request(cpus=1), "default"),
-            TaskDefinition("t1", True, make_request(cpus=1, timeout=1000), "quick"),
-            TaskDefinition("t2", False, make_request(cpus=9), "quick"),
-        ),
-        edges=(),
-    ),
-    [make_machine("m1", cpus=2), make_machine("m2", cpus=4)],
-    3,
-    7,
-    TopologyMode.WORKFLOW_AWARE,
-    [FaultInjection(InjectionKind.MACHINE_UNHEALTHY, "m1", at_ms=500)],
-)
-
-# two task faults armed on one instance, both reached at its start: the
-# first one armed fires
-TWO_FAULTS_ON_ONE_TASK = (
-    WorkflowSpec("pw", (TaskDefinition("t0", False, make_request(), "quick"),), ()),
-    [make_machine("m1")],
-    1,
-    0,
-    TopologyMode.WORKFLOW_AWARE,
-    [FaultInjection(kind, "pw/t0/0") for kind in (
-        InjectionKind.TASK_NON_ZERO_EXIT, InjectionKind.TASK_OOM
-    )],
-)
-
 
 def run_case(case, watch=None):
     """The engine's run of an engine case, its faults armed first and
@@ -986,16 +748,12 @@ def run_case(case, watch=None):
         return simulation.result, exc.stuck
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(engine_cases())
-@example(TWO_PUMPS_IN_ONE_MS)
-@example(KILL_TIMEOUT_STUCK)
-@example(TWO_FAULTS_ON_ONE_TASK)
-def test_the_engine_equals_the_reference_run(case):
+def check_against_reference(case):
     """The engine, watched by a listener and unwatched, writes the bytes and
     keeps the run facts of the plain reference run.  The listener checks at
     each event what the bytes cannot show: the progress fold against the
-    instances' states, and each task's log against its own events."""
+    instances' states, and each task's log against its own events.  Returns
+    the watched run's result and stuck list."""
     mismatches = []
     fold = ProgressFold()
     logs: dict[str, list[LogEntry]] = {}
@@ -1036,6 +794,161 @@ def test_the_engine_equals_the_reference_run(case):
     assert all(result.trace_by_id[r.task_id] is r for r in result.trace_records)
     # only failures store a diagnosis; a success's is derived on read
     assert set(result.diagnoses) == {r.task_id for r in reference.traces if r.status == "failed"}
+    return result, stuck
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_the_engine_equals_the_reference_run(case):
+    check_against_reference(case)
+
+
+def aware_case(spec, machines, input_count, seed, *injections):
+    return spec, machines, input_count, seed, TopologyMode.WORKFLOW_AWARE, list(injections)
+
+
+def fig1_case(*injections):
+    return aware_case(*fig1_setup()[:2], 4, 42, *injections)
+
+
+def pw_spec(*tasks, edges=()):
+    """Definitions t0, t1, ... of (scatter, request, model)."""
+    return WorkflowSpec("pw", tuple(TaskDefinition(f"t{i}", *t) for i, t in enumerate(tasks)), edges)
+
+
+def fig1_ids(*names, inputs=4):
+    """The instance ids of fig1's definitions ``names``."""
+    return {f"wf1/{name}/{i}" for name in names for i in range(1 if name in ("IV", "V") else inputs)}
+
+
+class Outcome(NamedTuple):
+    """What a hand-picked engine case comes to: its final state; each failed
+    task's (exit code, verdict), and its end time where one is pinned; the
+    poisoned task ids; and how many events of each kind in ``COUNTED`` it
+    wrote (machine samples are not counted)."""
+
+    final: RunState
+    failed: dict
+    poisoned: set
+    kinds: tuple
+
+
+COUNTED = ("run_submitted", "instance_queued", "instance_started", "instance_succeeded",
+           "instance_failed", "machine_status", "run_completed")
+KILLED, OOM, CRASHED, TIMED_OUT = (
+    (EXIT_MACHINE_KILL, Verdict.MACHINE_FAILURE), (EXIT_OOM, Verdict.OUT_OF_MEMORY),
+    (EXIT_TASK_ERROR, Verdict.NON_ZERO_EXIT), (EXIT_TIMEOUT, Verdict.TIMEOUT),
+)
+FAILED, STUCK = RunState.FAILED, RunState.RUNNING
+OOM_AT, EXIT_AT, KILL_AT = (partial(FaultInjection, kind) for kind in InjectionKind)
+ENGINE_TABLE = [
+    pytest.param(fig1_case(), Outcome(RunState.SUCCEEDED, {}, set(), (1, 18, 18, 18, 0, 0, 1)),
+                 id="clean"),
+    pytest.param(fig1_case(OOM_AT("wf1/II/1")), Outcome(
+        FAILED, {"wf1/II/1": OOM}, fig1_ids("III", "IV", "V", "VI"), (1, 8, 8, 7, 1, 0, 1)
+    ), id="oom"),
+    pytest.param(fig1_case(EXIT_AT("wf1/III/2")), Outcome(
+        FAILED, {"wf1/III/2": CRASHED}, fig1_ids("IV", "V", "VI"), (1, 12, 12, 11, 1, 0, 1)
+    ), id="non-zero exit"),
+    # exactly the transitive descendants are poisoned
+    pytest.param(fig1_case(EXIT_AT("wf1/IV/0")), Outcome(
+        FAILED, {"wf1/IV/0": CRASHED}, fig1_ids("V", "VI"), (1, 13, 13, 12, 1, 0, 1)
+    ), id="poisoning"),
+    pytest.param(fig1_case(KILL_AT("m1", at_ms=2500)), Outcome(
+        FAILED, dict.fromkeys(fig1_ids("II"), (*KILLED, 2500)), fig1_ids("III", "IV", "V", "VI"),
+        (1, 8, 8, 4, 4, 1, 1),
+    ), id="machine kill"),
+    pytest.param(
+        aware_case(pw_spec((False, make_request(timeout=1500), "default")), [make_machine("m1")], 1, 42),
+        Outcome(FAILED, {"pw/t0/0": (*TIMED_OUT, 1500)}, set(), (1, 1, 1, 0, 1, 0, 1)),
+        id="timeout",
+    ),
+    pytest.param(
+        aware_case(WorkflowSpec("w", (TaskDefinition("maybe", True, make_request(), "flaky"),), ()),
+                   [make_machine("m1")], 40, 5),
+        Outcome(FAILED, dict.fromkeys(["w/maybe/13", "w/maybe/22", "w/maybe/26"], CRASHED), set(),
+                (1, 40, 40, 37, 3, 0, 1)),
+        id="spontaneous failure",
+    ),
+    pytest.param(scenario_case("faults.scenario"), Outcome(
+        FAILED,
+        {"wf1/III/0": OOM, "wf1/III/1": CRASHED, **dict.fromkeys(fig1_ids("III", inputs=8) - {
+            "wf1/III/0", "wf1/III/1", "wf1/III/2", "wf1/III/3"}, KILLED)},
+        fig1_ids("IV", "V", "VI", inputs=8), (1, 24, 24, 18, 6, 1, 1),
+    ), id="bundled fault scenario"),
+    # t1 and t2 succeed in the same millisecond: t1's pump queues and starts
+    # t5 before t2's success makes t4 ready, so one millisecond holds two pumps
+    pytest.param(aware_case(
+        pw_spec(
+            *((False, make_request(cpus=9 if i == 0 else 1), model)
+              for i, model in enumerate(("quick", "default", "default", *["quick"] * 4))),
+            edges=(("t0", "t6"), ("t1", "t4"), ("t1", "t5"), ("t1", "t6"), ("t2", "t4"),
+                   ("t2", "t6"), ("t3", "t4"), ("t3", "t5"), ("t3", "t6"), ("t4", "t6"),
+                   ("t5", "t6")),
+        ),
+        [make_machine(f"m{i}", cpus=2, mem=4 * GiB) for i in (1, 2, 3)], 1, 10411,
+    ), Outcome(STUCK, {}, set(), (1, 6, 5, 5, 0, 0, 0)), id="two pumps in one ms"),
+    # t0 runs on m1 when m1 is killed, t1 outgrows its timeout, and t2
+    # outgrows every machine, so the run ends stuck
+    pytest.param(aware_case(
+        pw_spec((True, make_request(), "default"), (True, make_request(timeout=1000), "quick"),
+                (False, make_request(cpus=9), "quick")),
+        [make_machine("m1", cpus=2), make_machine("m2", cpus=4)], 3, 7, KILL_AT("m1", at_ms=500),
+    ), Outcome(STUCK, {
+        **dict.fromkeys(["pw/t0/0", "pw/t0/1"], (*KILLED, 500)),
+        **dict.fromkeys(["pw/t1/0", "pw/t1/1", "pw/t1/2"], (*TIMED_OUT, 1000)),
+    }, set(), (1, 7, 6, 1, 5, 1, 0)), id="kill timeout stuck"),
+    # a request no machine can hold strands the run instead of spinning
+    pytest.param(
+        aware_case(pw_spec((False, make_request(cpus=64), "quick")), [make_machine("m1")], 1, 0),
+        Outcome(STUCK, {}, set(), (1, 1, 0, 0, 0, 0, 0)), id="unsatisfiable request",
+    ),
+    # two task faults armed on one instance, both reached at its start: the
+    # first one armed fires
+    pytest.param(
+        aware_case(pw_spec((False, make_request(), "quick")), [make_machine("m1")], 1, 0,
+                   EXIT_AT("pw/t0/0"), OOM_AT("pw/t0/0")),
+        Outcome(FAILED, {"pw/t0/0": CRASHED}, set(), (1, 1, 1, 0, 1, 0, 1)),
+        id="two faults on one task",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, outcome", ENGINE_TABLE)
+def test_a_hand_picked_run_equals_the_reference_and_its_outcome(case, outcome):
+    result, stuck = check_against_reference(case)
+    assert (result.run.final_state, bool(stuck)) == (outcome.final, outcome.final is STUCK)
+    failed = {
+        r.task_id: (r.exit_code, result.diagnosis(r.task_id).verdict, r.end_ms)
+        for r in result.trace_records if r.status == "failed"
+    }
+    assert failed.keys() == outcome.failed.keys()
+    assert {t: failed[t][:len(v)] for t, v in outcome.failed.items()} == outcome.failed
+    succeeded = [r.task_id for r in result.trace_records if r.status == "succeeded"]
+    assert all(result.diagnosis(t).verdict is Verdict.NONE for t in succeeded)
+    assert result.never_eligible == outcome.poisoned
+    events = result.event_records
+    kinds = Counter(e.kind for e in events if e.kind != "machine_sample")
+    assert kinds == {kind: n for kind, n in zip(COUNTED, outcome.kinds) if n}
+    # a poisoned instance is never queued, and a queued one ends unless the run is stuck
+    queued = {e.subject for e in events if e.kind == "instance_queued"}
+    assert not queued & outcome.poisoned
+    assert all(result.run.instance(t).state is TaskState.PENDING for t in outcome.poisoned)
+    assert all(result.run.instance(t).state.terminal for t in queued) or stuck
+    # nothing starts on a machine once it is unhealthy
+    down = {e.subject: e.t_ms for e in events if e.kind == "machine_status"}
+    for e in events:
+        if e.kind == "instance_started":
+            assert e.t_ms <= down.get(e.detail.removeprefix("machine="), e.t_ms)
+    # one progress record per lifecycle event, finished never falling
+    progress = result.progress_records
+    assert len(progress) == sum(kinds[k] for k in COUNTED[1:5]) + kinds["run_completed"]
+    finished = [p.finished for p in progress]
+    assert finished == sorted(finished)
+    assert progress[-1].state is outcome.final
+    assert (progress[-1].progress == 1.0) == (outcome.final is RunState.SUCCEEDED)
+
+
 
 
 def _exits(result) -> set[int]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GiB, dag_specs, make_request, random_dag_spec
+from conftest import GiB, dag_specs, make_request
 from stratus.fixtures import fixture_text
 from stratus.workflow import (
     CycleError,
@@ -247,27 +247,6 @@ def test_validate_matches_networkx_on_random_graphs():
 # --- expansion ---
 
 
-def test_expand_count_law():
-    rng = random.Random(7)
-    for _ in range(200):
-        spec = random_dag_spec(rng)
-        input_count = rng.randint(1, 5)
-        instances = expand_instances(spec, input_count)
-        scatter = sum(1 for t in spec.tasks if t.scatter)
-        plain = len(spec.tasks) - scatter
-        assert len(instances) == scatter * input_count + plain
-        ids = [i.task_id for i in instances]
-        assert len(set(ids)) == len(ids)
-        for inst in instances:
-            assert inst.state is TaskState.PENDING
-            wf, name, index = inst.task_id.split("/")
-            assert wf == spec.workflow_id
-            assert name == inst.definition
-            assert int(index) == inst.index
-            if not spec.definition(name).scatter:
-                assert inst.index == 0
-
-
 def test_expand_orders_by_definition_then_index():
     ids = [i.task_id for i in expand_instances(small_spec(), 2)]
     assert ids == [
@@ -298,7 +277,10 @@ def reference_expand(spec: WorkflowSpec, input_count: int) -> list[TaskInstance]
 @settings(max_examples=200, deadline=None)
 @given(dag_specs(), st.integers(min_value=1, max_value=12))
 def test_expand_matches_the_keyword_loop(spec, input_count):
-    assert expand_instances(spec, input_count) == reference_expand(spec, input_count)
+    instances = expand_instances(spec, input_count)
+    assert instances == reference_expand(spec, input_count)
+    # the index is read from the id, which equality does not compare
+    assert [i.index for i in instances] == [int(i.task_id.rpartition("/")[2]) for i in instances]
 
 
 def test_expand_rejects_nonpositive_inputs():
@@ -306,47 +288,37 @@ def test_expand_rejects_nonpositive_inputs():
         expand_instances(small_spec(), 0)
 
 
-# --- readiness, brute force oracle ---
+# --- readiness and status of a run's states ---
+
+SUCCEEDED, FAILED = TaskState.SUCCEEDED, TaskState.FAILED
 
 
-def oracle_ready(spec: WorkflowSpec, run: RunRecord) -> set[str]:
-    by_name: dict[str, list[TaskInstance]] = {}
-    for inst in run.instances:
-        by_name.setdefault(inst.definition, []).append(inst)
-    out = set()
-    for inst in run.instances:
-        if inst.state is not TaskState.PENDING:
-            continue
-        ok = True
-        for pred in spec.predecessors(inst.definition):
-            group = by_name.get(pred, [])
-            if not group or any(g.state is not TaskState.SUCCEEDED for g in group):
-                ok = False
-        if ok:
-            out.add(inst.task_id)
-    return out
-
-
-def test_ready_matches_oracle_on_random_states():
-    rng = random.Random(31)
-    states = list(TaskState)
-    for _ in range(200):
-        spec = random_dag_spec(rng)
-        run = make_run(spec, rng.randint(1, 3))
-        for inst in run.instances:
-            inst.state = rng.choice(states)
-        assert ready_tasks(run, spec) == oracle_ready(spec, run)
-
-
-def test_ready_needs_whole_predecessor_group():
+# (fig1's inputs, the instances set to a state, the others pending, then the
+# ready ids and workflow_status's finished, total and failures): a
+# definition is ready once each predecessor's whole group succeeded
+@pytest.mark.parametrize("inputs, states, ready, counts", [
+    pytest.param(1, {}, {"wf1/I/0"}, (0, 6, 0), id="nothing ran"),
+    pytest.param(1, {"wf1/I/0": SUCCEEDED, "wf1/II/0": FAILED}, set(), (1, 6, 1), id="a failure"),
+    pytest.param(2, {"wf1/I/1": SUCCEEDED}, {"wf1/I/0"}, (1, 10, 0), id="the last of a group"),
+    pytest.param(2, dict.fromkeys(["wf1/I/0", "wf1/I/1"], SUCCEEDED), {"wf1/II/0", "wf1/II/1"},
+                 (2, 10, 0), id="a whole group"),
+    pytest.param(2, dict.fromkeys(["wf1/I/0", "wf1/I/1", "wf1/II/0"], SUCCEEDED), {"wf1/II/1"},
+                 (3, 10, 0), id="one of two predecessor groups"),
+    pytest.param(2, {"wf1/I/0": SUCCEEDED, "wf1/I/1": FAILED}, set(), (1, 10, 1),
+                 id="a failed predecessor"),
+    pytest.param(2, {"wf1/I/0": TaskState.RUNNING, "wf1/I/1": TaskState.QUEUED}, set(), (0, 10, 0),
+                 id="only a pending instance is ready"),
+])
+def test_readiness_and_status_of_a_run(inputs, states, ready, counts):
     spec = small_spec()
-    run = make_run(spec, 2)
-    run.instance("wf1/I/0").state = TaskState.SUCCEEDED
-    ready = ready_tasks(run, spec)
-    assert "wf1/II/0" not in ready
-    assert "wf1/II/1" not in ready
-    run.instance("wf1/I/1").state = TaskState.SUCCEEDED
-    assert ready_tasks(run, spec) == {"wf1/II/0", "wf1/II/1"}
+    run = make_run(spec, inputs)
+    for task_id, state in states.items():
+        run.instance(task_id).state = state
+    assert ready_tasks(run, spec) == ready
+    report = workflow_status(run)
+    assert (report.finished, report.total, report.failures) == counts
+    assert report.progress == pytest.approx(counts[0] / counts[1])
+    assert report.state is RunState.RUNNING
 
 
 # --- instance state machine ---
@@ -461,19 +433,6 @@ def finish(inst: TaskInstance, state: TaskState, start=0, end=10) -> None:
     inst.mark_queued(start)
     inst.mark_running(start, "m1")
     inst.mark_finished(end, state)
-
-
-def test_workflow_status_counts():
-    run = make_run(small_spec())
-    report = workflow_status(run)
-    assert (report.finished, report.total, report.failures) == (0, 6, 0)
-    assert report.progress == 0.0
-    assert report.state is RunState.RUNNING
-    finish(run.instances[0], TaskState.SUCCEEDED)
-    finish(run.instances[1], TaskState.FAILED)
-    report = workflow_status(run)
-    assert (report.finished, report.total, report.failures) == (1, 6, 1)
-    assert report.progress == pytest.approx(1 / 6)
 
 
 def test_workflow_status_empty_run_is_complete():
