@@ -25,18 +25,16 @@ from .blueprint import (
     render_matrix_grid,
 )
 from .sim import ScenarioSpec, load_scenario, parse_file, scenario_simulation
-from .store import RunStore
+from .store import RunStore, RunSummary
 from .service import ServiceContext, serve
 from .taskmon import format_log
 from .textfmt import field_dict, parse_decimal
 from .workflow import (
     ExecutionReport,
-    RunRecord,
     RunState,
-    execution_report,
+    WorkflowStatusReport,
     export_dot,
     parse_workflow,
-    workflow_status,
 )
 
 logger = logging.getLogger("stratus")
@@ -180,15 +178,6 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
     return result.report
 
 
-def _print_status(record) -> None:
-    report = workflow_status(record)
-    print(
-        f"state={report.state.value} finished={report.finished} "
-        f"total={report.total} progress={report.progress:.3f} "
-        f"failures={report.failures}"
-    )
-
-
 def _keep(result, store: RunStore) -> tuple[Path, ExecutionReport]:
     """Keep a finished run, the one way `run` and `serve` do: write its
     directory, ``$STRATUS_OUT/<run id>``, append its history entry naming
@@ -217,46 +206,54 @@ def cmd_run(args) -> int:
     return 0 if result.run.final_state is RunState.SUCCEEDED else 2
 
 
-def _load_run(store: RunStore, run_id: str) -> tuple[RunRecord, Path]:
-    """The run record in the run directory of the newest history entry
-    with ``run_id``, and that directory."""
+def _load_report(store: RunStore, run_id: str) -> tuple[RunSummary, dict]:
+    """The newest history entry with ``run_id``: its summary, and the
+    ``report.json`` that `_keep` wrote to its run directory."""
     # `run` refuses a reused run id, but an older history may repeat one
     for summary, run_dir in reversed(store.load_all()):
         if summary.run_id == run_id:
             if run_dir is None:
                 raise ValueError(f"run {run_id!r} in {store.path} has no run directory")
-            run_payload = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
-            return RunRecord.from_record(run_payload), run_dir
+            path = run_dir / "report.json"
+            try:
+                return summary, json.loads(path.read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                raise ValueError(f"run {run_id!r} has no report: {path} is missing") from None
     raise ValueError(f"run {run_id!r} not found in {store.path}")
 
 
 def cmd_status(args) -> int:
-    record, _ = _load_run(_store_from(args.store), args.run_id)
-    _print_status(record)
+    summary, report = _load_report(_store_from(args.store), args.run_id)
+    counts = report["counts"]
+    status = WorkflowStatusReport(
+        RunState(summary.final_state), counts["succeeded"], counts["total"], counts["failed"]
+    )
+    print(
+        f"state={status.state.value} finished={status.finished} "
+        f"total={status.total} progress={status.progress:.3f} "
+        f"failures={status.failures}"
+    )
     return 0
 
 
 def cmd_report(args) -> int:
-    record, run_dir = _load_run(_store_from(args.store), args.run_id)
-    report = execution_report(record)
-    print(f"run       {report.run_id}")
-    print(f"state     {record.final_state.value}")
-    print(f"makespan  {report.makespan_ms} ms")
+    summary, report = _load_report(_store_from(args.store), args.run_id)
+    counts, task_stats = report["counts"], report["task_stats"]
+    print(f"run       {summary.run_id}")
+    print(f"state     {summary.final_state}")
+    print(f"makespan  {report['makespan_ms']} ms")
     print(
-        f"tasks     {report.total} total, {report.succeeded} succeeded, "
-        f"{report.failed} failed"
+        f"tasks     {counts['total']} total, {counts['succeeded']} succeeded, "
+        f"{counts['failed']} failed"
     )
-    if report.task_stats:
+    if task_stats:
         print("durations per definition (ms):")
-        width = max(len(name) for name in report.task_stats)
-        for name, stats in report.task_stats.items():
+        width = max(len(name) for name in task_stats)
+        for name, stats in task_stats.items():
             print(
-                f"  {name:<{width}}  count={stats.count} min={stats.min_ms} "
-                f"mean={stats.mean_ms:.1f} max={stats.max_ms}"
+                f"  {name:<{width}}  count={stats['count']} min={stats['min_ms']} "
+                f"mean={stats['mean_ms']:.1f} max={stats['max_ms']}"
             )
-    out_path = run_dir / "report.json"
-    _write_json(out_path, report.to_record())
-    print(f"written to {out_path}")
     return 0
 
 

@@ -1,13 +1,13 @@
 """Planted faults: what the suite must catch, one fault at a time.
 
 Each fault replaces one exact source snippet of one file, and so breaks one
-rule that README states ("What a run does", "File formats", "Query service",
-"Tests").  Most
-are caught by comparing the engine with ``oracles.reference_run`` or the
-query service with ``oracles.reference_answer``; this list shows what those
-two references catch, and names the other tests where they cannot catch a
-fault (the references call ``taskmon.diagnose`` and never mark a machine
-under maintenance).
+rule that README states ("What a run does", "Command line", "File formats",
+"Query service", "Tests").  Most are caught by comparing the engine with
+``oracles.reference_run`` or the query service with
+``oracles.reference_answer``; this list shows what those two references
+catch, and names the other tests where they cannot catch a fault (the
+references call ``taskmon.diagnose`` and never mark a machine under
+maintenance).
 
     python tests/planted.py
 
@@ -73,6 +73,7 @@ FUZZ = "tests/test_parser_fuzz.py::"
 WORKFLOW_LINE = FUZZ + "test_a_workflow_refusal_is_reported_at_exactly_the_line_that_gave_the_entry"
 MATRIX_ROW = FUZZ + "test_a_matrix_refusal_is_reported_at_the_last_row_that_set_the_entry"
 PARSE_WORKFLOW = "tests/test_workflow.py::test_parse_workflow_refuses"
+STATUS_ANYWHERE = "tests/test_cli.py::test_status_and_report_read_the_run_directory_from_anywhere"
 
 FAULTS = [
     # -- What a run does: the engine against oracles.reference_run --
@@ -81,7 +82,7 @@ FAULTS = [
         "cpu <= cap[0] - held[0] and mem <= cap[1] - held[1] and disk <= cap[2] - held[2]",
         "cpu <= cap[0] - held[0] and mem <= cap[1] - held[1]",
         "a pass starts a task only where it has room on every dimension: cpu, memory and disk",
-        (ENGINE, CRITERION_6),
+        (FIRST_FIT, ENGINE, CRITERION_6),
     ),
     Fault(
         "src/stratus/resman.py",
@@ -132,7 +133,7 @@ FAULTS = [
         'ready = sorted(self._newly_ready, key=attrgetter("position"))',
         'ready = sorted(self._newly_ready, key=attrgetter("definition.name"))',
         "a pass queues the newly ready instances in spec order, then index order",
-        (ENGINE, PINNED),
+        (ENGINE_TABLE, ENGINE, PINNED),
     ),
     Fault(
         "src/stratus/workflow.py",
@@ -197,7 +198,7 @@ FAULTS = [
         "            exit_code = EXIT_TIMEOUT",
         "            exit_code = exit_code or EXIT_TIMEOUT",
         "a timeout exits 124 whatever the exit would have been",
-        (ENGINE,),
+        (ENGINE_TABLE, ENGINE),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -249,7 +250,7 @@ FAULTS = [
         "        if self._executions or self._pending_machine_events > 0:",
         "        if self._executions:",
         "sample ticks come while an instance runs or a machine fault is still to fire",
-        (ENGINE,),
+        (ENGINE_TABLE, ENGINE),
     ),
     Fault(
         "src/stratus/sim.py",
@@ -411,6 +412,21 @@ FAULTS = [
         '            return kind == "instance_queued"',
         "a start writes a progress record",
         (ENGINE_TABLE, ANSWER,),
+    ),
+    # -- Command line: status and report read the stored run's report --
+    Fault(
+        "src/stratus/cli.py",
+        'counts["succeeded"], counts["total"], counts["failed"]',
+        'counts["succeeded"], counts["total"], counts["total"] - counts["succeeded"]',
+        "status counts the failed instances, not every instance that did not succeed",
+        (STATUS_ANYWHERE,),
+    ),
+    Fault(
+        "src/stratus/cli.py",
+        "    for summary, run_dir in reversed(store.load_all()):",
+        "    for summary, run_dir in store.load_all():",
+        "status and report read the newest history entry with the run id",
+        ("tests/test_cli.py::test_a_reused_run_id_is_refused_and_status_names_the_newest_entry",),
     ),
     # -- taskmon.diagnose, which both references call, so only its own tests catch --
     Fault(

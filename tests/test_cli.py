@@ -189,6 +189,7 @@ def test_status_unknown_run_fails(sandbox, capsys):
 
 def test_report_prints_and_writes(sandbox, capsys):
     main(["run", data_path("fig1.scenario"), "--run-id", "r1"])
+    written = (sandbox / "r1" / "report.json").read_bytes()
     capsys.readouterr()
     assert main(["report", "r1"]) == 0
     out = capsys.readouterr().out
@@ -196,8 +197,21 @@ def test_report_prints_and_writes(sandbox, capsys):
     assert "makespan" in out
     for name in ("I", "II", "III", "IV", "V", "VI"):
         assert f"  {name} " in out
-    report = json.loads((sandbox / "r1" / "report.json").read_text())
-    assert report["run_id"] == "r1"
+    # report reads the report that run wrote, and writes nothing
+    assert (sandbox / "r1" / "report.json").read_bytes() == written
+    assert json.loads(written)["run_id"] == "r1"
+
+
+FAULTS_REPORT = """\
+run       r1
+state     failed
+makespan  9507 ms
+tasks     34 total, 18 succeeded, 6 failed
+durations per definition (ms):
+  I    count=8 min=1088 mean=1184.9 max=1318
+  II   count=8 min=2714 mean=3023.9 max=3263
+  III  count=8 min=1419 mean=3069.9 max=4926
+"""
 
 
 def test_status_and_report_read_the_run_directory_from_anywhere(
@@ -210,39 +224,57 @@ def test_status_and_report_read_the_run_directory_from_anywhere(
     monkeypatch.chdir(first)
     monkeypatch.setenv("STRATUS_OUT", "out")  # relative to the first directory
     assert main(["run", data_path("faults.scenario"), "--run-id", "r1"]) == 2
-    written = (first / "out" / "r1" / "report.json").read_bytes()
-    (first / "out" / "r1" / "report.json").unlink()
+    run_dir = first / "out" / "r1"
+    written = (run_dir / "report.json").read_bytes()
+    # both read only the history entry and report.json
+    (run_dir / "run.json").unlink()
+    (run_dir / "events.log").unlink()
     capsys.readouterr()
 
     monkeypatch.chdir(second)
     monkeypatch.setenv("STRATUS_OUT", str(tmp_path / "elsewhere"))
     store = str(first / "out" / "runs.jsonl")
     assert main(["status", "r1", "--store", store]) == 0
-    assert capsys.readouterr().out.startswith("state=failed ")
+    assert capsys.readouterr().out == (
+        "state=failed finished=18 total=34 progress=0.529 failures=6\n"
+    )
     assert main(["report", "r1", "--store", store]) == 0
-    assert "state     failed" in capsys.readouterr().out
-    # report rewrites the report in the run's own directory, byte for byte
-    assert (first / "out" / "r1" / "report.json").read_bytes() == written
+    assert capsys.readouterr().out == FAULTS_REPORT
+    assert (run_dir / "report.json").read_bytes() == written
     assert sorted(p.name for p in second.iterdir()) == []
     assert not (tmp_path / "elsewhere").exists()
 
 
+def append_index_line(out: Path) -> None:
+    """A history line with no run directory, as another writer may append."""
+    RunStore(out / "runs.jsonl").append(recorded_run(out / "r1"))
+
+
+def append_whole_record_line(out: Path) -> None:
+    """A whole-record line, from before the history was an index."""
+    with open(out / "runs.jsonl", "a") as fh:
+        fh.write(json.dumps(recorded_run(out / "r1").to_record(), sort_keys=True) + "\n")
+
+
+def remove_report(out: Path) -> None:
+    (out / "r1" / "report.json").unlink()
+
+
 @pytest.mark.parametrize("command", ["status", "report"])
-def test_an_entry_without_a_run_directory_is_refused(sandbox, capsys, command):
-    store = RunStore(sandbox / "runs.jsonl")
+@pytest.mark.parametrize("damage, error", [
+    pytest.param(append_index_line, "run 'r1' in {out}/runs.jsonl has no run directory",
+                 id="an index line"),
+    pytest.param(append_whole_record_line, "run 'r1' in {out}/runs.jsonl has no run directory",
+                 id="a whole-record line"),
+    pytest.param(remove_report, "run 'r1' has no report: {out}/r1/report.json is missing",
+                 id="a run directory without report.json"),
+])
+def test_an_entry_without_a_run_directory_is_refused(sandbox, capsys, command, damage, error):
     main(["run", data_path("fig1.scenario"), "--run-id", "r1"])
-    # a history line with no run directory, as another writer may append
-    store.append(recorded_run(sandbox / "r1"))
+    damage(sandbox)
     capsys.readouterr()
     assert main([command, "r1"]) == 1
-    assert capsys.readouterr().err == (
-        f"stratus: error: run 'r1' in {sandbox / 'runs.jsonl'} has no run directory\n"
-    )
-    # a whole-record line from before the history was an index reads the same
-    with open(sandbox / "runs.jsonl", "a") as fh:
-        fh.write(json.dumps(recorded_run(sandbox / "r1").to_record(), sort_keys=True) + "\n")
-    assert main([command, "r1"]) == 1
-    assert "has no run directory" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"stratus: error: {error.format(out=sandbox)}\n"
 
 
 def recorded_run(run_dir: Path) -> RunRecord:

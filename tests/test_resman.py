@@ -71,11 +71,11 @@ def test_release_requires_running_task():
 
 # --- first fit, driven beside the oracle ---
 
-# (machines as (id, cores), a script, then running_on at the end, an unknown
-# machine included, and the ids still queued); a script step enqueues
-# (id, cores), runs a pass at t that must assign what it names, releases
-# an id, sets a machine's status, or enqueues an id that must be refused
-# as a duplicate
+# (machines as (id, cores[, memory, disk]), a script, then running_on at the
+# end, an unknown machine included, and the ids still queued); a script step
+# enqueues (id, cores[, memory, disk]), runs a pass at t that must assign what
+# it names, releases an id, sets a machine's status, or enqueues an id that
+# must be refused as a duplicate
 @pytest.mark.parametrize("machines, script, running_on, queued", [
     pytest.param(
         [("m1", 8)],
@@ -117,9 +117,14 @@ def test_release_requires_running_task():
         [("enqueue", "t1", 2), ("enqueue", "t2", 4), ("pass", 0, [("t1", "m1"), ("t2", "m2")])],
         {"m1": ["t1"], "m2": ["t2"], "ghost": []}, [], id="running_on each machine",
     ),
+    pytest.param(
+        [("m1", 8, 16 * GiB, GiB), ("m2", 8, GiB), ("m3", 8)],
+        [("enqueue", "t1", 1, 2 * GiB, 2 * GiB), ("pass", 0, [("t1", "m3")])],
+        {"m1": [], "m2": [], "m3": ["t1"]}, [], id="room on every dimension",
+    ),
 ])
 def test_first_fit_script(machines, script, running_on, queued):
-    descriptors = [make_machine(machine_id, cpus=cpus) for machine_id, cpus in machines]
+    descriptors = [make_machine(*machine) for machine in machines]
     driver = FirstFitDriver(make_rm(descriptors), descriptors)
     for step, *args in script:
         if step == "enqueue":

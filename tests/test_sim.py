@@ -785,7 +785,7 @@ def check_against_reference(case):
 
     assert parse_event_log(result.event_log_text()) == result.event_records
     assert parse_trace(result.trace_text()) == result.trace_records
-    # run.json holds the record's JSON, which status and report read back
+    # run.json holds the record's JSON
     assert RunRecord.from_record(json.loads(json.dumps(result.run.to_record()))) == result.run
     with tempfile.TemporaryDirectory() as tmp:
         store = RunStore(Path(tmp) / "runs.jsonl")
@@ -910,6 +910,27 @@ ENGINE_TABLE = [
                    EXIT_AT("pw/t0/0"), OOM_AT("pw/t0/0")),
         Outcome(FAILED, {"pw/t0/0": CRASHED}, set(), (1, 1, 1, 0, 1, 0, 1)),
         id="two faults on one task",
+    ),
+    # the armed exit would fail the instance, but it outgrows its limit first
+    pytest.param(
+        aware_case(pw_spec((False, make_request(timeout=1500), "default")), [make_machine("m1")],
+                   1, 42, EXIT_AT("pw/t0/0")),
+        Outcome(FAILED, {"pw/t0/0": (*TIMED_OUT, 1500)}, set(), (1, 1, 1, 0, 1, 0, 1)),
+        id="a timeout over a non-zero exit",
+    ),
+    # b and a are ready together: queued in spec order, b first, not by name
+    pytest.param(
+        aware_case(WorkflowSpec("w", (TaskDefinition("b", True, make_request(cpus=8), "quick"),
+                                      TaskDefinition("a", True, make_request(cpus=8), "quick")), ()),
+                   [make_machine("m1")], 2, 0),
+        Outcome(RunState.SUCCEEDED, {}, set(), (1, 4, 4, 4, 0, 0, 1)),
+        id="ready definitions queue in spec order",
+    ),
+    # nothing runs, yet the machine fault still to fire keeps the samples coming
+    pytest.param(
+        aware_case(pw_spec((False, make_request(cpus=64), "quick")), [make_machine("m1")], 1, 0,
+                   KILL_AT("m1", at_ms=2500)),
+        Outcome(STUCK, {}, set(), (1, 1, 0, 0, 0, 1, 0)), id="sampling until a machine fault",
     ),
 ]
 
