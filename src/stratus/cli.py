@@ -30,6 +30,7 @@ from .service import ServiceContext, serve
 from .taskmon import format_log
 from .textfmt import field_dict, parse_decimal
 from .workflow import (
+    DurationStats,
     ExecutionReport,
     RunState,
     WorkflowStatusReport,
@@ -139,12 +140,18 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
     (run_dir / f"trace-{result.run_id}.tsv").write_text(result.trace_text(), encoding="utf-8")
     (run_dir / "events.log").write_text(result.event_log_text(), encoding="utf-8")
 
-    run_payload = result.run.to_record()
-    run_payload["topology"] = result.topology.wire_name
-    run_payload["input_count"] = result.input_count
-    run_payload["seed"] = result.seed
-    run_payload["never_eligible"] = sorted(result.never_eligible)
-    _write_json(run_dir / "run.json", run_payload)
+    # the run's header: events.log holds its instances
+    run = result.run
+    _write_json(run_dir / "run.json", {
+        "final_state": run.final_state.value,
+        "input_count": result.input_count,
+        "never_eligible": sorted(result.never_eligible),
+        "run_id": run.run_id,
+        "seed": result.seed,
+        "submission_ms": run.submission_ms,
+        "topology": result.topology.wire_name,
+        "workflow_id": run.workflow_id,
+    })
 
     sample_lines = ["t_ms\tmachine\tcpu_cores\tmemory_bytes\tdisk_bytes"]
     for sample in result.samples:
@@ -206,7 +213,7 @@ def cmd_run(args) -> int:
     return 0 if result.run.final_state is RunState.SUCCEEDED else 2
 
 
-def _load_report(store: RunStore, run_id: str) -> tuple[RunSummary, dict]:
+def _load_report(store: RunStore, run_id: str) -> tuple[RunSummary, ExecutionReport]:
     """The newest history entry with ``run_id``: its summary, and the
     ``report.json`` that `_keep` wrote to its run directory."""
     # `run` refuses a reused run id, but an older history may repeat one
@@ -216,17 +223,24 @@ def _load_report(store: RunStore, run_id: str) -> tuple[RunSummary, dict]:
                 raise ValueError(f"run {run_id!r} in {store.path} has no run directory")
             path = run_dir / "report.json"
             try:
-                return summary, json.loads(path.read_text(encoding="utf-8"))
+                record = json.loads(path.read_text(encoding="utf-8"))
+                counts = record["counts"]
+                return summary, ExecutionReport(
+                    record["run_id"], record["submission_ms"], record["makespan_ms"],
+                    counts["total"], counts["succeeded"], counts["failed"],
+                    {name: DurationStats(**s) for name, s in record["task_stats"].items()},
+                )
             except FileNotFoundError:
                 raise ValueError(f"run {run_id!r} has no report: {path} is missing") from None
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad report: {exc}") from None
     raise ValueError(f"run {run_id!r} not found in {store.path}")
 
 
 def cmd_status(args) -> int:
     summary, report = _load_report(_store_from(args.store), args.run_id)
-    counts = report["counts"]
     status = WorkflowStatusReport(
-        RunState(summary.final_state), counts["succeeded"], counts["total"], counts["failed"]
+        RunState(summary.final_state), report.succeeded, report.total, report.failed
     )
     print(
         f"state={status.state.value} finished={status.finished} "
@@ -238,21 +252,20 @@ def cmd_status(args) -> int:
 
 def cmd_report(args) -> int:
     summary, report = _load_report(_store_from(args.store), args.run_id)
-    counts, task_stats = report["counts"], report["task_stats"]
     print(f"run       {summary.run_id}")
     print(f"state     {summary.final_state}")
-    print(f"makespan  {report['makespan_ms']} ms")
+    print(f"makespan  {report.makespan_ms} ms")
     print(
-        f"tasks     {counts['total']} total, {counts['succeeded']} succeeded, "
-        f"{counts['failed']} failed"
+        f"tasks     {report.total} total, {report.succeeded} succeeded, "
+        f"{report.failed} failed"
     )
-    if task_stats:
+    if report.task_stats:
         print("durations per definition (ms):")
-        width = max(len(name) for name in task_stats)
-        for name, stats in task_stats.items():
+        width = max(len(name) for name in report.task_stats)
+        for name, stats in report.task_stats.items():
             print(
-                f"  {name:<{width}}  count={stats['count']} min={stats['min_ms']} "
-                f"mean={stats['mean_ms']:.1f} max={stats['max_ms']}"
+                f"  {name:<{width}}  count={stats.count} min={stats.min_ms} "
+                f"mean={stats.mean_ms:.1f} max={stats.max_ms}"
             )
     return 0
 

@@ -41,8 +41,9 @@ cost, and what was measured and left out):
   check per event and no fold.  The service answers ``workflow_status``
   from a fold it keeps per run, steps over the events appended since the
   last request, and reports once.  ``workflow.workflow_status`` derives
-  the same report from the instances' states: a stored run's status reads
-  it, and the fold is tested against it.
+  the same report from the instances' states, and the fold is tested
+  against it; a stored run's status reads the counts of its
+  ``report.json``.
 - Code-part profiles and application logs are derived on query, and so
   is a success's diagnosis: the run stores a ``Diagnosis`` for each
   failed instance only (``SimulationResult.diagnoses``), and

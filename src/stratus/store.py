@@ -51,9 +51,6 @@ def _summarize(record: RunRecord) -> RunSummary:
 
 def _decode(line: bytes) -> RunEntry:
     keys = json.loads(line)
-    if "instances" in keys:
-        # a whole-record line, as written before the store became an index
-        return RunEntry(_summarize(RunRecord.from_record(keys)), None)
     summary = RunSummary(**{field.name: keys[field.name] for field in fields(RunSummary)})
     RunState(summary.final_state)  # a state no run ends in is a bad record
     run_dir = keys["run_dir"]
@@ -65,13 +62,13 @@ class RunStore:
     line: the run's five ``RunSummary`` fields and ``run_dir``, the absolute
     path of the run's directory or null, with sorted keys.  The directory,
     not the store, holds the whole run.  Appends are flushed and fsynced
-    before returning.  A line written before the store became an index holds
-    the whole ``RunRecord``; it is read as that record's summary with no run
-    directory.
+    before returning.
 
     An append cut short by a crash leaves an unparseable final line with no
     newline.  Reads skip it with a warning and the next append truncates it;
-    a bad line anywhere else is corruption and raises StoreError.
+    a bad line anywhere else is corruption and raises StoreError.  A line
+    that lacks a summary field is a bad line, and so is a whole-record line
+    (the whole ``RunRecord``, as written before the store became an index).
 
     ``load_all`` is the one read: every other reader, here and in the CLI
     and the query service, goes through it.  It keeps its entries in memory
@@ -97,7 +94,7 @@ class RunStore:
         with open(self.path, "ab+") as fh:
             fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
             if fh.read(1) not in (b"", b"\n"):
-                # unterminated last line: end a whole record, cut off a torn one
+                # unterminated last line: end a good line, cut off a torn or bad one
                 fh.seek(0)
                 data = fh.read()
                 start = data.rfind(b"\n") + 1

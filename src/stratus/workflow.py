@@ -264,29 +264,6 @@ class TaskInstance:
         self.state = state
         self.end_ms = t_ms
 
-    def to_record(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "definition": self.definition,
-            "state": self.state.value,
-            "machine": self.machine,
-            "submit_ms": self.submit_ms,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "TaskInstance":
-        return cls(
-            record["task_id"],
-            record["definition"],
-            TaskState(record["state"]),
-            record.get("machine"),
-            record.get("submit_ms"),
-            record.get("start_ms"),
-            record.get("end_ms"),
-        )
-
 
 @dataclass
 class RunRecord:
@@ -313,25 +290,6 @@ class RunRecord:
             submission_ms=self.submission_ms,
             instances=[copy.copy(i) for i in self.instances],
             final_state=self.final_state,
-        )
-
-    def to_record(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "workflow_id": self.workflow_id,
-            "submission_ms": self.submission_ms,
-            "final_state": self.final_state.value,
-            "instances": [i.to_record() for i in self.instances],
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "RunRecord":
-        return cls(
-            run_id=record["run_id"],
-            workflow_id=record["workflow_id"],
-            submission_ms=record["submission_ms"],
-            final_state=RunState(record["final_state"]),
-            instances=[TaskInstance.from_record(r) for r in record["instances"]],
         )
 
 

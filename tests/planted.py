@@ -74,6 +74,7 @@ WORKFLOW_LINE = FUZZ + "test_a_workflow_refusal_is_reported_at_exactly_the_line_
 MATRIX_ROW = FUZZ + "test_a_matrix_refusal_is_reported_at_the_last_row_that_set_the_entry"
 PARSE_WORKFLOW = "tests/test_workflow.py::test_parse_workflow_refuses"
 STATUS_ANYWHERE = "tests/test_cli.py::test_status_and_report_read_the_run_directory_from_anywhere"
+DAMAGED = "tests/test_cli.py::test_a_damaged_history_entry_or_report_is_refused"
 
 FAULTS = [
     # -- What a run does: the engine against oracles.reference_run --
@@ -416,8 +417,8 @@ FAULTS = [
     # -- Command line: status and report read the stored run's report --
     Fault(
         "src/stratus/cli.py",
-        'counts["succeeded"], counts["total"], counts["failed"]',
-        'counts["succeeded"], counts["total"], counts["total"] - counts["succeeded"]',
+        "report.succeeded, report.total, report.failed",
+        "report.succeeded, report.total, report.total - report.succeeded",
         "status counts the failed instances, not every instance that did not succeed",
         (STATUS_ANYWHERE,),
     ),
@@ -427,6 +428,48 @@ FAULTS = [
         "    for summary, run_dir in store.load_all():",
         "status and report read the newest history entry with the run id",
         ("tests/test_cli.py::test_a_reused_run_id_is_refused_and_status_names_the_newest_entry",),
+    ),
+    Fault(
+        "src/stratus/cli.py",
+        '                raise ValueError(f"{path}: bad report: {exc}") from None',
+        "                raise",
+        "a report.json that is cut short or lacks a key is refused naming the file",
+        (DAMAGED,),
+    ),
+    # -- File formats: the run history, whose rules only its own tests state --
+    Fault(
+        "src/stratus/store.py",
+        "        matches = [s for s, _ in reversed(self.load_all()) if s.workflow_id == workflow_id]",
+        "        matches = [s for s, _ in self.load_all() if s.workflow_id == workflow_id]",
+        "of equal submissions, the later appended run is listed first",
+        (
+            "tests/test_store.py::test_previous_executions_ordering_matches_sort_oracle",
+            "tests/test_store.py::test_summaries_follow_appends_from_any_writer",
+        ),
+    ),
+    Fault(
+        "src/stratus/store.py",
+        "                except _BAD_RECORD:\n                    fh.truncate(start)",
+        "                except _BAD_RECORD:\n                    line = b\"\\n\" + line",
+        "an append cuts off a torn final line",
+        (
+            "tests/test_store.py::test_a_torn_or_whole_record_final_line_is_skipped_then_cut_off",
+            "tests/test_store.py::test_summaries_skip_a_torn_tail_until_the_next_append",
+        ),
+    ),
+    Fault(
+        "src/stratus/store.py",
+        "keys[field.name] for field in fields(RunSummary)})\n"
+        "    RunState(summary.final_state)  # a state no run ends in is a bad record\n"
+        '    run_dir = keys["run_dir"]',
+        "keys.get(field.name, 0) for field in fields(RunSummary)})\n"
+        "    RunState(summary.final_state)  # a state no run ends in is a bad record\n"
+        '    run_dir = keys.get("run_dir")',
+        "a line that lacks a summary field, such as a whole-record line, is a bad record",
+        (
+            "tests/test_store.py::test_a_corrupt_interior_line_raises_with_its_position",
+            "tests/test_store.py::test_a_torn_or_whole_record_final_line_is_skipped_then_cut_off",
+        ),
     ),
     # -- taskmon.diagnose, which both references call, so only its own tests catch --
     Fault(

@@ -17,7 +17,7 @@ from stratus.cli import main
 from stratus.service import ServiceContext
 from stratus.store import RunStore
 from stratus.taskmon import parse_trace
-from stratus.workflow import RunRecord
+from stratus.workflow import RunRecord, RunState
 
 
 def data_path(name: str) -> str:
@@ -51,11 +51,14 @@ def test_run_scenario_writes_all_artifacts(sandbox, capsys):
 
     records = parse_trace((run_dir / "trace-r1.tsv").read_text())
     assert len(records) == 18
+    # run.json is the run's header; events.log holds the instances
     run_payload = json.loads((run_dir / "run.json").read_text())
-    assert run_payload["final_state"] == "succeeded"
-    assert run_payload["topology"] == "workflow_aware"
-    assert (run_payload["input_count"], run_payload["seed"]) == (4, 42)
-    assert run_payload["never_eligible"] == []
+    submission_ms = run_payload.pop("submission_ms")
+    assert run_payload == {
+        "final_state": "succeeded", "input_count": 4, "never_eligible": [], "run_id": "r1",
+        "seed": 42, "topology": "workflow_aware", "workflow_id": "wf1",
+    }
+    assert isinstance(submission_ms, int)
     machines = json.loads((run_dir / "machines.json").read_text())
     assert [m["machine_id"] for m in machines] == ["m1", "m2"]
     report = json.loads((run_dir / "report.json").read_text())
@@ -247,39 +250,54 @@ def test_status_and_report_read_the_run_directory_from_anywhere(
 
 def append_index_line(out: Path) -> None:
     """A history line with no run directory, as another writer may append."""
-    RunStore(out / "runs.jsonl").append(recorded_run(out / "r1"))
+    RunStore(out / "runs.jsonl").append(RunRecord("r1", "wf1", 0, [], RunState.SUCCEEDED))
 
 
 def append_whole_record_line(out: Path) -> None:
-    """A whole-record line, from before the history was an index."""
+    """A whole-record line, as histories were written before they were an
+    index."""
+    record = {"final_state": "succeeded", "instances": [], "run_id": "r1",
+              "submission_ms": 0, "workflow_id": "wf1"}
     with open(out / "runs.jsonl", "a") as fh:
-        fh.write(json.dumps(recorded_run(out / "r1").to_record(), sort_keys=True) + "\n")
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def remove_report(out: Path) -> None:
     (out / "r1" / "report.json").unlink()
 
 
+def empty_report(out: Path) -> None:
+    (out / "r1" / "report.json").write_text("{}\n")
+
+
+def cut_report(out: Path) -> None:
+    """report.json cut inside its counts object."""
+    report = out / "r1" / "report.json"
+    report.write_text(report.read_text()[:16])
+
+
 @pytest.mark.parametrize("command", ["status", "report"])
 @pytest.mark.parametrize("damage, error", [
     pytest.param(append_index_line, "run 'r1' in {out}/runs.jsonl has no run directory",
                  id="an index line"),
-    pytest.param(append_whole_record_line, "run 'r1' in {out}/runs.jsonl has no run directory",
+    pytest.param(append_whole_record_line,
+                 "{out}/runs.jsonl:2: bad record: 'makespan_ms'",
                  id="a whole-record line"),
     pytest.param(remove_report, "run 'r1' has no report: {out}/r1/report.json is missing",
                  id="a run directory without report.json"),
+    pytest.param(empty_report, "{out}/r1/report.json: bad report: 'counts'",
+                 id="an empty report.json"),
+    pytest.param(cut_report,
+                 "{out}/r1/report.json: bad report: Expecting property name enclosed in "
+                 "double quotes: line 3 column 1 (char 16)",
+                 id="a cut report.json"),
 ])
-def test_an_entry_without_a_run_directory_is_refused(sandbox, capsys, command, damage, error):
+def test_a_damaged_history_entry_or_report_is_refused(sandbox, capsys, command, damage, error):
     main(["run", data_path("fig1.scenario"), "--run-id", "r1"])
     damage(sandbox)
     capsys.readouterr()
     assert main([command, "r1"]) == 1
     assert capsys.readouterr().err == f"stratus: error: {error.format(out=sandbox)}\n"
-
-
-def recorded_run(run_dir: Path) -> RunRecord:
-    """The run record that ``run_dir``'s run.json holds."""
-    return RunRecord.from_record(json.loads((run_dir / "run.json").read_text()))
 
 
 def test_a_reused_run_id_is_refused_and_status_names_the_newest_entry(

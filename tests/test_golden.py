@@ -180,21 +180,21 @@ CLI_ARTIFACTS = ("samples.tsv", "run.json", "machines.json", "logs.tsv", "report
 CLI_GOLDEN = {
     "faults": {
         "samples.tsv": "90e85b5d57973f76d0e7f3d63fd27555cfcac694feb146693c4a5f36d238b997",
-        "run.json": "35f812b94d50cd74a94cd86d772fcccdb9abe4f64f3048337ce70277a3ee0313",
+        "run.json": "974db16cd004cf1d37396d4e932221d7c820ac97cbbdd7ab83d0caacfff7823c",
         "machines.json": "896fbd981d5bf99f2138b80ea8dfba6c1d4cbec8cabf83777ee65ce50111b919",
         "logs.tsv": "62ada6b0cb3640a251e1df39b4bfb553f57d5b3f84ee27c55dfb3d60bd30a634",
         "report.json": "268cdce9295385acb8ff8aebe12bc14408acdb0428365fa7db2be45b3d5bc74c",
     },
     "fig1": {
         "samples.tsv": "d329bcf428ed8df5dd76a56bd9c9524acee631cd9e73988193f576bcf06f4fe0",
-        "run.json": "31a510980bb9508dd26dc659f71076d3790e1c8862155bef0df9ec848b239405",
+        "run.json": "1cb78587f3878b5422d9381d3ce1442dd68bebef81a59a87a85d435f57766435",
         "machines.json": "0e6cb8b23bd2a953471bffc0acb6e930e73b6ae597e7ed58b05d31de3e2df904",
         "logs.tsv": "8920e38687ba739faee746ced37ad8499c0970c40beca35664e406410fc45898",
         "report.json": "2cae2dcc80b5b537584d67cced6c55d60701020c489da3b7d975d955bd5a4c1c",
     },
     "fig1x32": {
         "samples.tsv": "9b03eae69798ff9f71a19a2f8d9caceb40227c042ab6dfe490def713a42dcdc5",
-        "run.json": "0b54cd7bb3fa34f6daf0c6094037a7bf3b88dd92393e19cd075bcb834b48952f",
+        "run.json": "acc6a8b993475c59d0db4256000705c3128f450a620b9dea03a7c1c64de6c018",
         "machines.json": "e3bca39be06ac334ae9d199d429c120e4a5334125b6b1a65c96c9e31adec8036",
         "logs.tsv": "6dff0d60a0de67179a796eab37c7eb25485f89209837ee9d82fa2419b8d7d2fd",
         "report.json": "ff3b3cb035c315235a4d632967b6dcd4ece0908090cda1c1a572190252719c88",

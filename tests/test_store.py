@@ -1,5 +1,5 @@
-"""Run history store tests: summary lines and their run directories, the
-reading of whole-record lines, ordering, corruption."""
+"""Run history store tests: summary lines and their run directories,
+ordering, corruption, and the refusal of whole-record lines."""
 
 import itertools
 import json
@@ -28,11 +28,6 @@ def finished_run(run_id, workflow_id, submission_ms, duration=100) -> RunRecord:
         instances=[inst],
         final_state=RunState.SUCCEEDED,
     )
-
-
-def old_line(run: RunRecord) -> bytes:
-    """A history line as written before the store became an index."""
-    return json.dumps(run.to_record(), sort_keys=True).encode() + b"\n"
 
 
 def test_append_then_load_round_trip(tmp_path, monkeypatch):
@@ -80,6 +75,13 @@ def test_one_json_object_per_line(tmp_path):
 # read the history so far
 READ = None
 CORRUPT = b"{not json\n"
+# a line as histories were written before they became an index: the whole
+# run record, without makespan_ms or run_dir
+WHOLE_RECORD = json.dumps({
+    "final_state": "succeeded", "run_id": "old", "submission_ms": 0, "workflow_id": "w",
+    "instances": [{"definition": "a", "end_ms": 100, "machine": "m1", "start_ms": 0,
+                   "state": "succeeded", "submit_ms": 0, "task_id": "w/a/0"}],
+}, sort_keys=True).encode() + b"\n"
 
 
 @pytest.mark.parametrize("read", ["load_all", "list_previous_executions"])
@@ -89,6 +91,9 @@ CORRUPT = b"{not json\n"
     (["r1", b'{"run_id": "torn', "r2", CORRUPT, "r3"], 3),
     # corruption after what the store has read
     (["r1", "r2", READ, CORRUPT, "r3"], 3),
+    # a whole-record line, last or followed by summary lines
+    (["r1", WHOLE_RECORD], 2),
+    ([WHOLE_RECORD, "r1"], 1),
 ])
 def test_a_corrupt_interior_line_raises_with_its_position(tmp_path, history, position, read):
     path = tmp_path / "runs.jsonl"
@@ -109,12 +114,17 @@ def test_a_corrupt_interior_line_raises_with_its_position(tmp_path, history, pos
         assert f":{position}:" in str(err.value)
 
 
-def test_torn_final_append_is_skipped_then_truncated(tmp_path, caplog):
+@pytest.mark.parametrize("final_line", ["torn", "whole record"])
+def test_a_torn_or_whole_record_final_line_is_skipped_then_cut_off(tmp_path, caplog, final_line):
     path = tmp_path / "runs.jsonl"
     store = RunStore(path)
     store.append(finished_run("r1", "w", 0))
-    store.append(finished_run("r2", "w", 1))
-    path.write_bytes(path.read_bytes()[:-20])  # a crash cut the last append short
+    if final_line == "torn":
+        store.append(finished_run("r2", "w", 1))
+        path.write_bytes(path.read_bytes()[:-20])  # a crash cut the last append short
+    else:
+        with open(path, "ab") as fh:
+            fh.write(WHOLE_RECORD[:-1])
     with caplog.at_level("WARNING", logger="stratus"):
         assert [e.summary.run_id for e in store.load_all()] == ["r1"]
     assert "torn final record" in caplog.text
@@ -123,7 +133,7 @@ def test_torn_final_append_is_skipped_then_truncated(tmp_path, caplog):
     assert [json.loads(l)["run_id"] for l in path.read_text().splitlines()] == ["r1", "r3"]
 
 
-def test_unterminated_whole_final_record_is_kept(tmp_path):
+def test_a_summary_line_missing_only_its_newline_is_kept(tmp_path):
     path = tmp_path / "runs.jsonl"
     store = RunStore(path)
     store.append(finished_run("r1", "w", 0))
@@ -268,17 +278,6 @@ def test_summaries_skip_a_torn_tail_until_the_next_append(tmp_path, caplog):
     ]
 
 
-def test_summaries_keep_a_whole_record_missing_its_newline(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    store = RunStore(path)
-    store.append(finished_run("r1", "w", 0))
-    store.append(finished_run("r2", "w", 1))
-    path.write_bytes(path.read_bytes()[:-1])
-    assert [s.run_id for s in store.list_previous_executions("w")] == ["r2", "r1"]
-    store.append(finished_run("r3", "w", 1))
-    assert [s.run_id for s in store.list_previous_executions("w")] == ["r3", "r2", "r1"]
-
-
 def test_summaries_start_over_when_the_file_is_rewritten(tmp_path):
     path = tmp_path / "runs.jsonl"
     store = RunStore(path)
@@ -308,17 +307,14 @@ _runs = st.builds(
 )
 
 
-# each example cuts and heals its history about 300 times per format of
-# its second line
+# each example cuts and heals its history about 150 times
 @settings(max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_runs, min_size=3, max_size=3))
 def test_a_history_cut_anywhere_in_its_last_record_heals_on_the_next_append(runs):
     """A crash may cut an append at any byte.  Cut a two-record history at
     every byte of its second line, newline included, then append a third
     record: the cut record is gone unless only its newline was, and both a
-    fresh store and one that read the cut file list the rest.  The second
-    line is a summary line, or a whole-record line as written before the
-    store became an index."""
+    fresh store and one that read the cut file list the rest."""
     first, second, third = runs
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "runs.jsonl"
@@ -328,78 +324,25 @@ def test_a_history_cut_anywhere_in_its_last_record_heals_on_the_next_append(runs
             RunEntry(summary_of(second), None),
             RunEntry(summary_of(third), run_dir),
         ]
-        for second_line in ("summary", "whole record"):
-            path.unlink(missing_ok=True)
-            RunStore(path).append(first, run_dir)
-            head = path.stat().st_size
-            if second_line == "summary":
-                RunStore(path).append(second)
-            else:
-                with open(path, "ab") as fh:
-                    fh.write(old_line(second))
-            whole = path.read_bytes()
-            for cut in range(head, len(whole) + 1):
-                path.write_bytes(whole[:cut])
-                # the second line lacks at most its newline
-                kept = 2 if cut >= len(whole) - 1 else 1
-                reader = RunStore(path)
-                assert reader.load_all() == entries[:kept], (second_line, cut)
-                expected = summaries_of(runs[:kept], "w")
-                assert reader.list_previous_executions("w") == expected, (second_line, cut)
+        RunStore(path).append(first, run_dir)
+        head = path.stat().st_size
+        RunStore(path).append(second)
+        whole = path.read_bytes()
+        for cut in range(head, len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            # the second line lacks at most its newline
+            kept = 2 if cut >= len(whole) - 1 else 1
+            reader = RunStore(path)
+            assert reader.load_all() == entries[:kept], cut
+            assert reader.list_previous_executions("w") == summaries_of(runs[:kept], "w"), cut
 
-                RunStore(path).append(third, run_dir)
-                history = [*runs[:kept], third]
-                for store in (reader, RunStore(path)):
-                    assert store.load_all() == [*entries[:kept], entries[2]], (second_line, cut)
-                    for workflow_id in ("w", "v"):
-                        expected = summaries_of(history, workflow_id)
-                        assert store.list_previous_executions(workflow_id) == expected, (
-                            second_line, cut,
-                        )
-
-
-# --- histories written before the store became an index ---
-
-
-def test_a_whole_record_history_and_a_mixed_one_list_as_before(tmp_path):
-    """Whole-record lines, alone or between summary lines, give the same
-    previous_executions payloads as when every line was a whole record; their
-    entries have no run directory."""
-    runs = [
-        finished_run("a", "w", 300, duration=40),
-        finished_run("b", "w", 100, duration=250),
-        finished_run("c", "v", 200),
-        finished_run("d", "w", 300, duration=9),
-    ]
-    # the payload previous_executions serves for "w" from these runs
-    expected = [
-        {"run_id": "d", "workflow_id": "w", "submission_ms": 300,
-         "final_state": "succeeded", "makespan_ms": 9},
-        {"run_id": "a", "workflow_id": "w", "submission_ms": 300,
-         "final_state": "succeeded", "makespan_ms": 40},
-        {"run_id": "b", "workflow_id": "w", "submission_ms": 100,
-         "final_state": "succeeded", "makespan_ms": 250},
-    ]
-    old = tmp_path / "old.jsonl"
-    old.write_bytes(b"".join(old_line(run) for run in runs))
-    mixed = tmp_path / "mixed.jsonl"
-    run_dir = tmp_path.resolve() / "b"
-    mixed.write_bytes(old_line(runs[0]))
-    RunStore(mixed).append(runs[1], run_dir)
-    with open(mixed, "ab") as fh:
-        fh.write(old_line(runs[2]))
-    RunStore(mixed).append(runs[3])
-    for path in (old, mixed):
-        store = RunStore(path)
-        assert [vars(s) for s in store.list_previous_executions("w")] == expected
-        assert store.list_previous_executions("v") == [summary_of(runs[2])]
-    assert [e.run_dir for e in RunStore(old).load_all()] == [None] * 4
-    assert RunStore(mixed).load_all() == [
-        RunEntry(summary_of(runs[0]), None),
-        RunEntry(summary_of(runs[1]), run_dir),
-        RunEntry(summary_of(runs[2]), None),
-        RunEntry(summary_of(runs[3]), None),
-    ]
+            RunStore(path).append(third, run_dir)
+            history = [*runs[:kept], third]
+            for store in (reader, RunStore(path)):
+                assert store.load_all() == [*entries[:kept], entries[2]], cut
+                for workflow_id in ("w", "v"):
+                    expected = summaries_of(history, workflow_id)
+                    assert store.list_previous_executions(workflow_id) == expected, cut
 
 
 def test_an_append_costs_the_same_bytes_whatever_the_run_size(tmp_path):
