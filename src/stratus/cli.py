@@ -27,7 +27,6 @@ from .blueprint import (
 from .sim import ScenarioSpec, load_scenario, parse_file, scenario_simulation
 from .store import RunStore, RunSummary
 from .service import ServiceContext, serve
-from .taskmon import format_log
 from .textfmt import field_dict, parse_decimal
 from .workflow import (
     DurationStats,
@@ -153,15 +152,6 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
         "workflow_id": run.workflow_id,
     })
 
-    sample_lines = ["t_ms\tmachine\tcpu_cores\tmemory_bytes\tdisk_bytes"]
-    for sample in result.samples:
-        used = sample.used
-        sample_lines.append(
-            f"{sample.t_ms}\t{sample.machine_id}\t{int(used.cpu_cores)}"
-            f"\t{used.memory_bytes}\t{used.disk_bytes}"
-        )
-    (run_dir / "samples.tsv").write_text("\n".join(sample_lines) + "\n", encoding="utf-8")
-
     descriptors = [result.registry.descriptor(m) for m in result.registry.machine_ids()]
     _write_json(run_dir / "machines.json", [
         {
@@ -175,11 +165,6 @@ def _write_run_outputs(result, run_dir: Path) -> ExecutionReport:
         }
         for d in descriptors
     ])
-
-    log_text = "".join(
-        format_log(result.application_logs(task_id)) for task_id in sorted(result.instances_by_id)
-    )
-    (run_dir / "logs.tsv").write_text(log_text, encoding="utf-8")
 
     _write_json(run_dir / "report.json", result.report.to_record())
     return result.report

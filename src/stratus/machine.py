@@ -8,7 +8,6 @@ copies, so they can run concurrently with ingest.
 """
 
 import enum
-import itertools
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
@@ -113,7 +112,7 @@ class MachineDescriptor:
     status: MachineStatus = MachineStatus.HEALTHY
 
     def __post_init__(self):
-        # the event log and samples.tsv are tab-separated lines
+        # the event log is tab-separated lines
         if not one_field_line(self.machine_id):
             raise MachineError(f"machine id must be one line without tabs: {self.machine_id!r}")
         if self.capacity.cpu_cores <= 0 or self.capacity.memory_bytes <= 0 or self.capacity.disk_bytes <= 0:
@@ -223,12 +222,6 @@ class MachineRegistry:
             series = self._entry(machine_id).series
             end = bisect_right(series, t_ms, key=_T_MS)
             return series[end - 1] if end else None
-
-    def all_samples(self) -> list[MachineSample]:
-        """Every machine's series merged by time, then machine id."""
-        with self._lock:
-            samples = itertools.chain.from_iterable(e.series for e in self._entries.values())
-            return sorted(samples, key=attrgetter("t_ms", "machine_id"))
 
     def available_resources(self, machine_id: str, t_ms: int) -> ResourceVector:
         """Capacity minus the most recent sample at or before t_ms; full

@@ -558,11 +558,6 @@ class SimulationResult:
         self.instances_by_id = {i.task_id: i for i in self.run.instances}
 
     @property
-    def samples(self) -> list[MachineSample]:
-        """Every machine sample, by time and then machine id."""
-        return self.registry.all_samples()
-
-    @property
     def trace_records(self) -> list[TaskTraceRecord]:
         """Every trace record, in completion order."""
         return list(self.trace_by_id.values())

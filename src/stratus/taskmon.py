@@ -297,11 +297,6 @@ def task_log(
     return [e for e in entries if e.level >= min_level]
 
 
-def format_log(entries: "list[LogEntry]") -> str:
-    """One tab-separated line per entry: time, level, task id, message."""
-    return "".join(f"{e.t_ms}\t{e.level.wire_name}\t{e.task_id}\t{e.message}\n" for e in entries)
-
-
 @dataclass(frozen=True)
 class CodePartProfile:
     task_id: str

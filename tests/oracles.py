@@ -13,7 +13,7 @@ from collections import namedtuple
 from urllib.parse import parse_qs
 
 from stratus.blueprint import LayerId, TopologyMode, UnknownLayerError
-from stratus.machine import MachineStatus, ResourceVector
+from stratus.machine import MachineSample, MachineStatus, ResourceVector
 from stratus.sim import (
     BUILTIN_MODELS,
     EXIT_MACHINE_KILL,
@@ -140,6 +140,19 @@ def trace_line(record: TaskTraceRecord) -> str:
 def event_line(event: EventRecord) -> str:
     """One event-log line: time, kind, subject, detail, tab-separated."""
     return f"{event.t_ms}\t{event.kind}\t{event.subject}\t{event.detail}"
+
+
+def machine_samples(events: "list[EventRecord]") -> list[MachineSample]:
+    """A run's machine samples read from its ``machine_sample`` events
+    (detail ``cpu=<n> mem=<bytes> disk=<bytes>``), in log order: by time,
+    then machine id."""
+    samples = []
+    for e in events:
+        if e.kind == "machine_sample":
+            used = dict(token.split("=") for token in e.detail.split(" "))
+            vector = ResourceVector(int(used["cpu"]), int(used["mem"]), int(used["disk"]))
+            samples.append(MachineSample(e.subject, e.t_ms, vector))
+    return samples
 
 
 def validate_code_parts(parts: "list[CodePartProfile]", record: TaskTraceRecord) -> None:
@@ -513,11 +526,14 @@ def assert_equals_reference(result, stuck, reference) -> None:
     run byte for byte, and in every run fact the bytes carry."""
     assert result.event_log_text() == reference.event_log_text()
     assert result.trace_text() == reference.trace_text()
-    samples = [
-        (s.t_ms, s.machine_id, s.used.cpu_cores, s.used.memory_bytes, s.used.disk_bytes)
-        for s in result.samples
-    ]
-    assert samples == reference.samples
+    # each machine's whole series (the service's widest window,
+    # MAX_WINDOW_MS), which its machine features read
+    for machine_id in result.registry.machine_ids():
+        series = [
+            (s.t_ms, s.machine_id, s.used.cpu_cores, s.used.memory_bytes, s.used.disk_bytes)
+            for s in result.registry.query_series(machine_id, 0, 2**62)
+        ]
+        assert series == [s for s in reference.samples if s[1] == machine_id]
     assert stuck == reference.stuck
     assert result.never_eligible == reference.never_eligible
     assert result.run.final_state is reference.run.final_state
@@ -731,7 +747,7 @@ def _machine(results, machine_id, t_from, t_to) -> dict:
     if not results or machine_id not in results[-1].registry.machine_ids():
         _refuse(404, f"unknown machine: {machine_id!r}")
     machine = results[-1].registry.descriptor(machine_id)
-    samples = [s for s in results[-1].samples if s.machine_id == machine_id]
+    samples = [s for s in machine_samples(results[-1].event_records) if s.machine_id == machine_id]
     used = ([s.used for s in samples if s.t_ms <= t_to] or [ResourceVector(0, 0, 0)])[-1]
     capacity, hardware = machine.capacity, dataclasses.asdict(machine.hardware)
     return {

@@ -436,6 +436,17 @@ FAULTS = [
         "a report.json that is cut short or lacks a key is refused naming the file",
         (DAMAGED,),
     ),
+    # -- File formats: the run directory's four facts and one view --
+    Fault(
+        "src/stratus/cli.py",
+        '    _write_json(run_dir / "machines.json", [',
+        "    len([",
+        "a run directory holds the event log, the trace, run.json, machines.json and report.json",
+        (
+            "tests/test_cli.py::test_run_scenario_writes_all_artifacts",
+            "tests/test_golden.py::test_cli_artifact_bytes_match_golden_digests",
+        ),
+    ),
     # -- File formats: the run history, whose rules only its own tests state --
     Fault(
         "src/stratus/store.py",

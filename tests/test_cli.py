@@ -43,10 +43,7 @@ def test_run_scenario_writes_all_artifacts(sandbox, capsys):
     assert "instances 18 (succeeded 18, failed 0)" in out
 
     run_dir = sandbox / "r1"
-    expected_files = {
-        "trace-r1.tsv", "events.log", "run.json", "samples.tsv",
-        "machines.json", "logs.tsv", "report.json",
-    }
+    expected_files = {"trace-r1.tsv", "events.log", "run.json", "machines.json", "report.json"}
     assert {p.name for p in run_dir.iterdir()} == expected_files
 
     records = parse_trace((run_dir / "trace-r1.tsv").read_text())
@@ -63,7 +60,6 @@ def test_run_scenario_writes_all_artifacts(sandbox, capsys):
     assert [m["machine_id"] for m in machines] == ["m1", "m2"]
     report = json.loads((run_dir / "report.json").read_text())
     assert report["counts"]["succeeded"] == 18
-    assert (run_dir / "samples.tsv").read_text().startswith("t_ms\tmachine\t")
 
     store = RunStore(sandbox / "runs.jsonl")
     assert [e.summary.run_id for e in store.load_all()] == ["r1"]
@@ -75,7 +71,6 @@ def test_run_same_seed_gives_identical_artifact_bytes(sandbox, capsys):
     read = lambda rid, name: (sandbox / rid / name).read_bytes()
     assert read("a", "trace-a.tsv") == read("b", "trace-b.tsv")
     assert read("a", "events.log") == read("b", "events.log")
-    assert read("a", "samples.tsv") == read("b", "samples.tsv")
 
 
 def test_run_workflow_cluster_pair_matches_scenario(sandbox, capsys):
@@ -595,9 +590,8 @@ def test_serve_writes_the_run_directory_that_run_writes(tmp_path, capsys, monkey
     assert {renamed.get(p.name, p.name) for p in served.iterdir()} == {
         p.name for p in ran.iterdir()
     }
-    # the files that do not name the run hold the same bytes
-    for name in ("samples.tsv", "machines.json", "logs.tsv"):
-        assert (served / name).read_bytes() == (ran / name).read_bytes(), name
+    # the file that does not name the run holds the same bytes
+    assert (served / "machines.json").read_bytes() == (ran / "machines.json").read_bytes()
     # the served run is in its history, which names its directory
     capsys.readouterr()
     assert main(["status", run_id, "--store", str(tmp_path / "out" / "runs.jsonl")]) == 0

@@ -10,8 +10,7 @@ import hashlib
 import pytest
 
 from conftest import run_simulation
-from oracles import assert_equals_reference, reference_run
-from stratus import sim
+from oracles import assert_equals_reference, machine_samples, reference_run
 from stratus.blueprint import TopologyMode
 from stratus.cli import _write_run_outputs
 from stratus.fixtures import fixture_path
@@ -24,6 +23,7 @@ from stratus.sim import (
     InjectionKind,
     ScenarioSpec,
     load_scenario,
+    parse_event_log,
     parse_file,
     scenario_simulation,
 )
@@ -158,45 +158,23 @@ def test_every_pinned_input_equals_the_reference_run(name, perfbench):
     assert_equals_reference(_golden_run(fs_total, case), [], reference_run(*case))
 
 
-def test_every_name_the_benchmark_traces_exists(perfbench):
-    """The benchmark's tracer wraps functions by name (some, like
-    stratus.sim.ready_tasks, only as names imported into another module);
-    installing it fails here when one of them is gone."""
-    tracing = perfbench("tracing")
-    layers = perfbench("layers")
-    originals = (sim.ready_tasks, sim.workflow_status)
-    tracer = tracing.Tracer()
-    try:
-        layers.install(tracer)
-        assert sim.ready_tasks is not originals[0]
-    finally:
-        tracer.uninstall()
-    assert (sim.ready_tasks, sim.workflow_status) == originals
-
-
 # sha256 of the CLI's other run artifacts, written by _write_run_outputs for
 # the bundled scenarios with run_id="golden" and submission_ms=0
-CLI_ARTIFACTS = ("samples.tsv", "run.json", "machines.json", "logs.tsv", "report.json")
+CLI_ARTIFACTS = ("run.json", "machines.json", "report.json")
 CLI_GOLDEN = {
     "faults": {
-        "samples.tsv": "90e85b5d57973f76d0e7f3d63fd27555cfcac694feb146693c4a5f36d238b997",
         "run.json": "974db16cd004cf1d37396d4e932221d7c820ac97cbbdd7ab83d0caacfff7823c",
         "machines.json": "896fbd981d5bf99f2138b80ea8dfba6c1d4cbec8cabf83777ee65ce50111b919",
-        "logs.tsv": "62ada6b0cb3640a251e1df39b4bfb553f57d5b3f84ee27c55dfb3d60bd30a634",
         "report.json": "268cdce9295385acb8ff8aebe12bc14408acdb0428365fa7db2be45b3d5bc74c",
     },
     "fig1": {
-        "samples.tsv": "d329bcf428ed8df5dd76a56bd9c9524acee631cd9e73988193f576bcf06f4fe0",
         "run.json": "1cb78587f3878b5422d9381d3ce1442dd68bebef81a59a87a85d435f57766435",
         "machines.json": "0e6cb8b23bd2a953471bffc0acb6e930e73b6ae597e7ed58b05d31de3e2df904",
-        "logs.tsv": "8920e38687ba739faee746ced37ad8499c0970c40beca35664e406410fc45898",
         "report.json": "2cae2dcc80b5b537584d67cced6c55d60701020c489da3b7d975d955bd5a4c1c",
     },
     "fig1x32": {
-        "samples.tsv": "9b03eae69798ff9f71a19a2f8d9caceb40227c042ab6dfe490def713a42dcdc5",
         "run.json": "acc6a8b993475c59d0db4256000705c3128f450a620b9dea03a7c1c64de6c018",
         "machines.json": "e3bca39be06ac334ae9d199d429c120e4a5334125b6b1a65c96c9e31adec8036",
-        "logs.tsv": "6dff0d60a0de67179a796eab37c7eb25485f89209837ee9d82fa2419b8d7d2fd",
         "report.json": "ff3b3cb035c315235a4d632967b6dcd4ece0908090cda1c1a572190252719c88",
     },
 }
@@ -212,3 +190,75 @@ def test_cli_artifact_bytes_match_golden_digests(name, tmp_path):
         for artifact in CLI_ARTIFACTS
     }
     assert digests == CLI_GOLDEN[name]
+
+
+# sha256 of (samples.tsv, logs.tsv) as _write_run_outputs wrote them for the
+# bundled scenarios with run_id="golden" and submission_ms=0, before the run
+# directory dropped them: both are views of the event log, rebuilt from it
+# below
+DROPPED_VIEW_GOLDEN = {
+    "faults": (
+        "90e85b5d57973f76d0e7f3d63fd27555cfcac694feb146693c4a5f36d238b997",
+        "62ada6b0cb3640a251e1df39b4bfb553f57d5b3f84ee27c55dfb3d60bd30a634",
+    ),
+    "fig1": (
+        "d329bcf428ed8df5dd76a56bd9c9524acee631cd9e73988193f576bcf06f4fe0",
+        "8920e38687ba739faee746ced37ad8499c0970c40beca35664e406410fc45898",
+    ),
+    "fig1x32": (
+        "9b03eae69798ff9f71a19a2f8d9caceb40227c042ab6dfe490def713a42dcdc5",
+        "6dff0d60a0de67179a796eab37c7eb25485f89209837ee9d82fa2419b8d7d2fd",
+    ),
+}
+
+
+def _samples_view(events) -> str:
+    """The header ``t_ms machine cpu_cores memory_bytes disk_bytes``, then
+    one line of those values per ``machine_sample`` event, tab-separated."""
+    lines = ["t_ms\tmachine\tcpu_cores\tmemory_bytes\tdisk_bytes"]
+    for s in machine_samples(events):
+        used = s.used
+        lines.append("\t".join(map(str, (
+            s.t_ms, s.machine_id, used.cpu_cores, used.memory_bytes, used.disk_bytes
+        ))))
+    return "\n".join(lines) + "\n"
+
+
+_INSTANCE_KINDS = ("instance_started", "instance_succeeded", "instance_failed")
+
+
+def _log_line(event) -> tuple[str, str]:
+    """An instance event's application-log line as (level, message)."""
+    if event.kind == "instance_started":
+        return "Info", f"started on {event.detail.removeprefix('machine=')}"
+    if event.kind == "instance_succeeded":
+        return "Info", "finished exit=0"
+    # exit=<e> verdict=<verdict> machine=<machine>
+    exit_code, verdict = event.detail.split(" ")[:2]
+    return "Error", f"failed {exit_code} ({verdict.removeprefix('verdict=')})"
+
+
+def _logs_view(events) -> str:
+    """Each task's application log, grouped by task id in sorted order, one
+    tab-separated ``t level task_id message`` line per entry: ``Info``
+    ``started on <machine>`` at its start, then ``Info`` ``finished exit=0``
+    or ``Error`` ``failed exit=<e> (<verdict>)`` at its end."""
+    lines = []
+    # sorted is stable: a task's start line stays before its end line
+    for e in sorted((e for e in events if e.kind in _INSTANCE_KINDS), key=lambda e: e.subject):
+        level, message = _log_line(e)
+        lines.append(f"{e.t_ms}\t{level}\t{e.subject}\t{message}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED_VIEW_GOLDEN))
+def test_the_dropped_views_rebuild_from_the_event_log(name, tmp_path):
+    """No fact went with samples.tsv and logs.tsv: both rebuild, byte for
+    byte, from the events.log that _write_run_outputs writes."""
+    simulation = scenario_simulation(SCENARIOS[name](), run_id="golden", submission_ms=0)
+    _write_run_outputs(simulation.run_to_completion(), tmp_path)
+    events = parse_event_log((tmp_path / "events.log").read_text(encoding="utf-8"))
+    digests = tuple(
+        hashlib.sha256(view(events).encode()).hexdigest() for view in (_samples_view, _logs_view)
+    )
+    assert digests == DROPPED_VIEW_GOLDEN[name]

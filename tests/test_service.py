@@ -43,6 +43,7 @@ from conftest import (
 from oracles import (
     ORACLE_EXTENSIONS,
     ORACLE_ROWS,
+    machine_samples,
     oracle_permitted,
     reference_answer,
     reference_denial,
@@ -1146,7 +1147,10 @@ def _payloads(answers, feature):
 
 def _used_at(results, machine_id, t_ms):
     """The newest run's latest reading of the machine at or before ``t_ms``."""
-    used = [s.used for s in results[-1].samples if s.machine_id == machine_id and s.t_ms <= t_ms]
+    used = [
+        s.used for s in machine_samples(results[-1].event_records)
+        if s.machine_id == machine_id and s.t_ms <= t_ms
+    ]
     return used[-1] if used else None
 
 

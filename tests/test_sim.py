@@ -35,6 +35,7 @@ from oracles import (
     assert_equals_reference,
     event_line,
     instance_stream,
+    machine_samples,
     reference_run,
     reference_scaled_record,
     reference_synthesize_metrics,
@@ -329,7 +330,8 @@ def test_artifacts_change_only_with_what_shapes_them(change, same, workflows):
     head, *rest = first.event_log_text().splitlines()
     second_head, *second_rest = second.event_log_text().splitlines()
     assert (head == second_head, rest == second_rest, first.trace_text() == second.trace_text()) == same
-    assert (first.samples == second.samples) == same[1]
+    samples = [machine_samples(r.event_records) for r in (first, second)]
+    assert (samples[0] == samples[1]) == same[1]
     topology = change.get("topology", TopologyMode.WORKFLOW_AWARE)
     assert f" topology={topology.wire_name} " in second_head
     assert second.resource_manager.running_workflows() == workflows
@@ -1003,7 +1005,10 @@ def _disk_binds(case, result) -> bool:
     spec, machines = case[:2]
     largest = max(t.requested.disk_bytes for t in spec.tasks)
     disk = {m.machine_id: m.capacity.disk_bytes for m in machines}
-    return any(disk[s.machine_id] - s.used.disk_bytes < largest for s in result.samples)
+    return any(
+        disk[s.machine_id] - s.used.disk_bytes < largest
+        for s in machine_samples(result.event_records)
+    )
 
 
 # what the reference comparison can only check if engine_cases() draws it

@@ -25,7 +25,6 @@ from stratus.taskmon import (
     Verdict,
     diagnose,
     emit_trace,
-    format_log,
     format_trace_file,
     parse_trace,
     synthesize_code_parts,
@@ -400,17 +399,6 @@ def test_task_log_follows_the_lifecycle():
     assert task_log(instance, failed, verdict) == [started, error]
     for level in (LogLevel.WARNING, LogLevel.ERROR):
         assert task_log(instance, failed, verdict, level) == [error]
-
-
-def test_log_export_format():
-    assert format_log([]) == ""
-    entries = [
-        LogEntry("w/a/0", 15, LogLevel.WARNING, "careful"),
-        LogEntry("w/a/0", 20, LogLevel.ERROR, "failed exit=1 (non_zero_exit)"),
-    ]
-    assert format_log(entries) == (
-        "15\tWarning\tw/a/0\tcareful\n20\tError\tw/a/0\tfailed exit=1 (non_zero_exit)\n"
-    )
 
 
 # --- code parts ---
